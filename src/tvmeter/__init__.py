@@ -65,6 +65,7 @@ from .metrics import (
     equivalent_noises,
     evaluate,
     transfer_coefficients,
+    vc_on_grid,
 )
 from .models import (
     CqncParams,

@@ -16,26 +16,22 @@ with 17 significant digits and the resolved configuration is echoed in
 the header, so any table can be reproduced byte for byte from its own
 header.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure.
-
-Set TV_THREADS to evaluate sweep rows concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any
 
 from . import __version__
-from .core import BathSpec
+from .core import BathSpec, LinearModel
 from .errors import TvmeterError
 from .floquet import decompose_drift, floquet_metrics
 from .levitation import DualTweezerParams, TweezerParams, reduced_metrics, single_tweezer_qnd_model
-from .metrics import MeasurementFigures, evaluate
+from .metrics import MeasurementFigures, evaluate, vc_on_grid, with_detection_loss
 from .models import (
     CqncParams,
     DisplacementParams,
@@ -44,7 +40,7 @@ from .models import (
     displacement_model,
     imperfect_qnd_model,
 )
-from .optimize import find_threshold, generalized_sql, minimize_vc_over_frequency
+from .optimize import ScanMinimum, find_threshold, generalized_sql, minimize_vc_over_frequency
 from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
 
 
@@ -243,25 +239,22 @@ def _lev_pulsed_point(params: dict, bath: BathSpec) -> MeasurementFigures:
     return pulsed_metrics(p, params["tau"], pulse_shape=params["pulse_shape"])
 
 
-def scenario_figures(
-    scenario: str, params: dict, bath: BathSpec, omega: float, conditioning: str
-) -> MeasurementFigures:
-    """Figures of merit of one scenario at one detection frequency."""
+def _scenario_model(scenario: str, params: dict, bath: BathSpec) -> LinearModel | None:
+    """The validated model a model-based scenario is evaluated on; None
+    for the scenarios with kernels of their own (qnd-floquet, lev-dual,
+    lev-pulsed)."""
     if scenario == "displacement":
-        model = displacement_model(
+        return displacement_model(
             DisplacementParams(params["kappa"], params["gamma"], params["omega_m"],
                                g=params["g"], C=params["C"]), bath)
-        return evaluate(model, omega, bath=bath)
     if scenario == "cqnc":
-        model = cqnc_model(
+        return cqnc_model(
             CqncParams(params["kappa"], params["gamma"], params["omega_m"],
                        g=params["g"], C=params["C"]), bath)
-        return evaluate(model, omega, bath=bath, conditioning=conditioning)
     if scenario == "qnd-ideal":
-        model = displacement_model(
+        return displacement_model(
             DisplacementParams(params["kappa"], params["gamma"], 0.0,
                                g=params["g"], C=params["C"]), bath)
-        return evaluate(model, omega, bath=bath)
     if scenario == "qnd-imperfect":
         p = ImperfectQndParams(
             params["kappa"], params["gamma"], g=params["g"], C=params["C"],
@@ -270,19 +263,35 @@ def scenario_figures(
             nu=params["nu"] * params["gamma"],
             xi=params["xi"] * params["gamma"],
         )
-        return evaluate(imperfect_qnd_model(p, bath), omega, bath=bath)
+        return imperfect_qnd_model(p, bath)
+    if scenario == "lev-single":
+        p = TweezerParams(
+            omega_m=params["omega_m"], alpha=params["alpha"], g=params["g"],
+            kappa=params["kappa"], gamma=params["gamma"], Omega=params["Omega"],
+        )
+        return single_tweezer_qnd_model(p, bath)
+    return None
+
+
+def _model_conditioning(scenario: str, conditioning: str) -> str:
+    """Only the cqnc model has an ancilla to condition on."""
+    return conditioning if scenario == "cqnc" else "meter"
+
+
+def scenario_figures(
+    scenario: str, params: dict, bath: BathSpec, omega: float, conditioning: str
+) -> MeasurementFigures:
+    """Figures of merit of one scenario at one detection frequency."""
+    model = _scenario_model(scenario, params, bath)
+    if model is not None:
+        return evaluate(model, omega, bath=bath,
+                        conditioning=_model_conditioning(scenario, conditioning))
     if scenario == "qnd-floquet":
         fd = decompose_drift(
             params["kappa"], params["gamma"], params["omega_m"],
             g=params["g"], C=params["C"], order=int(params["order"]),
         )
         return floquet_metrics(fd, bath, omega)
-    if scenario == "lev-single":
-        p = TweezerParams(
-            omega_m=params["omega_m"], alpha=params["alpha"], g=params["g"],
-            kappa=params["kappa"], gamma=params["gamma"], Omega=params["Omega"],
-        )
-        return evaluate(single_tweezer_qnd_model(p, bath), omega, bath=bath)
     if scenario == "lev-dual":
         g1, g2 = params["g1"], params["g2"]
         if params["g_total"] is not None and params["readout_fraction"] is not None:
@@ -306,14 +315,35 @@ def _default_omega(cfg: RunConfig) -> float:
     return DEFAULT_OMEGA.get(cfg.scenario, lambda p: 0.0)(cfg.parameters)
 
 
-def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
-    if cfg.optimize_frequency:
-        res = minimize_vc_over_frequency(
+def _frequency_scan(cfg: RunConfig, params: dict, bath: BathSpec) -> ScanMinimum:
+    """Detection frequency minimizing V_c at one parameter point.
+
+    A model-based scenario builds and validates its model once, scans the
+    frequency grid with one stacked solve and refines on that same model.
+    The other scenarios are evaluated frequency by frequency.
+    """
+    lo, hi = cfg.omega_bounds
+    model = _scenario_model(cfg.scenario, params, bath)
+    if model is None:
+        return minimize_vc_over_frequency(
             lambda w: scenario_figures(cfg.scenario, params, bath, w, cfg.conditioning),
-            cfg.omega_bounds[0], cfg.omega_bounds[1],
+            lo, hi,
         )
-        return res.figures
-    omega = cfg.omega if cfg.omega is not None else _default_omega(cfg)
+    model = with_detection_loss(model, bath)
+    conditioning = _model_conditioning(cfg.scenario, cfg.conditioning)
+    return minimize_vc_over_frequency(
+        lambda w: evaluate(model, w, conditioning=conditioning), lo, hi,
+        vc_grid=lambda ws: vc_on_grid(model, ws, conditioning=conditioning),
+    )
+
+
+def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
+    """Figures of one row, at the optimal detection frequency with
+    ``optimize_frequency``; they always come from :func:`scenario_figures`."""
+    if cfg.optimize_frequency:
+        omega = _frequency_scan(cfg, params, bath).x
+    else:
+        omega = _default_omega(cfg)
     return scenario_figures(cfg.scenario, params, bath, omega, cfg.conditioning)
 
 
@@ -387,14 +417,6 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
     return list(np.linspace(lo, hi, n))
 
 
-def _map_rows(fn: Callable[[float], dict], values: list[float]) -> list[dict]:
-    threads = int(os.environ.get("TV_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
-
-
 def _swept_params(cfg: RunConfig, value: float) -> dict:
     name = cfg.sweep["param"]
     if name not in cfg.parameters:
@@ -422,7 +444,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
 
-    return _map_rows(one, _sweep_values(cfg))
+    return [one(value) for value in _sweep_values(cfg)]
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
@@ -456,17 +478,6 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
         raise NumericalFailure("C", float("nan"), err) from err
 
 
-def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
-    if cfg.optimize_frequency:
-        res = minimize_vc_over_frequency(
-            lambda w: scenario_figures(cfg.scenario, params, bath, w, cfg.conditioning),
-            cfg.omega_bounds[0], cfg.omega_bounds[1],
-        )
-        return res.figures
-    omega = cfg.omega if cfg.omega is not None else _default_omega(cfg)
-    return scenario_figures(cfg.scenario, params, bath, omega, cfg.conditioning)
-
-
 def cmd_threshold(
     cfg: RunConfig, vary: str, bounds: tuple[float, float], level: float,
     quantity: str, c_bounds: tuple[float, float], c_count: int,
@@ -483,7 +494,7 @@ def cmd_threshold(
         else:
             bd = dict(cfg.bath)
             bd[vary] = value
-            b = RunConfig(**{**cfg.__dict__, "bath": bd}).bath_spec()
+            b = replace(cfg, bath=bd).bath_spec()
         return params, b
 
     def curve(value: float) -> float:
@@ -511,14 +522,8 @@ def cmd_threshold(
 
 
 def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
-    bath = cfg.bath_spec()
     try:
-        res = minimize_vc_over_frequency(
-            lambda w: scenario_figures(
-                cfg.scenario, cfg.parameters, bath, w, cfg.conditioning
-            ),
-            cfg.omega_bounds[0], cfg.omega_bounds[1],
-        )
+        res = _frequency_scan(cfg, cfg.parameters, cfg.bath_spec())
     except TvmeterError as err:
         raise NumericalFailure("omega", float("nan"), err) from err
     row = _figures_row("omega_opt", res.x, res.figures)

@@ -23,6 +23,11 @@ complex, and dropping their imaginary parts would condition on one
 sideband quadrature of the record instead of the whole record at that
 frequency.  At w = 0, S is real and the two agree.
 
+The scattering matrix, the condition check and the cross-spectral
+density also run over a stack: an array of frequencies gives matrices
+``[..., i, j]`` from one stacked solve, each with the bits of its
+frequency alone.
+
 Vacuum variance is 1/2 per quadrature throughout.
 """
 
@@ -37,6 +42,10 @@ from .errors import NonHermitianResult, SingularAtFrequency, UnstableModel
 
 #: reciprocal-condition-number floor below which (A + iwI) counts as singular
 RCOND_FLOOR = 1e-12
+
+#: stands in for a zero row or column scale, so that the row or column
+#: stays zero (and the matrix singular) instead of dividing by zero
+_TINY = np.finfo(float).tiny
 
 #: largest imaginary residue tolerated when symmetrizing output covariances
 HERMITIZATION_TOL = 1e-10
@@ -205,14 +214,15 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Complex input-to-output map at one detection frequency.
+    """Complex input-to-output map at one detection frequency, or a
+    stack ``S[..., i, j]`` over an array of frequencies.
 
     Rows are output channels; columns are input channels (possibly more
     than rows after loss augmentation).
     """
 
     S: NDArray[np.complex128]
-    omega: float
+    omega: float | NDArray[np.float64]
 
 
 def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
@@ -224,41 +234,45 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
         raise UnstableModel(max_real)
 
 
-def _equilibrated_rcond(M: NDArray) -> float:
+def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:
     """Reciprocal condition number after row/column scaling.
 
     Rate hierarchies (gamma orders of magnitude below kappa) inflate the
     raw condition number without the matrix being anywhere near an
     undamped resonance; scaling removes that while a genuinely singular
-    matrix stays singular.
+    matrix stays singular (a zero row or column stays zero).  ``M`` may
+    be a stack ``[..., i, j]``.  NaN entries give a NaN rcond.
     """
-    absM = np.abs(M)
-    r = absM.max(axis=1)
-    if np.any(r == 0.0):
-        return 0.0
-    scaled = M / r[:, None]
-    c = np.abs(scaled).max(axis=0)
-    if np.any(c == 0.0):
-        return 0.0
-    cond = np.linalg.cond(scaled / c[None, :])
-    return 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
+    r = np.maximum(np.abs(M).max(axis=-1), _TINY)
+    scaled = M / r[..., :, None]
+    c = np.maximum(np.abs(scaled).max(axis=-2), _TINY)
+    rcond = 1.0 / np.linalg.cond(scaled / c[..., None, :])
+    return rcond if isinstance(rcond, np.ndarray) else float(rcond)
 
 
-def _bare_scattering(A: NDArray, H: NDArray, omega: float) -> NDArray[np.complex128]:
+def _bare_scattering(A: NDArray, H: NDArray, omega: float | NDArray) -> NDArray[np.complex128]:
     n = A.shape[0]
-    M = A + 1j * omega * np.eye(n)
+    stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
+    M = A + 1j * (omega[..., None, None] if stacked else omega) * np.eye(n)
     rcond = _equilibrated_rcond(M)
-    if rcond < RCOND_FLOOR:
+    if stacked:
+        singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
+        if singular.size:
+            k = singular[0]
+            raise SingularAtFrequency(omega.ravel()[k], float(rcond.ravel()[k]))
+    elif not rcond >= RCOND_FLOOR:
         raise SingularAtFrequency(omega, rcond)
     return -(H @ np.linalg.solve(M, H) + np.eye(n))
 
 
-def build_scattering(model: LinearModel, omega: float) -> ScatteringMatrix:
+def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMatrix:
     """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model.
 
     For a loss-augmented model the result is rectangular, 2M x (2M + 2):
     the meter mode's output rows are scaled by sqrt(eta) and pick up
-    sqrt(1 - eta) ancilla columns.
+    sqrt(1 - eta) ancilla columns.  An array of frequencies gives the
+    stack ``S[..., i, j]`` from one stacked solve; the first singular
+    frequency, in the array's order, raises :class:`SingularAtFrequency`.
     """
     S = _bare_scattering(model.A, model.H, omega)
     eta = model.detection_eta
@@ -266,11 +280,11 @@ def build_scattering(model: LinearModel, omega: float) -> ScatteringMatrix:
         return ScatteringMatrix(S, omega)
     n = model.size
     r0 = 2 * model.meter_mode
-    aug = np.zeros((n, n + 2), dtype=complex)
-    aug[:, :n] = S
-    aug[r0 : r0 + 2, :n] *= np.sqrt(eta)
-    aug[r0, n] = np.sqrt(1.0 - eta)
-    aug[r0 + 1, n + 1] = np.sqrt(1.0 - eta)
+    aug = np.zeros(S.shape[:-1] + (n + 2,), dtype=complex)
+    aug[..., :n] = S
+    aug[..., r0 : r0 + 2, :n] *= np.sqrt(eta)
+    aug[..., r0, n] = np.sqrt(1.0 - eta)
+    aug[..., r0 + 1, n + 1] = np.sqrt(1.0 - eta)
     return ScatteringMatrix(aug, omega)
 
 
@@ -339,10 +353,10 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
 
     This is the matrix to condition on.  Its diagonal is real and equals
     that of :func:`output_covariance_at`; its off-diagonal entries are
-    complex at nonzero frequency.
+    complex at nonzero frequency.  ``S`` may be a stack ``[..., i, j]``.
     """
-    V = S @ Vin @ S.conj().T
-    return 0.5 * (V + V.conj().T)
+    V = S @ Vin @ S.conj().swapaxes(-1, -2)
+    return 0.5 * (V + V.conj().swapaxes(-1, -2))
 
 
 def output_covariance_at(model: LinearModel, omega: float) -> NDArray[np.float64]:

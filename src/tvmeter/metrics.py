@@ -39,7 +39,7 @@ from .core import (
     cross_spectral_density,
     extended_input_covariance,
 )
-from .errors import DegenerateMeter
+from .errors import DegenerateMeter, SingularAtFrequency
 
 #: meter variances at or below this count as a missing noise channel
 METER_FLOOR = 1e-14
@@ -95,60 +95,129 @@ def classify_regime(Vc: float, Ts: float, Tm: float) -> Regime:
     return Regime.CLASSICAL
 
 
+def _abs2(z):
+    """|z|^2 with the bits of ``abs(z) ** 2`` on one complex number.
+
+    That is libm ``hypot`` and ``pow``; numpy's array ``abs`` and ``** 2``
+    round differently in the last bit, so a stack takes the ufuncs that
+    call libm.
+    """
+    if isinstance(z, np.ndarray):
+        return np.float_power(np.hypot(z.real, z.imag), 2)
+    return abs(z) ** 2
+
+
+def _re_triple(a, b, c):
+    """Re(a b c*) with the bits of scalar complex arithmetic (numpy's array
+    complex product rounds differently)."""
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    return re * c.real - im * -c.imag
+
+
+def _clamped(Vc, Vss) -> float:
+    """V_c of one point: rounding below zero clamps to zero, anything below
+    ``-VC_CLAMP_TOL * max(V_ss, 1)`` raises."""
+    if Vc < 0:
+        if Vc < -VC_CLAMP_TOL * max(Vss, 1.0):
+            raise DegenerateMeter(f"conditional variance {Vc:.3e} below zero")
+        Vc = 0.0
+    return float(Vc)
+
+
+def _clamped_stack(Vc, Vss, failed, one) -> NDArray[np.float64]:
+    """V_c of a stack of points, with the guards of :func:`_clamped`.
+
+    ``failed`` marks the points that fail an earlier guard.  The first
+    point that fails any guard, in stack order, goes to ``one`` (the
+    single-point function, called with the point's index), which raises
+    the error a loop over the points would raise.
+    """
+    failed = failed | (Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0))
+    if failed.any():
+        one(np.unravel_index(np.argmax(failed), failed.shape))
+    return np.maximum(Vc, 0.0)
+
+
 def conditional_variance(
     Vout: NDArray,
     layout: ModeLayout | None = None,
     signal: int | None = None,
     meter: int | None = None,
-) -> float:
+) -> float | NDArray[np.float64]:
     """Mechanical variance conditioned on the measured meter quadrature.
 
     ``Vout`` is the Hermitian cross-spectral density (a real symmetric
-    covariance is accepted as well).
+    covariance is accepted as well), or a stack of them ``[..., i, j]``.
     """
     s = signal if signal is not None else (layout.signal_index if layout else 2)
     m = meter if meter is not None else (layout.meter_index if layout else 1)
+    if Vout.ndim > 2:
+        Vss, Vmm = Vout[..., s, s].real, Vout[..., m, m].real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Vc = Vss - _abs2(Vout[..., s, m]) / Vmm
+        return _clamped_stack(
+            Vc, Vss, Vmm <= METER_FLOOR,
+            lambda k: conditional_variance(Vout[k], layout, signal, meter),
+        )
     Vmm = float(Vout[m, m].real)
     if Vmm <= METER_FLOOR:
         raise DegenerateMeter(f"meter variance {Vmm:.3e} is not positive")
     Vss = float(Vout[s, s].real)
-    Vc = Vss - abs(Vout[s, m]) ** 2 / Vmm
-    if Vc < 0:
-        if Vc < -VC_CLAMP_TOL * max(Vss, 1.0):
-            raise DegenerateMeter(f"conditional variance {Vc:.3e} below zero")
-        Vc = 0.0
-    return Vc
+    return _clamped(Vss - _abs2(Vout[s, m]) / Vmm, Vss)
+
+
+def _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom):
+    """Schur complement on the (meter, ancilla) block; ``denom`` is its
+    determinant, or None to drop the meter-ancilla cross covariance."""
+    if denom is None:
+        return Vss - _abs2(Vsm) / Vmm - _abs2(Vsa) / Vaa
+    num = Vmm * _abs2(Vsa) + _abs2(Vsm) * Vaa - 2 * _re_triple(Vsm, Vma, Vsa)
+    return Vss - num / denom
 
 
 def cqnc_conditional_variance(
     Vout: NDArray,
     layout: ModeLayout | None = None,
     simplified: bool = False,
-) -> float:
+) -> float | NDArray[np.float64]:
     """Mechanical variance conditioned on the meter and the negative-mass
     amplitude quadrature.
 
-    ``Vout`` is the Hermitian cross-spectral density; V_c is its Schur
-    complement on the (meter, ancilla) block.  The full expression keeps
-    the meter-ancilla cross covariance; the ``simplified`` variant drops
-    it (valid when that correlation is small against the two variances).
+    ``Vout`` is the Hermitian cross-spectral density, or a stack of them
+    ``[..., i, j]``; V_c is its Schur complement on the (meter, ancilla)
+    block.  The full expression keeps the meter-ancilla cross
+    covariance; the ``simplified`` variant drops it (valid when that
+    correlation is small against the two variances).  V_c has the guards
+    of :func:`conditional_variance`.
     """
     s = layout.signal_index if layout is not None else 2
     m = layout.meter_index if layout is not None else 1
     a = layout.ancilla_index if layout is not None and layout.ancilla_index is not None else 4
+    if Vout.ndim > 2:
+        Vss, Vmm, Vaa = (Vout[..., i, i].real for i in (s, m, a))
+        Vsm, Vsa, Vma = Vout[..., s, m], Vout[..., s, a], Vout[..., m, a]
+        failed = np.minimum(Vmm, Vaa) <= METER_FLOOR
+        denom = None
+        if not simplified:
+            denom = Vmm * Vaa - _abs2(Vma)
+            failed = failed | (denom <= METER_FLOOR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Vc = _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom)
+        return _clamped_stack(
+            Vc, Vss, failed,
+            lambda k: cqnc_conditional_variance(Vout[k], layout, simplified),
+        )
     Vss, Vmm, Vaa = (float(Vout[i, i].real) for i in (s, m, a))
     if min(Vmm, Vaa) <= METER_FLOOR:
         raise DegenerateMeter("conditioning channel has vanishing variance")
     Vsm, Vsa, Vma = complex(Vout[s, m]), complex(Vout[s, a]), complex(Vout[m, a])
-    if simplified:
-        Vc = Vss - abs(Vsm) ** 2 / Vmm - abs(Vsa) ** 2 / Vaa
-    else:
-        denom = Vmm * Vaa - abs(Vma) ** 2
+    denom = None
+    if not simplified:
+        denom = Vmm * Vaa - _abs2(Vma)
         if denom <= METER_FLOOR:
             raise DegenerateMeter("meter/ancilla covariance block is singular")
-        num = Vmm * abs(Vsa) ** 2 + abs(Vsm) ** 2 * Vaa - 2 * (Vsm * Vma * Vsa.conjugate()).real
-        Vc = Vss - num / denom
-    return max(Vc, 0.0) if Vc > -VC_CLAMP_TOL * max(Vss, 1.0) else Vc
+    return _clamped(_cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom), Vss)
 
 
 def equivalent_noises(
@@ -193,6 +262,22 @@ def figures_from_parts(
     )
 
 
+def with_detection_loss(model: LinearModel, bath: BathSpec | None) -> LinearModel:
+    """``model`` with the detection loss of ``bath`` applied, unless the
+    model is loss-augmented already."""
+    if bath is not None and bath.eta < 1.0 and model.detection_eta == 1.0:
+        return apply_detection_loss(model, bath.eta)
+    return model
+
+
+def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
+    if conditioning == "meter":
+        return conditional_variance(Vout, layout)
+    if conditioning == "meter+ancilla":
+        return cqnc_conditional_variance(Vout, layout)
+    raise ValueError(f"unknown conditioning {conditioning!r}")
+
+
 def evaluate(
     model: LinearModel,
     omega: float,
@@ -207,17 +292,39 @@ def evaluate(
     layout).  If ``bath`` carries ``eta < 1`` and the model is not yet
     loss-augmented, the detection loss is applied here.
     """
-    if bath is not None and bath.eta < 1.0 and model.detection_eta == 1.0:
-        model = apply_detection_loss(model, bath.eta)
+    model = with_detection_loss(model, bath)
     S = build_scattering(model, omega)
     Vout = cross_spectral_density(S.S, extended_input_covariance(model))
     layout = model.layout
-    if conditioning == "meter":
-        Vc = conditional_variance(Vout, layout)
-    elif conditioning == "meter+ancilla":
-        Vc = cqnc_conditional_variance(Vout, layout)
-    else:
-        raise ValueError(f"unknown conditioning {conditioning!r}")
+    Vc = _conditioned_vc(Vout, layout, conditioning)
     Vx = float(model.Vin[layout.signal_index, layout.signal_index])
     ns, nm = equivalent_noises(S, Vout, Vx, layout)
     return figures_from_parts(Vc, ns, nm, Vx, omega)
+
+
+def vc_on_grid(
+    model: LinearModel,
+    omegas: NDArray,
+    bath: BathSpec | None = None,
+    conditioning: str = "meter",
+) -> NDArray[np.float64]:
+    """Conditional variance at every detection frequency of ``omegas``,
+    from one stacked solve.
+
+    Each value has the bits of ``evaluate(model, w, bath,
+    conditioning).Vc``, and the guards are the same: the first frequency
+    that fails one, in array order, raises the error that a loop of
+    :func:`evaluate` over ``omegas`` would raise.
+    """
+    model = with_detection_loss(model, bath)
+    omegas = np.asarray(omegas, dtype=float)
+    try:
+        S = build_scattering(model, omegas)
+    except SingularAtFrequency as err:
+        # a frequency before the singular one may fail a V_c guard first
+        k = int(np.argmax(omegas == err.omega))
+        if k:
+            vc_on_grid(model, omegas[:k], conditioning=conditioning)
+        raise
+    Vout = cross_spectral_density(S.S, extended_input_covariance(model))
+    return _conditioned_vc(Vout, model.layout, conditioning)

@@ -1,13 +1,24 @@
 """Command-line interface: table output, determinism, exit codes."""
 
+import io
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from tvmeter import BathSpec, evaluate, ideal_qnd_model
-from tvmeter.cli import main
+from tvmeter.cli import (
+    _collect_param_flags,
+    _figures_row,
+    _swept_params,
+    _sweep_values,
+    build_config,
+    build_parser,
+    main,
+    scenario_figures,
+    write_table,
+)
+from tvmeter.optimize import minimize_vc_over_frequency
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -74,18 +85,6 @@ class TestSweep:
         assert rc2 == 0
         assert out.read_bytes() == out2.read_bytes()
 
-    def test_threaded_rows_identical(self, tmp_path):
-        args = ["sweep", "--scenario", "displacement", "--param", "C",
-                "--log", "1e-2", "1e2", "--n", "16", "--n-m", "1"]
-        rc, seq = run(args, tmp_path, "seq.csv")
-        os.environ["TV_THREADS"] = "4"
-        try:
-            rc2, par = run(args, tmp_path, "par.csv")
-        finally:
-            del os.environ["TV_THREADS"]
-        assert rc == rc2 == 0
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_matches_library_pipeline(self, tmp_path):
         rc, out = run(
             ["sweep", "--scenario", "qnd-ideal", "--param", "C",
@@ -95,6 +94,39 @@ class TestSweep:
         row = read_rows(out)[0]
         figs = evaluate(ideal_qnd_model(10.0, 0.01, BathSpec(n_m=1.0), C=0.5), 0.0)
         assert float(row["Vc"]) == pytest.approx(figs.Vc, rel=1e-15)
+
+
+def scalar_scan_table(argv):
+    """Bytes of `tv sweep` for ``argv`` with every row's frequency scan
+    evaluating ``scenario_figures`` point by point."""
+    args = build_parser().parse_args(argv)
+    _collect_param_flags(args)
+    cfg = build_config(None, args)
+    bath = cfg.bath_spec()
+    rows = []
+    for value in _sweep_values(cfg):
+        params = _swept_params(cfg, value)
+        res = minimize_vc_over_frequency(
+            lambda w: scenario_figures(cfg.scenario, params, bath, w, cfg.conditioning),
+            *cfg.omega_bounds,
+        )
+        rows.append(_figures_row(cfg.sweep["param"], value, res.figures))
+    buf = io.StringIO()
+    write_table(cfg, rows, buf)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "displacement", "--param", "C", "--log", "1e-3", "1e4",
+     "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.2", "1000"],
+    ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e8",
+     "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.01", "1000",
+     "--conditioning", "meter+ancilla"],
+], ids=["displacement", "cqnc-meter+ancilla"])
+def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == scalar_scan_table(argv)
 
 
 class TestValidation:

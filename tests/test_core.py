@@ -92,6 +92,29 @@ class TestBuildScattering:
         with pytest.raises(SingularAtFrequency):
             build_scattering(model, 1.0)
 
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_frequency_stack_matches_single_frequencies(self, eta):
+        model = apply_detection_loss(
+            displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH), eta)
+        omegas = np.logspace(-2, 3, 50)
+        stack = build_scattering(model, omegas)
+        assert stack.S.shape == (50,) + build_scattering(model, 1.0).S.shape
+        for w, S in zip(omegas, stack.S):
+            np.testing.assert_allclose(S, build_scattering(model, w).S, rtol=1e-12, atol=1e-15)
+
+    def test_first_singular_frequency_of_a_stack(self):
+        A = np.array([
+            [-1.0, 0, 0, 0],
+            [0, -1.0, 0, 0],
+            [0, 0, 0, 2.0],
+            [0, 0, -2.0, 0],
+        ])
+        model = LinearModel(A, np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4), FOUR_MODE)
+        with pytest.raises(SingularAtFrequency) as err:
+            build_scattering(model, np.array([0.5, 2.0, 3.0, -2.0]))
+        assert err.value.omega == 2.0
+        assert err.value.rcond < 1e-12
+
 
 class TestInputCovariance:
     def test_vacuum(self):

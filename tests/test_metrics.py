@@ -21,6 +21,17 @@ from tvmeter import (
     ideal_qnd_model,
     output_covariance_at,
 )
+from tvmeter import (
+    FOUR_MODE,
+    ImperfectQndParams,
+    LinearModel,
+    SingularAtFrequency,
+    TweezerParams,
+    apply_detection_loss,
+    imperfect_qnd_model,
+    single_tweezer_qnd_model,
+    vc_on_grid,
+)
 from tvmeter import metrics
 
 FIG_BATH = BathSpec(n_m=1.0)
@@ -49,6 +60,13 @@ class TestConditionalVariance:
     def test_small_negative_clamped(self):
         V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
         assert conditional_variance(V, signal=0, meter=1) == 0.0
+
+    def test_negative_schur_complement_raises(self):
+        V = np.eye(4, dtype=complex)
+        V[2, 2] = 0.1
+        V[2, 1], V[1, 2] = 0.6 + 0.8j, 0.6 - 0.8j
+        with pytest.raises(DegenerateMeter, match="below zero"):
+            conditional_variance(V, signal=2, meter=1)
 
 
 class TestClassifyRegime:
@@ -123,6 +141,32 @@ class TestCqncConditioning:
                 assert full == pytest.approx(simple, rel=1e-2)
         assert checked > 0  # the small-cross-term premise held somewhere
 
+    @staticmethod
+    def _hermitian_negative_schur(cross=0.0):
+        """Hermitian, not positive: V_ss = 0.1 against unit correlations
+        with the meter (and the ancilla), so the Schur complement is < 0."""
+        V = np.eye(6, dtype=complex)
+        V[2, 2] = 0.1
+        V[2, 1], V[1, 2] = 0.6 + 0.8j, 0.6 - 0.8j
+        V[2, 4], V[4, 2] = 0.5j, -0.5j
+        V[1, 4], V[4, 1] = cross, np.conj(cross)
+        return V
+
+    @pytest.mark.parametrize("simplified", [False, True])
+    def test_negative_schur_complement_raises(self, simplified):
+        V = self._hermitian_negative_schur(cross=0.1 + 0.2j)
+        b = V[2, [1, 4]]
+        schur = (V[2, 2] - b @ np.linalg.solve(V[np.ix_([1, 4], [1, 4])], b.conj())).real
+        assert schur < -0.5
+        with pytest.raises(DegenerateMeter, match="below zero"):
+            cqnc_conditional_variance(V, simplified=simplified)
+
+    def test_rounding_below_zero_clamped(self):
+        V = np.diag([0.5, 1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
+        V[2, 1] = V[1, 2] = 1.0
+        V[2, 2] = 1.0 - 1e-14
+        assert cqnc_conditional_variance(V) == 0.0
+
     def test_no_interaction_returns_bath_variance(self):
         model = cqnc_model(CqncParams(10.0, 0.01, 1.0, g=0.0), FIG_BATH)
         V = output_covariance_at(model, 1.0)
@@ -183,3 +227,107 @@ class TestIdealQndOracle:
     def test_thermal_cavity(self):
         figs = ideal_qnd_metrics(1 / 16, 1.5, eta=1.0, n_c=0.5)
         assert figs.Vc == pytest.approx(0.6, rel=1e-12)
+
+
+GRID = np.logspace(-2, 3, 200)
+
+
+def _grid_cases():
+    lossy = BathSpec(n_m=1.0, eta=0.6)
+    for C in (1e-2, 1.0, 1e3):
+        disp = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=C), FIG_BATH)
+        cqnc = cqnc_model(CqncParams(10.0, 0.01, 1.0, C=C), FIG_BATH)
+        yield f"displacement-C{C:g}", disp, None, "meter"
+        yield f"cqnc-meter-C{C:g}", cqnc, None, "meter"
+        yield f"cqnc-ancilla-C{C:g}", cqnc, None, "meter+ancilla"
+        yield (
+            f"qnd-imperfect-C{C:g}",
+            imperfect_qnd_model(ImperfectQndParams(10.0, 0.01, C=C, nu=0.001), FIG_BATH),
+            None, "meter",
+        )
+        yield f"displacement-eta0.6-C{C:g}", disp, lossy, "meter"
+        yield (
+            f"displacement-augmented-C{C:g}",
+            apply_detection_loss(displacement_model(
+                DisplacementParams(10.0, 0.01, 1.0, C=C), lossy), 0.6),
+            None, "meter",
+        )
+    for g in (0.05, 0.3):
+        p = TweezerParams(omega_m=100.0, alpha=0.2, g=g, kappa=1.0, gamma=1e-6)
+        yield f"lev-single-g{g:g}", single_tweezer_qnd_model(p, FIG_BATH), None, "meter"
+
+
+class TestVcOnGrid:
+    """One stacked solve over the frequency grid against a loop of
+    scalar evaluations of the same model."""
+
+    @pytest.mark.parametrize(
+        "model, bath, conditioning",
+        [case[1:] for case in _grid_cases()],
+        ids=[case[0] for case in _grid_cases()],
+    )
+    def test_matches_scalar_evaluate(self, model, bath, conditioning):
+        got = vc_on_grid(model, GRID, bath=bath, conditioning=conditioning)
+        want = np.array([evaluate(model, w, bath=bath, conditioning=conditioning).Vc
+                         for w in GRID])
+        assert got.shape == GRID.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_singular_frequency_matches_scalar_loop(self):
+        # an undamped, decoupled mechanical mode: marginal, so only a model
+        # built directly (skipping check_stable) carries it
+        A = np.array([
+            [-1.0, 0, 0, 0],
+            [0, -1.0, 0, 0],
+            [0, 0, 0, 1.0],
+            [0, 0, -1.0, 0],
+        ])
+        model = LinearModel(A, np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4), FOUR_MODE)
+        grid = np.logspace(-2, 2, 201)  # holds omega = 1 exactly
+        with pytest.raises(SingularAtFrequency) as scalar:
+            for w in grid:
+                evaluate(model, w)
+        with pytest.raises(SingularAtFrequency) as stacked:
+            vc_on_grid(model, grid)
+        assert stacked.value.omega == scalar.value.omega == 1.0
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_degenerate_meter_before_the_singular_frequency(self):
+        # decoupled modes: a meter squeezed to 2.5e-17 (degenerate at every
+        # frequency) and an undamped mechanical mode (singular at omega = 1)
+        A = np.array([
+            [-1.0, 0, 0, 0],
+            [0, -1.0, 0, 0],
+            [0, 0, 0, 1.0],
+            [0, 0, -1.0, 0],
+        ])
+        Vin = np.diag([1e16, 2.5e-17, 0.5, 0.5])
+        model = LinearModel(A, np.diag([np.sqrt(2.0)] * 2 + [0.0] * 2), Vin, FOUR_MODE)
+        grid = np.logspace(-2, 2, 201)
+        with pytest.raises(DegenerateMeter) as scalar:
+            for w in grid:
+                evaluate(model, w)
+        with pytest.raises(DegenerateMeter) as stacked:
+            vc_on_grid(model, grid)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_first_failing_point_raises_its_own_error(self):
+        good = np.diag([0.5, 2.0, 1.5, 1.5]).astype(complex)
+        negative = good.copy()
+        negative[2, 2] = 0.1
+        negative[2, 1] = negative[1, 2] = 1.0
+        dead_meter = good.copy()
+        dead_meter[1, 1] = 0.0
+        for stack in ([good, negative, dead_meter], [good, dead_meter, negative]):
+            with pytest.raises(DegenerateMeter) as scalar:
+                for V in stack:
+                    conditional_variance(V, FOUR_MODE)
+            with pytest.raises(DegenerateMeter) as stacked:
+                conditional_variance(np.array(stack), FOUR_MODE)
+            assert str(stacked.value) == str(scalar.value)
+
+    def test_stacked_values_clamp_like_scalar(self):
+        V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
+        stack = np.array([V, np.diag([1.5, 2.0])])
+        got = conditional_variance(stack, signal=0, meter=1)
+        assert list(got) == [conditional_variance(v, signal=0, meter=1) for v in stack]

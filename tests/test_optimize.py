@@ -21,6 +21,7 @@ from tvmeter import (
     ideal_qnd_model,
     imperfect_qnd_model,
     minimize_vc_over_frequency,
+    vc_on_grid,
 )
 
 KAPPA, GAMMA, OMEGA_M = 10.0, 0.01, 1.0
@@ -83,6 +84,17 @@ class TestFrequencyOptimization:
         xs = sorted([x, branches[0][0]])
         assert xs[0] == pytest.approx(0.1, rel=1e-4)
         assert xs[1] == pytest.approx(10.0, rel=1e-4)
+
+    @pytest.mark.parametrize("C", [0.05, 10.0, 1e3, 1e8])
+    @pytest.mark.parametrize("conditioning", ["meter", "meter+ancilla"])
+    def test_stacked_grid_gives_the_scalar_scan(self, C, conditioning):
+        model = cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=C), FIG_BATH)
+        f = lambda w: evaluate(model, w, conditioning=conditioning)
+        scalar = minimize_vc_over_frequency(f, 1e-2, 1e3)
+        stacked = minimize_vc_over_frequency(
+            f, 1e-2, 1e3, vc_grid=lambda ws: vc_on_grid(model, ws, conditioning=conditioning)
+        )
+        assert stacked == scalar
 
     def test_cqnc_off_resonant_qnd(self):
         model = cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=1e8), FIG_BATH)
