@@ -40,6 +40,7 @@ from .floquet import (
     floquet_metrics,
     floquet_qnd_metrics_closed,
     floquet_scattering,
+    floquet_vc,
     sideband_scattering,
 )
 from .levitation import (

@@ -29,7 +29,7 @@ from typing import Any
 from . import __version__
 from .core import BathSpec, LinearModel
 from .errors import TvmeterError
-from .floquet import decompose_drift, floquet_metrics
+from .floquet import FloquetDrift, decompose_drift, floquet_metrics, floquet_vc
 from .levitation import DualTweezerParams, TweezerParams, reduced_metrics, single_tweezer_qnd_model
 from .metrics import MeasurementFigures, evaluate, vc_on_grid, with_detection_loss
 from .models import (
@@ -273,6 +273,13 @@ def _scenario_model(scenario: str, params: dict, bath: BathSpec) -> LinearModel 
     return None
 
 
+def _floquet_drift(params: dict) -> FloquetDrift:
+    return decompose_drift(
+        params["kappa"], params["gamma"], params["omega_m"],
+        g=params["g"], C=params["C"], order=int(params["order"]),
+    )
+
+
 def _model_conditioning(scenario: str, conditioning: str) -> str:
     """Only the cqnc model has an ancilla to condition on."""
     return conditioning if scenario == "cqnc" else "meter"
@@ -287,11 +294,7 @@ def scenario_figures(
         return evaluate(model, omega, bath=bath,
                         conditioning=_model_conditioning(scenario, conditioning))
     if scenario == "qnd-floquet":
-        fd = decompose_drift(
-            params["kappa"], params["gamma"], params["omega_m"],
-            g=params["g"], C=params["C"], order=int(params["order"]),
-        )
-        return floquet_metrics(fd, bath, omega)
+        return floquet_metrics(_floquet_drift(params), bath, omega)
     if scenario == "lev-dual":
         g1, g2 = params["g1"], params["g2"]
         if params["g_total"] is not None and params["readout_fraction"] is not None:
@@ -349,6 +352,44 @@ def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> Measure
 
 def _point_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
     return _point_figures_with(cfg, params, cfg.bath_spec())
+
+
+def _check_has_cooperativity(cfg: RunConfig) -> None:
+    if "C" not in cfg.parameters:
+        raise ConfigError(
+            f"scenario {cfg.scenario!r} has no cooperativity 'C' to scan"
+        )
+
+
+def _sql_scan(
+    cfg: RunConfig, params: dict, bath: BathSpec,
+    c_bounds: tuple[float, float], c_count: int,
+) -> ScanMinimum:
+    """Generalized SQL at one parameter point: V_c minimized over C.
+
+    At a fixed detection frequency the C grid is one stacked solve over
+    the models at every C; with ``optimize_frequency`` every C needs its
+    own frequency scan, so the grid is scanned point by point.  The
+    refinement and the figures of the optimum come from
+    :func:`_point_figures_with`.
+    """
+
+    def at(C):
+        return {**params, "C": C, "g": None}
+
+    def vc_grid(Cs):
+        omega = _default_omega(cfg)
+        if cfg.scenario == "qnd-floquet":
+            return floquet_vc(_floquet_drift(at(Cs)), bath, omega)
+        return vc_on_grid(
+            _scenario_model(cfg.scenario, at(Cs), bath), omega, bath=bath,
+            conditioning=_model_conditioning(cfg.scenario, cfg.conditioning),
+        )
+
+    return generalized_sql(
+        lambda C: _point_figures_with(cfg, at(C), bath), c_bounds[0], c_bounds[1],
+        count=c_count, vc_grid=None if cfg.optimize_frequency else vc_grid,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +489,11 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
+    _check_has_cooperativity(cfg)
     bath = cfg.bath_spec()
 
     def run_one(params: dict) -> dict:
-        def family(C: float) -> MeasurementFigures:
-            p = dict(params)
-            p["C"], p["g"] = C, None
-            return _point_figures_with(cfg, p, bath)
-
-        res = generalized_sql(family, c_bounds[0], c_bounds[1], count=c_count)
+        res = _sql_scan(cfg, params, bath, c_bounds, c_count)
         row = _figures_row("C_opt", res.x, res.figures)
         row["at_boundary"] = int(res.at_boundary)
         row["n_branches"] = len(res.branches)
@@ -485,6 +522,8 @@ def cmd_threshold(
     bath = cfg.bath_spec()
     if vary not in cfg.parameters and vary not in cfg.bath:
         raise ConfigError(f"unknown key {vary!r} in threshold vary")
+    if quantity != "vc":
+        _check_has_cooperativity(cfg)
 
     def with_value(value: float) -> tuple[dict, BathSpec]:
         params = dict(cfg.parameters)
@@ -499,15 +538,9 @@ def cmd_threshold(
 
     def curve(value: float) -> float:
         params, b = with_value(value)
-
-        def family(C: float) -> MeasurementFigures:
-            p = dict(params)
-            p["C"], p["g"] = C, None
-            return _point_figures_with(cfg, p, b)
-
         if quantity == "vc":
             return _point_figures_with(cfg, params, b).Vc
-        res = generalized_sql(family, c_bounds[0], c_bounds[1], count=c_count)
+        res = _sql_scan(cfg, params, b, c_bounds, c_count)
         if quantity == "min-vc":
             return res.value
         if quantity == "tsum-at-sql":

@@ -24,9 +24,10 @@ sideband quadrature of the record instead of the whole record at that
 frequency.  At w = 0, S is real and the two agree.
 
 The scattering matrix, the condition check and the cross-spectral
-density also run over a stack: an array of frequencies gives matrices
-``[..., i, j]`` from one stacked solve, each with the bits of its
-frequency alone.
+density also run over a stack: an array of frequencies, or a model whose
+drift is a stack of matrices (one per cooperativity, say), gives
+matrices ``[..., i, j]`` from one stacked solve, each with the bits of
+its point alone.
 
 Vacuum variance is 1/2 per quadrature throughout.
 """
@@ -168,10 +169,13 @@ class BathSpec:
 class LinearModel:
     """Drift matrix, input couplings, input covariance, and layout.
 
-    ``detection_eta`` < 1 marks a loss-augmented model: the meter mode's
-    output rows are scaled by sqrt(eta) and two vacuum-or-thermal ancilla
-    input columns (covariance ``ancilla_variance`` each) are appended to
-    the scattering matrix.
+    ``A`` may be a stack of drift matrices ``[..., i, j]`` that share
+    ``H``, ``Vin`` and the layout; :func:`build_scattering` then solves
+    the whole stack at once.  ``detection_eta`` < 1 marks a
+    loss-augmented model: the meter mode's output rows are scaled by
+    sqrt(eta) and two vacuum-or-thermal ancilla input columns
+    (covariance ``ancilla_variance`` each) are appended to the
+    scattering matrix.
     """
 
     A: NDArray[np.float64]
@@ -186,7 +190,7 @@ class LinearModel:
         A = np.asarray(self.A, dtype=float)
         H = np.asarray(self.H, dtype=float)
         Vin = np.asarray(self.Vin, dtype=float)
-        if A.shape != (n, n) or H.shape != (n, n) or Vin.shape[0] != Vin.shape[1]:
+        if A.shape[-2:] != (n, n) or H.shape != (n, n) or Vin.shape[0] != Vin.shape[1]:
             raise ValueError("A, H, Vin must be square and match the layout size")
         if np.any(H != np.diag(np.diag(H))) or np.any(np.diag(H) < 0):
             raise ValueError("H must be diagonal with nonnegative entries")
@@ -205,7 +209,7 @@ class LinearModel:
 
     @property
     def size(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def meter_mode(self) -> int:
@@ -228,10 +232,12 @@ class ScatteringMatrix:
 def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     """Raise :class:`UnstableModel` unless all eigenvalues sit strictly
     in the left half-plane (marginal modes are rejected as well, since
-    their spectral covariances diverge)."""
-    max_real = float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
-    if max_real > -tol:
-        raise UnstableModel(max_real)
+    their spectral covariances diverge).  ``A`` may be a stack
+    ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
+    max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    unstable = max_real > -tol
+    if unstable.any():
+        raise UnstableModel(float(np.ravel(max_real)[unstable.argmax()]))
 
 
 def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:
@@ -251,15 +257,16 @@ def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:
 
 
 def _bare_scattering(A: NDArray, H: NDArray, omega: float | NDArray) -> NDArray[np.complex128]:
-    n = A.shape[0]
+    n = A.shape[-1]
     stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
     M = A + 1j * (omega[..., None, None] if stacked else omega) * np.eye(n)
     rcond = _equilibrated_rcond(M)
-    if stacked:
+    if M.ndim > 2:
         singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
         if singular.size:
             k = singular[0]
-            raise SingularAtFrequency(omega.ravel()[k], float(rcond.ravel()[k]))
+            w = np.broadcast_to(omega, rcond.shape).ravel()[k] if stacked else omega
+            raise SingularAtFrequency(w, float(rcond.ravel()[k]))
     elif not rcond >= RCOND_FLOOR:
         raise SingularAtFrequency(omega, rcond)
     return -(H @ np.linalg.solve(M, H) + np.eye(n))
@@ -270,9 +277,10 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMa
 
     For a loss-augmented model the result is rectangular, 2M x (2M + 2):
     the meter mode's output rows are scaled by sqrt(eta) and pick up
-    sqrt(1 - eta) ancilla columns.  An array of frequencies gives the
-    stack ``S[..., i, j]`` from one stacked solve; the first singular
-    frequency, in the array's order, raises :class:`SingularAtFrequency`.
+    sqrt(1 - eta) ancilla columns.  An array of frequencies, or a model
+    with a stack of drift matrices, gives the stack ``S[..., i, j]`` from
+    one stacked solve; the first singular point, in stack order, raises
+    :class:`SingularAtFrequency`.
     """
     S = _bare_scattering(model.A, model.H, omega)
     eta = model.detection_eta

@@ -68,6 +68,15 @@ class FloquetDrift:
         return val.real
 
 
+#: the counterrotating coupling: A(-1) = g * this
+_SIDEBAND_COUPLING = np.array([
+    [0, 0, 0, 0],
+    [0, 0, -1, 1j],
+    [-1j, 0, 0, 0],
+    [-1, 0, 0, 0],
+])
+
+
 def decompose_drift(
     kappa: float, gamma: float, omega_m: float,
     g: float | None = None, C: float | None = None,
@@ -77,25 +86,22 @@ def decompose_drift(
 
     The static component is the ideal single-quadrature drift; the
     sidebands couple the mechanical quadratures to the off-resonant
-    cavity amplitude.
+    cavity amplitude.  A 1-D array of C (or g) gives the components as
+    stacks ``[..., i, j]``, one drift per value.
     """
-    from .models import _resolve_coupling  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .models import FOUR_MODE_COUPLING, _resolve_coupling, coupled_drift
 
     if kappa <= 0 or gamma <= 0 or omega_m <= 0:
         raise ValueError("kappa, gamma, omega_m must be positive")
     g = _resolve_coupling(kappa, gamma, g, C)
-    A_minus = np.array([
-        [0, 0, 0, 0],
-        [0, 0, -g, 1j * g],
-        [-1j * g, 0, 0, 0],
-        [-g, 0, 0, 0],
-    ], dtype=complex)
-    A_zero = np.array([
+    A_minus = np.multiply.outer(g, _SIDEBAND_COUPLING)
+    A_zero = coupled_drift([
         [-kappa / 2, 0, 0, 0],
-        [0, -kappa / 2, -2 * g, 0],
+        [0, -kappa / 2, 0, 0],
         [0, 0, -gamma / 2, 0],
-        [-2 * g, 0, 0, -gamma / 2],
-    ])
+        [0, 0, 0, -gamma / 2],
+    ], FOUR_MODE_COUPLING, g)
     return FloquetDrift(A_minus, A_zero, A_minus.conj(), omega_m, order)
 
 
@@ -103,33 +109,37 @@ def _component_blocks(fd: FloquetDrift, H: NDArray, omega: float) -> dict[int, N
     """Solve the truncated block-tridiagonal system at one frequency.
 
     Returns, for each retained component n, the matrix mapping the input
-    vector at that frequency to u^(n).
+    vector at that frequency to u^(n); for a stacked drift, a stack of
+    them from one stacked solve, and the first singular system, in stack
+    order, raises.
     """
     N = fd.order
     dim = 4 * (2 * N + 1)
     I4 = np.eye(4)
-    M = np.zeros((dim, dim), dtype=complex)
+    M = np.zeros(fd.A_zero.shape[:-2] + (dim, dim), dtype=complex)
     for bi, n in enumerate(range(-N, N + 1)):
         sl = slice(4 * bi, 4 * bi + 4)
-        M[sl, sl] = fd.A_zero + 1j * omega * I4 - 2j * n * fd.omega_m * I4
+        M[..., sl, sl] = fd.A_zero + 1j * omega * I4 - 2j * n * fd.omega_m * I4
         if bi + 1 <= 2 * N:
-            M[sl, 4 * (bi + 1) : 4 * (bi + 1) + 4] = fd.A_minus
+            M[..., sl, 4 * (bi + 1) : 4 * (bi + 1) + 4] = fd.A_minus
         if bi - 1 >= 0:
-            M[sl, 4 * (bi - 1) : 4 * (bi - 1) + 4] = fd.A_plus
+            M[..., sl, 4 * (bi - 1) : 4 * (bi - 1) + 4] = fd.A_plus
     rcond = 1.0 / np.linalg.cond(M)
-    if not np.isfinite(rcond) or rcond < 1e-12:
-        raise SingularAtFrequency(omega, rcond)
+    regular = rcond >= 1e-12  # NaN counts as singular
+    if not regular.all():
+        raise SingularAtFrequency(omega, float(np.ravel(rcond)[regular.argmin()]))
     rhs = np.zeros((dim, 4), dtype=complex)
     rhs[4 * N : 4 * N + 4, :] = -np.asarray(H, dtype=complex)
     sol = np.linalg.solve(M, rhs)
-    return {n: sol[4 * (n + N) : 4 * (n + N) + 4, :] for n in range(-N, N + 1)}
+    return {n: sol[..., 4 * (n + N) : 4 * (n + N) + 4, :] for n in range(-N, N + 1)}
 
 
 def sideband_scattering(
     fd: FloquetDrift, H: NDArray, omega: float
 ) -> dict[int, NDArray[np.complex128]]:
     """Scattering blocks S_n(w): the part of the output at w contributed
-    by component n, driven by the input at w + 2 n w_m."""
+    by component n, driven by the input at w + 2 n w_m.  A stacked drift
+    gives stacks of blocks ``[..., i, j]``."""
     H = np.asarray(H, dtype=float)
     out = {}
     for n in range(-fd.order, fd.order + 1):
@@ -149,14 +159,56 @@ def floquet_scattering(fd: FloquetDrift, H: NDArray, omega: float):
     return ScatteringMatrix(sum(blocks.values()), omega)
 
 
-def floquet_output_covariance(
-    fd: FloquetDrift, H: NDArray, Vin: NDArray, omega: float
-) -> NDArray[np.float64]:
-    """Spectral output covariance with incoherent sideband summation."""
-    Vin = np.asarray(Vin)
-    blocks = sideband_scattering(fd, H, omega)
-    V = sum(np.real(S @ Vin @ S.conj().T) for S in blocks.values())
-    return 0.5 * (V + V.T)
+def _readout(
+    fd: FloquetDrift, bath: BathSpec, kappa: float | None, gamma: float | None
+) -> tuple[NDArray, NDArray]:
+    """Input couplings H and input covariance of the readout; the decay
+    rates are read off the static drift diagonal unless given (a stacked
+    drift shares them)."""
+    A0 = fd.A_zero.reshape(-1, 4, 4)[0]
+    k = -2.0 * A0[0, 0] if kappa is None else kappa
+    gm = -2.0 * A0[2, 2] if gamma is None else gamma
+    return np.diag([np.sqrt(k)] * 2 + [np.sqrt(gm)] * 2), input_covariance(bath, FOUR_MODE)
+
+
+def _detected(V: NDArray, bath: BathSpec) -> NDArray:
+    """Output covariance ``V`` (or a stack) seen with detection efficiency
+    ``bath.eta``: the optical rows and columns scale by sqrt(eta) and
+    ancilla noise at the cavity-bath variance fills the loss.  Scales
+    ``V`` in place."""
+    eta = bath.eta
+    if eta < 1.0:
+        anc = (1.0 - eta) * bath.optical_variance
+        V[..., 0:2, :] *= np.sqrt(eta)
+        V[..., :, 0:2] *= np.sqrt(eta)
+        V[..., 0, 0] += anc
+        V[..., 1, 1] += anc
+    return V
+
+
+def _conditional_variance(
+    blocks: dict[int, NDArray], Vin: NDArray, bath: BathSpec
+) -> float | NDArray[np.float64]:
+    """V_c on the incoherent sideband sum of the Hermitian cross-spectral
+    densities, after detection loss; a stack of blocks gives a stack."""
+    V = sum(S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks.values())
+    V = _detected(0.5 * (V + V.conj().swapaxes(-1, -2)), bath)
+    return conditional_variance(V, FOUR_MODE)
+
+
+def floquet_vc(
+    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0,
+    kappa: float | None = None, gamma: float | None = None,
+) -> float | NDArray[np.float64]:
+    """Conditional variance of the truncated readout, ``floquet_metrics(fd,
+    bath, omega, kappa, gamma).Vc``.
+
+    For a stacked drift (an array of cooperativities) it gives one value
+    per drift from one stacked solve, each with the bits of the single
+    drift's; the first drift that fails a guard, in stack order, raises.
+    """
+    H, Vin = _readout(fd, bath, kappa, gamma)
+    return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
 
 
 def floquet_metrics(
@@ -169,26 +221,14 @@ def floquet_metrics(
     Detection loss from ``bath.eta`` scales the measured optical rows
     and mixes in ancilla noise at the cavity-bath variance.
     """
-    k = -2.0 * fd.A_zero[0, 0] if kappa is None else kappa
-    gm = -2.0 * fd.A_zero[2, 2] if gamma is None else gamma
-    H = np.diag([np.sqrt(k)] * 2 + [np.sqrt(gm)] * 2)
-    Vin = input_covariance(bath, FOUR_MODE)
+    H, Vin = _readout(fd, bath, kappa, gamma)
     blocks = sideband_scattering(fd, H, omega)
-    V = sum(S @ Vin @ S.conj().T for S in blocks.values())
-    V = 0.5 * (V + V.conj().T)
+    Vc = _conditional_variance(blocks, Vin, bath)
     Seff = sum(blocks.values())
-    Veff = np.real(Seff @ Vin @ Seff.conj().T)
-    eta = bath.eta
+    Veff = _detected(np.real(Seff @ Vin @ Seff.conj().T), bath)
     meter_signal = abs(Seff[FOUR_MODE.meter_index, FOUR_MODE.signal_index])
-    if eta < 1.0:
-        anc = (1.0 - eta) * bath.optical_variance
-        for M in (V, Veff):
-            M[0:2, :] *= np.sqrt(eta)
-            M[:, 0:2] *= np.sqrt(eta)
-            M[0, 0] += anc
-            M[1, 1] += anc
-        meter_signal *= np.sqrt(eta)
-    Vc = conditional_variance(V, FOUR_MODE)
+    if bath.eta < 1.0:
+        meter_signal *= np.sqrt(bath.eta)
     s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
     Vx = bath.V_x
     ns = Veff[s, s] / abs(Seff[s, s]) ** 2 - Vx if abs(Seff[s, s]) > 1e-14 else np.inf

@@ -24,7 +24,7 @@ A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -292,6 +292,8 @@ def evaluate(
     layout).  If ``bath`` carries ``eta < 1`` and the model is not yet
     loss-augmented, the detection loss is applied here.
     """
+    if model.A.ndim > 2:
+        raise ValueError("evaluate takes one drift matrix; vc_on_grid scores a stack")
     model = with_detection_loss(model, bath)
     S = build_scattering(model, omega)
     Vout = cross_spectral_density(S.S, extended_input_covariance(model))
@@ -304,27 +306,38 @@ def evaluate(
 
 def vc_on_grid(
     model: LinearModel,
-    omegas: NDArray,
+    omegas: float | NDArray,
     bath: BathSpec | None = None,
     conditioning: str = "meter",
 ) -> NDArray[np.float64]:
-    """Conditional variance at every detection frequency of ``omegas``,
-    from one stacked solve.
+    """Conditional variance at every point of a grid, from one stacked
+    solve: one model at every detection frequency of ``omegas``, or a
+    model with a stack of drift matrices (one per cooperativity, say) at
+    one frequency.
 
     Each value has the bits of ``evaluate(model, w, bath,
-    conditioning).Vc``, and the guards are the same: the first frequency
-    that fails one, in array order, raises the error that a loop of
-    :func:`evaluate` over ``omegas`` would raise.
+    conditioning).Vc`` at its point, and the guards are the same: the
+    first point that fails one, in stack order, raises the error that a
+    loop of :func:`evaluate` over the points would raise.
     """
     model = with_detection_loss(model, bath)
-    omegas = np.asarray(omegas, dtype=float)
+    if np.ndim(omegas):
+        if model.A.ndim > 2:
+            raise ValueError("stack either the frequencies or the drift, not both")
+        omegas = np.asarray(omegas, dtype=float)
     try:
         S = build_scattering(model, omegas)
-    except SingularAtFrequency as err:
-        # a frequency before the singular one may fail a V_c guard first
-        k = int(np.argmax(omegas == err.omega))
-        if k:
-            vc_on_grid(model, omegas[:k], conditioning=conditioning)
+    except SingularAtFrequency:
+        # a point before the singular one may fail a V_c guard first
+        for point, w in _grid_points(model, omegas):
+            evaluate(point, w, conditioning=conditioning)
         raise
     Vout = cross_spectral_density(S.S, extended_input_covariance(model))
     return _conditioned_vc(Vout, model.layout, conditioning)
+
+
+def _grid_points(model: LinearModel, omegas: float | NDArray):
+    """The (model, frequency) of every point of a grid, in stack order."""
+    if model.A.ndim == 2:
+        return ((model, w) for w in omegas)
+    return ((replace(model, A=A), omegas) for A in model.A.reshape((-1,) + model.A.shape[-2:]))

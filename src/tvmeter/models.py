@@ -9,6 +9,9 @@ single-quadrature (QND) readout with its systematic imperfections
 Rates are accepted in any consistent frequency unit; the builders are
 scale free.  Couplings may be given either as the rate g entering the
 Hamiltonian 2g X x or as the cooperativity C = 4 g^2 / (kappa gamma).
+A 1-D array of C (or g) gives one model whose drift is the stack of the
+drift matrices at each value, for a scan over cooperativity in one
+stacked solve; the input couplings, covariance and layout are shared.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .core import (
     CQNC_LAYOUT,
@@ -28,22 +32,40 @@ from .core import (
 from .metrics import MeasurementFigures, classify_regime, figures_from_parts
 
 
-def cooperativity_to_g(C: float, kappa: float, gamma: float) -> float:
-    return float(np.sqrt(C * kappa * gamma) / 2.0)
+def cooperativity_to_g(C: float | NDArray, kappa: float, gamma: float) -> float | NDArray:
+    return np.sqrt(C * kappa * gamma) / 2.0
 
 
 def g_to_cooperativity(g: float, kappa: float, gamma: float) -> float:
     return 4.0 * g * g / (kappa * gamma)
 
 
-def _resolve_coupling(kappa: float, gamma: float, g: float | None, C: float | None) -> float:
+def _resolve_coupling(
+    kappa: float, gamma: float, g: float | NDArray | None, C: float | NDArray | None
+) -> float | NDArray:
     if (g is None) == (C is None):
         raise ValueError("specify exactly one of g and C")
     if C is not None:
-        if C < 0:
+        if (np.asarray(C) < 0).any():
             raise ValueError(f"cooperativity must be nonnegative, got {C}")
         return cooperativity_to_g(C, kappa, gamma)
-    return float(g)
+    return g if np.ndim(g) else float(g)
+
+
+#: pattern of the readout coupling 2g X x in the drift of the four-mode
+#: layout (X, Y, x, p): the drift is static + g * this
+FOUR_MODE_COUPLING = np.array([
+    [0, 0, 0, 0],
+    [0, 0, -2, 0],
+    [0, 0, 0, 0],
+    [-2, 0, 0, 0],
+])
+
+
+def coupled_drift(static, coupling: NDArray, g: float | NDArray) -> NDArray:
+    """Drift matrix ``static + g * coupling``; an array of couplings g
+    gives the stack of drift matrices ``[..., i, j]``, one per value."""
+    return np.asarray(static) + np.multiply.outer(g, coupling)
 
 
 def _check_rates(**rates: float) -> None:
@@ -166,13 +188,12 @@ class ImperfectQndParams:
 def displacement_model(p: DisplacementParams, bath: BathSpec) -> LinearModel:
     """Four-mode model for displacement detection; omega_m = 0 gives the
     ideal single-quadrature (QND) readout."""
-    g = p.coupling
-    A = np.array([
+    A = coupled_drift([
         [-p.kappa / 2, 0, 0, 0],
-        [0, -p.kappa / 2, -2 * g, 0],
+        [0, -p.kappa / 2, 0, 0],
         [0, 0, -p.gamma / 2, p.omega_m],
-        [-2 * g, 0, -p.omega_m, -p.gamma / 2],
-    ])
+        [0, 0, -p.omega_m, -p.gamma / 2],
+    ], FOUR_MODE_COUPLING, p.coupling)
     check_stable(A)
     H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 2)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)
@@ -188,6 +209,18 @@ def ideal_qnd_model(
     )
 
 
+#: the readout coupling of :func:`cqnc_model`: Y sees x and Xc, and p and
+#: Yc both feel the cavity amplitude X
+_CQNC_COUPLING = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [0, 0, -2, 0, -2, 0],
+    [0, 0, 0, 0, 0, 0],
+    [-2, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0],
+    [-2, 0, 0, 0, 0, 0],
+])
+
+
 def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:
     """Six-mode CQNC model with layout (X, Y, x, p, Xc, Yc).
 
@@ -195,16 +228,15 @@ def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:
     same rate, which cancels the backaction path into the measured
     optical quadrature (S[Y, X_in] = 0 identically).
     """
-    g = p.coupling
     k2, g2m = p.kappa / 2, p.gamma / 2
-    A = np.array([
+    A = coupled_drift([
         [-k2, 0, 0, 0, 0, 0],
-        [0, -k2, -2 * g, 0, -2 * g, 0],
+        [0, -k2, 0, 0, 0, 0],
         [0, 0, -g2m, p.omega_m, 0, 0],
-        [-2 * g, 0, -p.omega_m, -g2m, 0, 0],
+        [0, 0, -p.omega_m, -g2m, 0, 0],
         [0, 0, 0, 0, -g2m, -p.omega_m],
-        [-2 * g, 0, 0, 0, p.omega_m, -g2m],
-    ])
+        [0, 0, 0, 0, p.omega_m, -g2m],
+    ], _CQNC_COUPLING, p.coupling)
     check_stable(A)
     H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 4)
     Vin = input_covariance(bath, CQNC_LAYOUT)
@@ -217,13 +249,12 @@ def imperfect_qnd_model(p: ImperfectQndParams, bath: BathSpec) -> LinearModel:
     """Single-quadrature readout with detuning, bilinear mechanics, and
     position squeezing; all imperfections zero reduces it to the ideal
     QND model."""
-    g = p.coupling
-    A = np.array([
+    A = coupled_drift([
         [-p.kappa / 2, p.delta_c, 0, 0],
-        [-p.delta_c, -p.kappa / 2, -2 * g, 0],
+        [-p.delta_c, -p.kappa / 2, 0, 0],
         [0, 0, p.xi - p.gamma / 2, 2 * p.nu],
-        [-2 * g, 0, -2 * p.mu, -p.xi - p.gamma / 2],
-    ])
+        [0, 0, -2 * p.mu, -p.xi - p.gamma / 2],
+    ], FOUR_MODE_COUPLING, p.coupling)
     check_stable(A)
     H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 2)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)

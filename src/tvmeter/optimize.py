@@ -3,8 +3,9 @@
 All searches are deterministic: a coarse (log by default) grid scan
 followed by golden-section refinement of the best grid interval.  The
 grid takes its values from one vectorized call when the caller has one
-(a fixed model scanned over frequency, :func:`tvmeter.metrics.vc_on_grid`);
-the refinement evaluates one point at a time.  The conditional variance
+(:func:`tvmeter.metrics.vc_on_grid` over a fixed model's frequencies or
+over a stack of models, one per cooperativity); the refinement
+evaluates one point at a time.  The conditional variance
 can have several local minima and branch jumps (notably for the
 noise-cancellation scenario off resonance), so grid minima that come
 within 1 percent of the refined optimum are reported as additional
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoBracket
+from .errors import NoBracket, TvmeterError
 from .metrics import MeasurementFigures
 
 _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
@@ -80,15 +81,17 @@ def golden_section(f: Callable[[float], float], a: float, b: float, rel_tol: flo
     return 0.5 * (a + b)
 
 
-def _refine(f, grid: np.ndarray, i: int, rel_tol: float) -> tuple[float, float]:
+def _refine(
+    f, grid: np.ndarray, values: np.ndarray, i: int, rel_tol: float
+) -> tuple[float, float]:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     if lo == hi:
-        return float(grid[i]), float(f(grid[i]))
+        return float(grid[i]), float(values[i])
     x = golden_section(f, lo, hi, rel_tol)
-    fx, fg = f(x), f(grid[i])
+    fx = f(x)
     # refinement never returns something worse than the best grid point
-    return (x, fx) if fx <= fg else (float(grid[i]), float(fg))
+    return (x, fx) if fx <= values[i] else (float(grid[i]), float(values[i]))
 
 
 def minimize_on_grid(
@@ -100,22 +103,31 @@ def minimize_on_grid(
 
     ``f_grid``, when given, returns f at every point of the grid array in
     one call (the same values as ``f``, faster); otherwise ``f`` is
-    called point by point.  Returns (x, f(x), at_boundary, branches) with
-    branches holding the refined secondary minima within
+    called point by point.  If ``f_grid`` raises a :class:`TvmeterError`,
+    the grid is scanned point by point, so the first failing point raises
+    the error that ``f`` raises there.  Returns (x, f(x), at_boundary,
+    branches) with branches holding the refined secondary minima within
     ``BRANCH_MARGIN`` of the best value.
     """
     grid = spec.grid()
+
+    def point_by_point() -> np.ndarray:
+        return np.array([f(x) for x in grid], dtype=float)
+
     if f_grid is None:
-        values = np.array([f(x) for x in grid], dtype=float)
+        values = point_by_point()
     else:
-        values = np.asarray(f_grid(grid), dtype=float)
+        try:
+            values = np.asarray(f_grid(grid), dtype=float)
+        except TvmeterError:
+            values = point_by_point()
     order = int(np.argmin(values))
     locals_ = [
         i for i in range(len(grid))
         if (i == 0 or values[i] <= values[i - 1])
         and (i == len(grid) - 1 or values[i] <= values[i + 1])
     ]
-    x_best, v_best = _refine(f, grid, order, spec.rel_tol)
+    x_best, v_best = _refine(f, grid, values, order, spec.rel_tol)
     branches = []
     for i in locals_:
         if i == order:
@@ -123,7 +135,7 @@ def minimize_on_grid(
         if values[i] <= v_best * (1.0 + BRANCH_MARGIN) or (
             v_best == 0.0 and values[i] <= BRANCH_MARGIN
         ):
-            branches.append(_refine(f, grid, i, spec.rel_tol))
+            branches.append(_refine(f, grid, values, i, spec.rel_tol))
     at_boundary = order in (0, len(grid) - 1)
     return x_best, v_best, at_boundary, tuple(branches)
 
@@ -154,11 +166,17 @@ def generalized_sql(
     c_hi: float,
     count: int = 200,
     rel_tol: float = 1e-6,
+    vc_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ScanMinimum:
     """Minimum conditional variance over cooperativity for a scenario
-    family; the returned figures define the generalized SQL point."""
+    family; the returned figures define the generalized SQL point.
+
+    ``vc_grid``, when given, maps an array of cooperativities to their
+    conditional variances in one call (a stack of models) and serves the
+    grid scan.
+    """
     spec = SweepSpec("C", c_lo, c_hi, count, log=True, rel_tol=rel_tol)
-    x, v, boundary, branches = minimize_on_grid(lambda c: family(c).Vc, spec)
+    x, v, boundary, branches = minimize_on_grid(lambda c: family(c).Vc, spec, vc_grid)
     return ScanMinimum(x, family(x), v, boundary, branches)
 
 

@@ -18,7 +18,7 @@ from tvmeter.cli import (
     scenario_figures,
     write_table,
 )
-from tvmeter.optimize import minimize_vc_over_frequency
+from tvmeter.optimize import find_threshold, generalized_sql, minimize_vc_over_frequency
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -129,6 +129,85 @@ def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
     assert out.read_bytes() == scalar_scan_table(argv)
 
 
+def _config(argv):
+    args = build_parser().parse_args(argv)
+    _collect_param_flags(args)
+    return args, build_config(None, args)
+
+
+def _scalar_family(cfg, params, bath):
+    """The generalized-SQL family of one row, evaluated point by point at
+    the row's fixed detection frequency (given by --omega)."""
+    return lambda C: scenario_figures(
+        cfg.scenario, {**params, "C": C, "g": None}, bath, cfg.omega, cfg.conditioning)
+
+
+def scalar_sql_table(argv):
+    """Bytes of `tv sql` for ``argv`` from a scalar `generalized_sql` scan."""
+    args, cfg = _config(argv)
+    bath = cfg.bath_spec()
+    rows = []
+    for value in _sweep_values(cfg):
+        params = _swept_params(cfg, value)
+        res = generalized_sql(_scalar_family(cfg, params, bath), *args.c_bounds,
+                              count=args.c_count)
+        row = _figures_row("C_opt", res.x, res.figures)
+        row["at_boundary"] = int(res.at_boundary)
+        row["n_branches"] = len(res.branches)
+        rows.append({cfg.sweep["param"]: value, **row})
+    buf = io.StringIO()
+    write_table(cfg, rows, buf)
+    return buf.getvalue().encode()
+
+
+def scalar_threshold_table(argv):
+    """Bytes of `tv threshold --quantity min-vc` for ``argv`` (varying a
+    scenario parameter) from scalar `generalized_sql` scans."""
+    args, cfg = _config(argv)
+    bath = cfg.bath_spec()
+
+    def curve(value):
+        params = {**cfg.parameters, args.vary: value}
+        return generalized_sql(_scalar_family(cfg, params, bath), *args.c_bounds,
+                               count=args.c_count).value
+
+    crossing = find_threshold(curve, args.level, *args.bounds)
+    rows = [{"vary": args.vary, "quantity": "min-vc", "level": args.level, "crossing": crossing}]
+    buf = io.StringIO()
+    write_table(cfg, rows, buf)
+    return buf.getvalue().encode()
+
+
+SQL_ARGV = [
+    ["sql", "--scenario", "displacement", "--param", "kappa", "--log", "1", "10", "--n", "3",
+     "--omega", "1", "--eta", "0.6", "--n-m", "1", "--c-count", "60"],
+    ["sql", "--scenario", "cqnc", "--param", "gamma", "--log", "0.005", "0.05", "--n", "2",
+     "--omega", "2.2", "--conditioning", "meter+ancilla", "--n-m", "1", "--c-count", "60"],
+    ["sql", "--scenario", "qnd-ideal", "--param", "kappa", "--log", "1", "10", "--n", "2",
+     "--omega", "0", "--eta", "0.8", "--n-c", "0.5", "--n-m", "1", "--c-count", "60"],
+    ["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.05", "0.3", "--n", "3",
+     "--omega", "0", "--n-m", "1", "--c-count", "60"],
+    ["sql", "--scenario", "qnd-floquet", "--param", "kappa", "--log", "0.05", "1", "--n", "2",
+     "--omega", "0.1", "--eta", "0.9", "--n-m", "1", "--c-count", "60"],
+]
+
+
+@pytest.mark.parametrize("argv", SQL_ARGV, ids=[a[2] for a in SQL_ARGV])
+def test_sql_matches_scalar_scan(argv, tmp_path):
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == scalar_sql_table(argv)
+
+
+def test_threshold_matches_scalar_scan(tmp_path):
+    argv = ["threshold", "--scenario", "qnd-imperfect", "--vary", "nu",
+            "--bounds", "0.05", "0.3", "--level", "0.5", "--quantity", "min-vc",
+            "--omega", "0", "--n-m", "1", "--c-count", "40"]
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == scalar_threshold_table(argv)
+
+
 class TestValidation:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -163,6 +242,22 @@ class TestValidation:
                    "--log", "0.1", "1", "--n", "3",
                    "--conditioning", "meter+ancilla"])
         assert rc == 2
+
+    @pytest.mark.parametrize("scenario", ["lev-single", "lev-dual", "lev-pulsed"])
+    def test_sql_needs_a_cooperativity(self, scenario, tmp_path, capsys):
+        rc, out = run(["sql", "--scenario", scenario, "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert f"scenario {scenario!r} has no cooperativity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quantity", ["min-vc", "tsum-at-sql"])
+    def test_threshold_scan_needs_a_cooperativity(self, quantity, tmp_path, capsys):
+        rc, out = run(["threshold", "--scenario", "lev-dual", "--vary", "g1",
+                       "--bounds", "0.1", "0.3", "--level", "0.5",
+                       "--quantity", quantity, "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert "scenario 'lev-dual' has no cooperativity" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # xi beyond gamma/2 destabilizes the squeezing branch

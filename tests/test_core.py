@@ -7,19 +7,27 @@ from hypothesis import strategies as st
 
 from tvmeter import (
     BathSpec,
+    CqncParams,
     DisplacementParams,
     FOUR_MODE,
+    ImperfectQndParams,
     LinearModel,
     NonHermitianResult,
     SingularAtFrequency,
+    UnstableModel,
     apply_detection_loss,
     build_scattering,
+    check_stable,
+    cqnc_model,
     displacement_model,
+    evaluate,
     extended_input_covariance,
     ideal_qnd_model,
+    imperfect_qnd_model,
     input_covariance,
     output_covariance,
     output_covariance_at,
+    vc_on_grid,
 )
 
 VACUUM = BathSpec()
@@ -114,6 +122,81 @@ class TestBuildScattering:
             build_scattering(model, np.array([0.5, 2.0, 3.0, -2.0]))
         assert err.value.omega == 2.0
         assert err.value.rcond < 1e-12
+
+
+def _stack_cases():
+    """(id, builder of a model at C, bath, omega, conditioning)."""
+    lossy = BathSpec(n_m=1.0, eta=0.6)
+    yield ("displacement", lambda C, b: displacement_model(
+        DisplacementParams(10.0, 0.01, 1.0, C=C), b), FIG2_BATH, 1.0, "meter")
+    yield ("displacement-eta0.6", lambda C, b: displacement_model(
+        DisplacementParams(0.5, 0.01, 1.0, C=C), b), lossy, 1.3, "meter")
+    yield ("qnd-ideal", lambda C, b: ideal_qnd_model(10.0, 0.01, b, C=C), FIG2_BATH, 0.0, "meter")
+    yield ("cqnc-meter+ancilla", lambda C, b: cqnc_model(
+        CqncParams(10.0, 0.01, 1.0, C=C), b), FIG2_BATH, 2.2, "meter+ancilla")
+    yield ("qnd-imperfect-eta0.6", lambda C, b: imperfect_qnd_model(
+        ImperfectQndParams(10.0, 0.01, C=C, nu=0.001, mu=0.002, xi=0.002), b),
+        lossy, 0.003, "meter")
+
+
+class TestModelStack:
+    """A model whose drift is a stack over cooperativities against one
+    model built per cooperativity."""
+
+    CS = np.logspace(-3, 6, 60)
+
+    @pytest.mark.parametrize(
+        "build, bath, omega, conditioning",
+        [case[1:] for case in _stack_cases()],
+        ids=[case[0] for case in _stack_cases()],
+    )
+    def test_same_scattering_and_vc_as_one_model_per_c(self, build, bath, omega, conditioning):
+        stack = build(self.CS, bath)
+        singles = [build(C, bath) for C in self.CS]
+        assert stack.A.shape == (len(self.CS),) + singles[0].A.shape
+        np.testing.assert_array_equal(stack.A, [m.A for m in singles])
+        for eta in (1.0, 0.6):
+            S = build_scattering(apply_detection_loss(stack, eta), omega)
+            want = [build_scattering(apply_detection_loss(m, eta), omega).S for m in singles]
+            np.testing.assert_array_equal(S.S, want)
+        got = vc_on_grid(stack, omega, bath=bath, conditioning=conditioning)
+        want = [evaluate(m, omega, bath=bath, conditioning=conditioning).Vc for m in singles]
+        assert got.shape == self.CS.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_first_unstable_matrix_of_a_stack(self):
+        stable, unstable = -np.eye(4), -np.eye(4)
+        unstable[2, 2] = 0.25
+        worse = -np.eye(4)
+        worse[2, 2] = 2.0
+        check_stable(np.array([stable, stable]))
+        with pytest.raises(UnstableModel) as err:
+            check_stable(np.array([stable, unstable, worse]))
+        assert err.value.max_real == 0.25
+
+    def test_first_singular_model_of_a_stack(self):
+        # (nearly) undamped mechanics at omega_m = 1 in the second and third
+        # model; the two are singular with different condition numbers
+        A = np.array([-np.eye(4)] * 3)
+        A[1:, 2, 2] = A[1:, 3, 3] = 0.0
+        A[1:, 2, 3], A[1:, 3, 2] = 1.0, -1.0
+        A[2, 2, 2] = -1e-14
+        model = LinearModel(A, np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4), FOUR_MODE)
+        with pytest.raises(SingularAtFrequency) as stacked:
+            build_scattering(model, 1.0)
+        with pytest.raises(SingularAtFrequency) as single:
+            build_scattering(LinearModel(A[1], model.H, model.Vin, FOUR_MODE), 1.0)
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_shape_and_misuse_rejected(self):
+        with pytest.raises(ValueError):
+            LinearModel(-np.ones((3, 4, 6)), np.eye(4), 0.5 * np.eye(4), FOUR_MODE)
+        stack = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=self.CS), FIG2_BATH)
+        assert stack.H.shape == stack.Vin.shape == (4, 4)
+        with pytest.raises(ValueError, match="vc_on_grid"):
+            evaluate(stack, 1.0)
+        with pytest.raises(ValueError, match="not both"):
+            vc_on_grid(stack, np.array([0.5, 1.0]))
 
 
 class TestInputCovariance:

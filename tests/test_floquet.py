@@ -9,6 +9,7 @@ from tvmeter import (
     floquet_metrics,
     floquet_qnd_metrics_closed,
     floquet_scattering,
+    floquet_vc,
     ideal_qnd_metrics,
     sideband_scattering,
 )
@@ -128,3 +129,31 @@ class TestMetrics:
             step01 = np.abs(results[1] - results[0])
             step12 = np.abs(results[2] - results[1])
             assert np.all(step12 <= 0.1 * step01 + 1e-12)
+
+
+class TestDriftStack:
+    """A drift stacked over cooperativities against one drift per C."""
+
+    CS = np.logspace(-3, 4, 40)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_components_and_blocks_match_one_drift_per_c(self, order):
+        stack = decompose_drift(0.5, 0.01, OMEGA_M, C=self.CS, order=order)
+        singles = [decompose_drift(0.5, 0.01, OMEGA_M, C=C, order=order) for C in self.CS]
+        for part in ("A_minus", "A_zero", "A_plus"):
+            np.testing.assert_array_equal(getattr(stack, part), [getattr(fd, part) for fd in singles])
+        H = np.diag([np.sqrt(0.5)] * 2 + [np.sqrt(0.01)] * 2)
+        blocks = sideband_scattering(stack, H, 0.3)
+        for n, S in blocks.items():
+            np.testing.assert_array_equal(S, [sideband_scattering(fd, H, 0.3)[n] for fd in singles])
+
+    @pytest.mark.parametrize("kappa, omega, eta", [(0.5, 0.0, 1.0), (0.05, 0.2, 1.0), (0.3, 0.0, 0.7)])
+    def test_vc_matches_floquet_metrics(self, kappa, omega, eta):
+        bath = BathSpec(n_m=1.0, eta=eta)
+        got = floquet_vc(decompose_drift(kappa, 0.01, OMEGA_M, C=self.CS), bath, omega)
+        want = [floquet_metrics(decompose_drift(kappa, 0.01, OMEGA_M, C=C), bath, omega).Vc
+                for C in self.CS]
+        assert got.shape == self.CS.shape
+        np.testing.assert_array_equal(got, want)
+        single = decompose_drift(kappa, 0.01, OMEGA_M, C=2.0)
+        assert floquet_vc(single, bath, omega) == floquet_metrics(single, bath, omega).Vc

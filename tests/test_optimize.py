@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from tvmeter import (
+    FOUR_MODE,
     BathSpec,
     CqncParams,
+    DegenerateMeter,
     DisplacementParams,
     ImperfectQndParams,
+    LinearModel,
     NoBracket,
     Regime,
     SweepSpec,
     c_sql,
+    check_stable,
     cqnc_model,
+    decompose_drift,
     displacement_model,
     evaluate,
     find_threshold,
+    floquet_metrics,
+    floquet_vc,
     generalized_sql,
     golden_section,
     ideal_qnd_model,
@@ -23,6 +30,8 @@ from tvmeter import (
     minimize_vc_over_frequency,
     vc_on_grid,
 )
+from tvmeter.errors import UnstableModel
+from tvmeter.optimize import minimize_on_grid
 
 KAPPA, GAMMA, OMEGA_M = 10.0, 0.01, 1.0
 FIG_BATH = BathSpec(n_m=1.0)
@@ -39,6 +48,18 @@ class TestGoldenSection:
 
         x, v, boundary, _ = minimize_on_grid(f, spec)
         assert v <= min(f(g) for g in spec.grid()) + 1e-15
+
+    def test_refinement_reuses_the_grid_values(self):
+        spec = SweepSpec("x", 0.1, 10.0, count=40, log=True)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (np.log(x) - 0.3) ** 2
+
+        x, v, _, _ = minimize_on_grid(f, spec, lambda xs: (np.log(xs) - 0.3) ** 2)
+        assert not set(calls) & set(spec.grid())
+        assert (x, v) == minimize_on_grid(f, spec)[:2]
 
 
 class TestFrequencyOptimization:
@@ -159,6 +180,97 @@ class TestGeneralizedSql:
 
         assert generalized_sql(family_at(0.1, 1.0), 1e-3, 1e3).value < 0.5
         assert generalized_sql(family_at(0.13, 1.0), 1e-3, 1e3).value > 0.5
+
+
+def _sql_cases():
+    """(id, family builder at C (float or array), vc of a built point, bath, omega)."""
+    lossy = BathSpec(n_m=1.0, eta=0.6)
+
+    def model_case(build, bath, omega, conditioning="meter"):
+        family = lambda C: evaluate(build(C, bath), omega, bath=bath, conditioning=conditioning)
+        grid = lambda Cs: vc_on_grid(build(Cs, bath), omega, bath=bath, conditioning=conditioning)
+        return family, grid
+
+    def floquet_case(kappa, bath, omega):
+        family = lambda C: floquet_metrics(decompose_drift(kappa, GAMMA, OMEGA_M, C=C), bath, omega)
+        grid = lambda Cs: floquet_vc(decompose_drift(kappa, GAMMA, OMEGA_M, C=Cs), bath, omega)
+        return family, grid
+
+    displacement = lambda C, b: displacement_model(DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=C), b)
+    yield "displacement", model_case(displacement, FIG_BATH, OMEGA_M)
+    yield "displacement-eta0.6", model_case(displacement, lossy, OMEGA_M)
+    yield "qnd-ideal", model_case(lambda C, b: ideal_qnd_model(KAPPA, GAMMA, b, C=C), FIG_BATH, 0.0)
+    cqnc = lambda C, b: cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=C), b)
+    yield "cqnc-meter+ancilla", model_case(cqnc, FIG_BATH, 2.2, "meter+ancilla")
+    yield "cqnc-eta0.7", model_case(cqnc, BathSpec(n_m=1.0, eta=0.7), OMEGA_M)
+    nu_model = lambda C, b: imperfect_qnd_model(ImperfectQndParams(KAPPA, GAMMA, C=C, nu=0.1 * GAMMA), b)
+    yield "qnd-imperfect-nu0.1", model_case(nu_model, FIG_BATH, 0.0)
+    yield "qnd-imperfect-eta0.6", model_case(nu_model, lossy, 0.003)
+    yield "qnd-floquet", floquet_case(0.5, FIG_BATH, 0.0)
+    yield "qnd-floquet-eta0.6", floquet_case(0.3, lossy, 0.1)
+
+
+class TestStackedCooperativityGrid:
+    """generalized_sql with the C grid from one stacked solve against the
+    point-by-point scan."""
+
+    @pytest.mark.parametrize("family, vc_grid", [c[1] for c in _sql_cases()],
+                             ids=[c[0] for c in _sql_cases()])
+    def test_same_scan_bit_for_bit(self, family, vc_grid):
+        grid = SweepSpec("C", 1e-3, 1e3).grid()
+        assert list(vc_grid(grid)) == [family(C).Vc for C in grid]
+        scalar = generalized_sql(family, 1e-3, 1e3)
+        assert generalized_sql(family, 1e-3, 1e3, vc_grid=vc_grid) == scalar
+
+    @staticmethod
+    def _toy(static, coupling):
+        """Builder of a decoupled-cavity model whose meter is squeezed to
+        2.5e-17, so that it is degenerate wherever the mechanics adds
+        (almost) nothing to it; the drift is static + C * coupling."""
+        def build(C):
+            A = np.asarray(static) + np.multiply.outer(C, np.asarray(coupling, dtype=float))
+            check_stable(A)
+            return LinearModel(A, np.diag([np.sqrt(2.0)] * 2 + [1.0] * 2),
+                               np.diag([1e16, 2.5e-17, 0.5, 0.5]), FOUR_MODE)
+        return build
+
+    def _both_raise(self, build, lo, hi, error):
+        family = lambda C: evaluate(build(C), 0.0)
+        with pytest.raises(error) as scalar:
+            generalized_sql(family, lo, hi)
+        with pytest.raises(error) as stacked:
+            generalized_sql(family, lo, hi, vc_grid=lambda Cs: vc_on_grid(build(Cs), 0.0))
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_degenerate_meter_before_an_unstable_model(self):
+        # the mechanics feeds the meter as C; its damping 1 - C turns
+        # negative above C = 1, while below C ~ 1e-7 the meter is degenerate
+        build = self._toy(-np.eye(4), [[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+        self._both_raise(build, 1e-9, 1e2, DegenerateMeter)
+
+    def test_unstable_model_before_a_degenerate_meter(self):
+        # damping C - 1 is negative below C = 1, and the strongly damped
+        # mechanics leaves the meter degenerate above C ~ 1e7
+        static = -np.eye(4)
+        static[1, 2], static[2, 2] = -1.0, 1.0
+        build = self._toy(static, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]])
+        self._both_raise(build, 1e-2, 1e9, UnstableModel)
+
+    def test_singular_model_after_a_degenerate_meter(self):
+        # without the stability check, C = 1 leaves the mechanics undamped:
+        # (A + i w I) is singular there, after the degenerate meter points
+        def build(C):
+            A = -np.eye(4) + np.multiply.outer(
+                C, np.array([[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=float))
+            return LinearModel(A, np.diag([np.sqrt(2.0)] * 2 + [1.0] * 2),
+                               np.diag([1e16, 2.5e-17, 0.5, 0.5]), FOUR_MODE)
+        grid = np.logspace(-9, 2, 12)  # holds C = 1 exactly
+        with pytest.raises(DegenerateMeter) as scalar:
+            for C in grid:
+                evaluate(build(C), 0.0)
+        with pytest.raises(DegenerateMeter) as stacked:
+            vc_on_grid(build(grid), 0.0)
+        assert str(stacked.value) == str(scalar.value)
 
 
 class TestFindThreshold:
