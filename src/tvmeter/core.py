@@ -235,9 +235,12 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     their spectral covariances diverge).  ``A`` may be a stack
     ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
     max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
-    unstable = max_real > -tol
-    if unstable.any():
-        raise UnstableModel(float(np.ravel(max_real)[unstable.argmax()]))
+    if max_real.ndim:
+        unstable = np.flatnonzero(max_real > -tol)
+        if unstable.size:
+            raise UnstableModel(float(max_real.ravel()[unstable[0]]))
+    elif max_real > -tol:
+        raise UnstableModel(float(max_real))
 
 
 def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:

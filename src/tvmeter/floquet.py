@@ -160,7 +160,7 @@ def floquet_scattering(fd: FloquetDrift, H: NDArray, omega: float):
 
 
 def _readout(
-    fd: FloquetDrift, bath: BathSpec, kappa: float | None, gamma: float | None
+    fd: FloquetDrift, bath: BathSpec, kappa: float | None = None, gamma: float | None = None
 ) -> tuple[NDArray, NDArray]:
     """Input couplings H and input covariance of the readout; the decay
     rates are read off the static drift diagonal unless given (a stacked
@@ -197,17 +197,16 @@ def _conditional_variance(
 
 
 def floquet_vc(
-    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0,
-    kappa: float | None = None, gamma: float | None = None,
+    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0
 ) -> float | NDArray[np.float64]:
     """Conditional variance of the truncated readout, ``floquet_metrics(fd,
-    bath, omega, kappa, gamma).Vc``.
+    bath, omega).Vc``.
 
     For a stacked drift (an array of cooperativities) it gives one value
     per drift from one stacked solve, each with the bits of the single
     drift's; the first drift that fails a guard, in stack order, raises.
     """
-    H, Vin = _readout(fd, bath, kappa, gamma)
+    H, Vin = _readout(fd, bath)
     return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
 
 

@@ -33,7 +33,8 @@ from .metrics import MeasurementFigures, classify_regime, figures_from_parts
 
 
 def cooperativity_to_g(C: float | NDArray, kappa: float, gamma: float) -> float | NDArray:
-    return np.sqrt(C * kappa * gamma) / 2.0
+    g = np.sqrt(C * kappa * gamma) / 2.0
+    return g if isinstance(g, np.ndarray) else float(g)
 
 
 def g_to_cooperativity(g: float, kappa: float, gamma: float) -> float:
@@ -46,7 +47,7 @@ def _resolve_coupling(
     if (g is None) == (C is None):
         raise ValueError("specify exactly one of g and C")
     if C is not None:
-        if (np.asarray(C) < 0).any():
+        if (C.min() if isinstance(C, np.ndarray) else C) < 0:
             raise ValueError(f"cooperativity must be nonnegative, got {C}")
         return cooperativity_to_g(C, kappa, gamma)
     return g if np.ndim(g) else float(g)
@@ -59,13 +60,15 @@ FOUR_MODE_COUPLING = np.array([
     [0, 0, -2, 0],
     [0, 0, 0, 0],
     [-2, 0, 0, 0],
-])
+], dtype=float)
 
 
 def coupled_drift(static, coupling: NDArray, g: float | NDArray) -> NDArray:
     """Drift matrix ``static + g * coupling``; an array of couplings g
     gives the stack of drift matrices ``[..., i, j]``, one per value."""
-    return np.asarray(static) + np.multiply.outer(g, coupling)
+    if isinstance(g, np.ndarray):
+        g = g[..., None, None]
+    return np.asarray(static) + g * coupling
 
 
 def _check_rates(**rates: float) -> None:
@@ -218,7 +221,7 @@ _CQNC_COUPLING = np.array([
     [-2, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, 0],
     [-2, 0, 0, 0, 0, 0],
-])
+], dtype=float)
 
 
 def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:

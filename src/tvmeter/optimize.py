@@ -105,7 +105,8 @@ def minimize_on_grid(
     one call (the same values as ``f``, faster); otherwise ``f`` is
     called point by point.  If ``f_grid`` raises a :class:`TvmeterError`,
     the grid is scanned point by point, so the first failing point raises
-    the error that ``f`` raises there.  Returns (x, f(x), at_boundary,
+    the error that ``f`` raises there; if ``f`` fails nowhere, the error
+    of ``f_grid`` stands.  Returns (x, f(x), at_boundary,
     branches) with branches holding the refined secondary minima within
     ``BRANCH_MARGIN`` of the best value.
     """
@@ -120,7 +121,8 @@ def minimize_on_grid(
         try:
             values = np.asarray(f_grid(grid), dtype=float)
         except TvmeterError:
-            values = point_by_point()
+            point_by_point()
+            raise
     order = int(np.argmin(values))
     locals_ = [
         i for i in range(len(grid))

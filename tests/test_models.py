@@ -60,6 +60,7 @@ class TestDisplacementModel:
             DisplacementParams(KAPPA, GAMMA, OMEGA_M).coupling
         p = DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=2.0)
         assert p.cooperativity == pytest.approx(2.0, rel=1e-12)
+        assert type(p.coupling) is float and type(p.cooperativity) is float
 
 
 class TestSqlFormula:

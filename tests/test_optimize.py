@@ -61,6 +61,15 @@ class TestGoldenSection:
         assert not set(calls) & set(spec.grid())
         assert (x, v) == minimize_on_grid(f, spec)[:2]
 
+    def test_grid_error_stands_when_no_point_fails(self):
+        spec = SweepSpec("x", 0.1, 10.0, count=40, log=True)
+
+        def f_grid(xs):
+            raise DegenerateMeter("grid only")
+
+        with pytest.raises(DegenerateMeter, match="grid only"):
+            minimize_on_grid(lambda x: (np.log(x) - 0.3) ** 2, spec, f_grid)
+
 
 class TestFrequencyOptimization:
     def _scan(self, C, **kw):
