@@ -20,7 +20,6 @@ from .core import (
     cross_spectral_density,
     extended_input_covariance,
     input_covariance,
-    output_covariance,
     output_covariance_at,
 )
 from .errors import (
@@ -28,7 +27,6 @@ from .errors import (
     DegenerateRates,
     NegativeLinewidth,
     NoBracket,
-    NonHermitianResult,
     QuadratureNonConvergence,
     SingularAtFrequency,
     TvmeterError,
@@ -63,9 +61,8 @@ from .metrics import (
     classify_regime,
     conditional_variance,
     cqnc_conditional_variance,
-    equivalent_noises,
     evaluate,
-    transfer_coefficients,
+    measured_figures,
     vc_on_grid,
 )
 from .models import (

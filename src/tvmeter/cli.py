@@ -296,16 +296,17 @@ def scenario_figures(
     if scenario == "qnd-floquet":
         return floquet_metrics(_floquet_drift(params), bath, omega)
     if scenario == "lev-dual":
-        g1, g2 = params["g1"], params["g2"]
-        if params["g_total"] is not None and params["readout_fraction"] is not None:
-            frac = params["readout_fraction"]
-            g2 = params["g_total"] * frac**0.5
-            g1 = params["g_total"] * (1.0 - frac) ** 0.5
-        p = DualTweezerParams(
+        rates = dict(
             omega_m=params["omega_m"], gamma=params["gamma"],
             kappa_1=params["kappa1"], kappa_2=params["kappa2"],
-            g_1=g1, g_2=g2, alpha_1=params["alpha1"], alpha_2=params["alpha2"],
+            alpha_1=params["alpha1"], alpha_2=params["alpha2"],
         )
+        if params["g_total"] is not None and params["readout_fraction"] is not None:
+            p = DualTweezerParams.from_intensity_split(
+                params["g_total"], params["readout_fraction"], **rates
+            )
+        else:
+            p = DualTweezerParams(g_1=params["g1"], g_2=params["g2"], **rates)
         return reduced_metrics(p, bath, omega)
     if scenario == "lev-pulsed":
         return _lev_pulsed_point(params, bath)
@@ -568,7 +569,7 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
 class NumericalFailure(Exception):
     def __init__(self, param: str, value: float, err: Exception):
         self.param, self.value, self.err = param, value, err
-        super().__init__(f"numerical failure at {param}={value!r}: {err}")
+        super().__init__(f"numerical failure at {param}={float(value)!r}: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonHermitianResult, SingularAtFrequency, UnstableModel
+from .errors import SingularAtFrequency, UnstableModel
 
 #: reciprocal-condition-number floor below which (A + iwI) counts as singular
 RCOND_FLOOR = 1e-12
@@ -47,9 +47,6 @@ RCOND_FLOOR = 1e-12
 #: stands in for a zero row or column scale, so that the row or column
 #: stays zero (and the matrix singular) instead of dividing by zero
 _TINY = np.finfo(float).tiny
-
-#: largest imaginary residue tolerated when symmetrizing output covariances
-HERMITIZATION_TOL = 1e-10
 
 #: margin used by the builder-side stability check
 STABILITY_TOL = 1e-10
@@ -334,29 +331,6 @@ def extended_input_covariance(model: LinearModel) -> NDArray[np.float64]:
     V[:n, :n] = model.Vin
     V[n, n] = V[n + 1, n + 1] = model.ancilla_variance
     return V
-
-
-def output_covariance(
-    S_plus: ScatteringMatrix,
-    S_minus: ScatteringMatrix,
-    Vin: NDArray,
-) -> NDArray[np.float64]:
-    """Symmetrized output covariance from S(+w) and S(-w).
-
-    Raises :class:`NonHermitianResult` if the imaginary residue exceeds
-    ``HERMITIZATION_TOL`` relative to the matrix scale, which indicates
-    the two scattering matrices do not belong to +/- the same frequency.
-    """
-    Vin = np.asarray(Vin)
-    raw = 0.5 * (S_plus.S @ Vin @ S_minus.S.T + S_minus.S @ Vin @ S_plus.S.T)
-    scale = max(float(np.max(np.abs(raw))), 1.0)
-    residue = float(np.max(np.abs(raw.imag))) / scale
-    if residue > HERMITIZATION_TOL:
-        raise NonHermitianResult(
-            f"imaginary residue {residue:.3e} exceeds {HERMITIZATION_TOL:.0e}"
-        )
-    out = raw.real
-    return 0.5 * (out + out.T)
 
 
 def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:

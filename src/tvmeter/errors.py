@@ -16,13 +16,6 @@ class SingularAtFrequency(TvmeterError):
         )
 
 
-class NonHermitianResult(TvmeterError):
-    """Symmetrized output covariance kept a large imaginary residue.
-
-    Signals inconsistent S(+w)/S(-w) inputs.
-    """
-
-
 class DegenerateMeter(TvmeterError):
     """Meter variance is (numerically) zero; conditioning is undefined."""
 

@@ -36,7 +36,7 @@ from .metrics import (
     MeasurementFigures,
     classify_regime,
     conditional_variance,
-    figures_from_parts,
+    measured_figures,
 )
 
 
@@ -159,16 +159,13 @@ def floquet_scattering(fd: FloquetDrift, H: NDArray, omega: float):
     return ScatteringMatrix(sum(blocks.values()), omega)
 
 
-def _readout(
-    fd: FloquetDrift, bath: BathSpec, kappa: float | None = None, gamma: float | None = None
-) -> tuple[NDArray, NDArray]:
+def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:
     """Input couplings H and input covariance of the readout; the decay
-    rates are read off the static drift diagonal unless given (a stacked
-    drift shares them)."""
+    rates are read off the static drift diagonal (a stacked drift shares
+    them)."""
     A0 = fd.A_zero.reshape(-1, 4, 4)[0]
-    k = -2.0 * A0[0, 0] if kappa is None else kappa
-    gm = -2.0 * A0[2, 2] if gamma is None else gamma
-    return np.diag([np.sqrt(k)] * 2 + [np.sqrt(gm)] * 2), input_covariance(bath, FOUR_MODE)
+    kappa, gamma = -2.0 * A0[0, 0], -2.0 * A0[2, 2]
+    return np.diag([np.sqrt(kappa)] * 2 + [np.sqrt(gamma)] * 2), input_covariance(bath, FOUR_MODE)
 
 
 def _detected(V: NDArray, bath: BathSpec) -> NDArray:
@@ -210,29 +207,25 @@ def floquet_vc(
     return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
 
 
-def floquet_metrics(
-    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0,
-    kappa: float | None = None, gamma: float | None = None,
-) -> MeasurementFigures:
+def floquet_metrics(fd: FloquetDrift, bath: BathSpec, omega: float = 0.0) -> MeasurementFigures:
     """Figures of merit of the truncated beyond-RWA readout.
 
-    The decay rates are read off the static drift diagonal unless given.
-    Detection loss from ``bath.eta`` scales the measured optical rows
-    and mixes in ancilla noise at the cavity-bath variance.
+    The decay rates are read off the static drift diagonal.  Detection
+    loss from ``bath.eta`` scales the measured optical rows and mixes in
+    ancilla noise at the cavity-bath variance.
     """
-    H, Vin = _readout(fd, bath, kappa, gamma)
+    H, Vin = _readout(fd, bath)
     blocks = sideband_scattering(fd, H, omega)
     Vc = _conditional_variance(blocks, Vin, bath)
     Seff = sum(blocks.values())
     Veff = _detected(np.real(Seff @ Vin @ Seff.conj().T), bath)
-    meter_signal = abs(Seff[FOUR_MODE.meter_index, FOUR_MODE.signal_index])
+    s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
+    meter_signal = abs(Seff[m, s])
     if bath.eta < 1.0:
         meter_signal *= np.sqrt(bath.eta)
-    s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
-    Vx = bath.V_x
-    ns = Veff[s, s] / abs(Seff[s, s]) ** 2 - Vx if abs(Seff[s, s]) > 1e-14 else np.inf
-    nm = Veff[m, m] / meter_signal**2 - Vx if meter_signal > 1e-14 else np.inf
-    return figures_from_parts(Vc, ns, nm, Vx, omega)
+    return measured_figures(
+        Vc, Veff[s, s], Veff[m, m], abs(Seff[s, s]) ** 2, meter_signal**2, bath.V_x, omega
+    )
 
 
 def floquet_qnd_metrics_closed(

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (
-    DUAL_TWEEZER_LAYOUT,
-    BathSpec,
-    LinearModel,
-    ModeLayout,
-    check_stable,
-)
+from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_stable
 from .errors import NegativeLinewidth
-from .metrics import MeasurementFigures, classify_regime
+from .metrics import (
+    MeasurementFigures,
+    classify_regime,
+    conditional_variance,
+    measured_figures,
+)
 from .models import ImperfectQndParams, imperfect_qnd_model
 
 
@@ -246,9 +245,6 @@ def reduced_scattering(p: DualTweezerParams, omega: float) -> NDArray[np.complex
     ])
 
 
-REDUCED_LAYOUT = ModeLayout(("X2", "Y2", "x", "p"), 2, 1, 3, mechanical_modes=(1,))
-
-
 def reduced_metrics(
     p: DualTweezerParams, bath: BathSpec, omega: float = 0.0
 ) -> MeasurementFigures:
@@ -260,16 +256,9 @@ def reduced_metrics(
     Vin = np.diag([n, n, vx, vp])
     Vin[2, 3] = Vin[3, 2] = p.gamma / gm * bath.V_xp
     V = S @ Vin @ S.conj().T
-    Vxx, VYY = V[2, 2].real, V[1, 1].real
-    # V[x, Y] is the complex cross-spectrum; its modulus enters V_c
-    Vc = Vxx - abs(V[2, 1]) ** 2 / VYY
-    ns = Vxx / abs(S[2, 2]) ** 2 - vx
-    nm = VYY / abs(S[1, 2]) ** 2 - vx if abs(S[1, 2]) > 1e-14 else np.inf
-    Ts = vx / (vx + ns)
-    Tm = vx / (vx + nm) if np.isfinite(nm) else 0.0
-    return MeasurementFigures(
-        Vc=Vc, Ts=Ts, Tm=Tm, ns_eq=ns, nm_eq=nm,
-        regime=classify_regime(Vc, Ts, Tm), omega=omega,
+    return measured_figures(
+        conditional_variance(V, signal=2, meter=1), V[2, 2].real, V[1, 1].real,
+        abs(S[2, 2]) ** 2, abs(S[1, 2]) ** 2, vx, omega,
     )
 
 

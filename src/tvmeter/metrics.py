@@ -18,12 +18,17 @@ the measurement-equivalent input noises
     n_s_eq = V_out[x,x] / |S_xx|^2 - V_x,
     n_m_eq = V_out[Y,Y] / |S_Yx|^2 - V_x.
 
+Every kernel (the linear models here, the beyond-RWA harmonic solver,
+the reduced dual-tweezer map and the pulsed readout) conditions through
+:func:`conditional_variance` and reduces through :func:`measured_figures`.
+
 A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +38,6 @@ from .core import (
     BathSpec,
     LinearModel,
     ModeLayout,
-    ScatteringMatrix,
     apply_detection_loss,
     build_scattering,
     cross_spectral_density,
@@ -44,7 +48,8 @@ from .errors import DegenerateMeter, SingularAtFrequency
 #: meter variances at or below this count as a missing noise channel
 METER_FLOOR = 1e-14
 
-#: scattering amplitudes below this make the corresponding transfer zero
+#: signal amplitudes at or below this (power gains at or below its
+#: square) make the corresponding transfer zero
 SIGNAL_PATH_FLOOR = 1e-14
 
 #: negative conditional variances above -this are clamped to zero
@@ -220,46 +225,40 @@ def cqnc_conditional_variance(
     return _clamped(_cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom), Vss)
 
 
-def equivalent_noises(
-    S: ScatteringMatrix,
-    Vout: NDArray,
-    Vx: float,
-    layout: ModeLayout,
-) -> tuple[float, float]:
-    """Measurement-equivalent input noises (n_s_eq, n_m_eq).
-
-    Computed by referring the full output variances (all noise columns:
-    optical, mechanical momentum, detection ancilla) back through the
-    direct scattering amplitudes.  Vanishing amplitudes yield inf, which
-    the transfer coefficients map to zero.
-    """
-    s, m = layout.signal_index, layout.meter_index
-    Sss = abs(S.S[s, s])
-    Sms = abs(S.S[m, s])
-    ns = float(Vout[s, s].real) / Sss**2 - Vx if Sss > SIGNAL_PATH_FLOOR else np.inf
-    nm = float(Vout[m, m].real) / Sms**2 - Vx if Sms > SIGNAL_PATH_FLOOR else np.inf
-    return ns, nm
-
-
-def transfer_coefficients(ns_eq: float, nm_eq: float, Vx: float) -> tuple[float, float]:
-    """T = V_x / (V_x + n_eq) per channel; 0 when the path carries nothing."""
-
-    def one(n_eq: float) -> float:
-        if not np.isfinite(n_eq):
-            return 0.0
-        return Vx / (Vx + n_eq)
-
-    return one(ns_eq), one(nm_eq)
+def _transfer(n_eq: float, Vx: float) -> float:
+    """T = V_x / (V_x + n_eq); 0 when the path carries nothing (n_eq = inf)."""
+    return Vx / (Vx + n_eq) if math.isfinite(n_eq) else 0.0
 
 
 def figures_from_parts(
     Vc: float, ns_eq: float, nm_eq: float, Vx: float, omega: float
 ) -> MeasurementFigures:
-    Ts, Tm = transfer_coefficients(ns_eq, nm_eq, Vx)
+    """Figures of merit from V_c and the equivalent noises n_eq."""
+    Ts, Tm = _transfer(ns_eq, Vx), _transfer(nm_eq, Vx)
     return MeasurementFigures(
         Vc=Vc, Ts=Ts, Tm=Tm, ns_eq=ns_eq, nm_eq=nm_eq,
         regime=classify_regime(Vc, Ts, Tm), omega=omega,
     )
+
+
+def _equivalent_noise(V: float, G: float, Vx: float) -> float:
+    """n_eq = V / G - V_x; inf when the power gain G carries nothing."""
+    return V / G - Vx if G > SIGNAL_PATH_FLOOR**2 else math.inf
+
+
+def measured_figures(
+    Vc: float, V_ss: float, V_mm: float, G_s: float, G_m: float, Vx: float, omega: float
+) -> MeasurementFigures:
+    """Figures of merit of a measurement whose signal and meter outputs
+    have variances ``V_ss``, ``V_mm`` and signal power gains ``G_s``,
+    ``G_m`` (|S|^2 of the direct paths from the signal input).
+
+    The output variances are referred back through the gains to the
+    measurement-equivalent input noises n_eq = V / G - V_x; a gain at or
+    below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
+    """
+    ns, nm = _equivalent_noise(V_ss, G_s, Vx), _equivalent_noise(V_mm, G_m, Vx)
+    return figures_from_parts(Vc, ns, nm, Vx, omega)
 
 
 def with_detection_loss(model: LinearModel, bath: BathSpec | None) -> LinearModel:
@@ -298,10 +297,12 @@ def evaluate(
     S = build_scattering(model, omega)
     Vout = cross_spectral_density(S.S, extended_input_covariance(model))
     layout = model.layout
-    Vc = _conditioned_vc(Vout, layout, conditioning)
-    Vx = float(model.Vin[layout.signal_index, layout.signal_index])
-    ns, nm = equivalent_noises(S, Vout, Vx, layout)
-    return figures_from_parts(Vc, ns, nm, Vx, omega)
+    s, m = layout.signal_index, layout.meter_index
+    return measured_figures(
+        _conditioned_vc(Vout, layout, conditioning),
+        float(Vout[s, s].real), float(Vout[m, m].real),
+        _abs2(S.S[s, s]), _abs2(S.S[m, s]), float(model.Vin[s, s]), omega,
+    )
 
 
 def vc_on_grid(

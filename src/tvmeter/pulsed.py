@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from scipy.linalg import solve_continuous_lyapunov
 
 from .core import BathSpec, check_stable
-from .metrics import MeasurementFigures, figures_from_parts
+from .metrics import MeasurementFigures, conditional_variance, measured_figures
 
 #: relative |kappa - gamma| below which the propagator switches to the
 #: equal-rates limit form
@@ -53,10 +53,6 @@ def _mul(f: list[_Term], g: list[_Term]) -> list[_Term]:
         [(cf * cg, kf + kg, af + ag, Ef + Eg)
          for cf, kf, af, Ef in f for cg, kg, ag, Eg in g]
     )
-
-
-def _scale(f: list[_Term], s: float) -> list[_Term]:
-    return [(c * s, k, a, E) for c, k, a, E in f]
 
 
 def _eval(f: list[_Term], t: float) -> float:
@@ -256,12 +252,6 @@ def _filter_shape(p: PulsedParams, tau: float, pulse_shape: str) -> tuple[list[_
     raise ValueError(f"unknown pulse shape {pulse_shape!r}")
 
 
-def _filter_terms(p: PulsedParams, tau: float, pulse_shape: str) -> list[_Term]:
-    """Unit-norm (integral f^2 = 1) output filter."""
-    shape, norm = _filter_shape(p, tau, pulse_shape)
-    return _scale(shape, norm)
-
-
 def _signal_amplitude(p: PulsedParams, tau: float, pulse_shape: str) -> float:
     """Coefficient of x(0) in the filtered output quadrature."""
     if p.measurement_rate == 0.0:
@@ -377,11 +367,10 @@ def pulsed_metrics(
 
     The signal content of the mechanical output is the surviving
     fraction of the initial state, M33(tau)^2 V0; the meter signal is
-    (G - 1) V0 against the filtered noise variance.
+    (G - 1) V0 against the filtered noise variance.  V_c conditions
+    x(tau) on the filtered output mode.
     """
     V33, V32, V22 = pulsed_covariances(p, tau, pulse_shape)
-    Vc = V33 - V32**2 / V22
-    ns = V33 / math.exp(-p.gamma * tau) - p.V0
+    Vc = conditional_variance(np.array([[V22, V32], [V32, V33]]), signal=1, meter=0)
     Gs2 = _signal_amplitude(p, tau, pulse_shape) ** 2
-    nm = V22 / Gs2 - p.V0 if Gs2 > 0.0 else np.inf
-    return figures_from_parts(Vc, ns, nm, p.V0, omega=0.0)
+    return measured_figures(Vc, V33, V22, math.exp(-p.gamma * tau), Gs2, p.V0, omega=0.0)

@@ -264,7 +264,17 @@ class TestValidation:
         rc = main(["sweep", "--scenario", "qnd-imperfect", "--param", "xi",
                    "--lin", "0.1", "0.9", "--n", "5", "--n-m", "1"])
         assert rc == 3
-        assert "xi" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "xi=0.5" in err
+        assert "np.float64" not in err
+
+    def test_intensity_split_out_of_range(self, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha2",
+                       "--lin", "0.1", "0.2", "--n", "2",
+                       "--set", "g_total=0.5", "--set", "readout_fraction=1.5"], tmp_path)
+        assert rc == 2
+        assert "readout_fraction must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSubcommands:

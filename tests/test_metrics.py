@@ -96,6 +96,13 @@ class TestTransferCoefficients:
         assert figs.Tm == 0.0
         assert not np.isfinite(figs.nm_eq)
 
+    def test_measured_figures_refers_through_power_gains(self):
+        floor = metrics.SIGNAL_PATH_FLOOR**2
+        figs = metrics.measured_figures(0.4, 3.0, 2.0, 2.0, floor, 1.0, 0.5)
+        assert figs.ns_eq == 0.5 and figs.Ts == 1.0 / 1.5
+        assert figs.nm_eq == np.inf and figs.Tm == 0.0
+        assert figs.regime is Regime.QSP and figs.omega == 0.5
+
     def test_linear_law_across_cooperativity(self):
         # Vc + (Ts + Tm - 2) Vx = 0 for the ideal readout
         for C in np.logspace(-3, 3, 13):

@@ -251,7 +251,11 @@ class TestPulsedMetrics:
     def test_no_coupling(self):
         p = fig9_params(g=0.0)
         for ktau in (0.1, 5.0):
-            assert pulsed_metrics(p, ktau / p.kappa).Tm == 0.0
+            figs = pulsed_metrics(p, ktau / p.kappa)
+            assert figs.Tm == 0.0
+            assert figs.nm_eq == np.inf
+            # nothing to condition on: V_c is the unconditioned x variance
+            assert figs.Vc == pulsed_covariances(p, ktau / p.kappa)[0]
 
     def test_flat_filter_less_efficient_for_initial_state(self):
         p = fig9_params()
