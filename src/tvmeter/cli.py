@@ -80,6 +80,10 @@ SCENARIOS: dict[str, dict[str, Any]] = {
     ),
 }
 
+#: lev-pulsed parameters that feed the preparation stage; a sweep over
+#: any other parameter prepares V0 once for all its rows
+PREPARATION_PARAMS = ("kappa", "gamma", "g_prep", "alpha_prep")
+
 DEFAULT_OMEGA = {
     "displacement": lambda p: p["omega_m"],
     "cqnc": lambda p: p["omega_m"],
@@ -225,16 +229,21 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
 # evaluation
 
 
+def _prepared_v0(params: dict, bath: BathSpec) -> float:
+    """The lev-pulsed prepared x variance: ``V0`` when given, else the
+    steady state of the preparation stage."""
+    if params["V0"] is not None:
+        return params["V0"]
+    V0, _ = prepare_state_lyapunov(
+        params["kappa"], params["gamma"], params["g_prep"], params["alpha_prep"], bath,
+    )
+    return V0
+
+
 def _lev_pulsed_point(params: dict, bath: BathSpec) -> MeasurementFigures:
-    V0 = params["V0"]
-    if V0 is None:
-        V0, _ = prepare_state_lyapunov(
-            params["kappa"], params["gamma"], params["g_prep"],
-            params["alpha_prep"], bath,
-        )
     p = PulsedParams(
         kappa=params["kappa"], gamma=params["gamma"], omega_m=params["omega_m"],
-        g=params["g"], alpha2=params["alpha"], V0=V0, bath=bath,
+        g=params["g"], alpha2=params["alpha"], V0=_prepared_v0(params, bath), bath=bath,
     )
     return pulsed_metrics(p, params["tau"], pulse_shape=params["pulse_shape"])
 
@@ -296,6 +305,10 @@ def scenario_figures(
     if scenario == "qnd-floquet":
         return floquet_metrics(_floquet_drift(params), bath, omega)
     if scenario == "lev-dual":
+        if bath.eta < 1.0:
+            raise ConfigError(
+                f"scenario 'lev-dual' does not model detection loss; eta must be 1, got {bath.eta}"
+            )
         rates = dict(
             omega_m=params["omega_m"], gamma=params["gamma"],
             kappa_1=params["kappa1"], kappa_2=params["kappa2"],
@@ -478,15 +491,24 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
+    values = _sweep_values(cfg)
+    rows_cfg = cfg
+    shared_v0 = name in cfg.parameters and name not in (*PREPARATION_PARAMS, "V0")
+    if cfg.scenario == "lev-pulsed" and shared_v0:
+        try:
+            V0 = _prepared_v0(cfg.parameters, cfg.bath_spec())
+        except TvmeterError as err:
+            raise NumericalFailure(name, values[0], err) from err
+        rows_cfg = replace(cfg, parameters={**cfg.parameters, "V0": V0})
 
     def one(value: float) -> dict:
         try:
-            figs = _point_figures(cfg, _swept_params(cfg, value))
+            figs = _point_figures(rows_cfg, _swept_params(rows_cfg, value))
         except TvmeterError as err:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
 
-    return [one(value) for value in _sweep_values(cfg)]
+    return [one(value) for value in values]
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:

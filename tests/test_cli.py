@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tvmeter import BathSpec, evaluate, ideal_qnd_model
+from tvmeter import BathSpec, cli, evaluate, ideal_qnd_model
 from tvmeter.cli import (
     _collect_param_flags,
     _figures_row,
@@ -268,6 +268,15 @@ class TestValidation:
         assert "xi=0.5" in err
         assert "np.float64" not in err
 
+    def test_lev_dual_rejects_detection_loss(self, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "g2",
+                       "--log", "0.01", "0.6", "--n", "3", "--g1", "0.2",
+                       "--n-m", "1e7", "--eta", "0.7"], tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "eta must be 1" in err
+        assert not out.exists()
+
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
         rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha2",
                        "--lin", "0.1", "0.2", "--n", "2",
@@ -319,6 +328,29 @@ class TestSubcommands:
         rows = read_rows(out)
         assert len(rows) == 5
         assert float(rows[0]["Ts"]) > 0.99
+
+    def test_pulsed_detection_loss(self, tmp_path):
+        argv = ["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1e7"]
+        rc_lossless, lossless = run(argv, tmp_path, "lossless.csv")
+        rc_lossy, lossy = run(argv + ["--eta", "0.5"], tmp_path, "lossy.csv")
+        assert rc_lossless == rc_lossy == 0
+        for a, b in zip(read_rows(lossless), read_rows(lossy)):
+            assert a["tau"] == b["tau"]
+            assert float(b["Vc"]) > float(a["Vc"])
+            assert float(b["Tm"]) < float(a["Tm"])
+
+    def test_pulsed_prepares_the_state_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        prepare = cli.prepare_state_lyapunov
+        monkeypatch.setattr(
+            cli, "prepare_state_lyapunov", lambda *a: calls.append(a) or prepare(*a)
+        )
+        rc, _ = run(["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1e7"], tmp_path)
+        assert rc == 0 and len(calls) == 1
+        # the preparation stage depends on g_prep: one solve per row
+        rc, _ = run(["sweep", "--scenario", "lev-pulsed", "--param", "g_prep",
+                     "--log", "0.1", "0.6", "--n", "4", "--n-m", "1e7"], tmp_path)
+        assert rc == 0 and len(calls) == 5
 
 
 @pytest.mark.parametrize("name, command", [
