@@ -37,7 +37,6 @@ from .floquet import (
     decompose_drift,
     floquet_metrics,
     floquet_qnd_metrics_closed,
-    floquet_scattering,
     floquet_vc,
     sideband_scattering,
 )

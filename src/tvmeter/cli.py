@@ -285,7 +285,7 @@ def _scenario_model(scenario: str, params: dict, bath: BathSpec) -> LinearModel 
 def _floquet_drift(params: dict) -> FloquetDrift:
     return decompose_drift(
         params["kappa"], params["gamma"], params["omega_m"],
-        g=params["g"], C=params["C"], order=int(params["order"]),
+        g=params["g"], C=params["C"], order=params["order"],
     )
 
 

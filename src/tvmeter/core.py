@@ -256,19 +256,28 @@ def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:
     return rcond if isinstance(rcond, np.ndarray) else float(rcond)
 
 
+def _require_regular(M: NDArray, omega: float | NDArray) -> None:
+    """Raise :class:`SingularAtFrequency` unless the equilibrated rcond
+    of ``M`` (or of every matrix of the stack ``M[..., i, j]``) reaches
+    ``RCOND_FLOOR``.  The first failing matrix, in stack order, raises
+    with its frequency: ``omega`` broadcast against the stack."""
+    rcond = _equilibrated_rcond(M)
+    if M.ndim == 2:
+        if not rcond >= RCOND_FLOOR:  # NaN counts as singular
+            raise SingularAtFrequency(omega, rcond)
+        return
+    singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
+    if singular.size:
+        k = singular[0]
+        w = np.broadcast_to(omega, rcond.shape).ravel()[k] if np.ndim(omega) else omega
+        raise SingularAtFrequency(w, float(rcond.ravel()[k]))
+
+
 def _bare_scattering(A: NDArray, H: NDArray, omega: float | NDArray) -> NDArray[np.complex128]:
     n = A.shape[-1]
     stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
     M = A + 1j * (omega[..., None, None] if stacked else omega) * np.eye(n)
-    rcond = _equilibrated_rcond(M)
-    if M.ndim > 2:
-        singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
-        if singular.size:
-            k = singular[0]
-            w = np.broadcast_to(omega, rcond.shape).ravel()[k] if stacked else omega
-            raise SingularAtFrequency(w, float(rcond.ravel()[k]))
-    elif not rcond >= RCOND_FLOOR:
-        raise SingularAtFrequency(omega, rcond)
+    _require_regular(M, omega)
     return -(H @ np.linalg.solve(M, H) + np.eye(n))
 
 

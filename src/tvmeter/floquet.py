@@ -7,10 +7,20 @@ periodic at twice the mechanical frequency,
 
 Expanding the quadrature vector in the same harmonics turns the
 frequency-domain equations of motion into a block-tridiagonal system
-coupling component n to n +/- 1.  Truncating at order N (default 1)
-and solving yields one scattering block S_n per component; the output
-spectrum at detection frequency w collects component n driven by the
-input at w + 2 n w_m.
+coupling component n to n +/- 1, with diagonal blocks
+A(0) + i(w - 2 n w_m) I.  The output spectrum at detection frequency w
+collects component n driven by the input at w + 2 n w_m, through one
+scattering block S_n per component.
+
+The expansion ends at |n| = 1 without truncation error.  The sidebands
+route X -> (x, p) and (x, p) -> Y only: nothing drives X, Y drives
+nothing, and the mechanical block of every diagonal block is a multiple
+of the identity.  So A(+-1) D^-1 A(+-1) is a multiple of A(+-1)^2 = 0 for
+any diagonal block D, the equations of the components |n| >= 2 hold
+with those components zero, and the three-component system is the whole
+of it.  Eliminating the +-1 components leaves one 4x4 Schur complement
+per base frequency (cf. the harmonic-balance treatment of Malz and
+Nunnenkamp, PRA 94, 023803 (2016)).
 
 Two reductions of the blocks are used downstream:
 
@@ -30,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import FOUR_MODE, BathSpec, input_covariance
-from .errors import SingularAtFrequency
+from .core import FOUR_MODE, BathSpec, _require_regular, check_stable, input_covariance
 from .metrics import (
     MeasurementFigures,
     classify_regime,
@@ -48,24 +57,12 @@ class FloquetDrift:
     A_zero: NDArray[np.float64]
     A_plus: NDArray[np.complex128]
     omega_m: float
-    order: int = 1
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
         if not np.allclose(self.A_plus, np.conj(self.A_minus), atol=1e-12):
             raise ValueError("A_plus must be the elementwise conjugate of A_minus")
         if np.max(np.abs(np.asarray(self.A_zero).imag)) > 1e-12:
             raise ValueError("A_zero must be real")
-
-    def at_time(self, t: float) -> NDArray[np.float64]:
-        """Reconstruct the (real) drift matrix at time t."""
-        val = (
-            self.A_minus * np.exp(-2j * self.omega_m * t)
-            + self.A_zero
-            + self.A_plus * np.exp(2j * self.omega_m * t)
-        )
-        return val.real
 
 
 #: the counterrotating coupling: A(-1) = g * this
@@ -75,6 +72,10 @@ _SIDEBAND_COUPLING = np.array([
     [-1j, 0, 0, 0],
     [-1, 0, 0, 0],
 ])
+
+#: offsets j of the diagonal blocks D_j = A(0) + i(w + 2 j w_m) I that the
+#: three base frequencies w + 2 n w_m, n = -1, 0, 1, need
+_OFFSETS = np.arange(-2, 3)
 
 
 def decompose_drift(
@@ -87,13 +88,22 @@ def decompose_drift(
     The static component is the ideal single-quadrature drift; the
     sidebands couple the mechanical quadratures to the off-resonant
     cavity amplitude.  A 1-D array of C (or g) gives the components as
-    stacks ``[..., i, j]``, one drift per value.
+    stacks ``[..., i, j]``, one drift per value.  The drift is feed
+    forward, so its Floquet exponents are the eigenvalues of the static
+    component, which must be stable.  ``order`` is the harmonic order of
+    the expansion; every integer >= 1 gives the same exact solve.
     """
     # local import to avoid a cycle
     from .models import FOUR_MODE_COUPLING, _resolve_coupling, coupled_drift
 
     if kappa <= 0 or gamma <= 0 or omega_m <= 0:
         raise ValueError("kappa, gamma, omega_m must be positive")
+    try:
+        integral = not isinstance(order, bool) and order >= 1 and float(order).is_integer()
+    except TypeError:
+        integral = False
+    if not integral:
+        raise ValueError(f"harmonic order must be an integer >= 1, got {order!r}")
     g = _resolve_coupling(kappa, gamma, g, C)
     A_minus = np.multiply.outer(g, _SIDEBAND_COUPLING)
     A_zero = coupled_drift([
@@ -102,61 +112,41 @@ def decompose_drift(
         [0, 0, -gamma / 2, 0],
         [0, 0, 0, -gamma / 2],
     ], FOUR_MODE_COUPLING, g)
-    return FloquetDrift(A_minus, A_zero, A_minus.conj(), omega_m, order)
-
-
-def _component_blocks(fd: FloquetDrift, H: NDArray, omega: float) -> dict[int, NDArray]:
-    """Solve the truncated block-tridiagonal system at one frequency.
-
-    Returns, for each retained component n, the matrix mapping the input
-    vector at that frequency to u^(n); for a stacked drift, a stack of
-    them from one stacked solve, and the first singular system, in stack
-    order, raises.
-    """
-    N = fd.order
-    dim = 4 * (2 * N + 1)
-    I4 = np.eye(4)
-    M = np.zeros(fd.A_zero.shape[:-2] + (dim, dim), dtype=complex)
-    for bi, n in enumerate(range(-N, N + 1)):
-        sl = slice(4 * bi, 4 * bi + 4)
-        M[..., sl, sl] = fd.A_zero + 1j * omega * I4 - 2j * n * fd.omega_m * I4
-        if bi + 1 <= 2 * N:
-            M[..., sl, 4 * (bi + 1) : 4 * (bi + 1) + 4] = fd.A_minus
-        if bi - 1 >= 0:
-            M[..., sl, 4 * (bi - 1) : 4 * (bi - 1) + 4] = fd.A_plus
-    rcond = 1.0 / np.linalg.cond(M)
-    regular = rcond >= 1e-12  # NaN counts as singular
-    if not regular.all():
-        raise SingularAtFrequency(omega, float(np.ravel(rcond)[regular.argmin()]))
-    rhs = np.zeros((dim, 4), dtype=complex)
-    rhs[4 * N : 4 * N + 4, :] = -np.asarray(H, dtype=complex)
-    sol = np.linalg.solve(M, rhs)
-    return {n: sol[..., 4 * (n + N) : 4 * (n + N) + 4, :] for n in range(-N, N + 1)}
+    check_stable(A_zero)
+    return FloquetDrift(A_minus, A_zero, A_minus.conj(), omega_m)
 
 
 def sideband_scattering(
     fd: FloquetDrift, H: NDArray, omega: float
 ) -> dict[int, NDArray[np.complex128]]:
-    """Scattering blocks S_n(w): the part of the output at w contributed
-    by component n, driven by the input at w + 2 n w_m.  A stacked drift
-    gives stacks of blocks ``[..., i, j]``."""
+    """Scattering blocks S_n(w), n = -1, 0, 1: the part of the output at w
+    contributed by component n, driven by the input at w + 2 n w_m.
+
+    At base frequency w + 2 n w_m the components -1, 0, +1 sit on the
+    diagonal blocks D_{n+1}, D_n, D_{n-1}.  With P_j = D_j^-1 A(+1) and
+    Q_j = D_j^-1 A(-1), the centre component solves
+    (D_n - A(-1) P_{n-1} - A(+1) Q_{n+1}) u_0 = -H, and u_{+1} = -P_{n-1} u_0,
+    u_{-1} = -Q_{n+1} u_0.  A stacked drift gives stacks of blocks
+    ``[..., i, j]``; the diagonal blocks, then the Schur complements, are
+    checked as in :func:`core.build_scattering`, and the first singular
+    one, in stack order, raises :class:`SingularAtFrequency` at ``omega``.
+    """
     H = np.asarray(H, dtype=float)
-    out = {}
-    for n in range(-fd.order, fd.order + 1):
-        comps = _component_blocks(fd, H, omega + 2 * n * fd.omega_m)
-        Sn = H @ comps[n]
-        if n == 0:
-            Sn = Sn - np.eye(4)
-        out[n] = Sn
-    return out
-
-
-def floquet_scattering(fd: FloquetDrift, H: NDArray, omega: float):
-    """Effective carrier scattering: coherent sum of the sideband blocks."""
-    from .core import ScatteringMatrix
-
-    blocks = sideband_scattering(fd, H, omega)
-    return ScatteringMatrix(sum(blocks.values()), omega)
+    I4 = np.eye(4)
+    shifts = 1j * (omega + 2 * fd.omega_m * _OFFSETS)
+    D = fd.A_zero[..., None, :, :] + shifts[:, None, None] * I4
+    _require_regular(D, omega)
+    PQ = np.linalg.solve(D, np.concatenate([fd.A_plus, fd.A_minus], axis=-1)[..., None, :, :])
+    P, Q = PQ[..., :4], PQ[..., 4:]
+    schur = (D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P[..., 0:3, :, :]
+             - fd.A_plus[..., None, :, :] @ Q[..., 2:5, :, :])
+    _require_regular(schur, omega)
+    u0 = np.linalg.solve(schur, -H)
+    return {
+        -1: -(H @ (Q[..., 2, :, :] @ u0[..., 0, :, :])),
+        0: H @ u0[..., 1, :, :] - I4,
+        1: -(H @ (P[..., 2, :, :] @ u0[..., 2, :, :])),
+    }
 
 
 def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:
@@ -196,7 +186,7 @@ def _conditional_variance(
 def floquet_vc(
     fd: FloquetDrift, bath: BathSpec, omega: float = 0.0
 ) -> float | NDArray[np.float64]:
-    """Conditional variance of the truncated readout, ``floquet_metrics(fd,
+    """Conditional variance of the beyond-RWA readout, ``floquet_metrics(fd,
     bath, omega).Vc``.
 
     For a stacked drift (an array of cooperativities) it gives one value
@@ -208,7 +198,7 @@ def floquet_vc(
 
 
 def floquet_metrics(fd: FloquetDrift, bath: BathSpec, omega: float = 0.0) -> MeasurementFigures:
-    """Figures of merit of the truncated beyond-RWA readout.
+    """Figures of merit of the beyond-RWA readout.
 
     The decay rates are read off the static drift diagonal.  Detection
     loss from ``bath.eta`` scales the measured optical rows and mixes in
@@ -231,7 +221,7 @@ def floquet_metrics(fd: FloquetDrift, bath: BathSpec, omega: float = 0.0) -> Mea
 def floquet_qnd_metrics_closed(
     C: float, kappa: float, omega_m: float, V_x: float
 ) -> MeasurementFigures:
-    """Closed-form benchmark for the N = 1 truncation at carrier detection.
+    """Closed-form benchmark for the sideband solve at carrier detection.
 
     Valid for gamma much smaller than both kappa and omega_m.  With
     r = kappa^2/(kappa^2 + 16 omega_m^2) and the sideband admixture

@@ -277,6 +277,23 @@ class TestValidation:
         assert "configuration error" in err and "eta must be 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["0.5", "2.9", "0"])
+    def test_floquet_order_must_be_an_integer(self, order, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1", "2",
+                       "--n", "2", "--n-m", "1", "--order", order], tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "harmonic order must be an integer >= 1" in err
+        assert not out.exists()
+
+    def test_floquet_order_above_one_gives_the_same_rows(self, tmp_path):
+        argv = ["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "0.1", "10",
+                "--n", "3", "--n-m", "1", "--omega", "0.3"]
+        rc1, first = run(argv, tmp_path, "first.csv")
+        rc3, third = run(argv + ["--order", "3"], tmp_path, "third.csv")
+        assert rc1 == rc3 == 0
+        assert read_rows(first) == read_rows(third)
+
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
         rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha2",
                        "--lin", "0.1", "0.2", "--n", "2",
