@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .core import BathSpec, LinearModel
 from .errors import TvmeterError
@@ -332,25 +334,62 @@ def _default_omega(cfg: RunConfig) -> float:
     return DEFAULT_OMEGA.get(cfg.scenario, lambda p: 0.0)(cfg.parameters)
 
 
-def _frequency_scan(cfg: RunConfig, params: dict, bath: BathSpec) -> ScanMinimum:
-    """Detection frequency minimizing V_c at one parameter point.
+def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[ScanMinimum]:
+    """Detection frequency minimizing V_c at each of several parameter
+    points (the rows of a sweep), with the figures of merit there.
 
-    A model-based scenario builds and validates its model once, scans the
-    frequency grid with one stacked solve and refines on that same model.
-    The other scenarios are evaluated frequency by frequency.
+    A model-based scenario builds and validates each row's model once and
+    scans its frequency grid with one stacked solve.  Rows whose models
+    share everything but the drift (any C or g sweep) are refined
+    together: each golden-section round of all of them is one solve over
+    the stack of their drift matrices, paired with the round's
+    frequencies.  Other rows are refined one by one, and the scenarios
+    without a model frequency by frequency.  The figures of each optimum
+    come from :func:`scenario_figures`.
     """
     lo, hi = cfg.omega_bounds
-    model = _scenario_model(cfg.scenario, params, bath)
-    if model is None:
-        return minimize_vc_over_frequency(
-            lambda w: scenario_figures(cfg.scenario, params, bath, w, cfg.conditioning),
-            lo, hi,
-        )
-    model = with_detection_loss(model, bath)
+
+    def figures(r: int, w: float) -> MeasurementFigures:
+        return scenario_figures(cfg.scenario, rows[r], bath, w, cfg.conditioning)
+
+    models = [_scenario_model(cfg.scenario, params, bath) for params in rows]
+    if models[0] is None:
+        return minimize_vc_over_frequency(figures, lo, hi, rows=len(rows))
+    models = [with_detection_loss(model, bath) for model in models]
+    batches = [list(range(len(rows)))] if _drift_only(models) else [[r] for r in range(len(rows))]
+    return [scan for batch in batches for scan in _refined_batch(cfg, models, batch, figures)]
+
+
+def _drift_only(models: list[LinearModel]) -> bool:
+    """Whether the models differ in their drift matrices only, to the bit
+    (a drift stack then gives every model's own bits)."""
+    first = models[0]
+    return all(
+        m.layout == first.layout
+        and (m.detection_eta, m.ancilla_variance) == (first.detection_eta, first.ancilla_variance)
+        and m.H.tobytes() == first.H.tobytes()
+        and m.Vin.tobytes() == first.Vin.tobytes()
+        for m in models[1:]
+    )
+
+
+def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], figures):
+    """Frequency scans of the rows ``batch``, refined in lockstep on the
+    stack of their drift matrices."""
     conditioning = _model_conditioning(cfg.scenario, cfg.conditioning)
+    if len(batch) == 1:  # its own model at a frequency stack: no model per round
+        model = models[batch[0]]
+        round_model = lambda ks: model
+    else:
+        stack = replace(models[batch[0]], A=np.stack([models[r].A for r in batch]))
+        round_model = lambda ks: replace(stack, A=stack.A[ks])
+
+    def vc(ks: list[int], ws: list[float]):
+        return vc_on_grid(round_model(ks), np.asarray(ws), conditioning=conditioning)
+
     return minimize_vc_over_frequency(
-        lambda w: evaluate(model, w, conditioning=conditioning), lo, hi,
-        vc_grid=lambda ws: vc_on_grid(model, ws, conditioning=conditioning),
+        lambda k, w: figures(batch[k], w), *cfg.omega_bounds, rows=len(batch), vc=vc,
+        vc_grid=lambda ws: [vc_on_grid(models[r], ws, conditioning=conditioning) for r in batch],
     )
 
 
@@ -358,10 +397,8 @@ def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> Measure
     """Figures of one row, at the optimal detection frequency with
     ``optimize_frequency``; they always come from :func:`scenario_figures`."""
     if cfg.optimize_frequency:
-        omega = _frequency_scan(cfg, params, bath).x
-    else:
-        omega = _default_omega(cfg)
-    return scenario_figures(cfg.scenario, params, bath, omega, cfg.conditioning)
+        return _frequency_scans(cfg, [params], bath)[0].figures
+    return scenario_figures(cfg.scenario, params, bath, _default_omega(cfg), cfg.conditioning)
 
 
 def _point_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
@@ -459,8 +496,6 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
 
 def _sweep_values(cfg: RunConfig) -> list[float]:
     sw = cfg.sweep
-    import numpy as np
-
     n = int(sw["n"])
     if n < 2:
         raise ConfigError("sweep needs at least two points")
@@ -508,6 +543,15 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
 
+    if cfg.optimize_frequency:
+        try:
+            scans = _frequency_scans(
+                rows_cfg, [_swept_params(rows_cfg, value) for value in values], rows_cfg.bath_spec()
+            )
+        except (TvmeterError, ValueError, ConfigError):
+            pass  # rerun the rows one at a time: the first failing row raises its own error
+        else:
+            return [_figures_row(name, value, scan.figures) for value, scan in zip(values, scans)]
     return [one(value) for value in values]
 
 
@@ -579,7 +623,7 @@ def cmd_threshold(
 
 def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
     try:
-        res = _frequency_scan(cfg, cfg.parameters, cfg.bath_spec())
+        res = _frequency_scans(cfg, [cfg.parameters], cfg.bath_spec())[0]
     except TvmeterError as err:
         raise NumericalFailure("omega", float("nan"), err) from err
     row = _figures_row("omega_opt", res.x, res.figures)

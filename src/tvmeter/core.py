@@ -240,32 +240,57 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
         raise UnstableModel(float(max_real))
 
 
-def _equilibrated_rcond(M: NDArray) -> float | NDArray[np.float64]:
-    """Reciprocal condition number after row/column scaling.
+def _equilibrated(M: NDArray) -> NDArray:
+    """``M`` after row/column scaling to unit max-modulus rows and columns.
 
     Rate hierarchies (gamma orders of magnitude below kappa) inflate the
     raw condition number without the matrix being anywhere near an
     undamped resonance; scaling removes that while a genuinely singular
     matrix stays singular (a zero row or column stays zero).  ``M`` may
-    be a stack ``[..., i, j]``.  NaN entries give a NaN rcond.
+    be a stack ``[..., i, j]``.
     """
     r = np.maximum(np.abs(M).max(axis=-1), _TINY)
     scaled = M / r[..., :, None]
     c = np.maximum(np.abs(scaled).max(axis=-2), _TINY)
-    rcond = 1.0 / np.linalg.cond(scaled / c[..., None, :])
-    return rcond if isinstance(rcond, np.ndarray) else float(rcond)
+    return scaled / c[..., None, :]
 
 
 def _require_regular(M: NDArray, omega: float | NDArray) -> None:
     """Raise :class:`SingularAtFrequency` unless the equilibrated rcond
     of ``M`` (or of every matrix of the stack ``M[..., i, j]``) reaches
-    ``RCOND_FLOOR``.  The first failing matrix, in stack order, raises
-    with its frequency: ``omega`` broadcast against the stack."""
-    rcond = _equilibrated_rcond(M)
+    ``RCOND_FLOOR`` (the rcond is that of the SVD; NaN entries count as
+    singular).  The first failing matrix, in stack order, raises with its
+    frequency: ``omega`` broadcast against the stack.
+
+    A stack first takes a cheaper sufficient test: with E the
+    equilibrated matrix, ||E||_2 ||E^-1||_2 <= ||E||_F ||E^-1||_F, so a
+    Frobenius bound of at most 1 / (2 ``RCOND_FLOOR``) puts the 2-norm
+    rcond at 2 ``RCOND_FLOOR`` or above; the factor 2 covers the rounding
+    of the computed inverse (about n eps kappa, 1e-3 of the bound there).
+    Only the matrices this does not accept (a NaN bound among them, or
+    the whole stack when an exactly singular matrix stops the inverse)
+    go on to the SVD rcond, so the matrices that raise, and the rcond
+    they report, are those of the SVD test alone.
+    """
+    E = _equilibrated(M)
     if M.ndim == 2:
+        rcond = float(1.0 / np.linalg.cond(E))
         if not rcond >= RCOND_FLOOR:  # NaN counts as singular
             raise SingularAtFrequency(omega, rcond)
         return
+    checked = np.ones(E.shape[:-2], dtype=bool)
+    try:
+        inverse = np.linalg.inv(E)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _frobenius2(E) * _frobenius2(inverse)
+        checked = ~(bound <= 0.25 / RCOND_FLOOR**2)  # NaN is checked
+        if not checked.any():
+            return
+    rcond = np.full(checked.shape, np.inf)
+    rcond[checked] = 1.0 / np.linalg.cond(E[checked])
     singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
     if singular.size:
         k = singular[0]
@@ -273,12 +298,18 @@ def _require_regular(M: NDArray, omega: float | NDArray) -> None:
         raise SingularAtFrequency(w, float(rcond.ravel()[k]))
 
 
+def _frobenius2(M: NDArray) -> NDArray[np.float64]:
+    """Squared Frobenius norm of each matrix of a stack."""
+    return (M.real**2 + M.imag**2).sum(axis=(-2, -1))
+
+
 def _bare_scattering(A: NDArray, H: NDArray, omega: float | NDArray) -> NDArray[np.complex128]:
     n = A.shape[-1]
+    eye = np.eye(n)
     stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
-    M = A + 1j * (omega[..., None, None] if stacked else omega) * np.eye(n)
+    M = A + 1j * (omega[..., None, None] if stacked else omega) * eye
     _require_regular(M, omega)
-    return -(H @ np.linalg.solve(M, H) + np.eye(n))
+    return -(H @ np.linalg.solve(M, H) + eye)
 
 
 def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMatrix:

@@ -312,9 +312,11 @@ def vc_on_grid(
     conditioning: str = "meter",
 ) -> NDArray[np.float64]:
     """Conditional variance at every point of a grid, from one stacked
-    solve: one model at every detection frequency of ``omegas``, or a
-    model with a stack of drift matrices (one per cooperativity, say) at
-    one frequency.
+    solve: one model at every detection frequency of ``omegas``, a model
+    with a stack of drift matrices (one per cooperativity, say) at one
+    frequency, or the two paired: an array of frequencies broadcast
+    against the leading axes of the drift stack (one frequency per drift
+    matrix, say).
 
     Each value has the bits of ``evaluate(model, w, bath,
     conditioning).Vc`` at its point, and the guards are the same: the
@@ -323,9 +325,14 @@ def vc_on_grid(
     """
     model = with_detection_loss(model, bath)
     if np.ndim(omegas):
-        if model.A.ndim > 2:
-            raise ValueError("stack either the frequencies or the drift, not both")
         omegas = np.asarray(omegas, dtype=float)
+        try:
+            np.broadcast_shapes(omegas.shape, model.A.shape[:-2])
+        except ValueError:
+            raise ValueError(
+                f"frequencies of shape {omegas.shape} do not pair with a drift "
+                f"stack of shape {model.A.shape[:-2]}"
+            ) from None
     try:
         S = build_scattering(model, omegas)
     except SingularAtFrequency:
@@ -339,6 +346,9 @@ def vc_on_grid(
 
 def _grid_points(model: LinearModel, omegas: float | NDArray):
     """The (model, frequency) of every point of a grid, in stack order."""
+    shape = np.broadcast_shapes(np.shape(omegas), model.A.shape[:-2])
+    ws = np.broadcast_to(omegas, shape).ravel() if np.ndim(omegas) else [omegas] * math.prod(shape)
     if model.A.ndim == 2:
-        return ((model, w) for w in omegas)
-    return ((replace(model, A=A), omegas) for A in model.A.reshape((-1,) + model.A.shape[-2:]))
+        return ((model, w) for w in ws)
+    drifts = np.broadcast_to(model.A, shape + model.A.shape[-2:]).reshape((-1,) + model.A.shape[-2:])
+    return ((replace(model, A=A), w) for A, w in zip(drifts, ws))

@@ -2,11 +2,12 @@
 
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tvmeter import BathSpec, cli, evaluate, ideal_qnd_model
+from tvmeter import BathSpec, DegenerateMeter, cli, evaluate, ideal_qnd_model, optimize
 from tvmeter.cli import (
     _collect_param_flags,
     _figures_row,
@@ -127,6 +128,65 @@ def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
     rc, out = run(argv, tmp_path)
     assert rc == 0
     assert out.read_bytes() == scalar_scan_table(argv)
+
+
+OPTIMIZED_SWEEP = ["sweep", "--scenario", "displacement", "--param", "C", "--log", "1e-3", "1e4",
+                   "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.2", "1000"]
+
+
+class TestOptimizedSweepRows:
+    """`tv sweep --optimize-frequency` refines its rows in lockstep and
+    falls back to one row at a time."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["sweep", "--scenario", "displacement", "--param", "C", "--lin", "1", "-1", "--n", "5",
+          "--optimize-frequency", "--n-m", "1"],
+         2, "tv: configuration error: cooperativity must be nonnegative, got -0.5"),
+        (["sweep", "--scenario", "qnd-imperfect", "--param", "xi", "--lin", "0.1", "0.9", "--n", "5",
+          "--optimize-frequency", "--n-m", "1"],
+         3, "tv: numerical failure at xi=0.5: drift matrix is not strictly stable"),
+    ], ids=["negative-C", "unstable-xi"])
+    def test_first_failing_row_raises_its_own_error(self, argv, code, message, tmp_path, capsys):
+        rc, out = run(argv, tmp_path)
+        assert rc == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_lockstep_failure_reruns_the_rows_one_at_a_time(self, tmp_path, monkeypatch):
+        refined, batches = cli._refined_batch, []
+
+        def failing(cfg, models, batch, figures):
+            batches.append(len(batch))
+            if len(batch) > 1:
+                raise DegenerateMeter("lockstep stage")
+            return refined(cfg, models, batch, figures)
+
+        monkeypatch.setattr(cli, "_refined_batch", failing)
+        rc, out = run(OPTIMIZED_SWEEP, tmp_path)
+        assert rc == 0
+        assert batches == [6] + [1] * 6
+        assert out.read_bytes() == scalar_scan_table(OPTIMIZED_SWEEP)
+
+    def test_traced_layers_stay_on_the_path(self, tmp_path, monkeypatch):
+        # the functions a tracer wraps where their callers look them up
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in [(optimize, "golden_section"), (optimize, "minimize_on_grid"),
+                             (cli, "minimize_vc_over_frequency"), (cli, "scenario_figures"),
+                             (cli, "evaluate")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rc, _ = run(OPTIMIZED_SWEEP, tmp_path)
+        assert rc == 0
+        assert calls["minimize_vc_over_frequency"] == calls["minimize_on_grid"] == 1
+        assert 1 <= calls["golden_section"] <= 2  # the optima, then any branches
+        # one figures evaluation per row
+        assert calls["scenario_figures"] == calls["evaluate"] == 6
 
 
 def _config(argv):

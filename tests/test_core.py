@@ -27,6 +27,8 @@ from tvmeter import (
     output_covariance_at,
     vc_on_grid,
 )
+from tvmeter import core
+from tvmeter.core import RCOND_FLOOR
 
 VACUUM = BathSpec()
 FIG2_BATH = BathSpec(n_m=1.0)
@@ -193,8 +195,108 @@ class TestModelStack:
         assert stack.H.shape == stack.Vin.shape == (4, 4)
         with pytest.raises(ValueError, match="vc_on_grid"):
             evaluate(stack, 1.0)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="do not pair"):
             vc_on_grid(stack, np.array([0.5, 1.0]))
+
+
+class TestPairedStack:
+    """vc_on_grid with the frequencies paired with the drift stack."""
+
+    CS = np.logspace(-3, 6, 60)
+    OMEGAS = np.linspace(0.0, 3.0, 60)
+
+    @pytest.mark.parametrize(
+        "build, bath, omega, conditioning",
+        [case[1:] for case in _stack_cases()],
+        ids=[case[0] for case in _stack_cases()],
+    )
+    def test_same_vc_as_evaluate_point_by_point(self, build, bath, omega, conditioning):
+        got = vc_on_grid(build(self.CS, bath), self.OMEGAS, bath=bath, conditioning=conditioning)
+        want = [evaluate(build(C, bath), w, bath=bath, conditioning=conditioning).Vc
+                for C, w in zip(self.CS, self.OMEGAS)]
+        np.testing.assert_array_equal(got, want)
+        # the frequencies broadcast against the stack's leading axes
+        Cs, omegas = self.CS[::12], self.OMEGAS[::15, None]
+        got = vc_on_grid(build(Cs, bath), omegas, bath=bath, conditioning=conditioning)
+        want = [[evaluate(build(C, bath), w, bath=bath, conditioning=conditioning).Vc for C in Cs]
+                for w in omegas[:, 0]]
+        np.testing.assert_array_equal(got, want)
+
+    def test_first_singular_point_raises(self):
+        # undamped mechanics at omega_m = 1 in the second and third model;
+        # paired with 0.5 the second is regular, so the third raises
+        A = np.array([-np.eye(4)] * 3)
+        A[1:, 2, 2] = A[1:, 3, 3] = 0.0
+        A[1:, 2, 3], A[1:, 3, 2] = 1.0, -1.0
+        H, Vin = np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4)
+        omegas = np.array([1.0, 0.5, 1.0])
+        with pytest.raises(SingularAtFrequency) as stacked:
+            vc_on_grid(LinearModel(A, H, Vin, FOUR_MODE), omegas)
+        with pytest.raises(SingularAtFrequency) as single:
+            for a, w in zip(A, omegas):
+                evaluate(LinearModel(a, H, Vin, FOUR_MODE), w)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.omega == 1.0
+
+
+def _near_singular(exponent, angle):
+    """4x4 block whose equilibrated rcond is about 10**exponent: a rotated
+    diag(1, eps) block beside a damped one; exponent None gives an exactly
+    singular block."""
+    M = np.zeros((4, 4), dtype=complex)
+    if exponent is None:
+        M[:2, :2] = 1.0
+    else:
+        c, s = np.cos(angle), np.sin(angle)
+        R = np.array([[c, -s], [s, c]])
+        M[:2, :2] = R @ np.diag([1.0, 10.0**exponent]) @ R.T
+    M[2:, 2:] = [[-1.0, 2.0], [-2.0, -0.5]]
+    return M
+
+
+class TestSingularityGuard:
+    """The stacked condition check against the equilibrated SVD rule."""
+
+    @staticmethod
+    def _svd_rule(M, omegas):
+        """(omega, rcond) of the first matrix the SVD rule rejects, or None."""
+        rcond = 1.0 / np.linalg.cond(core._equilibrated(M))
+        failing = np.flatnonzero(~(rcond >= RCOND_FLOOR))
+        return (omegas[failing[0]], rcond[failing[0]]) if failing.size else None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        exponents=st.lists(st.one_of(st.floats(-13.0, -11.0), st.none()), min_size=1, max_size=12),
+        angle=st.floats(0.1, 1.4),
+    )
+    def test_same_decision_as_the_svd_rule(self, exponents, angle):
+        M = np.array([_near_singular(e, angle) for e in exponents])
+        omegas = 0.25 * np.arange(len(exponents))
+        want = self._svd_rule(M, omegas)
+        if want is None:
+            core._require_regular(M, omegas)
+            return
+        with pytest.raises(SingularAtFrequency) as err:
+            core._require_regular(M, omegas)
+        assert (err.value.omega, err.value.rcond) == want
+
+    def test_straddling_stack(self):
+        exponents = np.linspace(-13.0, -11.0, 21)
+        M = np.array([_near_singular(e, 0.7) for e in exponents[::-1]])
+        omegas = np.arange(len(M), dtype=float)
+        want = self._svd_rule(M, omegas)
+        assert want is not None and 0 < want[0] < len(M) - 1  # some pass, some fail
+        with pytest.raises(SingularAtFrequency) as err:
+            core._require_regular(M, omegas)
+        assert (err.value.omega, err.value.rcond) == want
+        with pytest.raises(SingularAtFrequency) as err:
+            core._require_regular(M[int(want[0])], want[0])  # one matrix: the SVD alone
+        assert (err.value.omega, err.value.rcond) == want
+
+    def test_well_conditioned_stack_skips_the_svd(self, monkeypatch):
+        M = np.array([_near_singular(e, 0.7) for e in np.linspace(-11.0, 0.0, 12)])
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: pytest.fail("SVD not expected"))
+        core._require_regular(M, np.zeros(len(M)))
 
 
 class TestInputCovariance:

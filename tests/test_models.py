@@ -101,7 +101,9 @@ class TestSqlFormula:
 
         grid = np.logspace(-3, 3, 400)
         i = int(np.argmin([neg_tm(C) for C in grid]))
-        argmax = golden_section(neg_tm, grid[i - 1], grid[i + 1], 1e-9)
+        [argmax] = golden_section(
+            lambda _, Cs: [neg_tm(C) for C in Cs], [(grid[i - 1], grid[i + 1])], 1e-9
+        )
         assert argmax == pytest.approx(c_sql(kappa, GAMMA, OMEGA_M, OMEGA_M), rel=1e-3)
 
 

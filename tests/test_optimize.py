@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmeter import (
     FOUR_MODE,
@@ -39,7 +41,8 @@ FIG_BATH = BathSpec(n_m=1.0)
 
 class TestGoldenSection:
     def test_parabola(self):
-        assert golden_section(lambda x: (x - 2.3) ** 2, 0.0, 5.0, 1e-9) == pytest.approx(2.3)
+        [x] = golden_section(lambda _, xs: [(x - 2.3) ** 2 for x in xs], [(0.0, 5.0)], 1e-9)
+        assert x == pytest.approx(2.3)
 
     def test_refinement_never_worse_than_grid(self):
         f = lambda x: np.cos(3 * x) + 0.1 * x
@@ -69,6 +72,168 @@ class TestGoldenSection:
 
         with pytest.raises(DegenerateMeter, match="grid only"):
             minimize_on_grid(lambda x: (np.log(x) - 0.3) ** 2, spec, f_grid)
+
+
+def _bracket_function(kind, center, step):
+    """One bracket's function: a parabola, a staircase (ties fc == fd on
+    every stair) or a constant (ties everywhere)."""
+    if kind == "parabola":
+        return lambda x: (x - center) ** 2
+    if kind == "staircase":
+        return lambda x: float(np.floor(abs(x - center) / step))
+    return lambda x: 1.0
+
+
+_BRACKETS = st.lists(
+    st.tuples(
+        st.floats(-1e3, 1e3),                       # a
+        st.floats(1e-6, 1e3),                       # b - a
+        st.sampled_from(["parabola", "staircase", "constant"]),
+        st.floats(0.0, 1.0),                        # centre, as a fraction of [a, b]
+        st.floats(1e-3, 1.0),                       # stair width, as a fraction of b - a
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _scalar_golden_section(f, a, b, rel_tol):
+    """The one-bracket golden-section loop, point by point."""
+    phi = (np.sqrt(5.0) + 1.0) / 2.0
+    c, d = b - (b - a) / phi, a + (b - a) / phi
+    fc, fd = f(c), f(d)
+    while abs(c - d) > rel_tol * max(abs(c), abs(d), 1e-300):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) / phi
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) / phi
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+class TestLockstepGoldenSection:
+    """Brackets refined in lockstep against one call per bracket and
+    against the point-by-point loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases=_BRACKETS, rel_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_same_positions_as_one_bracket_at_a_time(self, cases, rel_tol):
+        brackets, fns = [], []
+        for a, width, kind, centre, stair in cases:
+            b = a + width
+            brackets.append((a, b))
+            fns.append(_bracket_function(kind, a + centre * width, stair * width))
+        rounds = []
+
+        def f(indices, points):
+            rounds.append(list(indices))
+            return [fns[k](x) for k, x in zip(indices, points)]
+
+        together = golden_section(f, brackets, rel_tol)
+        alone = [
+            golden_section(lambda _, xs, g=g: [g(x) for x in xs], [bracket], rel_tol)[0]
+            for g, bracket in zip(fns, brackets)
+        ]
+        assert together == alone
+        assert together == [_scalar_golden_section(g, a, b, rel_tol)
+                            for g, (a, b) in zip(fns, brackets)]
+        # the first round holds both interior points of every bracket, each
+        # later one the new point of every unfinished bracket
+        assert rounds[0] == [k for k in range(len(brackets)) for _ in (0, 1)]
+        for before, after in zip(rounds[1:], rounds[2:]):
+            assert set(after) <= set(before)
+
+    def test_brackets_finish_in_different_rounds(self):
+        rounds = []
+
+        def f(indices, points):
+            rounds.append(list(indices))
+            return [(x - 0.3) ** 2 for x in points]
+
+        xs = golden_section(f, [(0.0, 1.0), (0.299, 0.301), (0.0, 1.0)], 1e-6)
+        assert xs[0] == xs[2] == pytest.approx(0.3, rel=1e-6)
+        assert 1 in rounds[1] and 1 not in rounds[-1]
+        assert rounds[-1] == [0, 2]
+
+    def test_no_brackets(self):
+        assert golden_section(lambda ks, xs: pytest.fail("no call expected"), [], 1e-6) == []
+
+
+def _double_well(depth):
+    """Minima at x = 0.1 and x = 10; the one at 10 is ``depth`` deeper."""
+    return lambda x: min((np.log10(x) + 1) ** 2, (np.log10(x) - 1) ** 2 - depth) + 1.0
+
+
+class TestLockstepScan:
+    """minimize_on_grid over several rows against one scan per row."""
+
+    SPEC = SweepSpec("x", 1e-3, 1e3, count=121, log=True)
+    DEPTHS = [0.0, 0.004, 0.5, -0.003, -0.5]
+
+    def _rows(self, fail=None):
+        fns = [_double_well(d) for d in self.DEPTHS]
+
+        def f(rows, xs):
+            out = []
+            for r, x in zip(rows, xs):
+                if fail is not None and fail(r, x):
+                    raise DegenerateMeter(f"row {r} fails at {x!r}")
+                out.append(fns[r](x))
+            return out
+
+        return fns, f
+
+    def test_same_scans_as_one_row_at_a_time(self):
+        fns, f = self._rows()
+        f_grid = lambda xs: [[g(x) for x in xs] for g in fns]
+        points = []
+        together = minimize_on_grid(
+            lambda rows, xs: points.extend(xs) or f(rows, xs), self.SPEC, f_grid, rows=len(fns)
+        )
+        assert together == [minimize_on_grid(g, self.SPEC) for g in fns]
+        assert [len(found[3]) for found in together] == [1, 1, 0, 1, 0]
+        # the lockstep rounds score the points of the one-row scans, once each
+        alone = []
+        for g in fns:
+            minimize_on_grid(lambda x, g=g: alone.append(x) or g(x), self.SPEC,
+                             lambda xs, g=g: [g(x) for x in xs])
+        assert sorted(points) == sorted(alone)
+
+    def test_grid_of_every_row_scanned_point_by_point_without_f_grid(self):
+        fns, f = self._rows()
+        assert minimize_on_grid(f, self.SPEC, rows=len(fns)) == [
+            minimize_on_grid(g, self.SPEC) for g in fns
+        ]
+
+    def test_refinement_failure_raises_the_first_bracket_of_a_one_row_scan(self):
+        # row 3 fails in the first round of its branch refinement (near
+        # x = 10), row 1 only in the last rounds of its own (near x = 0.1);
+        # scanned one row at a time, row 1 fails first
+        def fail(r, x):
+            return (r == 3 and 9.0 < x < 11.0) or (r == 1 and 0.0999 < x < 0.1001)
+
+        fns, f = self._rows(fail)
+        with pytest.raises(DegenerateMeter, match="row 1 fails") as together:
+            minimize_on_grid(f, self.SPEC, lambda xs: [[g(x) for x in xs] for g in fns],
+                             rows=len(fns))
+        with pytest.raises(DegenerateMeter) as alone:
+            for r in range(len(fns)):
+                minimize_on_grid(lambda x, r=r: f([r], [x])[0], self.SPEC,
+                                 lambda xs, g=fns[r]: [g(x) for x in xs])
+        assert str(together.value) == str(alone.value)
+
+    def test_grid_failure_raises_the_first_failing_point(self):
+        fns, f = self._rows(lambda r, x: r >= 2 and x > 100.0)
+
+        def f_grid(xs):
+            raise DegenerateMeter("grid only")
+
+        grid = self.SPEC.grid()
+        with pytest.raises(DegenerateMeter) as err:
+            minimize_on_grid(f, self.SPEC, f_grid, rows=len(fns))
+        assert str(err.value) == f"row 2 fails at {grid[np.argmax(grid > 100.0)]!r}"
 
 
 class TestFrequencyOptimization:
