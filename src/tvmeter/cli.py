@@ -298,8 +298,13 @@ def _model_conditioning(scenario: str, conditioning: str) -> str:
 
 def scenario_figures(
     scenario: str, params: dict, bath: BathSpec, omega: float, conditioning: str
-) -> MeasurementFigures:
-    """Figures of merit of one scenario at one detection frequency."""
+) -> MeasurementFigures | list[MeasurementFigures]:
+    """Figures of merit of one scenario at one detection frequency.
+
+    For a scenario with a cooperativity, an array of C (or g) builds one
+    model stack and gives a list of figures, one per value, from one
+    stacked solve.
+    """
     model = _scenario_model(scenario, params, bath)
     if model is not None:
         return evaluate(model, omega, bath=bath,
@@ -522,7 +527,15 @@ def _swept_params(cfg: RunConfig, value: float) -> dict:
     return params
 
 
+#: rows of a fixed-frequency C or g sweep evaluated as one model stack
+BLOCK_ROWS = 256
+
+
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
+    """Rows of a sweep.  With ``optimize_frequency`` all rows are scanned
+    together (:func:`_frequency_scans`); at a fixed frequency a C or g
+    sweep of a scenario with a cooperativity evaluates blocks of
+    ``BLOCK_ROWS`` rows as model stacks; other sweeps go row by row."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -535,6 +548,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         except TvmeterError as err:
             raise NumericalFailure(name, values[0], err) from err
         rows_cfg = replace(cfg, parameters={**cfg.parameters, "V0": V0})
+    bath = rows_cfg.bath_spec()
 
     def one(value: float) -> dict:
         try:
@@ -543,15 +557,27 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
 
-    if cfg.optimize_frequency:
+    def rows(values: list[float], figures) -> list[dict]:
+        """The rows of ``values`` from ``figures(values)``; if that raises,
+        the rows are rerun one at a time, so the first failing row raises
+        its own error."""
         try:
-            scans = _frequency_scans(
-                rows_cfg, [_swept_params(rows_cfg, value) for value in values], rows_cfg.bath_spec()
-            )
+            figs = figures(values)
         except (TvmeterError, ValueError, ConfigError):
-            pass  # rerun the rows one at a time: the first failing row raises its own error
-        else:
-            return [_figures_row(name, value, scan.figures) for value, scan in zip(values, scans)]
+            return [one(value) for value in values]
+        return [_figures_row(name, value, f) for value, f in zip(values, figs)]
+
+    if cfg.optimize_frequency:
+        return rows(values, lambda vs: [scan.figures for scan in _frequency_scans(
+            rows_cfg, [_swept_params(rows_cfg, v) for v in vs], bath)])
+    if name in ("C", "g") and "C" in cfg.parameters:
+        omega = _default_omega(rows_cfg)
+        return [
+            row for lo in range(0, len(values), BLOCK_ROWS)
+            for row in rows(values[lo:lo + BLOCK_ROWS], lambda vs: scenario_figures(
+                cfg.scenario, _swept_params(rows_cfg, np.asarray(vs)), bath, omega,
+                cfg.conditioning))
+        ]
     return [one(value) for value in values]
 
 

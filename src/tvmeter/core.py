@@ -294,7 +294,7 @@ def _require_regular(M: NDArray, omega: float | NDArray) -> None:
     singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
     if singular.size:
         k = singular[0]
-        w = np.broadcast_to(omega, rcond.shape).ravel()[k] if np.ndim(omega) else omega
+        w = float(np.broadcast_to(omega, rcond.shape).ravel()[k]) if np.ndim(omega) else omega
         raise SingularAtFrequency(w, float(rcond.ravel()[k]))
 
 

@@ -43,6 +43,7 @@ from numpy.typing import NDArray
 from .core import FOUR_MODE, BathSpec, _require_regular, check_stable, input_covariance
 from .metrics import (
     MeasurementFigures,
+    _abs2,
     classify_regime,
     conditional_variance,
     measured_figures,
@@ -197,24 +198,30 @@ def floquet_vc(
     return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
 
 
-def floquet_metrics(fd: FloquetDrift, bath: BathSpec, omega: float = 0.0) -> MeasurementFigures:
+def floquet_metrics(
+    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0
+) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of the beyond-RWA readout.
 
     The decay rates are read off the static drift diagonal.  Detection
     loss from ``bath.eta`` scales the measured optical rows and mixes in
-    ancilla noise at the cavity-bath variance.
+    ancilla noise at the cavity-bath variance.  A stacked drift (an array
+    of cooperativities) gives a list of figures, one per drift in stack
+    order, from one stacked solve, each with the bits of the single
+    drift's; the first drift that fails a guard, in stack order, raises.
     """
     H, Vin = _readout(fd, bath)
     blocks = sideband_scattering(fd, H, omega)
     Vc = _conditional_variance(blocks, Vin, bath)
     Seff = sum(blocks.values())
-    Veff = _detected(np.real(Seff @ Vin @ Seff.conj().T), bath)
+    Veff = _detected(np.real(Seff @ Vin @ Seff.conj().swapaxes(-1, -2)), bath)
     s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
-    meter_signal = abs(Seff[m, s])
+    meter_signal = np.hypot(Seff[..., m, s].real, Seff[..., m, s].imag)
     if bath.eta < 1.0:
         meter_signal *= np.sqrt(bath.eta)
     return measured_figures(
-        Vc, Veff[s, s], Veff[m, m], abs(Seff[s, s]) ** 2, meter_signal**2, bath.V_x, omega
+        Vc, Veff[..., s, s], Veff[..., m, m], _abs2(Seff[..., s, s]),
+        np.float_power(meter_signal, 2), bath.V_x, omega,
     )
 
 

@@ -248,7 +248,7 @@ def _equivalent_noise(V: float, G: float, Vx: float) -> float:
 
 def measured_figures(
     Vc: float, V_ss: float, V_mm: float, G_s: float, G_m: float, Vx: float, omega: float
-) -> MeasurementFigures:
+) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of a measurement whose signal and meter outputs
     have variances ``V_ss``, ``V_mm`` and signal power gains ``G_s``,
     ``G_m`` (|S|^2 of the direct paths from the signal input).
@@ -256,7 +256,13 @@ def measured_figures(
     The output variances are referred back through the gains to the
     measurement-equivalent input noises n_eq = V / G - V_x; a gain at or
     below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
+    Arrays of ``Vc``, ``V_ss``, ``V_mm``, ``G_s`` and ``G_m`` over a stack
+    of points give a list of figures, one per point in stack order, each
+    reduced from its point's Python floats as a single point would be.
     """
+    if np.ndim(V_ss):
+        points = zip(*(np.ravel(a).tolist() for a in (Vc, V_ss, V_mm, G_s, G_m)))
+        return [measured_figures(*point, Vx, omega) for point in points]
     ns, nm = _equivalent_noise(V_ss, G_s, Vx), _equivalent_noise(V_mm, G_m, Vx)
     return figures_from_parts(Vc, ns, nm, Vx, omega)
 
@@ -282,7 +288,7 @@ def evaluate(
     omega: float,
     bath: BathSpec | None = None,
     conditioning: str = "meter",
-) -> MeasurementFigures:
+) -> MeasurementFigures | list[MeasurementFigures]:
     """Full pipeline: scattering -> output covariance -> figures of merit.
 
     ``conditioning`` is ``"meter"`` (phase quadrature of the measured
@@ -290,18 +296,24 @@ def evaluate(
     negative-mass amplitude quadrature; requires an ancilla in the
     layout).  If ``bath`` carries ``eta < 1`` and the model is not yet
     loss-augmented, the detection loss is applied here.
+
+    A model with a stack of drift matrices (one per cooperativity, say)
+    is solved at ``omega`` in one stacked solve and gives a list of
+    figures, one per drift in stack order, each with the bits of that
+    drift's own evaluation.  The first drift that fails a guard, in stack
+    order, raises the error a loop over the drifts would raise.
     """
-    if model.A.ndim > 2:
-        raise ValueError("evaluate takes one drift matrix; vc_on_grid scores a stack")
+    if np.ndim(omega):
+        raise ValueError("evaluate takes one frequency; vc_on_grid scores a frequency grid")
     model = with_detection_loss(model, bath)
-    S = build_scattering(model, omega)
-    Vout = cross_spectral_density(S.S, extended_input_covariance(model))
-    layout = model.layout
-    s, m = layout.signal_index, layout.meter_index
+    S, Vout, Vc = _solved(model, omega, conditioning)
+    s, m = model.layout.signal_index, model.layout.meter_index
+    # one point indexes numpy scalars, which _abs2 and measured_figures
+    # take on their cheap scalar path (0-d arrays would cost microseconds)
+    lead = (...,) if model.A.ndim > 2 else ()
+    ss, mm, ms = (*lead, s, s), (*lead, m, m), (*lead, m, s)
     return measured_figures(
-        _conditioned_vc(Vout, layout, conditioning),
-        float(Vout[s, s].real), float(Vout[m, m].real),
-        _abs2(S.S[s, s]), _abs2(S.S[m, s]), float(model.Vin[s, s]), omega,
+        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), _abs2(S[ms]), float(model.Vin[s, s]), omega,
     )
 
 
@@ -333,21 +345,32 @@ def vc_on_grid(
                 f"frequencies of shape {omegas.shape} do not pair with a drift "
                 f"stack of shape {model.A.shape[:-2]}"
             ) from None
+    return _solved(model, omegas, conditioning)[2]
+
+
+def _solved(model: LinearModel, omegas: float | NDArray, conditioning: str):
+    """Scattering matrix, cross-spectral density and V_c of the
+    (loss-augmented) model at every point of a grid."""
     try:
-        S = build_scattering(model, omegas)
+        S = build_scattering(model, omegas).S
     except SingularAtFrequency:
-        # a point before the singular one may fail a V_c guard first
-        for point, w in _grid_points(model, omegas):
-            evaluate(point, w, conditioning=conditioning)
+        if model.A.ndim > 2 or np.ndim(omegas):
+            # a point before the singular one may fail a V_c guard first
+            for point, w in _grid_points(model, omegas):
+                evaluate(point, w, conditioning=conditioning)
         raise
-    Vout = cross_spectral_density(S.S, extended_input_covariance(model))
-    return _conditioned_vc(Vout, model.layout, conditioning)
+    Vout = cross_spectral_density(S, extended_input_covariance(model))
+    return S, Vout, _conditioned_vc(Vout, model.layout, conditioning)
 
 
 def _grid_points(model: LinearModel, omegas: float | NDArray):
-    """The (model, frequency) of every point of a grid, in stack order."""
+    """The (model, frequency) of every point of a grid, in stack order;
+    the frequencies of an array come out as Python floats."""
     shape = np.broadcast_shapes(np.shape(omegas), model.A.shape[:-2])
-    ws = np.broadcast_to(omegas, shape).ravel() if np.ndim(omegas) else [omegas] * math.prod(shape)
+    if np.ndim(omegas):
+        ws = np.broadcast_to(omegas, shape).ravel().tolist()
+    else:
+        ws = [omegas] * math.prod(shape)
     if model.A.ndim == 2:
         return ((model, w) for w in ws)
     drifts = np.broadcast_to(model.A, shape + model.A.shape[-2:]).reshape((-1,) + model.A.shape[-2:])

@@ -189,6 +189,78 @@ class TestOptimizedSweepRows:
         assert calls["scenario_figures"] == calls["evaluate"] == 6
 
 
+FIXED_OMEGA_SWEEPS = [
+    ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e4", "--n", "300",
+     "--n-m", "1", "--omega", "1", "--conditioning", "meter+ancilla"],
+    ["sweep", "--scenario", "cqnc", "--param", "g", "--log", "1e-3", "1", "--n", "40",
+     "--n-m", "1", "--omega", "0.7", "--eta", "0.5"],
+    ["sweep", "--scenario", "displacement", "--param", "g", "--lin", "-0.3", "0.3", "--n", "41",
+     "--n-m", "1"],
+    ["sweep", "--scenario", "qnd-ideal", "--param", "C", "--lin", "0", "10", "--n", "11",
+     "--n-m", "1", "--eta", "0.5", "--n-c", "0.3"],
+    ["sweep", "--scenario", "qnd-imperfect", "--param", "g", "--log", "1e-4", "1e-1", "--n", "40",
+     "--nu", "0.1", "--n-m", "1", "--eta", "0.5", "--omega", "0.01"],
+    ["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1e-2", "1e2", "--n", "40",
+     "--n-m", "1", "--eta", "0.7", "--omega", "0.3"],
+    ["sweep", "--scenario", "qnd-floquet", "--param", "g", "--log", "1e-3", "1", "--n", "40",
+     "--n-m", "1", "--eta", "0.5"],
+]
+
+
+class TestBlockedSweepRows:
+    """A fixed-frequency C or g sweep evaluates blocks of rows as model
+    stacks and falls back to one row at a time."""
+
+    @pytest.mark.parametrize("argv", FIXED_OMEGA_SWEEPS,
+                             ids=[f"{a[2]}-{a[4]}" for a in FIXED_OMEGA_SWEEPS])
+    def test_same_bytes_as_row_by_row(self, argv, tmp_path, row_by_row_table):
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        assert out.read_bytes() == row_by_row_table(argv)
+
+    def test_first_failing_row_raises_its_own_error(self, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "displacement", "--param", "C", "--lin", "1", "-1",
+                       "--n", "5", "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "tv: configuration error: cooperativity must be nonnegative, got -0.5")
+        assert not out.exists()
+
+    def test_failing_block_reruns_its_rows_one_at_a_time(self, tmp_path, monkeypatch,
+                                                         row_by_row_table):
+        argv = FIXED_OMEGA_SWEEPS[0]
+        evaluate, stacks = cli.evaluate, []
+
+        def failing(model, *args, **kwargs):
+            if model.A.ndim > 2:
+                stacks.append(len(model.A))
+                raise DegenerateMeter("stacked stage")
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", failing)
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        assert stacks == [cli.BLOCK_ROWS, 300 - cli.BLOCK_ROWS]
+        assert out.read_bytes() == row_by_row_table(argv)
+
+    def test_one_build_per_block(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("cqnc_model", "scenario_figures", "evaluate"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        rc, out = run(["sweep", "--config", str(RECIPES / "fig3.json"), "--n", "2000",
+                       "--param", "C", "--log", "1e-3", "1e4"], tmp_path)
+        assert rc == 0
+        assert len(read_rows(out)) == 2000
+        assert calls["cqnc_model"] == calls["scenario_figures"] == calls["evaluate"] == 8
+
+
 def _config(argv):
     args = build_parser().parse_args(argv)
     _collect_param_flags(args)

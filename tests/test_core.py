@@ -194,7 +194,7 @@ class TestModelStack:
         stack = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=self.CS), FIG2_BATH)
         assert stack.H.shape == stack.Vin.shape == (4, 4)
         with pytest.raises(ValueError, match="vc_on_grid"):
-            evaluate(stack, 1.0)
+            evaluate(stack, np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="do not pair"):
             vc_on_grid(stack, np.array([0.5, 1.0]))
 
@@ -233,7 +233,7 @@ class TestPairedStack:
         with pytest.raises(SingularAtFrequency) as stacked:
             vc_on_grid(LinearModel(A, H, Vin, FOUR_MODE), omegas)
         with pytest.raises(SingularAtFrequency) as single:
-            for a, w in zip(A, omegas):
+            for a, w in zip(A, omegas.tolist()):
                 evaluate(LinearModel(a, H, Vin, FOUR_MODE), w)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.omega == 1.0
@@ -264,7 +264,7 @@ class TestSingularityGuard:
         failing = np.flatnonzero(~(rcond >= RCOND_FLOOR))
         return (omegas[failing[0]], rcond[failing[0]]) if failing.size else None
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         exponents=st.lists(st.one_of(st.floats(-13.0, -11.0), st.none()), min_size=1, max_size=12),
         angle=st.floats(0.1, 1.4),
@@ -329,7 +329,7 @@ class TestOutputCovariance:
                 output_covariance_at(model, omega), 0.5 * np.eye(4), atol=1e-12
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         omega=st.floats(-30.0, 30.0),
         kappa=st.floats(0.1, 30.0),
@@ -351,7 +351,7 @@ class TestOutputCovariance:
         np.testing.assert_allclose(V.imag, 0.0, atol=1e-12)
         np.testing.assert_allclose(V.real, output_covariance_at(model, omega), atol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         omega=st.floats(0.0, 10.0),
         C=st.floats(0.0, 100.0),

@@ -1,5 +1,7 @@
 """Figures of merit, regime classification, and the evaluation pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,12 +294,31 @@ class TestVcOnGrid:
         model = LinearModel(A, np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4), FOUR_MODE)
         grid = np.logspace(-2, 2, 201)  # holds omega = 1 exactly
         with pytest.raises(SingularAtFrequency) as scalar:
-            for w in grid:
+            for w in grid.tolist():
                 evaluate(model, w)
         with pytest.raises(SingularAtFrequency) as stacked:
             vc_on_grid(model, grid)
         assert stacked.value.omega == scalar.value.omega == 1.0
         assert str(stacked.value) == str(scalar.value)
+
+    def test_singular_frequency_is_named_as_a_python_float(self):
+        undamped = np.array([
+            [-1.0, 0, 0, 0],
+            [0, -1.0, 0, 0],
+            [0, 0, 0, 1.0],
+            [0, 0, -1.0, 0],
+        ])
+        damped = undamped - 0.1 * np.eye(4)
+        model = LinearModel(undamped, np.diag([1.0, 1.0, 0.0, 0.0]), 0.5 * np.eye(4), FOUR_MODE)
+        errors = []
+        for run in (lambda: evaluate(model, 1.0),
+                    lambda: vc_on_grid(model, np.array([0.5, 1.0])),
+                    lambda: evaluate(replace(model, A=np.array([damped, undamped])), 1.0)):
+            with pytest.raises(SingularAtFrequency) as err:
+                run()
+            errors.append(str(err.value))
+        assert errors[0].startswith("drift matrix singular at omega=1.0 ")
+        assert errors[1] == errors[2] == errors[0]
 
     def test_degenerate_meter_before_the_singular_frequency(self):
         # decoupled modes: a meter squeezed to 2.5e-17 (degenerate at every

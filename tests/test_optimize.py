@@ -117,7 +117,7 @@ class TestLockstepGoldenSection:
     """Brackets refined in lockstep against one call per bracket and
     against the point-by-point loop."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(cases=_BRACKETS, rel_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_same_positions_as_one_bracket_at_a_time(self, cases, rel_tol):
         brackets, fns = [], []
