@@ -23,6 +23,7 @@ from .core import (
     output_covariance_at,
 )
 from .errors import (
+    ConfigError,
     DegenerateMeter,
     DegenerateRates,
     NegativeLinewidth,
@@ -101,5 +102,6 @@ from .pulsed import (
     pulsed_metrics,
     pulsed_state,
 )
+from .scenarios import SCENARIOS, Scenario, with_parameter
 
 __version__ = "0.1.0"

@@ -30,66 +30,10 @@ import numpy as np
 
 from . import __version__
 from .core import BathSpec, LinearModel
-from .errors import TvmeterError
-from .floquet import FloquetDrift, decompose_drift, floquet_metrics, floquet_vc
-from .levitation import DualTweezerParams, TweezerParams, reduced_metrics, single_tweezer_qnd_model
-from .metrics import MeasurementFigures, evaluate, vc_on_grid, with_detection_loss
-from .models import (
-    CqncParams,
-    DisplacementParams,
-    ImperfectQndParams,
-    cqnc_model,
-    displacement_model,
-    imperfect_qnd_model,
-)
+from .errors import ConfigError, TvmeterError
+from .metrics import MeasurementFigures, vc_on_grid, with_detection_loss
 from .optimize import ScanMinimum, find_threshold, generalized_sql, minimize_vc_over_frequency
-from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
-
-
-class ConfigError(Exception):
-    """Invalid run configuration (maps to exit code 2)."""
-
-
-# ---------------------------------------------------------------------------
-# scenario catalog
-#
-# Parameter conventions: rates are in the builder's reference unit
-# (omega_m for the cavity-optomechanics scenarios, kappa for the
-# levitodynamics ones); for qnd-imperfect, mu/nu/xi are in units of
-# gamma and delta_c in units of kappa, matching how the sweeps are
-# quoted.  Exactly one of C and g must be set where both exist.
-
-SCENARIOS: dict[str, dict[str, Any]] = {
-    "displacement": dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None),
-    "cqnc": dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None),
-    "qnd-ideal": dict(kappa=10.0, gamma=0.01, C=1.0, g=None),
-    "qnd-imperfect": dict(
-        kappa=10.0, gamma=0.01, C=1.0, g=None, nu=0.0, mu=0.0, xi=0.0, delta_c=0.0
-    ),
-    "qnd-floquet": dict(kappa=0.5, gamma=0.01, omega_m=1.0, C=1.0, g=None, order=1),
-    "lev-single": dict(
-        kappa=1.0, gamma=1e-6, omega_m=100.0, g=0.3, alpha=0.2, Omega=None
-    ),
-    "lev-dual": dict(
-        kappa1=1.0, kappa2=1.0, gamma=1e-9, omega_m=100.0,
-        g1=0.2, g2=0.2, alpha1=0.2, alpha2=0.2,
-        g_total=None, readout_fraction=None,
-    ),
-    "lev-pulsed": dict(
-        kappa=1.0, gamma=1e-9, omega_m=100.0,
-        g_prep=0.6, alpha_prep=0.2, g=0.6, alpha=0.6,
-        tau=1.0, V0=None, pulse_shape="matched",
-    ),
-}
-
-#: lev-pulsed parameters that feed the preparation stage; a sweep over
-#: any other parameter prepares V0 once for all its rows
-PREPARATION_PARAMS = ("kappa", "gamma", "g_prep", "alpha_prep")
-
-DEFAULT_OMEGA = {
-    "displacement": lambda p: p["omega_m"],
-    "cqnc": lambda p: p["omega_m"],
-}
+from .scenarios import SCENARIOS, with_parameter
 
 BATH_KEYS = dict(n_m=0.0, m_sq_re=0.0, m_sq_im=0.0, n_c=0.0, eta=1.0)
 
@@ -153,7 +97,7 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
         )
-    params = dict(SCENARIOS[scenario])
+    params = dict(SCENARIOS[scenario].defaults)
     file_params = doc.get("parameters", {})
     _check_keys(file_params, set(params), f"parameters of scenario {scenario!r}")
     params.update(file_params)
@@ -208,10 +152,12 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     conditioning = doc.get("conditioning", "meter")
     if getattr(args, "conditioning", None) is not None:
         conditioning = args.conditioning
-    if conditioning not in ("meter", "meter+ancilla"):
-        raise ConfigError(f"unknown key {conditioning!r} in conditioning")
-    if conditioning != "meter" and scenario != "cqnc":
-        raise ConfigError("conditioning 'meter+ancilla' applies to the cqnc scenario only")
+    allowed = SCENARIOS[scenario].conditionings
+    if conditioning not in allowed:
+        raise ConfigError(
+            f"conditioning {conditioning!r} does not apply to scenario {scenario!r}; "
+            f"choose from {list(allowed)}"
+        )
 
     out = doc.get("output", {})
     _check_keys(out, OUTPUT_KEYS, "output")
@@ -219,85 +165,27 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     out_format = getattr(args, "format", None) or out.get("format") or "csv"
     if out_format not in ("csv", "json"):
         raise ConfigError(f"unknown key {out_format!r} in output format")
-    return RunConfig(
+    cfg = RunConfig(
         scenario=scenario, parameters=params, bath=bath, sweep=sweep,
         omega=omega, optimize_frequency=optimize,
         omega_bounds=(float(bounds[0]), float(bounds[1])),
         conditioning=conditioning, out_path=out_path, out_format=out_format,
     )
+    _check_has_frequency(cfg, optimize)
+    return cfg
+
+
+def _check_has_frequency(cfg: RunConfig, optimize: bool) -> None:
+    if SCENARIOS[cfg.scenario].default_omega is None and (cfg.omega is not None or optimize):
+        raise ConfigError(f"scenario {cfg.scenario!r} has no detection frequency to set or optimize")
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _prepared_v0(params: dict, bath: BathSpec) -> float:
-    """The lev-pulsed prepared x variance: ``V0`` when given, else the
-    steady state of the preparation stage."""
-    if params["V0"] is not None:
-        return params["V0"]
-    V0, _ = prepare_state_lyapunov(
-        params["kappa"], params["gamma"], params["g_prep"], params["alpha_prep"], bath,
-    )
-    return V0
-
-
-def _lev_pulsed_point(params: dict, bath: BathSpec) -> MeasurementFigures:
-    p = PulsedParams(
-        kappa=params["kappa"], gamma=params["gamma"], omega_m=params["omega_m"],
-        g=params["g"], alpha2=params["alpha"], V0=_prepared_v0(params, bath), bath=bath,
-    )
-    return pulsed_metrics(p, params["tau"], pulse_shape=params["pulse_shape"])
-
-
-def _scenario_model(scenario: str, params: dict, bath: BathSpec) -> LinearModel | None:
-    """The validated model a model-based scenario is evaluated on; None
-    for the scenarios with kernels of their own (qnd-floquet, lev-dual,
-    lev-pulsed)."""
-    if scenario == "displacement":
-        return displacement_model(
-            DisplacementParams(params["kappa"], params["gamma"], params["omega_m"],
-                               g=params["g"], C=params["C"]), bath)
-    if scenario == "cqnc":
-        return cqnc_model(
-            CqncParams(params["kappa"], params["gamma"], params["omega_m"],
-                       g=params["g"], C=params["C"]), bath)
-    if scenario == "qnd-ideal":
-        return displacement_model(
-            DisplacementParams(params["kappa"], params["gamma"], 0.0,
-                               g=params["g"], C=params["C"]), bath)
-    if scenario == "qnd-imperfect":
-        p = ImperfectQndParams(
-            params["kappa"], params["gamma"], g=params["g"], C=params["C"],
-            delta_c=params["delta_c"] * params["kappa"],
-            mu=params["mu"] * params["gamma"],
-            nu=params["nu"] * params["gamma"],
-            xi=params["xi"] * params["gamma"],
-        )
-        return imperfect_qnd_model(p, bath)
-    if scenario == "lev-single":
-        p = TweezerParams(
-            omega_m=params["omega_m"], alpha=params["alpha"], g=params["g"],
-            kappa=params["kappa"], gamma=params["gamma"], Omega=params["Omega"],
-        )
-        return single_tweezer_qnd_model(p, bath)
-    return None
-
-
-def _floquet_drift(params: dict) -> FloquetDrift:
-    return decompose_drift(
-        params["kappa"], params["gamma"], params["omega_m"],
-        g=params["g"], C=params["C"], order=params["order"],
-    )
-
-
-def _model_conditioning(scenario: str, conditioning: str) -> str:
-    """Only the cqnc model has an ancilla to condition on."""
-    return conditioning if scenario == "cqnc" else "meter"
-
-
 def scenario_figures(
-    scenario: str, params: dict, bath: BathSpec, omega: float, conditioning: str
+    scenario: str, params: dict, bath: BathSpec, omega: float | None, conditioning: str
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of one scenario at one detection frequency.
 
@@ -305,38 +193,15 @@ def scenario_figures(
     model stack and gives a list of figures, one per value, from one
     stacked solve.
     """
-    model = _scenario_model(scenario, params, bath)
-    if model is not None:
-        return evaluate(model, omega, bath=bath,
-                        conditioning=_model_conditioning(scenario, conditioning))
-    if scenario == "qnd-floquet":
-        return floquet_metrics(_floquet_drift(params), bath, omega)
-    if scenario == "lev-dual":
-        if bath.eta < 1.0:
-            raise ConfigError(
-                f"scenario 'lev-dual' does not model detection loss; eta must be 1, got {bath.eta}"
-            )
-        rates = dict(
-            omega_m=params["omega_m"], gamma=params["gamma"],
-            kappa_1=params["kappa1"], kappa_2=params["kappa2"],
-            alpha_1=params["alpha1"], alpha_2=params["alpha2"],
-        )
-        if params["g_total"] is not None and params["readout_fraction"] is not None:
-            p = DualTweezerParams.from_intensity_split(
-                params["g_total"], params["readout_fraction"], **rates
-            )
-        else:
-            p = DualTweezerParams(g_1=params["g1"], g_2=params["g2"], **rates)
-        return reduced_metrics(p, bath, omega)
-    if scenario == "lev-pulsed":
-        return _lev_pulsed_point(params, bath)
-    raise ConfigError(f"unknown scenario {scenario!r}")
+    return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
 
-def _default_omega(cfg: RunConfig) -> float:
-    if cfg.omega is not None:
+def _default_omega(cfg: RunConfig) -> float | None:
+    """The detection frequency given, else the scenario's default, if any."""
+    default = SCENARIOS[cfg.scenario].default_omega
+    if cfg.omega is not None or default is None:
         return cfg.omega
-    return DEFAULT_OMEGA.get(cfg.scenario, lambda p: 0.0)(cfg.parameters)
+    return default(cfg.parameters)
 
 
 def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[ScanMinimum]:
@@ -357,10 +222,10 @@ def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[S
     def figures(r: int, w: float) -> MeasurementFigures:
         return scenario_figures(cfg.scenario, rows[r], bath, w, cfg.conditioning)
 
-    models = [_scenario_model(cfg.scenario, params, bath) for params in rows]
-    if models[0] is None:
+    build = SCENARIOS[cfg.scenario].model
+    if build is None:
         return minimize_vc_over_frequency(figures, lo, hi, rows=len(rows))
-    models = [with_detection_loss(model, bath) for model in models]
+    models = [with_detection_loss(build(params, bath), bath) for params in rows]
     batches = [list(range(len(rows)))] if _drift_only(models) else [[r] for r in range(len(rows))]
     return [scan for batch in batches for scan in _refined_batch(cfg, models, batch, figures)]
 
@@ -381,7 +246,6 @@ def _drift_only(models: list[LinearModel]) -> bool:
 def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], figures):
     """Frequency scans of the rows ``batch``, refined in lockstep on the
     stack of their drift matrices."""
-    conditioning = _model_conditioning(cfg.scenario, cfg.conditioning)
     if len(batch) == 1:  # its own model at a frequency stack: no model per round
         model = models[batch[0]]
         round_model = lambda ks: model
@@ -390,15 +254,15 @@ def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], 
         round_model = lambda ks: replace(stack, A=stack.A[ks])
 
     def vc(ks: list[int], ws: list[float]):
-        return vc_on_grid(round_model(ks), np.asarray(ws), conditioning=conditioning)
+        return vc_on_grid(round_model(ks), np.asarray(ws), conditioning=cfg.conditioning)
 
     return minimize_vc_over_frequency(
         lambda k, w: figures(batch[k], w), *cfg.omega_bounds, rows=len(batch), vc=vc,
-        vc_grid=lambda ws: [vc_on_grid(models[r], ws, conditioning=conditioning) for r in batch],
+        vc_grid=lambda ws: [vc_on_grid(models[r], ws, conditioning=cfg.conditioning) for r in batch],
     )
 
 
-def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
+def _row_figures(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
     """Figures of one row, at the optimal detection frequency with
     ``optimize_frequency``; they always come from :func:`scenario_figures`."""
     if cfg.optimize_frequency:
@@ -406,15 +270,13 @@ def _point_figures_with(cfg: RunConfig, params: dict, bath: BathSpec) -> Measure
     return scenario_figures(cfg.scenario, params, bath, _default_omega(cfg), cfg.conditioning)
 
 
-def _point_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
-    return _point_figures_with(cfg, params, cfg.bath_spec())
-
-
-def _check_has_cooperativity(cfg: RunConfig) -> None:
+def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
+    """The generalized-SQL scan minimizes over C: the scenario needs a
+    cooperativity, and the scan's own C (or g) cannot be varied."""
     if "C" not in cfg.parameters:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} has no cooperativity 'C' to scan"
-        )
+        raise ConfigError(f"scenario {cfg.scenario!r} has no cooperativity 'C' to scan")
+    if varied in ("C", "g"):
+        raise ConfigError(f"the SQL scan minimizes over C, so it cannot vary {varied!r}")
 
 
 def _sql_scan(
@@ -427,23 +289,17 @@ def _sql_scan(
     the models at every C; with ``optimize_frequency`` every C needs its
     own frequency scan, so the grid is scanned point by point.  The
     refinement and the figures of the optimum come from
-    :func:`_point_figures_with`.
+    :func:`_row_figures`.
     """
 
     def at(C):
-        return {**params, "C": C, "g": None}
+        return with_parameter(params, "C", C)
 
     def vc_grid(Cs):
-        omega = _default_omega(cfg)
-        if cfg.scenario == "qnd-floquet":
-            return floquet_vc(_floquet_drift(at(Cs)), bath, omega)
-        return vc_on_grid(
-            _scenario_model(cfg.scenario, at(Cs), bath), omega, bath=bath,
-            conditioning=_model_conditioning(cfg.scenario, cfg.conditioning),
-        )
+        return SCENARIOS[cfg.scenario].vc(at(Cs), bath, _default_omega(cfg), cfg.conditioning)
 
     return generalized_sql(
-        lambda C: _point_figures_with(cfg, at(C), bath), c_bounds[0], c_bounds[1],
+        lambda C: _row_figures(cfg, at(C), bath), c_bounds[0], c_bounds[1],
         count=c_count, vc_grid=None if cfg.optimize_frequency else vc_grid,
     )
 
@@ -515,16 +371,8 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 def _swept_params(cfg: RunConfig, value: float) -> dict:
     name = cfg.sweep["param"]
     if name not in cfg.parameters:
-        raise ConfigError(
-            f"unknown key {name!r} in sweep param for scenario {cfg.scenario!r}"
-        )
-    params = dict(cfg.parameters)
-    params[name] = value
-    if name == "C":
-        params["g"] = None
-    if name == "g" and "C" in params:
-        params["C"] = None
-    return params
+        raise ConfigError(f"unknown key {name!r} in sweep param for scenario {cfg.scenario!r}")
+    return with_parameter(cfg.parameters, name, value)
 
 
 #: rows of a fixed-frequency C or g sweep evaluated as one model stack
@@ -540,19 +388,17 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
     values = _sweep_values(cfg)
-    rows_cfg = cfg
-    shared_v0 = name in cfg.parameters and name not in (*PREPARATION_PARAMS, "V0")
-    if cfg.scenario == "lev-pulsed" and shared_v0:
-        try:
-            V0 = _prepared_v0(cfg.parameters, cfg.bath_spec())
+    rows_cfg, scenario = cfg, SCENARIOS[cfg.scenario]
+    bath = cfg.bath_spec()
+    if scenario.prepare and name in cfg.parameters and name not in scenario.preparation:
+        try:  # the prepared state is the same for every row
+            rows_cfg = replace(cfg, parameters=scenario.prepare(cfg.parameters, bath))
         except TvmeterError as err:
             raise NumericalFailure(name, values[0], err) from err
-        rows_cfg = replace(cfg, parameters={**cfg.parameters, "V0": V0})
-    bath = rows_cfg.bath_spec()
 
     def one(value: float) -> dict:
         try:
-            figs = _point_figures(rows_cfg, _swept_params(rows_cfg, value))
+            figs = _row_figures(rows_cfg, _swept_params(rows_cfg, value), bath)
         except TvmeterError as err:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
@@ -582,7 +428,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
-    _check_has_cooperativity(cfg)
+    _check_sql_scan(cfg, cfg.sweep["param"] if cfg.sweep else None)
     bath = cfg.bath_spec()
 
     def run_one(params: dict) -> dict:
@@ -616,23 +462,17 @@ def cmd_threshold(
     if vary not in cfg.parameters and vary not in cfg.bath:
         raise ConfigError(f"unknown key {vary!r} in threshold vary")
     if quantity != "vc":
-        _check_has_cooperativity(cfg)
+        _check_sql_scan(cfg, vary)
 
     def with_value(value: float) -> tuple[dict, BathSpec]:
-        params = dict(cfg.parameters)
-        b = bath
-        if vary in params:
-            params[vary] = value
-        else:
-            bd = dict(cfg.bath)
-            bd[vary] = value
-            b = replace(cfg, bath=bd).bath_spec()
-        return params, b
+        if vary in cfg.parameters:
+            return with_parameter(cfg.parameters, vary, value), bath
+        return dict(cfg.parameters), replace(cfg, bath={**cfg.bath, vary: value}).bath_spec()
 
     def curve(value: float) -> float:
         params, b = with_value(value)
         if quantity == "vc":
-            return _point_figures_with(cfg, params, b).Vc
+            return _row_figures(cfg, params, b).Vc
         res = _sql_scan(cfg, params, b, c_bounds, c_count)
         if quantity == "min-vc":
             return res.value
@@ -648,6 +488,7 @@ def cmd_threshold(
 
 
 def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
+    _check_has_frequency(cfg, True)
     try:
         res = _frequency_scans(cfg, [cfg.parameters], cfg.bath_spec())[0]
     except TvmeterError as err:
@@ -691,7 +532,7 @@ def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = False) -
 _SCENARIO_FLAGS = {
     key: "--" + key.replace("_", "-")
     for scenario in SCENARIOS.values()
-    for key in scenario
+    for key in scenario.defaults
     if key not in ("pulse_shape",)
 }
 

@@ -54,3 +54,7 @@ class QuadratureNonConvergence(TvmeterError):
             f"integral {name!r} did not converge (estimate {estimate:.6e}, "
             f"error {error:.2e})"
         )
+
+
+class ConfigError(Exception):
+    """Invalid run configuration (the CLI exits with code 2)."""

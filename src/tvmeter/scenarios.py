@@ -1,0 +1,172 @@
+"""Scenario registry, shared by the library and the ``tv`` CLI: one
+frozen :class:`Scenario` per scenario turns a parameter dict in the
+CLI's conventions into figures of merit::
+
+    qnd = SCENARIOS["qnd-imperfect"]
+    params = with_parameter(qnd.defaults, "nu", 0.1)  # nu in units of gamma
+    figs = qnd.figures(params, BathSpec(n_m=1.0), qnd.default_omega(params))
+
+Conventions: rates are in the builder's reference unit (omega_m for the
+cavity-optomechanics scenarios, kappa for the levitodynamics ones); for
+qnd-imperfect, mu, nu and xi are in units of gamma and delta_c in units
+of kappa.  Exactly one of C and g is set where both exist; an array of
+C (or g) gives one result per value from one stacked solve.  The
+builders and kernels are called through this module's globals, never
+stored in a record, so that a wrapper on a module attribute sees every
+call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
+
+from .core import BathSpec, LinearModel
+from .errors import ConfigError
+from .floquet import decompose_drift, floquet_metrics, floquet_vc
+from .levitation import DualTweezerParams, TweezerParams, reduced_metrics, single_tweezer_qnd_model
+from .metrics import evaluate, vc_on_grid
+from .models import (
+    CqncParams,
+    DisplacementParams,
+    ImperfectQndParams,
+    cqnc_model,
+    displacement_model,
+    imperfect_qnd_model,
+)
+from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """``figures(params, bath, omega, conditioning)`` gives the figures
+    of merit, ``model(params, bath)`` the model of a model-based scenario
+    and ``vc`` (as ``figures``) V_c over an array of C.  ``default_omega``
+    maps the parameters to the detection frequency; None means there is
+    none.  ``prepare`` fills in a prepared state that depends only on the
+    parameters in ``preparation``."""
+
+    defaults: Mapping[str, Any]
+    figures: Callable
+    model: Callable[[dict, BathSpec], LinearModel] | None = None
+    vc: Callable | None = None
+    default_omega: Callable[[dict], float] | None = lambda p: 0.0
+    conditionings: tuple[str, ...] = ("meter",)
+    preparation: tuple[str, ...] = ()
+    prepare: Callable[[dict, BathSpec], dict] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
+
+
+def with_parameter(params: dict, name: str, value: Any) -> dict:
+    """A copy of ``params`` with ``name`` set to ``value``; setting C
+    clears g and setting g clears C, so exactly one of them stays set."""
+    params = {**params, name: value}
+    if name in ("C", "g") and "C" in params:
+        params["g" if name == "C" else "C"] = None
+    return params
+
+
+def _displacement(p: dict, bath: BathSpec) -> LinearModel:
+    return displacement_model(
+        DisplacementParams(p["kappa"], p["gamma"], p["omega_m"], g=p["g"], C=p["C"]), bath)
+
+
+def _cqnc(p: dict, bath: BathSpec) -> LinearModel:
+    return cqnc_model(CqncParams(p["kappa"], p["gamma"], p["omega_m"], g=p["g"], C=p["C"]), bath)
+
+
+def _qnd_imperfect(p: dict, bath: BathSpec) -> LinearModel:
+    return imperfect_qnd_model(ImperfectQndParams(
+        p["kappa"], p["gamma"], g=p["g"], C=p["C"], delta_c=p["delta_c"] * p["kappa"],
+        mu=p["mu"] * p["gamma"], nu=p["nu"] * p["gamma"], xi=p["xi"] * p["gamma"],
+    ), bath)
+
+
+def _lev_single(p: dict, bath: BathSpec) -> LinearModel:
+    return single_tweezer_qnd_model(TweezerParams(
+        omega_m=p["omega_m"], alpha=p["alpha"], g=p["g"], kappa=p["kappa"],
+        gamma=p["gamma"], Omega=p["Omega"],
+    ), bath)
+
+
+def _model_based(defaults: dict, build, **kw) -> Scenario:
+    """A scenario evaluated on the model ``build(params, bath)``."""
+
+    def figures(p, bath, omega, conditioning="meter"):
+        return evaluate(build(p, bath), omega, bath=bath, conditioning=conditioning)
+
+    def vc(p, bath, omega, conditioning="meter"):
+        return vc_on_grid(build(p, bath), omega, bath=bath, conditioning=conditioning)
+
+    return Scenario(defaults, figures, model=build, vc=vc if "C" in defaults else None, **kw)
+
+
+def _floquet_drift(p: dict):
+    return decompose_drift(p["kappa"], p["gamma"], p["omega_m"], g=p["g"], C=p["C"],
+                           order=p["order"])
+
+
+_DUAL = dict(kappa1=1.0, kappa2=1.0, gamma=1e-9, omega_m=100.0, g1=0.2, g2=0.2,
+             alpha1=0.2, alpha2=0.2, g_total=None, readout_fraction=None)
+
+
+def _dual_figures(p, bath, omega, conditioning="meter"):
+    """lev-dual couples through g1 and g2, or through g_total and
+    readout_fraction, which replace them (g1 and g2 stay at defaults)."""
+    if bath.eta < 1.0:
+        raise ConfigError(
+            f"scenario 'lev-dual' does not model detection loss; eta must be 1, got {bath.eta}")
+    rates = dict(omega_m=p["omega_m"], gamma=p["gamma"], kappa_1=p["kappa1"],
+                 kappa_2=p["kappa2"], alpha_1=p["alpha1"], alpha_2=p["alpha2"])
+    split = (p["g_total"], p["readout_fraction"])
+    if split == (None, None):
+        return reduced_metrics(DualTweezerParams(g_1=p["g1"], g_2=p["g2"], **rates), bath, omega)
+    if None in split:
+        raise ConfigError("scenario 'lev-dual' needs both of 'g_total' and 'readout_fraction'")
+    if (p["g1"], p["g2"]) != (_DUAL["g1"], _DUAL["g2"]):
+        raise ConfigError("'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'")
+    return reduced_metrics(DualTweezerParams.from_intensity_split(*split, **rates), bath, omega)
+
+
+def _pulsed_prepared(p: dict, bath: BathSpec) -> dict:
+    """``p`` with V0 set: as given, else the preparation stage's steady state."""
+    if p["V0"] is not None:
+        return p
+    V0, _ = prepare_state_lyapunov(p["kappa"], p["gamma"], p["g_prep"], p["alpha_prep"], bath)
+    return {**p, "V0": V0}
+
+
+def _pulsed_figures(p, bath, omega=None, conditioning="meter"):
+    q = PulsedParams(kappa=p["kappa"], gamma=p["gamma"], omega_m=p["omega_m"], g=p["g"],
+                     alpha2=p["alpha"], V0=_pulsed_prepared(p, bath)["V0"], bath=bath)
+    return pulsed_metrics(q, p["tau"], pulse_shape=p["pulse_shape"])
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "displacement": _model_based(
+        dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None), _displacement,
+        default_omega=lambda p: p["omega_m"]),
+    "cqnc": _model_based(
+        dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None), _cqnc,
+        default_omega=lambda p: p["omega_m"], conditionings=("meter", "meter+ancilla")),
+    "qnd-ideal": _model_based(dict(kappa=10.0, gamma=0.01, C=1.0, g=None),
+                              lambda p, bath: _displacement({**p, "omega_m": 0.0}, bath)),
+    "qnd-imperfect": _model_based(
+        dict(kappa=10.0, gamma=0.01, C=1.0, g=None, nu=0.0, mu=0.0, xi=0.0, delta_c=0.0),
+        _qnd_imperfect),
+    "qnd-floquet": Scenario(
+        dict(kappa=0.5, gamma=0.01, omega_m=1.0, C=1.0, g=None, order=1),
+        lambda p, bath, omega, conditioning="meter": floquet_metrics(_floquet_drift(p), bath, omega),
+        vc=lambda p, bath, omega, conditioning="meter": floquet_vc(_floquet_drift(p), bath, omega)),
+    "lev-single": _model_based(
+        dict(kappa=1.0, gamma=1e-6, omega_m=100.0, g=0.3, alpha=0.2, Omega=None), _lev_single),
+    "lev-dual": Scenario(_DUAL, _dual_figures),
+    "lev-pulsed": Scenario(
+        dict(kappa=1.0, gamma=1e-9, omega_m=100.0, g_prep=0.6, alpha_prep=0.2, g=0.6,
+             alpha=0.6, tau=1.0, V0=None, pulse_shape="matched"),
+        _pulsed_figures, default_omega=None,
+        preparation=("kappa", "gamma", "g_prep", "alpha_prep", "V0"), prepare=_pulsed_prepared),
+}

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from tvmeter import BathSpec, DegenerateMeter, cli, evaluate, ideal_qnd_model, optimize
+from tvmeter import (
+    BathSpec,
+    DegenerateMeter,
+    cli,
+    cooperativity_to_g,
+    evaluate,
+    ideal_qnd_model,
+    optimize,
+    qnd_cooperativity_threshold,
+    scenarios,
+)
 from tvmeter.cli import (
     _collect_param_flags,
     _figures_row,
@@ -179,7 +189,7 @@ class TestOptimizedSweepRows:
 
         for module, name in [(optimize, "golden_section"), (optimize, "minimize_on_grid"),
                              (cli, "minimize_vc_over_frequency"), (cli, "scenario_figures"),
-                             (cli, "evaluate")]:
+                             (scenarios, "evaluate")]:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rc, _ = run(OPTIMIZED_SWEEP, tmp_path)
         assert rc == 0
@@ -229,7 +239,7 @@ class TestBlockedSweepRows:
     def test_failing_block_reruns_its_rows_one_at_a_time(self, tmp_path, monkeypatch,
                                                          row_by_row_table):
         argv = FIXED_OMEGA_SWEEPS[0]
-        evaluate, stacks = cli.evaluate, []
+        evaluate, stacks = scenarios.evaluate, []
 
         def failing(model, *args, **kwargs):
             if model.A.ndim > 2:
@@ -237,7 +247,7 @@ class TestBlockedSweepRows:
                 raise DegenerateMeter("stacked stage")
             return evaluate(model, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "evaluate", failing)
+        monkeypatch.setattr(scenarios, "evaluate", failing)
         rc, out = run(argv, tmp_path)
         assert rc == 0
         assert stacks == [cli.BLOCK_ROWS, 300 - cli.BLOCK_ROWS]
@@ -252,8 +262,9 @@ class TestBlockedSweepRows:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("cqnc_model", "scenario_figures", "evaluate"):
-            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for module, name in [(scenarios, "cqnc_model"), (cli, "scenario_figures"),
+                             (scenarios, "evaluate")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rc, out = run(["sweep", "--config", str(RECIPES / "fig3.json"), "--n", "2000",
                        "--param", "C", "--log", "1e-3", "1e4"], tmp_path)
         assert rc == 0
@@ -426,6 +437,55 @@ class TestValidation:
         assert rc1 == rc3 == 0
         assert read_rows(first) == read_rows(third)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["sql", "--scenario", "qnd-ideal", "--param", "C", "--log", "0.1", "1", "--n", "3"], "C"),
+        (["sql", "--scenario", "cqnc", "--param", "g", "--log", "0.1", "1", "--n", "3"], "g"),
+    ], ids=["C", "g"])
+    def test_sql_cannot_vary_its_own_cooperativity(self, argv, name, tmp_path, capsys):
+        rc, out = run(argv + ["--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert f"the SQL scan minimizes over C, so it cannot vary {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vary, quantity", [("C", "min-vc"), ("g", "tsum-at-sql")])
+    def test_threshold_scan_cannot_vary_its_own_cooperativity(self, vary, quantity, tmp_path,
+                                                              capsys):
+        rc, out = run(["threshold", "--scenario", "qnd-ideal", "--vary", vary,
+                       "--bounds", "0.01", "0.5", "--level", "0.5", "--quantity", quantity,
+                       "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert f"cannot vary {vary!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--param", "g_total", "--lin", "0.1", "1"], "needs both of 'g_total' and 'readout_fraction'"),
+        (["--param", "alpha1", "--lin", "0.1", "0.3", "--set", "readout_fraction=0.5"],
+         "needs both of 'g_total' and 'readout_fraction'"),
+        (["--param", "g1", "--lin", "0.1", "0.3", "--g-total", "0.6", "--readout-fraction", "0.5"],
+         "'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'"),
+        (["--param", "alpha1", "--lin", "0.1", "0.3", "--g2", "0.4", "--g-total", "0.6",
+          "--readout-fraction", "0.5"],
+         "'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'"),
+    ], ids=["sweep-g_total-alone", "readout_fraction-alone", "sweep-g1-with-split",
+            "set-g2-with-split"])
+    def test_lev_dual_couplings_are_not_ignored(self, extra, message, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "lev-dual", "--n", "3", "--n-m", "1e7", *extra],
+                      tmp_path)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pulsed", "--tau-log", "0.1", "10", "--n", "2", "--omega", "1"],
+        ["pulsed", "--tau-log", "0.1", "10", "--n", "2", "--optimize-frequency"],
+        ["optimize-frequency", "--scenario", "lev-pulsed"],
+    ], ids=["omega", "optimize-flag", "optimize-subcommand"])
+    def test_lev_pulsed_has_no_detection_frequency(self, argv, tmp_path, capsys):
+        rc, out = run(argv + ["--n-m", "1e7"], tmp_path)
+        assert rc == 2
+        assert "scenario 'lev-pulsed' has no detection frequency" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
         rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha2",
                        "--lin", "0.1", "0.2", "--n", "2",
@@ -457,6 +517,18 @@ class TestSubcommands:
         assert rc == 0
         row = read_rows(out)[0]
         assert float(row["crossing"]) == pytest.approx(1 / 24, rel=1e-5)
+
+    def test_threshold_varies_g_in_place_of_C(self, tmp_path):
+        rc, out = run(
+            ["threshold", "--scenario", "qnd-ideal", "--vary", "g",
+             "--bounds", "0.001", "0.5", "--level", "0.5", "--quantity", "vc",
+             "--n-m", "1"],
+            tmp_path,
+        )
+        assert rc == 0
+        row = read_rows(out)[0]
+        want = cooperativity_to_g(qnd_cooperativity_threshold(1.5), 10.0, 0.01)
+        assert float(row["crossing"]) == pytest.approx(want, rel=1e-5)
 
     def test_optimize_frequency(self, tmp_path):
         rc, out = run(
@@ -490,9 +562,9 @@ class TestSubcommands:
 
     def test_pulsed_prepares_the_state_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
-        prepare = cli.prepare_state_lyapunov
+        prepare = scenarios.prepare_state_lyapunov
         monkeypatch.setattr(
-            cli, "prepare_state_lyapunov", lambda *a: calls.append(a) or prepare(*a)
+            scenarios, "prepare_state_lyapunov", lambda *a: calls.append(a) or prepare(*a)
         )
         rc, _ = run(["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1e7"], tmp_path)
         assert rc == 0 and len(calls) == 1

@@ -1,0 +1,47 @@
+"""The scenario registry: the CLI's parameter conventions as a library table."""
+
+import pytest
+
+from tvmeter import SCENARIOS, BathSpec, nu_model_closed_metrics, with_parameter
+from tvmeter.cli import main
+
+
+def test_figures_apply_the_unit_conventions():
+    # nu is given in units of gamma
+    qnd = SCENARIOS["qnd-imperfect"]
+    params = with_parameter(with_parameter(qnd.defaults, "nu", 0.1), "C", 0.3)
+    bath = BathSpec(n_m=1.0)
+    figs = qnd.figures(params, bath, qnd.default_omega(params))
+    want = nu_model_closed_metrics(0.3, 0.1 * params["gamma"], params["gamma"], bath)
+    for name in ("Vc", "Ts", "Tm"):
+        assert getattr(figs, name) == pytest.approx(getattr(want, name), rel=1e-9)
+
+
+def test_figures_equal_the_cli_row(tmp_path):
+    out = tmp_path / "row.csv"
+    assert main(["sweep", "--scenario", "cqnc", "--param", "C", "--log", "0.5", "2", "--n", "2",
+                 "--n-m", "1", "--conditioning", "meter+ancilla", "--output", str(out)]) == 0
+    header, row = [l for l in out.read_text().splitlines() if not l.startswith("#")][:2]
+    cqnc = SCENARIOS["cqnc"]
+    params = with_parameter(cqnc.defaults, "C", 0.5)
+    figs = cqnc.figures(params, BathSpec(n_m=1.0), cqnc.default_omega(params), "meter+ancilla")
+    assert dict(zip(header.split(","), row.split(",")))["Vc"] == format(figs.Vc, ".17g")
+
+
+def test_c_and_g_replace_each_other():
+    params = SCENARIOS["displacement"].defaults
+    assert with_parameter(params, "g", 0.1)["C"] is None
+    assert with_parameter(with_parameter(params, "g", 0.1), "C", 2.0)["g"] is None
+    # without a cooperativity g is an ordinary parameter
+    assert "C" not in with_parameter(SCENARIOS["lev-single"].defaults, "g", 0.1)
+
+
+def test_defaults_are_read_only():
+    with pytest.raises(TypeError):
+        SCENARIOS["qnd-ideal"].defaults["C"] = 2.0
+
+
+def test_only_cooperativity_scenarios_scan_c():
+    assert {name for name, s in SCENARIOS.items() if s.vc is not None} == {
+        name for name, s in SCENARIOS.items() if "C" in s.defaults
+    }
