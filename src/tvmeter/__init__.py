@@ -14,11 +14,10 @@ from .core import (
     LinearModel,
     ModeLayout,
     ScatteringMatrix,
-    apply_detection_loss,
     build_scattering,
     check_stable,
     cross_spectral_density,
-    extended_input_covariance,
+    detected,
     input_covariance,
     output_covariance_at,
 )

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .core import BathSpec, LinearModel
 from .errors import ConfigError, TvmeterError
-from .metrics import MeasurementFigures, vc_on_grid, with_detection_loss
+from .metrics import MeasurementFigures, vc_on_grid
 from .optimize import ScanMinimum, find_threshold, generalized_sql, minimize_vc_over_frequency
 from .scenarios import SCENARIOS, with_parameter
 
@@ -148,6 +148,11 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     bounds = tuple(doc.get("omega_bounds", (1e-2, 1e3)))
     if getattr(args, "omega_bounds", None) is not None:
         bounds = tuple(args.omega_bounds)
+    if len(bounds) != 2:
+        raise ConfigError(f"omega_bounds must be a pair [lo, hi], got {list(bounds)}")
+    lo, hi = (float(b) for b in bounds)
+    if not (np.isfinite(hi) and 0.0 < lo < hi):
+        raise ConfigError(f"omega_bounds must be finite with 0 < lo < hi, got [{lo}, {hi}]")
 
     conditioning = doc.get("conditioning", "meter")
     if getattr(args, "conditioning", None) is not None:
@@ -168,7 +173,7 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         scenario=scenario, parameters=params, bath=bath, sweep=sweep,
         omega=omega, optimize_frequency=optimize,
-        omega_bounds=(float(bounds[0]), float(bounds[1])),
+        omega_bounds=(lo, hi),
         conditioning=conditioning, out_path=out_path, out_format=out_format,
     )
     _check_has_frequency(cfg, optimize)
@@ -225,7 +230,7 @@ def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[S
     build = SCENARIOS[cfg.scenario].model
     if build is None:
         return minimize_vc_over_frequency(figures, lo, hi, rows=len(rows))
-    models = [with_detection_loss(build(params, bath), bath) for params in rows]
+    models = [build(params, bath) for params in rows]
     batches = [list(range(len(rows)))] if _drift_only(models) else [[r] for r in range(len(rows))]
     return [scan for batch in batches for scan in _refined_batch(cfg, models, batch, figures)]
 
@@ -236,7 +241,6 @@ def _drift_only(models: list[LinearModel]) -> bool:
     first = models[0]
     return all(
         m.layout == first.layout
-        and (m.detection_eta, m.ancilla_variance) == (first.detection_eta, first.ancilla_variance)
         and m.H.tobytes() == first.H.tobytes()
         and m.Vin.tobytes() == first.Vin.tobytes()
         for m in models[1:]
@@ -246,6 +250,7 @@ def _drift_only(models: list[LinearModel]) -> bool:
 def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], figures):
     """Frequency scans of the rows ``batch``, refined in lockstep on the
     stack of their drift matrices."""
+    bath = cfg.bath_spec()
     if len(batch) == 1:  # its own model at a frequency stack: no model per round
         model = models[batch[0]]
         round_model = lambda ks: model
@@ -254,11 +259,11 @@ def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], 
         round_model = lambda ks: replace(stack, A=stack.A[ks])
 
     def vc(ks: list[int], ws: list[float]):
-        return vc_on_grid(round_model(ks), np.asarray(ws), conditioning=cfg.conditioning)
+        return vc_on_grid(round_model(ks), np.asarray(ws), bath, cfg.conditioning)
 
     return minimize_vc_over_frequency(
         lambda k, w: figures(batch[k], w), *cfg.omega_bounds, rows=len(batch), vc=vc,
-        vc_grid=lambda ws: [vc_on_grid(models[r], ws, conditioning=cfg.conditioning) for r in batch],
+        vc_grid=lambda ws: [vc_on_grid(models[r], ws, bath, cfg.conditioning) for r in batch],
     )
 
 

@@ -34,7 +34,7 @@ Vacuum variance is 1/2 per quadrature throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -168,32 +168,28 @@ class LinearModel:
 
     ``A`` may be a stack of drift matrices ``[..., i, j]`` that share
     ``H``, ``Vin`` and the layout; :func:`build_scattering` then solves
-    the whole stack at once.  ``detection_eta`` < 1 marks a
-    loss-augmented model: the meter mode's output rows are scaled by
-    sqrt(eta) and two vacuum-or-thermal ancilla input columns
-    (covariance ``ancilla_variance`` each) are appended to the
-    scattering matrix.
+    the whole stack at once.  ``H`` and ``Vin`` are n x n for the n
+    quadratures of the layout.  Detection loss is not part of the model:
+    it acts on the output covariance (:func:`detected`).
     """
 
     A: NDArray[np.float64]
     H: NDArray[np.float64]
     Vin: NDArray[np.float64]
     layout: ModeLayout
-    detection_eta: float = 1.0
-    ancilla_variance: float = 0.5
 
     def __post_init__(self):
         n = 2 * self.layout.n_modes
         A = np.asarray(self.A, dtype=float)
         H = np.asarray(self.H, dtype=float)
         Vin = np.asarray(self.Vin, dtype=float)
-        if A.shape[-2:] != (n, n) or H.shape != (n, n) or Vin.shape[0] != Vin.shape[1]:
-            raise ValueError("A, H, Vin must be square and match the layout size")
+        if A.shape[-2:] != (n, n) or H.shape != (n, n) or Vin.shape != (n, n):
+            raise ValueError(f"A, H, Vin must be {n} x {n} to match the layout")
         if np.any(H != np.diag(np.diag(H))) or np.any(np.diag(H) < 0):
             raise ValueError("H must be diagonal with nonnegative entries")
         if not np.allclose(Vin, Vin.T, atol=1e-12):
             raise ValueError("Vin must be symmetric")
-        for m in range(Vin.shape[0] // 2):
+        for m in range(n // 2):
             block = Vin[2 * m : 2 * m + 2, 2 * m : 2 * m + 2]
             if np.linalg.det(block) < 0.25 - 1e-9:
                 raise ValueError(
@@ -205,10 +201,6 @@ class LinearModel:
         object.__setattr__(self, "Vin", Vin)
 
     @property
-    def size(self) -> int:
-        return self.A.shape[-1]
-
-    @property
     def meter_mode(self) -> int:
         return self.layout.meter_index // 2
 
@@ -218,8 +210,7 @@ class ScatteringMatrix:
     """Complex input-to-output map at one detection frequency, or a
     stack ``S[..., i, j]`` over an array of frequencies.
 
-    Rows are output channels; columns are input channels (possibly more
-    than rows after loss augmentation).
+    Rows are output channels; columns are input channels.
     """
 
     S: NDArray[np.complex128]
@@ -303,50 +294,20 @@ def _frobenius2(M: NDArray) -> NDArray[np.float64]:
     return (M.real**2 + M.imag**2).sum(axis=(-2, -1))
 
 
-def _bare_scattering(A: NDArray, H: NDArray, omega: float | NDArray) -> NDArray[np.complex128]:
-    n = A.shape[-1]
-    eye = np.eye(n)
-    stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
-    M = A + 1j * (omega[..., None, None] if stacked else omega) * eye
-    _require_regular(M, omega)
-    return -(H @ np.linalg.solve(M, H) + eye)
-
-
 def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMatrix:
     """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model.
 
-    For a loss-augmented model the result is rectangular, 2M x (2M + 2):
-    the meter mode's output rows are scaled by sqrt(eta) and pick up
-    sqrt(1 - eta) ancilla columns.  An array of frequencies, or a model
-    with a stack of drift matrices, gives the stack ``S[..., i, j]`` from
-    one stacked solve; the first singular point, in stack order, raises
+    S is square; detection loss acts later, on the output covariance
+    (:func:`detected`).  An array of frequencies, or a model with a stack
+    of drift matrices, gives the stack ``S[..., i, j]`` from one stacked
+    solve; the first singular point, in stack order, raises
     :class:`SingularAtFrequency`.
     """
-    S = _bare_scattering(model.A, model.H, omega)
-    eta = model.detection_eta
-    if eta == 1.0:
-        return ScatteringMatrix(S, omega)
-    n = model.size
-    r0 = 2 * model.meter_mode
-    aug = np.zeros(S.shape[:-1] + (n + 2,), dtype=complex)
-    aug[..., :n] = S
-    aug[..., r0 : r0 + 2, :n] *= np.sqrt(eta)
-    aug[..., r0, n] = np.sqrt(1.0 - eta)
-    aug[..., r0 + 1, n + 1] = np.sqrt(1.0 - eta)
-    return ScatteringMatrix(aug, omega)
-
-
-def apply_detection_loss(model: LinearModel, eta: float) -> LinearModel:
-    """Model whose scattering is the loss-augmented rectangular matrix.
-
-    The ancilla inputs mirror the optical bath of the meter mode (same
-    variance), so a thermal cavity input also leaks thermal noise into
-    the detector.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    anc = float(model.Vin[2 * model.meter_mode, 2 * model.meter_mode])
-    return replace(model, detection_eta=eta * model.detection_eta, ancilla_variance=anc)
+    eye = np.eye(model.A.shape[-1])
+    stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
+    M = model.A + 1j * (omega[..., None, None] if stacked else omega) * eye
+    _require_regular(M, omega)
+    return ScatteringMatrix(-(model.H @ np.linalg.solve(M, model.H) + eye), omega)
 
 
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
@@ -361,18 +322,6 @@ def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
     return V
 
 
-def extended_input_covariance(model: LinearModel) -> NDArray[np.float64]:
-    """Model input covariance, with the ancilla block appended when the
-    model is loss-augmented."""
-    if model.detection_eta == 1.0:
-        return model.Vin
-    n = model.size
-    V = np.zeros((n + 2, n + 2))
-    V[:n, :n] = model.Vin
-    V[n, n] = V[n + 1, n + 1] = model.ancilla_variance
-    return V
-
-
 def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     """Hermitian cross-spectral density S V_in S^dagger of the outputs.
 
@@ -382,6 +331,28 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     """
     V = S @ Vin @ S.conj().swapaxes(-1, -2)
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
+
+
+def detected(V: NDArray, rows: slice, eta: float, noise: float) -> NDArray:
+    """Output covariance ``V`` as seen by detectors of efficiency ``eta``
+    on the measured quadratures ``rows``.
+
+    Each detector sits behind a beam splitter of transmission eta whose
+    open port admits uncorrelated noise of variance ``noise`` (Clerk et
+    al., Rev. Mod. Phys. 82, 1155 (2010)): the rows and columns ``rows``
+    scale by sqrt(eta), and (1 - eta) ``noise`` adds to their diagonal.
+    The signal power gain of a detected quadrature scales by eta.  ``V``
+    is a Hermitian or real covariance, or a stack ``[..., i, j]``; at
+    eta = 1 it is returned itself, otherwise a new array.
+    """
+    if eta == 1.0:
+        return V
+    V = V.copy()
+    V[..., rows, :] *= np.sqrt(eta)
+    V[..., :, rows] *= np.sqrt(eta)
+    measured = np.arange(V.shape[-1])[rows]
+    V[..., measured, measured] += (1.0 - eta) * noise
+    return V
 
 
 def output_covariance_at(model: LinearModel, omega: float) -> NDArray[np.float64]:
@@ -395,4 +366,4 @@ def output_covariance_at(model: LinearModel, omega: float) -> NDArray[np.float64
     imaginary part at nonzero frequency.
     """
     S = build_scattering(model, omega)
-    return cross_spectral_density(S.S, extended_input_covariance(model)).real
+    return cross_spectral_density(S.S, model.Vin).real

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import FOUR_MODE, BathSpec, _require_regular, check_stable, input_covariance
+from .core import FOUR_MODE, BathSpec, _require_regular, check_stable, detected, input_covariance
 from .metrics import (
     MeasurementFigures,
     _abs2,
@@ -159,29 +159,14 @@ def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:
     return np.diag([np.sqrt(kappa)] * 2 + [np.sqrt(gamma)] * 2), input_covariance(bath, FOUR_MODE)
 
 
-def _detected(V: NDArray, bath: BathSpec) -> NDArray:
-    """Output covariance ``V`` (or a stack) seen with detection efficiency
-    ``bath.eta``: the optical rows and columns scale by sqrt(eta) and
-    ancilla noise at the cavity-bath variance fills the loss.  Scales
-    ``V`` in place."""
-    eta = bath.eta
-    if eta < 1.0:
-        anc = (1.0 - eta) * bath.optical_variance
-        V[..., 0:2, :] *= np.sqrt(eta)
-        V[..., :, 0:2] *= np.sqrt(eta)
-        V[..., 0, 0] += anc
-        V[..., 1, 1] += anc
-    return V
-
-
 def _conditional_variance(
     blocks: dict[int, NDArray], Vin: NDArray, bath: BathSpec
 ) -> float | NDArray[np.float64]:
     """V_c on the incoherent sideband sum of the Hermitian cross-spectral
     densities, after detection loss; a stack of blocks gives a stack."""
     V = sum(S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks.values())
-    V = _detected(0.5 * (V + V.conj().swapaxes(-1, -2)), bath)
-    return conditional_variance(V, FOUR_MODE)
+    V = 0.5 * (V + V.conj().swapaxes(-1, -2))
+    return conditional_variance(detected(V, slice(0, 2), bath.eta, bath.optical_variance), FOUR_MODE)
 
 
 def floquet_vc(
@@ -204,8 +189,8 @@ def floquet_metrics(
     """Figures of merit of the beyond-RWA readout.
 
     The decay rates are read off the static drift diagonal.  Detection
-    loss from ``bath.eta`` scales the measured optical rows and mixes in
-    ancilla noise at the cavity-bath variance.  A stacked drift (an array
+    loss ``bath.eta`` is a beam splitter on the optical output, filled
+    with noise at the cavity-bath variance.  A stacked drift (an array
     of cooperativities) gives a list of figures, one per drift in stack
     order, from one stacked solve, each with the bits of the single
     drift's; the first drift that fails a guard, in stack order, raises.
@@ -214,14 +199,13 @@ def floquet_metrics(
     blocks = sideband_scattering(fd, H, omega)
     Vc = _conditional_variance(blocks, Vin, bath)
     Seff = sum(blocks.values())
-    Veff = _detected(np.real(Seff @ Vin @ Seff.conj().swapaxes(-1, -2)), bath)
+    Veff = np.real(Seff @ Vin @ Seff.conj().swapaxes(-1, -2))
+    Veff = detected(Veff, slice(0, 2), bath.eta, bath.optical_variance)
     s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
     meter_signal = np.hypot(Seff[..., m, s].real, Seff[..., m, s].imag)
-    if bath.eta < 1.0:
-        meter_signal *= np.sqrt(bath.eta)
     return measured_figures(
         Vc, Veff[..., s, s], Veff[..., m, m], _abs2(Seff[..., s, s]),
-        np.float_power(meter_signal, 2), bath.V_x, omega,
+        bath.eta * np.float_power(meter_signal, 2), bath.V_x, omega,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_stable
+from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_stable, detected
 from .errors import NegativeLinewidth
 from .metrics import (
     MeasurementFigures,
@@ -249,16 +249,17 @@ def reduced_metrics(
     p: DualTweezerParams, bath: BathSpec, omega: float = 0.0
 ) -> MeasurementFigures:
     """Figures of merit from the reduced scattering matrix and the
-    compound-signal covariance (the pipeline side of the closed forms)."""
+    compound-signal covariance (the pipeline side of the closed forms),
+    with detection loss on the readout cavity's output (X2, Y2)."""
     gm, vx, vp = compound_signal_variances(p, bath, omega)
     S = reduced_scattering(p, omega)
     n = bath.optical_variance
     Vin = np.diag([n, n, vx, vp])
     Vin[2, 3] = Vin[3, 2] = p.gamma / gm * bath.V_xp
-    V = S @ Vin @ S.conj().T
+    V = detected(S @ Vin @ S.conj().T, slice(0, 2), bath.eta, n)
     return measured_figures(
         conditional_variance(V, signal=2, meter=1), V[2, 2].real, V[1, 1].real,
-        abs(S[2, 2]) ** 2, abs(S[1, 2]) ** 2, vx, omega,
+        abs(S[2, 2]) ** 2, bath.eta * abs(S[1, 2]) ** 2, vx, omega,
     )
 
 

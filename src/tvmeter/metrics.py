@@ -19,8 +19,11 @@ the measurement-equivalent input noises
     n_m_eq = V_out[Y,Y] / |S_Yx|^2 - V_x.
 
 Every kernel (the linear models here, the beyond-RWA harmonic solver,
-the reduced dual-tweezer map and the pulsed readout) conditions through
-:func:`conditional_variance` and reduces through :func:`measured_figures`.
+the reduced dual-tweezer map and the pulsed readout) applies detection
+loss through :func:`core.detected` (a beam splitter on the measured
+output mode, which also scales the meter power gain |S_Yx|^2 by eta),
+conditions through :func:`conditional_variance` and reduces through
+:func:`measured_figures`.
 
 A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 """
@@ -38,10 +41,9 @@ from .core import (
     BathSpec,
     LinearModel,
     ModeLayout,
-    apply_detection_loss,
     build_scattering,
     cross_spectral_density,
-    extended_input_covariance,
+    detected,
 )
 from .errors import DegenerateMeter, SingularAtFrequency
 
@@ -267,14 +269,6 @@ def measured_figures(
     return figures_from_parts(Vc, ns, nm, Vx, omega)
 
 
-def with_detection_loss(model: LinearModel, bath: BathSpec | None) -> LinearModel:
-    """``model`` with the detection loss of ``bath`` applied, unless the
-    model is loss-augmented already."""
-    if bath is not None and bath.eta < 1.0 and model.detection_eta == 1.0:
-        return apply_detection_loss(model, bath.eta)
-    return model
-
-
 def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
     if conditioning == "meter":
         return conditional_variance(Vout, layout)
@@ -294,8 +288,9 @@ def evaluate(
     ``conditioning`` is ``"meter"`` (phase quadrature of the measured
     cavity output) or ``"meter+ancilla"`` (additionally on the
     negative-mass amplitude quadrature; requires an ancilla in the
-    layout).  If ``bath`` carries ``eta < 1`` and the model is not yet
-    loss-augmented, the detection loss is applied here.
+    layout).  If ``bath`` carries ``eta < 1``, detection loss acts on the
+    meter mode's outputs, with the model's input variance of that mode
+    as the noise that fills the loss.
 
     A model with a stack of drift matrices (one per cooperativity, say)
     is solved at ``omega`` in one stacked solve and gives a list of
@@ -305,15 +300,15 @@ def evaluate(
     """
     if np.ndim(omega):
         raise ValueError("evaluate takes one frequency; vc_on_grid scores a frequency grid")
-    model = with_detection_loss(model, bath)
-    S, Vout, Vc = _solved(model, omega, conditioning)
+    S, Vout, Vc = _solved(model, omega, bath, conditioning)
     s, m = model.layout.signal_index, model.layout.meter_index
     # one point indexes numpy scalars, which _abs2 and measured_figures
     # take on their cheap scalar path (0-d arrays would cost microseconds)
     lead = (...,) if model.A.ndim > 2 else ()
     ss, mm, ms = (*lead, s, s), (*lead, m, m), (*lead, m, s)
     return measured_figures(
-        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), _abs2(S[ms]), float(model.Vin[s, s]), omega,
+        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), (bath.eta if bath else 1.0) * _abs2(S[ms]),
+        float(model.Vin[s, s]), omega,
     )
 
 
@@ -335,7 +330,6 @@ def vc_on_grid(
     first point that fails one, in stack order, raises the error that a
     loop of :func:`evaluate` over the points would raise.
     """
-    model = with_detection_loss(model, bath)
     if np.ndim(omegas):
         omegas = np.asarray(omegas, dtype=float)
         try:
@@ -345,21 +339,23 @@ def vc_on_grid(
                 f"frequencies of shape {omegas.shape} do not pair with a drift "
                 f"stack of shape {model.A.shape[:-2]}"
             ) from None
-    return _solved(model, omegas, conditioning)[2]
+    return _solved(model, omegas, bath, conditioning)[2]
 
 
-def _solved(model: LinearModel, omegas: float | NDArray, conditioning: str):
-    """Scattering matrix, cross-spectral density and V_c of the
-    (loss-augmented) model at every point of a grid."""
+def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, conditioning: str):
+    """Scattering matrix, detected cross-spectral density and V_c of the
+    model at every point of a grid."""
     try:
         S = build_scattering(model, omegas).S
     except SingularAtFrequency:
         if model.A.ndim > 2 or np.ndim(omegas):
             # a point before the singular one may fail a V_c guard first
             for point, w in _grid_points(model, omegas):
-                evaluate(point, w, conditioning=conditioning)
+                evaluate(point, w, bath, conditioning)
         raise
-    Vout = cross_spectral_density(S, extended_input_covariance(model))
+    r0 = 2 * model.meter_mode
+    eta = bath.eta if bath else 1.0
+    Vout = detected(cross_spectral_density(S, model.Vin), slice(r0, r0 + 2), eta, model.Vin[r0, r0])
     return S, Vout, _conditioned_vc(Vout, model.layout, conditioning)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import BathSpec, check_stable
+from .core import BathSpec, check_stable, detected
 from .metrics import MeasurementFigures, conditional_variance, measured_figures
 
 #: relative |kappa - gamma| below which the propagator switches to the
@@ -370,7 +370,7 @@ def pulsed_metrics(
     """
     V33, V32, V22, Gs = _covariances(p, tau, pulse_shape)
     eta = p.bath.eta
-    V22 = eta * V22 + (1.0 - eta) * p.bath.optical_variance
-    V32 = math.sqrt(eta) * V32
-    Vc = conditional_variance(np.array([[V22, V32], [V32, V33]]), signal=1, meter=0)
-    return measured_figures(Vc, V33, V22, math.exp(-p.gamma * tau), eta * Gs**2, p.V0, omega=0.0)
+    V = detected(np.array([[V22, V32], [V32, V33]]), slice(0, 1), eta, p.bath.optical_variance)
+    Vc = conditional_variance(V, signal=1, meter=0)
+    return measured_figures(
+        Vc, V33, float(V[0, 0]), math.exp(-p.gamma * tau), eta * Gs**2, p.V0, omega=0.0)

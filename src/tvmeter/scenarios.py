@@ -116,9 +116,6 @@ _DUAL = dict(kappa1=1.0, kappa2=1.0, gamma=1e-9, omega_m=100.0, g1=0.2, g2=0.2,
 def _dual_figures(p, bath, omega, conditioning="meter"):
     """lev-dual couples through g1 and g2, or through g_total and
     readout_fraction, which replace them (g1 and g2 stay at defaults)."""
-    if bath.eta < 1.0:
-        raise ConfigError(
-            f"scenario 'lev-dual' does not model detection loss; eta must be 1, got {bath.eta}")
     rates = dict(omega_m=p["omega_m"], gamma=p["gamma"], kappa_1=p["kappa1"],
                  kappa_2=p["kappa2"], alpha_1=p["alpha1"], alpha_2=p["alpha2"])
     split = (p["g_total"], p["readout_fraction"])

@@ -411,13 +411,24 @@ class TestValidation:
         assert "xi=0.5" in err
         assert "np.float64" not in err
 
-    def test_lev_dual_rejects_detection_loss(self, tmp_path, capsys):
-        rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "g2",
-                       "--log", "0.01", "0.6", "--n", "3", "--g1", "0.2",
-                       "--n-m", "1e7", "--eta", "0.7"], tmp_path)
+    @pytest.mark.parametrize("bounds", [("5", "1"), ("nan", "1"), ("0", "1"), ("1", "inf")],
+                             ids=["reversed", "nan", "zero", "infinite"])
+    @pytest.mark.parametrize("optimize", [False, True], ids=["fixed", "optimized"])
+    def test_omega_bounds_validated(self, bounds, optimize, tmp_path, capsys):
+        argv = ["sweep", "--scenario", "qnd-ideal", "--param", "kappa", "--log", "1", "10",
+                "--n", "3", "--n-m", "1", "--omega-bounds", *bounds]
+        rc, out = run(argv + ["--optimize-frequency"] * optimize, tmp_path)
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "eta must be 1" in err
+        assert "configuration error: omega_bounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omega_bounds_in_a_config_file_must_be_a_pair(self, tmp_path, capsys):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps({"scenario": "qnd-ideal", "omega_bounds": [1.0]}))
+        rc, out = run(["sweep", "--config", str(cfg), "--param", "kappa", "--log", "1", "10",
+                       "--n", "3"], tmp_path)
+        assert rc == 2
+        assert "omega_bounds must be a pair [lo, hi], got [1.0]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("order", ["0.5", "2.9", "0"])
@@ -549,6 +560,16 @@ class TestSubcommands:
         rows = read_rows(out)
         assert len(rows) == 5
         assert float(rows[0]["Ts"]) > 0.99
+
+    def test_lev_dual_detection_loss(self, tmp_path):
+        argv = ["sweep", "--scenario", "lev-dual", "--param", "g2", "--log", "0.01", "0.6",
+                "--n", "3", "--g1", "0.2", "--n-m", "1e7"]
+        rc_lossless, lossless = run(argv, tmp_path, "lossless.csv")
+        rc_lossy, lossy = run(argv + ["--eta", "0.7"], tmp_path, "lossy.csv")
+        assert rc_lossless == rc_lossy == 0
+        for a, b in zip(read_rows(lossless), read_rows(lossy), strict=True):
+            assert a["g2"] == b["g2"]
+            assert float(b["Vc"]) > float(a["Vc"])
 
     def test_pulsed_detection_loss(self, tmp_path):
         argv = ["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1e7"]

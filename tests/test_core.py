@@ -14,13 +14,14 @@ from tvmeter import (
     LinearModel,
     SingularAtFrequency,
     UnstableModel,
-    apply_detection_loss,
     build_scattering,
     check_stable,
+    conditional_variance,
     cqnc_model,
+    cross_spectral_density,
+    detected,
     displacement_model,
     evaluate,
-    extended_input_covariance,
     ideal_qnd_model,
     imperfect_qnd_model,
     input_covariance,
@@ -102,13 +103,18 @@ class TestBuildScattering:
 
     @pytest.mark.parametrize("eta", [1.0, 0.6])
     def test_frequency_stack_matches_single_frequencies(self, eta):
-        model = apply_detection_loss(
-            displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH), eta)
+        model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH)
         omegas = np.logspace(-2, 3, 50)
         stack = build_scattering(model, omegas)
         assert stack.S.shape == (50,) + build_scattering(model, 1.0).S.shape
-        for w, S in zip(omegas, stack.S):
-            np.testing.assert_allclose(S, build_scattering(model, w).S, rtol=1e-12, atol=1e-15)
+
+        def seen(S):
+            return detected(cross_spectral_density(S, model.Vin), slice(0, 2), eta, model.Vin[0, 0])
+
+        for w, S, V in zip(omegas, stack.S, seen(stack.S)):
+            single = build_scattering(model, w).S
+            np.testing.assert_allclose(S, single, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(V, seen(single), rtol=1e-12, atol=1e-15)
 
     def test_first_singular_frequency_of_a_stack(self):
         A = np.array([
@@ -155,10 +161,8 @@ class TestModelStack:
         singles = [build(C, bath) for C in self.CS]
         assert stack.A.shape == (len(self.CS),) + singles[0].A.shape
         np.testing.assert_array_equal(stack.A, [m.A for m in singles])
-        for eta in (1.0, 0.6):
-            S = build_scattering(apply_detection_loss(stack, eta), omega)
-            want = [build_scattering(apply_detection_loss(m, eta), omega).S for m in singles]
-            np.testing.assert_array_equal(S.S, want)
+        S = build_scattering(stack, omega)
+        np.testing.assert_array_equal(S.S, [build_scattering(m, omega).S for m in singles])
         got = vc_on_grid(stack, omega, bath=bath, conditioning=conditioning)
         want = [evaluate(m, omega, bath=bath, conditioning=conditioning).Vc for m in singles]
         assert got.shape == self.CS.shape
@@ -366,37 +370,70 @@ class TestOutputCovariance:
             assert np.linalg.det(block) >= 0.25 - 1e-9
 
 
+def augmented_oracle(model, omega, eta):
+    """Detected cross-spectral density from the loss-augmented scattering
+    matrix: the meter mode's output rows scale by sqrt(eta), and two
+    ancilla inputs at the meter mode's input variance enter those rows
+    through sqrt(1 - eta) columns."""
+    S = build_scattering(model, omega).S
+    n, r0 = S.shape[-1], 2 * model.meter_mode
+    aug = np.zeros(S.shape[:-1] + (n + 2,), dtype=complex)
+    aug[..., :n] = S
+    aug[..., r0 : r0 + 2, :n] *= np.sqrt(eta)
+    aug[..., r0, n] = aug[..., r0 + 1, n + 1] = np.sqrt(1.0 - eta)
+    Vin = np.zeros((n + 2, n + 2))
+    Vin[:n, :n] = model.Vin
+    Vin[n, n] = Vin[n + 1, n + 1] = model.Vin[r0, r0]
+    return cross_spectral_density(aug, Vin)
+
+
 class TestDetectionLoss:
+    """Detection loss as a beam splitter on the measured output mode."""
+
+    @staticmethod
+    def _seen(model, omega, eta):
+        S = build_scattering(model, omega).S
+        return detected(cross_spectral_density(S, model.Vin), slice(0, 2), eta, model.Vin[0, 0])
+
+    def test_matches_augmented_scattering_oracle(self):
+        for eta in (1.0, 0.6, 0.25, 0.0):
+            for n_c in (0.0, 0.5):
+                bath = BathSpec(n_m=1.0, n_c=n_c)
+                for C in (1.3, np.logspace(-3, 4, 30)):
+                    model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=C), bath)
+                    got, want = self._seen(model, 0.9, eta), augmented_oracle(model, 0.9, eta)
+                    assert got.shape == want.shape
+                    err = np.abs(got - want).max(axis=(-2, -1))
+                    assert np.all(err <= 1e-14 * np.abs(want).max(axis=(-2, -1))), (eta, n_c)
+
+    def test_figures_match_augmented_scattering_oracle(self):
+        model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=1.3), FIG2_BATH)
+        S = build_scattering(model, 0.9).S
+        for eta in (0.6, 0.25):
+            figs = evaluate(model, 0.9, bath=BathSpec(n_m=1.0, eta=eta))
+            V = augmented_oracle(model, 0.9, eta)
+            assert figs.Vc == pytest.approx(conditional_variance(V, FOUR_MODE), rel=1e-14)
+            nm = V[1, 1].real / (eta * abs(S[1, 2]) ** 2) - FIG2_BATH.V_x
+            assert figs.nm_eq == pytest.approx(nm, rel=1e-13)
+
     def test_lossless_limit_matches_square(self):
         model = ideal_qnd_model(10.0, 0.01, VACUUM, C=1.0)
-        lossy = apply_detection_loss(model, 1.0)
-        S = build_scattering(lossy, 0.4).S
-        np.testing.assert_allclose(S, build_scattering(model, 0.4).S)
-
-    def test_augmented_shape_and_rows(self):
-        model = ideal_qnd_model(10.0, 0.01, VACUUM, C=1.0)
-        lossy = apply_detection_loss(model, 0.25)
-        S0 = build_scattering(model, 0.9).S
-        S = build_scattering(lossy, 0.9).S
-        assert S.shape == (4, 6)
-        np.testing.assert_allclose(S[0:2, 0:4], 0.5 * S0[0:2, 0:4])
-        np.testing.assert_allclose(S[2:4, 0:4], S0[2:4, 0:4])
-        assert S[0, 4] == S[1, 5] == pytest.approx(np.sqrt(0.75))
-        Vin = extended_input_covariance(lossy)
-        assert Vin.shape == (6, 6)
-        assert Vin[4, 4] == Vin[5, 5] == 0.5
+        V = cross_spectral_density(build_scattering(model, 0.4).S, model.Vin)
+        assert detected(V, slice(0, 2), 1.0, 0.5) is V
+        assert evaluate(model, 0.4, bath=BathSpec(eta=1.0)) == evaluate(model, 0.4)
 
     def test_total_loss_leaves_only_ancilla(self):
         model = ideal_qnd_model(10.0, 0.01, VACUUM, C=1.0)
-        S = build_scattering(apply_detection_loss(model, 0.0), 0.0).S
-        np.testing.assert_allclose(S[1, 0:4], 0.0, atol=1e-15)
-        assert S[1, 5] == 1.0
+        V = self._seen(model, 0.0, 0.0)
+        np.testing.assert_array_equal(V[0:2, 0:2], 0.5 * np.eye(2))
+        np.testing.assert_array_equal(V[0:2, 2:4], 0.0)
+        figs = evaluate(model, 0.0, bath=BathSpec(eta=0.0))
+        assert figs.Vc == V[2, 2].real and figs.Tm == 0.0
 
     def test_thermal_ancilla_mirrors_cavity_bath(self):
         model = ideal_qnd_model(10.0, 0.01, BathSpec(n_c=0.5), C=1.0)
-        lossy = apply_detection_loss(model, 0.3)
-        Vin = extended_input_covariance(lossy)
-        assert Vin[4, 4] == Vin[5, 5] == 1.0
+        V = self._seen(model, 0.0, 0.0)
+        np.testing.assert_array_equal(V[0:2, 0:2], np.eye(2))
 
 
 class TestModelValidation:
@@ -410,6 +447,10 @@ class TestModelValidation:
     def test_subvacuum_input_rejected(self):
         with pytest.raises(ValueError):
             LinearModel(-np.eye(4), np.eye(4), 0.3 * np.eye(4), FOUR_MODE)
+
+    def test_input_covariance_must_match_the_layout(self):
+        with pytest.raises(ValueError, match="4 x 4"):
+            LinearModel(-np.eye(4), np.eye(4), 0.5 * np.eye(6), FOUR_MODE)
 
 
 class TestModeLayout:

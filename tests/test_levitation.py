@@ -183,13 +183,16 @@ class TestDualTweezer:
         assert vp == pytest.approx(V[3, 3], rel=1e-2)
 
     def test_readout_only_reduces_to_single_tweezer(self):
+        # g_1 = 0: compound signal is the bare mechanical mode; detection
+        # loss on the readout cavity's output enters as in the ideal readout
         p = fig5_params(0.0, 0.3)
-        bath = BathSpec(n_m=1.0)
-        got = _figs(reduced_metrics(p, bath))
-        # g_1 = 0: compound signal is the bare mechanical mode
         C_eff = (0.2 * 0.3 / 4) ** 2 * 4 / (p.kappa_2 * p.gamma)
-        want = _figs(ideal_qnd_metrics(C_eff, 1.5))
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        for eta in (1.0, 0.5, 0.25):
+            for n_c in (0.0, 0.3):
+                got = _figs(reduced_metrics(p, BathSpec(n_m=1.0, n_c=n_c, eta=eta)))
+                want = _figs(ideal_qnd_metrics(C_eff, 1.5, eta, n_c))
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12,
+                                           err_msg=f"eta={eta}, n_c={n_c}")
 
     def test_intensity_split_constructor(self):
         p = DualTweezerParams.from_intensity_split(

@@ -29,7 +29,6 @@ from tvmeter import (
     LinearModel,
     SingularAtFrequency,
     TweezerParams,
-    apply_detection_loss,
     imperfect_qnd_model,
     single_tweezer_qnd_model,
     vc_on_grid,
@@ -255,12 +254,6 @@ def _grid_cases():
             None, "meter",
         )
         yield f"displacement-eta0.6-C{C:g}", disp, lossy, "meter"
-        yield (
-            f"displacement-augmented-C{C:g}",
-            apply_detection_loss(displacement_model(
-                DisplacementParams(10.0, 0.01, 1.0, C=C), lossy), 0.6),
-            None, "meter",
-        )
     for g in (0.05, 0.3):
         p = TweezerParams(omega_m=100.0, alpha=0.2, g=g, kappa=1.0, gamma=1e-6)
         yield f"lev-single-g{g:g}", single_tweezer_qnd_model(p, FIG_BATH), None, "meter"

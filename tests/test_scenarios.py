@@ -1,5 +1,6 @@
 """The scenario registry: the CLI's parameter conventions as a library table."""
 
+import numpy as np
 import pytest
 
 from tvmeter import SCENARIOS, BathSpec, nu_model_closed_metrics, with_parameter
@@ -45,3 +46,21 @@ def test_only_cooperativity_scenarios_scan_c():
     assert {name for name, s in SCENARIOS.items() if s.vc is not None} == {
         name for name, s in SCENARIOS.items() if "C" in s.defaults
     }
+
+
+ETAS = np.linspace(1.0, 0.0, 25)
+
+
+@pytest.mark.parametrize("name, conditioning", [
+    (name, conditioning) for name, s in SCENARIOS.items() for conditioning in s.conditionings
+])
+def test_vc_does_not_decrease_as_eta_drops(name, conditioning):
+    scenario = SCENARIOS[name]
+    params = dict(scenario.defaults)
+    omega = scenario.default_omega(params) if scenario.default_omega else None
+    vcs = np.array([
+        scenario.figures(params, BathSpec(n_m=1.0, n_c=0.2, eta=eta), omega, conditioning).Vc
+        for eta in ETAS
+    ])
+    assert np.all(np.diff(vcs) >= -1e-12 * vcs[:-1]), vcs
+    assert vcs[-1] > vcs[0]
