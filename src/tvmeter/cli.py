@@ -209,7 +209,7 @@ def _default_omega(cfg: RunConfig) -> float | None:
     return default(cfg.parameters)
 
 
-def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[ScanMinimum]:
+def _frequency_scans(cfg: RunConfig, rows: list[dict]) -> list[ScanMinimum]:
     """Detection frequency minimizing V_c at each of several parameter
     points (the rows of a sweep), with the figures of merit there.
 
@@ -220,9 +220,11 @@ def _frequency_scans(cfg: RunConfig, rows: list[dict], bath: BathSpec) -> list[S
     the stack of their drift matrices, paired with the round's
     frequencies.  Other rows are refined one by one, and the scenarios
     without a model frequency by frequency.  The figures of each optimum
-    come from :func:`scenario_figures`.
+    come from :func:`scenario_figures`.  The bath is ``cfg``'s, for the
+    figures and the V_c scans alike.
     """
     lo, hi = cfg.omega_bounds
+    bath = cfg.bath_spec()
 
     def figures(r: int, w: float) -> MeasurementFigures:
         return scenario_figures(cfg.scenario, rows[r], bath, w, cfg.conditioning)
@@ -267,12 +269,14 @@ def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], 
     )
 
 
-def _row_figures(cfg: RunConfig, params: dict, bath: BathSpec) -> MeasurementFigures:
-    """Figures of one row, at the optimal detection frequency with
-    ``optimize_frequency``; they always come from :func:`scenario_figures`."""
+def _row_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
+    """Figures of one row in ``cfg``'s bath, at the optimal detection
+    frequency with ``optimize_frequency``; they always come from
+    :func:`scenario_figures`."""
     if cfg.optimize_frequency:
-        return _frequency_scans(cfg, [params], bath)[0].figures
-    return scenario_figures(cfg.scenario, params, bath, _default_omega(cfg), cfg.conditioning)
+        return _frequency_scans(cfg, [params])[0].figures
+    return scenario_figures(
+        cfg.scenario, params, cfg.bath_spec(), _default_omega(cfg), cfg.conditioning)
 
 
 def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
@@ -285,8 +289,7 @@ def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
 
 
 def _sql_scan(
-    cfg: RunConfig, params: dict, bath: BathSpec,
-    c_bounds: tuple[float, float], c_count: int,
+    cfg: RunConfig, params: dict, c_bounds: tuple[float, float], c_count: int,
 ) -> ScanMinimum:
     """Generalized SQL at one parameter point: V_c minimized over C.
 
@@ -301,10 +304,11 @@ def _sql_scan(
         return with_parameter(params, "C", C)
 
     def vc_grid(Cs):
-        return SCENARIOS[cfg.scenario].vc(at(Cs), bath, _default_omega(cfg), cfg.conditioning)
+        return SCENARIOS[cfg.scenario].vc(
+            at(Cs), cfg.bath_spec(), _default_omega(cfg), cfg.conditioning)
 
     return generalized_sql(
-        lambda C: _row_figures(cfg, at(C), bath), c_bounds[0], c_bounds[1],
+        lambda C: _row_figures(cfg, at(C)), c_bounds[0], c_bounds[1],
         count=c_count, vc_grid=None if cfg.optimize_frequency else vc_grid,
     )
 
@@ -403,7 +407,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
     def one(value: float) -> dict:
         try:
-            figs = _row_figures(rows_cfg, _swept_params(rows_cfg, value), bath)
+            figs = _row_figures(rows_cfg, _swept_params(rows_cfg, value))
         except TvmeterError as err:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
@@ -420,7 +424,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
     if cfg.optimize_frequency:
         return rows(values, lambda vs: [scan.figures for scan in _frequency_scans(
-            rows_cfg, [_swept_params(rows_cfg, v) for v in vs], bath)])
+            rows_cfg, [_swept_params(rows_cfg, v) for v in vs])])
     if name in ("C", "g") and "C" in cfg.parameters:
         omega = _default_omega(rows_cfg)
         return [
@@ -434,10 +438,9 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
     _check_sql_scan(cfg, cfg.sweep["param"] if cfg.sweep else None)
-    bath = cfg.bath_spec()
 
     def run_one(params: dict) -> dict:
-        res = _sql_scan(cfg, params, bath, c_bounds, c_count)
+        res = _sql_scan(cfg, params, c_bounds, c_count)
         row = _figures_row("C_opt", res.x, res.figures)
         row["at_boundary"] = int(res.at_boundary)
         row["n_branches"] = len(res.branches)
@@ -463,22 +466,23 @@ def cmd_threshold(
     cfg: RunConfig, vary: str, bounds: tuple[float, float], level: float,
     quantity: str, c_bounds: tuple[float, float], c_count: int,
 ) -> list[dict]:
-    bath = cfg.bath_spec()
     if vary not in cfg.parameters and vary not in cfg.bath:
         raise ConfigError(f"unknown key {vary!r} in threshold vary")
     if quantity != "vc":
         _check_sql_scan(cfg, vary)
 
-    def with_value(value: float) -> tuple[dict, BathSpec]:
+    def with_value(value: float) -> tuple[RunConfig, dict]:
+        """The config and parameters with ``vary`` at ``value``; a bath key
+        is varied in the config's bath, which every later step reads."""
         if vary in cfg.parameters:
-            return with_parameter(cfg.parameters, vary, value), bath
-        return dict(cfg.parameters), replace(cfg, bath={**cfg.bath, vary: value}).bath_spec()
+            return cfg, with_parameter(cfg.parameters, vary, value)
+        return replace(cfg, bath={**cfg.bath, vary: value}), dict(cfg.parameters)
 
     def curve(value: float) -> float:
-        params, b = with_value(value)
+        cfg_v, params = with_value(value)
         if quantity == "vc":
-            return _row_figures(cfg, params, b).Vc
-        res = _sql_scan(cfg, params, b, c_bounds, c_count)
+            return _row_figures(cfg_v, params).Vc
+        res = _sql_scan(cfg_v, params, c_bounds, c_count)
         if quantity == "min-vc":
             return res.value
         if quantity == "tsum-at-sql":
@@ -495,7 +499,7 @@ def cmd_threshold(
 def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
     _check_has_frequency(cfg, True)
     try:
-        res = _frequency_scans(cfg, [cfg.parameters], cfg.bath_spec())[0]
+        res = _frequency_scans(cfg, [cfg.parameters])[0]
     except TvmeterError as err:
         raise NumericalFailure("omega", float("nan"), err) from err
     row = _figures_row("omega_opt", res.x, res.figures)

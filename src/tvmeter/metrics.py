@@ -300,14 +300,14 @@ def evaluate(
     """
     if np.ndim(omega):
         raise ValueError("evaluate takes one frequency; vc_on_grid scores a frequency grid")
-    S, Vout, Vc = _solved(model, omega, bath, conditioning)
+    S, Vout, Vc, eta = _solved(model, omega, bath, conditioning)
     s, m = model.layout.signal_index, model.layout.meter_index
     # one point indexes numpy scalars, which _abs2 and measured_figures
     # take on their cheap scalar path (0-d arrays would cost microseconds)
     lead = (...,) if model.A.ndim > 2 else ()
     ss, mm, ms = (*lead, s, s), (*lead, m, m), (*lead, m, s)
     return measured_figures(
-        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), (bath.eta if bath else 1.0) * _abs2(S[ms]),
+        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), eta * _abs2(S[ms]),
         float(model.Vin[s, s]), omega,
     )
 
@@ -343,8 +343,8 @@ def vc_on_grid(
 
 
 def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, conditioning: str):
-    """Scattering matrix, detected cross-spectral density and V_c of the
-    model at every point of a grid."""
+    """Scattering matrix, detected cross-spectral density, V_c and the
+    detection efficiency applied, for the model at every point of a grid."""
     try:
         S = build_scattering(model, omegas).S
     except SingularAtFrequency:
@@ -356,7 +356,7 @@ def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, 
     r0 = 2 * model.meter_mode
     eta = bath.eta if bath else 1.0
     Vout = detected(cross_spectral_density(S, model.Vin), slice(r0, r0 + 2), eta, model.Vin[r0, r0])
-    return S, Vout, _conditioned_vc(Vout, model.layout, conditioning)
+    return S, Vout, _conditioned_vc(Vout, model.layout, conditioning), eta
 
 
 def _grid_points(model: LinearModel, omegas: float | NDArray):

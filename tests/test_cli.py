@@ -541,6 +541,18 @@ class TestSubcommands:
         want = cooperativity_to_g(qnd_cooperativity_threshold(1.5), 10.0, 0.01)
         assert float(row["crossing"]) == pytest.approx(want, rel=1e-5)
 
+    def test_threshold_varies_eta_in_the_frequency_scans(self, tmp_path):
+        # the curve is V_c minimized over frequency at each eta, the
+        # scans included; the optimal frequency moves with eta here
+        common = ["--scenario", "displacement", "--n-m", "1", "--omega-bounds", "0.02", "100"]
+        rc, out = run(["threshold", *common, "--vary", "eta", "--bounds", "0.1", "1",
+                       "--level", "1.4", "--quantity", "vc", "--optimize-frequency"], tmp_path)
+        assert rc == 0
+        crossing = float(read_rows(out)[0]["crossing"])
+        rc, out = run(["optimize-frequency", *common, "--eta", repr(crossing)], tmp_path, "opt.csv")
+        assert rc == 0
+        assert float(read_rows(out)[0]["Vc"]) == pytest.approx(1.4, rel=1e-6)
+
     def test_optimize_frequency(self, tmp_path):
         rc, out = run(
             ["optimize-frequency", "--scenario", "displacement", "--C", "0.05",

@@ -431,9 +431,19 @@ class TestDetectionLoss:
         assert figs.Vc == V[2, 2].real and figs.Tm == 0.0
 
     def test_thermal_ancilla_mirrors_cavity_bath(self):
-        model = ideal_qnd_model(10.0, 0.01, BathSpec(n_c=0.5), C=1.0)
-        V = self._seen(model, 0.0, 0.0)
-        np.testing.assert_array_equal(V[0:2, 0:2], np.eye(2))
+        # the loss fills the detected meter output with the cavity bath's
+        # noise, n_c + 1/2 = 1 here
+        bath = BathSpec(n_m=1.0, n_c=0.5)
+        model = ideal_qnd_model(10.0, 0.01, bath, C=1.0)
+        m, s = model.layout.meter_index, model.layout.signal_index
+        S = build_scattering(model, 0.3).S
+        V_mm = cross_spectral_density(S, model.Vin)[m, m].real
+        for eta in (0.6, 0.25):
+            figs = evaluate(model, 0.3, bath=BathSpec(n_m=1.0, n_c=0.5, eta=eta))
+            nm = (eta * V_mm + (1.0 - eta) * 1.0) / (eta * abs(S[m, s]) ** 2) - bath.V_x
+            assert figs.nm_eq == pytest.approx(nm, rel=1e-13)
+            V = augmented_oracle(model, 0.3, eta)
+            assert figs.Vc == pytest.approx(conditional_variance(V, FOUR_MODE), rel=1e-14)
 
 
 class TestModelValidation:
