@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
@@ -29,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .core import BathSpec, LinearModel
+from .core import BathSpec
 from .errors import ConfigError, TvmeterError
 from .metrics import MeasurementFigures, vc_on_grid
 from .optimize import ScanMinimum, find_threshold, generalized_sql, minimize_vc_over_frequency
@@ -194,9 +195,8 @@ def scenario_figures(
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of one scenario at one detection frequency.
 
-    For a scenario with a cooperativity, an array of C (or g) builds one
-    model stack and gives a list of figures, one per value, from one
-    stacked solve.
+    For a scenario with ``vc``, parameter arrays (any numeric parameter)
+    give a list of figures, one per point, from one stacked solve.
     """
     return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
@@ -209,63 +209,40 @@ def _default_omega(cfg: RunConfig) -> float | None:
     return default(cfg.parameters)
 
 
-def _frequency_scans(cfg: RunConfig, rows: list[dict]) -> list[ScanMinimum]:
-    """Detection frequency minimizing V_c at each of several parameter
-    points (the rows of a sweep), with the figures of merit there.
+def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
+    """Detection frequency minimizing V_c at each row of ``params`` (an
+    array holds one value per row of a sweep), with the figures there.
 
-    A model-based scenario builds and validates each row's model once and
-    scans its frequency grid with one stacked solve.  Rows whose models
-    share everything but the drift (any C or g sweep) are refined
-    together: each golden-section round of all of them is one solve over
-    the stack of their drift matrices, paired with the round's
-    frequencies.  Other rows are refined one by one, and the scenarios
-    without a model frequency by frequency.  The figures of each optimum
-    come from :func:`scenario_figures`.  The bath is ``cfg``'s, for the
-    figures and the V_c scans alike.
+    A model-based scenario builds the model stack of all rows once, scans
+    each row's frequency grid with one stacked solve, and refines all rows
+    in lockstep: each golden-section round is one solve over the rows'
+    drift (and H) stack paired with the round's frequencies.  Scenarios
+    without a model are refined frequency by frequency.  The figures of
+    each optimum come from :func:`scenario_figures` on the row's own
+    parameters, in ``cfg``'s bath, as the V_c scans.
     """
     lo, hi = cfg.omega_bounds
     bath = cfg.bath_spec()
+    arrays = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
+    count = len(next(iter(arrays.values()))) if arrays else 1
+    rows = [{**params, **{k: v[r] for k, v in arrays.items()}} for r in range(count)]
 
     def figures(r: int, w: float) -> MeasurementFigures:
         return scenario_figures(cfg.scenario, rows[r], bath, w, cfg.conditioning)
 
     build = SCENARIOS[cfg.scenario].model
     if build is None:
-        return minimize_vc_over_frequency(figures, lo, hi, rows=len(rows))
-    models = [build(params, bath) for params in rows]
-    batches = [list(range(len(rows)))] if _drift_only(models) else [[r] for r in range(len(rows))]
-    return [scan for batch in batches for scan in _refined_batch(cfg, models, batch, figures)]
+        return minimize_vc_over_frequency(figures, lo, hi, rows=count)
+    stack = build(params, bath)
+    A = np.broadcast_to(stack.A, (count,) + stack.A.shape[-2:])
 
-
-def _drift_only(models: list[LinearModel]) -> bool:
-    """Whether the models differ in their drift matrices only, to the bit
-    (a drift stack then gives every model's own bits)."""
-    first = models[0]
-    return all(
-        m.layout == first.layout
-        and m.H.tobytes() == first.H.tobytes()
-        and m.Vin.tobytes() == first.Vin.tobytes()
-        for m in models[1:]
-    )
-
-
-def _refined_batch(cfg: RunConfig, models: list[LinearModel], batch: list[int], figures):
-    """Frequency scans of the rows ``batch``, refined in lockstep on the
-    stack of their drift matrices."""
-    bath = cfg.bath_spec()
-    if len(batch) == 1:  # its own model at a frequency stack: no model per round
-        model = models[batch[0]]
-        round_model = lambda ks: model
-    else:
-        stack = replace(models[batch[0]], A=np.stack([models[r].A for r in batch]))
-        round_model = lambda ks: replace(stack, A=stack.A[ks])
-
-    def vc(ks: list[int], ws: list[float]):
-        return vc_on_grid(round_model(ks), np.asarray(ws), bath, cfg.conditioning)
+    def at(ks):  # the models of the rows ks
+        return replace(stack, A=A[ks], H=stack.H[ks] if stack.H.ndim > 2 else stack.H)
 
     return minimize_vc_over_frequency(
-        lambda k, w: figures(batch[k], w), *cfg.omega_bounds, rows=len(batch), vc=vc,
-        vc_grid=lambda ws: [vc_on_grid(models[r], ws, bath, cfg.conditioning) for r in batch],
+        figures, lo, hi, rows=count,
+        vc=lambda ks, ws: vc_on_grid(at(ks), np.asarray(ws), bath, cfg.conditioning),
+        vc_grid=lambda ws: [vc_on_grid(at(r), ws, bath, cfg.conditioning) for r in range(count)],
     )
 
 
@@ -274,7 +251,7 @@ def _row_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
     frequency with ``optimize_frequency``; they always come from
     :func:`scenario_figures`."""
     if cfg.optimize_frequency:
-        return _frequency_scans(cfg, [params])[0].figures
+        return _frequency_scans(cfg, params)[0].figures
     return scenario_figures(
         cfg.scenario, params, cfg.bath_spec(), _default_omega(cfg), cfg.conditioning)
 
@@ -338,7 +315,9 @@ def _figures_row(swept: str, value: float, figs: MeasurementFigures) -> dict:
 
 
 def write_table(cfg: RunConfig, rows: list[dict], stream) -> None:
-    if cfg.out_format == "json":
+    if cfg.out_format == "json":  # JSON has no inf or NaN: those go as the CSV's text
+        rows = [{k: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()} for row in rows]
         json.dump(rows, stream, sort_keys=True, indent=1)
         stream.write("\n")
         return
@@ -384,15 +363,16 @@ def _swept_params(cfg: RunConfig, value: float) -> dict:
     return with_parameter(cfg.parameters, name, value)
 
 
-#: rows of a fixed-frequency C or g sweep evaluated as one model stack
+#: rows of a fixed-frequency sweep evaluated as one parameter stack
 BLOCK_ROWS = 256
 
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """Rows of a sweep.  With ``optimize_frequency`` all rows are scanned
-    together (:func:`_frequency_scans`); at a fixed frequency a C or g
-    sweep of a scenario with a cooperativity evaluates blocks of
-    ``BLOCK_ROWS`` rows as model stacks; other sweeps go row by row."""
+    together (:func:`_frequency_scans`); at a fixed frequency a scenario
+    whose figures take parameter arrays (one with ``vc``) evaluates
+    blocks of ``BLOCK_ROWS`` rows as stacks, whichever numeric parameter
+    is swept; the other scenarios go row by row."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -413,25 +393,23 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         return _figures_row(name, value, figs)
 
     def rows(values: list[float], figures) -> list[dict]:
-        """The rows of ``values`` from ``figures(values)``; if that raises,
-        the rows are rerun one at a time, so the first failing row raises
-        its own error."""
+        """The rows of ``values`` from ``figures`` of their parameter
+        stack; if that raises, the rows are rerun one at a time, so the
+        first failing row raises its own error."""
         try:
-            figs = figures(values)
+            figs = figures(_swept_params(rows_cfg, np.asarray(values)))
         except (TvmeterError, ValueError, ConfigError):
             return [one(value) for value in values]
         return [_figures_row(name, value, f) for value, f in zip(values, figs)]
 
     if cfg.optimize_frequency:
-        return rows(values, lambda vs: [scan.figures for scan in _frequency_scans(
-            rows_cfg, [_swept_params(rows_cfg, v) for v in vs])])
-    if name in ("C", "g") and "C" in cfg.parameters:
+        return rows(values, lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
+    if scenario.vc is not None:
         omega = _default_omega(rows_cfg)
         return [
             row for lo in range(0, len(values), BLOCK_ROWS)
-            for row in rows(values[lo:lo + BLOCK_ROWS], lambda vs: scenario_figures(
-                cfg.scenario, _swept_params(rows_cfg, np.asarray(vs)), bath, omega,
-                cfg.conditioning))
+            for row in rows(values[lo:lo + BLOCK_ROWS], lambda stack: scenario_figures(
+                cfg.scenario, stack, bath, omega, cfg.conditioning))
         ]
     return [one(value) for value in values]
 
@@ -499,7 +477,7 @@ def cmd_threshold(
 def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
     _check_has_frequency(cfg, True)
     try:
-        res = _frequency_scans(cfg, [cfg.parameters])[0]
+        res = _frequency_scans(cfg, cfg.parameters)[0]
     except TvmeterError as err:
         raise NumericalFailure("omega", float("nan"), err) from err
     row = _figures_row("omega_opt", res.x, res.figures)

@@ -25,9 +25,9 @@ frequency.  At w = 0, S is real and the two agree.
 
 The scattering matrix, the condition check and the cross-spectral
 density also run over a stack: an array of frequencies, or a model whose
-drift is a stack of matrices (one per cooperativity, say), gives
-matrices ``[..., i, j]`` from one stacked solve, each with the bits of
-its point alone.
+drift (and input couplings) are stacks of matrices (one per value of a
+parameter array, say), gives matrices ``[..., i, j]`` from one stacked
+solve, each with the bits of its point alone.
 
 Vacuum variance is 1/2 per quadrature throughout.
 """
@@ -162,13 +162,38 @@ class BathSpec:
         return np.array([[self.V_x, self.V_xp], [self.V_xp, self.V_p]])
 
 
+def matrix(rows) -> NDArray[np.float64]:
+    """The matrix written as the literal ``rows`` (a list of rows of
+    entries), or, when any entry is an array, the stack ``[..., i, j]`` of
+    the matrices at each point of the broadcast entries."""
+    try:
+        M = np.array(rows, dtype=float)
+    except ValueError:  # arrays among numbers: broadcast every entry
+        shape = np.broadcast_shapes(*(np.shape(x) for row in rows for x in row))
+        M = np.array([[np.broadcast_to(x, shape) for x in row] for row in rows], dtype=float)
+    return M if M.ndim == 2 else np.moveaxis(M, (0, 1), (-2, -1)).copy()
+
+
+def check_sign(sign: str, **values) -> None:
+    """Raise ValueError unless every value is ``sign`` ("positive" or
+    "nonnegative"; NaN is neither), naming the parameter and its value
+    (of an array, the first failing entry in stack order)."""
+    for name, value in values.items():
+        ok = value > 0 if sign == "positive" else value >= 0
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            bad = value[~ok][0] if isinstance(ok, np.ndarray) else value
+            raise ValueError(f"{name} must be {sign}, got {float(bad)}")
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Drift matrix, input couplings, input covariance, and layout.
 
-    ``A`` may be a stack of drift matrices ``[..., i, j]`` that share
-    ``H``, ``Vin`` and the layout; :func:`build_scattering` then solves
-    the whole stack at once.  ``H`` and ``Vin`` are n x n for the n
+    ``A`` may be a stack of drift matrices ``[..., i, j]``, and ``H`` a
+    stack of input couplings whose leading axes broadcast against A's
+    (the builders give one when a decay rate is an array);
+    :func:`build_scattering` then solves the whole stack at once.
+    ``Vin`` and the layout are shared; ``Vin`` is n x n for the n
     quadratures of the layout.  Detection loss is not part of the model:
     it acts on the output covariance (:func:`detected`).
     """
@@ -183,9 +208,12 @@ class LinearModel:
         A = np.asarray(self.A, dtype=float)
         H = np.asarray(self.H, dtype=float)
         Vin = np.asarray(self.Vin, dtype=float)
-        if A.shape[-2:] != (n, n) or H.shape != (n, n) or Vin.shape != (n, n):
+        if A.shape[-2:] != (n, n) or H.shape[-2:] != (n, n) or Vin.shape != (n, n):
             raise ValueError(f"A, H, Vin must be {n} x {n} to match the layout")
-        if np.any(H != np.diag(np.diag(H))) or np.any(np.diag(H) < 0):
+        if H.ndim > 2 and np.broadcast_shapes(A.shape[:-2], H.shape[:-2]) != A.shape[:-2]:
+            raise ValueError(f"H stack {H.shape[:-2]} must broadcast to A's {A.shape[:-2]}")
+        d = np.diagonal(H, 0, -2, -1)
+        if np.count_nonzero(H) != np.count_nonzero(d) or (d < 0).any():
             raise ValueError("H must be diagonal with nonnegative entries")
         if not np.allclose(Vin, Vin.T, atol=1e-12):
             raise ValueError("Vin must be symmetric")
@@ -298,9 +326,9 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMa
     """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model.
 
     S is square; detection loss acts later, on the output covariance
-    (:func:`detected`).  An array of frequencies, or a model with a stack
-    of drift matrices, gives the stack ``S[..., i, j]`` from one stacked
-    solve; the first singular point, in stack order, raises
+    (:func:`detected`).  An array of frequencies, or a model stack (A,
+    and H when it is a stack), gives the stack ``S[..., i, j]`` from one
+    stacked solve; the first singular point, in stack order, raises
     :class:`SingularAtFrequency`.
     """
     eye = np.eye(model.A.shape[-1])

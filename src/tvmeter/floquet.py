@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import FOUR_MODE, BathSpec, _require_regular, check_stable, detected, input_covariance
+from .core import (FOUR_MODE, BathSpec, _require_regular, check_sign, check_stable, detected,
+                   input_covariance, matrix)
 from .metrics import (
     MeasurementFigures,
     _abs2,
@@ -48,16 +49,18 @@ from .metrics import (
     conditional_variance,
     measured_figures,
 )
+from .models import _readout_couplings, _resolve_coupling
 
 
 @dataclass(frozen=True)
 class FloquetDrift:
-    """Harmonic components of the periodic drift matrix."""
+    """Harmonic components of the periodic drift matrix, or stacks of them
+    ``[..., i, j]`` (``omega_m`` an array broadcast against their axes)."""
 
     A_minus: NDArray[np.complex128]
     A_zero: NDArray[np.float64]
     A_plus: NDArray[np.complex128]
-    omega_m: float
+    omega_m: float | NDArray[np.float64]
 
     def __post_init__(self):
         if not np.allclose(self.A_plus, np.conj(self.A_minus), atol=1e-12):
@@ -88,31 +91,33 @@ def decompose_drift(
 
     The static component is the ideal single-quadrature drift; the
     sidebands couple the mechanical quadratures to the off-resonant
-    cavity amplitude.  A 1-D array of C (or g) gives the components as
-    stacks ``[..., i, j]``, one drift per value.  The drift is feed
-    forward, so its Floquet exponents are the eigenvalues of the static
-    component, which must be stable.  ``order`` is the harmonic order of
-    the expansion; every integer >= 1 gives the same exact solve.
+    cavity amplitude.  Arrays of any numeric parameters broadcast and
+    give the components as stacks ``[..., i, j]``, one drift per point.
+    The drift is feed forward, so its Floquet exponents are the
+    eigenvalues of the static component, which must be stable.  ``order``
+    is the harmonic order of the expansion; every integer >= 1 gives the
+    same exact solve.
     """
-    # local import to avoid a cycle
-    from .models import FOUR_MODE_COUPLING, _resolve_coupling, coupled_drift
-
-    if kappa <= 0 or gamma <= 0 or omega_m <= 0:
-        raise ValueError("kappa, gamma, omega_m must be positive")
+    check_sign("positive", kappa=kappa, gamma=gamma, omega_m=omega_m)
     try:
-        integral = not isinstance(order, bool) and order >= 1 and float(order).is_integer()
+        orders = order.ravel().tolist() if isinstance(order, np.ndarray) else [order]
+        integral = not isinstance(order, bool) and all(
+            o >= 1 and float(o).is_integer() for o in orders)
     except TypeError:
         integral = False
     if not integral:
         raise ValueError(f"harmonic order must be an integer >= 1, got {order!r}")
     g = _resolve_coupling(kappa, gamma, g, C)
+    if isinstance(order, np.ndarray):  # the same drift at every order
+        g = np.broadcast_to(g, np.broadcast_shapes(np.shape(g), order.shape))
     A_minus = np.multiply.outer(g, _SIDEBAND_COUPLING)
-    A_zero = coupled_drift([
-        [-kappa / 2, 0, 0, 0],
-        [0, -kappa / 2, 0, 0],
-        [0, 0, -gamma / 2, 0],
-        [0, 0, 0, -gamma / 2],
-    ], FOUR_MODE_COUPLING, g)
+    k2, g2m, c = kappa / 2, gamma / 2, -2 * g
+    A_zero = matrix([
+        [-k2, 0, 0, 0],
+        [0, -k2, c, 0],
+        [0, 0, -g2m, 0],
+        [c, 0, 0, -g2m],
+    ])
     check_stable(A_zero)
     return FloquetDrift(A_minus, A_zero, A_minus.conj(), omega_m)
 
@@ -127,22 +132,23 @@ def sideband_scattering(
     diagonal blocks D_{n+1}, D_n, D_{n-1}.  With P_j = D_j^-1 A(+1) and
     Q_j = D_j^-1 A(-1), the centre component solves
     (D_n - A(-1) P_{n-1} - A(+1) Q_{n+1}) u_0 = -H, and u_{+1} = -P_{n-1} u_0,
-    u_{-1} = -Q_{n+1} u_0.  A stacked drift gives stacks of blocks
-    ``[..., i, j]``; the diagonal blocks, then the Schur complements, are
-    checked as in :func:`core.build_scattering`, and the first singular
-    one, in stack order, raises :class:`SingularAtFrequency` at ``omega``.
+    u_{-1} = -Q_{n+1} u_0.  A stacked drift (or a stack of ``H``) gives
+    stacks of blocks ``[..., i, j]``; the diagonal blocks, then the Schur
+    complements, are checked as in :func:`core.build_scattering`, and the
+    first singular one, in stack order, raises
+    :class:`SingularAtFrequency` at ``omega``.
     """
     H = np.asarray(H, dtype=float)
     I4 = np.eye(4)
-    shifts = 1j * (omega + 2 * fd.omega_m * _OFFSETS)
-    D = fd.A_zero[..., None, :, :] + shifts[:, None, None] * I4
+    shifts = 1j * (omega + np.multiply.outer(2 * fd.omega_m, _OFFSETS))
+    D = fd.A_zero[..., None, :, :] + shifts[..., None, None] * I4
     _require_regular(D, omega)
     PQ = np.linalg.solve(D, np.concatenate([fd.A_plus, fd.A_minus], axis=-1)[..., None, :, :])
     P, Q = PQ[..., :4], PQ[..., 4:]
     schur = (D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P[..., 0:3, :, :]
              - fd.A_plus[..., None, :, :] @ Q[..., 2:5, :, :])
     _require_regular(schur, omega)
-    u0 = np.linalg.solve(schur, -H)
+    u0 = np.linalg.solve(schur, -H[..., None, :, :])
     return {
         -1: -(H @ (Q[..., 2, :, :] @ u0[..., 0, :, :])),
         0: H @ u0[..., 1, :, :] - I4,
@@ -152,11 +158,10 @@ def sideband_scattering(
 
 def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:
     """Input couplings H and input covariance of the readout; the decay
-    rates are read off the static drift diagonal (a stacked drift shares
-    them)."""
-    A0 = fd.A_zero.reshape(-1, 4, 4)[0]
-    kappa, gamma = -2.0 * A0[0, 0], -2.0 * A0[2, 2]
-    return np.diag([np.sqrt(kappa)] * 2 + [np.sqrt(gamma)] * 2), input_covariance(bath, FOUR_MODE)
+    rates are read off the static drift diagonal, so a stacked drift
+    gives a stack of H."""
+    kappa, gamma = -2.0 * fd.A_zero[..., 0, 0], -2.0 * fd.A_zero[..., 2, 2]
+    return _readout_couplings(kappa, gamma), input_covariance(bath, FOUR_MODE)
 
 
 def _conditional_variance(
@@ -175,7 +180,7 @@ def floquet_vc(
     """Conditional variance of the beyond-RWA readout, ``floquet_metrics(fd,
     bath, omega).Vc``.
 
-    For a stacked drift (an array of cooperativities) it gives one value
+    For a stacked drift (from parameter arrays) it gives one value
     per drift from one stacked solve, each with the bits of the single
     drift's; the first drift that fails a guard, in stack order, raises.
     """
@@ -191,7 +196,7 @@ def floquet_metrics(
     The decay rates are read off the static drift diagonal.  Detection
     loss ``bath.eta`` is a beam splitter on the optical output, filled
     with noise at the cavity-bath variance.  A stacked drift (an array
-    of cooperativities) gives a list of figures, one per drift in stack
+    of parameters) gives a list of figures, one per drift in stack
     order, from one stacked solve, each with the bits of the single
     drift's; the first drift that fails a guard, in stack order, raises.
     """

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_stable, detected
+from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_sign, check_stable, detected
 from .errors import NegativeLinewidth
 from .metrics import (
     MeasurementFigures,
+    _abs2,
     classify_regime,
     conditional_variance,
     measured_figures,
@@ -30,8 +31,7 @@ from .models import ImperfectQndParams, imperfect_qnd_model
 def qnd_modulation_frequency(omega_m: float, alpha: float) -> float:
     """Modulation frequency removing the momentum backaction channel,
     Omega = omega_m (16 + 7 alpha^2) / (16 + 8 alpha^2)."""
-    if alpha < 0:
-        raise ValueError("modulation depth must be nonnegative")
+    check_sign("nonnegative", alpha=alpha)
     a2 = alpha * alpha
     return omega_m * (16 + 7 * a2) / (16 + 8 * a2)
 
@@ -45,7 +45,8 @@ class TweezerParams:
     2 g X x convention.  ``Omega`` defaults to the backaction-free
     modulation frequency; detuning it induces a quadratic momentum term.
     ``phi`` selects the measured quadrature x_phi; the model is written
-    in the rotated basis, so the drift does not depend on it.
+    in the rotated basis, so the drift does not depend on it.  Every
+    numeric parameter may be an array, as in :mod:`tvmeter.models`.
     """
 
     omega_m: float
@@ -57,16 +58,14 @@ class TweezerParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if min(self.omega_m, self.kappa, self.gamma) <= 0:
-            raise ValueError("omega_m, kappa, gamma must be positive")
-        if self.alpha < 0:
-            raise ValueError("modulation depth must be nonnegative")
+        check_sign("positive", omega_m=self.omega_m, kappa=self.kappa, gamma=self.gamma)
+        check_sign("nonnegative", alpha=self.alpha)
 
     @classmethod
     def from_trap_frequency(cls, omega_tr: float, alpha: float, **kw) -> "TweezerParams":
         """Build with the modulation-renormalized mechanical frequency
         omega_m = omega_tr sqrt(1 + alpha^2 / 2)."""
-        return cls(omega_m=omega_tr * np.sqrt(1 + alpha**2 / 2), alpha=alpha, **kw)
+        return cls(omega_m=omega_tr * np.sqrt(1 + _abs2(alpha) / 2), alpha=alpha, **kw)
 
     @property
     def modulation_frequency(self) -> float:
@@ -83,7 +82,7 @@ class TweezerParams:
     def effective_cooperativity(self) -> float:
         """Cooperativity of the equivalent ideal readout,
         4 (alpha g / 4)^2 / (kappa gamma)."""
-        return self.alpha**2 * self.g**2 / (4.0 * self.kappa * self.gamma)
+        return _abs2(self.alpha) * _abs2(self.g) / (4.0 * self.kappa * self.gamma)
 
 
 def single_tweezer_qnd_params(p: TweezerParams) -> ImperfectQndParams:
@@ -93,7 +92,8 @@ def single_tweezer_qnd_params(p: TweezerParams) -> ImperfectQndParams:
     terms reduce to a pure x^2 rate mu = alpha^2 omega_m / [8 (2 + alpha^2)]
     (harmless); detuning Omega away from it splits into mu and nu.
     """
-    q = p.alpha**2 * p.omega_m / (16.0 * (2.0 + p.alpha**2))
+    a2 = _abs2(p.alpha)
+    q = a2 * p.omega_m / (16.0 * (2.0 + a2))
     if p.Omega is None:
         # exactly the backaction-free point
         return ImperfectQndParams(p.kappa, p.gamma, g=p.qnd_coupling, mu=2.0 * q, nu=0.0)
@@ -131,10 +131,10 @@ class DualTweezerParams:
     x2_rate: float | None = None
 
     def __post_init__(self):
-        if min(self.omega_m, self.gamma, self.kappa_1, self.kappa_2) <= 0:
-            raise ValueError("rates must be positive")
-        if self.alpha_1 < 0 or self.alpha_2 < 0 or self.g_1 < 0 or self.g_2 < 0:
-            raise ValueError("couplings and modulation depths must be nonnegative")
+        check_sign("positive", omega_m=self.omega_m, gamma=self.gamma, kappa_1=self.kappa_1,
+                   kappa_2=self.kappa_2)
+        check_sign("nonnegative", g_1=self.g_1, g_2=self.g_2, alpha_1=self.alpha_1,
+                   alpha_2=self.alpha_2)
 
     @classmethod
     def from_intensity_split(

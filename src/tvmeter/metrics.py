@@ -292,11 +292,11 @@ def evaluate(
     meter mode's outputs, with the model's input variance of that mode
     as the noise that fills the loss.
 
-    A model with a stack of drift matrices (one per cooperativity, say)
-    is solved at ``omega`` in one stacked solve and gives a list of
-    figures, one per drift in stack order, each with the bits of that
-    drift's own evaluation.  The first drift that fails a guard, in stack
-    order, raises the error a loop over the drifts would raise.
+    A model stack (a drift stack, and H when it is one, from parameter
+    arrays, say) is solved at ``omega`` in one stacked solve and gives a
+    list of figures, one per point in stack order, each with the bits of
+    that point's own evaluation.  The first point that fails a guard, in
+    stack order, raises the error a loop over the points would raise.
     """
     if np.ndim(omega):
         raise ValueError("evaluate takes one frequency; vc_on_grid scores a frequency grid")
@@ -320,10 +320,9 @@ def vc_on_grid(
 ) -> NDArray[np.float64]:
     """Conditional variance at every point of a grid, from one stacked
     solve: one model at every detection frequency of ``omegas``, a model
-    with a stack of drift matrices (one per cooperativity, say) at one
-    frequency, or the two paired: an array of frequencies broadcast
-    against the leading axes of the drift stack (one frequency per drift
-    matrix, say).
+    stack (from parameter arrays, say) at one frequency, or the two
+    paired: an array of frequencies broadcast against the leading axes of
+    the stack (one frequency per drift matrix, say).
 
     Each value has the bits of ``evaluate(model, w, bath,
     conditioning).Vc`` at its point, and the guards are the same: the
@@ -369,5 +368,8 @@ def _grid_points(model: LinearModel, omegas: float | NDArray):
         ws = [omegas] * math.prod(shape)
     if model.A.ndim == 2:
         return ((model, w) for w in ws)
-    drifts = np.broadcast_to(model.A, shape + model.A.shape[-2:]).reshape((-1,) + model.A.shape[-2:])
-    return ((replace(model, A=A), w) for A, w in zip(drifts, ws))
+
+    def points(M):
+        return np.broadcast_to(M, shape + M.shape[-2:]).reshape((-1,) + M.shape[-2:])
+
+    return ((replace(model, A=A, H=H), w) for A, H, w in zip(points(model.A), points(model.H), ws))

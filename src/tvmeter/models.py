@@ -9,9 +9,11 @@ single-quadrature (QND) readout with its systematic imperfections
 Rates are accepted in any consistent frequency unit; the builders are
 scale free.  Couplings may be given either as the rate g entering the
 Hamiltonian 2g X x or as the cooperativity C = 4 g^2 / (kappa gamma).
-A 1-D array of C (or g) gives one model whose drift is the stack of the
-drift matrices at each value, for a scan over cooperativity in one
-stacked solve; the input couplings, covariance and layout are shared.
+Every numeric parameter may be an array: the arrays broadcast against
+each other and give one model whose drift is the stack of the drift
+matrices at each point (:func:`~tvmeter.core.matrix`), for a scan in
+one stacked solve.  An array of kappa or gamma stacks the input
+couplings H as well; the input covariance and layout are shared.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .core import (
     FOUR_MODE,
     BathSpec,
     LinearModel,
+    check_sign,
     check_stable,
     input_covariance,
+    matrix,
 )
 from .metrics import MeasurementFigures, classify_regime, figures_from_parts
 
@@ -47,34 +51,9 @@ def _resolve_coupling(
     if (g is None) == (C is None):
         raise ValueError("specify exactly one of g and C")
     if C is not None:
-        if (C.min() if isinstance(C, np.ndarray) else C) < 0:
-            raise ValueError(f"cooperativity must be nonnegative, got {C}")
+        check_sign("nonnegative", cooperativity=C)
         return cooperativity_to_g(C, kappa, gamma)
     return g if np.ndim(g) else float(g)
-
-
-#: pattern of the readout coupling 2g X x in the drift of the four-mode
-#: layout (X, Y, x, p): the drift is static + g * this
-FOUR_MODE_COUPLING = np.array([
-    [0, 0, 0, 0],
-    [0, 0, -2, 0],
-    [0, 0, 0, 0],
-    [-2, 0, 0, 0],
-], dtype=float)
-
-
-def coupled_drift(static, coupling: NDArray, g: float | NDArray) -> NDArray:
-    """Drift matrix ``static + g * coupling``; an array of couplings g
-    gives the stack of drift matrices ``[..., i, j]``, one per value."""
-    if isinstance(g, np.ndarray):
-        g = g[..., None, None]
-    return np.asarray(static) + g * coupling
-
-
-def _check_rates(**rates: float) -> None:
-    for name, value in rates.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +67,8 @@ class DisplacementParams:
     C: float | None = None
 
     def __post_init__(self):
-        _check_rates(kappa=self.kappa, gamma=self.gamma)
-        if self.omega_m < 0:
-            raise ValueError("omega_m must be nonnegative")
+        check_sign("positive", kappa=self.kappa, gamma=self.gamma)
+        check_sign("nonnegative", omega_m=self.omega_m)
 
     @property
     def coupling(self) -> float:
@@ -118,7 +96,7 @@ class CqncParams:
     ancilla_bath: BathSpec | None = None
 
     def __post_init__(self):
-        _check_rates(kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m)
+        check_sign("positive", kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m)
 
     @property
     def coupling(self) -> float:
@@ -146,7 +124,7 @@ class ImperfectQndParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        _check_rates(kappa=self.kappa, gamma=self.gamma)
+        check_sign("positive", kappa=self.kappa, gamma=self.gamma)
 
     @classmethod
     def from_detuning(
@@ -188,17 +166,25 @@ class ImperfectQndParams:
         return g_to_cooperativity(self.coupling, self.kappa, self.gamma)
 
 
+def _readout_couplings(kappa, gamma, mechanical_modes: int = 1) -> NDArray:
+    """Input couplings H = diag(sqrt(kappa) I_2, sqrt(gamma) I_2 per mechanical
+    mode), a stack of them when kappa or gamma is an array."""
+    d = matrix([[np.sqrt(kappa)] * 2 + [np.sqrt(gamma)] * (2 * mechanical_modes)])
+    return d[..., 0, :, None] * np.eye(d.shape[-1])
+
+
 def displacement_model(p: DisplacementParams, bath: BathSpec) -> LinearModel:
     """Four-mode model for displacement detection; omega_m = 0 gives the
     ideal single-quadrature (QND) readout."""
-    A = coupled_drift([
-        [-p.kappa / 2, 0, 0, 0],
-        [0, -p.kappa / 2, 0, 0],
-        [0, 0, -p.gamma / 2, p.omega_m],
-        [0, 0, -p.omega_m, -p.gamma / 2],
-    ], FOUR_MODE_COUPLING, p.coupling)
+    k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
+    A = matrix([
+        [-k2, 0, 0, 0],
+        [0, -k2, c, 0],
+        [0, 0, -g2m, wm],
+        [c, 0, -wm, -g2m],
+    ])
     check_stable(A)
-    H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 2)
+    H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)
 
 
@@ -212,36 +198,25 @@ def ideal_qnd_model(
     )
 
 
-#: the readout coupling of :func:`cqnc_model`: Y sees x and Xc, and p and
-#: Yc both feel the cavity amplitude X
-_CQNC_COUPLING = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [0, 0, -2, 0, -2, 0],
-    [0, 0, 0, 0, 0, 0],
-    [-2, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0],
-    [-2, 0, 0, 0, 0, 0],
-], dtype=float)
-
-
 def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:
     """Six-mode CQNC model with layout (X, Y, x, p, Xc, Yc).
 
     The negative-mass oscillator counter-rotates and couples with the
-    same rate, which cancels the backaction path into the measured
+    same rate: Y sees x and Xc, and p and Yc both feel the cavity
+    amplitude X, which cancels the backaction path into the measured
     optical quadrature (S[Y, X_in] = 0 identically).
     """
-    k2, g2m = p.kappa / 2, p.gamma / 2
-    A = coupled_drift([
+    k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
+    A = matrix([
         [-k2, 0, 0, 0, 0, 0],
-        [0, -k2, 0, 0, 0, 0],
-        [0, 0, -g2m, p.omega_m, 0, 0],
-        [0, 0, -p.omega_m, -g2m, 0, 0],
-        [0, 0, 0, 0, -g2m, -p.omega_m],
-        [0, 0, 0, 0, p.omega_m, -g2m],
-    ], _CQNC_COUPLING, p.coupling)
+        [0, -k2, c, 0, c, 0],
+        [0, 0, -g2m, wm, 0, 0],
+        [c, 0, -wm, -g2m, 0, 0],
+        [0, 0, 0, 0, -g2m, -wm],
+        [c, 0, 0, 0, wm, -g2m],
+    ])
     check_stable(A)
-    H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 4)
+    H = _readout_couplings(p.kappa, p.gamma, mechanical_modes=2)
     Vin = input_covariance(bath, CQNC_LAYOUT)
     if p.ancilla_bath is not None:
         Vin[4:6, 4:6] = p.ancilla_bath.mechanical_block()
@@ -252,14 +227,15 @@ def imperfect_qnd_model(p: ImperfectQndParams, bath: BathSpec) -> LinearModel:
     """Single-quadrature readout with detuning, bilinear mechanics, and
     position squeezing; all imperfections zero reduces it to the ideal
     QND model."""
-    A = coupled_drift([
-        [-p.kappa / 2, p.delta_c, 0, 0],
-        [-p.delta_c, -p.kappa / 2, 0, 0],
-        [0, 0, p.xi - p.gamma / 2, 2 * p.nu],
-        [0, 0, -2 * p.mu, -p.xi - p.gamma / 2],
-    ], FOUR_MODE_COUPLING, p.coupling)
+    k2, g2m, dc, c = p.kappa / 2, p.gamma / 2, p.delta_c, -2 * p.coupling
+    A = matrix([
+        [-k2, dc, 0, 0],
+        [-dc, -k2, c, 0],
+        [0, 0, p.xi - g2m, 2 * p.nu],
+        [c, 0, -2 * p.mu, -p.xi - g2m],
+    ])
     check_stable(A)
-    H = np.diag([np.sqrt(p.kappa)] * 2 + [np.sqrt(p.gamma)] * 2)
+    H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)
 
 
@@ -296,7 +272,7 @@ def qnd_cooperativity_threshold(V_x: float) -> float:
 def c_sql(kappa: float, gamma: float, omega_m: float, omega: float) -> float:
     """Cooperativity balancing imprecision and backaction noise in the
     measured output, |S_YX| = |S_YY|, at detection frequency omega."""
-    _check_rates(kappa=kappa, gamma=gamma, omega_m=omega_m)
+    check_sign("positive", kappa=kappa, gamma=gamma, omega_m=omega_m)
     return (
         (kappa**2 + 4 * omega**2)
         / (16 * kappa**2 * gamma * omega_m)

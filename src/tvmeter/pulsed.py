@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import BathSpec, check_stable, detected
+from .core import BathSpec, check_sign, check_stable, detected
 from .metrics import MeasurementFigures, conditional_variance, measured_figures
 
 #: relative |kappa - gamma| below which the propagator switches to the
@@ -154,12 +154,9 @@ class PulsedParams:
     nu_x2: float | None = None
 
     def __post_init__(self):
-        if min(self.kappa, self.gamma, self.omega_m) <= 0:
-            raise ValueError("kappa, gamma, omega_m must be positive")
-        if self.V0 <= 0:
-            raise ValueError("prepared variance must be positive")
-        if self.alpha2 < 0 or self.g < 0:
-            raise ValueError("coupling and modulation depth must be nonnegative")
+        check_sign("positive", kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m,
+                   V0=self.V0)
+        check_sign("nonnegative", alpha2=self.alpha2, g=self.g)
 
     @property
     def x2_rate(self) -> float:

@@ -9,8 +9,10 @@ CLI's conventions into figures of merit::
 Conventions: rates are in the builder's reference unit (omega_m for the
 cavity-optomechanics scenarios, kappa for the levitodynamics ones); for
 qnd-imperfect, mu, nu and xi are in units of gamma and delta_c in units
-of kappa.  Exactly one of C and g is set where both exist; an array of
-C (or g) gives one result per value from one stacked solve.  The
+of kappa.  Exactly one of C and g is set where both exist.  Wherever a
+scenario has ``vc``, any numeric parameter may be an array (the arrays
+broadcast), and ``figures`` and ``vc`` give one result per point from
+one stacked solve; an array of kappa or gamma stacks H as well.  The
 builders and kernels are called through this module's globals, never
 stored in a record, so that a wrapper on a module attribute sees every
 call.
@@ -42,7 +44,8 @@ from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
 class Scenario:
     """``figures(params, bath, omega, conditioning)`` gives the figures
     of merit, ``model(params, bath)`` the model of a model-based scenario
-    and ``vc`` (as ``figures``) V_c over an array of C.  ``default_omega``
+    and ``vc`` (as ``figures``) V_c.  Where ``vc`` is set, both take
+    parameter arrays (a list of figures, an array of V_c).  ``default_omega``
     maps the parameters to the detection frequency; None means there is
     none.  ``prepare`` fills in a prepared state that depends only on the
     parameters in ``preparation``."""
@@ -101,7 +104,7 @@ def _model_based(defaults: dict, build, **kw) -> Scenario:
     def vc(p, bath, omega, conditioning="meter"):
         return vc_on_grid(build(p, bath), omega, bath=bath, conditioning=conditioning)
 
-    return Scenario(defaults, figures, model=build, vc=vc if "C" in defaults else None, **kw)
+    return Scenario(defaults, figures, model=build, vc=vc, **kw)
 
 
 def _floquet_drift(p: dict):

@@ -5,6 +5,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tvmeter import (
@@ -19,6 +20,7 @@ from tvmeter import (
     scenarios,
 )
 from tvmeter.cli import (
+    SCENARIOS,
     _collect_param_flags,
     _figures_row,
     _swept_params,
@@ -163,15 +165,15 @@ class TestOptimizedSweepRows:
         assert not out.exists()
 
     def test_lockstep_failure_reruns_the_rows_one_at_a_time(self, tmp_path, monkeypatch):
-        refined, batches = cli._refined_batch, []
+        scans, batches = cli._frequency_scans, []
 
-        def failing(cfg, models, batch, figures):
-            batches.append(len(batch))
-            if len(batch) > 1:
+        def failing(cfg, params):
+            batches.append(np.size(params["C"]))
+            if batches[-1] > 1:
                 raise DegenerateMeter("lockstep stage")
-            return refined(cfg, models, batch, figures)
+            return scans(cfg, params)
 
-        monkeypatch.setattr(cli, "_refined_batch", failing)
+        monkeypatch.setattr(cli, "_frequency_scans", failing)
         rc, out = run(OPTIMIZED_SWEEP, tmp_path)
         assert rc == 0
         assert batches == [6] + [1] * 6
@@ -214,12 +216,28 @@ FIXED_OMEGA_SWEEPS = [
      "--n-m", "1", "--eta", "0.7", "--omega", "0.3"],
     ["sweep", "--scenario", "qnd-floquet", "--param", "g", "--log", "1e-3", "1", "--n", "40",
      "--n-m", "1", "--eta", "0.5"],
+    ["sweep", "--scenario", "lev-single", "--param", "alpha", "--lin", "0.013", "1.7", "--n", "997",
+     "--g", "0.37", "--n-m", "1.3", "--omega", "0.7"],
+    ["sweep", "--scenario", "lev-single", "--param", "Omega", "--lin", "60", "90", "--n", "30",
+     "--n-m", "1", "--eta", "0.4"],
+    ["sweep", "--scenario", "displacement", "--param", "kappa", "--log", "0.1", "100", "--n", "40",
+     "--n-m", "1", "--eta", "0.6", "--omega", "0.8"],
+    ["sweep", "--scenario", "cqnc", "--param", "gamma", "--log", "1e-4", "1", "--n", "40",
+     "--n-m", "1", "--conditioning", "meter+ancilla", "--omega", "1.3"],
+    ["sweep", "--scenario", "qnd-ideal", "--param", "kappa", "--log", "0.1", "100", "--n", "30",
+     "--n-m", "1", "--eta", "0.5", "--n-c", "0.3"],
+    ["sweep", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.01", "0.3", "--n", "300",
+     "--n-m", "1", "--omega", "0.01"],
+    ["sweep", "--scenario", "qnd-floquet", "--param", "kappa", "--log", "0.05", "1", "--n", "40",
+     "--n-m", "1", "--eta", "0.7", "--omega", "0.3"],
+    ["sweep", "--scenario", "qnd-floquet", "--param", "omega_m", "--lin", "0.5", "3", "--n", "30",
+     "--n-m", "1"],
 ]
 
 
 class TestBlockedSweepRows:
-    """A fixed-frequency C or g sweep evaluates blocks of rows as model
-    stacks and falls back to one row at a time."""
+    """A fixed-frequency sweep of any numeric parameter evaluates blocks
+    of rows as model stacks and falls back to one row at a time."""
 
     @pytest.mark.parametrize("argv", FIXED_OMEGA_SWEEPS,
                              ids=[f"{a[2]}-{a[4]}" for a in FIXED_OMEGA_SWEEPS])
@@ -270,6 +288,43 @@ class TestBlockedSweepRows:
         assert rc == 0
         assert len(read_rows(out)) == 2000
         assert calls["cqnc_model"] == calls["scenario_figures"] == calls["evaluate"] == 8
+
+
+def _two_values(defaults: dict, name: str) -> tuple[float, float]:
+    """Two valid values of a numeric scenario parameter, near its default."""
+    value = defaults[name]
+    if name == "Omega":  # detuned from the backaction-free point, stably
+        return 0.8 * defaults["omega_m"], 0.9 * defaults["omega_m"]
+    if value is None:  # g, in place of C
+        return 0.1, 0.2
+    if value == 0:
+        return 0.0, 0.1
+    return value, 2 * value
+
+
+STACKED_SWEEPS = [
+    (scenario, name)
+    for scenario, record in SCENARIOS.items() if record.vc is not None
+    for name, value in record.defaults.items() if value is None or not isinstance(value, str)
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["fixed", "optimized"])
+@pytest.mark.parametrize("scenario, name", STACKED_SWEEPS,
+                         ids=[f"{s}-{n}" for s, n in STACKED_SWEEPS])
+def test_every_numeric_parameter_sweeps_as_one_stack(scenario, name, optimize, tmp_path,
+                                                     monkeypatch):
+    # a sweep falls back to one row at a time only when its stack fails
+    calls = []
+    row_figures = cli._row_figures
+    monkeypatch.setattr(cli, "_row_figures", lambda *a: calls.append(a) or row_figures(*a))
+    lo, hi = _two_values(SCENARIOS[scenario].defaults, name)
+    argv = ["sweep", "--scenario", scenario, "--param", name, "--lin", repr(lo), repr(hi),
+            "--n", "2", "--n-m", "1"]
+    rc, out = run(argv + ["--optimize-frequency"] * optimize, tmp_path)
+    assert rc == 0
+    assert len(read_rows(out)) == 2
+    assert calls == []
 
 
 def _config(argv):
@@ -497,6 +552,14 @@ class TestValidation:
         assert "scenario 'lev-pulsed' has no detection frequency" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_invalid_swept_value_is_named(self, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "displacement", "--param", "omega_m",
+                       "--lin", "-1", "1", "--n", "3", "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "tv: configuration error: omega_m must be nonnegative, got -1.0\n")
+        assert not out.exists()
+
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
         rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha2",
                        "--lin", "0.1", "0.2", "--n", "2",
@@ -639,6 +702,23 @@ def test_every_scenario_documented_in_help(capsys):
 
     for name in SCENARIOS:
         assert name in text
+
+
+def test_json_output_is_strict_json(tmp_path):
+    # JSON has no infinity: a non-finite float is written as the CSV's text
+    args = ["sweep", "--scenario", "qnd-ideal", "--param", "C", "--lin", "0", "1", "--n", "2",
+            "--n-m", "1"]
+    rc, out = run(args + ["--format", "json"], tmp_path, "out.json")
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)
+    rc, csv = run(args, tmp_path, "out.csv")
+    assert rc == 0
+    assert rows[0]["nm_eq"] == read_rows(csv)[0]["nm_eq"] == "inf"
+    assert rows[1]["nm_eq"] == float(read_rows(csv)[1]["nm_eq"])
 
 
 def test_json_output_deterministic(tmp_path):

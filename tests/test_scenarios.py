@@ -42,10 +42,26 @@ def test_defaults_are_read_only():
         SCENARIOS["qnd-ideal"].defaults["C"] = 2.0
 
 
-def test_only_cooperativity_scenarios_scan_c():
+def _figures_take_stacks(scenario) -> bool:
+    gamma = scenario.defaults["gamma"]
+    params = with_parameter(scenario.defaults, "gamma", gamma * np.array([1.0, 2.0]))
+    omega = scenario.default_omega(params) if scenario.default_omega else None
+    try:
+        figs = scenario.figures(params, BathSpec(n_m=1.0), omega)
+    except ValueError:
+        return False
+    return isinstance(figs, list) and len(figs) == 2
+
+
+def test_only_cooperativity_scenarios_scan_c(capsys):
+    # vc is set exactly where the figures take parameter stacks ...
     assert {name for name, s in SCENARIOS.items() if s.vc is not None} == {
-        name for name, s in SCENARIOS.items() if "C" in s.defaults
+        name for name, s in SCENARIOS.items() if _figures_take_stacks(s)
     }
+    # ... and the SQL scan still needs a cooperativity, which lev-single lacks
+    assert SCENARIOS["lev-single"].vc is not None
+    assert main(["sql", "--scenario", "lev-single", "--n-m", "1"]) == 2
+    assert "scenario 'lev-single' has no cooperativity 'C'" in capsys.readouterr().err
 
 
 ETAS = np.linspace(1.0, 0.0, 25)
