@@ -213,8 +213,8 @@ class LinearModel:
         if H.ndim > 2 and np.broadcast_shapes(A.shape[:-2], H.shape[:-2]) != A.shape[:-2]:
             raise ValueError(f"H stack {H.shape[:-2]} must broadcast to A's {A.shape[:-2]}")
         d = np.diagonal(H, 0, -2, -1)
-        if np.count_nonzero(H) != np.count_nonzero(d) or (d < 0).any():
-            raise ValueError("H must be diagonal with nonnegative entries")
+        if np.count_nonzero(H) != np.count_nonzero(d) or not np.isfinite(d).all() or (d < 0).any():
+            raise ValueError("H must be diagonal with finite nonnegative entries")
         if not np.allclose(Vin, Vin.T, atol=1e-12):
             raise ValueError("Vin must be symmetric")
         for m in range(n // 2):

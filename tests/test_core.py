@@ -462,6 +462,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="4 x 4"):
             LinearModel(-np.eye(4), np.eye(4), 0.5 * np.eye(6), FOUR_MODE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_H_rejected(self, bad):
+        H = np.eye(4)
+        H[1, 1] = bad
+        with pytest.raises(ValueError, match="H must be diagonal"):
+            LinearModel(-np.eye(4), H, 0.5 * np.eye(4), FOUR_MODE)
+        with pytest.raises(ValueError, match="H must be diagonal"):
+            LinearModel(-np.stack([np.eye(4)] * 2), np.stack([np.eye(4), H]), 0.5 * np.eye(4),
+                        FOUR_MODE)
+
 
 class TestModeLayout:
     def test_odd_length_rejected(self):

@@ -33,10 +33,69 @@ from tvmeter import (
     single_tweezer_qnd_model,
 )
 
-#: scenario -> (builder of the model or drift from keyword parameters,
-#: base parameters, range of each numeric parameter); the ranges keep
-#: every drift stable
+KAPPA, GAMMA = 10.0, 0.01
+
+#: scenario -> (builder of the model or drift for a coupling, figures of it)
 BUILDERS = {
+    "displacement": lambda kw, bath: displacement_model(
+        DisplacementParams(KAPPA, GAMMA, 1.0, **kw), bath),
+    "qnd-ideal": lambda kw, bath: ideal_qnd_model(KAPPA, GAMMA, bath, **kw),
+    "cqnc": lambda kw, bath: cqnc_model(CqncParams(KAPPA, GAMMA, 1.0, **kw), bath),
+    "qnd-imperfect": lambda kw, bath: imperfect_qnd_model(ImperfectQndParams(
+        KAPPA, GAMMA, delta_c=0.5, mu=0.002, nu=0.001, xi=0.001, **kw), bath),
+    "qnd-floquet": lambda kw, bath: decompose_drift(0.5, GAMMA, 1.0, **kw),
+}
+
+CASES = [(name, "meter") for name in BUILDERS] + [("cqnc", "meter+ancilla")]
+
+
+def _figures(scenario, conditioning, kw, bath, omega):
+    built = BUILDERS[scenario](kw, bath)
+    if scenario == "qnd-floquet":
+        return floquet_metrics(built, bath, omega)
+    return evaluate(built, omega, bath=bath, conditioning=conditioning)
+
+
+def _couplings(name):
+    bound = 1e4 if name == "C" else 1.0
+    value = st.one_of(st.just(0.0), st.floats(0.0, bound))
+    return st.lists(value, min_size=1, max_size=8)
+
+
+@st.composite
+def _sweeps(draw):
+    coupling = draw(st.sampled_from(["C", "g"]))
+    return coupling, draw(_couplings(coupling))
+
+
+@settings(max_examples=80)
+@given(
+    case=st.sampled_from(CASES),
+    sweep=_sweeps(),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    omega=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+)
+def test_stacked_figures_equal_scalar_figures(case, sweep, eta, omega):
+    scenario, conditioning = case
+    coupling, values = sweep
+    bath = BathSpec(n_m=1.0, eta=eta)
+    try:
+        want = [_figures(scenario, conditioning, {coupling: v}, bath, omega) for v in values]
+    except TvmeterError as err:
+        with pytest.raises(type(err)) as stacked:
+            _figures(scenario, conditioning, {coupling: np.array(values)}, bath, omega)
+        assert str(stacked.value) == str(err)
+        return
+    got = _figures(scenario, conditioning, {coupling: np.array(values)}, bath, omega)
+    assert isinstance(got, list) and len(got) == len(values)
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.regime is w.regime
+
+
+#: scenario -> (builder of the model or drift from keyword parameters,
+#: base parameters, range of each numeric parameter)
+PARAMETER_BUILDERS = {
     "displacement": (
         lambda p, bath: displacement_model(DisplacementParams(**p), bath),
         dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0),
@@ -56,9 +115,9 @@ BUILDERS = {
     ),
     "qnd-imperfect": (
         lambda p, bath: imperfect_qnd_model(ImperfectQndParams(**p), bath),
-        dict(kappa=10.0, gamma=0.01, C=1.0, delta_c=0.05, mu=0.002, nu=0.001, xi=0.001),
-        dict(kappa=(0.1, 100.0), gamma=(1e-4, 1.0), C=(0.0, 10.0), g=(-0.1, 0.1),
-             delta_c=(-0.2, 0.2), mu=(0.0, 0.01), nu=(0.0, 0.01), xi=(-0.005, 0.005)),
+        dict(kappa=10.0, gamma=0.01, C=1.0, delta_c=0.5, mu=0.002, nu=0.001, xi=0.001),
+        dict(kappa=(0.1, 100.0), gamma=(1e-4, 1.0), C=(0.0, 1e4), g=(-1.0, 1.0),
+             delta_c=(-1.0, 1.0), mu=(0.0, 0.01), nu=(0.0, 0.01), xi=(-0.005, 0.005)),
     ),
     "qnd-floquet": (
         lambda p, bath: decompose_drift(**p),
@@ -74,11 +133,11 @@ BUILDERS = {
     ),
 }
 
-CASES = [(name, "meter") for name in BUILDERS] + [("cqnc", "meter+ancilla")]
+PARAMETER_CASES = [(name, "meter") for name in PARAMETER_BUILDERS] + [("cqnc", "meter+ancilla")]
 
 
-def _figures(scenario, conditioning, params, bath, omega):
-    build, base, _ = BUILDERS[scenario]
+def _parameter_figures(scenario, conditioning, params, bath, omega):
+    build, base, _ = PARAMETER_BUILDERS[scenario]
     if "g" in params and scenario != "lev-single":
         base = {k: v for k, v in base.items() if k != "C"}
     built = build({**base, **params}, bath)
@@ -87,65 +146,63 @@ def _figures(scenario, conditioning, params, bath, omega):
     return evaluate(built, omega, bath=bath, conditioning=conditioning)
 
 
-@st.composite
-def _stacks(draw, scenario):
-    """One or two parameters of ``scenario`` and their values at each point."""
-    ranges = BUILDERS[scenario][2]
-    names = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1, max_size=2, unique=True))
-    assume(not {"C", "g"} <= set(names))
-    size = draw(st.integers(1, 6))
-    return {
-        name: draw(st.lists(st.one_of(st.just(ranges[name][0]), st.floats(*ranges[name])),
-                            min_size=size, max_size=size))
-        for name in names
-    }
-
-
-@st.composite
-def _cases(draw):
-    scenario, conditioning = draw(st.sampled_from(CASES))
-    return scenario, conditioning, draw(_stacks(scenario))
-
-
-@settings(max_examples=150)
-@given(
-    case=_cases(),
-    eta=st.floats(0.0, 1.0, exclude_min=True),
-    omega=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
-)
-def test_stacked_figures_equal_scalar_figures(case, eta, omega):
-    scenario, conditioning, stack = case
-    bath = BathSpec(n_m=1.0, eta=eta)
+def _assert_stack_equals_points(scenario, conditioning, stack, bath, omega):
+    """The figures of ``stack`` (name -> values) equal those of its points."""
     size = len(next(iter(stack.values())))
     points = [{name: values[k] for name, values in stack.items()} for k in range(size)]
     arrays = {name: np.array(values) for name, values in stack.items()}
     try:
-        want = [_figures(scenario, conditioning, p, bath, omega) for p in points]
+        want = [_parameter_figures(scenario, conditioning, p, bath, omega) for p in points]
     except TvmeterError as err:
         with pytest.raises(type(err)) as stacked:
-            _figures(scenario, conditioning, arrays, bath, omega)
+            _parameter_figures(scenario, conditioning, arrays, bath, omega)
         assert str(stacked.value) == str(err)
         return
-    got = _figures(scenario, conditioning, arrays, bath, omega)
+    got = _parameter_figures(scenario, conditioning, arrays, bath, omega)
     assert isinstance(got, list) and len(got) == size
     for g, w in zip(got, want):
         assert g == w
         assert g.regime is w.regime
 
 
-@pytest.mark.parametrize("scenario", sorted(BUILDERS))
+@st.composite
+def _parameter_stacks(draw):
+    """A case, one or two of its parameters and their values at each point."""
+    scenario, conditioning = draw(st.sampled_from(PARAMETER_CASES))
+    ranges = PARAMETER_BUILDERS[scenario][2]
+    names = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1, max_size=2, unique=True))
+    assume(not {"C", "g"} <= set(names))
+    size = draw(st.integers(1, 8))
+    return scenario, conditioning, {
+        name: draw(st.lists(st.one_of(st.just(ranges[name][0]), st.floats(*ranges[name])),
+                            min_size=size, max_size=size))
+        for name in names
+    }
+
+
+@settings(max_examples=150)
+@given(
+    case=_parameter_stacks(),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    omega=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+)
+def test_stacked_parameters_equal_scalar_figures(case, eta, omega):
+    scenario, conditioning, stack = case
+    _assert_stack_equals_points(scenario, conditioning, stack, BathSpec(n_m=1.0, eta=eta), omega)
+
+
+@pytest.mark.parametrize("scenario", sorted(PARAMETER_BUILDERS))
 def test_every_numeric_parameter_stacks(scenario):
-    # each parameter alone, at the ends of its range
+    # each parameter alone, at the ends and the middle of its range
     bath = BathSpec(n_m=1.0, eta=0.8)
-    for name, (lo, hi) in BUILDERS[scenario][2].items():
-        values = [lo, 0.5 * (lo + hi), hi]
-        want = [_figures(scenario, "meter", {name: v}, bath, 0.3) for v in values]
-        assert _figures(scenario, "meter", {name: np.array(values)}, bath, 0.3) == want, name
+    for name, (lo, hi) in PARAMETER_BUILDERS[scenario][2].items():
+        _assert_stack_equals_points(scenario, "meter", {name: [lo, 0.5 * (lo + hi), hi]},
+                                    bath, 0.3)
 
 
 def test_a_decay_rate_stack_stacks_h():
     bath = BathSpec(n_m=1.0)
-    build, base, _ = BUILDERS["displacement"]
+    build, base, _ = PARAMETER_BUILDERS["displacement"]
     model = build({**base, "kappa": np.array([1.0, 2.0, 4.0])}, bath)
     assert model.A.shape == model.H.shape == (3, 4, 4)
     assert build({**base, "C": np.array([1.0, 2.0])}, bath).H.shape == (4, 4)
