@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
@@ -88,6 +89,15 @@ def _check_keys(given: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _check_number(value: Any, where: str, optional: bool = False) -> None:
+    """Reject a value that is not a finite real number (None passes where
+    ``optional``)."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     doc = dict(file_doc or {})
     _check_keys(doc, CONFIG_KEYS, "config")
@@ -108,6 +118,9 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown key {key!r} in parameters of scenario {scenario!r}")
         params[key] = value
         explicit.add(key)
+    for key, default in SCENARIOS[scenario].defaults.items():
+        if not isinstance(default, str):  # numbers; None leaves one unset, as C when g is set
+            _check_number(params[key], f"parameter {key!r}", default is None or key == "C")
     if "C" in params:
         if {"C", "g"} <= explicit and params["g"] is not None and params["C"] is not None:
             raise ConfigError("specify exactly one of the parameters 'C' and 'g'")
@@ -122,6 +135,7 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, f"bath_{key}", None)
         if flag is not None:
             bath[key] = flag
+        _check_number(bath[key], f"bath {key!r}")
 
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -139,10 +153,13 @@ def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
         missing = {"param", "lo", "hi", "n"} - set(sweep)
         if missing:
             raise ConfigError(f"sweep is missing key(s) {sorted(missing)}")
+        for key in ("lo", "hi"):
+            _check_number(sweep[key], f"sweep {key!r}")
 
     omega = doc.get("omega")
     if getattr(args, "omega", None) is not None:
         omega = args.omega
+    _check_number(omega, "'omega'", optional=True)
     optimize = bool(doc.get("optimize_frequency", False))
     if getattr(args, "optimize_frequency", False):
         optimize = True
@@ -267,7 +284,7 @@ def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
 
 def _sql_scan(
     cfg: RunConfig, params: dict, c_bounds: tuple[float, float], c_count: int,
-) -> ScanMinimum:
+) -> ScanMinimum | list[ScanMinimum]:
     """Generalized SQL at one parameter point: V_c minimized over C.
 
     At a fixed detection frequency the C grid is one stacked solve over
@@ -275,18 +292,36 @@ def _sql_scan(
     own frequency scan, so the grid is scanned point by point.  The
     refinement and the figures of the optimum come from
     :func:`_row_figures`.
+
+    Arrays in ``params`` (one value per row of a sweep; at a fixed
+    detection frequency only) give one scan per row, as a list, each
+    with the bits of the row's own scan.  The C grid of each row is one
+    stacked solve, one row at a time, so no stack holds more than
+    ``c_count`` models.  The refinement runs in lockstep: each
+    golden-section round of all rows is one stacked solve over the
+    active rows' parameters paired with the round's C points.  Only the
+    figures of each row's optimum come from :func:`_row_figures`.
     """
+    scenario, bath, omega = SCENARIOS[cfg.scenario], cfg.bath_spec(), _default_omega(cfg)
 
-    def at(C):
-        return with_parameter(params, "C", C)
+    def vc(p: dict, Cs) -> np.ndarray:
+        return scenario.vc(with_parameter(p, "C", np.asarray(Cs)), bath, omega, cfg.conditioning)
 
-    def vc_grid(Cs):
-        return SCENARIOS[cfg.scenario].vc(
-            at(Cs), cfg.bath_spec(), _default_omega(cfg), cfg.conditioning)
+    arrays = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
+    if not arrays:
+        return generalized_sql(
+            lambda C: _row_figures(cfg, with_parameter(params, "C", C)), *c_bounds,
+            count=c_count, vc_grid=None if cfg.optimize_frequency else lambda Cs: vc(params, Cs),
+        )
 
+    def row(ks) -> dict:  # the parameters of the rows ks
+        return {**params, **{k: v[ks] for k, v in arrays.items()}}
+
+    rows = len(next(iter(arrays.values())))
     return generalized_sql(
-        lambda C: _row_figures(cfg, at(C)), c_bounds[0], c_bounds[1],
-        count=c_count, vc_grid=None if cfg.optimize_frequency else vc_grid,
+        lambda r, C: _row_figures(cfg, with_parameter(row(r), "C", C)), *c_bounds,
+        count=c_count, rows=rows, vc=lambda ks, Cs: vc(row(ks), Cs),
+        vc_grid=lambda Cs: [vc(row(r), Cs) for r in range(rows)],
     )
 
 
@@ -367,6 +402,18 @@ def _swept_params(cfg: RunConfig, value: float) -> dict:
 BLOCK_ROWS = 256
 
 
+def _stacked_rows(cfg: RunConfig, values: list[float], stacked, row, one) -> list[dict]:
+    """The table rows ``row(value, result)`` of the sweep values ``values``
+    from ``stacked``, which gives one result per value from their
+    parameter stack.  If that raises, the rows are rerun one at a time by
+    ``one(value)``, so the first failing row raises its own error."""
+    try:
+        results = stacked(_swept_params(cfg, np.asarray(values)))
+    except (TvmeterError, ValueError, ConfigError):
+        return [one(value) for value in values]
+    return [row(value, result) for value, result in zip(values, results)]
+
+
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """Rows of a sweep.  With ``optimize_frequency`` all rows are scanned
     together (:func:`_frequency_scans`); at a fixed frequency a scenario
@@ -393,14 +440,8 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         return _figures_row(name, value, figs)
 
     def rows(values: list[float], figures) -> list[dict]:
-        """The rows of ``values`` from ``figures`` of their parameter
-        stack; if that raises, the rows are rerun one at a time, so the
-        first failing row raises its own error."""
-        try:
-            figs = figures(_swept_params(rows_cfg, np.asarray(values)))
-        except (TvmeterError, ValueError, ConfigError):
-            return [one(value) for value in values]
-        return [_figures_row(name, value, f) for value, f in zip(values, figs)]
+        return _stacked_rows(rows_cfg, values, figures,
+                             lambda value, figs: _figures_row(name, value, figs), one)
 
     if cfg.optimize_frequency:
         return rows(values, lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
@@ -415,29 +456,41 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
+    """Generalized-SQL rows (:func:`_sql_scan`), one per sweep value, or
+    one at the configured parameters.  At a fixed detection frequency
+    the rows of a sweep are scanned in lockstep, in blocks of
+    ``BLOCK_ROWS``; a block that fails is rerun one row at a time, so the
+    first failing row raises its own error.  With ``optimize_frequency``
+    the rows go one at a time."""
     _check_sql_scan(cfg, cfg.sweep["param"] if cfg.sweep else None)
 
-    def run_one(params: dict) -> dict:
-        res = _sql_scan(cfg, params, c_bounds, c_count)
-        row = _figures_row("C_opt", res.x, res.figures)
-        row["at_boundary"] = int(res.at_boundary)
-        row["n_branches"] = len(res.branches)
-        return row
+    def sql_row(res: ScanMinimum) -> dict:
+        return {**_figures_row("C_opt", res.x, res.figures),
+                "at_boundary": int(res.at_boundary), "n_branches": len(res.branches)}
 
-    if cfg.sweep is not None:
-        name = cfg.sweep["param"]
-        rows = []
-        for value in _sweep_values(cfg):
-            try:
-                row = run_one(_swept_params(cfg, value))
-            except TvmeterError as err:
-                raise NumericalFailure(name, value, err) from err
-            rows.append({name: value, **row})
-        return rows
-    try:
-        return [run_one(dict(cfg.parameters))]
-    except TvmeterError as err:
-        raise NumericalFailure("C", float("nan"), err) from err
+    if cfg.sweep is None:
+        try:
+            return [sql_row(_sql_scan(cfg, dict(cfg.parameters), c_bounds, c_count))]
+        except TvmeterError as err:
+            raise NumericalFailure("C", float("nan"), err) from err
+    name, values = cfg.sweep["param"], _sweep_values(cfg)
+
+    def row(value: float, res: ScanMinimum) -> dict:
+        return {name: value, **sql_row(res)}
+
+    def one(value: float) -> dict:
+        try:
+            return row(value, _sql_scan(cfg, _swept_params(cfg, value), c_bounds, c_count))
+        except TvmeterError as err:
+            raise NumericalFailure(name, value, err) from err
+
+    if cfg.optimize_frequency:
+        return [one(value) for value in values]
+    return [
+        r for lo in range(0, len(values), BLOCK_ROWS)
+        for r in _stacked_rows(cfg, values[lo:lo + BLOCK_ROWS],
+                               lambda stack: _sql_scan(cfg, stack, c_bounds, c_count), row, one)
+    ]
 
 
 def cmd_threshold(

@@ -7,13 +7,13 @@ grid takes its values from one vectorized call when the caller has one
 over a stack of models, one per cooperativity).  The refinement runs
 in lockstep: each round scores the new points of every unfinished
 bracket in one call, so the rows of a sweep (the frequency scans of a
-``tv sweep --optimize-frequency``, one stacked solve per round) share
-their rounds, while each bracket takes exactly the steps it takes
-alone.  The conditional variance can have several local minima and
-branch jumps (notably for the noise-cancellation scenario off
-resonance), so grid minima that come within 1 percent of the refined
-optimum are reported as additional branches, and optima pinned to an
-endpoint are flagged."""
+``tv sweep --optimize-frequency``, the C scans of a ``tv sql`` sweep:
+one stacked solve per round) share their rounds, while each bracket
+takes exactly the steps it takes alone.  The conditional variance can
+have several local minima and branch jumps (notably for the
+noise-cancellation scenario off resonance), so grid minima that come
+within 1 percent of the refined optimum are reported as additional
+branches, and optima pinned to an endpoint are flagged."""
 
 from __future__ import annotations
 
@@ -230,6 +230,19 @@ def minimize_on_grid(
     return found[0] if single else found
 
 
+def _scan_minima(evaluate, spec: SweepSpec, vc_grid, rows: int | None, vc):
+    """The minima of V_c over ``spec``'s grid, with the figures there, as
+    :func:`minimize_vc_over_frequency` and :func:`generalized_sql` take
+    and return them."""
+    if rows is None:
+        x, v, boundary, branches = minimize_on_grid(lambda x: evaluate(x).Vc, spec, vc_grid)
+        return ScanMinimum(x, evaluate(x), v, boundary, branches)
+    if vc is None:
+        vc = lambda rs, xs: [evaluate(r, x).Vc for r, x in zip(rs, xs)]
+    found = minimize_on_grid(vc, spec, vc_grid, rows)
+    return [ScanMinimum(x, evaluate(r, x), v, b, br) for r, (x, v, b, br) in enumerate(found)]
+
+
 def minimize_vc_over_frequency(
     evaluate: Callable[..., MeasurementFigures],
     omega_lo: float,
@@ -257,33 +270,37 @@ def minimize_vc_over_frequency(
     evaluated once.
     """
     spec = SweepSpec("omega", omega_lo, omega_hi, count, log=True, rel_tol=rel_tol)
-    if rows is None:
-        x, v, boundary, branches = minimize_on_grid(lambda w: evaluate(w).Vc, spec, vc_grid)
-        return ScanMinimum(x, evaluate(x), v, boundary, branches)
-    if vc is None:
-        vc = lambda rs, ws: [evaluate(r, w).Vc for r, w in zip(rs, ws)]
-    found = minimize_on_grid(vc, spec, vc_grid, rows)
-    return [ScanMinimum(x, evaluate(r, x), v, b, br) for r, (x, v, b, br) in enumerate(found)]
+    return _scan_minima(evaluate, spec, vc_grid, rows, vc)
 
 
 def generalized_sql(
-    family: Callable[[float], MeasurementFigures],
+    family: Callable[..., MeasurementFigures],
     c_lo: float,
     c_hi: float,
     count: int = 200,
     rel_tol: float = 1e-6,
     vc_grid: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> ScanMinimum:
+    rows: int | None = None,
+    vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
+) -> ScanMinimum | list[ScanMinimum]:
     """Minimum conditional variance over cooperativity for a scenario
     family; the returned figures define the generalized SQL point.
 
     ``vc_grid``, when given, maps an array of cooperativities to their
     conditional variances in one call (a stack of models) and serves the
     grid scan.
+
+    ``rows`` = R scans R families (the rows of a ``tv sql`` sweep, say)
+    at once and returns one :class:`ScanMinimum` per row, each that of a
+    scan of the row alone, as :func:`minimize_vc_over_frequency` does:
+    ``family(r, C)`` gives the figures of row r, ``vc(rows, Cs)`` the
+    conditional variance at each ``Cs[k]`` of row ``rows[k]`` in one call
+    (a stack of the rows' parameters paired with the cooperativities),
+    which serves each lockstep refinement round of all rows, and
+    ``vc_grid`` returns ``[R, count]`` values.
     """
     spec = SweepSpec("C", c_lo, c_hi, count, log=True, rel_tol=rel_tol)
-    x, v, boundary, branches = minimize_on_grid(lambda c: family(c).Vc, spec, vc_grid)
-    return ScanMinimum(x, family(x), v, boundary, branches)
+    return _scan_minima(family, spec, vc_grid, rows, vc)
 
 
 def find_threshold(

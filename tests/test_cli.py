@@ -406,6 +406,64 @@ def test_threshold_matches_scalar_scan(tmp_path):
     assert out.read_bytes() == scalar_threshold_table(argv)
 
 
+SQL_SWEEP = ["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.05", "0.3",
+             "--n", "4", "--omega", "0", "--n-m", "1", "--c-count", "60"]
+
+
+class TestSqlSweepRows:
+    """`tv sql` over a swept parameter refines its rows' C brackets in
+    lockstep and falls back to one row at a time."""
+
+    def test_lockstep_scores_each_grid_alone_and_each_round_once(self, tmp_path, monkeypatch):
+        vc_on_grid, points = scenarios.vc_on_grid, []
+
+        def counted(*args, **kwargs):
+            vcs = vc_on_grid(*args, **kwargs)
+            points.append(np.size(vcs))
+            return vcs
+
+        figures = Counter()
+        scenario_figures = cli.scenario_figures
+        monkeypatch.setattr(scenarios, "vc_on_grid", counted)
+        monkeypatch.setattr(cli, "scenario_figures",
+                            lambda *a: figures.update(["calls"]) or scenario_figures(*a))
+        rc, out = run(["sql", "--config", str(RECIPES / "fig6.json")], tmp_path)
+        assert rc == 0
+        rows, c_count = len(read_rows(out)), 200
+        assert rows == 30
+        assert points.count(c_count) == rows  # one grid per row
+        assert max(points) <= c_count  # no stack holds more than one row's grid
+        # each golden-section round serves all rows: two refinement passes
+        # (optima, then branches) of about 24 rounds each, not 30 x 24 calls
+        assert rows < len(points) <= rows + 2 * 40
+        assert figures["calls"] == rows  # the figures at each row's optimum
+
+    def test_first_failing_row_raises_its_own_error(self, tmp_path, capsys):
+        # xi beyond gamma/2 destabilizes the squeezing branch from the third row on
+        rc, out = run(["sql", "--scenario", "qnd-imperfect", "--param", "xi", "--lin", "0.1", "0.9",
+                       "--n", "5", "--n-m", "1"], tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "tv: numerical failure at xi=0.5: drift matrix is not strictly stable "
+            "(max Re eigenvalue 0.000e+00)\n")
+        assert not out.exists()
+
+    def test_lockstep_failure_reruns_the_rows_one_at_a_time(self, tmp_path, monkeypatch):
+        scans, batches = cli._sql_scan, []
+
+        def failing(cfg, params, *args):
+            batches.append(np.size(params["nu"]))
+            if batches[-1] > 1:
+                raise DegenerateMeter("lockstep stage")
+            return scans(cfg, params, *args)
+
+        monkeypatch.setattr(cli, "_sql_scan", failing)
+        rc, out = run(SQL_SWEEP, tmp_path)
+        assert rc == 0
+        assert batches == [4] + [1] * 4
+        assert out.read_bytes() == scalar_sql_table(SQL_SWEEP)
+
+
 class TestValidation:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -558,6 +616,38 @@ class TestValidation:
         assert rc == 2
         assert capsys.readouterr().err == (
             "tv: configuration error: omega_m must be nonnegative, got -1.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--scenario", "displacement", "--param", "C", "--log", "1", "2", "--n", "2",
+          "--set", "kappa=[1,2]"], "parameter 'kappa' must be a finite number, got [1, 2]"),
+        (["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.01", "0.3", "--n", "3",
+          "--n-m", "1", "--set", "kappa=x"], "parameter 'kappa' must be a finite number, got 'x'"),
+        (["sweep", "--scenario", "qnd-ideal", "--param", "kappa", "--lin", "1", "2", "--n", "2",
+          "--set", "gamma=true"], "parameter 'gamma' must be a finite number, got True"),
+        (["sweep", "--scenario", "cqnc", "--param", "kappa", "--lin", "1", "2", "--n", "2",
+          "--set", "g=\"0.1\""], "parameter 'g' must be a finite number, got '0.1'"),
+    ], ids=["sweep-list", "sql-string", "bool", "coupling-string"])
+    def test_non_number_parameter_is_named(self, argv, message, tmp_path, capsys):
+        rc, out = run(argv, tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == f"tv: configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--lin", "nan", "1"], "sweep 'lo' must be a finite number, got nan"),
+        (["--lin", "0.1", "inf"], "sweep 'hi' must be a finite number, got inf"),
+        (["--lin", "0.1", "1", "--set", "xi=NaN"], "parameter 'xi' must be a finite number, got nan"),
+        (["--lin", "0.1", "1", "--set", "kappa=-Infinity"],
+         "parameter 'kappa' must be a finite number, got -inf"),
+        (["--lin", "0.1", "1", "--n-m", "nan"], "bath 'n_m' must be a finite number, got nan"),
+        (["--lin", "0.1", "1", "--omega", "nan"], "'omega' must be a finite number, got nan"),
+    ], ids=["lo", "hi", "parameter-nan", "parameter-inf", "bath", "omega"])
+    def test_non_finite_value_is_named(self, extra, message, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "qnd-imperfect", "--param", "nu", "--n", "3",
+                       "--n-m", "1", *extra], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == f"tv: configuration error: {message}\n"
         assert not out.exists()
 
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
