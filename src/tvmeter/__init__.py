@@ -27,7 +27,6 @@ from .errors import (
     DegenerateRates,
     NegativeLinewidth,
     NoBracket,
-    QuadratureNonConvergence,
     SingularAtFrequency,
     TvmeterError,
     UnstableModel,
@@ -93,7 +92,6 @@ from .optimize import (
 from .pulsed import (
     PulsedParams,
     PulsedState,
-    gain_quadrature_check,
     measurement_gain,
     prepare_state_lyapunov,
     propagator,

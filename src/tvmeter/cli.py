@@ -98,6 +98,15 @@ def _check_number(value: Any, where: str, optional: bool = False) -> None:
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
+def _check_bounds(bounds: tuple[float, float], flag: str, positive: bool = False) -> None:
+    """Reject a pair of command-line bounds unless both are finite with
+    LO < HI (and 0 < LO where ``positive``)."""
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and (lo > 0 or not positive)):
+        order = "0 < LO < HI" if positive else "LO < HI"
+        raise ConfigError(f"{flag} must be finite with {order}, got [{lo}, {hi}]")
+
+
 def build_config(file_doc: dict | None, args: argparse.Namespace) -> RunConfig:
     doc = dict(file_doc or {})
     _check_keys(doc, CONFIG_KEYS, "config")
@@ -463,6 +472,7 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
     first failing row raises its own error.  With ``optimize_frequency``
     the rows go one at a time."""
     _check_sql_scan(cfg, cfg.sweep["param"] if cfg.sweep else None)
+    _check_bounds(c_bounds, "--c-bounds", positive=True)
 
     def sql_row(res: ScanMinimum) -> dict:
         return {**_figures_row("C_opt", res.x, res.figures),
@@ -499,6 +509,9 @@ def cmd_threshold(
 ) -> list[dict]:
     if vary not in cfg.parameters and vary not in cfg.bath:
         raise ConfigError(f"unknown key {vary!r} in threshold vary")
+    _check_bounds(bounds, "--bounds")
+    _check_number(level, "--level")
+    _check_bounds(c_bounds, "--c-bounds", positive=True)
     if quantity != "vc":
         _check_sql_scan(cfg, vary)
 

@@ -45,16 +45,5 @@ class NoBracket(TvmeterError):
     """Threshold search endpoints do not straddle the requested level."""
 
 
-class QuadratureNonConvergence(TvmeterError):
-    """An adaptive quadrature failed to reach the requested relative accuracy."""
-
-    def __init__(self, name: str, estimate: float, error: float):
-        self.integral = name
-        super().__init__(
-            f"integral {name!r} did not converge (estimate {estimate:.6e}, "
-            f"error {error:.2e})"
-        )
-
-
 class ConfigError(Exception):
     """Invalid run configuration (the CLI exits with code 2)."""

@@ -313,24 +313,29 @@ def find_threshold(
     """Bisection for curve(x) = level on [lo, hi].
 
     Raises :class:`NoBracket` when the endpoint values do not straddle
-    the level.
+    the level, or when the curve is NaN at a point the bisection visits
+    (a NaN compares neither above nor below the level).
     """
+    if not lo < hi:
+        raise ValueError(f"threshold bounds must satisfy lo < hi, got [{lo!r}, {hi!r}]")
     flo = curve(lo) - level
     fhi = curve(hi) - level
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if not flo * fhi < 0:
         raise NoBracket(
             f"curve({lo!r}) - level = {flo:.6g} and curve({hi!r}) - level = "
-            f"{fhi:.6g} have the same sign"
+            f"{fhi:.6g} do not have opposite signs"
         )
     while (hi - lo) > rel_tol * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         fmid = curve(mid) - level
         if fmid == 0.0:
             return mid
+        if math.isnan(fmid):
+            raise NoBracket(f"curve({mid!r}) - level is nan")
         if fmid * flo < 0:
             hi = mid
         else:

@@ -535,6 +535,33 @@ class TestValidation:
         assert "configuration error: omega_bounds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bounds", "nan", "0.3"], "--bounds must be finite with LO < HI, got [nan, 0.3]"),
+        (["--bounds", "0.05", "inf"], "--bounds must be finite with LO < HI, got [0.05, inf]"),
+        (["--bounds", "0.3", "0.05"], "--bounds must be finite with LO < HI, got [0.3, 0.05]"),
+        (["--level", "nan"], "--level must be a finite number, got nan"),
+        (["--level", "inf"], "--level must be a finite number, got inf"),
+        (["--c-bounds", "nan", "1"], "--c-bounds must be finite with 0 < LO < HI, got [nan, 1.0]"),
+        (["--c-bounds", "0", "1"], "--c-bounds must be finite with 0 < LO < HI, got [0.0, 1.0]"),
+        (["--c-bounds", "1", "0.5"], "--c-bounds must be finite with 0 < LO < HI, got [1.0, 0.5]"),
+    ], ids=["bounds-nan", "bounds-inf", "bounds-reversed", "level-nan", "level-inf",
+            "c-bounds-nan", "c-bounds-zero", "c-bounds-reversed"])
+    def test_threshold_inputs_named(self, flags, message, tmp_path, capsys):
+        # the flag under test comes last, so it overrides the valid one before it
+        rc, out = run(["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--n-m", "1",
+                       "--bounds", "0.05", "0.3", "--level", "0.5", *flags], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == f"tv: configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_sql_c_bounds_named(self, tmp_path, capsys):
+        rc, out = run(["sql", "--scenario", "qnd-imperfect", "--nu", "0.1", "--n-m", "1",
+                       "--c-bounds", "nan", "1"], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "tv: configuration error: --c-bounds must be finite with 0 < LO < HI, got [nan, 1.0]\n")
+        assert not out.exists()
+
     def test_omega_bounds_in_a_config_file_must_be_a_pair(self, tmp_path, capsys):
         cfg = tmp_path / "bounds.json"
         cfg.write_text(json.dumps({"scenario": "qnd-ideal", "omega_bounds": [1.0]}))

@@ -462,6 +462,24 @@ class TestFindThreshold:
     def test_exact_endpoint(self):
         assert find_threshold(lambda x: x, 0.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("level, curve", [
+        (float("nan"), lambda x: x),
+        (0.5, lambda x: float("nan") if x == 0.0 else x),
+        (0.5, lambda x: x if x == 0.0 else float("nan")),
+    ], ids=["nan-level", "nan-at-lo", "nan-at-hi"])
+    def test_nan_endpoint_is_no_bracket(self, level, curve):
+        with pytest.raises(NoBracket, match="nan"):
+            find_threshold(curve, level, 0.0, 1.0)
+
+    def test_nan_inside_the_bracket_stops_the_bisection(self):
+        with pytest.raises(NoBracket, match=r"curve\(0\.5\) - level is nan"):
+            find_threshold(lambda x: float("nan") if x == 0.5 else x, 0.3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (float("nan"), 1.0)])
+    def test_bounds_must_be_ordered(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_threshold(lambda x: pytest.fail("no call expected"), 0.5, lo, hi)
+
 
 class TestSweepSpec:
     def test_grids(self):
