@@ -221,8 +221,8 @@ def scenario_figures(
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of one scenario at one detection frequency.
 
-    For a scenario with ``vc``, parameter arrays (any numeric parameter)
-    give a list of figures, one per point, from one stacked solve.
+    Arrays of the parameters in the scenario's ``array_params`` give a
+    list of figures, one per point.
     """
     return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
@@ -415,20 +415,20 @@ def _stacked_rows(cfg: RunConfig, values: list[float], stacked, row, one) -> lis
     """The table rows ``row(value, result)`` of the sweep values ``values``
     from ``stacked``, which gives one result per value from their
     parameter stack.  If that raises, the rows are rerun one at a time by
-    ``one(value)``, so the first failing row raises its own error."""
+    ``one(value)``, so the first failing row raises its own error (a
+    stack's FloatingPointError, say, becomes libm's error on that row)."""
     try:
         results = stacked(_swept_params(cfg, np.asarray(values)))
-    except (TvmeterError, ValueError, ConfigError):
+    except (TvmeterError, ValueError, ConfigError, ArithmeticError):
         return [one(value) for value in values]
     return [row(value, result) for value, result in zip(values, results)]
 
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """Rows of a sweep.  With ``optimize_frequency`` all rows are scanned
-    together (:func:`_frequency_scans`); at a fixed frequency a scenario
-    whose figures take parameter arrays (one with ``vc``) evaluates
-    blocks of ``BLOCK_ROWS`` rows as stacks, whichever numeric parameter
-    is swept; the other scenarios go row by row."""
+    together (:func:`_frequency_scans`); at a fixed frequency a sweep of
+    a parameter in the scenario's ``array_params`` evaluates blocks of
+    ``BLOCK_ROWS`` rows as stacks, and the other sweeps go row by row."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -454,7 +454,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
     if cfg.optimize_frequency:
         return rows(values, lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
-    if scenario.vc is not None:
+    if name in scenario.array_params:
         omega = _default_omega(rows_cfg)
         return [
             row for lo in range(0, len(values), BLOCK_ROWS)

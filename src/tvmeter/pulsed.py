@@ -11,12 +11,22 @@ over a pulse of duration tau is filtered into one discrete mode
 
 whose variance and covariance with the surviving mechanical position
 determine the figures of merit.  All time integrals are sums of
-polynomial-times-exponential terms, integrated in closed form or, where
-|rate| tau < 0.5 and the closed form would cancel, as power series cut
-at the first term below SERIES_CUTOFF of the leading one; the test suite
-cross-checks them by adaptive and by 30-digit quadrature.  V_c is good
-to about 3e-15 and nm_eq, T_m to about 3e-11, worst at small kappa tau
-where the exponential-sum form of M23 cancels.
+polynomial-times-exponential terms t^k exp(a t), integrated in closed
+form or, where the closed form would cancel, as series cut at the first
+term below SERIES_CUTOFF of the leading one: a power series where
+|a| tau < 0.5, and for k >= 1 the phi-function series where
+0.5 <= |a| tau <= k + 1.  A 1-D array of tau runs the same term algebra
+with one coefficient per row, once per group of rows whose series and
+closed-form branches agree.
+
+The test suite cross-checks the integrals by adaptive and by 30-digit
+quadrature.  At the ``tv pulsed`` defaults (kappa = 1, gamma = 1e-9,
+g = alpha = 0.6, n_m = 1e7) V_c is good to 3e-15 and nm_eq, T_m to
+7e-14 at tau = 0.53 and 5, and at kappa = 0.2, gamma = 0.05, g = 1,
+alpha = 0.2, n_m = 100 every figure to 3e-12 for tau = 2.5-3.5.  At
+small kappa tau (3e-11 in nm_eq and T_m at tau = 0.012 at the defaults)
+and wherever |kappa - gamma| tau is small without the rates being
+degenerate, the exponential-sum form of M23 cancels.
 """
 
 from __future__ import annotations
@@ -39,40 +49,86 @@ SERIES_CUTOFF = 1e-18
 
 
 # ---------------------------------------------------------------------------
-# closed-form integration of sums of c * t^k * exp(E + a t)
+# closed-form integration of sums of c * t^k * exp(e tau + a t)
 #
-# The exponent offset E keeps every evaluated exponent nonpositive, so
-# long pulses cannot overflow intermediate factors like exp(+kappa s / 2)
-# (those always come paired with a constant carrying exp(-kappa tau / 2)).
+# The exponent offset E = e tau keeps every evaluated exponent
+# nonpositive, so long pulses cannot overflow intermediate factors like
+# exp(+kappa s / 2) (those always come paired with a constant carrying
+# exp(-kappa tau / 2)).  Every offset is a multiple of the pulse duration
+# tau, so one term list serves a stack of tau: tau and the coefficients c
+# are then arrays with one entry per row, and (k, a, e) are shared.  A
+# float tau runs the same functions on Python floats and libm.
 
-_Term = tuple[float, int, float, float]  # (c, k, a, E)
+_Rows = float | NDArray[np.float64]  # one value, or one per row of a stack of tau
+_Term = tuple[_Rows, int, float, float]  # (c, k, a, e)
+
+
+class _Split(Exception):
+    """A branch test of the term algebra disagrees between rows of a
+    stack; ``at`` is the first row (in ascending tau) whose outcome
+    differs from the first row's."""
+
+    def __init__(self, at: int):
+        super().__init__(at)
+        self.at = at
+
+
+def _fn(x: _Rows):
+    """``math`` for a float, numpy for the rows of a stack."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _agree(test) -> bool:
+    """The outcome of a branch test: a bool, or one per row of a stack,
+    where every row must agree; rows that do not raise :class:`_Split`.
+    Neither branch is evaluated where it does not apply: a closed form
+    overflows where its series applies."""
+    if not isinstance(test, np.ndarray):
+        return test
+    differs = test != test[0]
+    if differs.any():
+        raise _Split(int(differs.argmax()))
+    return bool(test[0])
+
+
+def _top(x: _Rows) -> float:
+    """The largest of ``x``, a float or a stack's ascending rows."""
+    return float(x[-1]) if isinstance(x, np.ndarray) else x
+
+
+def _nonzero_terms(acc: dict[tuple[int, float, float], _Rows]) -> list[_Term]:
+    """The terms of ``acc`` {(k, a, e): c}, less those whose float c is zero."""
+    return [(c, *key) for key, c in acc.items() if isinstance(c, np.ndarray) or c != 0.0]
 
 
 def _consolidate(terms: list[_Term]) -> list[_Term]:
-    acc: dict[tuple[int, float, float], float] = {}
-    for c, k, a, E in terms:
-        if c != 0.0:
-            key = (k, a, E)
-            acc[key] = acc.get(key, 0.0) + c
-    return [(c, *key) for key, c in acc.items() if c != 0.0]
+    acc: dict[tuple[int, float, float], _Rows] = {}
+    for c, k, a, e in terms:
+        key = (k, a, e)
+        acc[key] = acc.get(key, 0.0) + c
+    return _nonzero_terms(acc)
 
 
 def _mul(f: list[_Term], g: list[_Term]) -> list[_Term]:
-    return _consolidate(
-        [(cf * cg, kf + kg, af + ag, Ef + Eg)
-         for cf, kf, af, Ef in f for cg, kg, ag, Eg in g]
-    )
+    acc: dict[tuple[int, float, float], _Rows] = {}
+    for cf, kf, af, ef in f:
+        for cg, kg, ag, eg in g:
+            key = (kf + kg, af + ag, ef + eg)
+            acc[key] = acc.get(key, 0.0) + cf * cg
+    return _nonzero_terms(acc)
 
 
 def _eval(f: list[_Term], t: float) -> float:
-    return sum(c * t**k * math.exp(min(E + a * t, 700.0)) for c, k, a, E in f)
+    """f(t) of float terms without an offset (e = 0), as M23's."""
+    return sum(c * t**k * math.exp(min(a * t, 700.0)) for c, k, a, e in f)
 
 
-def _series(b: float, x: float) -> list[float]:
+def _series(b: float, x: _Rows) -> list[float]:
     """Coefficients b^m / m! of integral_0^x t^K exp(b t) dt = sum_m (b^m / m!)
     x^(K+m+1) / (K+m+1), |b| x < 0.5, up to the first term whose ratio to the
-    leading one, at most |b x|^m / m!, is below SERIES_CUTOFF."""
-    facs, z = [1.0], abs(b) * x
+    leading one, at most |b x|^m / m!, is below SERIES_CUTOFF (on every row
+    of a stack ``x``)."""
+    facs, z = [1.0], abs(b) * _top(x)
     ratio = z
     while ratio >= SERIES_CUTOFF:
         facs.append(facs[-1] * (b / len(facs)))
@@ -80,18 +136,43 @@ def _series(b: float, x: float) -> list[float]:
     return facs
 
 
-def _int_tk_exp(k: int, a: float, E: float, x: float, series: dict[float, list[float]]) -> float:
-    """exp(E) * integral_0^x t^k exp(a t) dt, assuming E + a x <= ~0;
-    ``series`` keeps the _series coefficients of each rate at this x."""
-    if abs(a) * x < 0.5:  # series around a = 0
+def _phi(k: int, w: _Rows, z: float) -> _Rows:
+    """k! phi_{k+1}(w) = sum_m k! w^m / (m+k+1)! (Hochbruck and Ostermann,
+    Acta Numerica 19, 209 (2010)) for |w| <= z <= k + 1, where the terms
+    shrink from the first, up to the first term whose ratio to the
+    leading one, at most z^m (k+1)! / (m+k+1)!, is below SERIES_CUTOFF."""
+    term = acc = 1.0 / (k + 1)
+    ratio, m = 1.0, k + 2
+    while True:
+        ratio *= z / m
+        if ratio < SERIES_CUTOFF:
+            return acc
+        term = term * w / m
+        acc = acc + term
+        m += 1
+
+
+def _int_tk_exp(
+    k: int, a: float, E: _Rows, x: _Rows, fn, series: dict[float, list[float]]
+) -> _Rows:
+    """exp(E) * integral_0^x t^k exp(a t) dt, assuming E + a x <= ~0; ``fn``
+    is ``_fn(x)`` and ``series`` keeps the _series coefficients of each
+    rate at this x.  The branch tests of a float skip :func:`_agree`,
+    whose call would cost the scalar path a few percent."""
+    stacked = fn is np
+    z = abs(a) * x
+    if _agree(z < 0.5) if stacked else z < 0.5:  # series around a = 0
         acc = 0.0
         for P, fac in enumerate(series.get(a) or series.setdefault(a, _series(a, x)), k + 1):
             acc += fac * x**P / P
-        return math.exp(E) * acc
+        return fn.exp(E) * acc
     if k == 0:
         if a < 0:
-            return math.exp(E) * math.expm1(a * x) / a
-        return (math.exp(E + a * x) - math.exp(E)) / a
+            return fn.exp(E) * fn.expm1(a * x) / a
+        return (fn.exp(E + a * x) - fn.exp(E)) / a
+    if _agree(z <= k + 1) if stacked else z <= k + 1:
+        # x^(k+1) e^(ax) k! phi_{k+1}(-ax), where the closed form below cancels
+        return x ** (k + 1) * fn.exp(E + a * x) * _phi(k, -a * x, _top(z))
     # antiderivative e^{at} sum_i (-1)^{k-i} (k!/i!) t^i / a^{k-i+1}
     upper = 0.0
     fac = 1.0  # (-1)^{k-i} k!/i! starting at i = k
@@ -99,35 +180,36 @@ def _int_tk_exp(k: int, a: float, E: float, x: float, series: dict[float, list[f
         upper += fac * x**i / a ** (k - i + 1)
         fac *= -i
     lower = (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-    return math.exp(E + a * x) * upper - math.exp(E) * lower
+    return fn.exp(E + a * x) * upper - fn.exp(E) * lower
 
 
-def _integrate(f: list[_Term], x: float) -> float:
-    """integral_0^x f(t) dt."""
+def _integrate(f: list[_Term], x: _Rows) -> _Rows:
+    """integral_0^x f(t) dt for a pulse of duration x."""
+    fn = _fn(x)
     series: dict[float, list[float]] = {}
-    return sum(c * _int_tk_exp(k, a, E, x, series) for c, k, a, E in f)
+    return sum(c * _int_tk_exp(k, a, e * x, x, fn, series) for c, k, a, e in f)
 
 
-def _tail_convolution(f: list[_Term], g: list[_Term], tau: float) -> list[_Term]:
+def _tail_convolution(f: list[_Term], g: list[_Term], tau: _Rows) -> list[_Term]:
     """h(s) = integral_s^tau f(t) g(t - s) dt as a term list in s."""
     out: list[_Term] = []
-    for cf, kf, af, Ef in f:
-        for cg, kg, ag, Eg in g:
-            E0 = Ef + Eg
+    for cf, kf, af, ef in f:
+        for cg, kg, ag, eg in g:
+            e0 = ef + eg
             b = af + ag
             for j in range(kg + 1):
                 pref = cf * cg * math.comb(kg, j) * (-1.0) ** (kg - j)
                 K = kf + j
                 spow = kg - j
                 # AD(t) = integral_0^t u^K e^{bu} du as terms c t^P e^{rate t}
-                if abs(b) * tau < 0.5:  # sum_m (b^m / m!) t^P / P, P = K + m + 1
+                if _agree(abs(b) * tau < 0.5):  # sum_m (b^m / m!) t^P / P, P = K + m + 1
                     ad = [(fac / P, P, 0.0) for P, fac in enumerate(_series(b, tau), K + 1)]
                 else:  # e^{bt} sum_i (-1)^(K-i) (K!/i!) t^i / b^(K-i+1), less AD(0)
                     ad = [((-1.0) ** (K - i) * math.perm(K, K - i) / b ** (K - i + 1), i, b)
                           for i in range(K, -1, -1)]
                 for c, P, rate in ad:  # + AD(tau), constant in s, and - AD(s)
-                    out.append((pref * c * tau**P, spow, -ag, E0 + rate * tau))
-                    out.append((-pref * c, spow + P, rate - ag, E0))
+                    out.append((pref * c * tau**P, spow, -ag, e0 + rate))
+                    out.append((-pref * c, spow + P, rate - ag, e0))
     return _consolidate(out)
 
 
@@ -235,19 +317,20 @@ def measurement_gain(p: PulsedParams, tau: float, pulse_shape: str = "matched") 
     return 1.0 + _filter(p, tau, pulse_shape)[2] ** 2
 
 
-def _filter(p: PulsedParams, tau: float, pulse_shape: str) -> tuple[list[_Term], float, float]:
+def _filter(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[list[_Term], _Rows, _Rows]:
     """Output filter as (unnormalized shape, scalar norm factor, signal
     amplitude: the coefficient of x(0) in the filtered quadrature).  The
     matched filter's norm diverges as the pulse shrinks, so it is kept
     out of the symbolic integrals and applied to the results."""
     m23 = _m23_terms(p)
+    fn = _fn(tau)
     if pulse_shape == "matched":
         gm1 = p.kappa * _integrate(_mul(m23, m23), tau)  # kappa * int M23^2
-        if gm1 == 0.0:
-            raise ValueError("matched filter undefined at zero coupling")
-        return m23, math.sqrt(p.kappa / gm1), math.sqrt(gm1)
+        if np.any(gm1 <= 0.0):  # zero coupling, or M23 lost to cancellation
+            raise ValueError(f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
+        return m23, fn.sqrt(p.kappa / gm1), fn.sqrt(gm1)
     if pulse_shape == "flat":
-        norm = 1.0 / math.sqrt(tau)
+        norm = 1.0 / fn.sqrt(tau)
         return [(1.0, 0, 0.0, 0.0)], norm, math.sqrt(p.kappa) * norm * _integrate(m23, tau)
     raise ValueError(f"unknown pulse shape {pulse_shape!r}")
 
@@ -337,24 +420,53 @@ def prepare_state_lyapunov(
 
 
 def pulsed_covariances(
-    p: PulsedParams, tau: float, pulse_shape: str = "matched"
-) -> tuple[float, float, float]:
+    p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
+) -> tuple[_Rows, _Rows, _Rows]:
     """(V33, V32, V22) of mechanical position and the filtered output
-    quadrature at hold time tau, all integrals in closed form."""
+    quadrature at hold time tau, all integrals in closed form; for a 1-D
+    array of tau, one array each (see :func:`pulsed_metrics`)."""
     return _covariances(p, tau, pulse_shape)[:3]
 
 
-def _covariances(
-    p: PulsedParams, tau: float, pulse_shape: str
-) -> tuple[float, float, float, float]:
-    """:func:`pulsed_covariances` and the signal amplitude."""
-    if tau <= 0:
+def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
+    """:func:`pulsed_covariances` and the signal amplitude.
+
+    An array of tau is sorted and run group by group through
+    :func:`_group_covariances`, each group on a term list whose
+    coefficients hold one value per row.  A group starts as all rows; a
+    branch test that disagrees between its rows cuts it where the
+    outcome changes, and both parts are run again.  Overflow, division
+    by zero and invalid values raise FloatingPointError, where libm on a
+    float tau raises OverflowError, ZeroDivisionError or ValueError.
+    """
+    if np.any(tau <= 0):
         raise ValueError("pulse duration must be positive")
+    if not isinstance(tau, np.ndarray):
+        return _group_covariances(p, tau, pulse_shape)
+    tau = tau.astype(float, copy=False)
+    order = np.argsort(tau, kind="stable")
+    out = np.empty((4, len(tau)))
+    spans = [(0, len(tau))] if len(tau) else []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        while spans:
+            lo, hi = spans.pop()
+            rows = order[lo:hi]
+            try:
+                out[:, rows] = _group_covariances(p, tau[rows], pulse_shape)
+            except _Split as split:
+                spans += [(lo, lo + split.at), (lo + split.at, hi)]
+    return tuple(out)
+
+
+def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
+    """:func:`_covariances` of a float tau, or of ascending rows of tau on
+    which every branch test agrees."""
+    fn = _fn(tau)
     Vx = p.bath.V_x
     nopt = p.bath.optical_variance
-    V33 = math.exp(-p.gamma * tau) * p.V0 + Vx * (-math.expm1(-p.gamma * tau))
+    V33 = fn.exp(-p.gamma * tau) * p.V0 + Vx * (-fn.expm1(-p.gamma * tau))
     if p.measurement_rate == 0.0:
-        return V33, 0.0, nopt, 0.0
+        return V33, 0.0 * tau, nopt + 0.0 * tau, 0.0 * tau
     shape, norm, Gs = _filter(p, tau, pulse_shape)
     m22 = [(1.0, 0, -p.kappa / 2, 0.0)]
     m23 = _m23_terms(p)
@@ -363,9 +475,9 @@ def _covariances(
     G = _tail_convolution(shape, m23, tau)
     F = _tail_convolution(shape, m22, tau)
     # V32: signal term plus bath noise shared by x(tau) and the filter
-    aging = [(1.0, 0, p.gamma / 2, -p.gamma * tau / 2)]  # M33(tau - s)
+    aging = [(1.0, 0, p.gamma / 2, -p.gamma / 2)]  # M33(tau - s)
     J2 = norm * _integrate(_mul(aging, G), tau)
-    V32 = p.V0 * Gs * math.exp(-p.gamma * tau / 2) + p.gamma * math.sqrt(p.kappa) * Vx * J2
+    V32 = p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + p.gamma * math.sqrt(p.kappa) * Vx * J2
     # V22 per the formal-integration noise decomposition
     a0 = norm * _integrate(_mul(shape, m22), tau)
     t_cav0 = p.kappa * a0**2 * nopt            # initial intracavity Y
@@ -387,8 +499,8 @@ def pulsed_state(p: PulsedParams, tau: float, pulse_shape: str = "matched") -> P
 
 
 def pulsed_metrics(
-    p: PulsedParams, tau: float, pulse_shape: str = "matched"
-) -> MeasurementFigures:
+    p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
+) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of the pulsed readout.
 
     The signal content of the mechanical output is the surviving
@@ -396,10 +508,20 @@ def pulsed_metrics(
     (G - 1) V0 against the filtered noise variance.  V_c conditions
     x(tau) on the filtered output mode.  Detection loss ``bath.eta``
     is a beam splitter on that mode, mixing in optical input noise.
+
+    A 1-D array of tau gives a list of figures, one per tau in order, as
+    :func:`~tvmeter.metrics.evaluate` does on a stack; the term algebra
+    runs once per group of rows whose series and closed-form branches
+    agree (:func:`_covariances`).
     """
     V33, V32, V22, Gs = _covariances(p, tau, pulse_shape)
     eta = p.bath.eta
-    V = detected(np.array([[V22, V32], [V32, V33]]), slice(0, 1), eta, p.bath.optical_variance)
+    V = np.array([[V22, V32], [V32, V33]])
+    stacked = V.ndim > 2
+    if stacked:
+        V = V.transpose(2, 0, 1)
+    V = detected(V, slice(0, 1), eta, p.bath.optical_variance)
     Vc = conditional_variance(V, signal=1, meter=0)
     return measured_figures(
-        Vc, V33, float(V[0, 0]), math.exp(-p.gamma * tau), eta * Gs**2, p.V0, omega=0.0)
+        Vc, V33, V[:, 0, 0] if stacked else float(V[0, 0]), _fn(tau).exp(-p.gamma * tau),
+        eta * Gs**2, p.V0, omega=0.0)

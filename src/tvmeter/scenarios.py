@@ -9,13 +9,17 @@ CLI's conventions into figures of merit::
 Conventions: rates are in the builder's reference unit (omega_m for the
 cavity-optomechanics scenarios, kappa for the levitodynamics ones); for
 qnd-imperfect, mu, nu and xi are in units of gamma and delta_c in units
-of kappa.  Exactly one of C and g is set where both exist.  Wherever a
-scenario has ``vc``, any numeric parameter may be an array (the arrays
-broadcast), and ``figures`` and ``vc`` give one result per point from
-one stacked solve; an array of kappa or gamma stacks H as well.  The
-builders and kernels are called through this module's globals, never
-stored in a record, so that a wrapper on a module attribute sees every
-call.
+of kappa.  Exactly one of C and g is set where both exist.
+
+``Scenario.array_params`` names the parameters that ``figures`` takes
+as arrays (the arrays broadcast), giving one result per point.  The
+model-based scenarios and qnd-floquet take every numeric parameter, and
+``figures`` and ``vc`` solve the points as one stack; an array of kappa
+or gamma stacks H as well.  lev-pulsed takes tau, and evaluates the term
+algebra of the pulsed kernel once per group of rows that share its
+branches.  lev-dual takes none.  The builders and kernels are called
+through this module's globals, never stored in a record, so that a
+wrapper on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -44,16 +48,18 @@ from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
 class Scenario:
     """``figures(params, bath, omega, conditioning)`` gives the figures
     of merit, ``model(params, bath)`` the model of a model-based scenario
-    and ``vc`` (as ``figures``) V_c.  Where ``vc`` is set, both take
-    parameter arrays (a list of figures, an array of V_c).  ``default_omega``
-    maps the parameters to the detection frequency; None means there is
-    none.  ``prepare`` fills in a prepared state that depends only on the
-    parameters in ``preparation``."""
+    and ``vc`` (as ``figures``) V_c.  ``figures`` takes an array for each
+    parameter in ``array_params`` and then gives a list of figures, one
+    per point; ``vc`` takes arrays of every numeric parameter and gives an
+    array of V_c.  ``default_omega`` maps the parameters to the detection
+    frequency; None means there is none.  ``prepare`` fills in a prepared
+    state that depends only on the parameters in ``preparation``."""
 
     defaults: Mapping[str, Any]
     figures: Callable
     model: Callable[[dict, BathSpec], LinearModel] | None = None
     vc: Callable | None = None
+    array_params: frozenset[str] = frozenset()
     default_omega: Callable[[dict], float] | None = lambda p: 0.0
     conditionings: tuple[str, ...] = ("meter",)
     preparation: tuple[str, ...] = ()
@@ -95,6 +101,11 @@ def _lev_single(p: dict, bath: BathSpec) -> LinearModel:
     ), bath)
 
 
+def _numeric(defaults: dict) -> frozenset[str]:
+    """The numeric parameters: all but the strings (None leaves C or g unset)."""
+    return frozenset(k for k, v in defaults.items() if not isinstance(v, str))
+
+
 def _model_based(defaults: dict, build, **kw) -> Scenario:
     """A scenario evaluated on the model ``build(params, bath)``."""
 
@@ -104,13 +115,15 @@ def _model_based(defaults: dict, build, **kw) -> Scenario:
     def vc(p, bath, omega, conditioning="meter"):
         return vc_on_grid(build(p, bath), omega, bath=bath, conditioning=conditioning)
 
-    return Scenario(defaults, figures, model=build, vc=vc, **kw)
+    return Scenario(defaults, figures, model=build, vc=vc, array_params=_numeric(defaults), **kw)
 
 
 def _floquet_drift(p: dict):
     return decompose_drift(p["kappa"], p["gamma"], p["omega_m"], g=p["g"], C=p["C"],
                            order=p["order"])
 
+
+_FLOQUET = dict(kappa=0.5, gamma=0.01, omega_m=1.0, C=1.0, g=None, order=1)
 
 _DUAL = dict(kappa1=1.0, kappa2=1.0, gamma=1e-9, omega_m=100.0, g1=0.2, g2=0.2,
              alpha1=0.2, alpha2=0.2, g_total=None, readout_fraction=None)
@@ -158,15 +171,16 @@ SCENARIOS: dict[str, Scenario] = {
         dict(kappa=10.0, gamma=0.01, C=1.0, g=None, nu=0.0, mu=0.0, xi=0.0, delta_c=0.0),
         _qnd_imperfect),
     "qnd-floquet": Scenario(
-        dict(kappa=0.5, gamma=0.01, omega_m=1.0, C=1.0, g=None, order=1),
+        _FLOQUET,
         lambda p, bath, omega, conditioning="meter": floquet_metrics(_floquet_drift(p), bath, omega),
-        vc=lambda p, bath, omega, conditioning="meter": floquet_vc(_floquet_drift(p), bath, omega)),
+        vc=lambda p, bath, omega, conditioning="meter": floquet_vc(_floquet_drift(p), bath, omega),
+        array_params=_numeric(_FLOQUET)),
     "lev-single": _model_based(
         dict(kappa=1.0, gamma=1e-6, omega_m=100.0, g=0.3, alpha=0.2, Omega=None), _lev_single),
     "lev-dual": Scenario(_DUAL, _dual_figures),
     "lev-pulsed": Scenario(
         dict(kappa=1.0, gamma=1e-9, omega_m=100.0, g_prep=0.6, alpha_prep=0.2, g=0.6,
              alpha=0.6, tau=1.0, V0=None, pulse_shape="matched"),
-        _pulsed_figures, default_omega=None,
+        _pulsed_figures, default_omega=None, array_params=frozenset({"tau"}),
         preparation=("kappa", "gamma", "g_prep", "alpha_prep", "V0"), prepare=_pulsed_prepared),
 }

@@ -290,6 +290,81 @@ class TestBlockedSweepRows:
         assert calls["cqnc_model"] == calls["scenario_figures"] == calls["evaluate"] == 8
 
 
+PULSED_TAU_SWEEP = ["sweep", "--scenario", "lev-pulsed", "--param", "tau", "--log", "1e-2", "1e2",
+                    "--n", "300", "--n-m", "1e7"]
+
+
+class TestStackedPulsedRows:
+    """A tau sweep of lev-pulsed evaluates blocks of rows as stacks of tau,
+    and falls back to one row at a time; its other parameters go row by
+    row."""
+
+    @staticmethod
+    def stack_sizes(monkeypatch) -> list[int]:
+        sizes, pulsed_metrics = [], scenarios.pulsed_metrics
+
+        def counted(p, tau, **kwargs):
+            sizes.append(np.size(tau))
+            return pulsed_metrics(p, tau, **kwargs)
+
+        monkeypatch.setattr(scenarios, "pulsed_metrics", counted)
+        return sizes
+
+    def test_tv_pulsed_evaluates_blocks(self, tmp_path, monkeypatch):
+        sizes = self.stack_sizes(monkeypatch)
+        rc, out = run(["pulsed", "--n", "500", "--n-m", "1e7"], tmp_path)
+        assert rc == 0
+        assert len(read_rows(out)) == 500
+        assert sizes == [cli.BLOCK_ROWS, 500 - cli.BLOCK_ROWS]
+
+    def test_tau_sweep_rows_equal_the_scalar_rows(self, tmp_path, monkeypatch, row_by_row_table):
+        # numpy's exp and pow round differently from libm's in the last bit
+        sizes = self.stack_sizes(monkeypatch)
+        rc, out = run(PULSED_TAU_SWEEP, tmp_path)
+        assert rc == 0
+        assert sizes == [cli.BLOCK_ROWS, 300 - cli.BLOCK_ROWS]
+        got, want = out.read_text().splitlines(), row_by_row_table(PULSED_TAU_SWEEP).decode().splitlines()
+        assert len(got) == len(want)
+        for g_line, w_line in zip(got, want):
+            if g_line.startswith("#") or g_line.startswith("tau,"):
+                assert g_line == w_line
+                continue
+            *g_cells, g_regime = g_line.split(",")
+            *w_cells, w_regime = w_line.split(",")
+            assert g_regime == w_regime
+            assert np.allclose([float(c) for c in g_cells], [float(c) for c in w_cells],
+                               rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("error", [DegenerateMeter, FloatingPointError])
+    def test_failing_block_reruns_its_rows_one_at_a_time(self, error, tmp_path, monkeypatch,
+                                                         row_by_row_table):
+        stacks, pulsed_metrics = [], scenarios.pulsed_metrics
+
+        def failing(p, tau, **kwargs):
+            if np.ndim(tau):
+                stacks.append(len(tau))
+                raise error("stacked stage")
+            return pulsed_metrics(p, tau, **kwargs)
+
+        monkeypatch.setattr(scenarios, "pulsed_metrics", failing)
+        rc, out = run(PULSED_TAU_SWEEP, tmp_path)
+        assert rc == 0
+        assert stacks == [cli.BLOCK_ROWS, 300 - cli.BLOCK_ROWS]
+        assert out.read_bytes() == row_by_row_table(PULSED_TAU_SWEEP)
+
+    @pytest.mark.parametrize("argv", [
+        ["--param", "g_prep", "--log", "0.1", "0.6", "--n", "6"],
+        ["--param", "alpha", "--lin", "0.1", "1", "--n", "6", "--tau", "3"],
+    ], ids=["g_prep", "alpha"])
+    def test_other_parameters_go_row_by_row(self, argv, tmp_path, monkeypatch, row_by_row_table):
+        argv = ["sweep", "--scenario", "lev-pulsed", *argv, "--n-m", "1e7"]
+        sizes = self.stack_sizes(monkeypatch)
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        assert sizes == [1] * 6
+        assert out.read_bytes() == row_by_row_table(argv)
+
+
 def _two_values(defaults: dict, name: str) -> tuple[float, float]:
     """Two valid values of a numeric scenario parameter, near its default."""
     value = defaults[name]

@@ -1,9 +1,13 @@
 """Pulsed readout: propagator, gain, covariance integrals, metrics."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad, solve_ivp
 from scipy.linalg import expm
 
@@ -19,7 +23,7 @@ from tvmeter import (
     pulsed_metrics,
     pulsed_state,
 )
-from tvmeter.pulsed import _eval, _m23_terms, _mul, readout_drift
+from tvmeter.pulsed import DEGENERATE_RATE_TOL, _eval, _m23_terms, _mul, readout_drift
 
 FIG9_BATH = BathSpec(n_m=1e7)
 
@@ -453,3 +457,69 @@ def test_against_extended_precision_quadrature(tau):
     rel = {name: 1e-13 if name == "Vc" else 1e-10 for name in got}
     for name, value in got.items():
         assert value == pytest.approx(float(want[name]), rel=rel[name], abs=0.0), name
+
+
+@pytest.mark.parametrize("tau", [2.5, 3.0, 3.5])
+def test_phi_series_against_extended_precision_quadrature(tau):
+    """Terms t^k exp(a t) of high degree k with 0.5 <= |a| tau <= k + 1,
+    where the closed-form antiderivative cancels, against 30-digit
+    quadrature.  With that closed form V22 and T_m were off by 2.9e-9
+    at tau = 2.5 and 2.8e-9 at tau = 3.5, and V_c by 1.9e-9 at tau = 3.5;
+    the phi-series integrals bring every figure here below 3e-12."""
+    bath = BathSpec(n_m=100.0)
+    V0, _ = prepare_state_lyapunov(0.2, 0.05, 0.6, 0.2, bath)
+    p = PulsedParams(kappa=0.2, gamma=0.05, omega_m=20.0, g=1.0, alpha2=0.2, V0=V0, bath=bath)
+    want = _oracle(p, tau)
+    V33, V32, V22 = pulsed_covariances(p, tau)
+    figs = pulsed_metrics(p, tau)
+    got = {"V33": V33, "V32": V32, "V22": V22, "Vc": figs.Vc, "nm_eq": figs.nm_eq, "Tm": figs.Tm}
+    for name, value in got.items():
+        assert value == pytest.approx(float(want[name]), rel=1e-11, abs=0.0), name
+
+
+def _rates(kappa):
+    """gamma from 1e-9 kappa to kappa / 2, or within DEGENERATE_RATE_TOL of
+    kappa.  Between the two the exponential-sum form of M23 cancels in
+    both paths wherever |kappa - gamma| tau is small, as it does at
+    small kappa tau, so neither is accurate enough to compare there."""
+    return st.one_of(
+        st.floats(-9.0, math.log10(0.5)).map(lambda u: kappa * 10**u),
+        st.floats(-0.9, 0.9).map(lambda d: kappa * (1.0 + d * DEGENERATE_RATE_TOL)),
+    )
+
+
+@st.composite
+def _pulsed_stacks(draw):
+    kappa = draw(st.floats(0.1, 10.0))
+    gamma = draw(_rates(kappa))
+    g = kappa * draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    alpha2 = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1.5)))
+    bath = BathSpec(n_m=10 ** draw(st.floats(-2.0, 7.0)), eta=draw(st.floats(0.1, 1.0)))
+    p = PulsedParams(kappa=kappa, gamma=gamma, omega_m=100.0 * kappa, g=g, alpha2=alpha2,
+                     V0=draw(st.floats(0.05, 100.0)), bath=bath)
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30))
+    return p, 10 ** np.array(exponents) / kappa, draw(st.sampled_from(["matched", "flat"]))
+
+
+@settings(max_examples=60)
+@given(case=_pulsed_stacks())
+def test_stacked_rows_equal_the_scalar_path(case):
+    """A stack of tau (from 1e-3 / kappa to 1e3 / kappa) gives every row's
+    figures as the float tau does, within 1e-11: numpy's exp and pow
+    round differently from libm's in the last bit.  n_eq = V / G - V0 is
+    a difference, so it is held to 1e-11 of V / G."""
+    p, taus, shape = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stack = pulsed_metrics(p, taus, pulse_shape=shape)
+    assert len(stack) == len(taus)
+    for tau, got in zip(taus, stack):
+        want = pulsed_metrics(p, float(tau), pulse_shape=shape)
+        for name in ("Vc", "Ts", "Tm"):
+            assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-11), name
+        for name in ("ns_eq", "nm_eq"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a == b or abs(a - b) <= 1e-11 * (abs(b) + p.V0), name
+    for bad in (0.0, -taus[0]):
+        with pytest.raises(ValueError, match="pulse duration must be positive"):
+            pulsed_metrics(p, np.append(taus, bad), pulse_shape=shape)
