@@ -24,7 +24,6 @@ from .core import (
 from .errors import (
     ConfigError,
     DegenerateMeter,
-    DegenerateRates,
     NegativeLinewidth,
     NoBracket,
     SingularAtFrequency,

@@ -5,7 +5,7 @@ Subcommands
 sweep               figures of merit along a parameter grid
 sql                 generalized standard quantum limit (minimum
                     conditional variance over cooperativity)
-threshold           bisection for a level crossing of a scan quantity
+threshold           level crossing of a scan quantity (Brent's method)
 optimize-frequency  detection frequency minimizing the conditional
                     variance at fixed parameters
 pulsed              pulse-duration sweep of the sequential readout
@@ -524,9 +524,12 @@ def cmd_threshold(
 
     def curve(value: float) -> float:
         cfg_v, params = with_value(value)
-        if quantity == "vc":
-            return _row_figures(cfg_v, params).Vc
-        res = _sql_scan(cfg_v, params, c_bounds, c_count)
+        try:
+            if quantity == "vc":
+                return _row_figures(cfg_v, params).Vc
+            res = _sql_scan(cfg_v, params, c_bounds, c_count)
+        except TvmeterError as err:
+            raise NumericalFailure(vary, value, err) from err
         if quantity == "min-vc":
             return res.value
         if quantity == "tsum-at-sql":
@@ -535,8 +538,8 @@ def cmd_threshold(
 
     try:
         crossing = find_threshold(curve, level, bounds[0], bounds[1])
-    except TvmeterError as err:
-        raise NumericalFailure(vary, float("nan"), err) from err
+    except TvmeterError as err:  # no crossing in the bounds, or a NaN on the curve
+        raise NumericalFailure(vary, bounds, err) from err
     return [{"vary": vary, "quantity": quantity, "level": level, "crossing": crossing}]
 
 
@@ -553,9 +556,13 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
 
 
 class NumericalFailure(Exception):
-    def __init__(self, param: str, value: float, err: Exception):
+    """A numerical error at ``param`` = ``value``, or in the range ``value`` = (lo, hi)."""
+
+    def __init__(self, param: str, value: float | tuple[float, float], err: Exception):
         self.param, self.value, self.err = param, value, err
-        super().__init__(f"numerical failure at {param}={float(value)!r}: {err}")
+        where = (f"{param} in [{float(value[0])!r}, {float(value[1])!r}]"
+                 if isinstance(value, tuple) else f"{param}={float(value)!r}")
+        super().__init__(f"numerical failure at {where}: {err}")
 
 
 # ---------------------------------------------------------------------------

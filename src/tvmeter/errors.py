@@ -34,13 +34,6 @@ class NegativeLinewidth(TvmeterError):
     """Optically broadened mechanical linewidth came out nonpositive."""
 
 
-class DegenerateRates(TvmeterError):
-    """kappa == gamma degeneracy where a closed form divides by (kappa - gamma).
-
-    Raised only internally; public entry points switch to the limit form.
-    """
-
-
 class NoBracket(TvmeterError):
     """Threshold search endpoints do not straddle the requested level."""
 

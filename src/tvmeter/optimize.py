@@ -310,34 +310,62 @@ def find_threshold(
     hi: float,
     rel_tol: float = 1e-6,
 ) -> float:
-    """Bisection for curve(x) = level on [lo, hi].
+    """Brent's zeroin for curve(x) = level on [lo, hi]: inverse quadratic
+    and secant steps, bisection where they make too little progress
+    (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4).  Stops when the bracket [b, c] has half-width at most
+    2 eps |b| + rel_tol |b| / 2 + 4 eps (hi - lo) (the last term serves a
+    crossing at 0) and returns b, the end with the smaller |curve - level|.
 
     Raises :class:`NoBracket` when the endpoint values do not straddle
-    the level, or when the curve is NaN at a point the bisection visits
+    the level, or when the curve is NaN at a point the search visits
     (a NaN compares neither above nor below the level).
     """
     if not lo < hi:
         raise ValueError(f"threshold bounds must satisfy lo < hi, got [{lo!r}, {hi!r}]")
-    flo = curve(lo) - level
-    fhi = curve(hi) - level
-    if flo == 0.0:
+    a, b = float(lo), float(hi)
+    fa = float(curve(a) - level)
+    fb = float(curve(b) - level)
+    if fa == 0.0:
         return lo
-    if fhi == 0.0:
+    if fb == 0.0:
         return hi
-    if not flo * fhi < 0:
+    if not fa * fb < 0:
         raise NoBracket(
-            f"curve({lo!r}) - level = {flo:.6g} and curve({hi!r}) - level = "
-            f"{fhi:.6g} do not have opposite signs"
+            f"curve({lo!r}) - level = {fa:.6g} and curve({hi!r}) - level = "
+            f"{fb:.6g} do not have opposite signs"
         )
-    while (hi - lo) > rel_tol * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fmid = curve(mid) - level
-        if fmid == 0.0:
-            return mid
-        if math.isnan(fmid):
-            raise NoBracket(f"curve({mid!r}) - level is nan")
-        if fmid * flo < 0:
-            hi = mid
+    eps = math.ulp(1.0)
+    floor = 4.0 * eps * (b - a)
+    c, fc = b, fb  # the first pass sets c = a
+    while True:
+        if (fb > 0) == (fc > 0):  # keep the crossing between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * abs(b) + 0.5 * rel_tol * abs(b) + floor
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), -q if p > 0 else q
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = float(curve(b) - level)
+        if math.isnan(fb):
+            raise NoBracket(f"curve({b!r}) - level is nan")

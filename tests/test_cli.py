@@ -3,6 +3,7 @@
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +482,24 @@ def test_threshold_matches_scalar_scan(tmp_path):
     assert out.read_bytes() == scalar_threshold_table(argv)
 
 
+def test_threshold_crossing_reproduces_its_level(tmp_path, monkeypatch):
+    # the README command: an independent scalar scan at the printed
+    # crossing gives the level back, and the search takes few SQL scans
+    scans = []
+    sql_scan = cli._sql_scan
+    monkeypatch.setattr(cli, "_sql_scan", lambda *a: scans.append(a) or sql_scan(*a))
+    argv = ["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05",
+            "0.3", "--level", "0.5", "--quantity", "min-vc", "--n-m", "1"]
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert len(scans) <= 9
+    _, cfg = _config(argv)
+    cfg = replace(cfg, omega=cli._default_omega(cfg))
+    params = {**cfg.parameters, "nu": float(read_rows(out)[0]["crossing"])}
+    res = generalized_sql(_scalar_family(cfg, params, cfg.bath_spec()), 1e-3, 1e3)
+    assert res.value == pytest.approx(0.5, rel=1e-5)
+
+
 SQL_SWEEP = ["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.05", "0.3",
              "--n", "4", "--omega", "0", "--n-m", "1", "--c-count", "60"]
 
@@ -598,6 +617,22 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "xi=0.5" in err
         assert "np.float64" not in err
+
+    @pytest.mark.parametrize("bounds, level, where, message", [
+        (("0", "1"), "0.5", "xi=1.0", "drift matrix is not strictly stable"),
+        (("0", "0.4"), "5", "xi in [0.0, 0.4]", "do not have opposite signs"),
+    ], ids=["at-a-point", "no-crossing"])
+    def test_threshold_failure_names_the_point(self, bounds, level, where, message, tmp_path,
+                                               capsys):
+        # xi = 1 destabilizes the squeezing branch; V_c stays below 5 on [0, 0.4]
+        rc, out = run(["threshold", "--scenario", "qnd-imperfect", "--vary", "xi",
+                       "--bounds", *bounds, "--level", level, "--quantity", "vc",
+                       "--omega", "0", "--n-m", "1"], tmp_path)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"tv: numerical failure at {where}: ")
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds", [("5", "1"), ("nan", "1"), ("0", "1"), ("1", "inf")],
                              ids=["reversed", "nan", "zero", "infinite"])

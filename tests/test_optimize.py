@@ -1,5 +1,7 @@
 """Frequency/cooperativity scans and threshold location."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -472,8 +474,26 @@ class TestFindThreshold:
             find_threshold(curve, level, 0.0, 1.0)
 
     def test_nan_inside_the_bracket_stops_the_bisection(self):
-        with pytest.raises(NoBracket, match=r"curve\(0\.5\) - level is nan"):
-            find_threshold(lambda x: float("nan") if x == 0.5 else x, 0.3, 0.0, 1.0)
+        # NaN on an interval around the root: any bracketing search must
+        # visit it before it can return
+        with pytest.raises(NoBracket, match=r"curve\(0\.[23]\d*\) - level is nan"):
+            find_threshold(lambda x: float("nan") if 0.2 < x < 0.4 else x, 0.3, 0.0, 1.0)
+
+    @pytest.mark.parametrize("curve, level, lo, hi, root, most", [
+        (math.exp, 2.0, 0.0, 10.0, math.log(2.0), 12),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 0.0, 1.0, 0.3, 13),
+        (lambda x: 1.0 / x, 3.0, 0.01, 10.0, 1.0 / 3.0, 15),
+        (lambda x: x**3, 0.0, -1.0, 2.0, 0.0, 203),
+        (lambda x: math.atan(1e6 * (x - 0.37)), 0.0, 0.0, 1.0, 0.37, 24),
+    ], ids=["exp", "tanh-step", "reciprocal", "cube-at-zero", "atan-step"])
+    def test_evaluation_count(self, curve, level, lo, hi, root, most):
+        # bisection takes 26 evaluations for exp and 24 for tanh-step; the
+        # cube's root at 0 needs the absolute floor of the tolerance, and
+        # 203 evaluations is bisection's count there
+        xs = []
+        got = find_threshold(lambda x: xs.append(x) or curve(x), level, lo, hi)
+        assert len(xs) <= most
+        assert got == pytest.approx(root, rel=1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (float("nan"), 1.0)])
     def test_bounds_must_be_ordered(self, lo, hi):
