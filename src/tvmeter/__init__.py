@@ -8,18 +8,15 @@ frequencies and generalized standard quantum limits.
 
 from .core import (
     CQNC_LAYOUT,
-    DUAL_TWEEZER_LAYOUT,
     FOUR_MODE,
     BathSpec,
     LinearModel,
     ModeLayout,
-    ScatteringMatrix,
     build_scattering,
     check_stable,
     cross_spectral_density,
     detected,
     input_covariance,
-    output_covariance_at,
 )
 from .errors import (
     ConfigError,
@@ -43,7 +40,6 @@ from .levitation import (
     TweezerParams,
     compound_signal_variances,
     dual_tweezer_metrics,
-    dual_tweezer_model,
     dual_tweezer_threshold,
     qnd_modulation_frequency,
     reduced_metrics,
@@ -90,13 +86,11 @@ from .optimize import (
 )
 from .pulsed import (
     PulsedParams,
-    PulsedState,
     measurement_gain,
     prepare_state_lyapunov,
     propagator,
     pulsed_covariances,
     pulsed_metrics,
-    pulsed_state,
 )
 from .scenarios import SCENARIOS, Scenario, with_parameter
 

@@ -407,28 +407,35 @@ def _swept_params(cfg: RunConfig, value: float) -> dict:
     return with_parameter(cfg.parameters, name, value)
 
 
-#: rows of a fixed-frequency sweep evaluated as one parameter stack
+#: rows of a sweep evaluated as one parameter stack
 BLOCK_ROWS = 256
 
 
 def _stacked_rows(cfg: RunConfig, values: list[float], stacked, row, one) -> list[dict]:
-    """The table rows ``row(value, result)`` of the sweep values ``values``
-    from ``stacked``, which gives one result per value from their
-    parameter stack.  If that raises, the rows are rerun one at a time by
-    ``one(value)``, so the first failing row raises its own error (a
-    stack's FloatingPointError, say, becomes libm's error on that row)."""
-    try:
-        results = stacked(_swept_params(cfg, np.asarray(values)))
-    except (TvmeterError, ValueError, ConfigError, ArithmeticError):
-        return [one(value) for value in values]
-    return [row(value, result) for value, result in zip(values, results)]
+    """The table rows ``row(value, result)`` of the sweep values ``values``,
+    in blocks of ``BLOCK_ROWS`` values, from ``stacked``, which gives one
+    result per value of a block from their parameter stack.  If that
+    raises, the block's rows are rerun one at a time by ``one(value)``, so
+    the first failing row raises its own error (a stack's
+    FloatingPointError, say, becomes libm's error on that row)."""
+    rows = []
+    for lo in range(0, len(values), BLOCK_ROWS):
+        block = values[lo:lo + BLOCK_ROWS]
+        try:
+            results = stacked(_swept_params(cfg, np.asarray(block)))
+        except (TvmeterError, ValueError, ConfigError, ArithmeticError):
+            rows += [one(value) for value in block]
+        else:
+            rows += [row(value, result) for value, result in zip(block, results)]
+    return rows
 
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
-    """Rows of a sweep.  With ``optimize_frequency`` all rows are scanned
-    together (:func:`_frequency_scans`); at a fixed frequency a sweep of
-    a parameter in the scenario's ``array_params`` evaluates blocks of
-    ``BLOCK_ROWS`` rows as stacks, and the other sweeps go row by row."""
+    """Rows of a sweep, in blocks of ``BLOCK_ROWS`` rows.  With
+    ``optimize_frequency`` the rows of a block are scanned together
+    (:func:`_frequency_scans`); at a fixed frequency a sweep of a
+    parameter in the scenario's ``array_params`` evaluates each block as
+    a stack, and the other sweeps go row by row."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -448,19 +455,16 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
             raise NumericalFailure(name, value, err) from err
         return _figures_row(name, value, figs)
 
-    def rows(values: list[float], figures) -> list[dict]:
+    def rows(figures) -> list[dict]:
         return _stacked_rows(rows_cfg, values, figures,
                              lambda value, figs: _figures_row(name, value, figs), one)
 
     if cfg.optimize_frequency:
-        return rows(values, lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
+        return rows(lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
     if name in scenario.array_params:
         omega = _default_omega(rows_cfg)
-        return [
-            row for lo in range(0, len(values), BLOCK_ROWS)
-            for row in rows(values[lo:lo + BLOCK_ROWS], lambda stack: scenario_figures(
-                cfg.scenario, stack, bath, omega, cfg.conditioning))
-        ]
+        return rows(lambda stack: scenario_figures(
+            cfg.scenario, stack, bath, omega, cfg.conditioning))
     return [one(value) for value in values]
 
 
@@ -482,7 +486,7 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
         try:
             return [sql_row(_sql_scan(cfg, dict(cfg.parameters), c_bounds, c_count))]
         except TvmeterError as err:
-            raise NumericalFailure("C", float("nan"), err) from err
+            raise NumericalFailure("C", c_bounds, err) from err
     name, values = cfg.sweep["param"], _sweep_values(cfg)
 
     def row(value: float, res: ScanMinimum) -> dict:
@@ -496,11 +500,8 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
 
     if cfg.optimize_frequency:
         return [one(value) for value in values]
-    return [
-        r for lo in range(0, len(values), BLOCK_ROWS)
-        for r in _stacked_rows(cfg, values[lo:lo + BLOCK_ROWS],
-                               lambda stack: _sql_scan(cfg, stack, c_bounds, c_count), row, one)
-    ]
+    return _stacked_rows(cfg, values, lambda stack: _sql_scan(cfg, stack, c_bounds, c_count),
+                         row, one)
 
 
 def cmd_threshold(
@@ -548,7 +549,7 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
     try:
         res = _frequency_scans(cfg, cfg.parameters)[0]
     except TvmeterError as err:
-        raise NumericalFailure("omega", float("nan"), err) from err
+        raise NumericalFailure("omega", cfg.omega_bounds, err) from err
     row = _figures_row("omega_opt", res.x, res.figures)
     row["at_boundary"] = int(res.at_boundary)
     row["n_branches"] = len(res.branches)

@@ -56,9 +56,8 @@ STABILITY_TOL = 1e-10
 class ModeLayout:
     """Bookkeeping for the quadrature ordering of a model.
 
-    ``signal_index`` is the measured mechanical quadrature (x),
-    ``meter_index`` the measured optical output quadrature (Y), and
-    ``conjugate_index`` the canonical conjugate of the signal (p).
+    ``signal_index`` is the measured mechanical quadrature (x) and
+    ``meter_index`` the measured optical output quadrature (Y).
     ``mechanical_modes`` lists the mode numbers (pairs of quadratures)
     that couple to the mechanical bath; the rest see the optical bath.
     ``ancilla_index`` optionally marks the quadrature used for secondary
@@ -68,7 +67,6 @@ class ModeLayout:
     labels: tuple[str, ...]
     signal_index: int
     meter_index: int
-    conjugate_index: int
     mechanical_modes: tuple[int, ...] = (1,)
     ancilla_index: int | None = None
 
@@ -76,9 +74,9 @@ class ModeLayout:
         n = len(self.labels)
         if n == 0 or n % 2:
             raise ValueError(f"labels must have even positive length, got {n}")
-        idx = (self.signal_index, self.meter_index, self.conjugate_index)
-        if len(set(idx)) != 3:
-            raise ValueError(f"signal/meter/conjugate indices must be distinct: {idx}")
+        idx = (self.signal_index, self.meter_index)
+        if len(set(idx)) != 2:
+            raise ValueError(f"signal/meter indices must be distinct: {idx}")
         for i in idx:
             if not 0 <= i < n:
                 raise ValueError(f"index {i} out of range for {n} quadratures")
@@ -92,21 +90,14 @@ class ModeLayout:
 
 
 #: standard four-quadrature layout (X, Y, x, p)
-FOUR_MODE = ModeLayout(("X", "Y", "x", "p"), 2, 1, 3, mechanical_modes=(1,))
+FOUR_MODE = ModeLayout(("X", "Y", "x", "p"), 2, 1, mechanical_modes=(1,))
 
 #: CQNC layout with the negative-mass oscillator appended
 CQNC_LAYOUT = ModeLayout(
     ("X", "Y", "x", "p", "Xc", "Yc"),
-    2, 1, 3,
+    2, 1,
     mechanical_modes=(1, 2),
     ancilla_index=4,
-)
-
-#: dual-tweezer layout: primary cavity, readout cavity, mechanics
-DUAL_TWEEZER_LAYOUT = ModeLayout(
-    ("X1", "Y1", "X2", "Y2", "x", "p"),
-    4, 3, 5,
-    mechanical_modes=(2,),
 )
 
 
@@ -233,18 +224,6 @@ class LinearModel:
         return self.layout.meter_index // 2
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Complex input-to-output map at one detection frequency, or a
-    stack ``S[..., i, j]`` over an array of frequencies.
-
-    Rows are output channels; columns are input channels.
-    """
-
-    S: NDArray[np.complex128]
-    omega: float | NDArray[np.float64]
-
-
 def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     """Raise :class:`UnstableModel` unless all eigenvalues sit strictly
     in the left half-plane (marginal modes are rejected as well, since
@@ -322,8 +301,9 @@ def _frobenius2(M: NDArray) -> NDArray[np.float64]:
     return (M.real**2 + M.imag**2).sum(axis=(-2, -1))
 
 
-def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMatrix:
-    """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model.
+def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
+    """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model, as
+    the array ``S[i, j]``: rows are output channels, columns input channels.
 
     S is square; detection loss acts later, on the output covariance
     (:func:`detected`).  An array of frequencies, or a model stack (A,
@@ -335,7 +315,7 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> ScatteringMa
     stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
     M = model.A + 1j * (omega[..., None, None] if stacked else omega) * eye
     _require_regular(M, omega)
-    return ScatteringMatrix(-(model.H @ np.linalg.solve(M, model.H) + eye), omega)
+    return -(model.H @ np.linalg.solve(M, model.H) + eye)
 
 
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
@@ -353,9 +333,10 @@ def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
 def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     """Hermitian cross-spectral density S V_in S^dagger of the outputs.
 
-    This is the matrix to condition on.  Its diagonal is real and equals
-    that of :func:`output_covariance_at`; its off-diagonal entries are
-    complex at nonzero frequency.  ``S`` may be a stack ``[..., i, j]``.
+    This is the matrix to condition on.  Its real part is the symmetrized
+    output covariance, which serves the output variances and the transfer
+    coefficients; its off-diagonal entries are complex at nonzero
+    frequency.  ``S`` may be a stack ``[..., i, j]``.
     """
     V = S @ Vin @ S.conj().swapaxes(-1, -2)
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
@@ -381,17 +362,3 @@ def detected(V: NDArray, rows: slice, eta: float, noise: float) -> NDArray:
     measured = np.arange(V.shape[-1])[rows]
     V[..., measured, measured] += (1.0 - eta) * noise
     return V
-
-
-def output_covariance_at(model: LinearModel, omega: float) -> NDArray[np.float64]:
-    """Symmetrized (real) output covariance at one frequency.
-
-    Since A and H are real, S(-w) is the elementwise conjugate of S(+w)
-    and the symmetrized covariance reduces to Re[S V_in S^dagger].  The
-    real part serves the output variances and the transfer coefficients;
-    conditioning on the measured output uses the full Hermitian matrix
-    (:func:`cross_spectral_density`), whose off-diagonal entries carry an
-    imaginary part at nonzero frequency.
-    """
-    S = build_scattering(model, omega)
-    return cross_spectral_density(S.S, model.Vin).real

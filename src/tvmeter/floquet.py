@@ -45,8 +45,8 @@ from .core import (FOUR_MODE, BathSpec, _require_regular, check_sign, check_stab
 from .metrics import (
     MeasurementFigures,
     _abs2,
-    classify_regime,
     conditional_variance,
+    figures_from_parts,
     measured_figures,
 )
 from .models import _readout_couplings, _resolve_coupling
@@ -232,11 +232,6 @@ def floquet_qnd_metrics_closed(
     Vc = (1 + (8 * C + 1 / V_x) * (4 * C * r)) / (
         1 / V_x + 32 * C + 32 * C**2 * r / V_x
     )
-    Ts = 1.0 / (1.0 + 8 * C * X**2 / V_x)
-    Tm = 32 * C / (32 * C + (1 + 64 * (C * X) ** 2) / V_x) if C > 0 else 0.0
-    ns = V_x * (1.0 / Ts - 1.0)
-    nm = V_x * (1.0 / Tm - 1.0) if Tm > 0 else np.inf
-    return MeasurementFigures(
-        Vc=Vc, Ts=Ts, Tm=Tm, ns_eq=ns, nm_eq=nm,
-        regime=classify_regime(Vc, Ts, Tm), omega=0.0,
-    )
+    ns = 8 * C * X**2
+    nm = np.inf if C == 0 else (1 + 64 * (C * X) ** 2) / (32 * C)
+    return figures_from_parts(Vc, ns, nm, V_x, 0.0)

@@ -2,11 +2,12 @@
 
 Amplitude modulation of an optical tweezer at (approximately) the
 mechanical frequency turns coherent scattering into a single-quadrature
-readout of the levitated particle.  This module maps such setups onto
-linear models: the single-tweezer QND readout, and a dual-tweezer
-scheme in which a primary tweezer prepares (cools or dissipatively
-squeezes) the mechanical state while a weaker readout tweezer measures
-it through a second cavity mode.
+readout of the levitated particle.  This module maps the single-tweezer
+QND readout onto a linear model, and reduces a dual-tweezer scheme, in
+which a primary tweezer prepares (cools or dissipatively squeezes) the
+mechanical state while a weaker readout tweezer measures it through a
+second cavity mode, to a scattering map on the readout cavity and the
+compound signal.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DUAL_TWEEZER_LAYOUT, BathSpec, LinearModel, check_sign, check_stable, detected
+from .core import BathSpec, LinearModel, check_sign, detected
 from .errors import NegativeLinewidth
 from .metrics import (
     MeasurementFigures,
     _abs2,
-    classify_regime,
     conditional_variance,
+    figures_from_parts,
     measured_figures,
 )
 from .models import ImperfectQndParams, imperfect_qnd_model
@@ -44,9 +45,7 @@ class TweezerParams:
     single-quadrature coupling after modulation is alpha g / 4 in the
     2 g X x convention.  ``Omega`` defaults to the backaction-free
     modulation frequency; detuning it induces a quadratic momentum term.
-    ``phi`` selects the measured quadrature x_phi; the model is written
-    in the rotated basis, so the drift does not depend on it.  Every
-    numeric parameter may be an array, as in :mod:`tvmeter.models`.
+    Every numeric parameter may be an array, as in :mod:`tvmeter.models`.
     """
 
     omega_m: float
@@ -55,7 +54,6 @@ class TweezerParams:
     kappa: float
     gamma: float
     Omega: float | None = None
-    phi: float = 0.0
 
     def __post_init__(self):
         check_sign("positive", omega_m=self.omega_m, kappa=self.kappa, gamma=self.gamma)
@@ -66,12 +64,6 @@ class TweezerParams:
         """Build with the modulation-renormalized mechanical frequency
         omega_m = omega_tr sqrt(1 + alpha^2 / 2)."""
         return cls(omega_m=omega_tr * np.sqrt(1 + _abs2(alpha) / 2), alpha=alpha, **kw)
-
-    @property
-    def modulation_frequency(self) -> float:
-        if self.Omega is not None:
-            return self.Omega
-        return qnd_modulation_frequency(self.omega_m, self.alpha)
 
     @property
     def qnd_coupling(self) -> float:
@@ -105,7 +97,7 @@ def single_tweezer_qnd_params(p: TweezerParams) -> ImperfectQndParams:
 
 
 def single_tweezer_qnd_model(p: TweezerParams, bath: BathSpec) -> LinearModel:
-    """Four-mode model of the modulated-tweezer readout of x_phi."""
+    """Four-mode model of the modulated-tweezer readout of x."""
     return imperfect_qnd_model(single_tweezer_qnd_params(p), bath)
 
 
@@ -114,10 +106,6 @@ class DualTweezerParams:
     """Primary (1, preparation) and readout (2) tweezers on one particle.
 
     The rescaled cooperativities are C_i = g_i^2 / (4 gamma kappa_i).
-    ``x2_rate`` is the residual x^2 Hamiltonian rate 2(a1~ + a2~); the
-    default assumes trap frequencies splitting as the coupling powers.
-    The figures of merit do not depend on it (it only drives the
-    unmeasured momentum quadrature).
     """
 
     omega_m: float
@@ -128,7 +116,6 @@ class DualTweezerParams:
     g_2: float
     alpha_1: float
     alpha_2: float
-    x2_rate: float | None = None
 
     def __post_init__(self):
         check_sign("positive", omega_m=self.omega_m, gamma=self.gamma, kappa_1=self.kappa_1,
@@ -162,8 +149,10 @@ class DualTweezerParams:
         return self.gamma + self.g_1**2 * (1.0 - self.alpha_1**2 / 4.0) / self.kappa_1
 
     def _x2_rate(self) -> float:
-        if self.x2_rate is not None:
-            return self.x2_rate
+        """Residual x^2 Hamiltonian rate 2(a1~ + a2~), for trap frequencies
+        splitting as the coupling powers.  The figures of merit do not
+        depend on it (it only drives the unmeasured momentum quadrature).
+        """
         # trap weights proportional to tweezer intensity ~ g_i^2
         gsq = self.g_1**2 + self.g_2**2
         if gsq == 0.0:
@@ -175,35 +164,6 @@ class DualTweezerParams:
         a1t = self.alpha_1 * tr1 / (4.0 * self.omega_m)
         a2t = self.alpha_2**2 * tr2 / (16.0 * self.omega_m)
         return 2.0 * (a1t + a2t)
-
-
-def dual_tweezer_model(p: DualTweezerParams, bath: BathSpec) -> LinearModel:
-    """Six-mode model with layout (X1, Y1, X2, Y2, x, p).
-
-    Tweezer 1 provides the beam-splitter plus parametric coupling that
-    cools/squeezes the mechanics; tweezer 2 provides the QND-type
-    readout of x through the second cavity's phase quadrature.
-    """
-    c1m = (p.alpha_1 - 2.0) * p.g_1 / 4.0
-    c1p = (p.alpha_1 + 2.0) * p.g_1 / 4.0
-    c2 = p.alpha_2 * p.g_2 / 2.0
-    mu2 = p._x2_rate()
-    A = np.array([
-        [-p.kappa_1 / 2, 0, 0, 0, 0, c1m],
-        [0, -p.kappa_1 / 2, 0, 0, c1p, 0],
-        [0, 0, -p.kappa_2 / 2, 0, 0, 0],
-        [0, 0, 0, -p.kappa_2 / 2, c2, 0],
-        [0, c1m, 0, 0, -p.gamma / 2, 0],
-        [c1p, 0, c2, 0, -2.0 * mu2, -p.gamma / 2],
-    ])
-    check_stable(A)
-    H = np.diag(
-        [np.sqrt(p.kappa_1)] * 2 + [np.sqrt(p.kappa_2)] * 2 + [np.sqrt(p.gamma)] * 2
-    )
-    n = bath.optical_variance
-    Vin = np.diag([n, n, n, n, 0.0, 0.0])
-    Vin[4:6, 4:6] = bath.mechanical_block()
-    return LinearModel(A, H, Vin, DUAL_TWEEZER_LAYOUT)
 
 
 def compound_signal_variances(
@@ -278,12 +238,8 @@ def dual_tweezer_metrics(
     broad = 1.0 + C1 * (4.0 - alpha1**2)
     meas = 32.0 * alpha2**2 * C2
     Vc = broad / (broad / Vx_s + meas)
-    Tm = meas / (broad / Vx_s + meas)
-    nm = Vx_s * (1.0 / Tm - 1.0) if Tm > 0 else np.inf
-    return MeasurementFigures(
-        Vc=Vc, Ts=1.0, Tm=Tm, ns_eq=0.0, nm_eq=nm,
-        regime=classify_regime(Vc, 1.0, Tm), omega=0.0,
-    )
+    nm = np.inf if meas == 0.0 else broad / meas
+    return figures_from_parts(Vc, 0.0, nm, Vx_s, 0.0)
 
 
 def dual_tweezer_threshold(C1: float, alpha1: float, alpha2: float, Vx: float) -> float:

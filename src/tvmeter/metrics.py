@@ -345,7 +345,7 @@ def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, 
     """Scattering matrix, detected cross-spectral density, V_c and the
     detection efficiency applied, for the model at every point of a grid."""
     try:
-        S = build_scattering(model, omegas).S
+        S = build_scattering(model, omegas)
     except SingularAtFrequency:
         if model.A.ndim > 2 or np.ndim(omegas):
             # a point before the singular one may fail a V_c guard first

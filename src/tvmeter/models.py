@@ -33,7 +33,7 @@ from .core import (
     input_covariance,
     matrix,
 )
-from .metrics import MeasurementFigures, classify_regime, figures_from_parts
+from .metrics import MeasurementFigures, figures_from_parts
 
 
 def cooperativity_to_g(C: float | NDArray, kappa: float, gamma: float) -> float | NDArray:
@@ -256,7 +256,6 @@ def ideal_qnd_metrics(
         raise ValueError("invalid ideal-QND parameters")
     meas = 16.0 * C * eta / (n_c + 0.5)
     Vc = 1.0 / (1.0 / V_x + meas)
-    Tm = meas / (1.0 / V_x + meas)
     nm = np.inf if meas == 0.0 else (n_c + 0.5) / (16.0 * C * eta)
     return figures_from_parts(Vc, 0.0, nm, V_x, omega=0.0)
 
@@ -301,14 +300,12 @@ def nu_model_closed_metrics(C: float, nu: float, gamma: float, bath: BathSpec) -
     )
     den = 512 * C * n2 * (2 * C + Vp) + g2 * (1 + 32 * C * Vx) + 256 * C * gamma * nu * Vxp
     Vc = num_vc / den
-    Ts = (Vx * g2) / (Vx * g2 + 16 * nu * (4 * nu * (2 * C + Vp) + gamma * Vxp))
-    Tm = 32 * C * g2 * Vx / den
-    ns = Vx * (1.0 / Ts - 1.0) if Ts > 0 else np.inf
-    nm = Vx * (1.0 / Tm - 1.0) if Tm > 0 else np.inf
-    return MeasurementFigures(
-        Vc=Vc, Ts=Ts, Tm=Tm, ns_eq=ns, nm_eq=nm,
-        regime=classify_regime(Vc, Ts, Tm), omega=0.0,
-    )
+    ns = 16 * nu * (4 * nu * (2 * C + Vp) + gamma * Vxp) / g2
+    # (den - 32 C gamma^2 V_x) / (32 C gamma^2), with the rest of den summed
+    # on its own: the difference cancels where the measurement term dominates
+    nm = np.inf if C == 0 else (
+        512 * C * n2 * (2 * C + Vp) + g2 + 256 * C * gamma * nu * Vxp) / (32 * C * g2)
+    return figures_from_parts(Vc, ns, nm, Vx, 0.0)
 
 
 def xi_model_closed_metrics(C: float, xi: float, gamma: float, bath: BathSpec) -> MeasurementFigures:
@@ -324,9 +321,5 @@ def xi_model_closed_metrics(C: float, xi: float, gamma: float, bath: BathSpec) -
     V_xi = bath.V_x * (gamma + 2 * xi) ** 2 / (gamma - 2 * xi) ** 2
     meas = 32.0 * C * gamma**2 / (gamma + 2 * xi) ** 2
     Vc = 1.0 / (1.0 / V_xi + meas)
-    Tm = meas / (1.0 / V_xi + meas)
-    nm = bath.V_x * (1.0 / Tm - 1.0) if Tm > 0 else np.inf
-    return MeasurementFigures(
-        Vc=Vc, Ts=1.0, Tm=Tm, ns_eq=0.0, nm_eq=nm,
-        regime=classify_regime(Vc, 1.0, Tm), omega=0.0,
-    )
+    nm = np.inf if meas == 0.0 else bath.V_x / (V_xi * meas)
+    return figures_from_parts(Vc, 0.0, nm, bath.V_x, 0.0)

@@ -1,6 +1,6 @@
 """Scans: optimal detection frequency, generalized SQL, thresholds.
 
-All searches are deterministic: a coarse (log by default) grid scan
+All searches are deterministic: a coarse logarithmic grid scan
 followed by golden-section refinement of the best grid interval.  The
 grid takes its values from one vectorized call when the caller has one
 (:func:`tvmeter.metrics.vc_on_grid` over a fixed model's frequencies or
@@ -34,13 +34,12 @@ BRANCH_MARGIN = 0.01
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: name, grid, and refinement tolerance."""
+    """A logarithmic grid of ``count`` points on [lo, hi] and the
+    refinement tolerance of its minima."""
 
-    name: str
     lo: float
     hi: float
     count: int = 200
-    log: bool = True
     rel_tol: float = 1e-6
 
     def __post_init__(self):
@@ -48,13 +47,11 @@ class SweepSpec:
             raise ValueError("grid endpoints must be finite with lo < hi")
         if self.count < 2:
             raise ValueError("grid needs at least two points")
-        if self.log and self.lo <= 0:
+        if self.lo <= 0:
             raise ValueError("log grids need positive endpoints")
 
     def grid(self) -> np.ndarray:
-        if self.log:
-            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count)
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,7 @@ def minimize_vc_over_frequency(
     returns ``[R, count]`` values.  The figures of each optimum are
     evaluated once.
     """
-    spec = SweepSpec("omega", omega_lo, omega_hi, count, log=True, rel_tol=rel_tol)
+    spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
     return _scan_minima(evaluate, spec, vc_grid, rows, vc)
 
 
@@ -299,7 +296,7 @@ def generalized_sql(
     which serves each lockstep refinement round of all rows, and
     ``vc_grid`` returns ``[R, count]`` values.
     """
-    spec = SweepSpec("C", c_lo, c_hi, count, log=True, rel_tol=rel_tol)
+    spec = SweepSpec(c_lo, c_hi, count, rel_tol=rel_tol)
     return _scan_minima(family, spec, vc_grid, rows, vc)
 
 

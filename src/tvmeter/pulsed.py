@@ -38,6 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import BathSpec, check_sign, check_stable, detected
+from .errors import DegenerateMeter
 from .metrics import MeasurementFigures, conditional_variance, measured_figures
 
 #: relative |kappa - gamma| below which the propagator switches to the
@@ -221,10 +222,9 @@ class PulsedParams:
     """Readout-stage parameters.
 
     ``g`` and ``alpha2`` set the measurement rate alpha2 g / 2; the
-    residual x^2 rate ``nu_x2`` (defaulting to
-    alpha2^2 omega_m / [8 (2 + alpha2^2)]) only drives the unmeasured
-    momentum quadrature.  ``V0`` is the prepared variance of x and
-    ``bath`` the environment during readout.
+    residual x^2 rate alpha2^2 omega_m / [8 (2 + alpha2^2)] only drives
+    the unmeasured momentum quadrature.  ``V0`` is the prepared variance
+    of x and ``bath`` the environment during readout.
     """
 
     kappa: float
@@ -234,7 +234,6 @@ class PulsedParams:
     alpha2: float
     V0: float
     bath: BathSpec
-    nu_x2: float | None = None
 
     def __post_init__(self):
         check_sign("positive", kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m,
@@ -243,8 +242,6 @@ class PulsedParams:
 
     @property
     def x2_rate(self) -> float:
-        if self.nu_x2 is not None:
-            return self.nu_x2
         return self.alpha2**2 * self.omega_m / (8.0 * (2.0 + self.alpha2**2))
 
     @property
@@ -254,18 +251,6 @@ class PulsedParams:
     @property
     def degenerate_rates(self) -> bool:
         return abs(self.kappa - self.gamma) < DEGENERATE_RATE_TOL * self.kappa
-
-
-@dataclass(frozen=True)
-class PulsedState:
-    """Propagator, gain, and pulsed covariance entries at hold time tau."""
-
-    M: NDArray[np.float64]
-    gain: float
-    V33: float
-    V32: float
-    V22: float
-    tau: float
 
 
 def readout_drift(p: PulsedParams) -> NDArray[np.float64]:
@@ -327,7 +312,8 @@ def _filter(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[list[_Term],
     if pulse_shape == "matched":
         gm1 = p.kappa * _integrate(_mul(m23, m23), tau)  # kappa * int M23^2
         if np.any(gm1 <= 0.0):  # zero coupling, or M23 lost to cancellation
-            raise ValueError(f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
+            raise DegenerateMeter(
+                f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
         return m23, fn.sqrt(p.kappa / gm1), fn.sqrt(gm1)
     if pulse_shape == "flat":
         norm = 1.0 / fn.sqrt(tau)
@@ -487,15 +473,6 @@ def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_
     # shot noise nopt: the filter has norm**2 * int shape^2 = 1
     V22 = Gs**2 * p.V0 + t_cav0 + nopt + t_cross + t_refl + t_mech
     return V33, V32, V22, Gs
-
-
-def pulsed_state(p: PulsedParams, tau: float, pulse_shape: str = "matched") -> PulsedState:
-    V33, V32, V22 = pulsed_covariances(p, tau, pulse_shape)
-    return PulsedState(
-        M=propagator(p, tau),
-        gain=measurement_gain(p, tau, pulse_shape),
-        V33=V33, V32=V32, V22=V22, tau=tau,
-    )
 
 
 def pulsed_metrics(

@@ -3,7 +3,8 @@
 Hypothesis runs without its per-example deadline: the test hosts are
 small and slow down in bursts, which a wall-clock deadline reports as
 flaky failures.  ``max_examples`` stays with each test.  The
-``row_by_row_table`` fixture is the reference for stacked sweeps.
+``row_by_row_table`` fixture is the reference for stacked sweeps, and
+:func:`output_covariance` the real output covariance of a model.
 """
 
 import io
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from tvmeter import build_scattering, cross_spectral_density
 from tvmeter.cli import (
     _collect_param_flags,
     _default_omega,
@@ -27,6 +29,12 @@ from tvmeter.cli import (
 
 settings.register_profile("tvmeter", deadline=None)
 settings.load_profile("tvmeter")
+
+
+def output_covariance(model, omega):
+    """Symmetrized (real) output covariance of ``model`` at one frequency:
+    the real part of the cross-spectral density S V_in S^dagger."""
+    return cross_spectral_density(build_scattering(model, omega), model.Vin).real
 
 
 @pytest.fixture

@@ -58,6 +58,8 @@ import tvmeter as tv
 from tvmeter.cli import main as cli_main
 from tvmeter.pulsed import readout_drift
 
+from conftest import output_covariance
+
 KAPPA, GAMMA, OMEGA_M = 10.0, 0.01, 1.0
 
 
@@ -145,7 +147,7 @@ def test_criterion_05_sql():
     model = tv.displacement_model(
         tv.DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=C_exact), bath
     )
-    S = tv.build_scattering(model, OMEGA_M).S
+    S = tv.build_scattering(model, OMEGA_M)
     balance = abs(abs(S[1, 0]) - abs(S[1, 1]))
     report(5, "SQL: Vc argmin within 5% of 1/4 + (wm/kappa)^2; |S21|=|S22|", {
         f"argmin dev {argmin_dev:.3f} (V_c conditioned on the complex "
@@ -233,13 +235,13 @@ def test_criterion_09_cqnc():
     model = tv.cqnc_model(tv.CqncParams(KAPPA, GAMMA, OMEGA_M, C=3.0), bath)
     rng = np.random.default_rng(2024)
     worst_s21 = max(
-        abs(tv.build_scattering(model, w).S[1, 0])
+        abs(tv.build_scattering(model, w)[1, 0])
         for w in rng.uniform(0.01, 50.0, size=50)
     )
     parts[f"S21 residual {worst_s21:.2e}"] = worst_s21 <= 1e-12
     worst_ratio = 0.0
     for w in (0.3, 1.0, 2.2):
-        V = tv.output_covariance_at(model, w)
+        V = output_covariance(model, w)
         worst_ratio = max(worst_ratio, abs(V[2, 4] / V[2, 5] + 2 * OMEGA_M / GAMMA) / (2 * OMEGA_M / GAMMA))
     parts[f"V35/V36 ratio dev {worst_ratio:.2e}"] = worst_ratio <= 1e-9
     classical = True

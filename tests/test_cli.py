@@ -146,6 +146,9 @@ def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
 OPTIMIZED_SWEEP = ["sweep", "--scenario", "displacement", "--param", "C", "--log", "1e-3", "1e4",
                    "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.2", "1000"]
 
+SQL_SWEEP = ["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.05", "0.3",
+             "--n", "4", "--omega", "0", "--n-m", "1", "--c-count", "60"]
+
 
 class TestOptimizedSweepRows:
     """`tv sweep --optimize-frequency` refines its rows in lockstep and
@@ -179,6 +182,25 @@ class TestOptimizedSweepRows:
         assert rc == 0
         assert batches == [6] + [1] * 6
         assert out.read_bytes() == scalar_scan_table(OPTIMIZED_SWEEP)
+
+    @pytest.mark.parametrize("argv, scan, param", [
+        (OPTIMIZED_SWEEP, "_frequency_scans", "C"),
+        (SQL_SWEEP, "_sql_scan", "nu"),
+    ], ids=["optimize-frequency", "sql"])
+    def test_blocks_write_the_same_bytes(self, argv, scan, param, tmp_path, monkeypatch):
+        whole = run(argv, tmp_path, "whole.csv")[1].read_bytes()
+        original, sizes = getattr(cli, scan), []
+
+        def counted(cfg, params, *args):
+            sizes.append(np.size(params[param]))
+            return original(cfg, params, *args)
+
+        monkeypatch.setattr(cli, scan, counted)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+        rc, out = run(argv, tmp_path, "blocks.csv")
+        assert rc == 0
+        assert sizes == [2] * (len(read_rows(out)) // 2)
+        assert out.read_bytes() == whole
 
     def test_traced_layers_stay_on_the_path(self, tmp_path, monkeypatch):
         # the functions a tracer wraps where their callers look them up
@@ -500,10 +522,6 @@ def test_threshold_crossing_reproduces_its_level(tmp_path, monkeypatch):
     assert res.value == pytest.approx(0.5, rel=1e-5)
 
 
-SQL_SWEEP = ["sql", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.05", "0.3",
-             "--n", "4", "--omega", "0", "--n-m", "1", "--c-count", "60"]
-
-
 class TestSqlSweepRows:
     """`tv sql` over a swept parameter refines its rows' C brackets in
     lockstep and falls back to one row at a time."""
@@ -617,6 +635,30 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "xi=0.5" in err
         assert "np.float64" not in err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["sql", "--scenario", "qnd-imperfect", "--set", "xi=1", "--n-m", "1", "--omega", "0"],
+         "C in [0.001, 1000.0]"),
+        (["optimize-frequency", "--scenario", "qnd-imperfect", "--set", "xi=1", "--n-m", "1",
+          "--C", "1"], "omega in [0.01, 1000.0]"),
+    ], ids=["sql", "optimize-frequency"])
+    def test_failure_at_the_configured_point_names_the_range(self, argv, where, tmp_path, capsys):
+        # xi = 1 destabilizes the drift at every C and every frequency
+        rc, out = run(argv, tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"tv: numerical failure at {where}: drift matrix is not strictly stable "
+            "(max Re eigenvalue 5.000e-03)\n")
+        assert not out.exists()
+
+    def test_lost_matched_filter_is_a_numerical_failure(self, tmp_path, capsys):
+        # gamma within 3e-7 of kappa: M23 cancels and kappa * int M23^2 comes out negative
+        rc, out = run(["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1",
+                       "--gamma", "0.9999997", "--g", "1", "--alpha", "1", "--V0", "1"], tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "tv: numerical failure at tau=0.1: matched filter undefined: kappa * int M23^2 = ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds, level, where, message", [
         (("0", "1"), "0.5", "xi=1.0", "drift matrix is not strictly stable"),

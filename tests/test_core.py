@@ -25,11 +25,12 @@ from tvmeter import (
     ideal_qnd_model,
     imperfect_qnd_model,
     input_covariance,
-    output_covariance_at,
     vc_on_grid,
 )
 from tvmeter import core
 from tvmeter.core import RCOND_FLOOR
+
+from conftest import output_covariance
 
 VACUUM = BathSpec()
 FIG2_BATH = BathSpec(n_m=1.0)
@@ -62,13 +63,13 @@ class TestBuildScattering:
             DisplacementParams(kappa, gamma, omega_m, C=C), FIG2_BATH
         )
         for omega in (0.3, 1.0, 2.7, 15.0):
-            S = build_scattering(model, omega).S
+            S = build_scattering(model, omega)
             want = closed_form_displacement_scattering(kappa, gamma, omega_m, C, omega)
             np.testing.assert_allclose(S, want, rtol=1e-10, atol=1e-12)
 
     def test_decoupled_modes_block_diagonal(self):
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, g=0.0), VACUUM)
-        S = build_scattering(model, 0.73).S
+        S = build_scattering(model, 0.73)
         assert np.all(S[0:2, 2:4] == 0) and np.all(S[2:4, 0:2] == 0)
         # passive blocks are pure phases
         assert abs(abs(S[0, 0]) - 1) < 1e-12
@@ -78,14 +79,14 @@ class TestBuildScattering:
     def test_ideal_qnd_meter_element_at_carrier(self):
         C = 0.26
         model = ideal_qnd_model(10.0, 0.01, VACUUM, C=C)
-        S = build_scattering(model, 0.0).S
+        S = build_scattering(model, 0.0)
         np.testing.assert_allclose(S[1, 2], -4 * np.sqrt(C), rtol=1e-12)
 
     def test_reciprocity(self):
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=3.0), FIG2_BATH)
         for omega in (0.2, 1.0, 9.0):
-            Sp = build_scattering(model, omega).S
-            Sm = build_scattering(model, -omega).S
+            Sp = build_scattering(model, omega)
+            Sm = build_scattering(model, -omega)
             np.testing.assert_allclose(np.conj(Sp), Sm, rtol=1e-12, atol=1e-14)
 
     def test_singular_frequency_raises(self):
@@ -106,13 +107,13 @@ class TestBuildScattering:
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH)
         omegas = np.logspace(-2, 3, 50)
         stack = build_scattering(model, omegas)
-        assert stack.S.shape == (50,) + build_scattering(model, 1.0).S.shape
+        assert stack.shape == (50,) + build_scattering(model, 1.0).shape
 
         def seen(S):
             return detected(cross_spectral_density(S, model.Vin), slice(0, 2), eta, model.Vin[0, 0])
 
-        for w, S, V in zip(omegas, stack.S, seen(stack.S)):
-            single = build_scattering(model, w).S
+        for w, S, V in zip(omegas, stack, seen(stack)):
+            single = build_scattering(model, w)
             np.testing.assert_allclose(S, single, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(V, seen(single), rtol=1e-12, atol=1e-15)
 
@@ -162,7 +163,7 @@ class TestModelStack:
         assert stack.A.shape == (len(self.CS),) + singles[0].A.shape
         np.testing.assert_array_equal(stack.A, [m.A for m in singles])
         S = build_scattering(stack, omega)
-        np.testing.assert_array_equal(S.S, [build_scattering(m, omega).S for m in singles])
+        np.testing.assert_array_equal(S, [build_scattering(m, omega) for m in singles])
         got = vc_on_grid(stack, omega, bath=bath, conditioning=conditioning)
         want = [evaluate(m, omega, bath=bath, conditioning=conditioning).Vc for m in singles]
         assert got.shape == self.CS.shape
@@ -330,7 +331,7 @@ class TestOutputCovariance:
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, g=0.0), VACUUM)
         for omega in (0.0, 0.5, 1.0, 20.0):
             np.testing.assert_allclose(
-                output_covariance_at(model, omega), 0.5 * np.eye(4), atol=1e-12
+                output_covariance(model, omega), 0.5 * np.eye(4), atol=1e-12
             )
 
     @settings(max_examples=40)
@@ -342,18 +343,18 @@ class TestOutputCovariance:
     def test_vacuum_preservation_property(self, omega, kappa, omega_m):
         model = displacement_model(DisplacementParams(kappa, 0.01, omega_m, g=0.0), VACUUM)
         np.testing.assert_allclose(
-            output_covariance_at(model, omega), 0.5 * np.eye(4), atol=1e-10
+            output_covariance(model, omega), 0.5 * np.eye(4), atol=1e-10
         )
 
     def test_two_sided_form_agrees(self):
         # V_out(w) = (1/2) [S(w) V_in S(-w)^T + S(-w) V_in S(w)^T]
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH)
         omega = 1.3
-        S_plus = build_scattering(model, omega).S
-        S_minus = build_scattering(model, -omega).S
+        S_plus = build_scattering(model, omega)
+        S_minus = build_scattering(model, -omega)
         V = 0.5 * (S_plus @ model.Vin @ S_minus.T + S_minus @ model.Vin @ S_plus.T)
         np.testing.assert_allclose(V.imag, 0.0, atol=1e-12)
-        np.testing.assert_allclose(V.real, output_covariance_at(model, omega), atol=1e-12)
+        np.testing.assert_allclose(V.real, output_covariance(model, omega), atol=1e-12)
 
     @settings(max_examples=40)
     @given(
@@ -364,7 +365,7 @@ class TestOutputCovariance:
     def test_heisenberg_bound_per_mode(self, omega, C, n_m):
         bath = BathSpec(n_m=n_m)
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=C), bath)
-        V = output_covariance_at(model, omega)
+        V = output_covariance(model, omega)
         for m in range(2):
             block = V[2 * m : 2 * m + 2, 2 * m : 2 * m + 2]
             assert np.linalg.det(block) >= 0.25 - 1e-9
@@ -375,7 +376,7 @@ def augmented_oracle(model, omega, eta):
     matrix: the meter mode's output rows scale by sqrt(eta), and two
     ancilla inputs at the meter mode's input variance enter those rows
     through sqrt(1 - eta) columns."""
-    S = build_scattering(model, omega).S
+    S = build_scattering(model, omega)
     n, r0 = S.shape[-1], 2 * model.meter_mode
     aug = np.zeros(S.shape[:-1] + (n + 2,), dtype=complex)
     aug[..., :n] = S
@@ -392,7 +393,7 @@ class TestDetectionLoss:
 
     @staticmethod
     def _seen(model, omega, eta):
-        S = build_scattering(model, omega).S
+        S = build_scattering(model, omega)
         return detected(cross_spectral_density(S, model.Vin), slice(0, 2), eta, model.Vin[0, 0])
 
     def test_matches_augmented_scattering_oracle(self):
@@ -408,7 +409,7 @@ class TestDetectionLoss:
 
     def test_figures_match_augmented_scattering_oracle(self):
         model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=1.3), FIG2_BATH)
-        S = build_scattering(model, 0.9).S
+        S = build_scattering(model, 0.9)
         for eta in (0.6, 0.25):
             figs = evaluate(model, 0.9, bath=BathSpec(n_m=1.0, eta=eta))
             V = augmented_oracle(model, 0.9, eta)
@@ -418,7 +419,7 @@ class TestDetectionLoss:
 
     def test_lossless_limit_matches_square(self):
         model = ideal_qnd_model(10.0, 0.01, VACUUM, C=1.0)
-        V = cross_spectral_density(build_scattering(model, 0.4).S, model.Vin)
+        V = cross_spectral_density(build_scattering(model, 0.4), model.Vin)
         assert detected(V, slice(0, 2), 1.0, 0.5) is V
         assert evaluate(model, 0.4, bath=BathSpec(eta=1.0)) == evaluate(model, 0.4)
 
@@ -436,7 +437,7 @@ class TestDetectionLoss:
         bath = BathSpec(n_m=1.0, n_c=0.5)
         model = ideal_qnd_model(10.0, 0.01, bath, C=1.0)
         m, s = model.layout.meter_index, model.layout.signal_index
-        S = build_scattering(model, 0.3).S
+        S = build_scattering(model, 0.3)
         V_mm = cross_spectral_density(S, model.Vin)[m, m].real
         for eta in (0.6, 0.25):
             figs = evaluate(model, 0.3, bath=BathSpec(n_m=1.0, n_c=0.5, eta=eta))
@@ -478,16 +479,16 @@ class TestModeLayout:
         from tvmeter import ModeLayout
 
         with pytest.raises(ValueError):
-            ModeLayout(("X", "Y", "x"), 2, 1, 0)
+            ModeLayout(("X", "Y", "x"), 2, 1)
 
     def test_duplicate_roles_rejected(self):
         from tvmeter import ModeLayout
 
         with pytest.raises(ValueError):
-            ModeLayout(("X", "Y", "x", "p"), 2, 2, 3)
+            ModeLayout(("X", "Y", "x", "p"), 2, 2)
 
     def test_out_of_range_rejected(self):
         from tvmeter import ModeLayout
 
         with pytest.raises(ValueError):
-            ModeLayout(("X", "Y", "x", "p"), 2, 1, 9)
+            ModeLayout(("X", "Y", "x", "p"), 2, 9)

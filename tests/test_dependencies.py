@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: the library never imports scipy,
-so `tv` does not pay for loading it (scipy stays a test oracle)."""
+so `tv` does not pay for loading it (scipy stays a test oracle).  And
+every name a module imports is used."""
 
 import ast
 import os
@@ -32,3 +33,21 @@ def test_no_module_imports_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_every_import_is_used():
+    """No module imports a name it never uses (a removal leaves such names
+    behind); ``__init__`` is exempt, as it imports to export."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in used]
+    assert unused == []

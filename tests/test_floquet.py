@@ -1,5 +1,7 @@
 """Harmonic (sideband) expansion of the beyond-RWA readout."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -171,11 +173,13 @@ class TestMetrics:
     def test_closed_forms_within_one_percent(self, kappa_ratio):
         kappa = kappa_ratio * OMEGA_M
         bath = BathSpec(n_m=1.0)
-        for C in np.logspace(-2, 2, 9):
+        for C in [0.0, *np.logspace(-2, 2, 9)]:
             fd = decompose_drift(kappa, COLD_GAMMA, OMEGA_M, C=C)
             got = _figs(floquet_metrics(fd, bath))
-            want = _figs(floquet_qnd_metrics_closed(C, kappa, OMEGA_M, bath.V_x))
-            np.testing.assert_allclose(got, want, rtol=1e-2)
+            closed = floquet_qnd_metrics_closed(C, kappa, OMEGA_M, bath.V_x)
+            np.testing.assert_allclose(got, _figs(closed), rtol=1e-2)
+            if C == 0.0:
+                assert (closed.nm_eq, closed.Tm) == (np.inf, 0.0)
 
     def test_resolved_sideband_limit_recovers_ideal(self):
         kappa = 1e-3 * OMEGA_M
@@ -184,6 +188,17 @@ class TestMetrics:
             got = _figs(floquet_metrics(fd, FIG7_BATH))
             want = _figs(ideal_qnd_metrics(C, 1.5))
             np.testing.assert_allclose(got, want, atol=1e-4)
+
+    def test_closed_form_equivalent_noises_exact(self):
+        # n_eq = V_x (1/T - 1) of the transfer closed forms, in exact
+        # arithmetic; in floats that form cancels here, where T = 1 - 3e-11
+        figs = floquet_qnd_metrics_closed(1e8, 1e-9, OMEGA_M, 1.5)
+        C, kappa, w, Vx = (Fraction(v) for v in (1e8, 1e-9, OMEGA_M, 1.5))
+        X = 4 * kappa * w / (kappa**2 + 16 * w**2)
+        Ts = 1 / (1 + 8 * C * X**2 / Vx)
+        Tm = 32 * C / (32 * C + (1 + 64 * (C * X) ** 2) / Vx)
+        assert figs.ns_eq == pytest.approx(float(Vx * (1 / Ts - 1)), rel=1e-14)
+        assert figs.nm_eq == pytest.approx(float(Vx * (1 / Tm - 1)), rel=1e-14)
 
     def test_closed_form_kappa_to_zero_limit(self):
         got = _figs(floquet_qnd_metrics_closed(2.0, 1e-9, OMEGA_M, 1.5))

@@ -8,12 +8,13 @@ from tvmeter import (
     BathSpec,
     UnstableModel,
     DualTweezerParams,
+    LinearModel,
+    ModeLayout,
     Regime,
     TweezerParams,
     build_scattering,
     compound_signal_variances,
     dual_tweezer_metrics,
-    dual_tweezer_model,
     dual_tweezer_threshold,
     evaluate,
     ideal_qnd_metrics,
@@ -22,6 +23,7 @@ from tvmeter import (
     reduced_scattering,
     single_tweezer_qnd_model,
     single_tweezer_qnd_params,
+    check_stable,
     threshold_signal_variance,
 )
 
@@ -30,6 +32,40 @@ FIG5_BATH = BathSpec(n_m=1e7 - 0.5)  # V_x = 1e7
 
 def _figs(m):
     return np.array([m.Vc, m.Ts, m.Tm])
+
+
+#: dual-tweezer layout: primary cavity, readout cavity, mechanics
+DUAL_TWEEZER_LAYOUT = ModeLayout(("X1", "Y1", "X2", "Y2", "x", "p"), 4, 3, mechanical_modes=(2,))
+
+
+def dual_tweezer_model(p: DualTweezerParams, bath: BathSpec) -> LinearModel:
+    """Six-mode model with layout (X1, Y1, X2, Y2, x, p), the oracle of
+    the reduced dual-tweezer map.
+
+    Tweezer 1 provides the beam-splitter plus parametric coupling that
+    cools/squeezes the mechanics; tweezer 2 provides the QND-type
+    readout of x through the second cavity's phase quadrature.
+    """
+    c1m = (p.alpha_1 - 2.0) * p.g_1 / 4.0
+    c1p = (p.alpha_1 + 2.0) * p.g_1 / 4.0
+    c2 = p.alpha_2 * p.g_2 / 2.0
+    mu2 = p._x2_rate()
+    A = np.array([
+        [-p.kappa_1 / 2, 0, 0, 0, 0, c1m],
+        [0, -p.kappa_1 / 2, 0, 0, c1p, 0],
+        [0, 0, -p.kappa_2 / 2, 0, 0, 0],
+        [0, 0, 0, -p.kappa_2 / 2, c2, 0],
+        [0, c1m, 0, 0, -p.gamma / 2, 0],
+        [c1p, 0, c2, 0, -2.0 * mu2, -p.gamma / 2],
+    ])
+    check_stable(A)
+    H = np.diag(
+        [np.sqrt(p.kappa_1)] * 2 + [np.sqrt(p.kappa_2)] * 2 + [np.sqrt(p.gamma)] * 2
+    )
+    n = bath.optical_variance
+    Vin = np.diag([n, n, n, n, 0.0, 0.0])
+    Vin[4:6, 4:6] = bath.mechanical_block()
+    return LinearModel(A, H, Vin, DUAL_TWEEZER_LAYOUT)
 
 
 class TestModulationFrequency:
@@ -117,7 +153,7 @@ class TestDualTweezer:
     def test_full_model_backaction_free_signal_row(self):
         p = fig5_params(0.2, 0.3)
         model = dual_tweezer_model(p, FIG5_BATH)
-        S = build_scattering(model, 0.0).S
+        S = build_scattering(model, 0.0)
         # x_out row couples only to the primary phase noise and x_in
         assert abs(S[4, 0]) < 1e-12 and abs(S[4, 2]) < 1e-12
         assert abs(S[4, 3]) < 1e-12 and abs(S[4, 5]) < 1e-12
@@ -229,3 +265,6 @@ class TestThreshold:
         # C1 = 0, alpha2 = 0.2: Vc = 1 / (Vxs^-1 + 1.28 C2)
         figs = dual_tweezer_metrics(0.0, 3.0, 0.2, 0.2, 1e7)
         assert figs.Vc == pytest.approx(1.0 / (1e-7 + 32 * 0.04 * 3.0), rel=1e-12)
+        # n_m_eq = broadening / measurement rate = 1 / (32 alpha2^2 C2)
+        assert dual_tweezer_metrics(0.0, 3.0, 0.2, 1.0, 1e7).nm_eq == pytest.approx(
+            1 / 96, rel=1e-14)

@@ -11,7 +11,6 @@ from tvmeter import (
     DegenerateMeter,
     DisplacementParams,
     Regime,
-    ScatteringMatrix,
     build_scattering,
     classify_regime,
     conditional_variance,
@@ -21,7 +20,6 @@ from tvmeter import (
     evaluate,
     ideal_qnd_metrics,
     ideal_qnd_model,
-    output_covariance_at,
 )
 from tvmeter import (
     FOUR_MODE,
@@ -35,6 +33,8 @@ from tvmeter import (
 )
 from tvmeter import metrics
 
+from conftest import output_covariance
+
 FIG_BATH = BathSpec(n_m=1.0)
 
 
@@ -45,12 +45,12 @@ class TestConditionalVariance:
 
     def test_ideal_qnd_value(self):
         model = ideal_qnd_model(10.0, 0.01, FIG_BATH, C=1 / 16)
-        V = output_covariance_at(model, 0.0)
+        V = output_covariance(model, 0.0)
         assert conditional_variance(V, signal=2, meter=1) == pytest.approx(0.375, rel=1e-12)
 
     def test_zero_cooperativity_returns_input_variance(self):
         model = ideal_qnd_model(10.0, 0.01, FIG_BATH, g=0.0)
-        V = output_covariance_at(model, 0.0)
+        V = output_covariance(model, 0.0)
         assert conditional_variance(V, signal=2, meter=1) == pytest.approx(1.5, rel=1e-12)
 
     def test_degenerate_meter_raises(self):
@@ -129,7 +129,7 @@ class TestTransferCoefficients:
 class TestCqncConditioning:
     def _vout(self, C=1.0, omega=0.7):
         model = cqnc_model(CqncParams(10.0, 0.01, 1.0, C=C), FIG_BATH)
-        return output_covariance_at(model, omega)
+        return output_covariance(model, omega)
 
     def test_reduces_to_meter_only_without_correlations(self):
         V = np.diag([0.5, 2.0, 1.5, 1.5, 0.7, 0.7])
@@ -177,7 +177,7 @@ class TestCqncConditioning:
 
     def test_no_interaction_returns_bath_variance(self):
         model = cqnc_model(CqncParams(10.0, 0.01, 1.0, g=0.0), FIG_BATH)
-        V = output_covariance_at(model, 1.0)
+        V = output_covariance(model, 1.0)
         assert cqnc_conditional_variance(V) == pytest.approx(1.5, rel=1e-12)
         figs = evaluate(model, 1.0)
         assert figs.Ts == pytest.approx(0.0, abs=1e-4)
@@ -203,9 +203,9 @@ class TestHermitianConditioning:
             model = cqnc_model(CqncParams(10.0, 0.01, 1.0, C=3.0), FIG_BATH)
             omega, conditioning = 2.2, "meter+ancilla"
         ref = evaluate(model, omega, conditioning=conditioning)
-        S = build_scattering(model, omega).S.copy()
+        S = build_scattering(model, omega).copy()
         S[model.layout.meter_index] *= np.exp(1j * phi)
-        monkeypatch.setattr(metrics, "build_scattering", lambda m, w: ScatteringMatrix(S, w))
+        monkeypatch.setattr(metrics, "build_scattering", lambda m, w: S)
         got = evaluate(model, omega, conditioning=conditioning)
         assert got.Vc == pytest.approx(ref.Vc, rel=1e-10)
         assert (got.Ts, got.Tm) == pytest.approx((ref.Ts, ref.Tm), rel=1e-10)

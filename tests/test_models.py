@@ -1,5 +1,7 @@
 """Scenario builders against their closed-form benchmarks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,11 @@ from tvmeter import (
     ideal_qnd_metrics,
     imperfect_qnd_model,
     nu_model_closed_metrics,
-    output_covariance_at,
     qnd_cooperativity_threshold,
     xi_model_closed_metrics,
 )
+
+from conftest import output_covariance
 
 KAPPA, GAMMA, OMEGA_M = 10.0, 0.01, 1.0
 FIG_BATH = BathSpec(n_m=1.0)
@@ -77,14 +80,14 @@ class TestSqlFormula:
     def test_noise_balance_at_sql(self):
         C = c_sql(KAPPA, GAMMA, OMEGA_M, OMEGA_M)
         model = displacement_model(DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=C), FIG_BATH)
-        S = build_scattering(model, OMEGA_M).S
+        S = build_scattering(model, OMEGA_M)
         assert abs(abs(S[1, 0]) - abs(S[1, 1])) < 1e-9
 
     def test_noise_balance_off_resonance(self):
         omega = 1.7 * OMEGA_M
         C = c_sql(KAPPA, GAMMA, OMEGA_M, omega)
         model = displacement_model(DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=C), FIG_BATH)
-        S = build_scattering(model, omega).S
+        S = build_scattering(model, omega)
         assert abs(abs(S[1, 0]) - abs(S[1, 1])) < 1e-9
 
     @pytest.mark.parametrize("kappa", [1.0, 10.0])
@@ -112,13 +115,13 @@ class TestCqncModel:
         model = cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=7.3), FIG_BATH)
         rng = np.random.default_rng(7)
         for omega in rng.uniform(0.01, 30.0, size=20):
-            S = build_scattering(model, omega).S
+            S = build_scattering(model, omega)
             assert abs(S[1, 0]) < 1e-12
 
     def test_cross_covariance_ratio(self):
         model = cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=2.0), FIG_BATH)
         for omega in (0.3, 1.0, 2.2):
-            V = output_covariance_at(model, omega)
+            V = output_covariance(model, omega)
             assert V[2, 4] / V[2, 5] == pytest.approx(-2 * OMEGA_M / GAMMA, rel=1e-9)
 
     def test_classical_on_resonance(self):
@@ -186,11 +189,29 @@ class TestNuClosedForms:
     def test_matches_pipeline_over_cooperativity(self, nu_over_gamma, m_sq):
         bath = BathSpec(n_m=1.0, m_sq=m_sq)
         nu = nu_over_gamma * GAMMA
-        for C in np.logspace(-2, 2, 9):
+        for C in [0.0, *np.logspace(-2, 2, 9)]:
             p = ImperfectQndParams(KAPPA, GAMMA, C=C, nu=nu)
             got = _figs(evaluate(imperfect_qnd_model(p, bath), 0.0))
-            want = _figs(nu_model_closed_metrics(C, nu, GAMMA, bath))
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+            closed = nu_model_closed_metrics(C, nu, GAMMA, bath)
+            np.testing.assert_allclose(got, _figs(closed), rtol=1e-9)
+            if C == 0.0:
+                assert (closed.nm_eq, closed.Tm) == (np.inf, 0.0)
+
+    @pytest.mark.parametrize("nu_over_gamma", [0.0, 0.02, 0.1, 0.3])
+    @pytest.mark.parametrize("m_sq", [0.0, 0.4, -0.3j])
+    def test_equivalent_noises_exact(self, nu_over_gamma, m_sq):
+        # n_eq = V_x (1/T - 1) of the transfer closed forms, in exact
+        # arithmetic on the float inputs; in floats that form cancels as T -> 1
+        bath = BathSpec(n_m=1.0, m_sq=m_sq)
+        C, nu = 1000.0, nu_over_gamma * GAMMA
+        figs = nu_model_closed_metrics(C, nu, GAMMA, bath)
+        C, nu, g = Fraction(C), Fraction(nu), Fraction(GAMMA)
+        Vx, Vp, Vxp = Fraction(bath.V_x), Fraction(bath.V_p), Fraction(bath.V_xp)
+        den = 512 * C * nu**2 * (2 * C + Vp) + g**2 * (1 + 32 * C * Vx) + 256 * C * g * nu * Vxp
+        Ts = Vx * g**2 / (Vx * g**2 + 16 * nu * (4 * nu * (2 * C + Vp) + g * Vxp))
+        Tm = 32 * C * g**2 * Vx / den
+        assert figs.ns_eq == pytest.approx(float(Vx * (1 / Ts - 1)), rel=1e-14)
+        assert figs.nm_eq == pytest.approx(float(Vx * (1 / Tm - 1)), rel=1e-14)
 
     def test_reduces_to_ideal_at_zero_nu(self):
         got = _figs(nu_model_closed_metrics(2.0, 0.0, GAMMA, FIG_BATH))
@@ -212,11 +233,13 @@ class TestXiClosedForms:
     @pytest.mark.parametrize("xi_over_gamma", [-0.25, -0.1, 0.1, 0.25])
     def test_matches_pipeline(self, xi_over_gamma):
         xi = xi_over_gamma * GAMMA
-        for C in (0.05, 1 / 16, 1.0, 30.0):
+        for C in (0.0, 0.05, 1 / 16, 1.0, 30.0):
             p = ImperfectQndParams(KAPPA, GAMMA, C=C, xi=xi)
             got = _figs(evaluate(imperfect_qnd_model(p, FIG_BATH), 0.0))
-            want = _figs(xi_model_closed_metrics(C, xi, GAMMA, FIG_BATH))
-            np.testing.assert_allclose(got, want, rtol=1e-9)
+            closed = xi_model_closed_metrics(C, xi, GAMMA, FIG_BATH)
+            np.testing.assert_allclose(got, _figs(closed), rtol=1e-9)
+            if C == 0.0:
+                assert (closed.nm_eq, closed.Tm) == (np.inf, 0.0)
 
     def test_spec_point(self):
         figs = xi_model_closed_metrics(1 / 16, -GAMMA / 4, GAMMA, FIG_BATH)

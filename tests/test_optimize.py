@@ -48,14 +48,14 @@ class TestGoldenSection:
 
     def test_refinement_never_worse_than_grid(self):
         f = lambda x: np.cos(3 * x) + 0.1 * x
-        spec = SweepSpec("x", 0.1, 10.0, count=40, log=True)
+        spec = SweepSpec(0.1, 10.0, count=40)
         from tvmeter.optimize import minimize_on_grid
 
         x, v, boundary, _ = minimize_on_grid(f, spec)
         assert v <= min(f(g) for g in spec.grid()) + 1e-15
 
     def test_refinement_reuses_the_grid_values(self):
-        spec = SweepSpec("x", 0.1, 10.0, count=40, log=True)
+        spec = SweepSpec(0.1, 10.0, count=40)
         calls = []
 
         def f(x):
@@ -67,7 +67,7 @@ class TestGoldenSection:
         assert (x, v) == minimize_on_grid(f, spec)[:2]
 
     def test_grid_error_stands_when_no_point_fails(self):
-        spec = SweepSpec("x", 0.1, 10.0, count=40, log=True)
+        spec = SweepSpec(0.1, 10.0, count=40)
 
         def f_grid(xs):
             raise DegenerateMeter("grid only")
@@ -171,7 +171,7 @@ def _double_well(depth):
 class TestLockstepScan:
     """minimize_on_grid over several rows against one scan per row."""
 
-    SPEC = SweepSpec("x", 1e-3, 1e3, count=121, log=True)
+    SPEC = SweepSpec(1e-3, 1e3, count=121)
     DEPTHS = [0.0, 0.004, 0.5, -0.003, -0.5]
 
     def _rows(self, fail=None):
@@ -275,7 +275,7 @@ class TestFrequencyOptimization:
 
         # double well with minima of equal depth at x = 0.1 and x = 10
         f = lambda x: min((np.log10(x) + 1) ** 2, (np.log10(x) - 1) ** 2) + 1.0
-        spec = SweepSpec("x", 1e-3, 1e3, count=121, log=True)
+        spec = SweepSpec(1e-3, 1e3, count=121)
         x, v, boundary, branches = minimize_on_grid(f, spec)
         assert len(branches) == 1
         xs = sorted([x, branches[0][0]])
@@ -393,7 +393,7 @@ class TestStackedCooperativityGrid:
     @pytest.mark.parametrize("family, vc_grid", [c[1] for c in _sql_cases()],
                              ids=[c[0] for c in _sql_cases()])
     def test_same_scan_bit_for_bit(self, family, vc_grid):
-        grid = SweepSpec("C", 1e-3, 1e3).grid()
+        grid = SweepSpec(1e-3, 1e3).grid()
         assert list(vc_grid(grid)) == [family(C).Vc for C in grid]
         scalar = generalized_sql(family, 1e-3, 1e3)
         assert generalized_sql(family, 1e-3, 1e3, vc_grid=vc_grid) == scalar
@@ -503,18 +503,16 @@ class TestFindThreshold:
 
 class TestSweepSpec:
     def test_grids(self):
-        log = SweepSpec("C", 1e-2, 1e2, count=5).grid()
+        log = SweepSpec(1e-2, 1e2, count=5).grid()
         np.testing.assert_allclose(log, [1e-2, 1e-1, 1, 1e1, 1e2])
-        lin = SweepSpec("x", 0.0, 1.0, count=3, log=False).grid()
-        np.testing.assert_allclose(lin, [0.0, 0.5, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec("C", 1.0, 1.0, count=5)
+            SweepSpec(1.0, 1.0, count=5)
         with pytest.raises(ValueError):
-            SweepSpec("C", -1.0, 1.0, count=5)  # log grid needs positive lo
+            SweepSpec(-1.0, 1.0, count=5)  # log grid needs positive lo
         with pytest.raises(ValueError):
-            SweepSpec("C", 1.0, 2.0, count=1)
+            SweepSpec(1.0, 2.0, count=1)
 
 
 class TestMeasuredCrossings:

@@ -21,7 +21,6 @@ from tvmeter import (
     propagator,
     pulsed_covariances,
     pulsed_metrics,
-    pulsed_state,
 )
 from tvmeter.pulsed import DEGENERATE_RATE_TOL, _eval, _m23_terms, _mul, readout_drift
 
@@ -337,10 +336,10 @@ class TestPulsedMetrics:
 
     def test_state_bundle(self):
         p = fig9_params()
-        st = pulsed_state(p, 2.0 / p.kappa)
-        assert st.gain > 1.0
-        assert st.M.shape == (4, 4)
-        assert st.V22 > 0.5
+        tau = 2.0 / p.kappa
+        assert measurement_gain(p, tau) > 1.0
+        assert propagator(p, tau).shape == (4, 4)
+        assert pulsed_covariances(p, tau)[2] > 0.5
 
 
 def gain_by_quadrature(p, tau, rel=1e-8):
