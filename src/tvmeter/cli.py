@@ -239,31 +239,38 @@ def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
     """Detection frequency minimizing V_c at each row of ``params`` (an
     array holds one value per row of a sweep), with the figures there.
 
-    A model-based scenario builds the model stack of all rows once, scans
-    each row's frequency grid with one stacked solve, and refines all rows
-    in lockstep: each golden-section round is one solve over the rows'
-    drift (and H) stack paired with the round's frequencies.  Scenarios
-    without a model are refined frequency by frequency.  The figures of
-    each optimum come from :func:`scenario_figures` on the row's own
-    parameters, in ``cfg``'s bath, as the V_c scans.
+    A model-based scenario builds the model stack of all rows once (its
+    row slices are not validated again), scans each row's frequency grid
+    with one stacked solve, and refines all rows in lockstep: each
+    golden-section round is one solve over the rows' drift (and H) stack
+    paired with the round's frequencies.  One :func:`scenario_figures`
+    call then gives the figures at the optima of all rows, in ``cfg``'s
+    bath.  Other scenarios, and one row of numbers, go point by point.
     """
     lo, hi = cfg.omega_bounds
     bath = cfg.bath_spec()
     arrays = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
     count = len(next(iter(arrays.values()))) if arrays else 1
-    rows = [{**params, **{k: v[r] for k, v in arrays.items()}} for r in range(count)]
-
-    def figures(r: int, w: float) -> MeasurementFigures:
-        return scenario_figures(cfg.scenario, rows[r], bath, w, cfg.conditioning)
-
     build = SCENARIOS[cfg.scenario].model
+
+    def row(ks) -> dict:  # the parameters of the rows ks
+        return {**params, **{k: v[ks] for k, v in arrays.items()}}
+
+    def figures(ks: list[int], ws: list[float]) -> list[MeasurementFigures]:
+        if arrays and build is not None:
+            return scenario_figures(cfg.scenario, row(ks), bath, np.asarray(ws), cfg.conditioning)
+        return [scenario_figures(cfg.scenario, row(k), bath, w, cfg.conditioning)
+                for k, w in zip(ks, ws)]
+
     if build is None:
         return minimize_vc_over_frequency(figures, lo, hi, rows=count)
     stack = build(params, bath)
     A = np.broadcast_to(stack.A, (count,) + stack.A.shape[-2:])
 
-    def at(ks):  # the models of the rows ks
-        return replace(stack, A=A[ks], H=stack.H[ks] if stack.H.ndim > 2 else stack.H)
+    def at(ks):  # the models of the rows ks, sliced from the validated stack
+        model = object.__new__(type(stack))
+        vars(model).update(vars(stack), A=A[ks], H=stack.H[ks] if stack.H.ndim > 2 else stack.H)
+        return model
 
     return minimize_vc_over_frequency(
         figures, lo, hi, rows=count,
@@ -308,8 +315,8 @@ def _sql_scan(
     stacked solve, one row at a time, so no stack holds more than
     ``c_count`` models.  The refinement runs in lockstep: each
     golden-section round of all rows is one stacked solve over the
-    active rows' parameters paired with the round's C points.  Only the
-    figures of each row's optimum come from :func:`_row_figures`.
+    active rows' parameters paired with the round's C points, and so is
+    the one :func:`scenario_figures` call for the figures at the optima.
     """
     scenario, bath, omega = SCENARIOS[cfg.scenario], cfg.bath_spec(), _default_omega(cfg)
 
@@ -328,7 +335,8 @@ def _sql_scan(
 
     rows = len(next(iter(arrays.values())))
     return generalized_sql(
-        lambda r, C: _row_figures(cfg, with_parameter(row(r), "C", C)), *c_bounds,
+        lambda ks, Cs: scenario_figures(cfg.scenario, with_parameter(row(ks), "C", np.asarray(Cs)),
+                                        bath, omega, cfg.conditioning), *c_bounds,
         count=c_count, rows=rows, vc=lambda ks, Cs: vc(row(ks), Cs),
         vc_grid=lambda Cs: [vc(row(r), Cs) for r in range(rows)],
     )
@@ -446,13 +454,14 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         try:  # the prepared state is the same for every row
             rows_cfg = replace(cfg, parameters=scenario.prepare(cfg.parameters, bath))
         except TvmeterError as err:
-            raise NumericalFailure(name, values[0], err) from err
+            prep = {k: cfg.parameters[k] for k in scenario.preparation}
+            raise NumericalFailure({k: v for k, v in prep.items() if v is not None}, err) from err
 
     def one(value: float) -> dict:
         try:
             figs = _row_figures(rows_cfg, _swept_params(rows_cfg, value))
         except TvmeterError as err:
-            raise NumericalFailure(name, value, err) from err
+            raise NumericalFailure({name: value}, err) from err
         return _figures_row(name, value, figs)
 
     def rows(figures) -> list[dict]:
@@ -486,7 +495,7 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
         try:
             return [sql_row(_sql_scan(cfg, dict(cfg.parameters), c_bounds, c_count))]
         except TvmeterError as err:
-            raise NumericalFailure("C", c_bounds, err) from err
+            raise NumericalFailure({"C": c_bounds}, err) from err
     name, values = cfg.sweep["param"], _sweep_values(cfg)
 
     def row(value: float, res: ScanMinimum) -> dict:
@@ -496,7 +505,7 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
         try:
             return row(value, _sql_scan(cfg, _swept_params(cfg, value), c_bounds, c_count))
         except TvmeterError as err:
-            raise NumericalFailure(name, value, err) from err
+            raise NumericalFailure({name: value}, err) from err
 
     if cfg.optimize_frequency:
         return [one(value) for value in values]
@@ -530,7 +539,7 @@ def cmd_threshold(
                 return _row_figures(cfg_v, params).Vc
             res = _sql_scan(cfg_v, params, c_bounds, c_count)
         except TvmeterError as err:
-            raise NumericalFailure(vary, value, err) from err
+            raise NumericalFailure({vary: value}, err) from err
         if quantity == "min-vc":
             return res.value
         if quantity == "tsum-at-sql":
@@ -540,7 +549,7 @@ def cmd_threshold(
     try:
         crossing = find_threshold(curve, level, bounds[0], bounds[1])
     except TvmeterError as err:  # no crossing in the bounds, or a NaN on the curve
-        raise NumericalFailure(vary, bounds, err) from err
+        raise NumericalFailure({vary: bounds}, err) from err
     return [{"vary": vary, "quantity": quantity, "level": level, "crossing": crossing}]
 
 
@@ -549,7 +558,7 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
     try:
         res = _frequency_scans(cfg, cfg.parameters)[0]
     except TvmeterError as err:
-        raise NumericalFailure("omega", cfg.omega_bounds, err) from err
+        raise NumericalFailure({"omega": cfg.omega_bounds}, err) from err
     row = _figures_row("omega_opt", res.x, res.figures)
     row["at_boundary"] = int(res.at_boundary)
     row["n_branches"] = len(res.branches)
@@ -557,12 +566,12 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
 
 
 class NumericalFailure(Exception):
-    """A numerical error at ``param`` = ``value``, or in the range ``value`` = (lo, hi)."""
+    """A numerical error at the parameters ``at``: name -> value, or -> (lo, hi) for a range."""
 
-    def __init__(self, param: str, value: float | tuple[float, float], err: Exception):
-        self.param, self.value, self.err = param, value, err
-        where = (f"{param} in [{float(value[0])!r}, {float(value[1])!r}]"
-                 if isinstance(value, tuple) else f"{param}={float(value)!r}")
+    def __init__(self, at: dict, err: Exception):
+        self.at, self.err = at, err
+        where = ", ".join(f"{k} in [{float(v[0])!r}, {float(v[1])!r}]" if isinstance(v, tuple)
+                          else f"{k}={float(v)!r}" for k, v in at.items())
         super().__init__(f"numerical failure at {where}: {err}")
 
 

@@ -238,8 +238,9 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
         raise UnstableModel(float(max_real))
 
 
-def _equilibrated(M: NDArray) -> NDArray:
-    """``M`` after row/column scaling to unit max-modulus rows and columns.
+def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """(E, r, c): ``M`` after row/column scaling to unit max-modulus rows
+    and columns, E = diag(1/r) M diag(1/c).
 
     Rate hierarchies (gamma orders of magnitude below kappa) inflate the
     raw condition number without the matrix being anywhere near an
@@ -248,12 +249,13 @@ def _equilibrated(M: NDArray) -> NDArray:
     be a stack ``[..., i, j]``.
     """
     r = np.maximum(np.abs(M).max(axis=-1), _TINY)
-    scaled = M / r[..., :, None]
-    c = np.maximum(np.abs(scaled).max(axis=-2), _TINY)
-    return scaled / c[..., None, :]
+    E = M / r[..., :, None]
+    c = np.maximum(np.abs(E).max(axis=-2), _TINY)
+    E /= c[..., None, :]
+    return E, r, c
 
 
-def _require_regular(M: NDArray, omega: float | NDArray) -> None:
+def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = None) -> None:
     """Raise :class:`SingularAtFrequency` unless the equilibrated rcond
     of ``M`` (or of every matrix of the stack ``M[..., i, j]``) reaches
     ``RCOND_FLOOR`` (the rcond is that of the SVD; NaN entries count as
@@ -265,28 +267,32 @@ def _require_regular(M: NDArray, omega: float | NDArray) -> None:
     Frobenius bound of at most 1 / (2 ``RCOND_FLOOR``) puts the 2-norm
     rcond at 2 ``RCOND_FLOOR`` or above; the factor 2 covers the rounding
     of the computed inverse (about n eps kappa, 1e-3 of the bound there).
-    Only the matrices this does not accept (a NaN bound among them, or
-    the whole stack when an exactly singular matrix stops the inverse)
-    go on to the SVD rcond, so the matrices that raise, and the rcond
-    they report, are those of the SVD test alone.
+    E^-1 = diag(c) M^-1 diag(r) comes from the caller's solve ``solved``
+    = (X, h) of X = M^-1 diag(h), else from inverting E.  Only the
+    matrices this does not accept (a NaN bound among them, or the whole
+    stack when an exactly singular matrix stops the inverse) go on to the
+    SVD rcond, so the matrices that raise, and the rcond they report, are
+    those of the SVD test alone.
     """
-    E = _equilibrated(M)
+    E, r, c = _equilibrated(M)
     if M.ndim == 2:
         rcond = float(1.0 / np.linalg.cond(E))
         if not rcond >= RCOND_FLOOR:  # NaN counts as singular
             raise SingularAtFrequency(omega, rcond)
         return
-    checked = np.ones(E.shape[:-2], dtype=bool)
-    try:
-        inverse = np.linalg.inv(E)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _frobenius2(E) * _frobenius2(inverse)
-        checked = ~(bound <= 0.25 / RCOND_FLOOR**2)  # NaN is checked
-        if not checked.any():
-            return
+    with np.errstate(over="ignore", invalid="ignore"):
+        if solved is not None:  # ||E^-1||_F^2 = sum_ij c_i^2 |X_ij|^2 (r_j / h_j)^2
+            X2 = np.abs(solved[0])
+            X2 *= X2
+            inverse2 = ((c**2)[..., None, :] @ X2 @ ((r / solved[1]) ** 2)[..., :, None])[..., 0, 0]
+        else:
+            try:
+                inverse2 = _frobenius2(np.linalg.inv(E))
+            except np.linalg.LinAlgError:  # an exactly singular matrix: all go to the SVD
+                inverse2 = np.nan
+        checked = ~(_frobenius2(E) * inverse2 <= 0.25 / RCOND_FLOOR**2)  # NaN is checked
+    if not checked.any():
+        return
     rcond = np.full(checked.shape, np.inf)
     rcond[checked] = 1.0 / np.linalg.cond(E[checked])
     singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
@@ -296,9 +302,25 @@ def _require_regular(M: NDArray, omega: float | NDArray) -> None:
         raise SingularAtFrequency(w, float(rcond.ravel()[k]))
 
 
+def _solve_regular(M: NDArray, H: NDArray, omega: float | NDArray) -> NDArray:
+    """M^-1 H for a diagonal ``H`` (or a stack), once :func:`_require_regular`
+    accepts ``M`` at ``omega``.  On a stack with no zero in H the solve X
+    comes first and serves the guard (M^-1 = X diag(1/h)); otherwise, or
+    when an exactly singular matrix stops the solve, the guard goes alone."""
+    H = np.asarray(H, dtype=M.dtype)  # cast once: the solve's own cast is slow (same bits)
+    h = np.diagonal(H, 0, -2, -1).real
+    try:
+        X = np.linalg.solve(M, H) if M.ndim > 2 and h.all() else None
+    except np.linalg.LinAlgError:
+        X = None
+    _require_regular(M, omega, None if X is None else (X, h))
+    return np.linalg.solve(M, H) if X is None else X
+
+
 def _frobenius2(M: NDArray) -> NDArray[np.float64]:
     """Squared Frobenius norm of each matrix of a stack."""
-    return (M.real**2 + M.imag**2).sum(axis=(-2, -1))
+    parts = np.ascontiguousarray(M).view(float)  # real and imaginary parts side by side
+    return np.einsum("...ij,...ij->...", parts, parts)
 
 
 def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
@@ -312,10 +334,9 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     :class:`SingularAtFrequency`.
     """
     eye = np.eye(model.A.shape[-1])
-    stacked = isinstance(omega, np.ndarray) and omega.ndim > 0
-    M = model.A + 1j * (omega[..., None, None] if stacked else omega) * eye
-    _require_regular(M, omega)
-    return -(model.H @ np.linalg.solve(M, model.H) + eye)
+    M = model.A + 1j * np.asarray(omega)[..., None, None] * eye
+    H = model.H.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
+    return -(H @ _solve_regular(M, H, omega) + eye)
 
 
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
@@ -338,7 +359,7 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     coefficients; its off-diagonal entries are complex at nonzero
     frequency.  ``S`` may be a stack ``[..., i, j]``.
     """
-    V = S @ Vin @ S.conj().swapaxes(-1, -2)
+    V = S @ Vin.astype(S.dtype) @ S.conj().swapaxes(-1, -2)
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (FOUR_MODE, BathSpec, _require_regular, check_sign, check_stable, detected,
-                   input_covariance, matrix)
+from .core import (FOUR_MODE, BathSpec, _require_regular, _solve_regular, check_sign, check_stable,
+                   detected, input_covariance, matrix)
 from .metrics import (
     MeasurementFigures,
     _abs2,
@@ -147,8 +147,7 @@ def sideband_scattering(
     P, Q = PQ[..., :4], PQ[..., 4:]
     schur = (D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P[..., 0:3, :, :]
              - fd.A_plus[..., None, :, :] @ Q[..., 2:5, :, :])
-    _require_regular(schur, omega)
-    u0 = np.linalg.solve(schur, -H[..., None, :, :])
+    u0 = _solve_regular(schur, -H[..., None, :, :], omega)
     return {
         -1: -(H @ (Q[..., 2, :, :] @ u0[..., 0, :, :])),
         0: H @ u0[..., 1, :, :] - I4,

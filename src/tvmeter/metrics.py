@@ -259,12 +259,14 @@ def measured_figures(
     measurement-equivalent input noises n_eq = V / G - V_x; a gain at or
     below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
     Arrays of ``Vc``, ``V_ss``, ``V_mm``, ``G_s`` and ``G_m`` over a stack
-    of points give a list of figures, one per point in stack order, each
-    reduced from its point's Python floats as a single point would be.
+    of points (and of ``omega``, one frequency per point, or one for all)
+    give a list of figures, one per point in stack order, each reduced
+    from its point's Python floats as a single point would be.
     """
     if np.ndim(V_ss):
-        points = zip(*(np.ravel(a).tolist() for a in (Vc, V_ss, V_mm, G_s, G_m)))
-        return [measured_figures(*point, Vx, omega) for point in points]
+        omegas = np.broadcast_to(omega, np.shape(V_ss))
+        points = zip(*(np.ravel(a).tolist() for a in (Vc, V_ss, V_mm, G_s, G_m, omegas)))
+        return [measured_figures(*point[:5], Vx, point[5]) for point in points]
     ns, nm = _equivalent_noise(V_ss, G_s, Vx), _equivalent_noise(V_mm, G_m, Vx)
     return figures_from_parts(Vc, ns, nm, Vx, omega)
 
@@ -279,7 +281,7 @@ def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
 
 def evaluate(
     model: LinearModel,
-    omega: float,
+    omega: float | NDArray,
     bath: BathSpec | None = None,
     conditioning: str = "meter",
 ) -> MeasurementFigures | list[MeasurementFigures]:
@@ -293,13 +295,14 @@ def evaluate(
     as the noise that fills the loss.
 
     A model stack (a drift stack, and H when it is one, from parameter
-    arrays, say) is solved at ``omega`` in one stacked solve and gives a
-    list of figures, one per point in stack order, each with the bits of
-    that point's own evaluation.  The first point that fails a guard, in
-    stack order, raises the error a loop over the points would raise.
+    arrays, say) is solved at ``omega``, or at an array of one frequency
+    per drift, in one stacked solve and gives a list of figures, one per
+    point in stack order, each with the bits of that point's own
+    evaluation.  The first point that fails a guard, in stack order,
+    raises the error a loop over the points would raise.
     """
-    if np.ndim(omega):
-        raise ValueError("evaluate takes one frequency; vc_on_grid scores a frequency grid")
+    if np.ndim(omega) and np.shape(omega) != model.A.shape[:-2]:
+        raise ValueError("evaluate takes one frequency or one per drift; vc_on_grid scores a grid")
     S, Vout, Vc, eta = _solved(model, omega, bath, conditioning)
     s, m = model.layout.signal_index, model.layout.meter_index
     # one point indexes numpy scalars, which _abs2 and measured_figures
@@ -329,15 +332,11 @@ def vc_on_grid(
     first point that fails one, in stack order, raises the error that a
     loop of :func:`evaluate` over the points would raise.
     """
-    if np.ndim(omegas):
-        omegas = np.asarray(omegas, dtype=float)
-        try:
-            np.broadcast_shapes(omegas.shape, model.A.shape[:-2])
-        except ValueError:
-            raise ValueError(
-                f"frequencies of shape {omegas.shape} do not pair with a drift "
-                f"stack of shape {model.A.shape[:-2]}"
-            ) from None
+    try:
+        np.broadcast_shapes(np.shape(omegas), model.A.shape[:-2])
+    except ValueError:
+        raise ValueError(f"frequencies of shape {np.shape(omegas)} do not pair with a drift "
+                         f"stack of shape {model.A.shape[:-2]}") from None
     return _solved(model, omegas, bath, conditioning)[2]
 
 

@@ -235,13 +235,14 @@ def _scan_minima(evaluate, spec: SweepSpec, vc_grid, rows: int | None, vc):
         x, v, boundary, branches = minimize_on_grid(lambda x: evaluate(x).Vc, spec, vc_grid)
         return ScanMinimum(x, evaluate(x), v, boundary, branches)
     if vc is None:
-        vc = lambda rs, xs: [evaluate(r, x).Vc for r, x in zip(rs, xs)]
+        vc = lambda rs, xs: [figures.Vc for figures in evaluate(rs, xs)]
     found = minimize_on_grid(vc, spec, vc_grid, rows)
-    return [ScanMinimum(x, evaluate(r, x), v, b, br) for r, (x, v, b, br) in enumerate(found)]
+    optima = evaluate(list(range(rows)), [x for x, *_ in found])
+    return [ScanMinimum(x, figures, v, b, br) for (x, v, b, br), figures in zip(found, optima)]
 
 
 def minimize_vc_over_frequency(
-    evaluate: Callable[..., MeasurementFigures],
+    evaluate: Callable[..., MeasurementFigures | list[MeasurementFigures]],
     omega_lo: float,
     omega_hi: float,
     count: int = 200,
@@ -259,19 +260,18 @@ def minimize_vc_over_frequency(
 
     ``rows`` = R scans R scenarios (the rows of a sweep, say) at once and
     returns one :class:`ScanMinimum` per row, each that of a scan of the
-    row alone.  Then ``evaluate(r, w)`` gives the figures of row r,
-    ``vc(rows, ws)`` the conditional variance at each ``ws[k]`` of row
-    ``rows[k]`` in one call (by default through ``evaluate``), which
-    serves each lockstep refinement round of all rows, and ``vc_grid``
-    returns ``[R, count]`` values.  The figures of each optimum are
-    evaluated once.
+    row alone.  Then ``evaluate(rows, ws)`` gives the list of figures at
+    each ``ws[k]`` of row ``rows[k]`` (one call serves the optima of all
+    rows), ``vc(rows, ws)`` the conditional variance there (by default
+    through ``evaluate``), which serves each lockstep refinement round of
+    all rows, and ``vc_grid`` returns ``[R, count]`` values.
     """
     spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
     return _scan_minima(evaluate, spec, vc_grid, rows, vc)
 
 
 def generalized_sql(
-    family: Callable[..., MeasurementFigures],
+    family: Callable[..., MeasurementFigures | list[MeasurementFigures]],
     c_lo: float,
     c_hi: float,
     count: int = 200,
@@ -290,9 +290,9 @@ def generalized_sql(
     ``rows`` = R scans R families (the rows of a ``tv sql`` sweep, say)
     at once and returns one :class:`ScanMinimum` per row, each that of a
     scan of the row alone, as :func:`minimize_vc_over_frequency` does:
-    ``family(r, C)`` gives the figures of row r, ``vc(rows, Cs)`` the
-    conditional variance at each ``Cs[k]`` of row ``rows[k]`` in one call
-    (a stack of the rows' parameters paired with the cooperativities),
+    ``family(rows, Cs)`` gives the list of figures at each ``Cs[k]`` of
+    row ``rows[k]``, ``vc(rows, Cs)`` the conditional variance there (a
+    stack of the rows' parameters paired with the cooperativities, say),
     which serves each lockstep refinement round of all rows, and
     ``vc_grid`` returns ``[R, count]`` values.
     """

@@ -12,6 +12,7 @@ import pytest
 from tvmeter import (
     BathSpec,
     DegenerateMeter,
+    LinearModel,
     cli,
     cooperativity_to_g,
     evaluate,
@@ -136,7 +137,17 @@ def scalar_scan_table(argv):
     ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e8",
      "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.01", "1000",
      "--conditioning", "meter+ancilla"],
-], ids=["displacement", "cqnc-meter+ancilla"])
+    ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e4",
+     "--n", "5", "--n-m", "1", "--optimize-frequency", "--eta", "0.5"],
+    ["sweep", "--scenario", "displacement", "--param", "kappa", "--log", "0.5", "50",
+     "--n", "5", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.2", "1000",
+     "--eta", "0.5"],
+    ["sweep", "--scenario", "qnd-imperfect", "--param", "nu", "--log", "0.01", "0.3",
+     "--n", "5", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.001", "1"],
+    ["sweep", "--scenario", "lev-single", "--param", "alpha", "--lin", "0.05", "0.5",
+     "--n", "5", "--g", "0.3", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "1", "300"],
+], ids=["displacement", "cqnc-meter+ancilla", "cqnc-meter-eta0.5", "displacement-kappa-eta0.5",
+        "qnd-imperfect", "lev-single"])
 def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
     rc, out = run(argv, tmp_path)
     assert rc == 0
@@ -220,8 +231,62 @@ class TestOptimizedSweepRows:
         assert rc == 0
         assert calls["minimize_vc_over_frequency"] == calls["minimize_on_grid"] == 1
         assert 1 <= calls["golden_section"] <= 2  # the optima, then any branches
-        # one figures evaluation per row
-        assert calls["scenario_figures"] == calls["evaluate"] == 6
+        # the figures at the optima of all rows of the block in one evaluation
+        assert calls["scenario_figures"] == calls["evaluate"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-frequency", "--scenario", "cqnc", "--C", "1e8", "--n-m", "1",
+     "--omega-bounds", "1e-2", "1e3"],
+    ["optimize-frequency", "--scenario", "cqnc", "--C", "1e3", "--n-m", "1",
+     "--conditioning", "meter+ancilla"],
+    ["optimize-frequency", "--scenario", "displacement", "--C", "3", "--n-m", "1", "--eta", "0.5"],
+], ids=["cqnc-meter", "cqnc-meter+ancilla", "displacement-eta0.5"])
+def test_optimize_frequency_matches_scalar_scan(argv, tmp_path):
+    args = build_parser().parse_args(argv)
+    _collect_param_flags(args)
+    cfg = build_config(None, args)
+    bath = cfg.bath_spec()
+    res = minimize_vc_over_frequency(
+        lambda w: scenario_figures(cfg.scenario, cfg.parameters, bath, w, cfg.conditioning),
+        *cfg.omega_bounds,
+    )
+    row = {**_figures_row("omega_opt", res.x, res.figures),
+           "at_boundary": int(res.at_boundary), "n_branches": len(res.branches)}
+    buf = io.StringIO()
+    write_table(cfg, [row], buf)
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == buf.getvalue().encode()
+
+
+class TestOptimizedSweepWaste:
+    """An optimized sweep builds and validates one model stack per block for
+    the scans and one for the figures at the optima, never one per row."""
+
+    @pytest.mark.parametrize("argv, builder", [
+        (OPTIMIZED_SWEEP, "displacement_model"),
+        (["sweep", "--scenario", "cqnc", "--param", "kappa", "--log", "1", "100", "--n", "6",
+          "--n-m", "1", "--optimize-frequency", "--conditioning", "meter+ancilla"], "cqnc_model"),
+    ], ids=["displacement-C", "cqnc-kappa"])
+    def test_two_builds_and_two_validations_per_block(self, argv, builder, tmp_path, monkeypatch):
+        whole = run(argv, tmp_path, "whole.csv")[1].read_bytes()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenarios, builder, counted("build", getattr(scenarios, builder)))
+        monkeypatch.setattr(LinearModel, "__post_init__",
+                            counted("validate", LinearModel.__post_init__))
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+        rc, out = run(argv, tmp_path, "blocks.csv")
+        assert rc == 0
+        assert out.read_bytes() == whole
+        assert calls == {"build": 2 * 3, "validate": 2 * 3}
 
 
 FIXED_OMEGA_SWEEPS = [
@@ -548,7 +613,7 @@ class TestSqlSweepRows:
         # each golden-section round serves all rows: two refinement passes
         # (optima, then branches) of about 24 rounds each, not 30 x 24 calls
         assert rows < len(points) <= rows + 2 * 40
-        assert figures["calls"] == rows  # the figures at each row's optimum
+        assert figures["calls"] == 1  # the figures at the optima of all rows
 
     def test_first_failing_row_raises_its_own_error(self, tmp_path, capsys):
         # xi beyond gamma/2 destabilizes the squeezing branch from the third row on
@@ -649,6 +714,16 @@ class TestValidation:
         assert capsys.readouterr().err == (
             f"tv: numerical failure at {where}: drift matrix is not strictly stable "
             "(max Re eigenvalue 5.000e-03)\n")
+        assert not out.exists()
+
+    def test_failed_preparation_names_its_parameters(self, tmp_path, capsys):
+        # the prepared state does not depend on tau: the failure names what it depends on
+        rc, out = run(["pulsed", "--tau-log", "1e-2", "1e2", "--n", "3", "--n-m", "1",
+                       "--set", "alpha_prep=3", "--set", "g_prep=1"], tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "tv: numerical failure at kappa=1.0, gamma=1e-09, g_prep=1.0, "
+            "alpha_prep=3.0: drift matrix is not strictly stable (max Re eigenvalue 3.624e-01)\n")
         assert not out.exists()
 
     def test_lost_matched_filter_is_a_numerical_failure(self, tmp_path, capsys):

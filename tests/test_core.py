@@ -227,6 +227,28 @@ class TestPairedStack:
                 for w in omegas[:, 0]]
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "build, bath, omega, conditioning",
+        [case[1:] for case in _stack_cases()],
+        ids=[case[0] for case in _stack_cases()],
+    )
+    def test_paired_figures_equal_evaluate_point_by_point(self, build, bath, omega, conditioning):
+        got = evaluate(build(self.CS, bath), self.OMEGAS, bath=bath, conditioning=conditioning)
+        want = [evaluate(build(C, bath), w, bath=bath, conditioning=conditioning)
+                for C, w in zip(self.CS, self.OMEGAS.tolist())]
+        def bits(f):  # each field as the CLI prints it
+            return [repr(float(x)) for x in (f.Vc, f.Ts, f.Tm, f.ns_eq, f.nm_eq, f.omega)], f.regime
+
+        assert [bits(f) for f in got] == [bits(f) for f in want]
+
+    def test_unpaired_frequencies_rejected(self):
+        stack = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=self.CS), FIG2_BATH)
+        one = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=1.0), FIG2_BATH)
+        for model, omegas in [(stack, self.OMEGAS[:, None]), (stack, self.OMEGAS[1:]),
+                              (one, self.OMEGAS[:1]), (one, self.OMEGAS)]:
+            with pytest.raises(ValueError, match="vc_on_grid"):
+                evaluate(model, omegas)
+
     def test_first_singular_point_raises(self):
         # undamped mechanics at omega_m = 1 in the second and third model;
         # paired with 0.5 the second is regular, so the third raises
@@ -265,7 +287,7 @@ class TestSingularityGuard:
     @staticmethod
     def _svd_rule(M, omegas):
         """(omega, rcond) of the first matrix the SVD rule rejects, or None."""
-        rcond = 1.0 / np.linalg.cond(core._equilibrated(M))
+        rcond = 1.0 / np.linalg.cond(core._equilibrated(M)[0])
         failing = np.flatnonzero(~(rcond >= RCOND_FLOOR))
         return (omegas[failing[0]], rcond[failing[0]]) if failing.size else None
 
@@ -302,6 +324,69 @@ class TestSingularityGuard:
         M = np.array([_near_singular(e, 0.7) for e in np.linspace(-11.0, 0.0, 12)])
         monkeypatch.setattr(np.linalg, "cond", lambda *a: pytest.fail("SVD not expected"))
         core._require_regular(M, np.zeros(len(M)))
+
+
+class TestGuardFromTheSolve:
+    """build_scattering on a stack bounds the condition number with the
+    inverse M^-1 = X diag(1/h) of its own solve X = M^-1 H; which matrices
+    raise, and the rcond they report, stay those of the SVD rule."""
+
+    H = [0.5, 2.0, 1.0, 3.0]
+
+    @staticmethod
+    def _model(A, h):
+        return LinearModel(A, np.diag(h), 0.5 * np.eye(4), FOUR_MODE)
+
+    @settings(max_examples=80)
+    @given(
+        exponents=st.lists(st.one_of(st.floats(-13.0, -11.0), st.none()), min_size=1, max_size=12),
+        angle=st.floats(0.1, 1.4),
+        h=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+        scales=st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+    )
+    def test_same_decision_as_the_svd_rule(self, exponents, angle, h, scales):
+        # rows and columns scaled by powers of two: a rate hierarchy
+        rows, cols = 2.0 ** np.array(scales[:4]), 2.0 ** np.array(scales[4:])
+        A = np.array([rows[:, None] * _near_singular(e, angle).real * cols for e in exponents])
+        omegas = 1e-14 * np.arange(len(A))  # the first matrix is exactly singular where e is None
+        want = TestSingularityGuard._svd_rule(A + 1j * omegas[:, None, None] * np.eye(4), omegas)
+        if want is None:
+            build_scattering(self._model(A, h), omegas)
+            return
+        with pytest.raises(SingularAtFrequency) as err:
+            build_scattering(self._model(A, h), omegas)
+        assert (err.value.omega, err.value.rcond) == want
+
+    def test_zero_in_h_takes_the_inverse(self, monkeypatch):
+        A = np.array([_near_singular(e, 0.7).real for e in np.linspace(-11.0, -13.0, 9)])
+        want = TestSingularityGuard._svd_rule(A + 0j, np.zeros(len(A)))
+        inv, sizes = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda E: sizes.append(len(E)) or inv(E))
+        with pytest.raises(SingularAtFrequency) as err:
+            build_scattering(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
+        assert (err.value.omega, err.value.rcond) == want
+        assert sizes == [len(A)]
+
+    def test_exactly_singular_matrix_stops_the_solve(self):
+        A = np.array([_near_singular(e, 0.7).real for e in (-5.0, None, -13.0)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A + 0j, np.diag(self.H) + 0j)
+        want = TestSingularityGuard._svd_rule(A + 0j, np.zeros(len(A)))
+        assert want[1] < RCOND_FLOOR
+        with pytest.raises(SingularAtFrequency) as err:
+            build_scattering(self._model(A, self.H), 0.0)
+        assert (err.value.omega, err.value.rcond) == want
+
+    def test_well_conditioned_stack_needs_no_inverse_and_no_svd(self, monkeypatch):
+        A = np.array([_near_singular(e, 0.7).real for e in np.linspace(-11.0, 0.0, 12)])
+        singles = [build_scattering(self._model(a, self.H), 0.3) for a in A]
+        disp = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=2.0), FIG2_BATH)
+        omegas = np.logspace(-2, 3, 50)
+        grid = [build_scattering(disp, w) for w in omegas]
+        for name in ("inv", "cond"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(name))
+        np.testing.assert_array_equal(build_scattering(self._model(A, self.H), 0.3), singles)
+        np.testing.assert_array_equal(build_scattering(disp, omegas), grid)
 
 
 class TestInputCovariance:
