@@ -346,12 +346,6 @@ def _sql_scan(
 # output
 
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _figures_row(swept: str, value: float, figs: MeasurementFigures) -> dict:
     return {
         swept: value,
@@ -367,8 +361,11 @@ def _figures_row(swept: str, value: float, figs: MeasurementFigures) -> dict:
 
 
 def write_table(cfg: RunConfig, rows: list[dict], stream) -> None:
+    """Write the table as JSON or as CSV.  A CSV cell that is a float
+    (numpy's included) is ``format(x, ".17g")``, any other ``str(x)``; each
+    row is formatted by one ``%`` template per tuple of its cells' types."""
     if cfg.out_format == "json":  # JSON has no inf or NaN: those go as the CSV's text
-        rows = [{k: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+        rows = [{k: format(v, ".17g") if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]
         json.dump(rows, stream, sort_keys=True, indent=1)
         stream.write("\n")
@@ -379,8 +376,14 @@ def write_table(cfg: RunConfig, rows: list[dict], stream) -> None:
     if rows:
         cols = list(rows[0])
         stream.write(",".join(cols) + "\n")
+        templates: dict[tuple, str] = {}
         for row in rows:
-            stream.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+            cells = tuple(map(row.__getitem__, cols))
+            kinds = tuple(map(type, cells))
+            if kinds not in templates:
+                templates[kinds] = ",".join(
+                    "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+            stream.write(templates[kinds] % cells)
 
 
 def _emit(cfg: RunConfig, rows: list[dict]) -> None:
@@ -579,8 +582,11 @@ class NumericalFailure(Exception):
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = False) -> None:
-    sub.add_argument("--scenario", required=scenario_required, choices=sorted(SCENARIOS))
+_LO_HI = dict(nargs=2, type=float, metavar=("LO", "HI"))
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scenario", choices=sorted(SCENARIOS))
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--output", help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"))
@@ -588,7 +594,7 @@ def _add_common(sub: argparse.ArgumentParser, scenario_required: bool = False) -
     sub.add_argument("--optimize-frequency", action="store_true",
                      dest="optimize_frequency",
                      help="minimize Vc over detection frequency per point")
-    sub.add_argument("--omega-bounds", nargs=2, type=float, metavar=("LO", "HI"))
+    sub.add_argument("--omega-bounds", **_LO_HI)
     sub.add_argument("--conditioning", choices=("meter", "meter+ancilla"))
     for key in BATH_KEYS:
         sub.add_argument(f"--{key.replace('_', '-')}", type=float,
@@ -626,7 +632,38 @@ def _collect_param_flags(args: argparse.Namespace) -> None:
     args.set = sets
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _sweep_flags(param_help: str, n: int) -> list[tuple[str, dict]]:
+    return [("--param", dict(help=param_help)), ("--log", _LO_HI), ("--lin", _LO_HI),
+            ("--n", dict(type=int, default=n))]
+
+
+_C_SCAN_FLAGS = [("--c-bounds", dict(_LO_HI, default=(1e-3, 1e3))),
+                 ("--c-count", dict(type=int, default=200))]
+
+#: subcommand -> its help and its own flags, added after the common ones
+_SUBCOMMANDS = {
+    "sweep": ("figures of merit along a parameter grid",
+              _sweep_flags("name of the swept parameter", 200)),
+    "sql": ("generalized SQL over cooperativity",
+            _sweep_flags("optional secondary sweep parameter", 30) + _C_SCAN_FLAGS),
+    "threshold": ("level crossing of a scan quantity", [
+        ("--vary", dict(required=True, help="parameter or bath key to vary")),
+        ("--bounds", dict(_LO_HI, required=True)),
+        ("--level", dict(type=float, required=True)),
+        ("--quantity", dict(choices=("min-vc", "tsum-at-sql", "vc"), default="min-vc")),
+        *_C_SCAN_FLAGS,
+    ]),
+    "optimize-frequency": ("detection frequency minimizing Vc", []),
+    "pulsed": ("pulse-duration sweep", [
+        ("--tau-log", dict(_LO_HI, default=(1e-2, 1e2))), ("--n", dict(type=int, default=50)),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `tv` parser: every subcommand with its help, and the arguments
+    of ``command`` only (of all of them for None), since adding all five
+    subcommands' arguments costs more than a short `tv` call's work."""
     parser = argparse.ArgumentParser(
         prog="tv",
         description=__doc__,
@@ -653,50 +690,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tvmeter {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sweep = subs.add_parser("sweep", help="figures of merit along a parameter grid")
-    _add_common(sweep)
-    sweep.add_argument("--param", help="name of the swept parameter")
-    sweep.add_argument("--log", nargs=2, type=float, metavar=("LO", "HI"))
-    sweep.add_argument("--lin", nargs=2, type=float, metavar=("LO", "HI"))
-    sweep.add_argument("--n", type=int, default=200)
-
-    sql = subs.add_parser("sql", help="generalized SQL over cooperativity")
-    _add_common(sql)
-    sql.add_argument("--param", help="optional secondary sweep parameter")
-    sql.add_argument("--log", nargs=2, type=float, metavar=("LO", "HI"))
-    sql.add_argument("--lin", nargs=2, type=float, metavar=("LO", "HI"))
-    sql.add_argument("--n", type=int, default=30)
-    sql.add_argument("--c-bounds", nargs=2, type=float, default=(1e-3, 1e3),
-                     metavar=("LO", "HI"))
-    sql.add_argument("--c-count", type=int, default=200)
-
-    thr = subs.add_parser("threshold", help="level crossing of a scan quantity")
-    _add_common(thr)
-    thr.add_argument("--vary", required=True, help="parameter or bath key to vary")
-    thr.add_argument("--bounds", nargs=2, type=float, required=True, metavar=("LO", "HI"))
-    thr.add_argument("--level", type=float, required=True)
-    thr.add_argument("--quantity", choices=("min-vc", "tsum-at-sql", "vc"),
-                     default="min-vc")
-    thr.add_argument("--c-bounds", nargs=2, type=float, default=(1e-3, 1e3),
-                     metavar=("LO", "HI"))
-    thr.add_argument("--c-count", type=int, default=200)
-
-    opt = subs.add_parser("optimize-frequency",
-                          help="detection frequency minimizing Vc")
-    _add_common(opt)
-
-    pulsed = subs.add_parser("pulsed", help="pulse-duration sweep")
-    _add_common(pulsed)
-    pulsed.add_argument("--tau-log", nargs=2, type=float, metavar=("LO", "HI"),
-                        default=(1e-2, 1e2))
-    pulsed.add_argument("--n", type=int, default=50)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_common(sub)
+            for flag, kwargs in flags:
+                sub.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a subcommand named first gets its own arguments alone; --help, --version
+    # and an unknown name get the full parser, so what they print is unchanged
+    args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         _collect_param_flags(args)
         file_doc = None

@@ -34,6 +34,7 @@ Vacuum variance is 1/2 per quadrature throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,11 +249,19 @@ def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     matrix stays singular (a zero row or column stays zero).  ``M`` may
     be a stack ``[..., i, j]``.
     """
-    r = np.maximum(np.abs(M).max(axis=-1), _TINY)
+    r = np.maximum(_max_along(np.abs(M), -1), _TINY)
     E = M / r[..., :, None]
-    c = np.maximum(np.abs(E).max(axis=-2), _TINY)
+    c = np.maximum(_max_along(np.abs(E), -2), _TINY)
     E /= c[..., None, :]
     return E, r, c
+
+
+def _max_along(a: NDArray, axis: int) -> NDArray:
+    """``a.max(axis)``, on a stack from the elementwise maxima of the slices
+    (same bits; ``.max`` runs one short loop per row of each matrix)."""
+    if a.ndim == 2:
+        return a.max(axis=axis)
+    return functools.reduce(np.maximum, np.moveaxis(a, axis, 0))
 
 
 def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = None) -> None:

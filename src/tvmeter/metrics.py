@@ -85,21 +85,21 @@ class MeasurementFigures:
         return self.Ts + self.Tm
 
 
-def classify_regime(Vc: float, Ts: float, Tm: float) -> Regime:
-    """TV-diagram quadrant for the given figures.
+#: the regimes by quadrant index 2 [V_c < 1/2] + [T_s + T_m > 1]
+_QUADRANTS = (Regime.CLASSICAL, Regime.IDT, Regime.QSP, Regime.QND)
+
+
+def classify_regime(Vc: float, Ts: float, Tm: float) -> Regime | list[Regime]:
+    """TV-diagram quadrant for the given figures (a list of them, one per
+    point in order, for float64 arrays).
 
     QND requires the strict inequalities V_c < 1/2 and T_s + T_m > 1;
     ties go to the non-QND side.
     """
-    squeezed = Vc < 0.5
-    transferring = Ts + Tm > 1.0
-    if squeezed and transferring:
-        return Regime.QND
-    if squeezed:
-        return Regime.QSP
-    if transferring:
-        return Regime.IDT
-    return Regime.CLASSICAL
+    quadrant = 2 * (Vc < 0.5) + (Ts + Tm > 1.0)
+    if isinstance(quadrant, np.ndarray):
+        return list(map(_QUADRANTS.__getitem__, quadrant.ravel().tolist()))
+    return _QUADRANTS[quadrant]
 
 
 def _abs2(z):
@@ -243,11 +243,6 @@ def figures_from_parts(
     )
 
 
-def _equivalent_noise(V: float, G: float, Vx: float) -> float:
-    """n_eq = V / G - V_x; inf when the power gain G carries nothing."""
-    return V / G - Vx if G > SIGNAL_PATH_FLOOR**2 else math.inf
-
-
 def measured_figures(
     Vc: float, V_ss: float, V_mm: float, G_s: float, G_m: float, Vx: float, omega: float
 ) -> MeasurementFigures | list[MeasurementFigures]:
@@ -260,15 +255,25 @@ def measured_figures(
     below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
     Arrays of ``Vc``, ``V_ss``, ``V_mm``, ``G_s`` and ``G_m`` over a stack
     of points (and of ``omega``, one frequency per point, or one for all)
-    give a list of figures, one per point in stack order, each reduced
-    from its point's Python floats as a single point would be.
+    give a list of figures, one per point in stack order.  The stack is
+    reduced as float64 arrays with the IEEE operations of the single
+    point, so every field has the bits of that point's own reduction.
     """
-    if np.ndim(V_ss):
-        omegas = np.broadcast_to(omega, np.shape(V_ss))
-        points = zip(*(np.ravel(a).tolist() for a in (Vc, V_ss, V_mm, G_s, G_m, omegas)))
-        return [measured_figures(*point[:5], Vx, point[5]) for point in points]
-    ns, nm = _equivalent_noise(V_ss, G_s, Vx), _equivalent_noise(V_mm, G_m, Vx)
-    return figures_from_parts(Vc, ns, nm, Vx, omega)
+    if not np.ndim(V_ss):
+        ns, nm = (V / G - Vx if G > SIGNAL_PATH_FLOOR**2 else math.inf
+                  for V, G in ((V_ss, G_s), (V_mm, G_m)))
+        return figures_from_parts(Vc, ns, nm, Vx, omega)
+    arrays = np.broadcast_arrays(Vc, V_ss, V_mm, G_s, G_m, Vx)
+    omegas = np.broadcast_to(omega, arrays[0].shape).ravel().tolist()
+    Vc, V_ss, V_mm, G_s, G_m, Vx = map(np.ravel, arrays)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ns, nm = (np.where(G > SIGNAL_PATH_FLOOR**2, V / G - Vx, math.inf)
+                  for V, G in ((V_ss, G_s), (V_mm, G_m)))
+        if (Vx + ns == 0).any() or (Vx + nm == 0).any():  # a zero there is finite
+            raise ZeroDivisionError("float division by zero")  # as on the point's Python floats
+        Ts, Tm = (np.where(np.isfinite(n), Vx / (Vx + n), 0.0) for n in (ns, nm))
+    return list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
+                    nm.tolist(), classify_regime(Vc, Ts, Tm), omegas))
 
 
 def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):

@@ -37,9 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import BathSpec, check_sign, check_stable, detected
+from .core import BathSpec, check_sign, check_stable
 from .errors import DegenerateMeter
-from .metrics import MeasurementFigures, conditional_variance, measured_figures
+from .metrics import (
+    METER_FLOOR,
+    MeasurementFigures,
+    _clamped,
+    _clamped_stack,
+    measured_figures,
+)
 
 #: relative |kappa - gamma| below which the propagator switches to the
 #: equal-rates limit form
@@ -415,7 +421,9 @@ def pulsed_covariances(
 
 
 def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
-    """:func:`pulsed_covariances` and the signal amplitude.
+    """:func:`pulsed_covariances`, the signal amplitude and the noise
+    parts of V33, V32 and V22 (what each holds besides V0 times its
+    signal coefficient), as :func:`_group_covariances` returns them.
 
     An array of tau is sorted and run group by group through
     :func:`_group_covariances`, each group on a term list whose
@@ -431,7 +439,7 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, 
         return _group_covariances(p, tau, pulse_shape)
     tau = tau.astype(float, copy=False)
     order = np.argsort(tau, kind="stable")
-    out = np.empty((4, len(tau)))
+    out = np.empty((7, len(tau)))
     spans = [(0, len(tau))] if len(tau) else []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         while spans:
@@ -445,14 +453,16 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, 
 
 
 def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
-    """:func:`_covariances` of a float tau, or of ascending rows of tau on
-    which every branch test agrees."""
+    """(V33, V32, V22, Gs, B, C, N) of a float tau, or of ascending rows
+    of tau on which every branch test agrees: V33 = exp(-gamma tau) V0 + B,
+    V32 = Gs exp(-gamma tau / 2) V0 + C and V22 = Gs^2 V0 + N."""
     fn = _fn(tau)
     Vx = p.bath.V_x
     nopt = p.bath.optical_variance
-    V33 = fn.exp(-p.gamma * tau) * p.V0 + Vx * (-fn.expm1(-p.gamma * tau))
+    B = Vx * (-fn.expm1(-p.gamma * tau))
+    V33 = fn.exp(-p.gamma * tau) * p.V0 + B
     if p.measurement_rate == 0.0:
-        return V33, 0.0 * tau, nopt + 0.0 * tau, 0.0 * tau
+        return V33, 0.0 * tau, nopt + 0.0 * tau, 0.0 * tau, B, 0.0 * tau, nopt + 0.0 * tau
     shape, norm, Gs = _filter(p, tau, pulse_shape)
     m22 = [(1.0, 0, -p.kappa / 2, 0.0)]
     m23 = _m23_terms(p)
@@ -463,7 +473,8 @@ def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_
     # V32: signal term plus bath noise shared by x(tau) and the filter
     aging = [(1.0, 0, p.gamma / 2, -p.gamma / 2)]  # M33(tau - s)
     J2 = norm * _integrate(_mul(aging, G), tau)
-    V32 = p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + p.gamma * math.sqrt(p.kappa) * Vx * J2
+    C = p.gamma * math.sqrt(p.kappa) * Vx * J2
+    V32 = p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C
     # V22 per the formal-integration noise decomposition
     a0 = norm * _integrate(_mul(shape, m22), tau)
     t_cav0 = p.kappa * a0**2 * nopt            # initial intracavity Y
@@ -472,7 +483,7 @@ def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_
     t_mech = p.kappa * p.gamma * Vx * norm**2 * _integrate(_mul(G, G), tau)
     # shot noise nopt: the filter has norm**2 * int shape^2 = 1
     V22 = Gs**2 * p.V0 + t_cav0 + nopt + t_cross + t_refl + t_mech
-    return V33, V32, V22, Gs
+    return V33, V32, V22, Gs, B, C, t_cav0 + nopt + t_cross + t_refl + t_mech
 
 
 def pulsed_metrics(
@@ -490,15 +501,23 @@ def pulsed_metrics(
     :func:`~tvmeter.metrics.evaluate` does on a stack; the term algebra
     runs once per group of rows whose series and closed-form branches
     agree (:func:`_covariances`).
+
+    V_c = V33 - eta V32^2 / V_mm is formed with its V0^2 terms cancelled
+    by hand.  Where the meter resolves x(0) well those terms are nearly
+    all of V33 V_mm and of eta V32^2, and their difference in floating
+    point loses digits (1e-11 of V_c at kappa tau = 1000, g = 2 kappa).
     """
-    V33, V32, V22, Gs = _covariances(p, tau, pulse_shape)
-    eta = p.bath.eta
-    V = np.array([[V22, V32], [V32, V33]])
-    stacked = V.ndim > 2
-    if stacked:
-        V = V.transpose(2, 0, 1)
-    V = detected(V, slice(0, 1), eta, p.bath.optical_variance)
-    Vc = conditional_variance(V, signal=1, meter=0)
-    return measured_figures(
-        Vc, V33, V[:, 0, 0] if stacked else float(V[0, 0]), _fn(tau).exp(-p.gamma * tau),
-        eta * Gs**2, p.V0, omega=0.0)
+    V33, _, _, Gs, B, C, N = _covariances(p, tau, pulse_shape)
+    eta, fn = p.bath.eta, _fn(tau)
+    G_m = eta * Gs**2  # detected signal power gain
+    N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
+    V_mm = G_m * p.V0 + N_m
+    if np.any(V_mm <= METER_FLOOR):
+        raise DegenerateMeter(f"meter variance {np.min(V_mm):.3e} is not positive")
+    Vc = (fn.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
+          - eta * C * (2.0 * p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C) / V_mm)
+    if isinstance(Vc, np.ndarray):
+        Vc = _clamped_stack(Vc, V33, False, lambda k: _clamped(Vc[k], V33[k]))
+    else:
+        Vc = _clamped(Vc, V33)
+    return measured_figures(Vc, V33, V_mm, fn.exp(-p.gamma * tau), G_m, p.V0, omega=0.0)

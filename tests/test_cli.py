@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tvmeter
 from tvmeter import (
     BathSpec,
     DegenerateMeter,
@@ -1072,3 +1075,109 @@ def test_json_output_deterministic(tmp_path):
     rc2, b = run(args, tmp_path, "b.json")
     assert rc1 == rc2 == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _cell(x) -> str:
+    """A table cell as the CSV writes it: 17 significant digits for a float."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+class TestTableBytes:
+    """``write_table`` formats each CSV row from one ``%`` template per
+    tuple of cell types; every cell keeps the bytes of ``format(x,
+    ".17g")`` for a float (numpy's included) and ``str(x)`` otherwise."""
+
+    CELLS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308,
+             np.float64(0.1), np.float64(-math.inf), np.float64(math.nan), 1 / 3, 7, True,
+             False, "QND", np.int64(3)]
+
+    @staticmethod
+    def _written(rows, fmt="csv") -> str:
+        cfg = _config(["sweep", "--scenario", "qnd-ideal", "--format", fmt])[1]
+        buf = io.StringIO()
+        write_table(cfg, rows, buf)
+        return buf.getvalue()
+
+    def test_every_cell_keeps_its_bytes(self):
+        # column b runs through the values backwards and c holds a float, an
+        # int and a str in turn, so the types of each column change from row
+        # to row
+        c = [2.5, 2, "2.5"]
+        rows = [{"a": x, "b": y, "c": c[k % 3]}
+                for k, (x, y) in enumerate(zip(self.CELLS, self.CELLS[::-1]))]
+        lines = self._written(rows).split("\n")
+        assert lines[3] == "a,b,c" and lines[-1] == ""
+        assert lines[4:-1] == [",".join(_cell(v) for v in row.values()) for row in rows]
+        assert lines[4:6] == ["inf,3,2.5", "-inf,QND,2"]
+
+    def test_sql_int_columns(self):
+        _, cfg = _config(["sql", "--scenario", "qnd-imperfect", "--nu", "0.1", "--n-m", "1",
+                          "--param", "nu", "--lin", "0.05", "0.3", "--n", "3"])
+        rows = cli.cmd_sql(cfg, (1e-3, 1e3), 40)
+        assert {type(row[k]) for row in rows for k in ("at_boundary", "n_branches")} == {int}
+        lines = self._written(rows).split("\n")
+        assert lines[4:-1] == [",".join(_cell(v) for v in row.values()) for row in rows]
+
+    def test_json_keeps_its_bytes(self):
+        rows = [{"x": math.inf, "y": np.float64(0.5), "n": 2, "r": "QND"},
+                {"x": -0.0, "y": np.float64(math.nan), "n": True, "r": "IDT"},
+                {"x": 5e-324, "y": -math.inf, "n": np.float64(1e308),
+                 "r": 1.7976931348623157e308}]
+        assert self._written(rows, "json") == (
+            '[\n {\n  "n": 2,\n  "r": "QND",\n  "x": "inf",\n  "y": 0.5\n },\n'
+            ' {\n  "n": true,\n  "r": "IDT",\n  "x": -0.0,\n  "y": "nan"\n },\n'
+            ' {\n  "n": 1e+308,\n  "r": 1.7976931348623157e+308,\n  "x": 5e-324,\n'
+            '  "y": "-inf"\n }\n]\n')
+
+
+SUBCOMMANDS = ["sweep", "sql", "threshold", "optimize-frequency", "pulsed"]
+
+
+class TestParser:
+    """`tv` adds the arguments of the chosen subcommand only; what it
+    prints, parses and exits with must be that of the full parser."""
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS])
+    def test_help_matches_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert capsys.readouterr() == want and want.out.startswith("usage: tv")
+        assert got.value.code == full.value.code == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0), (["bogus"], 2), ([], 2), (["sweep", "--bogus"], 2), (["threshold"], 2),
+    ])
+    def test_exits_match_the_full_parser(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert capsys.readouterr() == want
+        assert got.value.code == full.value.code == code
+        if argv == ["--version"]:
+            assert want.out == f"tvmeter {tvmeter.__version__}\n"
+        if argv == ["bogus"]:
+            assert "invalid choice: 'bogus'" in want.err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1", "2", "--n-m", "1"],
+        ["sql", "--scenario", "qnd-imperfect", "--nu", "0.1", "--c-count", "20"],
+        ["threshold", "--vary", "nu", "--bounds", "0.05", "0.3", "--level", "0.5"],
+        ["optimize-frequency", "--scenario", "cqnc", "--C", "1e8"],
+        ["pulsed", "--n", "3", "--set", "g=1"],
+    ])
+    def test_chosen_subcommand_parses_as_the_full_parser(self, argv):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--scenario", "qnd-ideal", "--param", "C", "--log", "0.1", "10",
+                "--n", "4", "--n-m", "1"]
+        rc, want = run(argv, tmp_path, "list.csv")
+        got = tmp_path / "argv.csv"
+        monkeypatch.setattr(sys, "argv", ["tv", *argv, "--output", str(got)])
+        assert rc == main(None) == 0
+        assert got.read_bytes() == want.read_bytes()

@@ -1,5 +1,6 @@
 """Figures of merit, regime classification, and the evaluation pipeline."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestClassifyRegime:
     def test_quadrants(self, vc, ts, tm, want):
         assert classify_regime(vc, ts, tm) is want
 
+    def test_arrays_give_one_regime_per_point(self):
+        vc, ts, tm = np.array([[0.375, 1.5, 0.5, 0.4, 0.3, np.nan],
+                               [1.0, 0.0, 1.0, 0.5, 0.6, 1.0],
+                               [0.75, 0.0, 0.5, 0.5, 0.6, 1.0]])
+        assert classify_regime(vc, ts, tm) == [
+            Regime.QND, Regime.CLASSICAL, Regime.IDT, Regime.QSP, Regime.QND, Regime.IDT]
+
 
 class TestTransferCoefficients:
     def test_ideal_qnd_values(self):
@@ -103,6 +111,14 @@ class TestTransferCoefficients:
         assert figs.ns_eq == 0.5 and figs.Ts == 1.0 / 1.5
         assert figs.nm_eq == np.inf and figs.Tm == 0.0
         assert figs.regime is Regime.QSP and figs.omega == 0.5
+
+    def test_zero_transfer_denominator_raises_as_one_point(self):
+        # V = 0 puts n_eq at -V_x: the point's Python floats divide by zero
+        with pytest.raises(ZeroDivisionError):
+            metrics.measured_figures(0.4, 0.0, 2.0, 1.0, 1.0, 1.5, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            metrics.measured_figures(*np.array([[0.4, 0.4], [1.0, 0.0], [2.0, 2.0],
+                                                [1.0, 1.0], [1.0, 1.0]]), 1.5, 0.0)
 
     def test_linear_law_across_cooperativity(self):
         # Vc + (Ts + Tm - 2) Vx = 0 for the ideal readout
@@ -124,6 +140,79 @@ class TestTransferCoefficients:
             model = ideal_qnd_model(10.0, 0.01, BathSpec(n_m=1.0, eta=eta), C=1.0)
             vcs.append(evaluate(model, 0.0, bath=BathSpec(n_m=1.0, eta=eta)).Vc)
         assert all(a > b for a, b in zip(vcs, vcs[1:]))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestStackedReduction:
+    """``measured_figures`` on a stack reduces float64 arrays; every field
+    must keep the bits of the point's own scalar reduction (on its Python
+    floats), the regime included, with no RuntimeWarning on the way."""
+
+    FLOOR = metrics.SIGNAL_PATH_FLOOR**2
+    VX = 0.5
+    # (Vc, V_ss, V_mm, G_s, G_m): the signal-path floor itself, just above
+    # it and zero; V / G overflowing to +-inf; V_c at exactly 1/2 and
+    # T_s + T_m at exactly 1 (n_eq = 1/2 on both paths), the two ties of
+    # the regime, each with its neighbours
+    POINTS = [
+        (0.4, 3.0, 2.0, 2.0, FLOOR),
+        (0.4, 3.0, 2.0, np.nextafter(FLOOR, 1.0), 2.0),
+        (0.4, 3.0, 2.0, 0.0, 0.0),
+        (0.4, 1e300, 2.0, 1e-20, 1.0),
+        (0.4, -1e300, 2.0, 1e-20, 1.0),
+        (0.4, 2.0, 1e308, 1.0, 1e-27),
+        (0.5, 1.0, 1.0, 1.0, 1.0),
+        (np.nextafter(0.5, 0.0), 1.0, 1.0, 1.0, 1.0),
+        (np.nextafter(0.5, 1.0), 1.0, 1.0, 1.0, 1.0),
+        (0.3, 1.0, 1.0, 1.0, 1.0),
+        (0.3, 1.0, 1.0 - 1e-15, 1.0, 1.0),
+        (0.3, 1.0, 1.0 + 1e-15, 1.0, 1.0),
+        (0.3, 1.0, 1.0, np.nan, 1.0),
+        (0.3, np.nan, 1.0, 1.0, 1.0),
+        (1.7, 2.5e-3, 0.7, 1e-3, 0.9),
+        (0.0, 1.0 / 3.0, 1e-300, 0.1, 1e-300),
+    ]
+
+    def _check(self, stack, omegas):
+        want = [metrics.measured_figures(*point, self.VX, w)
+                for point, w in zip(np.reshape(stack, (5, -1)).T.tolist(),
+                                    np.broadcast_to(omegas, stack.shape[1:]).ravel().tolist())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = metrics.measured_figures(*stack, self.VX, omegas)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.regime is w.regime
+            for field in ("Vc", "Ts", "Tm", "ns_eq", "nm_eq", "omega"):
+                assert _bits(getattr(g, field)) == _bits(getattr(w, field)), field
+
+    def test_one_frequency_for_all_points(self):
+        self._check(np.array(self.POINTS).T, 0.25)
+
+    def test_one_frequency_per_point(self):
+        stack = np.array(self.POINTS).T
+        self._check(stack, np.linspace(0.0, 3.0, stack.shape[1]))
+
+    def test_a_two_dimensional_stack(self):
+        stack = np.array(self.POINTS[:12]).T.reshape(5, 3, 4)
+        self._check(stack, np.arange(12.0).reshape(3, 4))
+
+    def test_the_cases_reach_every_branch(self):
+        figs = metrics.measured_figures(*np.array(self.POINTS).T, self.VX, 0.0)
+        assert figs[0].ns_eq == 1.0 and figs[0].nm_eq == np.inf and figs[0].Tm == 0.0
+        assert figs[1].ns_eq == 3.0 / np.nextafter(self.FLOOR, 1.0) - self.VX
+        assert figs[2].ns_eq == figs[2].nm_eq == np.inf
+        assert figs[3].ns_eq == np.inf and figs[3].Ts == 0.0
+        assert figs[4].ns_eq == -np.inf and figs[4].Ts == 0.0
+        assert figs[5].nm_eq == np.inf and figs[5].Tm == 0.0
+        assert figs[6].Vc == 0.5 and figs[6].t_sum == 1.0 and figs[6].regime is Regime.CLASSICAL
+        assert figs[7].regime is Regime.QSP and figs[8].regime is Regime.CLASSICAL
+        assert figs[9].regime is Regime.QSP
+        assert figs[10].regime is Regime.QND and figs[11].regime is Regime.QSP
+        assert [f.regime for f in figs[12:14]] == [Regime.QSP, Regime.QSP]
 
 
 class TestCqncConditioning:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad, solve_ivp
 from scipy.linalg import expm
@@ -502,6 +502,10 @@ def _pulsed_stacks(draw):
 
 @settings(max_examples=60)
 @given(case=_pulsed_stacks())
+@example(case=(  # V_c = V33 - V32^2 / V22 cancelled from 3 to 1.3e-4 here
+    PulsedParams(kappa=1.0, gamma=1e-9, omega_m=100.0, g=2.0, alpha2=1.0, V0=3.0,
+                 bath=BathSpec(n_m=1.0)),
+    np.array([1000.0]), "flat"))
 def test_stacked_rows_equal_the_scalar_path(case):
     """A stack of tau (from 1e-3 / kappa to 1e3 / kappa) gives every row's
     figures as the float tau does, within 1e-11: numpy's exp and pow

@@ -47,6 +47,22 @@ def test_every_probe_point_is_on_the_cli():
     assert [name for name in run.PROBE_POINTS if not hasattr(cli, name)] == []
 
 
+def test_figures_row_probes_every_written_row(tmp_path, monkeypatch):
+    """The probe runs at the returns of ``cli._figures_row``: a row path
+    that wrote rows without it would probe less often and coarsen the
+    ``wall_s`` scaling.  Every seed-0 direct-rows command (blocks of
+    stacked rows included) calls it once per row it writes."""
+    calls = []
+    figures_row = cli._figures_row
+    monkeypatch.setattr(cli, "_figures_row", lambda *a: calls.append(a) or figures_row(*a))
+    for i, cmd in enumerate(workloads.commands(ROOT, "direct-rows", 0, tmp_path, rows=5)):
+        out = tmp_path / f"{i}.csv"
+        calls.clear()
+        assert cli.main([*cmd.argv, "--output", str(out)]) == 0
+        written = out.read_text().splitlines()[4:]  # after the 3 comment lines and the header
+        assert len(calls) == len(written) == cmd.rows == 5, cmd.label
+
+
 @pytest.mark.parametrize("scenario, params, conditioning", [
     ("displacement", {}, "meter"),
     ("cqnc", {"C": 3.0}, "meter+ancilla"),
