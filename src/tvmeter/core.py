@@ -156,14 +156,17 @@ class BathSpec:
 
 def matrix(rows) -> NDArray[np.float64]:
     """The matrix written as the literal ``rows`` (a list of rows of
-    entries), or, when any entry is an array, the stack ``[..., i, j]`` of
-    the matrices at each point of the broadcast entries."""
-    try:
-        M = np.array(rows, dtype=float)
-    except ValueError:  # arrays among numbers: broadcast every entry
-        shape = np.broadcast_shapes(*(np.shape(x) for row in rows for x in row))
-        M = np.array([[np.broadcast_to(x, shape) for x in row] for row in rows], dtype=float)
-    return M if M.ndim == 2 else np.moveaxis(M, (0, 1), (-2, -1)).copy()
+    entries, each a number or an array), or, when any entry is an array,
+    the stack ``[..., i, j]`` of the matrices at each point of the
+    broadcast entries."""
+    entries = [x for row in rows for x in row]
+    shape = np.broadcast_shapes(*(x.shape for x in entries if isinstance(x, np.ndarray)))
+    if not shape:
+        return np.array(rows, dtype=float)
+    M = np.empty(shape + (len(entries),))
+    for k, x in enumerate(entries):
+        M[..., k] = x
+    return M.reshape(shape + (len(rows), -1))
 
 
 def check_sign(sign: str, **values) -> None:
@@ -311,21 +314,6 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
         raise SingularAtFrequency(w, float(rcond.ravel()[k]))
 
 
-def _solve_regular(M: NDArray, H: NDArray, omega: float | NDArray) -> NDArray:
-    """M^-1 H for a diagonal ``H`` (or a stack), once :func:`_require_regular`
-    accepts ``M`` at ``omega``.  On a stack with no zero in H the solve X
-    comes first and serves the guard (M^-1 = X diag(1/h)); otherwise, or
-    when an exactly singular matrix stops the solve, the guard goes alone."""
-    H = np.asarray(H, dtype=M.dtype)  # cast once: the solve's own cast is slow (same bits)
-    h = np.diagonal(H, 0, -2, -1).real
-    try:
-        X = np.linalg.solve(M, H) if M.ndim > 2 and h.all() else None
-    except np.linalg.LinAlgError:
-        X = None
-    _require_regular(M, omega, None if X is None else (X, h))
-    return np.linalg.solve(M, H) if X is None else X
-
-
 def _frobenius2(M: NDArray) -> NDArray[np.float64]:
     """Squared Frobenius norm of each matrix of a stack."""
     parts = np.ascontiguousarray(M).view(float)  # real and imaginary parts side by side
@@ -340,12 +328,20 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     (:func:`detected`).  An array of frequencies, or a model stack (A,
     and H when it is a stack), gives the stack ``S[..., i, j]`` from one
     stacked solve; the first singular point, in stack order, raises
-    :class:`SingularAtFrequency`.
+    :class:`SingularAtFrequency`.  A stack with no zero in H solves X = M^-1 H
+    first and hands the guard M^-1 = X diag(1/h); otherwise, or when an
+    exactly singular matrix stops that solve, the guard inverts on its own.
     """
     eye = np.eye(model.A.shape[-1])
     M = model.A + 1j * np.asarray(omega)[..., None, None] * eye
     H = model.H.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
-    return -(H @ _solve_regular(M, H, omega) + eye)
+    h = np.diagonal(model.H, 0, -2, -1)
+    try:
+        X = np.linalg.solve(M, H) if M.ndim > 2 and h.all() else None
+    except np.linalg.LinAlgError:
+        X = None
+    _require_regular(M, omega, None if X is None else (X, h))
+    return -(H @ (np.linalg.solve(M, H) if X is None else X) + eye)
 
 
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:

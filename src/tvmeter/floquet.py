@@ -12,15 +12,15 @@ A(0) + i(w - 2 n w_m) I.  The output spectrum at detection frequency w
 collects component n driven by the input at w + 2 n w_m, through one
 scattering block S_n per component.
 
-The expansion ends at |n| = 1 without truncation error.  The sidebands
-route X -> (x, p) and (x, p) -> Y only: nothing drives X, Y drives
-nothing, and the mechanical block of every diagonal block is a multiple
-of the identity.  So A(+-1) D^-1 A(+-1) is a multiple of A(+-1)^2 = 0 for
-any diagonal block D, the equations of the components |n| >= 2 hold
-with those components zero, and the three-component system is the whole
-of it.  Eliminating the +-1 components leaves one 4x4 Schur complement
-per base frequency (cf. the harmonic-balance treatment of Malz and
-Nunnenkamp, PRA 94, 023803 (2016)).
+The expansion ends at |n| = 1 without truncation error.  The drift is
+feed forward: the sidebands route X -> (x, p) and (x, p) -> Y only,
+nothing drives X, Y drives nothing, and the mechanical block of every
+diagonal block is a multiple of the identity.  So A(+-1) D^-1 A(+-1) is a
+multiple of A(+-1)^2 = 0, the components |n| >= 2 vanish, and eliminating
+the +-1 components leaves one 4x4 Schur complement per base frequency
+(cf. the harmonic-balance treatment of Malz and Nunnenkamp, PRA 94,
+023803 (2016)).  Every diagonal block and Schur complement is lower
+triangular in the order (X, x, Y, p), so each is inverted by substitution.
 
 Two reductions of the blocks are used downstream:
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (FOUR_MODE, BathSpec, _require_regular, _solve_regular, check_sign, check_stable,
+from .core import (FOUR_MODE, BathSpec, _require_regular, check_sign, check_stable,
                    detected, input_covariance, matrix)
 from .metrics import (
     MeasurementFigures,
@@ -132,27 +132,46 @@ def sideband_scattering(
     diagonal blocks D_{n+1}, D_n, D_{n-1}.  With P_j = D_j^-1 A(+1) and
     Q_j = D_j^-1 A(-1), the centre component solves
     (D_n - A(-1) P_{n-1} - A(+1) Q_{n+1}) u_0 = -H, and u_{+1} = -P_{n-1} u_0,
-    u_{-1} = -Q_{n+1} u_0.  A stacked drift (or a stack of ``H``) gives
-    stacks of blocks ``[..., i, j]``; the diagonal blocks, then the Schur
-    complements, are checked as in :func:`core.build_scattering`, and the
-    first singular one, in stack order, raises
-    :class:`SingularAtFrequency` at ``omega``.
+    u_{-1} = -Q_{n+1} u_0, with u_0 = -S^-1 H a column scaling (``H`` is
+    diagonal).  A stacked drift (or a stack of ``H``) gives stacks of blocks
+    ``[..., i, j]``; the diagonal blocks, then the Schur complements, are
+    checked as in :func:`core.build_scattering`, and the first singular
+    one, in stack order, raises :class:`SingularAtFrequency` at ``omega``.
     """
-    H = np.asarray(H, dtype=float)
-    I4 = np.eye(4)
+    h = np.diagonal(H, 0, -2, -1)
+    if np.count_nonzero(H) != np.count_nonzero(h):
+        raise ValueError("H must be diagonal")
     shifts = 1j * (omega + np.multiply.outer(2 * fd.omega_m, _OFFSETS))
-    D = fd.A_zero[..., None, :, :] + shifts[..., None, None] * I4
-    _require_regular(D, omega)
-    PQ = np.linalg.solve(D, np.concatenate([fd.A_plus, fd.A_minus], axis=-1)[..., None, :, :])
-    P, Q = PQ[..., :4], PQ[..., 4:]
-    schur = (D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P[..., 0:3, :, :]
-             - fd.A_plus[..., None, :, :] @ Q[..., 2:5, :, :])
-    u0 = _solve_regular(schur, -H[..., None, :, :], omega)
-    return {
-        -1: -(H @ (Q[..., 2, :, :] @ u0[..., 0, :, :])),
-        0: H @ u0[..., 1, :, :] - I4,
-        1: -(H @ (P[..., 2, :, :] @ u0[..., 2, :, :])),
+    D = fd.A_zero[..., None, :, :] + shifts[..., None, None] * np.eye(4)
+    Dinv = _feed_forward_inverse(D, omega)
+    P = Dinv[..., 0:3, :, :] @ fd.A_plus[..., None, :, :]
+    Q = Dinv[..., 2:5, :, :] @ fd.A_minus[..., None, :, :]
+    schur = D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P - fd.A_plus[..., None, :, :] @ Q
+    u0 = _feed_forward_inverse(schur, omega) * -h[..., None, None, :]
+    return {  # H X scales the rows of X
+        -1: (Q[..., 0, :, :] @ u0[..., 0, :, :]) * -h[..., :, None],
+        0: u0[..., 1, :, :] * h[..., :, None] - np.eye(4),
+        1: (P[..., 2, :, :] @ u0[..., 2, :, :]) * -h[..., :, None],
     }
+
+
+def _feed_forward_inverse(M: NDArray, omega: float) -> NDArray[np.complex128]:
+    """M^-1 for the stack ``M[..., i, j]`` by forward substitution, once the
+    guard of :func:`core.build_scattering` accepts M (the inverse feeds its
+    bound); ValueError unless M is lower triangular in the order (X, x, Y, p)."""
+    order = (0, 2, 1, 3)  # (X, x, Y, p) in the layout (X, Y, x, p)
+    if M[..., [0, 0, 0, 2, 2, 1], [2, 1, 3, 1, 3, 3]].any():  # above the diagonal
+        raise ValueError("drift is not feed forward: a block has an entry above its diagonal")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular: inf, NaN
+        minus_g = -1.0 / np.diagonal(M, 0, -2, -1)
+        inverse = minus_g[..., :, None] * -np.eye(4)  # 1 / M[i, i] on the diagonal
+        for a, i in enumerate(order):  # M^-1[i, j] = -sum_k M[i, k] M^-1[k, j] / M[i, i]
+            for b, j in enumerate(order[:a]):
+                terms = (M[..., i, k] * inverse[..., k, j] for k in order[b + 1:a])
+                np.multiply(sum(terms, M[..., i, j] * inverse[..., j, j]), minus_g[..., i],
+                            out=inverse[..., i, j])
+    _require_regular(M, omega, (inverse, 1.0))
+    return inverse
 
 
 def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:

@@ -532,6 +532,34 @@ class TestDetectionLoss:
             assert figs.Vc == pytest.approx(conditional_variance(V, FOUR_MODE), rel=1e-14)
 
 
+class TestMatrix:
+    """``core.matrix``, the physics literal of a drift as a matrix, or as a
+    stack ``[..., i, j]`` when entries are arrays."""
+
+    def test_numbers_give_a_matrix(self):
+        rows = [[1, -2.5, np.float64(0.25)], [0, np.array(3.0), -1]]
+        M = core.matrix(rows)
+        assert M.shape == (2, 3) and M.dtype == np.float64
+        assert M.tobytes() == np.array([[1, -2.5, 0.25], [0, 3, -1]], dtype=float).tobytes()
+
+    def test_stack_holds_the_literal_at_each_point(self):
+        a = np.linspace(0.1, 0.7, 3)[:, None]  # (3, 1)
+        b = np.logspace(-3, 2, 4)  # (4,)
+        c = np.array(-1.0 / 3.0)  # 0-d
+        M = core.matrix([[a, 0, b], [c, a * b, 2]])
+        assert M.shape == (3, 4, 2, 3) and M.dtype == np.float64 and M.flags.c_contiguous
+        for i in range(3):
+            for j in range(4):
+                want = np.array([[a[i, 0], 0, b[j]], [float(c), (a * b)[i, j], 2]])
+                assert M[i, j].tobytes() == want.tobytes()
+
+    def test_nan_and_inf_pass_through(self):
+        M = core.matrix([[np.array([np.nan, 1.0]), np.inf], [0, -np.inf]])
+        want = [[[np.nan, np.inf], [0, -np.inf]], [[1.0, np.inf], [0, -np.inf]]]
+        np.testing.assert_array_equal(M, want)
+        np.testing.assert_array_equal(core.matrix([[np.nan, np.inf]]), [[np.nan, np.inf]])
+
+
 class TestModelValidation:
     def test_nondiagonal_H_rejected(self):
         A = -np.eye(4)

@@ -1,11 +1,13 @@
 """Harmonic (sideband) expansion of the beyond-RWA readout."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tvmeter import (
+    FOUR_MODE,
     BathSpec,
     FloquetDrift,
     SingularAtFrequency,
@@ -16,10 +18,11 @@ from tvmeter import (
     floquet_qnd_metrics_closed,
     floquet_vc,
     ideal_qnd_metrics,
+    input_covariance,
     sideband_scattering,
 )
 from tvmeter.cli import scenario_figures
-from tvmeter.models import cooperativity_to_g
+from tvmeter.models import _readout_couplings, cooperativity_to_g
 
 OMEGA_M = 1.0
 FIG7_BATH = BathSpec(n_m=1.0)   # gamma/omega_m = 0.01 scenario
@@ -140,9 +143,43 @@ class TestScattering:
     def test_singular_block_names_the_detection_frequency(self):
         zero = np.zeros((4, 4), dtype=complex)
         marginal = FloquetDrift(zero, zero.real, zero, OMEGA_M)
-        with pytest.raises(SingularAtFrequency) as err:
-            sideband_scattering(marginal, np.eye(4), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the substitution's 1/0 stays quiet
+            with pytest.raises(SingularAtFrequency) as err:
+                sideband_scattering(marginal, np.eye(4), 0.0)
         assert err.value.omega == 0.0
+
+    @pytest.mark.parametrize("part", ["A_zero", "A_minus"])
+    def test_drift_that_is_not_feed_forward_raises(self, part):
+        """Y driving X, in the static drift or through a sideband, puts an
+        entry above the diagonal of a diagonal block or of a Schur
+        complement in the order (X, x, Y, p); the three-component solve
+        is not exact for such a drift, and the substitution would be
+        wrong."""
+        fd = decompose_drift(0.5, 0.01, OMEGA_M, C=1.0)
+        parts = {name: getattr(fd, name).copy() for name in ("A_minus", "A_zero")}
+        parts[part][0, 1] = 0.1
+        drift = FloquetDrift(parts["A_minus"], parts["A_zero"], parts["A_minus"].conj(), OMEGA_M)
+        with pytest.raises(ValueError, match="not feed forward"):
+            sideband_scattering(drift, _readout_couplings(0.5, 0.01), 0.3)
+
+    def test_input_couplings_must_be_diagonal(self):
+        H = _readout_couplings(0.5, 0.01)
+        H[1, 0] = 0.1
+        with pytest.raises(ValueError, match="diagonal"):
+            sideband_scattering(decompose_drift(0.5, 0.01, OMEGA_M, C=1.0), H, 0.3)
+
+    def test_regular_blocks_take_no_lapack_call(self, monkeypatch):
+        """Blocks that pass the guard's Frobenius bound are inverted by
+        substitution; LAPACK runs only in the guard's SVD fallback."""
+        drifts = [decompose_drift(0.5, 0.01, OMEGA_M, C=1.0),
+                  decompose_drift(0.05, 0.01, OMEGA_M, C=np.logspace(-3, 4, 40))]
+        for name in ("solve", "inv", "cond", "svd"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, name=name, **k: pytest.fail(f"np.linalg.{name} called"))
+        for fd in drifts:
+            for omega in (0.0, 0.3):
+                floquet_metrics(fd, FIG7_BATH, omega)
 
     @pytest.mark.parametrize("omega_m", [1e3, 1e4])
     def test_rate_hierarchy_is_not_singular(self, omega_m):
@@ -267,3 +304,86 @@ class TestDriftStack:
         np.testing.assert_array_equal(got, want)
         single = decompose_drift(kappa, 0.01, OMEGA_M, C=2.0)
         assert floquet_vc(single, bath, omega) == floquet_metrics(single, bath, omega).Vc
+
+
+def _mp_solve(M, B):
+    """M^-1 B by Gauss-Jordan elimination with partial pivoting, on lists
+    of rows of mpmath numbers."""
+    n = len(M)
+    rows = [row + b for row, b in zip(M, B)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [x / pivot for x in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def _mp_figures(fd, bath, omega):
+    """(V_c, T_s, T_m) of one drift from a 40-digit solve of the whole
+    three-component system, one 12 x 12 system per base frequency, with
+    the float drift, couplings and input covariance taken as exact."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        kappa, gamma = -2 * fd.A_zero[0, 0], -2 * fd.A_zero[2, 2]
+        h = [mp.mpf(x) for x in np.diag(_readout_couplings(kappa, gamma))]
+        parts = [[[mp.mpc(complex(x)) for x in row] for row in part]
+                 for part in (fd.A_plus, fd.A_zero, fd.A_minus)]
+        blocks = []
+        for n in (-1, 0, 1):
+            M = [[mp.mpc(0)] * 12 for _ in range(12)]
+            for b, m in enumerate((-1, 0, 1)):  # component m couples to m + 1 through A(-1)
+                shift = mp.mpc(0, 1) * (mp.mpf(omega) + 2 * (n - m) * mp.mpf(fd.omega_m))
+                for c, part in zip((b - 1, b, b + 1), parts):
+                    if 0 <= c < 3:
+                        for i in range(4):
+                            for j in range(4):
+                                diagonal = shift if c == b and i == j else 0
+                                M[4 * b + i][4 * c + j] = part[i][j] + diagonal
+            B = [[-h[j] if r == 4 + j else 0 for j in range(4)] for r in range(12)]
+            u = _mp_solve(M, B)[4 * (n + 1) : 4 * (n + 2)]
+            eye = 1 if n == 0 else 0
+            blocks.append(mp.matrix([[h[i] * u[i][j] - (eye if i == j else 0) for j in range(4)]
+                                     for i in range(4)]))
+        Vin = mp.matrix(input_covariance(bath, FOUR_MODE).tolist())
+        eta, noise = mp.mpf(bath.eta), mp.mpf(bath.optical_variance)
+
+        def detected(V):
+            for i in range(2):
+                for j in range(4):
+                    V[i, j] *= mp.sqrt(eta)
+                    V[j, i] *= mp.sqrt(eta)
+                V[i, i] += (1 - eta) * noise
+            return V
+
+        V = detected(sum((S * Vin * S.H for S in blocks), mp.zeros(4, 4)))
+        s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
+        Vc = mp.re(V[s, s]) - abs(V[s, m]) ** 2 / mp.re(V[m, m])
+        Seff = blocks[0] + blocks[1] + blocks[2]
+        Veff = detected((Seff * Vin * Seff.H).apply(mp.re))
+        Vx = mp.mpf(bath.V_x)
+        Ts = Vx * abs(Seff[s, s]) ** 2 / Veff[s, s]
+        Tm = Vx * eta * abs(Seff[m, s]) ** 2 / Veff[m, m]
+        return np.array([float(Vc), float(Ts), float(Tm)])
+
+
+class TestExtendedPrecision:
+    """The kernel against a 40-digit solve of the three-component system
+    (the old LU kernel and the substitution both measure 4.7e-14 on V_c
+    over this grid)."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3])
+    @pytest.mark.parametrize("kappa", [0.05, 0.2, 1.0])
+    def test_figures_match_the_oracle(self, kappa, omega):
+        Cs = np.logspace(-3, 3, 13)
+        fd = decompose_drift(kappa, 0.01, OMEGA_M, C=Cs)
+        vcs = floquet_vc(fd, FIG7_BATH, omega)
+        for C, vc, figs in zip(Cs, vcs, floquet_metrics(fd, FIG7_BATH, omega)):
+            want = _mp_figures(decompose_drift(kappa, 0.01, OMEGA_M, C=C), FIG7_BATH, omega)
+            np.testing.assert_allclose([vc, figs.Vc, figs.Ts, figs.Tm], want[[0, 0, 1, 2]],
+                                       rtol=1e-13, atol=0)
