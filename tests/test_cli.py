@@ -15,14 +15,17 @@ import tvmeter
 from tvmeter import (
     BathSpec,
     DegenerateMeter,
+    DisplacementParams,
     LinearModel,
     cli,
     cooperativity_to_g,
+    displacement_model,
     evaluate,
     ideal_qnd_model,
     optimize,
     qnd_cooperativity_threshold,
     scenarios,
+    vc_on_grid,
 )
 from tvmeter.cli import (
     SCENARIOS,
@@ -149,8 +152,19 @@ def scalar_scan_table(argv):
      "--n", "5", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.001", "1"],
     ["sweep", "--scenario", "lev-single", "--param", "alpha", "--lin", "0.05", "0.5",
      "--n", "5", "--g", "0.3", "--n-m", "1", "--optimize-frequency", "--omega-bounds", "1", "300"],
+    ["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1e-2", "1e2", "--n", "3",
+     "--n-m", "1", "--optimize-frequency", "--omega-bounds", "0.01", "10", "--eta", "0.7"],
+    ["sweep", "--scenario", "lev-dual", "--param", "g1", "--log", "1e-2", "1e-1", "--n", "4",
+     "--n-m", "1", "--optimize-frequency"],
+    ["sweep", "--scenario", "lev-dual", "--param", "g_total", "--log", "0.1", "1", "--n", "4",
+     "--readout-fraction", "0.3", "--n-m", "1", "--m-sq-re", "0.2", "--m-sq-im", "0.3",
+     "--optimize-frequency", "--eta", "0.8"],
+    ["sweep", "--scenario", "lev-dual", "--param", "readout_fraction", "--lin", "0.1", "0.9",
+     "--n", "4", "--g-total", "0.6", "--n-m", "1e3", "--optimize-frequency",
+     "--omega-bounds", "1", "1000"],
 ], ids=["displacement", "cqnc-meter+ancilla", "cqnc-meter-eta0.5", "displacement-kappa-eta0.5",
-        "qnd-imperfect", "lev-single"])
+        "qnd-imperfect", "lev-single", "qnd-floquet", "lev-dual-g1", "lev-dual-g_total",
+        "lev-dual-readout_fraction"])
 def test_optimized_sweep_matches_scalar_scan(argv, tmp_path):
     rc, out = run(argv, tmp_path)
     assert rc == 0
@@ -244,7 +258,13 @@ class TestOptimizedSweepRows:
     ["optimize-frequency", "--scenario", "cqnc", "--C", "1e3", "--n-m", "1",
      "--conditioning", "meter+ancilla"],
     ["optimize-frequency", "--scenario", "displacement", "--C", "3", "--n-m", "1", "--eta", "0.5"],
-], ids=["cqnc-meter", "cqnc-meter+ancilla", "displacement-eta0.5"])
+    ["optimize-frequency", "--scenario", "qnd-floquet", "--C", "3", "--n-m", "1", "--eta", "0.7",
+     "--omega-bounds", "0.01", "10"],
+    ["optimize-frequency", "--scenario", "lev-dual", "--g1", "0.05", "--n-m", "1"],
+    ["optimize-frequency", "--scenario", "lev-dual", "--g-total", "0.6", "--readout-fraction",
+     "0.4", "--n-m", "1", "--eta", "0.6"],
+], ids=["cqnc-meter", "cqnc-meter+ancilla", "displacement-eta0.5", "qnd-floquet", "lev-dual-g1",
+        "lev-dual-split"])
 def test_optimize_frequency_matches_scalar_scan(argv, tmp_path):
     args = build_parser().parse_args(argv)
     _collect_param_flags(args)
@@ -540,6 +560,83 @@ def scalar_threshold_table(argv):
     buf = io.StringIO()
     write_table(cfg, rows, buf)
     return buf.getvalue().encode()
+
+
+def nested_sql_scan(cfg, params, c_bounds, c_count):
+    """The generalized SQL of one row over the optimal detection frequency,
+    scalar and nested: `generalized_sql` over C of the figures at the
+    optimum of a `minimize_vc_over_frequency` of `scenario_figures`.  For
+    speed, the frequency grid of a displacement model is one `vc_on_grid`
+    call (the values of the point-by-point scan, bit for bit); every other
+    grid, and every refinement, goes point by point."""
+    bath = cfg.bath_spec()
+
+    def family(C):
+        p = {**params, "C": C, "g": None}
+        grid = None
+        if cfg.scenario == "displacement":
+            model = displacement_model(
+                DisplacementParams(p["kappa"], p["gamma"], p["omega_m"], C=C), bath)
+            grid = lambda ws: vc_on_grid(model, ws, bath, cfg.conditioning)
+        return minimize_vc_over_frequency(
+            lambda w: scenario_figures(cfg.scenario, p, bath, w, cfg.conditioning),
+            *cfg.omega_bounds, vc_grid=grid,
+        ).figures
+
+    return generalized_sql(family, *c_bounds, count=c_count)
+
+
+def nested_sql_table(argv):
+    """Bytes of `tv sql --optimize-frequency` for ``argv`` from nested
+    scalar scans, one per row."""
+    args, cfg = _config(argv)
+    rows = []
+    for value in _sweep_values(cfg) if cfg.sweep else [None]:
+        params = _swept_params(cfg, value) if cfg.sweep else dict(cfg.parameters)
+        res = nested_sql_scan(cfg, params, args.c_bounds, args.c_count)
+        row = {**_figures_row("C_opt", res.x, res.figures),
+               "at_boundary": int(res.at_boundary), "n_branches": len(res.branches)}
+        rows.append({cfg.sweep["param"]: value, **row} if cfg.sweep else row)
+    buf = io.StringIO()
+    write_table(cfg, rows, buf)
+    return buf.getvalue().encode()
+
+
+NESTED_SQL_ARGV = [
+    ["sql", "--scenario", "displacement", "--n-m", "1", "--optimize-frequency", "--c-count", "20"],
+    ["sql", "--scenario", "displacement", "--param", "kappa", "--log", "1", "10", "--n", "2",
+     "--n-m", "1", "--eta", "0.8", "--optimize-frequency", "--c-count", "12"],
+    # a narrow C grid keeps the point-by-point reference short: about 12 rounds
+    ["sql", "--scenario", "qnd-floquet", "--n-m", "1", "--optimize-frequency", "--c-count", "3",
+     "--c-bounds", "3", "3.001", "--omega-bounds", "0.01", "10", "--eta", "0.9"],
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_SQL_ARGV,
+                         ids=["displacement", "displacement-kappa", "qnd-floquet"])
+def test_optimized_sql_matches_nested_scalar_scan(argv, tmp_path):
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == nested_sql_table(argv)
+
+
+def test_optimized_threshold_matches_nested_scalar_scan(tmp_path):
+    # the curve is the generalized SQL over frequency and C at each n_m
+    argv = ["threshold", "--scenario", "displacement", "--vary", "n_m", "--bounds", "0.5", "3",
+            "--level", "1.2", "--quantity", "min-vc", "--optimize-frequency", "--c-count", "10"]
+    args, cfg = _config(argv)
+
+    def curve(value):
+        cfg_v = replace(cfg, bath={**cfg.bath, "n_m": value})
+        return nested_sql_scan(cfg_v, dict(cfg.parameters), args.c_bounds, args.c_count).value
+
+    rows = [{"vary": "n_m", "quantity": "min-vc", "level": 1.2,
+             "crossing": find_threshold(curve, 1.2, 0.5, 3.0)}]
+    buf = io.StringIO()
+    write_table(cfg, rows, buf)
+    rc, out = run(argv, tmp_path)
+    assert rc == 0
+    assert out.read_bytes() == buf.getvalue().encode()
 
 
 SQL_ARGV = [
@@ -844,11 +941,14 @@ class TestValidation:
          "needs both of 'g_total' and 'readout_fraction'"),
         (["--param", "g1", "--lin", "0.1", "0.3", "--g-total", "0.6", "--readout-fraction", "0.5"],
          "'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'"),
+        (["--param", "g1", "--lin", "0.1", "0.3", "--g-total", "0.6", "--readout-fraction", "0.5",
+          "--optimize-frequency"],
+         "'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'"),
         (["--param", "alpha1", "--lin", "0.1", "0.3", "--g2", "0.4", "--g-total", "0.6",
           "--readout-fraction", "0.5"],
          "'g1' and 'g2' cannot be set with 'g_total' and 'readout_fraction'"),
     ], ids=["sweep-g_total-alone", "readout_fraction-alone", "sweep-g1-with-split",
-            "set-g2-with-split"])
+            "sweep-g1-with-split-optimized", "set-g2-with-split"])
     def test_lev_dual_couplings_are_not_ignored(self, extra, message, tmp_path, capsys):
         rc, out = run(["sweep", "--scenario", "lev-dual", "--n", "3", "--n-m", "1e7", *extra],
                       tmp_path)
@@ -905,6 +1005,25 @@ class TestValidation:
                        "--n-m", "1", *extra], tmp_path)
         assert rc == 2
         assert capsys.readouterr().err == f"tv: configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["fixed", "optimized"])
+    def test_lev_dual_negative_linewidth_names_the_row(self, optimize, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "alpha1", "--lin", "1", "3",
+                       "--n", "3", *["--optimize-frequency"] * optimize], tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "tv: numerical failure at alpha1=3.0: broadened linewidth -5.000e-02 is not positive\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["fixed", "optimized"])
+    def test_swept_readout_fraction_out_of_range(self, optimize, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "lev-dual", "--param", "readout_fraction",
+                       "--lin", "0.5", "1.5", "--g-total", "0.6",
+                       *["--optimize-frequency"] * optimize], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "tv: configuration error: readout_fraction must lie in [0, 1]\n")
         assert not out.exists()
 
     def test_intensity_split_out_of_range(self, tmp_path, capsys):
