@@ -43,6 +43,7 @@ from .levitation import (
     dual_tweezer_threshold,
     qnd_modulation_frequency,
     reduced_metrics,
+    reduced_vc,
     reduced_scattering,
     single_tweezer_qnd_model,
     single_tweezer_qnd_params,

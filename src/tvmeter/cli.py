@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .core import BathSpec
 from .errors import ConfigError, TvmeterError
-from .metrics import MeasurementFigures, vc_on_grid
+from .metrics import MeasurementFigures
 from .optimize import ScanMinimum, find_threshold, generalized_sql, minimize_vc_over_frequency
 from .scenarios import SCENARIOS, with_parameter
 
@@ -235,47 +235,30 @@ def _default_omega(cfg: RunConfig) -> float | None:
     return default(cfg.parameters)
 
 
-def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
-    """Detection frequency minimizing V_c at each row of ``params`` (an
-    array holds one value per row of a sweep), with the figures there.
-
-    A model-based scenario builds the model stack of all rows once (its
-    row slices are not validated again), scans each row's frequency grid
-    with one stacked solve, and refines all rows in lockstep: each
-    golden-section round is one solve over the rows' drift (and H) stack
-    paired with the round's frequencies.  One :func:`scenario_figures`
-    call then gives the figures at the optima of all rows, in ``cfg``'s
-    bath.  Other scenarios, and one row of numbers, go point by point.
-    """
-    lo, hi = cfg.omega_bounds
-    bath = cfg.bath_spec()
+def _rows_of(params: dict) -> tuple[int | None, Any]:
+    """The number of rows of ``params`` (an array holds one value per row;
+    None for a row of numbers) and ``at(ks)``, the parameters of rows ks."""
     arrays = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
-    count = len(next(iter(arrays.values()))) if arrays else 1
-    build = SCENARIOS[cfg.scenario].model
+    count = len(next(iter(arrays.values()))) if arrays else None
+    return count, lambda ks: {**params, **{k: v[ks] for k, v in arrays.items()}}
 
-    def row(ks) -> dict:  # the parameters of the rows ks
-        return {**params, **{k: v[ks] for k, v in arrays.items()}}
 
-    def figures(ks: list[int], ws: list[float]) -> list[MeasurementFigures]:
-        if arrays and build is not None:
-            return scenario_figures(cfg.scenario, row(ks), bath, np.asarray(ws), cfg.conditioning)
-        return [scenario_figures(cfg.scenario, row(k), bath, w, cfg.conditioning)
-                for k, w in zip(ks, ws)]
-
-    if build is None:
-        return minimize_vc_over_frequency(figures, lo, hi, rows=count)
-    stack = build(params, bath)
-    A = np.broadcast_to(stack.A, (count,) + stack.A.shape[-2:])
-
-    def at(ks):  # the models of the rows ks, sliced from the validated stack
-        model = object.__new__(type(stack))
-        vars(model).update(vars(stack), A=A[ks], H=stack.H[ks] if stack.H.ndim > 2 else stack.H)
-        return model
-
+def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
+    """Detection frequency minimizing V_c at each row of ``params`` (a row
+    of numbers is a stack of one), with the figures there, in ``cfg``'s
+    bath.  The scenario builds the stack of all rows once; each row's grid
+    is one V_c call, and so is each golden-section round of all rows (in
+    lockstep).  One :func:`scenario_figures` call gives all the figures."""
+    if _rows_of(params)[0] is None:
+        params = {k: np.array([v]) if isinstance(v, numbers.Real) else v for k, v in params.items()}
+    bath = cfg.bath_spec()
+    count, at = _rows_of(params)
+    vc = SCENARIOS[cfg.scenario].rows(params, bath, cfg.conditioning)
     return minimize_vc_over_frequency(
-        figures, lo, hi, rows=count,
-        vc=lambda ks, ws: vc_on_grid(at(ks), np.asarray(ws), bath, cfg.conditioning),
-        vc_grid=lambda ws: [vc_on_grid(at(r), ws, bath, cfg.conditioning) for r in range(count)],
+        lambda ks, ws: scenario_figures(cfg.scenario, at(ks), bath, np.asarray(ws),
+                                        cfg.conditioning),
+        *cfg.omega_bounds, rows=count, vc=vc,
+        vc_grid=lambda ws: [vc(r, ws) for r in range(count)],
     )
 
 
@@ -301,45 +284,37 @@ def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
 def _sql_scan(
     cfg: RunConfig, params: dict, c_bounds: tuple[float, float], c_count: int,
 ) -> ScanMinimum | list[ScanMinimum]:
-    """Generalized SQL at one parameter point: V_c minimized over C.
-
-    At a fixed detection frequency the C grid is one stacked solve over
-    the models at every C; with ``optimize_frequency`` every C needs its
-    own frequency scan, so the grid is scanned point by point.  The
-    refinement and the figures of the optimum come from
-    :func:`_row_figures`.
-
-    Arrays in ``params`` (one value per row of a sweep; at a fixed
-    detection frequency only) give one scan per row, as a list, each
-    with the bits of the row's own scan.  The C grid of each row is one
-    stacked solve, one row at a time, so no stack holds more than
-    ``c_count`` models.  The refinement runs in lockstep: each
-    golden-section round of all rows is one stacked solve over the
-    active rows' parameters paired with the round's C points, and so is
-    the one :func:`scenario_figures` call for the figures at the optima.
-    """
+    """Generalized SQL: V_c minimized over C at each row of ``params`` (a
+    list of scans if it holds arrays), each with the bits of the row's own
+    scan.  Each row's C grid is one V_c call (of at most ``c_count``
+    points), and so is each golden-section round of all rows (in lockstep)
+    and the figures at the optima.  With ``optimize_frequency`` each call
+    is one :func:`_frequency_scans` over its C points.  One row of numbers
+    at a fixed frequency refines point by point, cheaper than by stacks."""
     scenario, bath, omega = SCENARIOS[cfg.scenario], cfg.bath_spec(), _default_omega(cfg)
+    count, at = _rows_of(params)
 
-    def vc(p: dict, Cs) -> np.ndarray:
-        return scenario.vc(with_parameter(p, "C", np.asarray(Cs)), bath, omega, cfg.conditioning)
+    def rows(ks, Cs) -> dict:  # the rows ks paired with the cooperativities Cs
+        return with_parameter(at(ks), "C", np.asarray(Cs))
 
-    arrays = {k: v for k, v in params.items() if isinstance(v, np.ndarray)}
-    if not arrays:
+    def vc(ks, Cs) -> np.ndarray:
+        if cfg.optimize_frequency:
+            return np.array([scan.value for scan in _frequency_scans(cfg, rows(ks, Cs))])
+        return scenario.vc(rows(ks, Cs), bath, omega, cfg.conditioning)
+
+    def figures(ks, Cs) -> list[MeasurementFigures]:
+        if cfg.optimize_frequency:
+            return [scan.figures for scan in _frequency_scans(cfg, rows(ks, Cs))]
+        return scenario_figures(cfg.scenario, rows(ks, Cs), bath, omega, cfg.conditioning)
+
+    if count is None and not cfg.optimize_frequency:
         return generalized_sql(
-            lambda C: _row_figures(cfg, with_parameter(params, "C", C)), *c_bounds,
-            count=c_count, vc_grid=None if cfg.optimize_frequency else lambda Cs: vc(params, Cs),
-        )
-
-    def row(ks) -> dict:  # the parameters of the rows ks
-        return {**params, **{k: v[ks] for k, v in arrays.items()}}
-
-    rows = len(next(iter(arrays.values())))
-    return generalized_sql(
-        lambda ks, Cs: scenario_figures(cfg.scenario, with_parameter(row(ks), "C", np.asarray(Cs)),
-                                        bath, omega, cfg.conditioning), *c_bounds,
-        count=c_count, rows=rows, vc=lambda ks, Cs: vc(row(ks), Cs),
-        vc_grid=lambda Cs: [vc(row(r), Cs) for r in range(rows)],
-    )
+            lambda C: scenario_figures(cfg.scenario, with_parameter(params, "C", C), bath, omega,
+                                       cfg.conditioning),
+            *c_bounds, count=c_count, vc_grid=lambda Cs: vc(0, Cs))
+    found = generalized_sql(figures, *c_bounds, count=c_count, rows=count or 1, vc=vc,
+                            vc_grid=lambda Cs: [vc(r, Cs) for r in range(count or 1)])
+    return found if count else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +333,12 @@ def _figures_row(swept: str, value: float, figs: MeasurementFigures) -> dict:
         "nm_eq": float(figs.nm_eq),
         "regime": figs.regime.value,
     }
+
+
+def _scan_row(name: str, res: ScanMinimum) -> dict:
+    """The row of a scan's minimum at ``name`` = x, flagged if on a bound or not alone."""
+    return {**_figures_row(name, res.x, res.figures),
+            "at_boundary": int(res.at_boundary), "n_branches": len(res.branches)}
 
 
 def write_table(cfg: RunConfig, rows: list[dict], stream) -> None:
@@ -446,7 +427,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     ``optimize_frequency`` the rows of a block are scanned together
     (:func:`_frequency_scans`); at a fixed frequency a sweep of a
     parameter in the scenario's ``array_params`` evaluates each block as
-    a stack, and the other sweeps go row by row."""
+    a stack, and the other sweeps (of lev-pulsed) go row by row."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -482,27 +463,21 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:
     """Generalized-SQL rows (:func:`_sql_scan`), one per sweep value, or
-    one at the configured parameters.  At a fixed detection frequency
-    the rows of a sweep are scanned in lockstep, in blocks of
-    ``BLOCK_ROWS``; a block that fails is rerun one row at a time, so the
-    first failing row raises its own error.  With ``optimize_frequency``
-    the rows go one at a time."""
+    one at the configured parameters.  The rows of a sweep are scanned
+    in lockstep, in blocks of ``BLOCK_ROWS``; a block that fails is rerun
+    one row at a time, so the first failing row raises its own error."""
     _check_sql_scan(cfg, cfg.sweep["param"] if cfg.sweep else None)
     _check_bounds(c_bounds, "--c-bounds", positive=True)
 
-    def sql_row(res: ScanMinimum) -> dict:
-        return {**_figures_row("C_opt", res.x, res.figures),
-                "at_boundary": int(res.at_boundary), "n_branches": len(res.branches)}
-
     if cfg.sweep is None:
         try:
-            return [sql_row(_sql_scan(cfg, dict(cfg.parameters), c_bounds, c_count))]
+            return [_scan_row("C_opt", _sql_scan(cfg, dict(cfg.parameters), c_bounds, c_count))]
         except TvmeterError as err:
             raise NumericalFailure({"C": c_bounds}, err) from err
     name, values = cfg.sweep["param"], _sweep_values(cfg)
 
     def row(value: float, res: ScanMinimum) -> dict:
-        return {name: value, **sql_row(res)}
+        return {name: value, **_scan_row("C_opt", res)}
 
     def one(value: float) -> dict:
         try:
@@ -510,8 +485,6 @@ def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list
         except TvmeterError as err:
             raise NumericalFailure({name: value}, err) from err
 
-    if cfg.optimize_frequency:
-        return [one(value) for value in values]
     return _stacked_rows(cfg, values, lambda stack: _sql_scan(cfg, stack, c_bounds, c_count),
                          row, one)
 
@@ -562,10 +535,7 @@ def cmd_optimize_frequency(cfg: RunConfig) -> list[dict]:
         res = _frequency_scans(cfg, cfg.parameters)[0]
     except TvmeterError as err:
         raise NumericalFailure({"omega": cfg.omega_bounds}, err) from err
-    row = _figures_row("omega_opt", res.x, res.figures)
-    row["at_boundary"] = int(res.at_boundary)
-    row["n_branches"] = len(res.branches)
-    return [row]
+    return [_scan_row("omega_opt", res)]
 
 
 class NumericalFailure(Exception):

@@ -228,6 +228,15 @@ class LinearModel:
         return self.layout.meter_index // 2
 
 
+def check_paired(omegas: float | NDArray, stack: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of a stack's points at ``omegas``; ValueError unless they pair."""
+    try:
+        return np.broadcast_shapes(np.shape(omegas), stack)
+    except ValueError:
+        raise ValueError(f"frequencies of shape {np.shape(omegas)} do not pair with a "
+                         f"stack of shape {stack}") from None
+
+
 def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     """Raise :class:`UnstableModel` unless all eigenvalues sit strictly
     in the left half-plane (marginal modes are rejected as well, since

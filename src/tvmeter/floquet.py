@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (FOUR_MODE, BathSpec, _require_regular, check_sign, check_stable,
-                   detected, input_covariance, matrix)
+from .core import (FOUR_MODE, BathSpec, _require_regular, check_paired, check_sign,
+                   check_stable, detected, input_covariance, matrix)
 from .metrics import (
     MeasurementFigures,
     _abs2,
@@ -123,7 +123,7 @@ def decompose_drift(
 
 
 def sideband_scattering(
-    fd: FloquetDrift, H: NDArray, omega: float
+    fd: FloquetDrift, H: NDArray, omega: float | NDArray
 ) -> dict[int, NDArray[np.complex128]]:
     """Scattering blocks S_n(w), n = -1, 0, 1: the part of the output at w
     contributed by component n, driven by the input at w + 2 n w_m.
@@ -133,14 +133,17 @@ def sideband_scattering(
     Q_j = D_j^-1 A(-1), the centre component solves
     (D_n - A(-1) P_{n-1} - A(+1) Q_{n+1}) u_0 = -H, and u_{+1} = -P_{n-1} u_0,
     u_{-1} = -Q_{n+1} u_0, with u_0 = -S^-1 H a column scaling (``H`` is
-    diagonal).  A stacked drift (or a stack of ``H``) gives stacks of blocks
-    ``[..., i, j]``; the diagonal blocks, then the Schur complements, are
-    checked as in :func:`core.build_scattering`, and the first singular
-    one, in stack order, raises :class:`SingularAtFrequency` at ``omega``.
+    diagonal).  A stacked drift, H or ``omega`` (paired as in
+    :func:`metrics.vc_on_grid`) gives stacks of blocks ``[..., i, j]``; the
+    diagonal blocks, then the Schur complements, are checked as in
+    :func:`core.build_scattering`, and the first singular one, in stack
+    order, raises :class:`SingularAtFrequency` at its ``omega``.
     """
     h = np.diagonal(H, 0, -2, -1)
     if np.count_nonzero(H) != np.count_nonzero(h):
         raise ValueError("H must be diagonal")
+    check_paired(omega, np.broadcast_shapes(fd.A_zero.shape[:-2], np.shape(fd.omega_m)))
+    omega = np.asarray(omega, dtype=float)[..., None]  # against the offsets of each point
     shifts = 1j * (omega + np.multiply.outer(2 * fd.omega_m, _OFFSETS))
     D = fd.A_zero[..., None, :, :] + shifts[..., None, None] * np.eye(4)
     Dinv = _feed_forward_inverse(D, omega)
@@ -155,7 +158,7 @@ def sideband_scattering(
     }
 
 
-def _feed_forward_inverse(M: NDArray, omega: float) -> NDArray[np.complex128]:
+def _feed_forward_inverse(M: NDArray, omega: NDArray) -> NDArray[np.complex128]:
     """M^-1 for the stack ``M[..., i, j]`` by forward substitution, once the
     guard of :func:`core.build_scattering` accepts M (the inverse feeds its
     bound); ValueError unless M is lower triangular in the order (X, x, Y, p)."""
@@ -193,30 +196,31 @@ def _conditional_variance(
 
 
 def floquet_vc(
-    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0
+    fd: FloquetDrift, bath: BathSpec, omega: float | NDArray = 0.0
 ) -> float | NDArray[np.float64]:
     """Conditional variance of the beyond-RWA readout, ``floquet_metrics(fd,
     bath, omega).Vc``.
 
-    For a stacked drift (from parameter arrays) it gives one value
-    per drift from one stacked solve, each with the bits of the single
-    drift's; the first drift that fails a guard, in stack order, raises.
+    A stacked drift (from parameter arrays) or ``omega`` (paired as in
+    :func:`metrics.vc_on_grid`) gives one value per point from one stacked
+    solve, each with the bits of the point's own call; the first point
+    that fails a guard, in stack order, raises.
     """
     H, Vin = _readout(fd, bath)
     return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
 
 
 def floquet_metrics(
-    fd: FloquetDrift, bath: BathSpec, omega: float = 0.0
+    fd: FloquetDrift, bath: BathSpec, omega: float | NDArray = 0.0
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of the beyond-RWA readout.
 
     The decay rates are read off the static drift diagonal.  Detection
     loss ``bath.eta`` is a beam splitter on the optical output, filled
-    with noise at the cavity-bath variance.  A stacked drift (an array
-    of parameters) gives a list of figures, one per drift in stack
-    order, from one stacked solve, each with the bits of the single
-    drift's; the first drift that fails a guard, in stack order, raises.
+    with noise at the cavity-bath variance.  A stack, as in
+    :func:`floquet_vc`, gives a list of figures, one per point in stack
+    order, from one stacked solve, each with the bits of the point's own
+    call; the first point that fails a guard, in stack order, raises.
     """
     H, Vin = _readout(fd, bath)
     blocks = sideband_scattering(fd, H, omega)

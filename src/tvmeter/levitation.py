@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import BathSpec, LinearModel, check_sign, detected
+from .core import BathSpec, LinearModel, check_paired, check_sign, detected, matrix
 from .errors import NegativeLinewidth
 from .metrics import (
     MeasurementFigures,
@@ -105,8 +105,8 @@ def single_tweezer_qnd_model(p: TweezerParams, bath: BathSpec) -> LinearModel:
 class DualTweezerParams:
     """Primary (1, preparation) and readout (2) tweezers on one particle.
 
-    The rescaled cooperativities are C_i = g_i^2 / (4 gamma kappa_i).
-    """
+    The rescaled cooperativities are C_i = g_i^2 / (4 gamma kappa_i).  Any
+    parameter may be an array, as in :mod:`tvmeter.models`."""
 
     omega_m: float
     gamma: float
@@ -129,7 +129,7 @@ class DualTweezerParams:
     ) -> "DualTweezerParams":
         """Fix the total trapping intensity, g_1^2 + g_2^2 = g_total^2,
         and put ``readout_fraction`` of it into the readout tweezer."""
-        if not 0.0 <= readout_fraction <= 1.0:
+        if not np.all((0.0 <= readout_fraction) & (readout_fraction <= 1.0)):
             raise ValueError("readout_fraction must lie in [0, 1]")
         g2 = g_total * np.sqrt(readout_fraction)
         g1 = g_total * np.sqrt(1.0 - readout_fraction)
@@ -153,17 +153,22 @@ class DualTweezerParams:
         splitting as the coupling powers.  The figures of merit do not
         depend on it (it only drives the unmeasured momentum quadrature).
         """
-        # trap weights proportional to tweezer intensity ~ g_i^2
-        gsq = self.g_1**2 + self.g_2**2
-        if gsq == 0.0:
-            return 0.0
-        w1, w2 = self.g_1**2 / gsq, self.g_2**2 / gsq
-        norm = w1 * (1 + self.alpha_1**2 / 2) + w2 * (1 + self.alpha_2**2 / 2)
-        tr1 = self.omega_m**2 * w1 / norm
-        tr2 = self.omega_m**2 * w2 / norm
-        a1t = self.alpha_1 * tr1 / (4.0 * self.omega_m)
-        a2t = self.alpha_2**2 * tr2 / (16.0 * self.omega_m)
-        return 2.0 * (a1t + a2t)
+        # trap weights proportional to tweezer intensity ~ g_i^2; no rate without light
+        norm = np.asarray(self.g_1**2 * (1 + self.alpha_1**2 / 2)
+                          + self.g_2**2 * (1 + self.alpha_2**2 / 2), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = self.omega_m * (self.alpha_1 * self.g_1**2 / 2
+                                   + self.alpha_2**2 * self.g_2**2 / 8) / norm
+        return np.where(norm == 0.0, 0.0, rate)
+
+
+def _broadened_linewidth(p: DualTweezerParams):
+    """gamma_m; :class:`NegativeLinewidth` names its first nonpositive value."""
+    gm = p.gamma_m
+    if np.any(gm <= 0):
+        first = np.extract(gm <= 0, gm)[0]
+        raise NegativeLinewidth(f"broadened linewidth {first:.3e} is not positive")
+    return gm
 
 
 def compound_signal_variances(
@@ -173,11 +178,9 @@ def compound_signal_variances(
     mechanical mode dressed by the primary cavity's noise.
 
     At carrier detection the optical contribution reduces to
-    g_1^2 (2 -/+ alpha_1)^2 / (8 gamma_m kappa_1).
+    g_1^2 (2 -/+ alpha_1)^2 / (8 gamma_m kappa_1).  Arrays broadcast.
     """
-    gm = p.gamma_m
-    if gm <= 0:
-        raise NegativeLinewidth(f"broadened linewidth {gm:.3e} is not positive")
+    gm = _broadened_linewidth(p)
     chi1_sq = 1.0 / (p.kappa_1**2 + 4.0 * omega**2)
     opt = p.g_1**2 * p.kappa_1 * chi1_sq / (8.0 * gm)
     vx = p.gamma / gm * bath.V_x + opt * (2.0 - p.alpha_1) ** 2
@@ -185,41 +188,52 @@ def compound_signal_variances(
     return gm, vx, vp
 
 
-def reduced_scattering(p: DualTweezerParams, omega: float) -> NDArray[np.complex128]:
+def reduced_scattering(p: DualTweezerParams, omega: float | NDArray) -> NDArray[np.complex128]:
     """Reduced 4x4 scattering matrix on (X2, Y2, x_bar, p_bar) after
-    eliminating the primary cavity into the compound signal."""
-    gm = p.gamma_m
-    if gm <= 0:
-        raise NegativeLinewidth(f"broadened linewidth {gm:.3e} is not positive")
-    chi2 = 1.0 / (p.kappa_2 - 2j * omega)
-    chim = 1.0 / (gm - 2j * omega)
-    Km = (p.kappa_2 + 2j * omega) * chi2
-    Gm = (gm + 2j * omega) * chim
-    sm = 2.0 * p.g_2 * p.alpha_2 * chi2 * chim * np.sqrt(gm * p.kappa_2)
-    Om = -8.0 * p._x2_rate() * gm * chim**2
-    return np.array([
-        [Km, 0, 0, 0],
-        [0, Km, sm, 0],
-        [0, 0, Gm, 0],
-        [sm, 0, Om, Gm],
-    ])
+    eliminating the primary cavity into the compound signal.  Arrays of
+    the parameters and of ``omega``, paired as :func:`metrics.vc_on_grid`
+    pairs them, give the stack ``[..., i, j]``."""
+    gm = _broadened_linewidth(p)
+    shape = check_paired(omega, np.broadcast_shapes(*map(np.shape, vars(p).values())))
+    # the complex arithmetic on Python numbers, point by point: numpy's rounds differently
+    k2, gm_, w, sig, x2 = (np.asarray(x, dtype=float).astype(object) for x in (
+        p.kappa_2, gm, omega, 2.0 * p.g_2 * p.alpha_2, -8.0 * p._x2_rate() * gm))
+    chi2, chim = 1.0 / (k2 - 2j * w), 1.0 / (gm_ - 2j * w)
+    S = np.zeros(shape + (4, 4), dtype=complex)
+    S[..., 0, 0] = S[..., 1, 1] = (k2 + 2j * w) * chi2
+    S[..., 1, 2] = S[..., 3, 0] = sig * chi2 * chim * np.sqrt(gm * p.kappa_2).astype(object)
+    S[..., 2, 2] = S[..., 3, 3] = (gm_ + 2j * w) * chim
+    S[..., 3, 2] = x2 * chim**2
+    return S
+
+
+def _detected_output(p: DualTweezerParams, bath: BathSpec, omega):
+    """S, its cross-spectral density detected on (X2, Y2), and Vx_bar."""
+    gm, vx, vp = compound_signal_variances(p, bath, omega)
+    S = reduced_scattering(p, omega)
+    n, xp = bath.optical_variance, p.gamma / gm * bath.V_xp
+    Vin = matrix([[n, 0, 0, 0], [0, n, 0, 0], [0, 0, vx, xp], [0, 0, xp, vp]])
+    return S, detected(S @ Vin @ S.conj().swapaxes(-1, -2), slice(0, 2), bath.eta, n), vx
+
+
+def reduced_vc(p: DualTweezerParams, bath: BathSpec, omega: float | NDArray = 0.0):
+    """``reduced_metrics(p, bath, omega).Vc``, an array of them for a stack."""
+    return conditional_variance(_detected_output(p, bath, omega)[1], signal=2, meter=1)
 
 
 def reduced_metrics(
-    p: DualTweezerParams, bath: BathSpec, omega: float = 0.0
-) -> MeasurementFigures:
+    p: DualTweezerParams, bath: BathSpec, omega: float | NDArray = 0.0
+) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit from the reduced scattering matrix and the
     compound-signal covariance (the pipeline side of the closed forms),
-    with detection loss on the readout cavity's output (X2, Y2)."""
-    gm, vx, vp = compound_signal_variances(p, bath, omega)
-    S = reduced_scattering(p, omega)
-    n = bath.optical_variance
-    Vin = np.diag([n, n, vx, vp])
-    Vin[2, 3] = Vin[3, 2] = p.gamma / gm * bath.V_xp
-    V = detected(S @ Vin @ S.conj().T, slice(0, 2), bath.eta, n)
+    with detection loss on the readout cavity's output (X2, Y2).  A stack
+    (as in :func:`reduced_scattering`) gives a list of figures, one per
+    point, each with the bits of that point's own call; the first point
+    that fails a guard, in stack order, raises."""
+    S, V, vx = _detected_output(p, bath, omega)
     return measured_figures(
-        conditional_variance(V, signal=2, meter=1), V[2, 2].real, V[1, 1].real,
-        abs(S[2, 2]) ** 2, bath.eta * abs(S[1, 2]) ** 2, vx, omega,
+        conditional_variance(V, signal=2, meter=1), V[..., 2, 2].real, V[..., 1, 1].real,
+        _abs2(S[..., 2, 2]), bath.eta * _abs2(S[..., 1, 2]), vx, omega,
     )
 
 

@@ -42,6 +42,7 @@ from .core import (
     LinearModel,
     ModeLayout,
     build_scattering,
+    check_paired,
     cross_spectral_density,
     detected,
 )
@@ -337,11 +338,7 @@ def vc_on_grid(
     first point that fails one, in stack order, raises the error that a
     loop of :func:`evaluate` over the points would raise.
     """
-    try:
-        np.broadcast_shapes(np.shape(omegas), model.A.shape[:-2])
-    except ValueError:
-        raise ValueError(f"frequencies of shape {np.shape(omegas)} do not pair with a drift "
-                         f"stack of shape {model.A.shape[:-2]}") from None
+    check_paired(omegas, model.A.shape[:-2])
     return _solved(model, omegas, bath, conditioning)[2]
 
 

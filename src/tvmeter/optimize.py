@@ -228,14 +228,21 @@ def minimize_on_grid(
 
 
 def _scan_minima(evaluate, spec: SweepSpec, vc_grid, rows: int | None, vc):
-    """The minima of V_c over ``spec``'s grid, with the figures there, as
-    :func:`minimize_vc_over_frequency` and :func:`generalized_sql` take
-    and return them."""
+    """The minima of V_c over ``spec``'s grid, with the figures there.
+
+    ``evaluate(x)`` gives the figures of merit at a grid coordinate x and
+    ``vc_grid``, when given, the conditional variances at every point of
+    the grid array in one call.  ``rows`` = R scans R scenarios (the rows
+    of a sweep, say) at once and returns one :class:`ScanMinimum` per row,
+    each that of a scan of the row alone: then ``evaluate(rows, xs)`` gives
+    the list of figures at each ``xs[k]`` of row ``rows[k]`` (one call
+    serves the optima of all rows), ``vc(rows, xs)`` the conditional
+    variance there, which serves each lockstep refinement round of all
+    rows, and ``vc_grid`` returns ``[R, count]`` values.
+    """
     if rows is None:
         x, v, boundary, branches = minimize_on_grid(lambda x: evaluate(x).Vc, spec, vc_grid)
         return ScanMinimum(x, evaluate(x), v, boundary, branches)
-    if vc is None:
-        vc = lambda rs, xs: [figures.Vc for figures in evaluate(rs, xs)]
     found = minimize_on_grid(vc, spec, vc_grid, rows)
     optima = evaluate(list(range(rows)), [x for x, *_ in found])
     return [ScanMinimum(x, figures, v, b, br) for (x, v, b, br), figures in zip(found, optima)]
@@ -251,21 +258,9 @@ def minimize_vc_over_frequency(
     rows: int | None = None,
     vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
-    """Detection frequency minimizing the conditional variance.
-
-    ``evaluate`` maps a detection frequency to the figures of merit of a
-    fixed scenario; ``vc_grid``, when given, maps an array of
-    frequencies to their conditional variances in one call and serves
-    the grid scan.
-
-    ``rows`` = R scans R scenarios (the rows of a sweep, say) at once and
-    returns one :class:`ScanMinimum` per row, each that of a scan of the
-    row alone.  Then ``evaluate(rows, ws)`` gives the list of figures at
-    each ``ws[k]`` of row ``rows[k]`` (one call serves the optima of all
-    rows), ``vc(rows, ws)`` the conditional variance there (by default
-    through ``evaluate``), which serves each lockstep refinement round of
-    all rows, and ``vc_grid`` returns ``[R, count]`` values.
-    """
+    """Detection frequency minimizing the conditional variance of a fixed
+    scenario whose figures ``evaluate`` gives at a frequency (of R
+    scenarios at once, given ``rows`` = R; see :func:`_scan_minima`)."""
     spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
     return _scan_minima(evaluate, spec, vc_grid, rows, vc)
 
@@ -281,21 +276,9 @@ def generalized_sql(
     vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
     """Minimum conditional variance over cooperativity for a scenario
-    family; the returned figures define the generalized SQL point.
-
-    ``vc_grid``, when given, maps an array of cooperativities to their
-    conditional variances in one call (a stack of models) and serves the
-    grid scan.
-
-    ``rows`` = R scans R families (the rows of a ``tv sql`` sweep, say)
-    at once and returns one :class:`ScanMinimum` per row, each that of a
-    scan of the row alone, as :func:`minimize_vc_over_frequency` does:
-    ``family(rows, Cs)`` gives the list of figures at each ``Cs[k]`` of
-    row ``rows[k]``, ``vc(rows, Cs)`` the conditional variance there (a
-    stack of the rows' parameters paired with the cooperativities, say),
-    which serves each lockstep refinement round of all rows, and
-    ``vc_grid`` returns ``[R, count]`` values.
-    """
+    family whose figures ``family`` gives at a cooperativity (of R
+    families at once, given ``rows`` = R; see :func:`_scan_minima`); the
+    returned figures define the generalized SQL point."""
     spec = SweepSpec(c_lo, c_hi, count, rel_tol=rel_tol)
     return _scan_minima(family, spec, vc_grid, rows, vc)
 

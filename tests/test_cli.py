@@ -1,5 +1,6 @@
 """Command-line interface: table output, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvmeter
 from tvmeter import (
@@ -21,6 +24,7 @@ from tvmeter import (
     cooperativity_to_g,
     displacement_model,
     evaluate,
+    floquet,
     ideal_qnd_model,
     optimize,
     qnd_cooperativity_threshold,
@@ -312,6 +316,91 @@ class TestOptimizedSweepWaste:
         assert calls == {"build": 2 * 3, "validate": 2 * 3}
 
 
+class TestScanWork:
+    """Every scan scores stacks: an optimized sweep calls its kernel once
+    per row's frequency grid, once per lockstep round (two refinement
+    passes, optima then branches, of at most 40 rounds each) and once each
+    for the values and the figures at the optima; a frequency-optimized
+    SQL scan runs one frequency scan per such call over C."""
+
+    @pytest.mark.parametrize("argv, module, kernels", [
+        (["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1e-2", "1e2", "--n",
+          "10", "--n-m", "1", "--optimize-frequency"], floquet, ["sideband_scattering"]),
+        (["sweep", "--scenario", "lev-dual", "--param", "g1", "--log", "1e-2", "1e-1", "--n", "10",
+          "--n-m", "1", "--optimize-frequency"], scenarios, ["reduced_metrics", "reduced_vc"]),
+    ], ids=["qnd-floquet", "lev-dual"])
+    def test_kernel_calls_of_an_optimized_sweep(self, argv, module, kernels, tmp_path,
+                                                monkeypatch):
+        calls = []
+        for name in kernels:
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, kernel=kernel, **k: calls.append(a) or
+                                kernel(*a, **k))
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        assert 10 < len(calls) <= 10 + 2 * 40 + 2
+
+    def test_frequency_scans_of_an_optimized_sql_scan(self, tmp_path, monkeypatch):
+        scans, calls = cli._frequency_scans, []
+        monkeypatch.setattr(cli, "_frequency_scans", lambda *a: calls.append(a) or scans(*a))
+        rc, out = run(["sql", "--scenario", "displacement", "--n-m", "1", "--optimize-frequency"],
+                      tmp_path)
+        assert rc == 0
+        # the C grid, the first round's two points, one per round, the optimum's value, its figures
+        assert len(calls) <= 2 * 40 + 3
+        assert len(calls[0][1]["C"]) == 200  # the whole C grid in one scan
+
+
+#: scenario -> its numeric parameters and a range around each, wide enough
+#: to leave the valid region (a negative rate, an unstable drift)
+SCAN_RANGES = {
+    "displacement": dict(kappa=(-1.0, 30.0), gamma=(-0.01, 0.1), omega_m=(-1.0, 3.0),
+                         C=(-1.0, 1e3)),
+    "qnd-floquet": dict(kappa=(-0.1, 3.0), gamma=(-0.01, 0.1), omega_m=(-0.5, 3.0), C=(-1.0, 1e3)),
+    "lev-dual": dict(kappa1=(-0.5, 5.0), kappa2=(-0.5, 5.0), gamma=(-1e-9, 1e-6),
+                     omega_m=(-10.0, 300.0), g1=(-0.2, 1.0), g2=(-0.2, 1.0), alpha1=(-0.5, 3.0),
+                     alpha2=(-0.5, 2.0), g_total=(-0.2, 1.0), readout_fraction=(-0.2, 1.2)),
+}
+
+
+@st.composite
+def _scan_commands(draw):
+    """A `tv sweep` or `tv sql` command of a generated scan."""
+    scenario = draw(st.sampled_from(sorted(SCAN_RANGES)))
+    sql = "C" in SCAN_RANGES[scenario] and draw(st.booleans())
+    names = sorted(k for k in SCAN_RANGES[scenario] if not (sql and k == "C"))
+    name = draw(st.sampled_from(names))
+    # positional notation: argparse takes "-1e-05" for an option, "-0.00001" for a number
+    lo, hi = (np.format_float_positional(draw(st.floats(*SCAN_RANGES[scenario][name])))
+              for _ in range(2))
+    argv = ["sql" if sql else "sweep", "--scenario", scenario, "--param", name,
+            "--lin", lo, hi, "--n", str(draw(st.integers(2, 3))), "--n-m", "1"]
+    if scenario == "lev-dual" and name in ("g_total", "readout_fraction"):
+        argv += ["--set", f"{'readout_fraction' if name == 'g_total' else 'g_total'}=0.5"]
+    if sql:
+        argv += ["--c-count", "3", "--c-bounds", "1", "1.001"]  # few rounds
+    if draw(st.booleans()):
+        w_lo = draw(st.floats(1e-3, 10.0))
+        argv += ["--optimize-frequency", "--omega-bounds", repr(w_lo),
+                 repr(w_lo * draw(st.floats(0.5, 1e3)))]
+    return argv
+
+
+@settings(max_examples=15)
+@given(argv=_scan_commands())
+def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
+    out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv + ["--output", str(out)])
+    err = err.getvalue()
+    if rc == 0:
+        cells = [float(c) for row in read_rows(out) for k, c in row.items() if k != "regime"]
+        assert all(math.isfinite(c) or c == math.inf for c in cells), argv
+    else:
+        assert (rc, err.startswith("tv: configuration error: ")) in ((2, True), (3, False)), argv
+        assert err.count("\n") == 1 and (rc == 2 or err.startswith("tv: numerical failure at "))
+
+
 FIXED_OMEGA_SWEEPS = [
     ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e4", "--n", "300",
      "--n-m", "1", "--omega", "1", "--conditioning", "meter+ancilla"],
@@ -507,6 +596,9 @@ def test_every_numeric_parameter_sweeps_as_one_stack(scenario, name, optimize, t
     lo, hi = _two_values(SCENARIOS[scenario].defaults, name)
     argv = ["sweep", "--scenario", scenario, "--param", name, "--lin", repr(lo), repr(hi),
             "--n", "2", "--n-m", "1"]
+    pair = {"g_total": "readout_fraction", "readout_fraction": "g_total"}
+    if scenario == "lev-dual" and name in pair:  # these two couple lev-dual together
+        argv += ["--set", f"{pair[name]}=0.5"]
     rc, out = run(argv + ["--optimize-frequency"] * optimize, tmp_path)
     assert rc == 0
     assert len(read_rows(out)) == 2

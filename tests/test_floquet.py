@@ -306,6 +306,53 @@ class TestDriftStack:
         assert floquet_vc(single, bath, omega) == floquet_metrics(single, bath, omega).Vc
 
 
+class TestPairedFrequencies:
+    """An array of detection frequencies pairs with the drift stack as
+    ``vc_on_grid`` pairs it: one drift at every frequency, or one
+    frequency per drift, each point with the bits of its own call."""
+
+    OMEGAS = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    BATH = BathSpec(n_m=1.0, eta=0.8)
+
+    def test_one_drift_at_every_frequency(self):
+        # five frequencies once paired with the five sideband offsets
+        fd = decompose_drift(0.5, 0.01, 1.0, C=1.0)
+        got = floquet_vc(fd, BathSpec(n_m=1.0), self.OMEGAS)
+        want = [floquet_vc(fd, BathSpec(n_m=1.0), float(w)) for w in self.OMEGAS]
+        assert got.shape == (5,)
+        assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+        figs = floquet_metrics(fd, self.BATH, self.OMEGAS)
+        assert figs == [floquet_metrics(fd, self.BATH, float(w)) for w in self.OMEGAS]
+
+    def test_one_frequency_per_drift(self):
+        Cs, omega_m = np.logspace(-2, 2, 5), np.linspace(0.5, 2.0, 5)
+        fd = decompose_drift(0.5, 0.01, omega_m, C=Cs)
+        singles = [decompose_drift(0.5, 0.01, wm, C=C) for wm, C in zip(omega_m, Cs)]
+        got = floquet_vc(fd, self.BATH, self.OMEGAS)
+        np.testing.assert_array_equal(
+            got, [floquet_vc(s, self.BATH, float(w)) for s, w in zip(singles, self.OMEGAS)])
+        figs = floquet_metrics(fd, self.BATH, self.OMEGAS)
+        assert figs == [floquet_metrics(s, self.BATH, float(w)) for s, w in zip(singles, self.OMEGAS)]
+
+    @pytest.mark.parametrize("omegas", [np.ones(3), np.ones((5, 2)), np.ones(4)])
+    def test_unpaired_frequencies_are_named(self, omegas):
+        fd = decompose_drift(0.5, 0.01, 1.0, C=np.logspace(-2, 2, 5))
+        for kernel in (floquet_vc, floquet_metrics):
+            with pytest.raises(ValueError, match="do not pair with a stack of shape"):
+                kernel(fd, self.BATH, omegas)
+
+    def test_singular_block_names_its_own_frequency(self):
+        # undamped at the detection frequency 0.3: the singular block is at the second point
+        fd = decompose_drift(0.5, 0.01, 1.0, C=1.0)
+        A_zero = fd.A_zero.copy()
+        A_zero[1, 1] = A_zero[0, 0] = 0.0
+        undamped = FloquetDrift(fd.A_minus, A_zero, fd.A_plus, fd.omega_m)
+        H = np.diag([1.0, 1.0, 0.1, 0.1])
+        with pytest.raises(SingularAtFrequency) as err:
+            sideband_scattering(undamped, H, np.array([0.3, 0.0, 0.7]))
+        assert err.value.omega == 0.0
+
+
 def _mp_solve(M, B):
     """M^-1 B by Gauss-Jordan elimination with partial pivoting, on lists
     of rows of mpmath numbers."""

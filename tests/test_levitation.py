@@ -19,8 +19,10 @@ from tvmeter import (
     evaluate,
     ideal_qnd_metrics,
     qnd_modulation_frequency,
+    NegativeLinewidth,
     reduced_metrics,
     reduced_scattering,
+    reduced_vc,
     single_tweezer_qnd_model,
     single_tweezer_qnd_params,
     check_stable,
@@ -237,6 +239,55 @@ class TestDualTweezer:
         )
         assert p.g_1**2 + p.g_2**2 == pytest.approx(0.36)
         assert p.g_2**2 == pytest.approx(0.09)
+
+
+class TestStackedDualTweezer:
+    """Arrays of the dual-tweezer parameters, and of the detection
+    frequency paired with them, give stacks with the bits of their points
+    and the typed errors of the first failing point."""
+
+    RATES = dict(omega_m=100.0, gamma=1e-9, kappa_1=1.0, kappa_2=1.0)
+
+    def test_paired_frequencies_keep_the_bits_of_each_point(self):
+        g2, omegas = np.array([0.0, 0.05, 0.2, 0.6]), np.array([0.0, 0.3, 1.7, 40.0])
+        bath = BathSpec(n_m=10.0, m_sq=0.5 + 1j, eta=0.6)
+        stack = DualTweezerParams(g_1=0.2, g_2=g2, alpha_1=0.3, alpha_2=0.2, **self.RATES)
+        points = [DualTweezerParams(g_1=0.2, g_2=float(g), alpha_1=0.3, alpha_2=0.2, **self.RATES)
+                  for g in g2]
+        want = [reduced_metrics(q, bath, float(w)) for q, w in zip(points, omegas)]
+        assert reduced_metrics(stack, bath, omegas) == want
+        np.testing.assert_array_equal(reduced_vc(stack, bath, omegas), [f.Vc for f in want])
+        # one point at every frequency of a grid
+        assert reduced_metrics(points[1], bath, omegas) == [
+            reduced_metrics(points[1], bath, float(w)) for w in omegas]
+        with pytest.raises(ValueError, match="do not pair with a stack of shape"):
+            reduced_vc(stack, bath, omegas[:3])
+
+    def test_numpy_floats_round_as_python_floats(self):
+        # a swept value (a numpy float) once took numpy's complex rounding
+        kw = dict(g_1=0.2, g_2=0.2, alpha_1=0.2, alpha_2=0.2, **self.RATES)
+        want = reduced_metrics(DualTweezerParams(**{**kw, "kappa_2": 6.5793322465756825}),
+                               BathSpec(n_m=1.0), 3.0)
+        got = reduced_metrics(DualTweezerParams(**{**kw, "kappa_2": np.float64(6.5793322465756825)}),
+                              BathSpec(n_m=1.0), np.float64(3.0))
+        assert (got.Tm, got.nm_eq) == (want.Tm, want.nm_eq)
+
+    def test_first_negative_linewidth_raises(self):
+        p = DualTweezerParams(g_1=0.2, g_2=0.2, alpha_1=np.array([1.0, 3.0, 4.0]), alpha_2=0.2,
+                              **self.RATES)
+        with pytest.raises(NegativeLinewidth, match="broadened linewidth -5.000e-02 is not positive"):
+            reduced_vc(p, BathSpec(n_m=1.0), 0.0)
+
+    def test_intensity_split_range_checks_every_point(self):
+        with pytest.raises(ValueError, match="readout_fraction must lie in"):
+            DualTweezerParams.from_intensity_split(
+                0.6, np.array([0.5, 1.5]), alpha_1=0.2, alpha_2=0.2, **self.RATES)
+
+    def test_x2_rate_vanishes_without_light(self):
+        p = DualTweezerParams(g_1=np.array([0.0, 0.2]), g_2=np.array([0.0, 0.3]), alpha_1=0.2,
+                              alpha_2=0.4, **self.RATES)
+        one = DualTweezerParams(g_1=0.2, g_2=0.3, alpha_1=0.2, alpha_2=0.4, **self.RATES)
+        np.testing.assert_array_equal(p._x2_rate(), [0.0, one._x2_rate()])
 
 
 class TestThreshold:

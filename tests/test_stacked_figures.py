@@ -2,11 +2,11 @@
 
 Every numeric parameter of every builder broadcasts: an array of it
 gives a model stack (a drift stack, and an H stack when kappa or gamma
-varies).  ``evaluate`` and ``floquet_metrics`` on that stack must
-return, point by point, the figures of the scalar call on the point's
-own model: equal with ``==`` on every field, regime included.  Where the
-points fail a guard, the stack raises the error of the first failing
-point.
+varies).  ``evaluate``, ``floquet_metrics`` and ``reduced_metrics`` on
+that stack must return, point by point, the figures of the scalar call
+on the point's own model: equal with ``==`` on every field, regime
+included.  Where the points fail a guard, the stack raises the error of
+the first failing point.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from tvmeter import (
     floquet_metrics,
     ideal_qnd_model,
     imperfect_qnd_model,
+    reduced_metrics,
     single_tweezer_qnd_model,
 )
 
@@ -131,6 +132,14 @@ PARAMETER_BUILDERS = {
         dict(omega_m=(1.0, 200.0), alpha=(0.0, 2.0), g=(-1.0, 1.0), kappa=(0.1, 10.0),
              gamma=(1e-8, 1e-3), Omega=(50.0, 80.0)),
     ),
+    # alpha_1 above 2 turns the broadened linewidth negative
+    "lev-dual": (
+        lambda p, bath: DualTweezerParams(**p),
+        dict(omega_m=100.0, gamma=1e-9, kappa_1=1.0, kappa_2=1.0, g_1=0.2, g_2=0.2, alpha_1=0.2,
+             alpha_2=0.2),
+        dict(omega_m=(1.0, 200.0), gamma=(1e-10, 1e-3), kappa_1=(0.1, 10.0), kappa_2=(0.1, 10.0),
+             g_1=(0.0, 1.0), g_2=(0.0, 1.0), alpha_1=(0.0, 3.0), alpha_2=(0.0, 2.0)),
+    ),
 }
 
 PARAMETER_CASES = [(name, "meter") for name in PARAMETER_BUILDERS] + [("cqnc", "meter+ancilla")]
@@ -143,6 +152,8 @@ def _parameter_figures(scenario, conditioning, params, bath, omega):
     built = build({**base, **params}, bath)
     if scenario == "qnd-floquet":
         return floquet_metrics(built, bath, omega)
+    if scenario == "lev-dual":
+        return reduced_metrics(built, bath, omega)
     return evaluate(built, omega, bath=bath, conditioning=conditioning)
 
 
