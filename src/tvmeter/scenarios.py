@@ -138,7 +138,7 @@ def _model_based(defaults: dict, build, **kw) -> Scenario:
                     lambda m, bath, w, c: vc_on_grid(m, w, bath, c), dict(A=2, H=2), **kw)
 
 
-def _floquet_drift(p: dict, bath: BathSpec | None = None):
+def _floquet_drift(p: dict, bath: BathSpec):
     return decompose_drift(p["kappa"], p["gamma"], p["omega_m"], g=p["g"], C=p["C"],
                            order=p["order"])
 
@@ -149,7 +149,7 @@ _DUAL = dict(kappa1=1.0, kappa2=1.0, gamma=1e-9, omega_m=100.0, g1=0.2, g2=0.2,
              alpha1=0.2, alpha2=0.2, g_total=None, readout_fraction=None)
 
 
-def _dual(p: dict, bath: BathSpec | None = None) -> DualTweezerParams:
+def _dual(p: dict, bath: BathSpec) -> DualTweezerParams:
     """lev-dual couples through g1 and g2, or through g_total and
     readout_fraction, which replace them (g1 and g2 stay at defaults)."""
     rates = dict(omega_m=p["omega_m"], gamma=p["gamma"], kappa_1=p["kappa1"],

@@ -370,8 +370,9 @@ def _scan_commands(draw):
     sql = "C" in SCAN_RANGES[scenario] and draw(st.booleans())
     names = sorted(k for k in SCAN_RANGES[scenario] if not (sql and k == "C"))
     name = draw(st.sampled_from(names))
-    # positional notation: argparse takes "-1e-05" for an option, "-0.00001" for a number
-    lo, hi = (np.format_float_positional(draw(st.floats(*SCAN_RANGES[scenario][name])))
+    # positional notation with a digit after the point: argparse takes "-1e-05" and "-0."
+    # for options, "-0.00001" and "-0.0" for numbers
+    lo, hi = (np.format_float_positional(draw(st.floats(*SCAN_RANGES[scenario][name])), trim="0")
               for _ in range(2))
     argv = ["sql" if sql else "sweep", "--scenario", scenario, "--param", name,
             "--lin", lo, hi, "--n", str(draw(st.integers(2, 3))), "--n-m", "1"]
