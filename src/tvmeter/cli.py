@@ -219,10 +219,10 @@ def _check_has_frequency(cfg: RunConfig, optimize: bool) -> None:
 def scenario_figures(
     scenario: str, params: dict, bath: BathSpec, omega: float | None, conditioning: str
 ) -> MeasurementFigures | list[MeasurementFigures]:
-    """Figures of merit of one scenario at one detection frequency.
+    """Figures of merit of one scenario at a detection frequency.
 
-    Arrays of the parameters in the scenario's ``array_params`` give a
-    list of figures, one per point.
+    Arrays of the parameters in the scenario's ``array_params`` (and of
+    frequencies paired with them) give a list of figures, one per point.
     """
     return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
