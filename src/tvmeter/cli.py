@@ -290,7 +290,8 @@ def _sql_scan(
     points), and so is each golden-section round of all rows (in lockstep)
     and the figures at the optima.  With ``optimize_frequency`` each call
     is one :func:`_frequency_scans` over its C points.  One row of numbers
-    at a fixed frequency refines point by point, cheaper than by stacks."""
+    at a fixed frequency refines point by point on V_c alone, cheaper than
+    by stacks, and evaluates the figures at its optimum."""
     scenario, bath, omega = SCENARIOS[cfg.scenario], cfg.bath_spec(), _default_omega(cfg)
     count, at = _rows_of(params)
 
@@ -311,7 +312,8 @@ def _sql_scan(
         return generalized_sql(
             lambda C: scenario_figures(cfg.scenario, with_parameter(params, "C", C), bath, omega,
                                        cfg.conditioning),
-            *c_bounds, count=c_count, vc_grid=lambda Cs: vc(0, Cs))
+            *c_bounds, count=c_count, vc_grid=lambda Cs: vc(0, Cs),
+            vc=lambda C: scenario.vc(with_parameter(params, "C", C), bath, omega, cfg.conditioning))
     found = generalized_sql(figures, *c_bounds, count=c_count, rows=count or 1, vc=vc,
                             vc_grid=lambda Cs: [vc(r, Cs) for r in range(count or 1)])
     return found if count else found[0]

@@ -24,10 +24,11 @@ sideband quadrature of the record instead of the whole record at that
 frequency.  At w = 0, S is real and the two agree.
 
 The scattering matrix, the condition check and the cross-spectral
-density also run over a stack: an array of frequencies, or a model whose
+density run over a stack: an array of frequencies, or a model whose
 drift (and input couplings) are stacks of matrices (one per value of a
 parameter array, say), gives matrices ``[..., i, j]`` from one stacked
-solve, each with the bits of its point alone.
+solve, each with the bits of its point alone.  One model at one
+frequency is a stack of shape () and takes the same code.
 
 Vacuum variance is 1/2 per quadrature throughout.
 """
@@ -243,12 +244,9 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     their spectral covariances diverge).  ``A`` may be a stack
     ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
     max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
-    if max_real.ndim:
-        unstable = np.flatnonzero(max_real > -tol)
-        if unstable.size:
-            raise UnstableModel(float(max_real.ravel()[unstable[0]]))
-    elif max_real > -tol:
-        raise UnstableModel(float(max_real))
+    unstable = max_real > -tol
+    if unstable.any():
+        raise UnstableModel(float(max_real[unstable].flat[0]))
 
 
 def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -269,11 +267,10 @@ def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
 
 
 def _max_along(a: NDArray, axis: int) -> NDArray:
-    """``a.max(axis)``, on a stack from the elementwise maxima of the slices
-    (same bits; ``.max`` runs one short loop per row of each matrix)."""
-    if a.ndim == 2:
-        return a.max(axis=axis)
-    return functools.reduce(np.maximum, np.moveaxis(a, axis, 0))
+    """``a.max(axis)`` from the elementwise maxima of the slices (same bits;
+    on a stack ``.max`` runs one short loop per row of each matrix)."""
+    a = a.swapaxes(axis, -1)
+    return functools.reduce(np.maximum, [a[..., k] for k in range(a.shape[-1])])
 
 
 def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = None) -> None:
@@ -283,7 +280,7 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
     singular).  The first failing matrix, in stack order, raises with its
     frequency: ``omega`` broadcast against the stack.
 
-    A stack first takes a cheaper sufficient test: with E the
+    Every matrix first takes a cheaper sufficient test: with E the
     equilibrated matrix, ||E||_2 ||E^-1||_2 <= ||E||_F ||E^-1||_F, so a
     Frobenius bound of at most 1 / (2 ``RCOND_FLOOR``) puts the 2-norm
     rcond at 2 ``RCOND_FLOOR`` or above; the factor 2 covers the rounding
@@ -296,11 +293,6 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
     those of the SVD test alone.
     """
     E, r, c = _equilibrated(M)
-    if M.ndim == 2:
-        rcond = float(1.0 / np.linalg.cond(E))
-        if not rcond >= RCOND_FLOOR:  # NaN counts as singular
-            raise SingularAtFrequency(omega, rcond)
-        return
     with np.errstate(over="ignore", invalid="ignore"):
         if solved is not None:  # ||E^-1||_F^2 = sum_ij c_i^2 |X_ij|^2 (r_j / h_j)^2
             X2 = np.abs(solved[0])
@@ -337,7 +329,7 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     (:func:`detected`).  An array of frequencies, or a model stack (A,
     and H when it is a stack), gives the stack ``S[..., i, j]`` from one
     stacked solve; the first singular point, in stack order, raises
-    :class:`SingularAtFrequency`.  A stack with no zero in H solves X = M^-1 H
+    :class:`SingularAtFrequency`.  With no zero in H it solves X = M^-1 H
     first and hands the guard M^-1 = X diag(1/h); otherwise, or when an
     exactly singular matrix stops that solve, the guard inverts on its own.
     """
@@ -346,7 +338,7 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     H = model.H.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
     h = np.diagonal(model.H, 0, -2, -1)
     try:
-        X = np.linalg.solve(M, H) if M.ndim > 2 and h.all() else None
+        X = np.linalg.solve(M, H) if h.all() else None
     except np.linalg.LinAlgError:
         X = None
     _require_regular(M, omega, None if X is None else (X, h))

@@ -23,7 +23,8 @@ the reduced dual-tweezer map and the pulsed readout) applies detection
 loss through :func:`core.detected` (a beam splitter on the measured
 output mode, which also scales the meter power gain |S_Yx|^2 by eta),
 conditions through :func:`conditional_variance` and reduces through
-:func:`measured_figures`.
+:func:`measured_figures`.  Each of them takes a stack of points
+``[...]``; one point is a stack of shape () and takes the same code.
 
 A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 """
@@ -104,15 +105,10 @@ def classify_regime(Vc: float, Ts: float, Tm: float) -> Regime | list[Regime]:
 
 
 def _abs2(z):
-    """|z|^2 with the bits of ``abs(z) ** 2`` on one complex number.
-
-    That is libm ``hypot`` and ``pow``; numpy's array ``abs`` and ``** 2``
-    round differently in the last bit, so a stack takes the ufuncs that
-    call libm.
-    """
-    if isinstance(z, np.ndarray):
-        return np.float_power(np.hypot(z.real, z.imag), 2)
-    return abs(z) ** 2
+    """|z|^2 at each point of a stack, as libm ``hypot`` and ``pow``: the
+    bits of ``abs(z) ** 2`` on a Python complex (numpy's ``abs`` and
+    ``** 2`` round differently in the last bit)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def _re_triple(a, b, c):
@@ -123,27 +119,23 @@ def _re_triple(a, b, c):
     return re * c.real - im * -c.imag
 
 
-def _clamped(Vc, Vss) -> float:
-    """V_c of one point: rounding below zero clamps to zero, anything below
-    ``-VC_CLAMP_TOL * max(V_ss, 1)`` raises."""
-    if Vc < 0:
-        if Vc < -VC_CLAMP_TOL * max(Vss, 1.0):
-            raise DegenerateMeter(f"conditional variance {Vc:.3e} below zero")
-        Vc = 0.0
-    return float(Vc)
+def _clamped(Vc, Vss, *guards) -> NDArray[np.float64]:
+    """V_c at each point of a stack (one point is a stack of shape ()),
+    with rounding below zero clamped to zero.
 
-
-def _clamped_stack(Vc, Vss, failed, one) -> NDArray[np.float64]:
-    """V_c of a stack of points, with the guards of :func:`_clamped`.
-
-    ``failed`` marks the points that fail an earlier guard.  The first
-    point that fails any guard, in stack order, goes to ``one`` (the
-    single-point function, called with the point's index), which raises
-    the error a loop over the points would raise.
+    ``guards`` are the (failed, message) pairs that a point checks before
+    its V_c, in order: ``failed`` marks the points that fail the guard and
+    ``message(k)`` is the text of point k's error.  V_c below
+    ``-VC_CLAMP_TOL * max(V_ss, 1)`` fails last.  The first point that
+    fails any guard, in stack order, raises :class:`DegenerateMeter` with
+    the text of its first failing guard: the error a loop would raise.
     """
-    failed = failed | (Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0))
+    guards += ((Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0),
+                lambda k: f"conditional variance {np.asarray(Vc)[k]:.3e} below zero"),)
+    failed = np.logical_or.reduce([f for f, _ in guards])
     if failed.any():
-        one(np.unravel_index(np.argmax(failed), failed.shape))
+        k = np.unravel_index(np.argmax(failed), np.shape(failed))
+        raise DegenerateMeter(next(message(k) for f, message in guards if f[k]))
     return np.maximum(Vc, 0.0)
 
 
@@ -160,19 +152,11 @@ def conditional_variance(
     """
     s = signal if signal is not None else (layout.signal_index if layout else 2)
     m = meter if meter is not None else (layout.meter_index if layout else 1)
-    if Vout.ndim > 2:
-        Vss, Vmm = Vout[..., s, s].real, Vout[..., m, m].real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Vc = Vss - _abs2(Vout[..., s, m]) / Vmm
-        return _clamped_stack(
-            Vc, Vss, Vmm <= METER_FLOOR,
-            lambda k: conditional_variance(Vout[k], layout, signal, meter),
-        )
-    Vmm = float(Vout[m, m].real)
-    if Vmm <= METER_FLOOR:
-        raise DegenerateMeter(f"meter variance {Vmm:.3e} is not positive")
-    Vss = float(Vout[s, s].real)
-    return _clamped(Vss - _abs2(Vout[s, m]) / Vmm, Vss)
+    Vss, Vmm = Vout[..., s, s].real, Vout[..., m, m].real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Vc = Vss - _abs2(Vout[..., s, m]) / Vmm
+    return _clamped(Vc, Vss, (Vmm <= METER_FLOOR,
+                              lambda k: f"meter variance {Vmm[k]:.3e} is not positive"))
 
 
 def _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom):
@@ -202,46 +186,42 @@ def cqnc_conditional_variance(
     s = layout.signal_index if layout is not None else 2
     m = layout.meter_index if layout is not None else 1
     a = layout.ancilla_index if layout is not None and layout.ancilla_index is not None else 4
-    if Vout.ndim > 2:
-        Vss, Vmm, Vaa = (Vout[..., i, i].real for i in (s, m, a))
-        Vsm, Vsa, Vma = Vout[..., s, m], Vout[..., s, a], Vout[..., m, a]
-        failed = np.minimum(Vmm, Vaa) <= METER_FLOOR
-        denom = None
-        if not simplified:
-            denom = Vmm * Vaa - _abs2(Vma)
-            failed = failed | (denom <= METER_FLOOR)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Vc = _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom)
-        return _clamped_stack(
-            Vc, Vss, failed,
-            lambda k: cqnc_conditional_variance(Vout[k], layout, simplified),
-        )
-    Vss, Vmm, Vaa = (float(Vout[i, i].real) for i in (s, m, a))
-    if min(Vmm, Vaa) <= METER_FLOOR:
-        raise DegenerateMeter("conditioning channel has vanishing variance")
-    Vsm, Vsa, Vma = complex(Vout[s, m]), complex(Vout[s, a]), complex(Vout[m, a])
+    Vss, Vmm, Vaa = (Vout[..., i, i].real for i in (s, m, a))
+    Vsm, Vsa, Vma = Vout[..., s, m], Vout[..., s, a], Vout[..., m, a]
+    guards = [(np.minimum(Vmm, Vaa) <= METER_FLOOR,
+               lambda k: "conditioning channel has vanishing variance")]
     denom = None
     if not simplified:
         denom = Vmm * Vaa - _abs2(Vma)
-        if denom <= METER_FLOOR:
-            raise DegenerateMeter("meter/ancilla covariance block is singular")
-    return _clamped(_cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom), Vss)
-
-
-def _transfer(n_eq: float, Vx: float) -> float:
-    """T = V_x / (V_x + n_eq); 0 when the path carries nothing (n_eq = inf)."""
-    return Vx / (Vx + n_eq) if math.isfinite(n_eq) else 0.0
+        guards.append((denom <= METER_FLOOR, lambda k: "meter/ancilla covariance block is singular"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Vc = _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom)
+    return _clamped(Vc, Vss, *guards)
 
 
 def figures_from_parts(
     Vc: float, ns_eq: float, nm_eq: float, Vx: float, omega: float
-) -> MeasurementFigures:
-    """Figures of merit from V_c and the equivalent noises n_eq."""
-    Ts, Tm = _transfer(ns_eq, Vx), _transfer(nm_eq, Vx)
-    return MeasurementFigures(
-        Vc=Vc, Ts=Ts, Tm=Tm, ns_eq=ns_eq, nm_eq=nm_eq,
-        regime=classify_regime(Vc, Ts, Tm), omega=omega,
-    )
+) -> MeasurementFigures | list[MeasurementFigures]:
+    """Figures of merit from V_c and the equivalent noises n_eq: the
+    transfers T = V_x / (V_x + n_eq), zero where the path carries nothing
+    (n_eq = inf), and the regime.
+
+    Numbers give one figure; arrays over a stack of points (and ``omega``,
+    one frequency per point or one for all) give a list of figures, one
+    per point in stack order.  Every field is a Python float.
+    """
+    points = np.broadcast(Vc, ns_eq, nm_eq, Vx, omega)
+    columns = np.empty((5, points.size))
+    for column, part in zip(columns, (Vc, ns_eq, nm_eq, Vx, omega)):
+        column.reshape(points.shape)[...] = part
+    Vc, ns, nm, Vx, omega = columns
+    den = Vx + columns[1:3]
+    if (den == 0).any():  # a zero there is finite
+        raise ZeroDivisionError("float division by zero")  # as on Python floats
+    Ts, Tm = np.where(np.isfinite(columns[1:3]), Vx / den, 0.0)
+    figures = list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
+                       nm.tolist(), classify_regime(Vc, Ts, Tm), omega.tolist()))
+    return figures if points.ndim else figures[0]
 
 
 def measured_figures(
@@ -254,27 +234,13 @@ def measured_figures(
     The output variances are referred back through the gains to the
     measurement-equivalent input noises n_eq = V / G - V_x; a gain at or
     below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
-    Arrays of ``Vc``, ``V_ss``, ``V_mm``, ``G_s`` and ``G_m`` over a stack
-    of points (and of ``omega``, one frequency per point, or one for all)
-    give a list of figures, one per point in stack order.  The stack is
-    reduced as float64 arrays with the IEEE operations of the single
-    point, so every field has the bits of that point's own reduction.
+    :func:`figures_from_parts` reduces them, so arrays over a stack of
+    points give a list of figures, one per point in stack order.
     """
-    if not np.ndim(V_ss):
-        ns, nm = (V / G - Vx if G > SIGNAL_PATH_FLOOR**2 else math.inf
-                  for V, G in ((V_ss, G_s), (V_mm, G_m)))
-        return figures_from_parts(Vc, ns, nm, Vx, omega)
-    arrays = np.broadcast_arrays(Vc, V_ss, V_mm, G_s, G_m, Vx)
-    omegas = np.broadcast_to(omega, arrays[0].shape).ravel().tolist()
-    Vc, V_ss, V_mm, G_s, G_m, Vx = map(np.ravel, arrays)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ns, nm = (np.where(G > SIGNAL_PATH_FLOOR**2, V / G - Vx, math.inf)
+        ns, nm = (np.where(G > SIGNAL_PATH_FLOOR**2, np.divide(V, G) - Vx, math.inf)
                   for V, G in ((V_ss, G_s), (V_mm, G_m)))
-        if (Vx + ns == 0).any() or (Vx + nm == 0).any():  # a zero there is finite
-            raise ZeroDivisionError("float division by zero")  # as on the point's Python floats
-        Ts, Tm = (np.where(np.isfinite(n), Vx / (Vx + n), 0.0) for n in (ns, nm))
-    return list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
-                    nm.tolist(), classify_regime(Vc, Ts, Tm), omegas))
+    return figures_from_parts(Vc, ns, nm, Vx, omega)
 
 
 def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
@@ -300,24 +266,21 @@ def evaluate(
     meter mode's outputs, with the model's input variance of that mode
     as the noise that fills the loss.
 
-    A model stack (a drift stack, and H when it is one, from parameter
-    arrays, say) is solved at ``omega``, or at an array of one frequency
-    per drift, in one stacked solve and gives a list of figures, one per
-    point in stack order, each with the bits of that point's own
-    evaluation.  The first point that fails a guard, in stack order,
-    raises the error a loop over the points would raise.
+    One model at one frequency gives one figure.  A model stack (a drift
+    stack, and H when it is one, from parameter arrays, say) is solved at
+    ``omega``, or at an array of one frequency per drift, in one stacked
+    solve and gives a list of figures, one per point in stack order,
+    each with the bits of that point's own evaluation.  The first point
+    that fails a guard, in stack order, raises the error a loop over the
+    points would raise.
     """
     if np.ndim(omega) and np.shape(omega) != model.A.shape[:-2]:
         raise ValueError("evaluate takes one frequency or one per drift; vc_on_grid scores a grid")
     S, Vout, Vc, eta = _solved(model, omega, bath, conditioning)
     s, m = model.layout.signal_index, model.layout.meter_index
-    # one point indexes numpy scalars, which _abs2 and measured_figures
-    # take on their cheap scalar path (0-d arrays would cost microseconds)
-    lead = (...,) if model.A.ndim > 2 else ()
-    ss, mm, ms = (*lead, s, s), (*lead, m, m), (*lead, m, s)
     return measured_figures(
-        Vc, Vout[ss].real, Vout[mm].real, _abs2(S[ss]), eta * _abs2(S[ms]),
-        float(model.Vin[s, s]), omega,
+        Vc, Vout[..., s, s].real, Vout[..., m, m].real, _abs2(S[..., s, s]),
+        eta * _abs2(S[..., m, s]), float(model.Vin[s, s]), omega,
     )
 
 
@@ -361,14 +324,9 @@ def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, 
 
 def _grid_points(model: LinearModel, omegas: float | NDArray):
     """The (model, frequency) of every point of a grid, in stack order;
-    the frequencies of an array come out as Python floats."""
+    the frequencies come out as Python floats."""
     shape = np.broadcast_shapes(np.shape(omegas), model.A.shape[:-2])
-    if np.ndim(omegas):
-        ws = np.broadcast_to(omegas, shape).ravel().tolist()
-    else:
-        ws = [omegas] * math.prod(shape)
-    if model.A.ndim == 2:
-        return ((model, w) for w in ws)
+    ws = np.broadcast_to(omegas, shape).ravel().tolist()
 
     def points(M):
         return np.broadcast_to(M, shape + M.shape[-2:]).reshape((-1,) + M.shape[-2:])

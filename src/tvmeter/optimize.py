@@ -230,19 +230,20 @@ def minimize_on_grid(
 def _scan_minima(evaluate, spec: SweepSpec, vc_grid, rows: int | None, vc):
     """The minima of V_c over ``spec``'s grid, with the figures there.
 
-    ``evaluate(x)`` gives the figures of merit at a grid coordinate x and
-    ``vc_grid``, when given, the conditional variances at every point of
-    the grid array in one call.  ``rows`` = R scans R scenarios (the rows
-    of a sweep, say) at once and returns one :class:`ScanMinimum` per row,
-    each that of a scan of the row alone: then ``evaluate(rows, xs)`` gives
-    the list of figures at each ``xs[k]`` of row ``rows[k]`` (one call
-    serves the optima of all rows), ``vc(rows, xs)`` the conditional
-    variance there, which serves each lockstep refinement round of all
-    rows, and ``vc_grid`` returns ``[R, count]`` values.
+    ``evaluate(x)`` gives the figures of merit at a grid coordinate x,
+    ``vc(x)`` (by default ``evaluate(x).Vc``) the conditional variance,
+    which serves the refinement, and ``vc_grid``, when given, that at
+    every point of the grid array in one call.  ``rows`` = R scans R
+    scenarios (the rows of a sweep, say) at once and returns one
+    :class:`ScanMinimum` per row, each that of a scan of the row alone:
+    then ``evaluate(rows, xs)`` gives the list of figures at each ``xs[k]``
+    of row ``rows[k]`` (one call serves the optima of all rows), ``vc(rows,
+    xs)`` V_c there, which serves each lockstep round of all rows, and
+    ``vc_grid`` returns ``[R, count]`` values.
     """
     if rows is None:
-        x, v, boundary, branches = minimize_on_grid(lambda x: evaluate(x).Vc, spec, vc_grid)
-        return ScanMinimum(x, evaluate(x), v, boundary, branches)
+        found = minimize_on_grid(vc or (lambda x: evaluate(x).Vc), spec, vc_grid)
+        return ScanMinimum(found[0], evaluate(found[0]), *found[1:])
     found = minimize_on_grid(vc, spec, vc_grid, rows)
     optima = evaluate(list(range(rows)), [x for x, *_ in found])
     return [ScanMinimum(x, figures, v, b, br) for (x, v, b, br), figures in zip(found, optima)]
@@ -259,8 +260,8 @@ def minimize_vc_over_frequency(
     vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
     """Detection frequency minimizing the conditional variance of a fixed
-    scenario whose figures ``evaluate`` gives at a frequency (of R
-    scenarios at once, given ``rows`` = R; see :func:`_scan_minima`)."""
+    scenario whose figures ``evaluate`` (and V_c alone ``vc``) give at a
+    frequency (of R scenarios at once, given ``rows`` = R; see :func:`_scan_minima`)."""
     spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
     return _scan_minima(evaluate, spec, vc_grid, rows, vc)
 
@@ -276,9 +277,9 @@ def generalized_sql(
     vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
     """Minimum conditional variance over cooperativity for a scenario
-    family whose figures ``family`` gives at a cooperativity (of R
-    families at once, given ``rows`` = R; see :func:`_scan_minima`); the
-    returned figures define the generalized SQL point."""
+    family whose figures ``family`` (and V_c alone ``vc``) give at a
+    cooperativity (of R at once, given ``rows`` = R; see :func:`_scan_minima`);
+    the returned figures define the generalized SQL point."""
     spec = SweepSpec(c_lo, c_hi, count, rel_tol=rel_tol)
     return _scan_minima(family, spec, vc_grid, rows, vc)
 

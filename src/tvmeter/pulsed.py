@@ -43,7 +43,6 @@ from .metrics import (
     METER_FLOOR,
     MeasurementFigures,
     _clamped,
-    _clamped_stack,
     measured_figures,
 )
 
@@ -516,8 +515,5 @@ def pulsed_metrics(
         raise DegenerateMeter(f"meter variance {np.min(V_mm):.3e} is not positive")
     Vc = (fn.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
           - eta * C * (2.0 * p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C) / V_mm)
-    if isinstance(Vc, np.ndarray):
-        Vc = _clamped_stack(Vc, V33, False, lambda k: _clamped(Vc[k], V33[k]))
-    else:
-        Vc = _clamped(Vc, V33)
-    return measured_figures(Vc, V33, V_mm, fn.exp(-p.gamma * tau), G_m, p.V0, omega=0.0)
+    return measured_figures(_clamped(Vc, V33), V33, V_mm, fn.exp(-p.gamma * tau), G_m, p.V0,
+                            omega=0.0)
