@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
@@ -227,12 +228,13 @@ def scenario_figures(
     return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
 
-def _default_omega(cfg: RunConfig) -> float | None:
-    """The detection frequency given, else the scenario's default, if any."""
+def _default_omega(cfg: RunConfig, params: dict) -> float | np.ndarray | None:
+    """The detection frequency given, else the scenario's default at the
+    row ``params`` (one per row where they hold arrays), if any."""
     default = SCENARIOS[cfg.scenario].default_omega
     if cfg.omega is not None or default is None:
         return cfg.omega
-    return default(cfg.parameters)
+    return default(params)
 
 
 def _rows_of(params: dict) -> tuple[int | None, Any]:
@@ -269,7 +271,7 @@ def _row_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
     if cfg.optimize_frequency:
         return _frequency_scans(cfg, params)[0].figures
     return scenario_figures(
-        cfg.scenario, params, cfg.bath_spec(), _default_omega(cfg), cfg.conditioning)
+        cfg.scenario, params, cfg.bath_spec(), _default_omega(cfg, params), cfg.conditioning)
 
 
 def _check_sql_scan(cfg: RunConfig, varied: str | None) -> None:
@@ -292,7 +294,7 @@ def _sql_scan(
     is one :func:`_frequency_scans` over its C points.  One row of numbers
     at a fixed frequency refines point by point on V_c alone, cheaper than
     by stacks, and evaluates the figures at its optimum."""
-    scenario, bath, omega = SCENARIOS[cfg.scenario], cfg.bath_spec(), _default_omega(cfg)
+    scenario, bath = SCENARIOS[cfg.scenario], cfg.bath_spec()
     count, at = _rows_of(params)
 
     def rows(ks, Cs) -> dict:  # the rows ks paired with the cooperativities Cs
@@ -301,14 +303,16 @@ def _sql_scan(
     def vc(ks, Cs) -> np.ndarray:
         if cfg.optimize_frequency:
             return np.array([scan.value for scan in _frequency_scans(cfg, rows(ks, Cs))])
-        return scenario.vc(rows(ks, Cs), bath, omega, cfg.conditioning)
+        return scenario.vc(p := rows(ks, Cs), bath, _default_omega(cfg, p), cfg.conditioning)
 
     def figures(ks, Cs) -> list[MeasurementFigures]:
         if cfg.optimize_frequency:
             return [scan.figures for scan in _frequency_scans(cfg, rows(ks, Cs))]
-        return scenario_figures(cfg.scenario, rows(ks, Cs), bath, omega, cfg.conditioning)
+        return scenario_figures(cfg.scenario, p := rows(ks, Cs), bath, _default_omega(cfg, p),
+                                cfg.conditioning)
 
     if count is None and not cfg.optimize_frequency:
+        omega = _default_omega(cfg, params)
         return generalized_sql(
             lambda C: scenario_figures(cfg.scenario, with_parameter(params, "C", C), bath, omega,
                                        cfg.conditioning),
@@ -457,9 +461,8 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if cfg.optimize_frequency:
         return rows(lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
     if name in scenario.array_params:
-        omega = _default_omega(rows_cfg)
         return rows(lambda stack: scenario_figures(
-            cfg.scenario, stack, bath, omega, cfg.conditioning))
+            cfg.scenario, stack, bath, _default_omega(rows_cfg, stack), cfg.conditioning))
     return [one(value) for value in values]
 
 
@@ -555,6 +558,9 @@ class NumericalFailure(Exception):
 
 
 _LO_HI = dict(nargs=2, type=float, metavar=("LO", "HI"))
+
+#: a negative number, exponent included (argparse's own takes -1e-05 for a flag)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -664,6 +670,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         if command in (None, name):
             _add_common(sub)
             for flag, kwargs in flags:

@@ -48,11 +48,12 @@ def row_by_row_table():
         _collect_param_flags(args)
         doc = json.loads(Path(args.config).read_text()) if args.config else None
         cfg = build_config(doc, args)
-        bath, omega = cfg.bath_spec(), _default_omega(cfg)
+        bath = cfg.bath_spec()
         rows = [
             _figures_row(cfg.sweep["param"], value, scenario_figures(
-                cfg.scenario, _swept_params(cfg, value), bath, omega, cfg.conditioning))
+                cfg.scenario, params, bath, _default_omega(cfg, params), cfg.conditioning))
             for value in _sweep_values(cfg)
+            for params in [_swept_params(cfg, value)]
         ]
         buf = io.StringIO()
         write_table(cfg, rows, buf)

@@ -774,7 +774,7 @@ def test_threshold_crossing_reproduces_its_level(tmp_path, monkeypatch):
     assert rc == 0
     assert len(scans) <= 9
     _, cfg = _config(argv)
-    cfg = replace(cfg, omega=cli._default_omega(cfg))
+    cfg = replace(cfg, omega=cli._default_omega(cfg, cfg.parameters))
     params = {**cfg.parameters, "nu": float(read_rows(out)[0]["crossing"])}
     res = generalized_sql(_scalar_family(cfg, params, cfg.bath_spec()), 1e-3, 1e3)
     assert res.value == pytest.approx(0.5, rel=1e-5)
@@ -1393,3 +1393,63 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["tv", *argv, "--output", str(got)])
         assert rc == main(None) == 0
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestNegativeNumbers:
+    """A negative number in exponent notation is a value, not a flag."""
+
+    def test_lin_and_omega(self, tmp_path):
+        rc, out = run(["sweep", "--scenario", "displacement", "--param", "g", "--lin", "-1e-05",
+                       "0.3", "--n", "3", "--n-m", "1", "--omega", "-1e-3"], tmp_path)
+        assert rc == 0
+        rows = read_rows(out)
+        assert [row["g"] for row in rows] == ["-1.0000000000000001e-05", "0.14999499999999999",
+                                              "0.29999999999999999"]
+        assert {row["omega"] for row in rows} == {"-0.001"}
+
+    @pytest.mark.parametrize("value, want", [("-1e-3", -1e-3), ("-2.5E+1", -25.0), ("-.5", -0.5),
+                                             ("-3.", -3.0), ("-4", -4.0)])
+    def test_bounds(self, value, want):
+        argv = ["threshold", "--vary", "delta_c", "--bounds", value, "0.3", "--level", "0.5"]
+        assert build_parser("threshold").parse_args(argv).bounds == [want, 0.3]
+        assert build_parser().parse_args(argv).bounds == [want, 0.3]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--lin", "-1e-05", "0.3", "--bogus"],
+        ["sweep", "--lin", "-1e-05", "0.3", "-e5"],
+        ["sweep", "--omega", "-1e-3x"],
+    ])
+    def test_unknown_flags_still_fail(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestSweptDetectionFrequency:
+    """Without --omega a sweep of omega_m detects each row at its own
+    omega_m: each row has the bytes of the sweep at --omega <its omega_m>."""
+
+    @pytest.mark.parametrize("command", ["sweep", "sql"])
+    def test_rows_follow_their_omega_m(self, command, tmp_path):
+        argv = [command, "--scenario", "displacement", "--param", "omega_m", "--lin", "0.5", "2",
+                "--n", "3", "--n-m", "1"]
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        got = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert [row["omega_m"] for row in read_rows(out)] == ["0.5", "1.25", "2"]
+        for k, omega in enumerate(["0.5", "1.25", "2"]):
+            rc, fixed = run(argv + ["--omega", omega], tmp_path, f"{omega}.csv")
+            assert rc == 0
+            want = [line for line in fixed.read_text().splitlines() if not line.startswith("#")]
+            assert got[0] == want[0] and got[k + 1] == want[k + 1]
+
+    def test_threshold_of_vc_follows_omega_m(self, tmp_path):
+        argv = ["threshold", "--scenario", "displacement", "--vary", "omega_m", "--bounds", "0.5",
+                "3", "--level", "1.1", "--quantity", "vc", "--n-m", "1"]
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        crossing = float(read_rows(out)[0]["crossing"])
+        model = displacement_model(DisplacementParams(10.0, 0.01, crossing, C=1.0),
+                                   BathSpec(n_m=1.0))
+        assert evaluate(model, crossing).Vc == pytest.approx(1.1, rel=1e-5)
