@@ -1,7 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and the `tv --help` examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from tvmeter.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,13 @@ def test_python_blocks_run_in_one_namespace():
     namespace: dict = {}
     for block in blocks:  # the second block uses the first one's names
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_help_examples_run(capsys):
+    epilog = build_parser().epilog.replace("\\\n", " ")
+    commands = [re.sub(r"\(.*\)", "", line).split()[1:]
+                for line in epilog.splitlines() if line.startswith("  tv ")]
+    assert len(commands) == 10
+    for argv in commands:
+        assert main(argv) == 0, shlex.join(argv)
+        assert capsys.readouterr().out.startswith("# tvmeter ")
