@@ -133,7 +133,7 @@ def _clamped(Vc, Vss, *guards) -> NDArray[np.float64]:
     guards += ((Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0),
                 lambda k: f"conditional variance {np.asarray(Vc)[k]:.3e} below zero"),)
     failed = np.logical_or.reduce([f for f, _ in guards])
-    if failed.any():
+    if np.count_nonzero(failed):
         k = np.unravel_index(np.argmax(failed), np.shape(failed))
         raise DegenerateMeter(next(message(k) for f, message in guards if f[k]))
     return np.maximum(Vc, 0.0)
@@ -216,7 +216,7 @@ def figures_from_parts(
         column.reshape(points.shape)[...] = part
     Vc, ns, nm, Vx, omega = columns
     den = Vx + columns[1:3]
-    if (den == 0).any():  # a zero there is finite
+    if np.count_nonzero(den == 0):  # a zero there is finite
         raise ZeroDivisionError("float division by zero")  # as on Python floats
     Ts, Tm = np.where(np.isfinite(columns[1:3]), Vx / den, 0.0)
     figures = list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
