@@ -245,7 +245,7 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
     max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
     unstable = max_real > -tol
-    if unstable.any():
+    if np.count_nonzero(unstable):
         raise UnstableModel(float(max_real[unstable].flat[0]))
 
 
