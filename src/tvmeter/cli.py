@@ -312,12 +312,8 @@ def _sql_scan(
                                 cfg.conditioning)
 
     if count is None and not cfg.optimize_frequency:
-        omega = _default_omega(cfg, params)
-        return generalized_sql(
-            lambda C: scenario_figures(cfg.scenario, with_parameter(params, "C", C), bath, omega,
-                                       cfg.conditioning),
-            *c_bounds, count=c_count, vc_grid=lambda Cs: vc(0, Cs),
-            vc=lambda C: scenario.vc(with_parameter(params, "C", C), bath, omega, cfg.conditioning))
+        return generalized_sql(lambda C: figures(0, C), *c_bounds, count=c_count,
+                               vc_grid=lambda Cs: vc(0, Cs), vc=lambda C: vc(0, C))
     found = generalized_sql(figures, *c_bounds, count=c_count, rows=count or 1, vc=vc,
                             vc_grid=lambda Cs: [vc(r, Cs) for r in range(count or 1)])
     return found if count else found[0]
