@@ -9,8 +9,11 @@ the Schur complement on their block), T_s and T_m.  The float kernel
 (:func:`build_scattering`, :func:`cross_spectral_density` and
 :func:`evaluate`) must agree to a little above the worst errors measured:
 on every builder over a grid of couplings, frequencies and efficiencies,
-and on sampled golden rows of the fig2 to fig5 recipes.  A kernel change
-that loses digits shows here.
+and on sampled golden rows of the fig2 to fig5 recipes.  ``_mp_dual`` does
+the same for the reduced dual-tweezer map (:func:`reduced_scattering`, the
+compound-signal input covariance and :func:`reduced_metrics`), over a grid
+and on sampled fig9 golden rows.  A kernel change that loses digits shows
+here.
 """
 
 import csv
@@ -23,9 +26,11 @@ from tvmeter import (
     BathSpec,
     CqncParams,
     DisplacementParams,
+    DualTweezerParams,
     ImperfectQndParams,
     TweezerParams,
     build_scattering,
+    compound_signal_variances,
     cqnc_model,
     cross_spectral_density,
     detected,
@@ -33,6 +38,8 @@ from tvmeter import (
     evaluate,
     ideal_qnd_model,
     imperfect_qnd_model,
+    reduced_metrics,
+    reduced_scattering,
     single_tweezer_qnd_model,
 )
 
@@ -182,3 +189,90 @@ def test_golden_rows_match_the_oracle(name):
         assert got == [float(row[k]) for k in ("Vc", "Ts", "Tm")]
         error = np.abs(np.array(got) / _mp_figures(model, omega, 1.0, conditioning) - 1)
         assert (error < bounds).all(), f"C = {C}: errors {error} of V_c, T_s, T_m"
+
+
+def _mp_dual(p, bath, omega, eta):
+    """(S, V_in, V, (V_c, T_s, T_m)) of the reduced dual-tweezer map at 40
+    digits: the scattering matrix on (X2, Y2, x_bar, p_bar), the
+    compound-signal input covariance, its detected cross-spectral density
+    (loss on (X2, Y2), filled at the optical variance) and the figures,
+    with the float parameters taken as exact."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        f = {k: mp.mpf(float(v)) for k, v in vars(p).items()}
+        k1, k2, a1, a2, g1, g2 = (f[k] for k in ("kappa_1", "kappa_2", "alpha_1", "alpha_2",
+                                                 "g_1", "g_2"))
+        w, iw = mp.mpf(omega), mp.mpc(0, 2 * omega)
+        gm = f["gamma"] + g1**2 * (1 - a1**2 / 4) / k1
+        x2_rate = f["omega_m"] * (a1 * g1**2 / 2 + a2**2 * g2**2 / 8) / (
+            g1**2 * (1 + a1**2 / 2) + g2**2 * (1 + a2**2 / 2))
+        chi2, chim = 1 / (k2 - iw), 1 / (gm - iw)
+        S = mp.zeros(4, 4)
+        S[0, 0] = S[1, 1] = (k2 + iw) * chi2
+        S[1, 2] = S[3, 0] = 2 * g2 * a2 * chi2 * chim * mp.sqrt(gm * k2)
+        S[2, 2] = S[3, 3] = (gm + iw) * chim
+        S[3, 2] = -8 * x2_rate * gm * chim**2
+        opt = g1**2 * k1 / (k1**2 + 4 * w**2) / (8 * gm)
+        Vx, Vp, Vxp = (mp.mpf(v) for v in (bath.V_x, bath.V_p, bath.V_xp))
+        vx = f["gamma"] / gm * Vx + opt * (2 - a1) ** 2
+        vp = f["gamma"] / gm * Vp + opt * (2 + a1) ** 2
+        xp, n = f["gamma"] / gm * Vxp, mp.mpf(bath.optical_variance)
+        Vin = mp.matrix([[n, 0, 0, 0], [0, n, 0, 0], [0, 0, vx, xp], [0, 0, xp, vp]])
+        V = S * Vin * S.H
+        for i in (0, 1):
+            for j in range(4):
+                V[i, j] *= mp.sqrt(mp.mpf(eta))
+                V[j, i] *= mp.sqrt(mp.mpf(eta))
+            V[i, i] += (1 - mp.mpf(eta)) * n
+        Vc = mp.re(V[2, 2]) - abs(V[2, 1]) ** 2 / mp.re(V[1, 1])
+        Ts = vx * abs(S[2, 2]) ** 2 / mp.re(V[2, 2])
+        Tm = vx * mp.mpf(eta) * abs(S[1, 2]) ** 2 / mp.re(V[1, 1])
+        return S, Vin, V, np.array([float(Vc), float(Ts), float(Tm)])
+
+
+def _dual_errors(p, bath, omega):
+    """Relative errors of the float S, V_in, detected V and (V_c, T_s, T_m)
+    of the reduced dual-tweezer map against :func:`_mp_dual`."""
+    S_mp, Vin_mp, V_mp, figs_mp = _mp_dual(p, bath, omega, bath.eta)
+    S = reduced_scattering(p, omega)
+    _, vx, vp = compound_signal_variances(p, bath, omega)
+    n, xp = bath.optical_variance, p.gamma / p.gamma_m * bath.V_xp
+    Vin = np.array([[n, 0, 0, 0], [0, n, 0, 0], [0, 0, vx, xp], [0, 0, xp, vp]])
+    V = detected(cross_spectral_density(S, Vin), slice(0, 2), bath.eta, n)
+    figs = reduced_metrics(p, bath, omega)
+    return np.array([_relative(S, _mp_array(S_mp)), _relative(Vin, _mp_array(Vin_mp)),
+                     _relative(V, _mp_array(V_mp)),
+                     *np.abs(np.array([figs.Vc, figs.Ts, figs.Tm]) / figs_mp - 1)])
+
+
+#: bounds on the relative errors of the dual-tweezer S, V_in and V (against
+#: their largest entry) and of V_c, T_s and T_m; worst measured: 4.6e-16,
+#: 3.2e-16, 7.4e-16, 4.4e-16, 0 and 8.9e-16
+DUAL_BOUNDS = (1e-15, 1e-15, 2e-15, 1e-15, 1e-15, 2e-15)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 0.4])
+def test_dual_tweezer_map_matches_the_oracle(omega, eta):
+    bath = BathSpec(n_m=1.0, n_c=0.2, m_sq=0.3, eta=eta)
+    for g_2 in (1e-3, 0.03, 0.3, 3.0):
+        p = DualTweezerParams(omega_m=100.0, gamma=1e-3, kappa_1=1.0, kappa_2=0.7, g_1=0.4,
+                              g_2=g_2, alpha_1=0.3, alpha_2=0.2)
+        error = _dual_errors(p, bath, omega)
+        assert (error < DUAL_BOUNDS).all(), f"g_2 = {g_2}: errors {error}"
+
+
+#: bounds as DUAL_BOUNDS on every fifth fig9 golden row; worst measured:
+#: 3.9e-16, 1.7e-16, 8.4e-16, 4.4e-16, 2.2e-16 and 4.4e-16
+FIG9_BOUNDS = (1e-15, 1e-15, 2e-15, 1e-15, 1e-15, 1e-15)
+
+
+def test_fig9_rows_match_the_oracle():
+    bath = BathSpec(n_m=9999999.5)
+    for row in _golden_rows("fig9", 5):
+        p = DualTweezerParams.from_intensity_split(
+            0.6, float(row["readout_fraction"]), omega_m=100.0, gamma=1e-9, kappa_1=1.0,
+            kappa_2=1.0, alpha_1=0.2, alpha_2=0.2)
+        error = _dual_errors(p, bath, float(row["omega"]))
+        assert (error < FIG9_BOUNDS).all(), f"row {row['readout_fraction']}: errors {error}"
