@@ -22,7 +22,8 @@ the +-1 components leaves one 4x4 Schur complement per base frequency
 023803 (2016)).  Every diagonal block and Schur complement is lower
 triangular in the order (X, x, Y, p), so each is inverted by substitution.
 
-Two reductions of the blocks are used downstream:
+The blocks go to :func:`metrics._from_scattering`, the pipeline every
+scattering map shares, which reduces them in two ways:
 
 * the spectral output covariance sums the sideband contributions
   S_n V_in S_n^dagger incoherently (inputs at distinct frequencies are
@@ -41,14 +42,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (FOUR_MODE, BathSpec, _require_regular, check_paired, check_sign,
-                   check_stable, detected, input_covariance, matrix)
-from .metrics import (
-    MeasurementFigures,
-    _abs2,
-    conditional_variance,
-    figures_from_parts,
-    measured_figures,
-)
+                   check_stable, input_covariance, matrix)
+from .metrics import MeasurementFigures, _from_scattering, figures_from_parts
 from .models import _readout_couplings, _resolve_coupling
 
 
@@ -177,22 +172,14 @@ def _feed_forward_inverse(M: NDArray, omega: NDArray) -> NDArray[np.complex128]:
     return inverse
 
 
-def _readout(fd: FloquetDrift, bath: BathSpec) -> tuple[NDArray, NDArray]:
-    """Input couplings H and input covariance of the readout; the decay
-    rates are read off the static drift diagonal, so a stacked drift
-    gives a stack of H."""
-    kappa, gamma = -2.0 * fd.A_zero[..., 0, 0], -2.0 * fd.A_zero[..., 2, 2]
-    return _readout_couplings(kappa, gamma), input_covariance(bath, FOUR_MODE)
-
-
-def _conditional_variance(
-    blocks: dict[int, NDArray], Vin: NDArray, bath: BathSpec
-) -> float | NDArray[np.float64]:
-    """V_c on the incoherent sideband sum of the Hermitian cross-spectral
-    densities, after detection loss; a stack of blocks gives a stack."""
-    V = sum(S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks.values())
-    V = 0.5 * (V + V.conj().swapaxes(-1, -2))
-    return conditional_variance(detected(V, slice(0, 2), bath.eta, bath.optical_variance), FOUR_MODE)
+def _measured(fd: FloquetDrift, bath: BathSpec, omega: float | NDArray, figures: bool):
+    """:func:`floquet_metrics`, or without ``figures`` :func:`floquet_vc`.
+    The input couplings take the decay rates off the static drift
+    diagonal, so a stacked drift gives a stack of H."""
+    H = _readout_couplings(-2.0 * fd.A_zero[..., 0, 0], -2.0 * fd.A_zero[..., 2, 2])
+    blocks = sideband_scattering(fd, H, omega)
+    return _from_scattering(tuple(blocks.values()), input_covariance(bath, FOUR_MODE), FOUR_MODE,
+                            bath.eta, omega, figures)
 
 
 def floquet_vc(
@@ -206,8 +193,7 @@ def floquet_vc(
     solve, each with the bits of the point's own call; the first point
     that fails a guard, in stack order, raises.
     """
-    H, Vin = _readout(fd, bath)
-    return _conditional_variance(sideband_scattering(fd, H, omega), Vin, bath)
+    return _measured(fd, bath, omega, figures=False)
 
 
 def floquet_metrics(
@@ -222,18 +208,7 @@ def floquet_metrics(
     order, from one stacked solve, each with the bits of the point's own
     call; the first point that fails a guard, in stack order, raises.
     """
-    H, Vin = _readout(fd, bath)
-    blocks = sideband_scattering(fd, H, omega)
-    Vc = _conditional_variance(blocks, Vin, bath)
-    Seff = sum(blocks.values())
-    Veff = np.real(Seff @ Vin @ Seff.conj().swapaxes(-1, -2))
-    Veff = detected(Veff, slice(0, 2), bath.eta, bath.optical_variance)
-    s, m = FOUR_MODE.signal_index, FOUR_MODE.meter_index
-    meter_signal = np.hypot(Seff[..., m, s].real, Seff[..., m, s].imag)
-    return measured_figures(
-        Vc, Veff[..., s, s], Veff[..., m, m], _abs2(Seff[..., s, s]),
-        bath.eta * np.float_power(meter_signal, 2), bath.V_x, omega,
-    )
+    return _measured(fd, bath, omega, figures=True)
 
 
 def floquet_qnd_metrics_closed(

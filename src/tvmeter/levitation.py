@@ -7,7 +7,8 @@ QND readout onto a linear model, and reduces a dual-tweezer scheme, in
 which a primary tweezer prepares (cools or dissipatively squeezes) the
 mechanical state while a weaker readout tweezer measures it through a
 second cavity mode, to a scattering map on the readout cavity and the
-compound signal.
+compound signal, which goes through :func:`metrics._from_scattering`, the
+pipeline every scattering map shares.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import BathSpec, LinearModel, check_paired, check_sign, detected, matrix
+from .core import FOUR_MODE, BathSpec, LinearModel, check_paired, check_sign, matrix
 from .errors import NegativeLinewidth
-from .metrics import (
-    MeasurementFigures,
-    _abs2,
-    conditional_variance,
-    figures_from_parts,
-    measured_figures,
-)
+from .metrics import MeasurementFigures, _abs2, _from_scattering, figures_from_parts
 from .models import ImperfectQndParams, imperfect_qnd_model
 
 
@@ -207,18 +202,18 @@ def reduced_scattering(p: DualTweezerParams, omega: float | NDArray) -> NDArray[
     return S
 
 
-def _detected_output(p: DualTweezerParams, bath: BathSpec, omega):
-    """S, its cross-spectral density detected on (X2, Y2), and Vx_bar."""
+def _reduced(p: DualTweezerParams, bath: BathSpec, omega, figures: bool):
+    """:func:`reduced_metrics`, or without ``figures`` :func:`reduced_vc`."""
     gm, vx, vp = compound_signal_variances(p, bath, omega)
-    S = reduced_scattering(p, omega)
     n, xp = bath.optical_variance, p.gamma / gm * bath.V_xp
     Vin = matrix([[n, 0, 0, 0], [0, n, 0, 0], [0, 0, vx, xp], [0, 0, xp, vp]])
-    return S, detected(S @ Vin @ S.conj().swapaxes(-1, -2), slice(0, 2), bath.eta, n), vx
+    return _from_scattering((reduced_scattering(p, omega),), Vin, FOUR_MODE, bath.eta, omega,
+                            figures)
 
 
 def reduced_vc(p: DualTweezerParams, bath: BathSpec, omega: float | NDArray = 0.0):
     """``reduced_metrics(p, bath, omega).Vc``, an array of them for a stack."""
-    return conditional_variance(_detected_output(p, bath, omega)[1], signal=2, meter=1)
+    return _reduced(p, bath, omega, figures=False)
 
 
 def reduced_metrics(
@@ -226,15 +221,12 @@ def reduced_metrics(
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit from the reduced scattering matrix and the
     compound-signal covariance (the pipeline side of the closed forms),
-    with detection loss on the readout cavity's output (X2, Y2).  A stack
-    (as in :func:`reduced_scattering`) gives a list of figures, one per
-    point, each with the bits of that point's own call; the first point
-    that fails a guard, in stack order, raises."""
-    S, V, vx = _detected_output(p, bath, omega)
-    return measured_figures(
-        conditional_variance(V, signal=2, meter=1), V[..., 2, 2].real, V[..., 1, 1].real,
-        _abs2(S[..., 2, 2]), bath.eta * _abs2(S[..., 1, 2]), vx, omega,
-    )
+    with detection loss on the readout cavity's output (X2, Y2), filled
+    at the optical bath variance.  A stack (as in
+    :func:`reduced_scattering`) gives a list of figures, one per point,
+    each with the bits of that point's own call; the first point that
+    fails a guard, in stack order, raises."""
+    return _reduced(p, bath, omega, figures=True)
 
 
 def dual_tweezer_metrics(

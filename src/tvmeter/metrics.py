@@ -18,13 +18,14 @@ the measurement-equivalent input noises
     n_s_eq = V_out[x,x] / |S_xx|^2 - V_x,
     n_m_eq = V_out[Y,Y] / |S_Yx|^2 - V_x.
 
-Every kernel (the linear models here, the beyond-RWA harmonic solver,
-the reduced dual-tweezer map and the pulsed readout) applies detection
-loss through :func:`core.detected` (a beam splitter on the measured
-output mode, which also scales the meter power gain |S_Yx|^2 by eta),
-conditions through :func:`conditional_variance` and reduces through
-:func:`measured_figures`.  Each of them takes a stack of points
-``[...]``; one point is a stack of shape () and takes the same code.
+The linear models here, the beyond-RWA harmonic solver and the reduced
+dual-tweezer map go through one pipeline, :func:`_from_scattering`: it
+applies detection loss with :func:`core.detected` (a beam splitter on the
+measured output mode, which also scales the meter power gain |S_Yx|^2 by
+eta), conditions through :func:`conditional_variance` and reduces through
+:func:`measured_figures`.  The pulsed readout, with no scattering map,
+shares the guards and :func:`measured_figures`.  Each kernel takes a stack
+of points ``[...]``; one point is a stack of shape () and takes the same code.
 
 A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 """
@@ -32,6 +33,7 @@ A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -44,7 +46,6 @@ from .core import (
     ModeLayout,
     build_scattering,
     check_paired,
-    cross_spectral_density,
     detected,
 )
 from .errors import DegenerateMeter, SingularAtFrequency
@@ -251,6 +252,37 @@ def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
     raise ValueError(f"unknown conditioning {conditioning!r}")
 
 
+def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
+                     omega: float | NDArray, figures: bool, conditioning: str = "meter"):
+    """V_c, or with ``figures`` the figures of merit, at detection frequency
+    ``omega`` of the scattering ``blocks`` (each ``S[..., i, j]``) on the
+    input covariance ``Vin`` (or a stack), with V_x its signal variance.
+
+    Several blocks are the sidebands of a periodic drift: their densities
+    S V_in S^dagger add incoherently, symmetrised once after the sum, and
+    the figures' variances and gains come from their coherent sum.  Loss
+    ``eta`` on the meter's mode fills at that mode's input variance.
+    """
+    r0 = layout.meter_index - layout.meter_index % 2
+    noise, Vx = Vin[..., r0, r0, None], Vin[..., layout.signal_index, layout.signal_index]
+    Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
+
+    def density(blocks):
+        V = functools.reduce(np.add, [S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks])
+        return detected(0.5 * (V + V.conj().swapaxes(-1, -2)), slice(r0, r0 + 2), eta, noise)
+
+    V = density(blocks)
+    Vc = _conditioned_vc(V, layout, conditioning)
+    if not figures:
+        return Vc
+    S = functools.reduce(np.add, blocks)
+    if len(blocks) > 1:
+        V = density((S,))
+    s, m = layout.signal_index, layout.meter_index
+    return measured_figures(Vc, V[..., s, s].real, V[..., m, m].real, _abs2(S[..., s, s]),
+                            eta * _abs2(S[..., m, s]), Vx, omega)
+
+
 def evaluate(
     model: LinearModel,
     omega: float | NDArray,
@@ -276,12 +308,7 @@ def evaluate(
     """
     if np.ndim(omega) and np.shape(omega) != model.A.shape[:-2]:
         raise ValueError("evaluate takes one frequency or one per drift; vc_on_grid scores a grid")
-    S, Vout, Vc, eta = _solved(model, omega, bath, conditioning)
-    s, m = model.layout.signal_index, model.layout.meter_index
-    return measured_figures(
-        Vc, Vout[..., s, s].real, Vout[..., m, m].real, _abs2(S[..., s, s]),
-        eta * _abs2(S[..., m, s]), float(model.Vin[s, s]), omega,
-    )
+    return _solved(model, omega, bath, conditioning, figures=True)
 
 
 def vc_on_grid(
@@ -302,12 +329,13 @@ def vc_on_grid(
     loop of :func:`evaluate` over the points would raise.
     """
     check_paired(omegas, model.A.shape[:-2])
-    return _solved(model, omegas, bath, conditioning)[2]
+    return _solved(model, omegas, bath, conditioning, figures=False)
 
 
-def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, conditioning: str):
-    """Scattering matrix, detected cross-spectral density, V_c and the
-    detection efficiency applied, for the model at every point of a grid."""
+def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None,
+            conditioning: str, figures: bool):
+    """V_c, or with ``figures`` the figures of merit, of the model at every
+    point of a grid."""
     try:
         S = build_scattering(model, omegas)
     except SingularAtFrequency:
@@ -316,10 +344,8 @@ def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None, 
             for point, w in _grid_points(model, omegas):
                 evaluate(point, w, bath, conditioning)
         raise
-    r0 = 2 * model.meter_mode
-    eta = bath.eta if bath else 1.0
-    Vout = detected(cross_spectral_density(S, model.Vin), slice(r0, r0 + 2), eta, model.Vin[r0, r0])
-    return S, Vout, _conditioned_vc(Vout, model.layout, conditioning), eta
+    return _from_scattering((S,), model.Vin, model.layout, bath.eta if bath else 1.0, omegas,
+                            figures, conditioning)
 
 
 def _grid_points(model: LinearModel, omegas: float | NDArray):

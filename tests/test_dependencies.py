@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: the library never imports scipy,
-so `tv` does not pay for loading it (scipy stays a test oracle).  And
-every name a module imports is used."""
+so `tv` does not pay for loading it (scipy stays a test oracle).  Every
+name a module imports is used.  And the output pipeline stays single:
+one module turns scattering maps into figures of merit."""
 
 import ast
 import os
@@ -51,3 +52,25 @@ def test_every_import_is_used():
                            (alias.asname or alias.name.split(".")[0] for alias in node.names)
                            if name not in used]
     assert unused == []
+
+
+#: pipeline step -> the modules that may call it
+PIPELINE_CALLERS = {
+    "detected": {"metrics"},
+    "cross_spectral_density": {"metrics"},
+    "measured_figures": {"metrics", "pulsed"},
+}
+
+
+def test_one_output_pipeline():
+    """Only ``metrics`` forms and detects output densities, and only it and
+    ``pulsed`` (which has no scattering map) reduce them to figures: every
+    kernel with a scattering map goes through ``metrics``."""
+    stray = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if path.stem not in PIPELINE_CALLERS.get(name, {path.stem}):
+                    stray.append(f"{path.name}:{node.lineno} {name}")
+    assert stray == []

@@ -14,12 +14,15 @@ from tvmeter import (
     BathSpec,
     DegenerateMeter,
     LinearModel,
+    PulsedParams,
     SingularAtFrequency,
     UnstableModel,
     check_stable,
     conditional_variance,
     cqnc_conditional_variance,
     evaluate,
+    pulsed_covariances,
+    pulsed_metrics,
     vc_on_grid,
 )
 
@@ -121,3 +124,24 @@ def test_unstable_model():
             check_stable(A)
         assert str(err.value) == "drift matrix is not strictly stable (max Re eigenvalue 2.500e-01)"
         assert type(err.value.max_real) is float
+
+
+#: a pulsed readout whose matched filter is undefined at tau = 0.05, 0.1 and
+#: 0.2, each with its own number (kappa and gamma 3e-7 apart: M23 cancels)
+CANCELLED_M23 = PulsedParams(kappa=1.0, gamma=0.9999997, omega_m=100.0, g=1.0, alpha2=1.0,
+                             V0=1.0, bath=BathSpec(n_m=1.0))
+
+
+@pytest.mark.parametrize("kernel", [pulsed_metrics, pulsed_covariances])
+@pytest.mark.parametrize("tau, value", [
+    (0.05, "-6.104e-05"),
+    (0.2, "0.000e+00"),
+    (np.array([0.05, 0.1, 0.2]), "-6.104e-05"),
+    (np.array([0.2, 0.1, 0.05]), "0.000e+00"),
+], ids=["first", "last", "stack-ascending", "stack-descending"])
+def test_matched_filter_of_a_tau_stack(kernel, tau, value):
+    """A tau stack raises for its first failing tau in the caller's order,
+    with that tau's text as a float, although its rows run sorted."""
+    with pytest.raises(DegenerateMeter) as err:
+        kernel(CANCELLED_M23, tau)
+    assert str(err.value) == f"matched filter undefined: kappa * int M23^2 = {value}"
