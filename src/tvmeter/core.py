@@ -365,7 +365,15 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     coefficients; its off-diagonal entries are complex at nonzero
     frequency.  ``S`` may be a stack ``[..., i, j]``.
     """
-    V = S @ Vin.astype(S.dtype) @ S.conj().swapaxes(-1, -2)
+    return _output_density((S,), Vin)
+
+
+def _output_density(blocks, Vin: NDArray) -> NDArray[np.complex128]:
+    """:func:`cross_spectral_density` of several scattering ``blocks`` (the
+    sidebands of a periodic drift, each ``S[..., i, j]``): their densities
+    add incoherently, and the sum is symmetrized once."""
+    Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
+    V = functools.reduce(np.add, [S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks])
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
 
 

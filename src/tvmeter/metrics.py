@@ -20,10 +20,12 @@ the measurement-equivalent input noises
 
 The linear models here, the beyond-RWA harmonic solver and the reduced
 dual-tweezer map go through one pipeline, :func:`_from_scattering`: it
-applies detection loss with :func:`core.detected` (a beam splitter on the
-measured output mode, which also scales the meter power gain |S_Yx|^2 by
-eta), conditions through :func:`conditional_variance` and reduces through
-:func:`measured_figures`.  The pulsed readout, with no scattering map,
+forms the output density with the code of
+:func:`core.cross_spectral_density` (sideband blocks add incoherently),
+applies detection loss with :func:`core.detected` (a beam splitter on
+the measured output mode, which also scales the meter power gain
+|S_Yx|^2 by eta), conditions through :func:`conditional_variance` and
+reduces through :func:`measured_figures`.  The pulsed readout, with no scattering map,
 shares the guards and :func:`measured_figures`.  Each kernel takes a stack
 of points ``[...]``; one point is a stack of shape () and takes the same code.
 
@@ -44,6 +46,7 @@ from .core import (
     BathSpec,
     LinearModel,
     ModeLayout,
+    _output_density,
     build_scattering,
     check_paired,
     detected,
@@ -265,19 +268,13 @@ def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
     """
     r0 = layout.meter_index - layout.meter_index % 2
     noise, Vx = Vin[..., r0, r0, None], Vin[..., layout.signal_index, layout.signal_index]
-    Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
-
-    def density(blocks):
-        V = functools.reduce(np.add, [S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks])
-        return detected(0.5 * (V + V.conj().swapaxes(-1, -2)), slice(r0, r0 + 2), eta, noise)
-
-    V = density(blocks)
+    V = detected(_output_density(blocks, Vin), slice(r0, r0 + 2), eta, noise)
     Vc = _conditioned_vc(V, layout, conditioning)
     if not figures:
         return Vc
     S = functools.reduce(np.add, blocks)
     if len(blocks) > 1:
-        V = density((S,))
+        V = detected(_output_density((S,), Vin), slice(r0, r0 + 2), eta, noise)
     s, m = layout.signal_index, layout.meter_index
     return measured_figures(Vc, V[..., s, s].real, V[..., m, m].real, _abs2(S[..., s, s]),
                             eta * _abs2(S[..., m, s]), Vx, omega)

@@ -54,10 +54,12 @@ def test_every_import_is_used():
     assert unused == []
 
 
-#: pipeline step -> the modules that may call it
+#: pipeline step -> the modules that may call it; ``cross_spectral_density``
+#: is the public one-block case of ``_output_density``, which ``metrics`` calls
 PIPELINE_CALLERS = {
     "detected": {"metrics"},
-    "cross_spectral_density": {"metrics"},
+    "_output_density": {"core", "metrics"},
+    "cross_spectral_density": set(),
     "measured_figures": {"metrics", "pulsed"},
 }
 
