@@ -31,6 +31,7 @@ degenerate, the exponential-sum form of M23 cancels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -317,8 +318,8 @@ def _filter(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[list[_Term],
     if pulse_shape == "matched":
         gm1 = p.kappa * _integrate(_mul(m23, m23), tau)  # kappa * int M23^2
         if np.any(gm1 <= 0.0):  # zero coupling, or M23 lost to cancellation
-            raise DegenerateMeter(f"matched filter undefined: kappa * int M23^2 = "
-                                  f"{np.extract(gm1 <= 0.0, gm1)[0]:.3e}")
+            raise DegenerateMeter(
+                f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
         return m23, fn.sqrt(p.kappa / gm1), fn.sqrt(gm1)
     if pulse_shape == "flat":
         norm = 1.0 / fn.sqrt(tau)
@@ -410,6 +411,23 @@ def prepare_state_lyapunov(
     return float(V[2, 2]), V
 
 
+def _in_caller_order(kernel):
+    """``kernel(p, tau, ...)``, where a tau stack that fails a meter guard
+    runs again as float tau in the caller's order: it raises the error of
+    its first failing tau with that tau's own text (the stack runs sorted,
+    and where a guard's value is cancellation noise its bits differ)."""
+    @functools.wraps(kernel)
+    def run(p: PulsedParams, tau: _Rows, *args, **kwargs):
+        try:
+            return kernel(p, tau, *args, **kwargs)
+        except DegenerateMeter:
+            for t in np.ravel(tau).tolist():
+                kernel(p, t, *args, **kwargs)
+            raise
+    return run
+
+
+@_in_caller_order
 def pulsed_covariances(
     p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
 ) -> tuple[_Rows, _Rows, _Rows]:
@@ -430,8 +448,7 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, 
     branch test that disagrees between its rows cuts it where the
     outcome changes, and both parts are run again.  Overflow, division
     by zero and invalid values raise FloatingPointError, where libm on a
-    float tau raises OverflowError, ZeroDivisionError or ValueError; a
-    degenerate meter replays the rows as float tau, in the caller's order.
+    float tau raises OverflowError, ZeroDivisionError or ValueError.
     """
     if np.any(tau <= 0):
         raise ValueError("pulse duration must be positive")
@@ -449,10 +466,6 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, 
                 out[:, rows] = _group_covariances(p, tau[rows], pulse_shape)
             except _Split as split:
                 spans += [(lo, lo + split.at), (lo + split.at, hi)]
-            except DegenerateMeter:
-                for t in tau.tolist():
-                    _group_covariances(p, t, pulse_shape)
-                raise
     return tuple(out)
 
 
@@ -490,6 +503,7 @@ def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_
     return V33, V32, V22, Gs, B, C, t_cav0 + nopt + t_cross + t_refl + t_mech
 
 
+@_in_caller_order
 def pulsed_metrics(
     p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
 ) -> MeasurementFigures | list[MeasurementFigures]:
@@ -517,8 +531,7 @@ def pulsed_metrics(
     N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
     V_mm = G_m * p.V0 + N_m
     if np.any(V_mm <= METER_FLOOR):
-        raise DegenerateMeter(f"meter variance {np.extract(V_mm <= METER_FLOOR, V_mm)[0]:.3e}"
-                              " is not positive")
+        raise DegenerateMeter(f"meter variance {np.min(V_mm):.3e} is not positive")
     Vc = (fn.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
           - eta * C * (2.0 * p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C) / V_mm)
     return measured_figures(_clamped(Vc, V33), V33, V_mm, fn.exp(-p.gamma * tau), G_m, p.V0,

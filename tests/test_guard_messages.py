@@ -145,3 +145,19 @@ def test_matched_filter_of_a_tau_stack(kernel, tau, value):
     with pytest.raises(DegenerateMeter) as err:
         kernel(CANCELLED_M23, tau)
     assert str(err.value) == f"matched filter undefined: kappa * int M23^2 = {value}"
+
+
+@pytest.mark.parametrize("tau, value", [
+    (0.65, "-4.712e+12"),
+    (0.9, "-1.199e+12"),
+    (np.array([0.65, 1.0, 0.9]), "-4.712e+12"),
+    (np.array([0.9, 1.0, 0.65]), "-1.199e+12"),
+], ids=["first", "last", "stack-ascending", "stack-descending"])
+def test_meter_variance_of_a_tau_stack(tau, value):
+    """The filtered meter variance cancels to noise of order -1e12 at these
+    tau (tau = 1 passes): a stack raises for its first failing tau in the
+    caller's order, with that tau's text as a float, although the stack's
+    own noise differs from the float's and its smallest is another row's."""
+    with pytest.raises(DegenerateMeter) as err:
+        pulsed_metrics(CANCELLED_M23, tau)
+    assert str(err.value) == f"meter variance {value} is not positive"
