@@ -25,9 +25,10 @@ forms the output density with the code of
 applies detection loss with :func:`core.detected` (a beam splitter on
 the measured output mode, which also scales the meter power gain
 |S_Yx|^2 by eta), conditions through :func:`conditional_variance` and
-reduces through :func:`measured_figures`.  The pulsed readout, with no scattering map,
-shares the guards and :func:`measured_figures`.  Each kernel takes a stack
-of points ``[...]``; one point is a stack of shape () and takes the same code.
+reduces through :func:`measured_figures`.  The pulsed readout, with no
+scattering map, shares the guards and :func:`measured_figures`.  Each
+kernel takes a stack of points ``[...]``; one point is a stack of shape
+() and takes the same code.
 
 A measurement is QND when V_c < 1/2 and T_s + T_m > 1 simultaneously.
 """
