@@ -259,9 +259,7 @@ def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
     return minimize_vc_over_frequency(
         lambda ks, ws: scenario_figures(cfg.scenario, at(ks), bath, np.asarray(ws),
                                         cfg.conditioning),
-        *cfg.omega_bounds, rows=count, vc=vc,
-        vc_grid=lambda ws: [vc(r, ws) for r in range(count)],
-    )
+        *cfg.omega_bounds, rows=count, vc=vc)
 
 
 def _row_figures(cfg: RunConfig, params: dict) -> MeasurementFigures:
@@ -313,9 +311,8 @@ def _sql_scan(
 
     if count is None and not cfg.optimize_frequency:
         return generalized_sql(lambda C: figures(0, C), *c_bounds, count=c_count,
-                               vc_grid=lambda Cs: vc(0, Cs), vc=lambda C: vc(0, C))
-    found = generalized_sql(figures, *c_bounds, count=c_count, rows=count or 1, vc=vc,
-                            vc_grid=lambda Cs: [vc(r, Cs) for r in range(count or 1)])
+                               vc=lambda C: vc(0, C))
+    found = generalized_sql(figures, *c_bounds, count=c_count, rows=count or 1, vc=vc)
     return found if count else found[0]
 
 

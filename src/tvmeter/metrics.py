@@ -297,15 +297,14 @@ def evaluate(
     as the noise that fills the loss.
 
     One model at one frequency gives one figure.  A model stack (a drift
-    stack, and H when it is one, from parameter arrays, say) is solved at
-    ``omega``, or at an array of one frequency per drift, in one stacked
-    solve and gives a list of figures, one per point in stack order,
-    each with the bits of that point's own evaluation.  The first point
-    that fails a guard, in stack order, raises the error a loop over the
-    points would raise.
+    stack, and H when it is one, from parameter arrays, say) or an array
+    of frequencies, paired as in :func:`vc_on_grid`, is solved in one
+    stacked solve and gives a list of figures, one per point in stack
+    order, each with the bits of that point's own evaluation.  The first
+    point that fails a guard, in stack order, raises the error a loop
+    over the points would raise.
     """
-    if np.ndim(omega) and np.shape(omega) != model.A.shape[:-2]:
-        raise ValueError("evaluate takes one frequency or one per drift; vc_on_grid scores a grid")
+    check_paired(omega, model.A.shape[:-2])
     return _solved(model, omega, bath, conditioning, figures=True)
 
 

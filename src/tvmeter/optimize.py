@@ -1,8 +1,8 @@
 """Scans: optimal detection frequency, generalized SQL, thresholds.
 
 All searches are deterministic: a coarse logarithmic grid scan
-followed by golden-section refinement of the best grid interval.  The
-grid takes its values from one vectorized call when the caller has one
+followed by golden-section refinement of the best grid interval.  A
+scan takes one V_c callable, and each row's grid is one call of it
 (:func:`tvmeter.metrics.vc_on_grid` over a fixed model's frequencies or
 over a stack of models, one per cooperativity).  The refinement runs
 in lockstep: each round scores the new points of every unfinished
@@ -171,80 +171,61 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float, lockst
     ]
 
 
-def minimize_on_grid(
-    f: Callable,
-    spec: SweepSpec,
-    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
-    rows: int | None = None,
-):
-    """Grid scan + golden refinement of every near-optimal local minimum.
+def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int) -> list:
+    """Grid scan + golden refinement of every near-optimal local minimum
+    of R = ``rows`` functions over the same grid at once.
 
-    ``f_grid``, when given, returns f at every point of the grid array in
-    one call (the same values as ``f``, faster); otherwise ``f`` is
-    called point by point.  If ``f_grid`` raises a :class:`TvmeterError`,
-    the grid is scanned point by point, so the first failing point raises
-    the error that ``f`` raises there; if ``f`` fails nowhere, the error
-    of ``f_grid`` stands.  Returns (x, f(x), at_boundary,
-    branches) with branches holding the refined secondary minima within
-    ``BRANCH_MARGIN`` of the best value.
+    ``f(r, grid)`` returns the grid values of row r (an int) in one call,
+    and ``f(ks, points)`` (a list ks) the value at each ``points[k]`` of
+    the function of row ``ks[k]``.  Returns one (x, f(x), at_boundary,
+    branches) per row, each that of a scan of the row alone, with
+    branches holding the refined secondary minima within
+    ``BRANCH_MARGIN`` of the best value: the refinement of all rows runs
+    in lockstep, one call of ``f`` per golden-section round.
 
-    ``rows`` = R scans R functions over the same grid at once.  Then
-    ``f(rows, points)`` returns in one call the value at each
-    ``points[k]`` of the function of row ``rows[k]``, ``f_grid`` returns
-    the values as ``[R, count]``, and the result is a list with one tuple
-    per row, each that of a scan of the row alone: the refinement of all
-    rows runs in lockstep, one call of ``f`` per golden-section round.
-    If a lockstep round raises a :class:`TvmeterError`, the brackets are
-    refined one at a time, row by row, so the first failing one raises
-    its error; if none fails alone, the lockstep error stands.
+    The first failing point raises its own error.  If a grid call raises
+    a :class:`TvmeterError`, every row's grid is scanned point by point,
+    ``f([r], [x])``; if a lockstep round raises one, the brackets are
+    refined one at a time, row by row.  If nothing fails point by point
+    (or bracket by bracket), the first error stands.
     """
-    single = rows is None
-    if single:
-        f_one, f_grid_one = f, f_grid
-        f = lambda _, xs: [f_one(x) for x in xs]
-        f_grid = None if f_grid_one is None else (lambda xs: [f_grid_one(xs)])
-        rows = 1
     grid = spec.grid()
-
-    def row_by_row() -> np.ndarray:
-        return np.array([f([r] * len(grid), grid) for r in range(rows)], dtype=float)
-
-    if f_grid is None:
-        values = row_by_row()
-    else:
-        try:
-            values = np.asarray(f_grid(grid), dtype=float)
-        except TvmeterError:
-            row_by_row()
-            raise
     try:
-        found = _refine_rows(f, grid, values, spec.rel_tol)
+        values = np.array([f(r, grid) for r in range(rows)], dtype=float)
+    except TvmeterError:
+        for r in range(rows):
+            for x in grid:
+                f([r], [x])
+        raise
+    try:
+        return _refine_rows(f, grid, values, spec.rel_tol)
     except TvmeterError:
         for r in range(rows):
             f_row = lambda _, xs, r=r: f([r] * len(xs), xs)
             _refine_rows(f_row, grid, values[r : r + 1], spec.rel_tol, lockstep=False)
         raise
-    return found[0] if single else found
 
 
-def _scan_minima(evaluate, spec: SweepSpec, vc_grid, rows: int | None, vc):
+def _scan_minima(evaluate, spec: SweepSpec, rows: int | None, vc):
     """The minima of V_c over ``spec``'s grid, with the figures there.
 
-    ``evaluate(x)`` gives the figures of merit at a grid coordinate x,
-    ``vc(x)`` (by default ``evaluate(x).Vc``) the conditional variance,
-    which serves the refinement, and ``vc_grid``, when given, that at
-    every point of the grid array in one call.  ``rows`` = R scans R
-    scenarios (the rows of a sweep, say) at once and returns one
+    ``evaluate(x)`` gives the figures of merit at a grid coordinate x and
+    ``vc(x)``, when given, the conditional variance: the grid is one call
+    ``vc(grid)`` and each refinement point one call on a float.  Without
+    ``vc`` the scan takes ``evaluate(x).Vc`` point by point.  ``rows`` = R
+    scans R scenarios (the rows of a sweep, say) at once and returns one
     :class:`ScanMinimum` per row, each that of a scan of the row alone:
-    then ``evaluate(rows, xs)`` gives the list of figures at each ``xs[k]``
-    of row ``rows[k]`` (one call serves the optima of all rows), ``vc(rows,
-    xs)`` V_c there, which serves each lockstep round of all rows, and
-    ``vc_grid`` returns ``[R, count]`` values.
+    then ``vc`` is the ``f`` of :func:`minimize_on_grid` (one call per
+    row's grid and per lockstep round of all rows), and ``evaluate(rows,
+    xs)`` gives the list of figures at each ``xs[k]`` of row ``rows[k]``
+    (one call serves the optima of all rows).
     """
     if rows is None:
-        found = minimize_on_grid(vc or (lambda x: evaluate(x).Vc), spec, vc_grid)
-        return ScanMinimum(found[0], evaluate(found[0]), *found[1:])
-    found = minimize_on_grid(vc, spec, vc_grid, rows)
+        point = vc or (lambda x: evaluate(x).Vc)
+        f = lambda ks, xs: vc(xs) if vc and isinstance(ks, int) else [point(x) for x in xs]
+        [(x, *found)] = minimize_on_grid(f, spec, 1)
+        return ScanMinimum(x, evaluate(x), *found)
+    found = minimize_on_grid(vc, spec, rows)
     optima = evaluate(list(range(rows)), [x for x, *_ in found])
     return [ScanMinimum(x, figures, v, b, br) for (x, v, b, br), figures in zip(found, optima)]
 
@@ -255,15 +236,14 @@ def minimize_vc_over_frequency(
     omega_hi: float,
     count: int = 200,
     rel_tol: float = 1e-6,
-    vc_grid: Callable[[np.ndarray], np.ndarray] | None = None,
     rows: int | None = None,
-    vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
+    vc: Callable | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
     """Detection frequency minimizing the conditional variance of a fixed
     scenario whose figures ``evaluate`` (and V_c alone ``vc``) give at a
     frequency (of R scenarios at once, given ``rows`` = R; see :func:`_scan_minima`)."""
     spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
-    return _scan_minima(evaluate, spec, vc_grid, rows, vc)
+    return _scan_minima(evaluate, spec, rows, vc)
 
 
 def generalized_sql(
@@ -272,16 +252,15 @@ def generalized_sql(
     c_hi: float,
     count: int = 200,
     rel_tol: float = 1e-6,
-    vc_grid: Callable[[np.ndarray], np.ndarray] | None = None,
     rows: int | None = None,
-    vc: Callable[[list[int], list[float]], Sequence[float]] | None = None,
+    vc: Callable | None = None,
 ) -> ScanMinimum | list[ScanMinimum]:
     """Minimum conditional variance over cooperativity for a scenario
     family whose figures ``family`` (and V_c alone ``vc``) give at a
     cooperativity (of R at once, given ``rows`` = R; see :func:`_scan_minima`);
     the returned figures define the generalized SQL point."""
     spec = SweepSpec(c_lo, c_hi, count, rel_tol=rel_tol)
-    return _scan_minima(family, spec, vc_grid, rows, vc)
+    return _scan_minima(family, spec, rows, vc)
 
 
 def find_threshold(

@@ -57,8 +57,9 @@ class Scenario:
     figures, one per point; ``vc`` takes arrays of every numeric parameter
     (and frequencies paired as in :func:`metrics.vc_on_grid`) and gives an
     array.  ``rows(params, bath, conditioning)`` builds the stack of the
-    rows of ``params`` once and gives ``vc(ks, omegas)``: V_c of the rows
-    ks (paired with omegas, or one row at all of them), sliced from it.
+    rows of ``params`` once and gives ``vc(ks, omegas)``, sliced from it:
+    V_c of the rows in a list ks paired with omegas, or of the row ks (an
+    int) at every one of them, as :func:`optimize.minimize_on_grid` asks.
     ``default_omega`` maps the parameters to the detection frequency; None
     means there is none.  ``prepare`` fills in a prepared state that
     depends only on the parameters in ``preparation``."""

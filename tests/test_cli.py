@@ -659,21 +659,21 @@ def nested_sql_scan(cfg, params, c_bounds, c_count):
     """The generalized SQL of one row over the optimal detection frequency,
     scalar and nested: `generalized_sql` over C of the figures at the
     optimum of a `minimize_vc_over_frequency` of `scenario_figures`.  For
-    speed, the frequency grid of a displacement model is one `vc_on_grid`
-    call (the values of the point-by-point scan, bit for bit); every other
-    grid, and every refinement, goes point by point."""
+    speed, the V_c of a displacement model is `vc_on_grid`, one call for
+    the frequency grid (the values of the point-by-point scan, bit for
+    bit); every other scan goes through the figures point by point."""
     bath = cfg.bath_spec()
 
     def family(C):
         p = {**params, "C": C, "g": None}
-        grid = None
+        vc = None
         if cfg.scenario == "displacement":
             model = displacement_model(
                 DisplacementParams(p["kappa"], p["gamma"], p["omega_m"], C=C), bath)
-            grid = lambda ws: vc_on_grid(model, ws, bath, cfg.conditioning)
+            vc = lambda ws: vc_on_grid(model, ws, bath, cfg.conditioning)
         return minimize_vc_over_frequency(
             lambda w: scenario_figures(cfg.scenario, p, bath, w, cfg.conditioning),
-            *cfg.omega_bounds, vc_grid=grid,
+            *cfg.omega_bounds, vc=vc,
         ).figures
 
     return generalized_sql(family, *c_bounds, count=c_count)

@@ -146,6 +146,11 @@ def _stack_cases():
         lossy, 0.003, "meter")
 
 
+def _bits(f):
+    """Each field of the figures ``f`` as the CLI prints it."""
+    return [repr(float(x)) for x in (f.Vc, f.Ts, f.Tm, f.ns_eq, f.nm_eq, f.omega)], f.regime
+
+
 class TestModelStack:
     """A model whose drift is a stack over cooperativities against one
     model built per cooperativity."""
@@ -198,7 +203,7 @@ class TestModelStack:
             LinearModel(-np.ones((3, 4, 6)), np.eye(4), 0.5 * np.eye(4), FOUR_MODE)
         stack = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=self.CS), FIG2_BATH)
         assert stack.H.shape == stack.Vin.shape == (4, 4)
-        with pytest.raises(ValueError, match="vc_on_grid"):
+        with pytest.raises(ValueError, match="do not pair"):
             evaluate(stack, np.array([0.5, 1.0]))
         with pytest.raises(ValueError, match="do not pair"):
             vc_on_grid(stack, np.array([0.5, 1.0]))
@@ -236,18 +241,27 @@ class TestPairedStack:
         got = evaluate(build(self.CS, bath), self.OMEGAS, bath=bath, conditioning=conditioning)
         want = [evaluate(build(C, bath), w, bath=bath, conditioning=conditioning)
                 for C, w in zip(self.CS, self.OMEGAS.tolist())]
-        def bits(f):  # each field as the CLI prints it
-            return [repr(float(x)) for x in (f.Vc, f.Ts, f.Tm, f.ns_eq, f.nm_eq, f.omega)], f.regime
+        assert [_bits(f) for f in got] == [_bits(f) for f in want]
 
-        assert [bits(f) for f in got] == [bits(f) for f in want]
+    @pytest.mark.parametrize(
+        "build, bath, omega, conditioning",
+        [case[1:] for case in _stack_cases()],
+        ids=[case[0] for case in _stack_cases()],
+    )
+    def test_frequency_grid_on_one_model(self, build, bath, omega, conditioning):
+        model = build(3.0, bath)
+        got = evaluate(model, self.OMEGAS, bath=bath, conditioning=conditioning)
+        want = [evaluate(model, w, bath=bath, conditioning=conditioning)
+                for w in self.OMEGAS.tolist()]
+        assert [_bits(f) for f in got] == [_bits(f) for f in want]
+        assert [f.Vc for f in got] == vc_on_grid(
+            model, self.OMEGAS, bath=bath, conditioning=conditioning).tolist()
 
     def test_unpaired_frequencies_rejected(self):
         stack = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=self.CS), FIG2_BATH)
-        one = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=1.0), FIG2_BATH)
-        for model, omegas in [(stack, self.OMEGAS[:, None]), (stack, self.OMEGAS[1:]),
-                              (one, self.OMEGAS[:1]), (one, self.OMEGAS)]:
-            with pytest.raises(ValueError, match="vc_on_grid"):
-                evaluate(model, omegas)
+        for omegas in [self.OMEGAS[1:], self.OMEGAS[:2], np.stack([self.OMEGAS] * 2, axis=1)]:
+            with pytest.raises(ValueError, match="do not pair"):
+                evaluate(stack, omegas)
 
     def test_first_singular_point_raises(self):
         # undamped mechanics at omega_m = 1 in the second and third model;

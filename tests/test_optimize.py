@@ -41,6 +41,11 @@ KAPPA, GAMMA, OMEGA_M = 10.0, 0.01, 1.0
 FIG_BATH = BathSpec(n_m=1.0)
 
 
+def _one_row(f):
+    """``f`` of one variable as the one row of `minimize_on_grid`, point by point."""
+    return lambda _, xs: [f(x) for x in xs]
+
+
 class TestGoldenSection:
     def test_parabola(self):
         [x] = golden_section(lambda _, xs: [(x - 2.3) ** 2 for x in xs], [(0.0, 5.0)], 1e-9)
@@ -49,31 +54,34 @@ class TestGoldenSection:
     def test_refinement_never_worse_than_grid(self):
         f = lambda x: np.cos(3 * x) + 0.1 * x
         spec = SweepSpec(0.1, 10.0, count=40)
-        from tvmeter.optimize import minimize_on_grid
-
-        x, v, boundary, _ = minimize_on_grid(f, spec)
+        [(x, v, boundary, _)] = minimize_on_grid(_one_row(f), spec, 1)
         assert v <= min(f(g) for g in spec.grid()) + 1e-15
 
     def test_refinement_reuses_the_grid_values(self):
         spec = SweepSpec(0.1, 10.0, count=40)
         calls = []
+        g = lambda x: (np.log(x) - 0.3) ** 2
 
-        def f(x):
-            calls.append(x)
-            return (np.log(x) - 0.3) ** 2
+        def f(rows, xs):
+            if isinstance(rows, int):  # the grid, in one call
+                return g(xs)
+            calls.extend(xs)
+            return [g(x) for x in xs]
 
-        x, v, _, _ = minimize_on_grid(f, spec, lambda xs: (np.log(xs) - 0.3) ** 2)
+        [(x, v, _, _)] = minimize_on_grid(f, spec, 1)
         assert not set(calls) & set(spec.grid())
-        assert (x, v) == minimize_on_grid(f, spec)[:2]
+        assert (x, v) == minimize_on_grid(_one_row(g), spec, 1)[0][:2]
 
     def test_grid_error_stands_when_no_point_fails(self):
         spec = SweepSpec(0.1, 10.0, count=40)
 
-        def f_grid(xs):
-            raise DegenerateMeter("grid only")
+        def f(rows, xs):
+            if isinstance(rows, int):
+                raise DegenerateMeter("grid only")
+            return [(np.log(x) - 0.3) ** 2 for x in xs]
 
         with pytest.raises(DegenerateMeter, match="grid only"):
-            minimize_on_grid(lambda x: (np.log(x) - 0.3) ** 2, spec, f_grid)
+            minimize_on_grid(f, spec, 1)
 
 
 def _bracket_function(kind, center, step):
@@ -174,10 +182,16 @@ class TestLockstepScan:
     SPEC = SweepSpec(1e-3, 1e3, count=121)
     DEPTHS = [0.0, 0.004, 0.5, -0.003, -0.5]
 
-    def _rows(self, fail=None):
+    def _rows(self, fail=None, grid_fails=False):
+        """The rows' functions and their ``f``; ``fail`` applies point by
+        point, and a grid call raises only with ``grid_fails``."""
         fns = [_double_well(d) for d in self.DEPTHS]
 
         def f(rows, xs):
+            if isinstance(rows, int):  # the grid of one row, in one call
+                if grid_fails:
+                    raise DegenerateMeter("grid only")
+                return [fns[rows](x) for x in xs]
             out = []
             for r, x in zip(rows, xs):
                 if fail is not None and fail(r, x):
@@ -187,27 +201,44 @@ class TestLockstepScan:
 
         return fns, f
 
+    @staticmethod
+    def _row(f, r):
+        """Row r of ``f`` as the one row of a scan."""
+        return lambda rows, xs: f(r if isinstance(rows, int) else [r] * len(xs), xs)
+
+    @staticmethod
+    def _tracked(f, points):
+        """``f``, collecting the points of its refinement in ``points``."""
+        def tracked(rows, xs):
+            if not isinstance(rows, int):
+                points.extend(xs)
+            return f(rows, xs)
+        return tracked
+
     def test_same_scans_as_one_row_at_a_time(self):
         fns, f = self._rows()
-        f_grid = lambda xs: [[g(x) for x in xs] for g in fns]
-        points = []
-        together = minimize_on_grid(
-            lambda rows, xs: points.extend(xs) or f(rows, xs), self.SPEC, f_grid, rows=len(fns)
-        )
-        assert together == [minimize_on_grid(g, self.SPEC) for g in fns]
+        points, alone = [], []
+        together = minimize_on_grid(self._tracked(f, points), self.SPEC, len(fns))
+        assert together == [minimize_on_grid(_one_row(g), self.SPEC, 1)[0] for g in fns]
         assert [len(found[3]) for found in together] == [1, 1, 0, 1, 0]
         # the lockstep rounds score the points of the one-row scans, once each
-        alone = []
-        for g in fns:
-            minimize_on_grid(lambda x, g=g: alone.append(x) or g(x), self.SPEC,
-                             lambda xs, g=g: [g(x) for x in xs])
+        for r in range(len(fns)):
+            minimize_on_grid(self._tracked(self._row(f, r), alone), self.SPEC, 1)
         assert sorted(points) == sorted(alone)
 
-    def test_grid_of_every_row_scanned_point_by_point_without_f_grid(self):
+    def test_grid_of_every_row_is_one_call(self):
         fns, f = self._rows()
-        assert minimize_on_grid(f, self.SPEC, rows=len(fns)) == [
-            minimize_on_grid(g, self.SPEC) for g in fns
+        grids = []
+
+        def counted(rows, xs):
+            if isinstance(rows, int):
+                grids.append((rows, list(xs)))
+            return f(rows, xs)
+
+        assert minimize_on_grid(counted, self.SPEC, len(fns)) == [
+            minimize_on_grid(_one_row(g), self.SPEC, 1)[0] for g in fns
         ]
+        assert grids == [(r, list(self.SPEC.grid())) for r in range(len(fns))]
 
     def test_refinement_failure_raises_the_first_bracket_of_a_one_row_scan(self):
         # row 3 fails in the first round of its branch refinement (near
@@ -218,23 +249,17 @@ class TestLockstepScan:
 
         fns, f = self._rows(fail)
         with pytest.raises(DegenerateMeter, match="row 1 fails") as together:
-            minimize_on_grid(f, self.SPEC, lambda xs: [[g(x) for x in xs] for g in fns],
-                             rows=len(fns))
+            minimize_on_grid(f, self.SPEC, len(fns))
         with pytest.raises(DegenerateMeter) as alone:
             for r in range(len(fns)):
-                minimize_on_grid(lambda x, r=r: f([r], [x])[0], self.SPEC,
-                                 lambda xs, g=fns[r]: [g(x) for x in xs])
+                minimize_on_grid(self._row(f, r), self.SPEC, 1)
         assert str(together.value) == str(alone.value)
 
     def test_grid_failure_raises_the_first_failing_point(self):
-        fns, f = self._rows(lambda r, x: r >= 2 and x > 100.0)
-
-        def f_grid(xs):
-            raise DegenerateMeter("grid only")
-
+        fns, f = self._rows(lambda r, x: r >= 2 and x > 100.0, grid_fails=True)
         grid = self.SPEC.grid()
         with pytest.raises(DegenerateMeter) as err:
-            minimize_on_grid(f, self.SPEC, f_grid, rows=len(fns))
+            minimize_on_grid(f, self.SPEC, len(fns))
         assert str(err.value) == f"row 2 fails at {grid[np.argmax(grid > 100.0)]!r}"
 
 
@@ -271,12 +296,10 @@ class TestFrequencyOptimization:
         assert a.x == b.x and a.value == b.value
 
     def test_near_degenerate_minima_reported_as_branches(self):
-        from tvmeter.optimize import minimize_on_grid
-
         # double well with minima of equal depth at x = 0.1 and x = 10
         f = lambda x: min((np.log10(x) + 1) ** 2, (np.log10(x) - 1) ** 2) + 1.0
         spec = SweepSpec(1e-3, 1e3, count=121)
-        x, v, boundary, branches = minimize_on_grid(f, spec)
+        [(x, v, boundary, branches)] = minimize_on_grid(_one_row(f), spec, 1)
         assert len(branches) == 1
         xs = sorted([x, branches[0][0]])
         assert xs[0] == pytest.approx(0.1, rel=1e-4)
@@ -289,9 +312,23 @@ class TestFrequencyOptimization:
         f = lambda w: evaluate(model, w, conditioning=conditioning)
         scalar = minimize_vc_over_frequency(f, 1e-2, 1e3)
         stacked = minimize_vc_over_frequency(
-            f, 1e-2, 1e3, vc_grid=lambda ws: vc_on_grid(model, ws, conditioning=conditioning)
+            f, 1e-2, 1e3, vc=lambda ws: vc_on_grid(model, ws, conditioning=conditioning)
         )
         assert stacked == scalar
+
+    def test_vc_scores_the_grid_in_one_call_then_floats(self):
+        model = displacement_model(DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=1.0), FIG_BATH)
+        calls = []
+
+        def vc(w):
+            calls.append(w)
+            return vc_on_grid(model, w)
+
+        f = lambda w: evaluate(model, w)
+        res = minimize_vc_over_frequency(f, 0.2, 1e3, vc=vc)
+        assert np.array_equal(calls[0], SweepSpec(0.2, 1e3).grid())
+        assert len(calls) > 1 and all(type(w) is float for w in calls[1:])
+        assert res == minimize_vc_over_frequency(f, 0.2, 1e3)
 
     def test_cqnc_off_resonant_qnd(self):
         model = cqnc_model(CqncParams(KAPPA, GAMMA, OMEGA_M, C=1e8), FIG_BATH)
@@ -390,13 +427,13 @@ class TestStackedCooperativityGrid:
     """generalized_sql with the C grid from one stacked solve against the
     point-by-point scan."""
 
-    @pytest.mark.parametrize("family, vc_grid", [c[1] for c in _sql_cases()],
+    @pytest.mark.parametrize("family, vc", [c[1] for c in _sql_cases()],
                              ids=[c[0] for c in _sql_cases()])
-    def test_same_scan_bit_for_bit(self, family, vc_grid):
+    def test_same_scan_bit_for_bit(self, family, vc):
         grid = SweepSpec(1e-3, 1e3).grid()
-        assert list(vc_grid(grid)) == [family(C).Vc for C in grid]
+        assert list(vc(grid)) == [family(C).Vc for C in grid]
         scalar = generalized_sql(family, 1e-3, 1e3)
-        assert generalized_sql(family, 1e-3, 1e3, vc_grid=vc_grid) == scalar
+        assert generalized_sql(family, 1e-3, 1e3, vc=vc) == scalar
 
     @staticmethod
     def _toy(static, coupling):
@@ -415,8 +452,11 @@ class TestStackedCooperativityGrid:
         with pytest.raises(error) as scalar:
             generalized_sql(family, lo, hi)
         with pytest.raises(error) as stacked:
-            generalized_sql(family, lo, hi, vc_grid=lambda Cs: vc_on_grid(build(Cs), 0.0))
-        assert str(stacked.value) == str(scalar.value)
+            generalized_sql(family, lo, hi, vc=lambda Cs: vc_on_grid(build(Cs), 0.0))
+        with pytest.raises(error) as rows:
+            generalized_sql(lambda ks, Cs: evaluate(build(np.asarray(Cs)), 0.0), lo, hi, rows=1,
+                            vc=lambda ks, Cs: vc_on_grid(build(np.asarray(Cs)), 0.0))
+        assert str(stacked.value) == str(rows.value) == str(scalar.value)
 
     def test_degenerate_meter_before_an_unstable_model(self):
         # the mechanics feeds the meter as C; its damping 1 - C turns

@@ -1,4 +1,5 @@
-"""The README's Python examples and the `tv --help` examples run as written."""
+"""The README's Python examples, its `tv` commands and the `tv --help`
+examples run as written."""
 
 import re
 import shlex
@@ -25,3 +26,21 @@ def test_help_examples_run(capsys):
     for argv in commands:
         assert main(argv) == 0, shlex.join(argv)
         assert capsys.readouterr().out.startswith("# tvmeter ")
+
+
+def test_shell_commands_run(tmp_path, monkeypatch, capsys):
+    # each `tv` line of the sh blocks, from the repository root, with its
+    # --output file sent to tmp_path
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("tv ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(README.parent)
+    for argv in commands:
+        out = None
+        if "--output" in argv:
+            i = argv.index("--output") + 1
+            argv[i] = out = str(tmp_path / argv[i])
+        assert main(argv) == 0, shlex.join(argv)
+        text = Path(out).read_text(encoding="utf-8") if out else capsys.readouterr().out
+        assert text.startswith("# tvmeter "), shlex.join(argv)
