@@ -14,8 +14,8 @@ Configuration can come from a JSON file (--config) with command-line
 flags taking precedence.  Outputs are deterministic: floats are printed
 with 17 significant digits and the resolved configuration is echoed in
 the header, so any table can be reproduced byte for byte from its own
-header.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+header and the subcommand's own flags.  Exit codes: 0 success, 2
+configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -387,8 +387,8 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
     if sw.get("scale", "log") == "log":
         if lo <= 0:
             raise ConfigError("log sweep needs positive endpoints")
-        return list(np.logspace(np.log10(lo), np.log10(hi), n))
-    return list(np.linspace(lo, hi, n))
+        return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
+    return np.linspace(lo, hi, n).tolist()
 
 
 def _swept_params(cfg: RunConfig, value: float) -> dict:

@@ -122,38 +122,30 @@ def _refine(f, grid: np.ndarray, values: np.ndarray, picks, rel_tol: float):
     grid neighbours of its point.  Returns (x, f(x)) per pick, or the
     grid point itself where that is not worse.
     """
-    last = len(grid) - 1
     found = [(float(grid[i]), float(values[r, i])) for r, i in picks]
-    live = [k for k, (_, i) in enumerate(picks) if grid[max(i - 1, 0)] != grid[min(i + 1, last)]]
-    if not live:
+    if not picks:
         return found
-    rows = [picks[k][0] for k in live]
-    brackets = [(grid[max(picks[k][1] - 1, 0)], grid[min(picks[k][1] + 1, last)]) for k in live]
+    last = len(grid) - 1
+    rows = [r for r, _ in picks]
+    brackets = [(grid[max(i - 1, 0)], grid[min(i + 1, last)]) for _, i in picks]
     xs = golden_section(lambda ks, points: f([rows[k] for k in ks], points), brackets, rel_tol)
-    for k, x, fx in zip(live, xs, f(rows, xs)):
+    for k, (x, fx) in enumerate(zip(xs, f(rows, xs))):
         # refinement never returns something worse than the best grid point
         if fx <= values[picks[k]]:
             found[k] = (x, float(fx))
     return found
 
 
-def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float, lockstep: bool = True):
+def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float):
     """(x, f(x), at_boundary, branches) of every row of the grid values.
 
     The best grid point of every row is refined first, then every local
     grid minimum within ``BRANCH_MARGIN`` of its row's refined optimum
-    (a branch).  With ``lockstep`` each of the two passes is one
-    lockstep refinement; without it every bracket is refined on its own,
-    in the order of a scan of one row.
+    (a branch); each of the two passes is one lockstep refinement.
     """
-    def refine(picks):
-        if lockstep:
-            return _refine(f, grid, values, picks, rel_tol)
-        return [found for pick in picks for found in _refine(f, grid, values, [pick], rel_tol)]
-
     rows = np.arange(len(values))
     best = np.argmin(values, axis=1)
-    optima = refine(list(zip(rows, best)))
+    optima = _refine(f, grid, values, list(zip(rows, best)), rel_tol)
     v_best = np.array([v for _, v in optima])[:, None]
     local = np.ones(values.shape, dtype=bool)
     local[:, 1:] &= values[:, 1:] <= values[:, :-1]
@@ -162,7 +154,7 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float, lockst
     near = (values <= v_best * (1.0 + BRANCH_MARGIN)) | ((v_best == 0.0) & (values <= BRANCH_MARGIN))
     picks = [tuple(p) for p in np.argwhere(local & near)]
     branches = [[] for _ in rows]
-    for (r, _), branch in zip(picks, refine(picks)):
+    for (r, _), branch in zip(picks, _refine(f, grid, values, picks, rel_tol)):
         branches[r].append(branch)
     last = len(grid) - 1
     return [
@@ -183,26 +175,20 @@ def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int) -> list:
     ``BRANCH_MARGIN`` of the best value: the refinement of all rows runs
     in lockstep, one call of ``f`` per golden-section round.
 
-    The first failing point raises its own error.  If a grid call raises
-    a :class:`TvmeterError`, every row's grid is scanned point by point,
-    ``f([r], [x])``; if a lockstep round raises one, the brackets are
-    refined one at a time, row by row.  If nothing fails point by point
-    (or bracket by bracket), the first error stands.
+    The first failing point raises its own error, the one a loop of
+    one-row scans raises.  If any call raises a :class:`TvmeterError`,
+    the rows are scanned again one at a time, in order, each point its
+    own call ``f([r], [x])`` on a Python float: row r's grid, then its
+    refinement.  If nothing fails point by point, the first error stands.
     """
     grid = spec.grid()
     try:
         values = np.array([f(r, grid) for r in range(rows)], dtype=float)
-    except TvmeterError:
-        for r in range(rows):
-            for x in grid:
-                f([r], [x])
-        raise
-    try:
         return _refine_rows(f, grid, values, spec.rel_tol)
     except TvmeterError:
         for r in range(rows):
-            f_row = lambda _, xs, r=r: f([r] * len(xs), xs)
-            _refine_rows(f_row, grid, values[r : r + 1], spec.rel_tol, lockstep=False)
+            f_row = lambda _, xs, r=r: [v for x in xs for v in f([r], [x])]
+            _refine_rows(f_row, grid, np.array([f_row(r, grid.tolist())]), spec.rel_tol)
         raise
 
 

@@ -894,6 +894,16 @@ class TestValidation:
         assert "xi=0.5" in err
         assert "np.float64" not in err
 
+    def test_swept_values_are_python_floats(self, tmp_path, capsys):
+        # the middle row of a linear sweep of the harmonic order is 1.5
+        rc, out = run(["sweep", "--scenario", "qnd-floquet", "--param", "order",
+                       "--lin", "1", "2", "--n", "3", "--n-m", "1"], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "tv: configuration error: harmonic order must be an integer >= 1, got 1.5\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, where", [
         (["sql", "--scenario", "qnd-imperfect", "--set", "xi=1", "--n-m", "1", "--omega", "0"],
          "C in [0.001, 1000.0]"),

@@ -21,6 +21,7 @@ from tvmeter import (
     conditional_variance,
     cqnc_conditional_variance,
     evaluate,
+    minimize_vc_over_frequency,
     pulsed_covariances,
     pulsed_metrics,
     vc_on_grid,
@@ -106,6 +107,20 @@ def test_singular_at_frequency():
         vc_on_grid(model, np.array([0.5, -1.0, 1.0]))
     assert str(grid.value) == "drift matrix singular at omega=-1.0 (reciprocal condition 1.872e-17)"
     assert grid.value.omega == -1.0 and type(grid.value.omega) is float
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "vc"])
+def test_singular_at_frequency_of_a_scan(stacked):
+    # the grid 0.5, 1.0, 2.0 fails at its middle point, which the scan
+    # names as evaluate names it, with a Python float
+    model = _undamped(1.0)
+    vc = (lambda ws: vc_on_grid(model, ws)) if stacked else None
+    with pytest.raises(SingularAtFrequency) as scan:
+        minimize_vc_over_frequency(lambda w: evaluate(model, w), 0.5, 2.0, count=3, vc=vc)
+    with pytest.raises(SingularAtFrequency) as one:
+        evaluate(model, 1.0)
+    assert str(scan.value) == str(one.value)
+    assert type(scan.value.omega) is float
 
 
 def test_singular_model_of_a_stack():

@@ -260,7 +260,30 @@ class TestLockstepScan:
         grid = self.SPEC.grid()
         with pytest.raises(DegenerateMeter) as err:
             minimize_on_grid(f, self.SPEC, len(fns))
-        assert str(err.value) == f"row 2 fails at {grid[np.argmax(grid > 100.0)]!r}"
+        # the rerun hands f Python floats, so the message has no np.float64
+        assert str(err.value) == f"row 2 fails at {float(grid[np.argmax(grid > 100.0)])!r}"
+
+    def test_refinement_failure_of_an_earlier_row_beats_a_later_grid_failure(self):
+        # row 0 fails only at refinement points in (3.0, 3.2), off the
+        # grid; row 1 fails on its grid, above x = 100; scanned one row at
+        # a time, row 0 fails first, in its refinement
+        on_grid = set(self.SPEC.grid().tolist())
+
+        def f(rows, xs):
+            out = []
+            for r, x in zip([rows] * len(xs) if isinstance(rows, int) else rows, xs):
+                if (r == 0 and 3.0 < x < 3.2 and x not in on_grid) or (r == 1 and x > 100.0):
+                    stage = "grid" if x in on_grid else "refinement"
+                    raise DegenerateMeter(f"row {r} {stage} at {x!r}")
+                out.append((math.log10(x) - 0.5) ** 2)
+            return out
+
+        with pytest.raises(DegenerateMeter, match="row 0 refinement") as together:
+            minimize_on_grid(f, self.SPEC, 2)
+        with pytest.raises(DegenerateMeter) as alone:
+            for r in range(2):
+                minimize_on_grid(self._row(f, r), self.SPEC, 1)
+        assert str(together.value) == str(alone.value)
 
 
 class TestFrequencyOptimization:

@@ -12,7 +12,7 @@ under the tracer and requires every expected span to have recorded calls.
 returns of the ``PROBE_POINTS`` functions of ``tvmeter.cli``, found with
 ``hasattr``: a rename would silently change the scaling.  The row checks
 (``perfbench/checks.py``) call the builders directly, and must agree
-with the CLI's figures.
+with the CLI's figures; they pass on every seed-0 table at two rows.
 """
 
 import sys
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import checks  # noqa: E402
+import record_reference  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -74,3 +75,17 @@ def test_row_checks_evaluate_as_the_cli(scenario, params, conditioning):
     bath = tvmeter.BathSpec(n_m=1.0, eta=0.9)
     want = cli.scenario_figures(scenario, p, bath, 0.3, conditioning)
     assert checks.scalar_figures(tvmeter, scenario, p, bath, 0.3, conditioning) == want
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WHY))
+def test_row_checks_pass_on_every_table(workload, tmp_path):
+    """The row checks run the single-row scans (``generalized_sql`` for
+    the threshold, ``minimize_vc_over_frequency`` for the competing
+    optima of fig2) on the tables the workload writes."""
+    checker = checks.Checker(tvmeter)
+    for i, cmd in enumerate(workloads.commands(ROOT, workload, 0, tmp_path, rows=2)):
+        out = tmp_path / f"{i}.csv"
+        assert cli.main([*cmd.argv, "--output", str(out)]) == 0
+        assert checker.check(cmd.label, out) == set(), checker.messages
+        if cmd.label == "fig2":
+            assert set(record_reference.competing_rows(tvmeter, out)) <= set(range(cmd.rows))
