@@ -222,8 +222,8 @@ def scenario_figures(
 ) -> MeasurementFigures | list[MeasurementFigures]:
     """Figures of merit of one scenario at a detection frequency.
 
-    Arrays of the parameters in the scenario's ``array_params`` (and of
-    frequencies paired with them) give a list of figures, one per point.
+    Arrays of its numeric parameters (and of frequencies paired with
+    them) give a list of figures, one per point.
     """
     return SCENARIOS[scenario].figures(params, bath, omega, conditioning)
 
@@ -407,8 +407,7 @@ def _stacked_rows(cfg: RunConfig, values: list[float], stacked, row, one) -> lis
     in blocks of ``BLOCK_ROWS`` values, from ``stacked``, which gives one
     result per value of a block from their parameter stack.  If that
     raises, the block's rows are rerun one at a time by ``one(value)``, so
-    the first failing row raises its own error (a stack's
-    FloatingPointError, say, becomes libm's error on that row)."""
+    the first failing row raises its own error."""
     rows = []
     for lo in range(0, len(values), BLOCK_ROWS):
         block = values[lo:lo + BLOCK_ROWS]
@@ -424,9 +423,8 @@ def _stacked_rows(cfg: RunConfig, values: list[float], stacked, row, one) -> lis
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """Rows of a sweep, in blocks of ``BLOCK_ROWS`` rows.  With
     ``optimize_frequency`` the rows of a block are scanned together
-    (:func:`_frequency_scans`); at a fixed frequency a sweep of a
-    parameter in the scenario's ``array_params`` evaluates each block as
-    a stack, and the other sweeps (of lev-pulsed) go row by row."""
+    (:func:`_frequency_scans`); at a fixed frequency each block is one
+    stack of the swept parameter."""
     if cfg.sweep is None:
         raise ConfigError("sweep is missing key(s) ['param', 'lo', 'hi', 'n']")
     name = cfg.sweep["param"]
@@ -453,10 +451,8 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
 
     if cfg.optimize_frequency:
         return rows(lambda stack: [s.figures for s in _frequency_scans(rows_cfg, stack)])
-    if name in scenario.array_params:
-        return rows(lambda stack: scenario_figures(
-            cfg.scenario, stack, bath, _default_omega(rows_cfg, stack), cfg.conditioning))
-    return [one(value) for value in values]
+    return rows(lambda stack: scenario_figures(
+        cfg.scenario, stack, bath, _default_omega(rows_cfg, stack), cfg.conditioning))
 
 
 def cmd_sql(cfg: RunConfig, c_bounds: tuple[float, float], c_count: int) -> list[dict]:

@@ -15,9 +15,10 @@ polynomial-times-exponential terms t^k exp(a t), integrated in closed
 form or, where the closed form would cancel, as series cut at the first
 term below SERIES_CUTOFF of the leading one: a power series where
 |a| tau < 0.5, and for k >= 1 the phi-function series where
-0.5 <= |a| tau <= k + 1.  A 1-D array of tau runs the same term algebra
-with one coefficient per row, once per group of rows whose series and
-closed-form branches agree.
+0.5 <= |a| tau <= k + 1.  One pulse or a 1-D stack of rows (arrays of
+tau and of the parameters, broadcast together) runs the term algebra
+with one coefficient per row, once per group of rows that share kappa
+and gamma and whose series and closed-form branches agree.
 
 The test suite cross-checks the integrals by adaptive and by 30-digit
 quadrature.  At the ``tv pulsed`` defaults (kappa = 1, gamma = 1e-9,
@@ -33,13 +34,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import BathSpec, check_sign, check_stable
-from .errors import DegenerateMeter
+from .errors import DegenerateMeter, TvmeterError
 from .metrics import (
     METER_FLOOR,
     MeasurementFigures,
@@ -62,50 +63,33 @@ SERIES_CUTOFF = 1e-18
 # nonpositive, so long pulses cannot overflow intermediate factors like
 # exp(+kappa s / 2) (those always come paired with a constant carrying
 # exp(-kappa tau / 2)).  Every offset is a multiple of the pulse duration
-# tau, so one term list serves a stack of tau: tau and the coefficients c
-# are then arrays with one entry per row, and (k, a, e) are shared.  A
-# float tau runs the same functions on Python floats and libm.
+# tau, so one term list serves a group of rows: tau is an array with one
+# entry per row (ascending), and so is a coefficient c that depends on
+# the row; (k, a, e) are shared, since only kappa and gamma set them.
 
-_Rows = float | NDArray[np.float64]  # one value, or one per row of a stack of tau
+_Rows = float | NDArray[np.float64]  # one value shared by the rows, or one per row
 _Term = tuple[_Rows, int, float, float]  # (c, k, a, e)
 
 
 class _Split(Exception):
-    """A branch test of the term algebra disagrees between rows of a
-    stack; ``at`` is the first row (in ascending tau) whose outcome
-    differs from the first row's."""
+    """A branch test of the term algebra, or a rate, disagrees between the
+    rows of a group; ``at`` is the first row (in the group's order) whose
+    value differs from the first row's."""
 
     def __init__(self, at: int):
         super().__init__(at)
         self.at = at
 
 
-def _fn(x: _Rows):
-    """``math`` for a float, numpy for the rows of a stack."""
-    return np if isinstance(x, np.ndarray) else math
-
-
-def _agree(test) -> bool:
-    """The outcome of a branch test: a bool, or one per row of a stack,
-    where every row must agree; rows that do not raise :class:`_Split`.
-    Neither branch is evaluated where it does not apply: a closed form
-    overflows where its series applies."""
-    if not isinstance(test, np.ndarray):
-        return test
-    differs = test != test[0]
+def _agree(rows: NDArray):
+    """The value that every row shares, of a branch test's outcome or of a
+    rate; rows that differ from the first raise :class:`_Split`.  Neither
+    branch is evaluated where it does not apply: a closed form overflows
+    where its series applies."""
+    differs = rows != rows[0]
     if differs.any():
         raise _Split(int(differs.argmax()))
-    return bool(test[0])
-
-
-def _top(x: _Rows) -> float:
-    """The largest of ``x``, a float or a stack's ascending rows."""
-    return float(x[-1]) if isinstance(x, np.ndarray) else x
-
-
-def _nonzero_terms(acc: dict[tuple[int, float, float], _Rows]) -> list[_Term]:
-    """The terms of ``acc`` {(k, a, e): c}, less those whose float c is zero."""
-    return [(c, *key) for key, c in acc.items() if isinstance(c, np.ndarray) or c != 0.0]
+    return rows[0].item()
 
 
 def _consolidate(terms: list[_Term]) -> list[_Term]:
@@ -113,16 +97,12 @@ def _consolidate(terms: list[_Term]) -> list[_Term]:
     for c, k, a, e in terms:
         key = (k, a, e)
         acc[key] = acc.get(key, 0.0) + c
-    return _nonzero_terms(acc)
+    return [(c, *key) for key, c in acc.items()]
 
 
 def _mul(f: list[_Term], g: list[_Term]) -> list[_Term]:
-    acc: dict[tuple[int, float, float], _Rows] = {}
-    for cf, kf, af, ef in f:
-        for cg, kg, ag, eg in g:
-            key = (kf + kg, af + ag, ef + eg)
-            acc[key] = acc.get(key, 0.0) + cf * cg
-    return _nonzero_terms(acc)
+    return _consolidate([(cf * cg, kf + kg, af + ag, ef + eg)
+                         for cf, kf, af, ef in f for cg, kg, ag, eg in g])
 
 
 def _eval(f: list[_Term], t: float) -> float:
@@ -130,12 +110,12 @@ def _eval(f: list[_Term], t: float) -> float:
     return sum(c * t**k * math.exp(min(a * t, 700.0)) for c, k, a, e in f)
 
 
-def _series(b: float, x: _Rows) -> list[float]:
+def _series(b: float, x: NDArray) -> list[float]:
     """Coefficients b^m / m! of integral_0^x t^K exp(b t) dt = sum_m (b^m / m!)
     x^(K+m+1) / (K+m+1), |b| x < 0.5, up to the first term whose ratio to the
-    leading one, at most |b x|^m / m!, is below SERIES_CUTOFF (on every row
-    of a stack ``x``)."""
-    facs, z = [1.0], abs(b) * _top(x)
+    leading one, at most |b x|^m / m!, is below SERIES_CUTOFF on every row
+    of the ascending ``x``."""
+    facs, z = [1.0], abs(b) * float(x[-1])
     ratio = z
     while ratio >= SERIES_CUTOFF:
         facs.append(facs[-1] * (b / len(facs)))
@@ -143,7 +123,7 @@ def _series(b: float, x: _Rows) -> list[float]:
     return facs
 
 
-def _phi(k: int, w: _Rows, z: float) -> _Rows:
+def _phi(k: int, w: NDArray, z: float) -> NDArray:
     """k! phi_{k+1}(w) = sum_m k! w^m / (m+k+1)! (Hochbruck and Ostermann,
     Acta Numerica 19, 209 (2010)) for |w| <= z <= k + 1, where the terms
     shrink from the first, up to the first term whose ratio to the
@@ -160,26 +140,24 @@ def _phi(k: int, w: _Rows, z: float) -> _Rows:
 
 
 def _int_tk_exp(
-    k: int, a: float, E: _Rows, x: _Rows, fn, series: dict[float, list[float]]
-) -> _Rows:
-    """exp(E) * integral_0^x t^k exp(a t) dt, assuming E + a x <= ~0; ``fn``
-    is ``_fn(x)`` and ``series`` keeps the _series coefficients of each
-    rate at this x.  The branch tests of a float skip :func:`_agree`,
-    whose call would cost the scalar path a few percent."""
-    stacked = fn is np
+    k: int, a: float, E: NDArray, x: NDArray, series: dict[float, list[float]]
+) -> NDArray:
+    """exp(E) * integral_0^x t^k exp(a t) dt on ascending rows x, assuming
+    E + a x <= ~0; ``series`` keeps the _series coefficients of each rate
+    at this x."""
     z = abs(a) * x
-    if _agree(z < 0.5) if stacked else z < 0.5:  # series around a = 0
+    if _agree(z < 0.5):  # series around a = 0
         acc = 0.0
         for P, fac in enumerate(series.get(a) or series.setdefault(a, _series(a, x)), k + 1):
             acc += fac * x**P / P
-        return fn.exp(E) * acc
+        return np.exp(E) * acc
     if k == 0:
         if a < 0:
-            return fn.exp(E) * fn.expm1(a * x) / a
-        return (fn.exp(E + a * x) - fn.exp(E)) / a
-    if _agree(z <= k + 1) if stacked else z <= k + 1:
+            return np.exp(E) * np.expm1(a * x) / a
+        return (np.exp(E + a * x) - np.exp(E)) / a
+    if _agree(z <= k + 1):
         # x^(k+1) e^(ax) k! phi_{k+1}(-ax), where the closed form below cancels
-        return x ** (k + 1) * fn.exp(E + a * x) * _phi(k, -a * x, _top(z))
+        return x ** (k + 1) * np.exp(E + a * x) * _phi(k, -a * x, float(z[-1]))
     # antiderivative e^{at} sum_i (-1)^{k-i} (k!/i!) t^i / a^{k-i+1}
     upper = 0.0
     fac = 1.0  # (-1)^{k-i} k!/i! starting at i = k
@@ -187,17 +165,16 @@ def _int_tk_exp(
         upper += fac * x**i / a ** (k - i + 1)
         fac *= -i
     lower = (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-    return fn.exp(E + a * x) * upper - fn.exp(E) * lower
+    return np.exp(E + a * x) * upper - np.exp(E) * lower
 
 
-def _integrate(f: list[_Term], x: _Rows) -> _Rows:
-    """integral_0^x f(t) dt for a pulse of duration x."""
-    fn = _fn(x)
+def _integrate(f: list[_Term], x: NDArray) -> NDArray:
+    """integral_0^x f(t) dt for the ascending pulse durations x."""
     series: dict[float, list[float]] = {}
-    return sum(c * _int_tk_exp(k, a, e * x, x, fn, series) for c, k, a, e in f)
+    return sum(c * _int_tk_exp(k, a, e * x, x, series) for c, k, a, e in f)
 
 
-def _tail_convolution(f: list[_Term], g: list[_Term], tau: _Rows) -> list[_Term]:
+def _tail_convolution(f: list[_Term], g: list[_Term], tau: NDArray) -> list[_Term]:
     """h(s) = integral_s^tau f(t) g(t - s) dt as a term list in s."""
     out: list[_Term] = []
     for cf, kf, af, ef in f:
@@ -230,15 +207,17 @@ class PulsedParams:
     ``g`` and ``alpha2`` set the measurement rate alpha2 g / 2; the
     residual x^2 rate alpha2^2 omega_m / [8 (2 + alpha2^2)] only drives
     the unmeasured momentum quadrature.  ``V0`` is the prepared variance
-    of x and ``bath`` the environment during readout.
+    of x and ``bath`` the environment during readout.  Every field but
+    the bath may be a 1-D array, one value per row of a stack (see
+    :func:`pulsed_metrics`).
     """
 
-    kappa: float
-    gamma: float
-    omega_m: float
-    g: float
-    alpha2: float
-    V0: float
+    kappa: _Rows
+    gamma: _Rows
+    omega_m: _Rows
+    g: _Rows
+    alpha2: _Rows
+    V0: _Rows
     bath: BathSpec
 
     def __post_init__(self):
@@ -247,16 +226,20 @@ class PulsedParams:
         check_sign("nonnegative", alpha2=self.alpha2, g=self.g)
 
     @property
-    def x2_rate(self) -> float:
+    def x2_rate(self) -> _Rows:
         return self.alpha2**2 * self.omega_m / (8.0 * (2.0 + self.alpha2**2))
 
     @property
-    def measurement_rate(self) -> float:
+    def measurement_rate(self) -> _Rows:
         return self.alpha2 * self.g / 2.0
 
     @property
     def degenerate_rates(self) -> bool:
         return abs(self.kappa - self.gamma) < DEGENERATE_RATE_TOL * self.kappa
+
+
+#: the fields of :class:`PulsedParams` that may hold one value per row
+_ROW_FIELDS = ("kappa", "gamma", "omega_m", "g", "alpha2", "V0")
 
 
 def readout_drift(p: PulsedParams) -> NDArray[np.float64]:
@@ -270,6 +253,7 @@ def readout_drift(p: PulsedParams) -> NDArray[np.float64]:
 
 
 def _m23_terms(p: PulsedParams) -> list[_Term]:
+    """M23(t) as terms, of one kappa and gamma."""
     if p.degenerate_rates:
         return [(p.measurement_rate, 1, -p.kappa / 2, 0.0)]
     c = 2.0 * p.measurement_rate / (p.kappa - p.gamma)
@@ -305,24 +289,23 @@ def measurement_gain(p: PulsedParams, tau: float, pulse_shape: str = "matched") 
         raise ValueError("pulse duration must be nonnegative")
     if tau == 0.0 or p.measurement_rate == 0.0:
         return 1.0
-    return 1.0 + _filter(p, tau, pulse_shape)[2] ** 2
+    return 1.0 + _filter(p, np.array([tau]), pulse_shape)[2].item() ** 2
 
 
-def _filter(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[list[_Term], _Rows, _Rows]:
+def _filter(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple[list[_Term], _Rows, _Rows]:
     """Output filter as (unnormalized shape, scalar norm factor, signal
     amplitude: the coefficient of x(0) in the filtered quadrature).  The
     matched filter's norm diverges as the pulse shrinks, so it is kept
     out of the symbolic integrals and applied to the results."""
     m23 = _m23_terms(p)
-    fn = _fn(tau)
     if pulse_shape == "matched":
         gm1 = p.kappa * _integrate(_mul(m23, m23), tau)  # kappa * int M23^2
         if np.any(gm1 <= 0.0):  # zero coupling, or M23 lost to cancellation
             raise DegenerateMeter(
                 f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
-        return m23, fn.sqrt(p.kappa / gm1), fn.sqrt(gm1)
+        return m23, np.sqrt(p.kappa / gm1), np.sqrt(gm1)
     if pulse_shape == "flat":
-        norm = 1.0 / fn.sqrt(tau)
+        norm = 1.0 / np.sqrt(tau)
         return [(1.0, 0, 0.0, 0.0)], norm, math.sqrt(p.kappa) * norm * _integrate(m23, tau)
     raise ValueError(f"unknown pulse shape {pulse_shape!r}")
 
@@ -412,17 +395,19 @@ def prepare_state_lyapunov(
 
 
 def _in_caller_order(kernel):
-    """``kernel(p, tau, ...)``, where a tau stack that fails a meter guard
-    runs again as float tau in the caller's order: it raises the error of
-    its first failing tau with that tau's own text (the stack runs sorted,
-    and where a guard's value is cancellation noise its bits differ)."""
+    """``kernel(p, tau, ...)``, where a stack that fails a guard runs again
+    row by row in the caller's order, each row a stack of one: it raises
+    the error of its first failing row with that row's own text (the
+    stack runs sorted, in groups, and where a guard's value is
+    cancellation noise its bits differ)."""
     @functools.wraps(kernel)
     def run(p: PulsedParams, tau: _Rows, *args, **kwargs):
         try:
             return kernel(p, tau, *args, **kwargs)
-        except DegenerateMeter:
-            for t in np.ravel(tau).tolist():
-                kernel(p, t, *args, **kwargs)
+        except TvmeterError:
+            rows = np.broadcast_arrays(tau, *(getattr(p, f) for f in _ROW_FIELDS))
+            for t, *row in zip(*(np.ravel(r).tolist() for r in rows)):
+                kernel(replace(p, **dict(zip(_ROW_FIELDS, row))), t, *args, **kwargs)
             raise
     return run
 
@@ -433,29 +418,34 @@ def pulsed_covariances(
 ) -> tuple[_Rows, _Rows, _Rows]:
     """(V33, V32, V22) of mechanical position and the filtered output
     quadrature at hold time tau, all integrals in closed form; for a 1-D
-    array of tau, one array each (see :func:`pulsed_metrics`)."""
-    return _covariances(p, tau, pulse_shape)[:3]
+    stack of rows, one array each (see :func:`pulsed_metrics`)."""
+    return tuple(_covariances(p, tau, pulse_shape)[:3])
 
 
-def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
+def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> NDArray[np.float64]:
     """:func:`pulsed_covariances`, the signal amplitude and the noise
     parts of V33, V32 and V22 (what each holds besides V0 times its
-    signal coefficient), as :func:`_group_covariances` returns them.
+    signal coefficient), as :func:`_group_covariances` returns them, in
+    an array of shape (7, rows...): tau and the fields of ``p`` broadcast
+    to the rows, and one tau with numbers is a stack of one of shape ().
 
-    An array of tau is sorted and run group by group through
-    :func:`_group_covariances`, each group on a term list whose
-    coefficients hold one value per row.  A group starts as all rows; a
-    branch test that disagrees between its rows cuts it where the
-    outcome changes, and both parts are run again.  Overflow, division
-    by zero and invalid values raise FloatingPointError, where libm on a
-    float tau raises OverflowError, ZeroDivisionError or ValueError.
+    The rows are sorted by (kappa, gamma, tau) and run group by group
+    through :func:`_group_covariances`, each group on a term list whose
+    coefficients hold one value per row where they depend on it.  A
+    group starts as all rows; a rate or a branch test that disagrees
+    between its rows cuts it where the value changes, and both parts are
+    run again.  Overflow, division by zero and invalid values in the
+    term algebra raise :class:`TvmeterError`.
     """
+    shape = np.broadcast_shapes(np.shape(tau), *(np.shape(getattr(p, f)) for f in _ROW_FIELDS))
+    tau, kappa, gamma = (np.broadcast_to(x, shape).astype(float).reshape(-1)
+                         for x in (tau, p.kappa, p.gamma))
     if np.any(tau <= 0):
         raise ValueError("pulse duration must be positive")
-    if not isinstance(tau, np.ndarray):
-        return _group_covariances(p, tau, pulse_shape)
-    tau = tau.astype(float, copy=False)
-    order = np.argsort(tau, kind="stable")
+    # the other fields enter only coefficients: a number stays one
+    coefficients = {f: np.broadcast_to(v, shape).reshape(-1) for f in _ROW_FIELDS[2:]
+                    if np.ndim(v := getattr(p, f))}
+    order = np.lexsort((tau, gamma, kappa))
     out = np.empty((7, len(tau)))
     spans = [(0, len(tau))] if len(tau) else []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -463,22 +453,26 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, 
             lo, hi = spans.pop()
             rows = order[lo:hi]
             try:
-                out[:, rows] = _group_covariances(p, tau[rows], pulse_shape)
+                group = replace(p, kappa=_agree(kappa[rows]), gamma=_agree(gamma[rows]),
+                                **{f: v[rows] for f, v in coefficients.items()})
+                out[:, rows] = _group_covariances(group, tau[rows], pulse_shape)
             except _Split as split:
                 spans += [(lo, lo + split.at), (lo + split.at, hi)]
-    return tuple(out)
+            except FloatingPointError as err:
+                raise TvmeterError(f"pulsed readout integrals: {err}") from err
+    return out.reshape(7, *shape)
 
 
-def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_Rows, ...]:
-    """(V33, V32, V22, Gs, B, C, N) of a float tau, or of ascending rows
-    of tau on which every branch test agrees: V33 = exp(-gamma tau) V0 + B,
-    V32 = Gs exp(-gamma tau / 2) V0 + C and V22 = Gs^2 V0 + N."""
-    fn = _fn(tau)
+def _group_covariances(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple[NDArray, ...]:
+    """(V33, V32, V22, Gs, B, C, N) of ascending rows of tau that share
+    ``p``'s float kappa and gamma, and on which every branch test agrees:
+    V33 = exp(-gamma tau) V0 + B, V32 = Gs exp(-gamma tau / 2) V0 + C and
+    V22 = Gs^2 V0 + N."""
     Vx = p.bath.V_x
     nopt = p.bath.optical_variance
-    B = Vx * (-fn.expm1(-p.gamma * tau))
-    V33 = fn.exp(-p.gamma * tau) * p.V0 + B
-    if p.measurement_rate == 0.0:
+    B = Vx * (-np.expm1(-p.gamma * tau))
+    V33 = np.exp(-p.gamma * tau) * p.V0 + B
+    if _agree(np.broadcast_to(p.measurement_rate == 0.0, tau.shape)):
         return V33, 0.0 * tau, nopt + 0.0 * tau, 0.0 * tau, B, 0.0 * tau, nopt + 0.0 * tau
     shape, norm, Gs = _filter(p, tau, pulse_shape)
     m22 = [(1.0, 0, -p.kappa / 2, 0.0)]
@@ -491,7 +485,7 @@ def _group_covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[_
     aging = [(1.0, 0, p.gamma / 2, -p.gamma / 2)]  # M33(tau - s)
     J2 = norm * _integrate(_mul(aging, G), tau)
     C = p.gamma * math.sqrt(p.kappa) * Vx * J2
-    V32 = p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C
+    V32 = p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C
     # V22 per the formal-integration noise decomposition
     a0 = norm * _integrate(_mul(shape, m22), tau)
     t_cav0 = p.kappa * a0**2 * nopt            # initial intracavity Y
@@ -515,10 +509,11 @@ def pulsed_metrics(
     x(tau) on the filtered output mode.  Detection loss ``bath.eta``
     is a beam splitter on that mode, mixing in optical input noise.
 
-    A 1-D array of tau gives a list of figures, one per tau in order, as
-    :func:`~tvmeter.metrics.evaluate` does on a stack; the term algebra
-    runs once per group of rows whose series and closed-form branches
-    agree (:func:`_covariances`).
+    Tau and the fields of ``p`` may be 1-D arrays, which broadcast to the
+    rows of a stack: it gives a list of figures, one per row in order, as
+    :func:`~tvmeter.metrics.evaluate` does on a stack.  The term algebra
+    runs once per group of rows that share kappa and gamma and whose
+    series and closed-form branches agree (:func:`_covariances`).
 
     V_c = V33 - eta V32^2 / V_mm is formed with its V0^2 terms cancelled
     by hand.  Where the meter resolves x(0) well those terms are nearly
@@ -526,13 +521,13 @@ def pulsed_metrics(
     point loses digits (1e-11 of V_c at kappa tau = 1000, g = 2 kappa).
     """
     V33, _, _, Gs, B, C, N = _covariances(p, tau, pulse_shape)
-    eta, fn = p.bath.eta, _fn(tau)
+    eta = p.bath.eta
     G_m = eta * Gs**2  # detected signal power gain
     N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
     V_mm = G_m * p.V0 + N_m
     if np.any(V_mm <= METER_FLOOR):
         raise DegenerateMeter(f"meter variance {np.min(V_mm):.3e} is not positive")
-    Vc = (fn.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
-          - eta * C * (2.0 * p.V0 * Gs * fn.exp(-p.gamma * tau / 2) + C) / V_mm)
-    return measured_figures(_clamped(Vc, V33), V33, V_mm, fn.exp(-p.gamma * tau), G_m, p.V0,
+    Vc = (np.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
+          - eta * C * (2.0 * p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C) / V_mm)
+    return measured_figures(_clamped(Vc, V33), V33, V_mm, np.exp(-p.gamma * tau), G_m, p.V0,
                             omega=0.0)

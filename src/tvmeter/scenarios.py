@@ -11,17 +11,17 @@ cavity-optomechanics scenarios, kappa for the levitodynamics ones); for
 qnd-imperfect, mu, nu and xi are in units of gamma and delta_c in units
 of kappa.  Exactly one of C and g is set where both exist.
 
-``Scenario.array_params`` names the parameters that ``figures`` takes
-as arrays (the arrays broadcast), giving one result per point.  Every
-scenario with a detection frequency takes every numeric parameter:
-``figures`` and ``vc`` solve the points as one stack (an array of kappa
-or gamma stacks H as well), at one detection frequency or at frequencies
-paired with the points, and ``rows`` builds the stack of a scan's rows
-once and scores V_c on the rows it is asked for.  lev-pulsed takes tau,
-and evaluates the term algebra of the pulsed kernel once per group of
-rows that share its branches.  The builders and kernels are called
-through this module's globals, never stored in a record, so that a
-wrapper on a module attribute sees every call.
+``figures`` takes an array of any numeric parameter (the arrays
+broadcast), giving one result per point.  Every scenario with a
+detection frequency solves the points as one stack in ``figures`` and
+``vc`` (an array of kappa or gamma stacks H as well), at one detection
+frequency or at frequencies paired with the points, and ``rows`` builds
+the stack of a scan's rows once and scores V_c on the rows it is asked
+for.  lev-pulsed prepares the state once per distinct preparation and
+evaluates the term algebra of the pulsed kernel once per group of rows
+that share kappa, gamma and its branches.  The builders and kernels are
+called through this module's globals, never stored in a record, so that
+a wrapper on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -52,23 +52,22 @@ from .pulsed import PulsedParams, prepare_state_lyapunov, pulsed_metrics
 @dataclass(frozen=True)
 class Scenario:
     """``figures(params, bath, omega, conditioning)`` gives the figures
-    of merit and ``vc`` (as ``figures``) V_c.  ``figures`` takes an array
-    for each parameter in ``array_params`` and then gives a list of
-    figures, one per point; ``vc`` takes arrays of every numeric parameter
-    (and frequencies paired as in :func:`metrics.vc_on_grid`) and gives an
-    array.  ``rows(params, bath, conditioning)`` builds the stack of the
-    rows of ``params`` once and gives ``vc(ks, omegas)``, sliced from it:
-    V_c of the rows in a list ks paired with omegas, or of the row ks (an
-    int) at every one of them, as :func:`optimize.minimize_on_grid` asks.
-    ``default_omega`` maps the parameters to the detection frequency; None
-    means there is none.  ``prepare`` fills in a prepared state that
-    depends only on the parameters in ``preparation``."""
+    of merit and ``vc`` (as ``figures``) V_c.  Both take arrays of every
+    numeric parameter (and frequencies paired as in
+    :func:`metrics.vc_on_grid`); ``figures`` then gives a list of figures,
+    one per point, and ``vc`` an array.  ``rows(params, bath,
+    conditioning)`` builds the stack of the rows of ``params`` once and
+    gives ``vc(ks, omegas)``, sliced from it: V_c of the rows in a list ks
+    paired with omegas, or of the row ks (an int) at every one of them, as
+    :func:`optimize.minimize_on_grid` asks.  ``default_omega`` maps the
+    parameters to the detection frequency; None means there is none.
+    ``prepare`` fills in a prepared state that depends only on the
+    parameters in ``preparation``."""
 
     defaults: Mapping[str, Any]
     figures: Callable
     vc: Callable | None = None
     rows: Callable[[dict, BathSpec, str], Callable] | None = None
-    array_params: frozenset[str] = frozenset()
     default_omega: Callable[[dict], float] | None = lambda p: 0.0
     conditionings: tuple[str, ...] = ("meter",)
     preparation: tuple[str, ...] = ()
@@ -127,10 +126,9 @@ def _stacked(defaults: dict, build, figures, vc, point_axes: Mapping[str, int], 
 
         return vc_rows
 
-    numeric = frozenset(k for k, v in defaults.items() if not isinstance(v, str))  # None: unset
     return Scenario(defaults, lambda p, bath, w, c="meter": figures(build(p, bath), bath, w, c),
                     vc=lambda p, bath, w, c="meter": vc(build(p, bath), bath, w, c),
-                    rows=rows, array_params=numeric, **kw)
+                    rows=rows, **kw)
 
 
 def _model_based(defaults: dict, build, **kw) -> Scenario:
@@ -165,12 +163,19 @@ def _dual(p: dict, bath: BathSpec) -> DualTweezerParams:
     return DualTweezerParams.from_intensity_split(g_total, fraction, **rates)
 
 
+_PREPARATION = ("kappa", "gamma", "g_prep", "alpha_prep")
+
+
 def _pulsed_prepared(p: dict, bath: BathSpec) -> dict:
-    """``p`` with V0 set: as given, else the preparation stage's steady state."""
+    """``p`` with V0 set: as given, else the preparation stage's steady
+    state, solved once per distinct preparation among the rows of ``p``."""
     if p["V0"] is not None:
         return p
-    V0, _ = prepare_state_lyapunov(p["kappa"], p["gamma"], p["g_prep"], p["alpha_prep"], bath)
-    return {**p, "V0": V0}
+    prep = np.broadcast_arrays(*(np.asarray(p[k], dtype=float) for k in _PREPARATION))
+    rows = list(zip(*(np.ravel(v).tolist() for v in prep)))
+    solved = {row: prepare_state_lyapunov(*row, bath)[0] for row in dict.fromkeys(rows)}
+    V0 = np.reshape([solved[row] for row in rows], prep[0].shape)
+    return {**p, "V0": V0 if V0.ndim else V0.item()}
 
 
 def _pulsed_figures(p, bath, omega=None, conditioning="meter"):
@@ -204,6 +209,6 @@ SCENARIOS: dict[str, Scenario] = {
     "lev-pulsed": Scenario(
         dict(kappa=1.0, gamma=1e-9, omega_m=100.0, g_prep=0.6, alpha_prep=0.2, g=0.6,
              alpha=0.6, tau=1.0, V0=None, pulse_shape="matched"),
-        _pulsed_figures, default_omega=None, array_params=frozenset({"tau"}),
-        preparation=("kappa", "gamma", "g_prep", "alpha_prep", "V0"), prepare=_pulsed_prepared),
+        _pulsed_figures, default_omega=None, preparation=(*_PREPARATION, "V0"),
+        prepare=_pulsed_prepared),
 }

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tvmeter
@@ -27,6 +27,7 @@ from tvmeter import (
     floquet,
     ideal_qnd_model,
     optimize,
+    pulsed,
     qnd_cooperativity_threshold,
     scenarios,
     vc_on_grid,
@@ -360,6 +361,9 @@ SCAN_RANGES = {
     "lev-dual": dict(kappa1=(-0.5, 5.0), kappa2=(-0.5, 5.0), gamma=(-1e-9, 1e-6),
                      omega_m=(-10.0, 300.0), g1=(-0.2, 1.0), g2=(-0.2, 1.0), alpha1=(-0.5, 3.0),
                      alpha2=(-0.5, 2.0), g_total=(-0.2, 1.0), readout_fraction=(-0.2, 1.2)),
+    "lev-pulsed": dict(kappa=(-0.5, 3.0), gamma=(-1e-3, 1.0), omega_m=(-10.0, 300.0),
+                       g_prep=(-0.2, 1.5), alpha_prep=(-0.5, 3.0), g=(-0.2, 2.0),
+                       alpha=(-0.5, 2.0), tau=(-1.0, 1e3), V0=(-1.0, 100.0)),
 }
 
 
@@ -380,7 +384,7 @@ def _scan_commands(draw):
         argv += ["--set", f"{'readout_fraction' if name == 'g_total' else 'g_total'}=0.5"]
     if sql:
         argv += ["--c-count", "3", "--c-bounds", "1", "1.001"]  # few rounds
-    if draw(st.booleans()):
+    if SCENARIOS[scenario].vc is not None and draw(st.booleans()):
         w_lo = draw(st.floats(1e-3, 10.0))
         argv += ["--optimize-frequency", "--omega-bounds", repr(w_lo),
                  repr(w_lo * draw(st.floats(0.5, 1e3)))]
@@ -389,6 +393,7 @@ def _scan_commands(draw):
 
 @settings(max_examples=15)
 @given(argv=_scan_commands())
+@example(argv=["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"])  # overflows
 def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
     out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -495,17 +500,33 @@ PULSED_TAU_SWEEP = ["sweep", "--scenario", "lev-pulsed", "--param", "tau", "--lo
                     "--n", "300", "--n-m", "1e7"]
 
 
+def assert_rows_close(got: bytes, want: bytes) -> None:
+    """Tables equal but for cells within 1e-11 relative, with equal regimes:
+    a row computed in a stack of rows groups its term algebra with other
+    rows, and its series may run a term longer than its own."""
+    got, want = got.decode().splitlines(), want.decode().splitlines()
+    assert len(got) == len(want)
+    for g_line, w_line in zip(got, want):
+        if g_line.startswith("#") or g_line.endswith(",regime"):
+            assert g_line == w_line
+            continue
+        *g_cells, g_regime = g_line.split(",")
+        *w_cells, w_regime = w_line.split(",")
+        assert g_regime == w_regime
+        assert np.allclose([float(c) for c in g_cells], [float(c) for c in w_cells],
+                           rtol=1e-11, atol=0.0)
+
+
 class TestStackedPulsedRows:
-    """A tau sweep of lev-pulsed evaluates blocks of rows as stacks of tau,
-    and falls back to one row at a time; its other parameters go row by
-    row."""
+    """A sweep of any numeric lev-pulsed parameter evaluates blocks of rows
+    as stacks, and falls back to one row at a time."""
 
     @staticmethod
     def stack_sizes(monkeypatch) -> list[int]:
         sizes, pulsed_metrics = [], scenarios.pulsed_metrics
 
         def counted(p, tau, **kwargs):
-            sizes.append(np.size(tau))
+            sizes.append(np.broadcast(tau, p.kappa, p.gamma, p.omega_m, p.g, p.alpha2, p.V0).size)
             return pulsed_metrics(p, tau, **kwargs)
 
         monkeypatch.setattr(scenarios, "pulsed_metrics", counted)
@@ -519,22 +540,11 @@ class TestStackedPulsedRows:
         assert sizes == [cli.BLOCK_ROWS, 500 - cli.BLOCK_ROWS]
 
     def test_tau_sweep_rows_equal_the_scalar_rows(self, tmp_path, monkeypatch, row_by_row_table):
-        # numpy's exp and pow round differently from libm's in the last bit
         sizes = self.stack_sizes(monkeypatch)
         rc, out = run(PULSED_TAU_SWEEP, tmp_path)
         assert rc == 0
         assert sizes == [cli.BLOCK_ROWS, 300 - cli.BLOCK_ROWS]
-        got, want = out.read_text().splitlines(), row_by_row_table(PULSED_TAU_SWEEP).decode().splitlines()
-        assert len(got) == len(want)
-        for g_line, w_line in zip(got, want):
-            if g_line.startswith("#") or g_line.startswith("tau,"):
-                assert g_line == w_line
-                continue
-            *g_cells, g_regime = g_line.split(",")
-            *w_cells, w_regime = w_line.split(",")
-            assert g_regime == w_regime
-            assert np.allclose([float(c) for c in g_cells], [float(c) for c in w_cells],
-                               rtol=1e-11, atol=0.0)
+        assert_rows_close(out.read_bytes(), row_by_row_table(PULSED_TAU_SWEEP))
 
     @pytest.mark.parametrize("error", [DegenerateMeter, FloatingPointError])
     def test_failing_block_reruns_its_rows_one_at_a_time(self, error, tmp_path, monkeypatch,
@@ -557,13 +567,31 @@ class TestStackedPulsedRows:
         ["--param", "g_prep", "--log", "0.1", "0.6", "--n", "6"],
         ["--param", "alpha", "--lin", "0.1", "1", "--n", "6", "--tau", "3"],
     ], ids=["g_prep", "alpha"])
-    def test_other_parameters_go_row_by_row(self, argv, tmp_path, monkeypatch, row_by_row_table):
+    def test_other_parameters_sweep_as_one_stack(self, argv, tmp_path, monkeypatch,
+                                                 row_by_row_table):
         argv = ["sweep", "--scenario", "lev-pulsed", *argv, "--n-m", "1e7"]
         sizes = self.stack_sizes(monkeypatch)
         rc, out = run(argv, tmp_path)
         assert rc == 0
-        assert sizes == [1] * 6
-        assert out.read_bytes() == row_by_row_table(argv)
+        assert sizes == [6]
+        assert_rows_close(out.read_bytes(), row_by_row_table(argv))
+
+    @pytest.mark.parametrize("lo, hi, groups", [("1", "1", [4]), ("0.5", "2", [1] * 4)],
+                             ids=["repeated", "distinct"])
+    def test_rows_of_equal_rates_share_a_group(self, lo, hi, groups, tmp_path, monkeypatch,
+                                               row_by_row_table):
+        # kappa sets the rates of the term algebra: rows of one kappa (at one
+        # tau, so every branch test agrees) run it once, other rows alone
+        sizes, group_covariances = [], pulsed._group_covariances
+        monkeypatch.setattr(pulsed, "_group_covariances",
+                            lambda p, tau, shape: sizes.append(len(tau))
+                            or group_covariances(p, tau, shape))
+        argv = ["sweep", "--scenario", "lev-pulsed", "--param", "kappa", "--lin", lo, hi,
+                "--n", "4", "--n-m", "1e7"]
+        rc, out = run(argv, tmp_path)
+        assert rc == 0
+        assert sizes == groups
+        assert_rows_close(out.read_bytes(), row_by_row_table(argv))
 
 
 def _two_values(defaults: dict, name: str) -> tuple[float, float]:
@@ -578,16 +606,19 @@ def _two_values(defaults: dict, name: str) -> tuple[float, float]:
     return value, 2 * value
 
 
+#: (scenario, parameter, optimize): every numeric parameter of every
+#: scenario at a fixed frequency, and optimized where there is a frequency
 STACKED_SWEEPS = [
-    (scenario, name)
-    for scenario, record in SCENARIOS.items() if record.vc is not None
+    (scenario, name, optimize)
+    for scenario, record in SCENARIOS.items()
     for name, value in record.defaults.items() if value is None or not isinstance(value, str)
+    for optimize in ([False, True] if record.vc is not None else [False])
 ]
 
 
-@pytest.mark.parametrize("optimize", [False, True], ids=["fixed", "optimized"])
-@pytest.mark.parametrize("scenario, name", STACKED_SWEEPS,
-                         ids=[f"{s}-{n}" for s, n in STACKED_SWEEPS])
+@pytest.mark.parametrize("scenario, name, optimize", STACKED_SWEEPS,
+                         ids=[f"{s}-{n}-{'optimized' if o else 'fixed'}"
+                              for s, n, o in STACKED_SWEEPS])
 def test_every_numeric_parameter_sweeps_as_one_stack(scenario, name, optimize, tmp_path,
                                                      monkeypatch):
     # a sweep falls back to one row at a time only when its stack fails
@@ -936,6 +967,16 @@ class TestValidation:
         assert rc == 3
         assert capsys.readouterr().err.startswith(
             "tv: numerical failure at tau=0.1: matched filter undefined: kappa * int M23^2 = ")
+        assert not out.exists()
+
+    def test_overflowing_integrals_are_a_numerical_failure(self, tmp_path, capsys):
+        # at tau = 3.2e8 the power series of int (G G) overflows: tau**P above 1e308
+        rc, out = run(["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"], tmp_path)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("tv: numerical failure at tau=316227766.01683795: pulsed readout "
+                              "integrals: overflow encountered in ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds, level, where, message", [

@@ -156,23 +156,24 @@ CANCELLED_M23 = PulsedParams(kappa=1.0, gamma=0.9999997, omega_m=100.0, g=1.0, a
 ], ids=["first", "last", "stack-ascending", "stack-descending"])
 def test_matched_filter_of_a_tau_stack(kernel, tau, value):
     """A tau stack raises for its first failing tau in the caller's order,
-    with that tau's text as a float, although its rows run sorted."""
+    with the text of that tau alone, although its rows run sorted."""
     with pytest.raises(DegenerateMeter) as err:
         kernel(CANCELLED_M23, tau)
     assert str(err.value) == f"matched filter undefined: kappa * int M23^2 = {value}"
 
 
 @pytest.mark.parametrize("tau, value", [
-    (0.65, "-4.712e+12"),
+    (0.65, "-1.885e+12"),
     (0.9, "-1.199e+12"),
-    (np.array([0.65, 1.0, 0.9]), "-4.712e+12"),
+    (np.array([0.65, 1.0, 0.9]), "-1.885e+12"),
     (np.array([0.9, 1.0, 0.65]), "-1.199e+12"),
 ], ids=["first", "last", "stack-ascending", "stack-descending"])
 def test_meter_variance_of_a_tau_stack(tau, value):
     """The filtered meter variance cancels to noise of order -1e12 at these
     tau (tau = 1 passes): a stack raises for its first failing tau in the
-    caller's order, with that tau's text as a float, although the stack's
-    own noise differs from the float's and its smallest is another row's."""
+    caller's order, with the text of that tau alone (a stack of one),
+    although the stack's own noise differs and its smallest is another
+    row's."""
     with pytest.raises(DegenerateMeter) as err:
         pulsed_metrics(CANCELLED_M23, tau)
     assert str(err.value) == f"meter variance {value} is not positive"

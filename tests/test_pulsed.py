@@ -487,17 +487,35 @@ def _rates(kappa):
     )
 
 
+def _per_row(draw, n: int, values):
+    """One value of the strategy ``values`` shared by the n rows, or one
+    per row."""
+    if draw(st.booleans()):
+        return draw(values)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
 @st.composite
 def _pulsed_stacks(draw):
     kappa = draw(st.floats(0.1, 10.0))
     gamma = draw(_rates(kappa))
-    g = kappa * draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
-    alpha2 = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1.5)))
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30))
+    n = len(exponents)
+    g = kappa * _per_row(draw, n, st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    alpha2 = _per_row(draw, n, st.one_of(st.just(0.0), st.floats(1e-2, 1.5)))
     bath = BathSpec(n_m=10 ** draw(st.floats(-2.0, 7.0)), eta=draw(st.floats(0.1, 1.0)))
     p = PulsedParams(kappa=kappa, gamma=gamma, omega_m=100.0 * kappa, g=g, alpha2=alpha2,
-                     V0=draw(st.floats(0.05, 100.0)), bath=bath)
-    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30))
+                     V0=_per_row(draw, n, st.floats(0.05, 100.0)), bath=bath)
     return p, 10 ** np.array(exponents) / kappa, draw(st.sampled_from(["matched", "flat"]))
+
+
+def _row(p, k):
+    """Row k of PulsedParams whose g, alpha2 and V0 are numbers or arrays."""
+    row = {}
+    for name in ("g", "alpha2", "V0"):
+        value = getattr(p, name)
+        row[name] = float(value[k]) if np.ndim(value) else value
+    return replace(p, **row)
 
 
 @settings(max_examples=60)
@@ -507,22 +525,40 @@ def _pulsed_stacks(draw):
                  bath=BathSpec(n_m=1.0)),
     np.array([1000.0]), "flat"))
 def test_stacked_rows_equal_the_scalar_path(case):
-    """A stack of tau (from 1e-3 / kappa to 1e3 / kappa) gives every row's
-    figures as the float tau does, within 1e-11: numpy's exp and pow
-    round differently from libm's in the last bit.  n_eq = V / G - V0 is
-    a difference, so it is held to 1e-11 of V / G."""
+    """A stack of rows (tau from 1e-3 / kappa to 1e3 / kappa, with g, alpha2
+    and V0 shared or one per row) gives every row's figures as the row
+    alone does, within 1e-11: a row runs its term algebra grouped with
+    other rows, and its series may run a term longer than its own.  n_eq
+    = V / G - V0 is a difference, so it is held to 1e-11 of V / G."""
     p, taus, shape = case
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         stack = pulsed_metrics(p, taus, pulse_shape=shape)
     assert len(stack) == len(taus)
-    for tau, got in zip(taus, stack):
-        want = pulsed_metrics(p, float(tau), pulse_shape=shape)
+    for k, (tau, got) in enumerate(zip(taus, stack)):
+        row = _row(p, k)
+        want = pulsed_metrics(row, float(tau), pulse_shape=shape)
         for name in ("Vc", "Ts", "Tm"):
             assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-11), name
         for name in ("ns_eq", "nm_eq"):
             a, b = getattr(got, name), getattr(want, name)
-            assert a == b or abs(a - b) <= 1e-11 * (abs(b) + p.V0), name
+            assert a == b or abs(a - b) <= 1e-11 * (abs(b) + row.V0), name
     for bad in (0.0, -taus[0]):
         with pytest.raises(ValueError, match="pulse duration must be positive"):
-            pulsed_metrics(p, np.append(taus, bad), pulse_shape=shape)
+            pulsed_metrics(p, np.append(taus[1:], bad), pulse_shape=shape)
+
+
+def test_mixed_stack_against_extended_precision_quadrature():
+    """A stack whose rows differ in g, alpha2, V0 and tau (two rows share a
+    tau, so they share a group), against 30-digit quadrature of each row."""
+    g, alpha2 = np.array([0.6, 1.0, 0.3, 2.0]), np.array([0.6, 0.2, 1.0, 0.5])
+    V0, taus = np.array([0.3, 1.0, 5.0, 0.45]), np.array([0.5, 5.0, 2.0, 0.5])
+    p = replace(fig9_params(), g=g, alpha2=alpha2, V0=V0)
+    V33, V32, V22 = pulsed_covariances(p, taus)
+    figs = pulsed_metrics(p, taus)
+    for k, tau in enumerate(taus):
+        want = _oracle(_row(p, k), tau)
+        got = {"V33": V33[k], "V32": V32[k], "V22": V22[k], "Vc": figs[k].Vc,
+               "nm_eq": figs[k].nm_eq, "Tm": figs[k].Tm}
+        for name, value in got.items():
+            assert value == pytest.approx(float(want[name]), rel=1e-10, abs=0.0), (k, name)

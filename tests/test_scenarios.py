@@ -54,9 +54,11 @@ def _figures_take_stacks(scenario) -> bool:
 
 
 def test_only_cooperativity_scenarios_scan_c(capsys):
-    # vc is set exactly where the figures take parameter stacks ...
+    # every scenario's figures take parameter stacks, and vc is set exactly
+    # where there is a detection frequency to scan ...
+    assert all(_figures_take_stacks(s) for s in SCENARIOS.values())
     assert {name for name, s in SCENARIOS.items() if s.vc is not None} == {
-        name for name, s in SCENARIOS.items() if _figures_take_stacks(s)
+        name for name, s in SCENARIOS.items() if s.default_omega is not None
     }
     # ... and the SQL scan still needs a cooperativity, which lev-single lacks
     assert SCENARIOS["lev-single"].vc is not None
