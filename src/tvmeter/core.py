@@ -259,55 +259,68 @@ def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     matrix stays singular (a zero row or column stays zero).  ``M`` may
     be a stack ``[..., i, j]``.
     """
-    r = np.maximum(_max_along(np.abs(M), -1), _TINY)
+    r = np.maximum(np.abs(M).max(-1), _TINY)
     E = M / r[..., :, None]
-    c = np.maximum(_max_along(np.abs(E), -2), _TINY)
+    c = np.maximum(np.abs(E).max(-2), _TINY)
     E /= c[..., None, :]
     return E, r, c
 
 
-def _max_along(a: NDArray, axis: int) -> NDArray:
-    """``a.max(axis)`` from the elementwise maxima of the slices (same bits;
-    on a stack ``.max`` runs one short loop per row of each matrix)."""
-    a = a.swapaxes(axis, -1)
-    return functools.reduce(np.maximum, [a[..., k] for k in range(a.shape[-1])])
-
-
-def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = None) -> None:
+def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = None,
+                     at: tuple | None = None) -> None:
     """Raise :class:`SingularAtFrequency` unless the equilibrated rcond
     of ``M`` (or of every matrix of the stack ``M[..., i, j]``) reaches
     ``RCOND_FLOOR`` (the rcond is that of the SVD; NaN entries count as
     singular).  The first failing matrix, in stack order, raises with its
-    frequency: ``omega`` broadcast against the stack.
+    frequency: ``omega`` broadcast against the stack.  With ``at`` =
+    (rows, cols), ``M[k, ...]`` holds the entries at (rows[k], cols[k]),
+    every diagonal position among them, and the rest are zero.
 
     Every matrix first takes a cheaper sufficient test: with E the
     equilibrated matrix, ||E||_2 ||E^-1||_2 <= ||E||_F ||E^-1||_F, so a
     Frobenius bound of at most 1 / (2 ``RCOND_FLOOR``) puts the 2-norm
     rcond at 2 ``RCOND_FLOOR`` or above; the factor 2 covers the rounding
     of the computed inverse (about n eps kappa, 1e-3 of the bound there).
-    E^-1 = diag(c) M^-1 diag(r) comes from the caller's solve ``solved``
-    = (X, h) of X = M^-1 diag(h), else from inverting E.  Only the
-    matrices this does not accept (a NaN bound among them, or the whole
-    stack when an exactly singular matrix stops the inverse) go on to the
-    SVD rcond, so the matrices that raise, and the rcond they report, are
-    those of the SVD test alone.
+    It runs in real arithmetic on the moduli of the given entries and the
+    row and column scales r and c.  E^-1 = diag(c) M^-1 diag(r) comes from
+    the caller's solve ``solved`` = (X, h) of X = M^-1 diag(h), X given as
+    ``M`` is (with ``at``, h as ``h[j, ...]``), else from inverting E.  Only
+    the matrices this does not accept (a NaN bound among them, or all when
+    an exactly singular matrix stops the inverse) go on to the SVD rcond,
+    so the matrices that raise, and their rcond, are the SVD test's alone.
     """
-    E, r, c = _equilibrated(M)
+    if solved is None:  # M is a stack of whole matrices
+        try:
+            inverse = np.abs(np.linalg.inv(_equilibrated(M)[0]))
+            inverse2 = np.einsum("...ij,...ij->...", inverse, inverse)
+        except np.linalg.LinAlgError:  # an exactly singular matrix: all go to the SVD
+            inverse2 = np.nan
+    n = M.shape[-1] if at is None else max(at[0]) + 1
+    rows, cols, in_row, in_col = _positions(n, at)
+    if at is None:  # every entry, in row-major order
+        rank = M.ndim - 2
+        M = _entries_first(M.reshape(M.shape[:-2] + (n * n,)), rank)
+        if solved is not None:
+            solved = (_entries_first(solved[0].reshape(M.shape[1:] + (-1,)), rank),
+                      _entries_first(solved[1], rank))
     with np.errstate(over="ignore", invalid="ignore"):
-        if solved is not None:  # ||E^-1||_F^2 = sum_ij c_i^2 |X_ij|^2 (r_j / h_j)^2
-            X2 = np.abs(solved[0])
-            X2 *= X2
-            inverse2 = ((c**2)[..., None, :] @ X2 @ ((r / solved[1]) ** 2)[..., :, None])[..., 0, 0]
-        else:
-            try:
-                inverse2 = _frobenius2(np.linalg.inv(E))
-            except np.linalg.LinAlgError:  # an exactly singular matrix: all go to the SVD
-                inverse2 = np.nan
-        checked = ~(_frobenius2(E) * inverse2 <= 0.25 / RCOND_FLOOR**2)  # NaN is checked
+        e = np.abs(M)
+        r = np.maximum(functools.reduce(np.maximum, e[in_row]), _TINY)
+        e /= r[rows]
+        c = np.maximum(functools.reduce(np.maximum, e[in_col]), _TINY)
+        e /= c[cols]
+        if solved is not None:  # |E^-1_ij| = c_i |X_ij| r_j / h_j
+            inverse = np.abs(solved[0]) * c[rows] * (r / solved[1])[cols]
+            inverse2 = np.einsum("k...,k...->...", inverse, inverse)
+        checked = ~(np.einsum("k...,k...->...", e, e) * inverse2 <= 0.25 / RCOND_FLOOR**2)
     if not checked.any():
         return
+    E = np.zeros((np.count_nonzero(checked), n, n), M.dtype)
+    E[:, rows, cols] = M[:, checked].T
+    E = _equilibrated(E)[0]
+    E[~np.isfinite(E).all(axis=(-2, -1))] = 0.0  # singular: the SVD does not converge on NaN
     rcond = np.full(checked.shape, np.inf)
-    rcond[checked] = 1.0 / np.linalg.cond(E[checked])
+    rcond[checked] = 1.0 / np.linalg.cond(E)
     singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
     if singular.size:
         k = singular[0]
@@ -315,10 +328,20 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
         raise SingularAtFrequency(w, float(rcond.ravel()[k]))
 
 
-def _frobenius2(M: NDArray) -> NDArray[np.float64]:
-    """Squared Frobenius norm of each matrix of a stack."""
-    parts = np.ascontiguousarray(M).view(float)  # real and imaginary parts side by side
-    return np.einsum("...ij,...ij->...", parts, parts)
+@functools.cache
+def _positions(n: int, at: tuple | None) -> tuple:
+    """(rows, cols, in_row, in_col) of the entries at ``at`` (all, row-major,
+    if None); column i of in_row (in_col) lists row (column) i's entries."""
+    index = np.divmod(np.arange(n * n), n) if at is None else tuple(map(np.array, at))
+    groups = [[list(np.flatnonzero(axis == i)) for i in range(n)] for axis in index]
+    return index + tuple(np.array([g + g[:1] * (max(map(len, gs)) - len(g)) for g in gs]).T
+                         for gs in groups)
+
+
+def _entries_first(entries: NDArray, rank: int) -> NDArray:
+    """The view ``[k, ...]`` of ``entries[..., k]`` with ``rank`` stack axes."""
+    entries = entries.reshape((1,) * (rank + 1 - entries.ndim) + entries.shape)
+    return entries.transpose((rank, *range(rank)))
 
 
 def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
@@ -342,7 +365,7 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     except np.linalg.LinAlgError:
         X = None
     _require_regular(M, omega, None if X is None else (X, h))
-    return -(H @ (np.linalg.solve(M, H) if X is None else X) + eye)
+    return -(h[..., :, None] * (np.linalg.solve(M, H) if X is None else X) + eye)  # H X
 
 
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
@@ -373,7 +396,9 @@ def _output_density(blocks, Vin: NDArray) -> NDArray[np.complex128]:
     sidebands of a periodic drift, each ``S[..., i, j]``): their densities
     add incoherently, and the sum is symmetrized once."""
     Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
-    V = functools.reduce(np.add, [S @ Vin @ S.conj().swapaxes(-1, -2) for S in blocks])
+    n = Vin.shape[-1]  # a shared V_in takes one product over the stack
+    V = functools.reduce(np.add, [((S.reshape(-1, n) @ Vin).reshape(S.shape) if Vin.ndim == 2
+                                   else S @ Vin) @ S.conj().swapaxes(-1, -2) for S in blocks])
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
 
 

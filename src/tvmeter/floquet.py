@@ -12,15 +12,15 @@ A(0) + i(w - 2 n w_m) I.  The output spectrum at detection frequency w
 collects component n driven by the input at w + 2 n w_m, through one
 scattering block S_n per component.
 
-The expansion ends at |n| = 1 without truncation error.  The drift is
-feed forward: the sidebands route X -> (x, p) and (x, p) -> Y only,
-nothing drives X, Y drives nothing, and the mechanical block of every
-diagonal block is a multiple of the identity.  So A(+-1) D^-1 A(+-1) is a
-multiple of A(+-1)^2 = 0, the components |n| >= 2 vanish, and eliminating
-the +-1 components leaves one 4x4 Schur complement per base frequency
-(cf. the harmonic-balance treatment of Malz and Nunnenkamp, PRA 94,
-023803 (2016)).  Every diagonal block and Schur complement is lower
-triangular in the order (X, x, Y, p), so each is inverted by substitution.
+The expansion ends at |n| = 1 without truncation error: the drift is feed
+forward (the sidebands route X -> (x, p) and (x, p) -> Y only, nothing
+drives X, Y drives nothing, the static mechanical block is a multiple of
+the identity, and A(+-1)^2 = 0), so A(+-1) D^-1 A(+-1), a multiple of
+A(+-1)^2, vanishes, and so do the components |n| >= 2.  Eliminating the +-1
+components leaves one 4x4 Schur complement per base frequency (cf. Malz and
+Nunnenkamp, PRA 94, 023803 (2016)).  Every diagonal block, Schur complement
+and inverse is lower triangular in (X, x, Y, p) with nine possible entries,
+and the solve is closed-form arithmetic on them; other drifts raise.
 
 The blocks go to :func:`metrics._from_scattering`, the pipeline every
 scattering map shares, which reduces them in two ways:
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (FOUR_MODE, BathSpec, _require_regular, check_paired, check_sign,
-                   check_stable, input_covariance, matrix)
+from .core import (FOUR_MODE, BathSpec, _entries_first, _require_regular, check_paired,
+                   check_sign, check_stable, input_covariance, matrix)
 from .metrics import MeasurementFigures, _from_scattering, figures_from_parts
 from .models import _readout_couplings, _resolve_coupling
 
@@ -72,9 +72,14 @@ _SIDEBAND_COUPLING = np.array([
     [-1, 0, 0, 0],
 ])
 
-#: offsets j of the diagonal blocks D_j = A(0) + i(w + 2 j w_m) I that the
-#: three base frequencies w + 2 n w_m, n = -1, 0, 1, need
-_OFFSETS = np.arange(-2, 3)
+#: offsets j of the blocks D_j = A(0) + i(w + 2 j w_m) I that the base frequencies
+#: w + 2 n w_m, n = -1, 0, 1, need, then the n of their Schur complements
+_OFFSETS = np.array([-2, -1, 0, 1, 2, -1, 0, 1])
+
+#: (rows, columns) in (X, Y, x, p) where a feed-forward A(0) may be nonzero; A(+-1)
+#: only at (x, X), (p, X), (Y, x), (Y, p), and S_{+-1} at the last five
+_AT = ((0, 1, 2, 3, 2, 3, 1, 1, 1), (0, 1, 2, 3, 0, 0, 2, 3, 0))
+_I, _J = np.array(_AT)
 
 
 def decompose_drift(
@@ -124,52 +129,62 @@ def sideband_scattering(
     contributed by component n, driven by the input at w + 2 n w_m.
 
     At base frequency w + 2 n w_m the components -1, 0, +1 sit on the
-    diagonal blocks D_{n+1}, D_n, D_{n-1}.  With P_j = D_j^-1 A(+1) and
-    Q_j = D_j^-1 A(-1), the centre component solves
-    (D_n - A(-1) P_{n-1} - A(+1) Q_{n+1}) u_0 = -H, and u_{+1} = -P_{n-1} u_0,
-    u_{-1} = -Q_{n+1} u_0, with u_0 = -S^-1 H a column scaling (``H`` is
-    diagonal).  A stacked drift, H or ``omega`` (paired as in
-    :func:`metrics.vc_on_grid`) gives stacks of blocks ``[..., i, j]``; the
-    diagonal blocks, then the Schur complements, are checked as in
-    :func:`core.build_scattering`, and the first singular one, in stack
-    order, raises :class:`SingularAtFrequency` at its ``omega``.
+    diagonal blocks D_{n+1}, D_n, D_{n-1}.  The centre component solves
+    S_n u_0 = -H with the Schur complement S_n = D_n - A(-1) D_{n-1}^-1 A(+1)
+    - A(+1) D_{n+1}^-1 A(-1): D_n less sum_m A(-+1)[Y, m] A(+-1)[m, X] /
+    d_{n-+1} at (Y, X) (m = x, p; d_j the mechanical diagonal of D_j).  And
+    u_{+-1} = -D_0^-1 A(+-1) u_0 at n = +-1.  A stacked drift, H or ``omega``
+    (paired as in :func:`metrics.vc_on_grid`) gives stacks of blocks
+    ``[..., i, j]``, each with the bits of its point alone.  The diagonal
+    blocks, then the Schur complements, of each point are checked as in
+    :func:`core.build_scattering`; the first singular one, in stack order,
+    raises :class:`SingularAtFrequency` at its ``omega``.
     """
     h = np.diagonal(H, 0, -2, -1)
     if np.count_nonzero(H) != np.count_nonzero(h):
         raise ValueError("H must be diagonal")
-    check_paired(omega, np.broadcast_shapes(fd.A_zero.shape[:-2], np.shape(fd.omega_m)))
-    omega = np.asarray(omega, dtype=float)[..., None]  # against the offsets of each point
-    shifts = 1j * (omega + np.multiply.outer(2 * fd.omega_m, _OFFSETS))
-    D = fd.A_zero[..., None, :, :] + shifts[..., None, None] * np.eye(4)
-    Dinv = _feed_forward_inverse(D, omega)
-    P = Dinv[..., 0:3, :, :] @ fd.A_plus[..., None, :, :]
-    Q = Dinv[..., 2:5, :, :] @ fd.A_minus[..., None, :, :]
-    schur = D[..., 1:4, :, :] - fd.A_minus[..., None, :, :] @ P - fd.A_plus[..., None, :, :] @ Q
-    u0 = _feed_forward_inverse(schur, omega) * -h[..., None, None, :]
-    return {  # H X scales the rows of X
-        -1: (Q[..., 0, :, :] @ u0[..., 0, :, :]) * -h[..., :, None],
-        0: u0[..., 1, :, :] * h[..., :, None] - np.eye(4),
-        1: (P[..., 2, :, :] @ u0[..., 2, :, :]) * -h[..., :, None],
-    }
-
-
-def _feed_forward_inverse(M: NDArray, omega: NDArray) -> NDArray[np.complex128]:
-    """M^-1 for the stack ``M[..., i, j]`` by forward substitution, once the
-    guard of :func:`core.build_scattering` accepts M (the inverse feeds its
-    bound); ValueError unless M is lower triangular in the order (X, x, Y, p)."""
-    order = (0, 2, 1, 3)  # (X, x, Y, p) in the layout (X, Y, x, p)
-    if M[..., [0, 0, 0, 2, 2, 1], [2, 1, 3, 1, 3, 3]].any():  # above the diagonal
-        raise ValueError("drift is not feed forward: a block has an entry above its diagonal")
+    points = check_paired(omega, np.broadcast_shapes(fd.A_zero.shape[:-2], np.shape(fd.omega_m),
+                                                     h.shape[:-1]))
+    a, Apm = _feed_forward_entries(fd, len(points))  # a[k, ...], Apm[k, -+, ...]
+    M, Minv = np.empty((2, 9, 8) + points, complex)  # [entry, block, ...]: D_j, then S_n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular: inf, NaN
-        minus_g = -1.0 / np.diagonal(M, 0, -2, -1)
-        inverse = minus_g[..., :, None] * -np.eye(4)  # 1 / M[i, i] on the diagonal
-        for a, i in enumerate(order):  # M^-1[i, j] = -sum_k M[i, k] M^-1[k, j] / M[i, i]
-            for b, j in enumerate(order[:a]):
-                terms = (M[..., i, k] * inverse[..., k, j] for k in order[b + 1:a])
-                np.multiply(sum(terms, M[..., i, j] * inverse[..., j, j]), minus_g[..., i],
-                            out=inverse[..., i, j])
-    _require_regular(M, omega, (inverse, 1.0))
-    return inverse
+        M[:] = a[:, None]
+        M[:3] += 1j * (_OFFSETS.reshape((8,) + (1,) * len(points)) * (2 * fd.omega_m) + omega)
+        M[3] = M[2]
+        np.divide(1.0, M[:4], out=Minv[:4])
+        np.multiply(Minv[2] * Minv[[0, 0, 1, 1]], -M[4:8], out=Minv[4:8])
+        k = Apm[2] * Apm[0, ::-1] + Apm[3] * Apm[1, ::-1]
+        M[8, 5:] -= k[0] * Minv[2, :3] + k[1] * Minv[2, 2:5]
+        np.multiply(-(M[8] * Minv[0] + M[6] * Minv[4] + M[7] * Minv[5]), Minv[1], out=Minv[8])
+        by_point = (0, *range(2, M.ndim), 1)  # each point's blocks, then the next point's
+        _require_regular(M.transpose(by_point), np.asarray(omega, float)[..., None],
+                         (Minv.transpose(by_point), 1.0), _AT)
+        D0inv, Sinv = Minv[:, 2, None], Minv[:, 5::2]  # S^-1 at n = -1, +1 on axis 1
+        T = Apm * Sinv[[0, 0, 2, 3]]  # A(+-1) S^-1 at _AT[4:8]
+        F = np.concatenate([T * D0inv[[2, 3, 1, 1]], (D0inv[1] * (  # D_0^-1 T at _AT[4:]
+            Apm[2] * Sinv[4] + Apm[3] * Sinv[5]) + D0inv[6] * T[0] + D0inv[7] * T[1])[None]])
+    h_i, h_j = (_entries_first(h[..., index], len(points)) for index in (_I, _J))
+    S0 = Minv[:, 6] * -h_j * h_i  # H X H at _AT, scaling the columns first
+    S0[:4] -= 1.0
+    blocks = np.zeros((3,) + points + (4, 4), complex)
+    blocks[1][..., _I, _J] = S0.transpose((*range(1, S0.ndim), 0))
+    blocks[::2][..., _I[4:], _J[4:]] = (F * h_j[4:, None] * h_i[4:, None]).transpose(
+        (*range(1, F.ndim), 0))
+    return {-1: blocks[0], 0: blocks[1], 1: blocks[2]}
+
+
+def _feed_forward_entries(fd: FloquetDrift, rank: int) -> tuple[NDArray, NDArray]:
+    """A(0) at ``_AT``, ``[k, ...]``, and A(-1), A(+1) at the sideband ones,
+    ``[k, -+, ...]`` (``rank`` stack axes); ValueError unless feed forward."""
+    a, sidebands = fd.A_zero[..., _I, _J], np.stack((fd.A_minus, fd.A_plus))
+    s = sidebands[..., _I[4:8], _J[4:8]]
+    p, q = s[..., 2] * s[..., 0], s[..., 3] * s[..., 1]  # the terms of A^2 at (Y, X)
+    if (np.count_nonzero(fd.A_zero) != np.count_nonzero(a)
+            or np.count_nonzero(sidebands) != np.count_nonzero(s)
+            or np.count_nonzero(a[..., 2] != a[..., 3]) or (abs(p + q) > 1e-12 * abs(p)).any()):
+        raise ValueError("drift is not feed forward: X is driven, Y drives, the static mechanical "
+                         "block is not a multiple of I, or A(+-1) is not X -> (x, p) -> Y")
+    return _entries_first(a, rank), np.stack([_entries_first(x, rank) for x in s], 1)
 
 
 def _measured(fd: FloquetDrift, bath: BathSpec, omega: float | NDArray, figures: bool):

@@ -1,5 +1,7 @@
 """Scattering construction, input/output covariances, detection loss."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,9 @@ from tvmeter import (
     input_covariance,
     vc_on_grid,
 )
-from tvmeter import core
+from tvmeter import FloquetDrift, core, decompose_drift, floquet
 from tvmeter.core import RCOND_FLOOR
+from tvmeter.models import _readout_couplings
 
 from conftest import output_covariance
 
@@ -320,6 +323,51 @@ class TestSingularityGuard:
         with pytest.raises(SingularAtFrequency) as err:
             core._require_regular(M, omegas)
         assert (err.value.omega, err.value.rcond) == want
+
+    @settings(max_examples=60)
+    @given(
+        kappa=st.floats(-3.0, 1.0), gamma=st.floats(-13.0, 1.0), omega_m=st.floats(0.0, 4.0),
+        points=st.lists(st.tuples(st.floats(-3.0, 4.0), st.sampled_from([0.0, 0.3, 1.0, 2.0])),
+                        min_size=1, max_size=6),
+        undamped=st.booleans(),
+    )
+    def test_same_decision_on_sideband_entries(self, kappa, gamma, omega_m, points, undamped):
+        """The entries the sideband solve hands over (its diagonal blocks and
+        Schur complements at nine positions, with their closed-form
+        inverses), for rate hierarchies down to gamma/omega_m = 1e-13 and a
+        cavity left undamped (singular at w + 2 j w_m = 0)."""
+        omega_m = 10.0**omega_m
+        kappa, gamma = 10.0**kappa * omega_m, 10.0**gamma * omega_m
+        C, w = (np.array(v) for v in zip(*points))
+        fd = decompose_drift(kappa, 1.0, omega_m, C=10.0**C)
+        A_zero = fd.A_zero.copy()
+        A_zero[..., [2, 3], [2, 3]] = -gamma / 2
+        A_zero[..., [0, 1], [0, 1]] = 0.0 if undamped else -kappa / 2
+        guard_input = []
+
+        def capture(*args):
+            guard_input.append(args)
+            raise StopIteration  # the kernel stops where the guard would raise
+
+        with mock.patch.object(floquet, "_require_regular", capture), pytest.raises(StopIteration):
+            floquet.sideband_scattering(FloquetDrift(fd.A_minus, A_zero, fd.A_plus, omega_m),
+                                        _readout_couplings(kappa, gamma), w * omega_m)
+        (M, omegas, solved, at), = guard_input
+        dense = np.zeros(M.shape[1:] + (4, 4), dtype=complex)
+        dense[..., at[0], at[1]] = np.moveaxis(M, 0, -1)
+        dense = dense.reshape(-1, 4, 4)
+        finite = np.isfinite(dense).all(axis=(-2, -1))  # NaN entries count as singular
+        rcond = np.zeros(len(dense))
+        rcond[finite] = 1.0 / np.linalg.cond(core._equilibrated(dense[finite])[0])
+        failing = np.flatnonzero(~(rcond >= RCOND_FLOOR))
+        if not failing.size:
+            core._require_regular(M, omegas, solved, at)
+            return
+        with pytest.raises(SingularAtFrequency) as err:
+            core._require_regular(M, omegas, solved, at)
+        k = failing[0]
+        assert (err.value.omega, err.value.rcond) == (np.broadcast_to(omegas, M.shape[1:]).flat[k],
+                                                      rcond[k])
 
     def test_straddling_stack(self):
         exponents = np.linspace(-13.0, -11.0, 21)

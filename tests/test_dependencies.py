@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: the library never imports scipy,
 so `tv` does not pay for loading it (scipy stays a test oracle).  Every
 name a module imports is used.  And the output pipeline stays single:
-one module turns scattering maps into figures of merit."""
+one module turns scattering maps into figures of merit, and one guard
+checks every solve."""
 
 import ast
 import os
@@ -76,3 +77,27 @@ def test_one_output_pipeline():
                 if path.stem not in PIPELINE_CALLERS.get(name, {path.stem}):
                     stray.append(f"{path.name}:{node.lineno} {name}")
     assert stray == []
+
+
+def test_one_guard_and_no_matrix_products_in_the_sideband_solve():
+    """Every kernel reaches the SVD rcond through ``core._require_regular``
+    alone, and the sideband solve is elementwise arithmetic on the entries
+    of its blocks: ``floquet`` has no ``@``, which numpy would hand to BLAS
+    one 4 x 4 matrix at a time."""
+    def cond_calls(tree):
+        return sum(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cond"
+                   for node in ast.walk(tree))
+
+    anywhere = in_guard = 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        anywhere += cond_calls(tree)
+        if path.stem == "core":
+            in_guard += sum(cond_calls(node) for node in tree.body
+                            if getattr(node, "name", None) == "_require_regular")
+        if path.stem == "floquet":
+            matmuls = [node.lineno for node in ast.walk(tree)
+                       if isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult)]
+    assert anywhere == in_guard == 1
+    assert matmuls == []

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmeter import (
     FOUR_MODE,
@@ -163,6 +165,48 @@ class TestScattering:
         with pytest.raises(ValueError, match="not feed forward"):
             sideband_scattering(drift, _readout_couplings(0.5, 0.01), 0.3)
 
+    @pytest.mark.parametrize("part, entry, value", [
+        ("A_zero", (3, 2), 0.05),     # x drives p: the mechanical block is not a multiple of I
+        ("A_zero", (3, 3), -0.02),    # p damped unlike x
+        ("A_minus", (2, 3), 0.1),     # a sideband inside the mechanical block
+        ("A_minus", (1, 3), 0.3j),    # A(-1)^2 = 0 no longer holds
+    ], ids=["p-driven-by-x", "unequal-damping", "sideband-x-p", "square"])
+    def test_drift_outside_the_premise_raises(self, part, entry, value):
+        """The static drifts stay lower triangular in (X, x, Y, p) and still
+        give sidebands beyond |n| = 1 (at least 1e-6 of the largest block in
+        the order-4 solve), which the three-component solve would drop
+        without a word; every drift outside the premise raises instead."""
+        fd = decompose_drift(0.5, 0.01, OMEGA_M, C=1.0)
+        parts = {name: getattr(fd, name).copy() for name in ("A_minus", "A_zero")}
+        parts[part][entry] = value
+        drift = FloquetDrift(parts["A_minus"], parts["A_zero"], parts["A_minus"].conj(), OMEGA_M)
+        H = _readout_couplings(0.5, 0.01)
+        if part == "A_zero":
+            blocks = _block_tridiagonal_blocks(drift, H, 0.3, order=4)
+            largest = max(np.abs(S).max() for S in blocks.values())
+            assert min(np.abs(blocks[n]).max() for n in (-2, 2)) > 1e-6 * largest
+        with pytest.raises(ValueError, match="^drift is not feed forward"):
+            sideband_scattering(drift, H, 0.3)
+
+    def test_every_feed_forward_drift_is_solved_exactly(self):
+        """Entries the QND drift leaves at zero but the premise allows (the
+        static X -> x, p -> Y and X -> Y couplings, sidebands whose squares
+        cancel only up to rounding) take the same closed form."""
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            A_zero = np.diag([-0.3, -0.2, -0.05, -0.05])
+            A_zero[[2, 3, 1, 1, 1], [0, 0, 2, 3, 0]] = rng.normal(size=5)
+            A_minus = np.zeros((4, 4), dtype=complex)
+            A_minus[[2, 3, 1], [0, 0, 2]] = rng.normal(size=3) + 1j * rng.normal(size=3)
+            A_minus[1, 3] = -A_minus[1, 2] * A_minus[2, 0] / A_minus[3, 0]
+            fd = FloquetDrift(A_minus, A_zero, A_minus.conj(), OMEGA_M)
+            H = np.diag(rng.uniform(0.1, 1.0, 4))
+            want = _block_tridiagonal_blocks(fd, H, 0.3, order=3)
+            got = sideband_scattering(fd, H, 0.3)
+            bound = 1e-12 * max(np.abs(S).max() for S in want.values())
+            for n, S in want.items():
+                assert np.abs(got[n] - S if abs(n) < 2 else S).max() <= bound
+
     def test_input_couplings_must_be_diagonal(self):
         H = _readout_couplings(0.5, 0.01)
         H[1, 0] = 0.1
@@ -306,6 +350,32 @@ class TestDriftStack:
         assert floquet_vc(single, bath, omega) == floquet_metrics(single, bath, omega).Vc
 
 
+class TestClosedForm:
+    """The closed-form blocks on generated drifts: against the solve of the
+    whole harmonic system, and each stacked block with the bits of its
+    point alone."""
+
+    RATE = st.floats(-3.0, 1.0).map(lambda e: 10.0**e * OMEGA_M)
+    POINT = st.tuples(RATE, RATE, st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+                      st.floats(0.0, 3.0 * OMEGA_M))
+
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(POINT, min_size=1, max_size=50))
+    def test_blocks_against_the_harmonic_system_and_each_point_alone(self, points):
+        kappa, gamma, C, omega = (np.array(v) for v in zip(*points))
+        blocks = sideband_scattering(decompose_drift(kappa, gamma, OMEGA_M, C=C),
+                                     _readout_couplings(kappa, gamma), omega)
+        for k, (kappa_k, gamma_k, C_k, omega_k) in enumerate(points):
+            fd = decompose_drift(kappa_k, gamma_k, OMEGA_M, C=C_k)
+            H = _readout_couplings(kappa_k, gamma_k)
+            alone = sideband_scattering(fd, H, omega_k)
+            want = _block_tridiagonal_blocks(fd, H, omega_k, order=3)
+            bound = 1e-10 * max(np.abs(S).max() for S in want.values())
+            for n in (-1, 0, 1):
+                np.testing.assert_array_equal(blocks[n][k], alone[n])
+                assert np.abs(alone[n] - want[n]).max() <= bound
+
+
 class TestPairedFrequencies:
     """An array of detection frequencies pairs with the drift stack as
     ``vc_on_grid`` pairs it: one drift at every frequency, or one
@@ -421,8 +491,8 @@ def _mp_figures(fd, bath, omega):
 
 class TestExtendedPrecision:
     """The kernel against a 40-digit solve of the three-component system
-    (the old LU kernel and the substitution both measure 4.7e-14 on V_c
-    over this grid)."""
+    (the old LU kernel, the substitution and the closed form all measure
+    4.75e-14 on V_c over this grid)."""
 
     @pytest.mark.parametrize("omega", [0.0, 0.3])
     @pytest.mark.parametrize("kappa", [0.05, 0.2, 1.0])

@@ -8,12 +8,13 @@ The frequency-optimized tables (fig2, fig4) must also keep every byte:
 their rows come from the lockstep refinement of all rows, which gives
 each row the bits of a scan of the row alone.  So must the fixed-frequency
 C sweeps fig3 and fig5, whose rows come from stacked evaluations of
-blocks of rows.  The fig7 and fig8 goldens predate two moves of the
-sideband solve in the last digits, to the exact three-component solve and
-then to its substitution kernel: fig7 is off its golden by up to 4.9e-14
-(ns_eq), and fig8 by up to 4.3e-14 (V_c; 7.2e-14 before the
-substitution).  So both keep the 1e-12 tolerance, and fig7's stacked rows
-are held byte for byte to one ``scenario_figures`` call per row instead.
+blocks of rows.  The fig7 and fig8 goldens predate three moves of the
+sideband solve in the last digits, to the exact three-component solve,
+to its substitution kernel and to its closed form on the nonzero entries:
+fig7 is off its golden by up to 4.9e-14 (ns_eq), and fig8 by up to
+3.6e-14 (V_c and nm_eq; 4.3e-14 with the substitution, 7.2e-14 before
+it).  So both keep the 1e-12 tolerance, and fig7's stacked rows are held
+byte for byte to one ``scenario_figures`` call per row instead.
 
 To re-record a table after a deliberate change of the physics, run the
 command below with ``--output tests/golden/<name>.csv`` and say why in
