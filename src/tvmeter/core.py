@@ -170,15 +170,37 @@ def matrix(rows) -> NDArray[np.float64]:
     return M.reshape(shape + (len(rows), -1))
 
 
+def raise_first(*guards) -> None:
+    """Raise the error that a loop over the points of a stack would raise.
+    ``guards`` are (failed, error) pairs in the order a point checks them;
+    ``failed`` marks the failing points (a bool, or boolean arrays that
+    broadcast over the stack), and ``error(k)`` builds the exception of
+    flat point k.  The first failing point, in C order, raises the error
+    of its first failing guard.  Every per-point guard raises through here."""
+    if not any(np.count_nonzero(f) if isinstance(f, np.ndarray) else f for f, _ in guards):
+        return
+    masks = np.broadcast_arrays(*(f for f, _ in guards))
+    k = int(np.argmax(functools.reduce(np.logical_or, masks)))
+    raise next(error(k) for (_, error), failed in zip(guards, masks) if failed.flat[k])
+
+
 def check_sign(sign: str, **values) -> None:
-    """Raise ValueError unless every value is ``sign`` ("positive" or
-    "nonnegative"; NaN is neither), naming the parameter and its value
-    (of an array, the first failing entry in stack order)."""
-    for name, value in values.items():
-        ok = value > 0 if sign == "positive" else value >= 0
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            bad = value[~ok][0] if isinstance(ok, np.ndarray) else value
-            raise ValueError(f"{name} must be {sign}, got {float(bad)}")
+    """Raise ValueError unless every value is ``sign`` ("positive" or "nonnegative";
+    NaN is neither), naming the parameter and its value: of arrays, which
+    broadcast, the first failing point, and there its first failing parameter."""
+    check_signs(**{sign: values})
+
+
+def check_signs(positive=(), nonnegative=()) -> None:
+    """:func:`check_sign` of the dicts ``positive``, then ``nonnegative``,
+    whose values all broadcast together."""
+    checks = [("positive", *item) for item in dict(positive).items()]
+    checks += [("nonnegative", *item) for item in dict(nonnegative).items()]
+    at = lambda value, k: float(np.broadcast_arrays(value, *(v for *_, v in checks))[0].flat[k])
+    raise_first(*((np.logical_not(value > 0 if sign == "positive" else value >= 0),
+                   lambda k, sign=sign, name=name, value=value:
+                   ValueError(f"{name} must be {sign}, got {at(value, k)}"))
+                  for sign, name, value in checks))
 
 
 @dataclass(frozen=True)
@@ -213,13 +235,10 @@ class LinearModel:
             raise ValueError("H must be diagonal with finite nonnegative entries")
         if not np.allclose(Vin, Vin.T, atol=1e-12):
             raise ValueError("Vin must be symmetric")
-        for m in range(n // 2):
-            block = Vin[2 * m : 2 * m + 2, 2 * m : 2 * m + 2]
-            if np.linalg.det(block) < 0.25 - 1e-9:
-                raise ValueError(
-                    f"input covariance block of mode {m} violates the "
-                    f"Heisenberg bound (det = {np.linalg.det(block):.6g})"
-                )
+        det = np.linalg.det(Vin.reshape(n // 2, 2, n // 2, 2).diagonal(0, 0, 2).transpose(2, 0, 1))
+        raise_first((det < 0.25 - 1e-9, lambda m: ValueError(  # of each mode's 2 x 2 block
+            f"input covariance block of mode {m} violates the "
+            f"Heisenberg bound (det = {det[m]:.6g})")))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "Vin", Vin)
@@ -244,9 +263,7 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     their spectral covariances diverge).  ``A`` may be a stack
     ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
     max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
-    unstable = max_real > -tol
-    if np.count_nonzero(unstable):
-        raise UnstableModel(float(max_real[unstable].flat[0]))
+    raise_first((max_real > -tol, lambda k: UnstableModel(float(np.ravel(max_real)[k]))))
 
 
 def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -321,11 +338,9 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
     E[~np.isfinite(E).all(axis=(-2, -1))] = 0.0  # singular: the SVD does not converge on NaN
     rcond = np.full(checked.shape, np.inf)
     rcond[checked] = 1.0 / np.linalg.cond(E)
-    singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))
-    if singular.size:
-        k = singular[0]
-        w = float(np.broadcast_to(omega, rcond.shape).ravel()[k]) if np.ndim(omega) else omega
-        raise SingularAtFrequency(w, float(rcond.ravel()[k]))
+    raise_first((~(rcond >= RCOND_FLOOR), lambda k: SingularAtFrequency(
+        float(np.broadcast_to(omega, rcond.shape).flat[k]) if np.ndim(omega) else omega,
+        float(rcond.flat[k]))))
 
 
 @functools.cache

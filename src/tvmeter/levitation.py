@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import FOUR_MODE, BathSpec, LinearModel, check_paired, check_sign, matrix
-from .errors import NegativeLinewidth
+from .core import (FOUR_MODE, BathSpec, LinearModel, check_paired, check_sign, check_signs,
+                   matrix, raise_first)
+from .errors import NegativeLinewidth, TvmeterError
 from .metrics import MeasurementFigures, _abs2, _from_scattering, figures_from_parts
 from .models import ImperfectQndParams, imperfect_qnd_model
 
@@ -51,8 +52,8 @@ class TweezerParams:
     Omega: float | None = None
 
     def __post_init__(self):
-        check_sign("positive", omega_m=self.omega_m, kappa=self.kappa, gamma=self.gamma)
-        check_sign("nonnegative", alpha=self.alpha)
+        check_signs(dict(omega_m=self.omega_m, kappa=self.kappa, gamma=self.gamma),
+                    dict(alpha=self.alpha))
 
     @classmethod
     def from_trap_frequency(cls, omega_tr: float, alpha: float, **kw) -> "TweezerParams":
@@ -113,10 +114,9 @@ class DualTweezerParams:
     alpha_2: float
 
     def __post_init__(self):
-        check_sign("positive", omega_m=self.omega_m, gamma=self.gamma, kappa_1=self.kappa_1,
-                   kappa_2=self.kappa_2)
-        check_sign("nonnegative", g_1=self.g_1, g_2=self.g_2, alpha_1=self.alpha_1,
-                   alpha_2=self.alpha_2)
+        check_signs(dict(omega_m=self.omega_m, gamma=self.gamma, kappa_1=self.kappa_1,
+                         kappa_2=self.kappa_2),
+                    dict(g_1=self.g_1, g_2=self.g_2, alpha_1=self.alpha_1, alpha_2=self.alpha_2))
 
     @classmethod
     def from_intensity_split(
@@ -157,13 +157,17 @@ class DualTweezerParams:
         return np.where(norm == 0.0, 0.0, rate)
 
 
-def _broadened_linewidth(p: DualTweezerParams):
-    """gamma_m; :class:`NegativeLinewidth` names its first nonpositive value."""
-    gm = p.gamma_m
-    if np.any(gm <= 0):
-        first = np.extract(gm <= 0, gm)[0]
-        raise NegativeLinewidth(f"broadened linewidth {first:.3e} is not positive")
-    return gm
+def _broadened_linewidth(p: DualTweezerParams, omega: float | NDArray):
+    """(gamma_m, 1 / (kappa_1^2 + 4 omega^2)); at the first failing point, a nonpositive
+    gamma_m raises :class:`NegativeLinewidth`, and an overflow :class:`TvmeterError`."""
+    with np.errstate(over="ignore"):
+        gm, den = p.gamma_m, p.kappa_1**2 + 4.0 * omega**2
+    raise_first((gm <= 0, lambda k: NegativeLinewidth(f"broadened linewidth "
+                 f"{np.broadcast_arrays(gm, den)[0].flat[k]:.3e} is not positive")),
+                (np.isinf(gm) | (den < 1.0 / np.finfo(float).max), lambda k: TvmeterError(
+                    f"kappa_1 = {np.broadcast_arrays(p.kappa_1, gm, den)[0].flat[k]:.3e} "
+                    "overflows the compound signal")))
+    return gm, 1.0 / den
 
 
 def compound_signal_variances(
@@ -175,8 +179,7 @@ def compound_signal_variances(
     At carrier detection the optical contribution reduces to
     g_1^2 (2 -/+ alpha_1)^2 / (8 gamma_m kappa_1).  Arrays broadcast.
     """
-    gm = _broadened_linewidth(p)
-    chi1_sq = 1.0 / (p.kappa_1**2 + 4.0 * omega**2)
+    gm, chi1_sq = _broadened_linewidth(p, omega)
     opt = p.g_1**2 * p.kappa_1 * chi1_sq / (8.0 * gm)
     vx = p.gamma / gm * bath.V_x + opt * (2.0 - p.alpha_1) ** 2
     vp = p.gamma / gm * bath.V_p + opt * (2.0 + p.alpha_1) ** 2
@@ -188,8 +191,8 @@ def reduced_scattering(p: DualTweezerParams, omega: float | NDArray) -> NDArray[
     eliminating the primary cavity into the compound signal.  Arrays of
     the parameters and of ``omega``, paired as :func:`metrics.vc_on_grid`
     pairs them, give the stack ``[..., i, j]``."""
-    gm = _broadened_linewidth(p)
     shape = check_paired(omega, np.broadcast_shapes(*map(np.shape, vars(p).values())))
+    gm = _broadened_linewidth(p, omega)[0]
     # the complex arithmetic on Python numbers, point by point: numpy's rounds differently
     k2, gm_, w, sig, x2 = (np.asarray(x, dtype=float).astype(object) for x in (
         p.kappa_2, gm, omega, 2.0 * p.g_2 * p.alpha_2, -8.0 * p._x2_rate() * gm))

@@ -51,6 +51,7 @@ from .core import (
     build_scattering,
     check_paired,
     detected,
+    raise_first,
 )
 from .errors import DegenerateMeter, SingularAtFrequency
 
@@ -126,21 +127,11 @@ def _re_triple(a, b, c):
 
 def _clamped(Vc, Vss, *guards) -> NDArray[np.float64]:
     """V_c at each point of a stack (one point is a stack of shape ()),
-    with rounding below zero clamped to zero.
-
-    ``guards`` are the (failed, message) pairs that a point checks before
-    its V_c, in order: ``failed`` marks the points that fail the guard and
-    ``message(k)`` is the text of point k's error.  V_c below
-    ``-VC_CLAMP_TOL * max(V_ss, 1)`` fails last.  The first point that
-    fails any guard, in stack order, raises :class:`DegenerateMeter` with
-    the text of its first failing guard: the error a loop would raise.
-    """
-    guards += ((Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0),
-                lambda k: f"conditional variance {np.asarray(Vc)[k]:.3e} below zero"),)
-    failed = np.logical_or.reduce([f for f, _ in guards])
-    if np.count_nonzero(failed):
-        k = np.unravel_index(np.argmax(failed), np.shape(failed))
-        raise DegenerateMeter(next(message(k) for f, message in guards if f[k]))
+    with rounding below zero clamped to zero.  ``guards`` are the pairs of
+    :func:`core.raise_first` that a point checks before its V_c; V_c below
+    ``-VC_CLAMP_TOL * max(V_ss, 1)`` fails last, as a :class:`DegenerateMeter`."""
+    raise_first(*guards, (Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0), lambda k: DegenerateMeter(
+        f"conditional variance {np.ravel(Vc)[k]:.3e} below zero")))
     return np.maximum(Vc, 0.0)
 
 
@@ -160,8 +151,8 @@ def conditional_variance(
     Vss, Vmm = Vout[..., s, s].real, Vout[..., m, m].real
     with np.errstate(divide="ignore", invalid="ignore"):
         Vc = Vss - _abs2(Vout[..., s, m]) / Vmm
-    return _clamped(Vc, Vss, (Vmm <= METER_FLOOR,
-                              lambda k: f"meter variance {Vmm[k]:.3e} is not positive"))
+    return _clamped(Vc, Vss, (Vmm <= METER_FLOOR, lambda k: DegenerateMeter(
+        f"meter variance {np.ravel(Vmm)[k]:.3e} is not positive")))
 
 
 def _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom):
@@ -193,15 +184,14 @@ def cqnc_conditional_variance(
     a = layout.ancilla_index if layout is not None and layout.ancilla_index is not None else 4
     Vss, Vmm, Vaa = (Vout[..., i, i].real for i in (s, m, a))
     Vsm, Vsa, Vma = Vout[..., s, m], Vout[..., s, a], Vout[..., m, a]
-    guards = [(np.minimum(Vmm, Vaa) <= METER_FLOOR,
-               lambda k: "conditioning channel has vanishing variance")]
-    denom = None
-    if not simplified:
-        denom = Vmm * Vaa - _abs2(Vma)
-        guards.append((denom <= METER_FLOOR, lambda k: "meter/ancilla covariance block is singular"))
+    denom = None if simplified else Vmm * Vaa - _abs2(Vma)
     with np.errstate(divide="ignore", invalid="ignore"):
         Vc = _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom)
-    return _clamped(Vc, Vss, *guards)
+    channel = (np.minimum(Vmm, Vaa) <= METER_FLOOR,
+               lambda k: DegenerateMeter("conditioning channel has vanishing variance"))
+    block = (not simplified and denom <= METER_FLOOR,
+             lambda k: DegenerateMeter("meter/ancilla covariance block is singular"))
+    return _clamped(Vc, Vss, channel, block)
 
 
 def figures_from_parts(
@@ -220,9 +210,8 @@ def figures_from_parts(
     for column, part in zip(columns, (Vc, ns_eq, nm_eq, Vx, omega)):
         column.reshape(points.shape)[...] = part
     Vc, ns, nm, Vx, omega = columns
-    den = Vx + columns[1:3]
-    if np.count_nonzero(den == 0):  # a zero there is finite
-        raise ZeroDivisionError("float division by zero")  # as on Python floats
+    den = Vx + columns[1:3]  # a zero there is finite, and raises as on Python floats
+    raise_first((den == 0, lambda k: ZeroDivisionError("float division by zero")))
     Ts, Tm = np.where(np.isfinite(columns[1:3]), Vx / den, 0.0)
     figures = list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
                        nm.tolist(), classify_regime(Vc, Ts, Tm), omega.tolist()))

@@ -29,6 +29,7 @@ from .core import (
     BathSpec,
     LinearModel,
     check_sign,
+    check_signs,
     check_stable,
     input_covariance,
     matrix,
@@ -67,8 +68,7 @@ class DisplacementParams:
     C: float | None = None
 
     def __post_init__(self):
-        check_sign("positive", kappa=self.kappa, gamma=self.gamma)
-        check_sign("nonnegative", omega_m=self.omega_m)
+        check_signs(dict(kappa=self.kappa, gamma=self.gamma), dict(omega_m=self.omega_m))
 
     @property
     def coupling(self) -> float:

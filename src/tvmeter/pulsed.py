@@ -32,14 +32,13 @@ degenerate, the exponential-sum form of M23 cancels.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import BathSpec, check_sign, check_stable
+from .core import BathSpec, check_signs, check_stable, raise_first
 from .errors import DegenerateMeter, TvmeterError
 from .metrics import (
     METER_FLOOR,
@@ -54,6 +53,9 @@ DEGENERATE_RATE_TOL = 1e-12
 
 #: series terms below this fraction of the leading term are left out
 SERIES_CUTOFF = 1e-18
+
+#: the error text of a matched filter lost to a kappa * int M23^2 <= 0
+_LOST_FILTER = "matched filter undefined: kappa * int M23^2 = {:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +223,8 @@ class PulsedParams:
     bath: BathSpec
 
     def __post_init__(self):
-        check_sign("positive", kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m,
-                   V0=self.V0)
-        check_sign("nonnegative", alpha2=self.alpha2, g=self.g)
+        check_signs(dict(kappa=self.kappa, gamma=self.gamma, omega_m=self.omega_m, V0=self.V0),
+                    dict(alpha2=self.alpha2, g=self.g))
 
     @property
     def x2_rate(self) -> _Rows:
@@ -285,28 +286,30 @@ def measurement_gain(p: PulsedParams, tau: float, pulse_shape: str = "matched") 
     1 + kappa * integral of M23^2; for the flat filter the signal
     amplitude is kappa-weighted by the average of M23 instead.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN is not
         raise ValueError("pulse duration must be nonnegative")
     if tau == 0.0 or p.measurement_rate == 0.0:
         return 1.0
-    return 1.0 + _filter(p, np.array([tau]), pulse_shape)[2].item() ** 2
+    *_, Gs, gm1 = _filter(p, np.array([tau]), pulse_shape)
+    raise_first((gm1 <= 0.0, lambda k: DegenerateMeter(_LOST_FILTER.format(gm1[k]))))
+    return 1.0 + Gs.item() ** 2
 
 
-def _filter(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple[list[_Term], _Rows, _Rows]:
+def _filter(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple:
     """Output filter as (unnormalized shape, scalar norm factor, signal
-    amplitude: the coefficient of x(0) in the filtered quadrature).  The
+    amplitude: the coefficient of x(0) in the filtered quadrature, and the
+    matched filter's kappa * int M23^2, NaN for the flat one).  The
     matched filter's norm diverges as the pulse shrinks, so it is kept
     out of the symbolic integrals and applied to the results."""
     m23 = _m23_terms(p)
     if pulse_shape == "matched":
-        gm1 = p.kappa * _integrate(_mul(m23, m23), tau)  # kappa * int M23^2
-        if np.any(gm1 <= 0.0):  # zero coupling, or M23 lost to cancellation
-            raise DegenerateMeter(
-                f"matched filter undefined: kappa * int M23^2 = {np.min(gm1):.3e}")
-        return m23, np.sqrt(p.kappa / gm1), np.sqrt(gm1)
+        gm1 = p.kappa * _integrate(_mul(m23, m23), tau)
+        defined = np.where(gm1 > 0.0, gm1, np.nan)  # else lost: zero coupling or cancellation
+        return m23, np.sqrt(p.kappa / defined), np.sqrt(defined), gm1
     if pulse_shape == "flat":
         norm = 1.0 / np.sqrt(tau)
-        return [(1.0, 0, 0.0, 0.0)], norm, math.sqrt(p.kappa) * norm * _integrate(m23, tau)
+        signal = math.sqrt(p.kappa) * norm * _integrate(m23, tau)
+        return [(1.0, 0, 0.0, 0.0)], norm, signal, np.nan * tau
     raise ValueError(f"unknown pulse shape {pulse_shape!r}")
 
 
@@ -394,60 +397,42 @@ def prepare_state_lyapunov(
     return float(V[2, 2]), V
 
 
-def _in_caller_order(kernel):
-    """``kernel(p, tau, ...)``, where a stack that fails a guard runs again
-    row by row in the caller's order, each row a stack of one: it raises
-    the error of its first failing row with that row's own text (the
-    stack runs sorted, in groups, and where a guard's value is
-    cancellation noise its bits differ)."""
-    @functools.wraps(kernel)
-    def run(p: PulsedParams, tau: _Rows, *args, **kwargs):
-        try:
-            return kernel(p, tau, *args, **kwargs)
-        except TvmeterError:
-            rows = np.broadcast_arrays(tau, *(getattr(p, f) for f in _ROW_FIELDS))
-            for t, *row in zip(*(np.ravel(r).tolist() for r in rows)):
-                kernel(replace(p, **dict(zip(_ROW_FIELDS, row))), t, *args, **kwargs)
-            raise
-    return run
-
-
-@_in_caller_order
 def pulsed_covariances(
     p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
 ) -> tuple[_Rows, _Rows, _Rows]:
     """(V33, V32, V22) of mechanical position and the filtered output
     quadrature at hold time tau, all integrals in closed form; for a 1-D
-    stack of rows, one array each (see :func:`pulsed_metrics`)."""
-    return tuple(_covariances(p, tau, pulse_shape)[:3])
+    stack of rows, one array each (see :func:`pulsed_metrics`, whose first guards it checks)."""
+    out, guards = _covariances(p, tau, pulse_shape)
+    raise_first(*guards)
+    return tuple(out[:3])
 
 
-def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> NDArray[np.float64]:
+def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[NDArray, list]:
     """:func:`pulsed_covariances`, the signal amplitude and the noise
     parts of V33, V32 and V22 (what each holds besides V0 times its
     signal coefficient), as :func:`_group_covariances` returns them, in
-    an array of shape (7, rows...): tau and the fields of ``p`` broadcast
-    to the rows, and one tau with numbers is a stack of one of shape ().
+    an array of shape (7, rows...) (tau and the fields of ``p`` broadcast
+    to the rows; one tau with numbers is a stack of one of shape ()), and
+    the guards a row checks: tau > 0, no floating-point error in its term
+    algebra, a defined matched filter.  A failing row holds NaN.
 
-    The rows are sorted by (kappa, gamma, tau) and run group by group
-    through :func:`_group_covariances`, each group on a term list whose
-    coefficients hold one value per row where they depend on it.  A
-    group starts as all rows; a rate or a branch test that disagrees
-    between its rows cuts it where the value changes, and both parts are
-    run again.  Overflow, division by zero and invalid values in the
-    term algebra raise :class:`TvmeterError`.
-    """
+    The rows with tau > 0 are sorted by (kappa, gamma, tau) and run group
+    by group, each group on a term list whose coefficients hold one value
+    per row where they depend on it.  A group starts as all rows; a rate
+    or a branch test that disagrees between its rows cuts it where the
+    value changes, a floating-point error in half (a row alone fails with
+    its text), and both parts are run again."""
     shape = np.broadcast_shapes(np.shape(tau), *(np.shape(getattr(p, f)) for f in _ROW_FIELDS))
     tau, kappa, gamma = (np.broadcast_to(x, shape).astype(float).reshape(-1)
                          for x in (tau, p.kappa, p.gamma))
-    if np.any(tau <= 0):
-        raise ValueError("pulse duration must be positive")
     # the other fields enter only coefficients: a number stays one
     coefficients = {f: np.broadcast_to(v, shape).reshape(-1) for f in _ROW_FIELDS[2:]
                     if np.ndim(v := getattr(p, f))}
-    order = np.lexsort((tau, gamma, kappa))
-    out = np.empty((7, len(tau)))
-    spans = [(0, len(tau))] if len(tau) else []
+    order = np.lexsort((tau, gamma, kappa, ~(tau > 0)))[:np.count_nonzero(tau > 0)]
+    out = np.full((8, len(tau)), np.nan)
+    overflow: dict[int, str] = {}  # row: text
+    spans = [(0, len(order))] if len(order) else []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         while spans:
             lo, hi = spans.pop()
@@ -456,25 +441,31 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> NDArray[np.fl
                 group = replace(p, kappa=_agree(kappa[rows]), gamma=_agree(gamma[rows]),
                                 **{f: v[rows] for f, v in coefficients.items()})
                 out[:, rows] = _group_covariances(group, tau[rows], pulse_shape)
-            except _Split as split:
-                spans += [(lo, lo + split.at), (lo + split.at, hi)]
-            except FloatingPointError as err:
-                raise TvmeterError(f"pulsed readout integrals: {err}") from err
-    return out.reshape(7, *shape)
+            except (_Split, FloatingPointError) as err:
+                at = err.at if isinstance(err, _Split) else (hi - lo) // 2
+                if at:
+                    spans += [(lo, lo + at), (lo + at, hi)]
+                else:  # a floating-point error of one row
+                    overflow[int(rows[0])] = f"pulsed readout integrals: {err}"
+    guards = [(~(tau > 0), lambda k: ValueError("pulse duration must be positive")),
+              (np.isin(np.arange(len(tau)), list(overflow)), lambda k: TvmeterError(overflow[k])),
+              (out[7] <= 0.0, lambda k: DegenerateMeter(_LOST_FILTER.format(out[7, k])))]
+    return out[:7].reshape(7, *shape), [(np.reshape(f, shape), e) for f, e in guards]
 
 
 def _group_covariances(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple[NDArray, ...]:
-    """(V33, V32, V22, Gs, B, C, N) of ascending rows of tau that share
-    ``p``'s float kappa and gamma, and on which every branch test agrees:
-    V33 = exp(-gamma tau) V0 + B, V32 = Gs exp(-gamma tau / 2) V0 + C and
-    V22 = Gs^2 V0 + N."""
+    """(V33, V32, V22, Gs, B, C, N, gm1) of ascending rows of tau that
+    share ``p``'s float kappa and gamma, and on which every branch test
+    agrees: V33 = exp(-gamma tau) V0 + B, V32 = Gs exp(-gamma tau / 2) V0
+    + C, V22 = Gs^2 V0 + N, and gm1 as :func:`_filter` gives it."""
     Vx = p.bath.V_x
     nopt = p.bath.optical_variance
     B = Vx * (-np.expm1(-p.gamma * tau))
     V33 = np.exp(-p.gamma * tau) * p.V0 + B
     if _agree(np.broadcast_to(p.measurement_rate == 0.0, tau.shape)):
-        return V33, 0.0 * tau, nopt + 0.0 * tau, 0.0 * tau, B, 0.0 * tau, nopt + 0.0 * tau
-    shape, norm, Gs = _filter(p, tau, pulse_shape)
+        zero = 0.0 * tau
+        return V33, zero, nopt + zero, zero, B, zero, nopt + zero, np.nan * tau
+    shape, norm, Gs, gm1 = _filter(p, tau, pulse_shape)
     m22 = [(1.0, 0, -p.kappa / 2, 0.0)]
     m23 = _m23_terms(p)
     # G(s) = int_s^tau phi(t) M23(t-s) dt, F(s) likewise with M22; the
@@ -494,10 +485,9 @@ def _group_covariances(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple
     t_mech = p.kappa * p.gamma * Vx * norm**2 * _integrate(_mul(G, G), tau)
     # shot noise nopt: the filter has norm**2 * int shape^2 = 1
     V22 = Gs**2 * p.V0 + t_cav0 + nopt + t_cross + t_refl + t_mech
-    return V33, V32, V22, Gs, B, C, t_cav0 + nopt + t_cross + t_refl + t_mech
+    return V33, V32, V22, Gs, B, C, t_cav0 + nopt + t_cross + t_refl + t_mech, gm1
 
 
-@_in_caller_order
 def pulsed_metrics(
     p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
 ) -> MeasurementFigures | list[MeasurementFigures]:
@@ -513,21 +503,23 @@ def pulsed_metrics(
     rows of a stack: it gives a list of figures, one per row in order, as
     :func:`~tvmeter.metrics.evaluate` does on a stack.  The term algebra
     runs once per group of rows that share kappa and gamma and whose
-    series and closed-form branches agree (:func:`_covariances`).
+    series and closed-form branches agree (:func:`_covariances`).  A
+    stack raises the error of its first failing row in the caller's
+    order, from the stack's own values, as a loop over the rows would.
 
     V_c = V33 - eta V32^2 / V_mm is formed with its V0^2 terms cancelled
     by hand.  Where the meter resolves x(0) well those terms are nearly
     all of V33 V_mm and of eta V32^2, and their difference in floating
     point loses digits (1e-11 of V_c at kappa tau = 1000, g = 2 kappa).
     """
-    V33, _, _, Gs, B, C, N = _covariances(p, tau, pulse_shape)
+    (V33, _, _, Gs, B, C, N), guards = _covariances(p, tau, pulse_shape)
     eta = p.bath.eta
     G_m = eta * Gs**2  # detected signal power gain
     N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
     V_mm = G_m * p.V0 + N_m
-    if np.any(V_mm <= METER_FLOOR):
-        raise DegenerateMeter(f"meter variance {np.min(V_mm):.3e} is not positive")
-    Vc = (np.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
-          - eta * C * (2.0 * p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C) / V_mm)
-    return measured_figures(_clamped(Vc, V33), V33, V_mm, np.exp(-p.gamma * tau), G_m, p.V0,
-                            omega=0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows that fail
+        Vc = (np.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
+              - eta * C * (2.0 * p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C) / V_mm)
+    Vc = _clamped(Vc, V33, *guards, (V_mm <= METER_FLOOR, lambda k: DegenerateMeter(
+        f"meter variance {np.ravel(V_mm)[k]:.3e} is not positive")))
+    return measured_figures(Vc, V33, V_mm, np.exp(-p.gamma * tau), G_m, p.V0, omega=0.0)

@@ -101,3 +101,29 @@ def test_one_guard_and_no_matrix_products_in_the_sideband_solve():
                        and isinstance(node.op, ast.MatMult)]
     assert anywhere == in_guard == 1
     assert matmuls == []
+
+
+#: the typed errors of the per-point guards
+GUARD_ERRORS = {"DegenerateMeter", "UnstableModel", "SingularAtFrequency", "NegativeLinewidth"}
+
+
+def test_one_first_failure_rule():
+    """No module raises a per-point guard's error itself: each guard hands
+    its (failed, error) pair to ``core.raise_first``, which alone picks the
+    failing point.  And ``pulsed`` has no ``except TvmeterError`` handler,
+    which a rerun of a failing stack would need."""
+    named, handlers = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rule = {id(node) for top in tree.body if getattr(top, "name", None) == "raise_first"
+                for node in ast.walk(top)} if path.stem == "core" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and id(node) not in rule:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) in GUARD_ERRORS:
+                    named.append(f"{path.name}:{node.lineno}")
+            if (path.stem == "pulsed" and isinstance(node, ast.ExceptHandler)
+                    and node.type is not None
+                    and any(getattr(n, "id", None) == "TvmeterError" for n in ast.walk(node.type))):
+                handlers.append(f"{path.name}:{node.lineno}")
+    assert named == [] and handlers == []

@@ -6,8 +6,14 @@ with that point's numbers, as a loop over the points would; one point
 raises the same error as the stack of it alone.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tvmeter import (
     FOUR_MODE,
@@ -26,6 +32,9 @@ from tvmeter import (
     pulsed_metrics,
     vc_on_grid,
 )
+from tvmeter import (DualTweezerParams, NegativeLinewidth, TvmeterError, measurement_gain,
+                     reduced_metrics)
+from tvmeter.core import raise_first
 
 GOOD = np.diag([0.5, 2.0, 1.5, 1.5, 1.0, 1.0]).astype(complex)
 
@@ -177,3 +186,139 @@ def test_meter_variance_of_a_tau_stack(tau, value):
     with pytest.raises(DegenerateMeter) as err:
         pulsed_metrics(CANCELLED_M23, tau)
     assert str(err.value) == f"meter variance {value} is not positive"
+
+
+def _raised(call):
+    """(class, text) of the error that ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - any error is compared
+        return type(err), str(err)
+    return None
+
+
+def _loop(calls):
+    """The error of the first call that raises, as a loop over them would."""
+    return next(filter(None, map(_raised, calls)), None)
+
+
+def test_tau_stack_raises_what_a_loop_raises():
+    # tau = -1 fails its first guard, but tau = 0.05 before it fails the matched filter
+    taus = [0.05, -1.0]
+    want = _loop(lambda t=t: pulsed_metrics(CANCELLED_M23, t) for t in taus)
+    assert want == (DegenerateMeter, "matched filter undefined: kappa * int M23^2 = -6.104e-05")
+    assert _raised(lambda: pulsed_metrics(CANCELLED_M23, np.array(taus))) == want
+
+
+def test_parameter_stack_raises_what_a_loop_raises():
+    # kappa fails at row 1, but row 0 fails on gamma first
+    rows = dict(kappa=[1.0, -1.0], gamma=[-1.0, 1.0])
+    fixed = dict(omega_m=100.0, g=1.0, alpha2=1.0, V0=1.0, bath=BathSpec())
+    want = _loop(lambda k=k: PulsedParams(**{f: v[k] for f, v in rows.items()}, **fixed)
+                 for k in range(2))
+    assert want == (ValueError, "gamma must be positive, got -1.0")
+    assert _raised(lambda: PulsedParams(**{f: np.array(v) for f, v in rows.items()},
+                                        **fixed)) == want
+
+
+#: gamma = 1e-9 overflows the power series at tau = 3.2e8, and gamma =
+#: 0.9999997 loses the matched filter (kappa * int M23^2 = 0) at tau = 0.05
+OVERFLOWING = PulsedParams(kappa=1.0, gamma=1e-9, omega_m=100.0, g=0.6, alpha2=0.6, V0=1.0,
+                           bath=BathSpec(n_m=1.0))
+
+
+@pytest.mark.parametrize("kernel", [pulsed_metrics, pulsed_covariances])
+@pytest.mark.parametrize("gamma, tau, text", [
+    ([1e-9, 0.9999997], [3.2e8, 0.05], "pulsed readout integrals: overflow encountered in "),
+    ([0.9999997, 1e-9], [0.05, 3.2e8], "matched filter undefined: kappa * int M23^2 = 0.000e+00"),
+    ([1e-9, 1e-9], [1.0, 3.2e8], "pulsed readout integrals: overflow encountered in "),
+], ids=["overflow-first", "filter-first", "shared-rates"])
+def test_overflowing_row_in_caller_order(kernel, gamma, tau, text):
+    """A row whose term algebra overflows fails in its place in the
+    caller's order, with the text it raises alone."""
+    want = _loop(lambda g=g, t=t: kernel(replace(OVERFLOWING, gamma=g), t)
+                 for g, t in zip(gamma, tau))
+    assert want[1].startswith(text)
+    stack = replace(OVERFLOWING, gamma=np.array(gamma) if gamma[0] != gamma[1] else gamma[0])
+    assert _raised(lambda: kernel(stack, np.array(tau))) == want
+
+
+@pytest.mark.parametrize("kernel", [pulsed_metrics, pulsed_covariances])
+@pytest.mark.parametrize("tau", [np.nan, np.array([1.0, np.nan])], ids=["nan", "stack-nan"])
+def test_nan_pulse_duration_fails_its_guard(kernel, tau):
+    """A NaN pulse duration is not positive: it raises instead of giving NaN figures."""
+    with pytest.raises(ValueError, match="^pulse duration must be positive$"):
+        kernel(OVERFLOWING, tau)
+    with pytest.raises(ValueError, match="^pulse duration must be nonnegative$"):
+        measurement_gain(OVERFLOWING, np.nan)
+
+
+class _Failed(Exception):
+    """The error of guard ``g`` at flat point ``k``."""
+
+
+@st.composite
+def _guards(draw):
+    """1-3 failure masks over a stack of up to two axes: arrays of its
+    shape or of one that broadcasts with it, or bools."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
+    masks = []
+    for _ in range(draw(st.integers(1, 3))):
+        own = draw(st.sampled_from([shape, "bool"]) | hnp.broadcastable_shapes(
+            shape, min_dims=0, max_dims=len(shape), min_side=1, max_side=3))
+        masks.append(draw(st.booleans()) if own == "bool" else
+                     draw(hnp.arrays(bool, own, elements=st.booleans())))
+    return masks
+
+
+@settings(max_examples=200)
+@given(masks=_guards())
+def test_raise_first_is_the_loop_over_points_and_guards(masks):
+    shape = np.broadcast_shapes(*map(np.shape, masks))
+    want = None
+    for k in range(math.prod(shape)):
+        failing = [g for g, mask in enumerate(masks) if np.broadcast_to(mask, shape).flat[k]]
+        if failing:
+            want = (failing[0], k)
+            break
+    try:
+        raise_first(*((mask, lambda k, g=g: _Failed(g, k)) for g, mask in enumerate(masks)))
+    except _Failed as err:
+        got = err.args
+    else:
+        got = None
+    assert got == want
+
+
+@pytest.mark.parametrize("diagonal, text", [
+    ([0.1, 0.5, 0.2, 0.5], "input covariance block of mode 0 violates the Heisenberg bound "
+                           "(det = 0.05)"),
+    ([0.5, 0.5, 0.2, 0.5], "input covariance block of mode 1 violates the Heisenberg bound "
+                           "(det = 0.1)"),
+], ids=["first-of-two", "second"])
+def test_heisenberg_bound_names_the_first_failing_mode(diagonal, text):
+    with pytest.raises(ValueError) as err:
+        LinearModel(-np.eye(4), np.eye(4), np.diag(diagonal), FOUR_MODE)
+    assert str(err.value) == text
+
+
+#: a primary cavity so narrow that kappa_1^2 underflows: the compound signal overflows
+NARROW = 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("kappa_1, alpha_1, error", [
+    (NARROW, 0.2, (TvmeterError, "kappa_1 = 2.225e-308 overflows the compound signal")),
+    (1.0, 3.0, (NegativeLinewidth, "broadened linewidth -1.250e+00 is not positive")),
+    ([NARROW, 1.0], [0.2, 3.0], None),
+    ([1.0, NARROW], [3.0, 0.2], None),
+], ids=["overflow", "negative", "stack-overflow-first", "stack-negative-first"])
+def test_broadened_linewidth_of_a_stack(kappa_1, alpha_1, error):
+    """A kappa_1 whose square underflows fails as a numerical error (it
+    divided by zero), in loop order with the negative linewidth."""
+    params = dict(omega_m=100.0, gamma=1e-9, kappa_2=1.0, g_1=1.0, g_2=0.5, alpha_2=0.2)
+    if np.ndim(kappa_1):
+        error = _loop(lambda k=k: reduced_metrics(DualTweezerParams(
+            kappa_1=kappa_1[k], alpha_1=alpha_1[k], **params), BathSpec()) for k in range(2))
+        kappa_1, alpha_1 = np.array(kappa_1), np.array(alpha_1)
+    stack = DualTweezerParams(kappa_1=kappa_1, alpha_1=alpha_1, **params)
+    assert _raised(lambda: reduced_metrics(stack, BathSpec())) == error
