@@ -194,6 +194,15 @@ def check_sign(sign: str, **values) -> None:
 def check_signs(positive=(), nonnegative=()) -> None:
     """:func:`check_sign` of the dicts ``positive``, then ``nonnegative``,
     whose values all broadcast together."""
+    for sign, values in (("positive", positive), ("nonnegative", nonnegative)):
+        for value in dict(values).values():
+            ok = value > 0 if sign == "positive" else value >= 0
+            if ok is not True and (ok is False or not ok.all()):
+                return _raise_sign(positive, nonnegative)  # errors are built on failure only
+
+
+def _raise_sign(positive, nonnegative) -> None:
+    """Raise the error of :func:`check_signs`, which found a failing value."""
     checks = [("positive", *item) for item in dict(positive).items()]
     checks += [("nonnegative", *item) for item in dict(nonnegative).items()]
     at = lambda value, k: float(np.broadcast_arrays(value, *(v for *_, v in checks))[0].flat[k])
@@ -201,6 +210,32 @@ def check_signs(positive=(), nonnegative=()) -> None:
                    lambda k, sign=sign, name=name, value=value:
                    ValueError(f"{name} must be {sign}, got {at(value, k)}"))
                   for sign, name, value in checks))
+
+
+def _allclose(x: NDArray, y: NDArray) -> bool:
+    """``np.allclose(x, y, atol=1e-12)`` without its per-call cost: equal
+    entries (infinities of one sign among them) are close, and the others
+    when |x - y| <= 1e-12 + 1e-5 |y| at a finite y; NaN is close to nothing."""
+    equal = x == y
+    if equal.all():
+        return True
+    with np.errstate(invalid="ignore"):
+        return bool((((np.abs(x - y) <= 1e-12 + 1e-5 * np.abs(y)) & np.isfinite(y)) | equal).all())
+
+
+@functools.lru_cache(maxsize=16)
+def _check_input_covariance(key: bytes, n: int) -> None:
+    """Raise ValueError unless the n x n input covariance with the bytes
+    ``key`` is symmetric and each mode's 2 x 2 block obeys the Heisenberg
+    bound.  The builders share a few covariances among many drifts, so a
+    value passes once; a raise is not cached, and raises again."""
+    Vin = np.frombuffer(key).reshape(n, n)
+    if not _allclose(Vin, Vin.T):
+        raise ValueError("Vin must be symmetric")
+    det = np.linalg.det(Vin.reshape(n // 2, 2, n // 2, 2).diagonal(0, 0, 2).transpose(2, 0, 1))
+    raise_first((det < 0.25 - 1e-9, lambda m: ValueError(  # of each mode's 2 x 2 block
+        f"input covariance block of mode {m} violates the "
+        f"Heisenberg bound (det = {det[m]:.6g})")))
 
 
 @dataclass(frozen=True)
@@ -233,12 +268,7 @@ class LinearModel:
         d = np.diagonal(H, 0, -2, -1)
         if np.count_nonzero(H) != np.count_nonzero(d) or not np.isfinite(d).all() or (d < 0).any():
             raise ValueError("H must be diagonal with finite nonnegative entries")
-        if not np.allclose(Vin, Vin.T, atol=1e-12):
-            raise ValueError("Vin must be symmetric")
-        det = np.linalg.det(Vin.reshape(n // 2, 2, n // 2, 2).diagonal(0, 0, 2).transpose(2, 0, 1))
-        raise_first((det < 0.25 - 1e-9, lambda m: ValueError(  # of each mode's 2 x 2 block
-            f"input covariance block of mode {m} violates the "
-            f"Heisenberg bound (det = {det[m]:.6g})")))
+        _check_input_covariance(Vin.tobytes(), n)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "Vin", Vin)
@@ -262,7 +292,12 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     in the left half-plane (marginal modes are rejected as well, since
     their spectral covariances diverge).  ``A`` may be a stack
     ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
-    max_real = np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    _require_stable(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1), tol)
+
+
+def _require_stable(max_real: float | NDArray, tol: float = STABILITY_TOL) -> None:
+    """:func:`check_stable` of drifts whose largest eigenvalue real parts,
+    one per matrix of the stack, are ``max_real``."""
     raise_first((max_real > -tol, lambda k: UnstableModel(float(np.ravel(max_real)[k]))))
 
 

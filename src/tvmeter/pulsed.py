@@ -378,8 +378,10 @@ def prepare_state_lyapunov(
     ``solve_continuous_lyapunov``) is off by up to 1.6e-8 there.
 
     The x variance does not depend on ``x2_rate`` (that term only feeds
-    the momentum quadrature), so the default omits it.
+    the momentum quadrature), so the default omits it.  ``kappa`` and
+    ``gamma`` must be positive, as for the readout (:class:`PulsedParams`).
     """
+    check_signs(dict(kappa=kappa, gamma=gamma))
     c_m = (alpha - 2.0) * g / 4.0
     c_p = (alpha + 2.0) * g / 4.0
     A = np.array([

@@ -394,6 +394,8 @@ def _scan_commands(draw):
 @settings(max_examples=15)
 @given(argv=_scan_commands())
 @example(argv=["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"])  # overflows
+@example(argv=["sweep", "--scenario", "lev-pulsed", "--param", "gamma", "--lin", "0.0",
+               "-3.3e-301", "--n", "2", "--n-m", "1"])  # the square root of a negative gamma
 def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
     out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -405,6 +407,24 @@ def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
     else:
         assert (rc, err.startswith("tv: configuration error: ")) in ((2, True), (3, False)), argv
         assert err.count("\n") == 1 and (rc == 2 or err.startswith("tv: numerical failure at "))
+
+
+@pytest.mark.parametrize("param, values, bad", [
+    ("gamma", ["0.0", "-0.1"], "0.0"),
+    ("gamma", ["0.0", "-3.3e-301"], "0.0"),
+    ("gamma", ["-0.1", "0.0"], "-0.1"),
+    ("kappa", ["1.0", "-1.0"], "-1.0"),
+])
+def test_pulsed_preparation_checks_its_rates_before_solving(param, values, bad, tmp_path):
+    """The first row whose kappa or gamma is not positive fails its sign
+    check before the preparation's solve takes a square root of it (a
+    RuntimeWarning, an error under the test settings)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["sweep", "--scenario", "lev-pulsed", "--param", param, "--lin", *values,
+                   "--n", "2", "--n-m", "1", "--output", str(tmp_path / "out.csv")])
+    assert (rc, err.getvalue()) == (2, f"tv: configuration error: {param} must be positive, "
+                                       f"got {bad}\n")
 
 
 FIXED_OMEGA_SWEEPS = [

@@ -649,6 +649,105 @@ class TestModelValidation:
                         FOUR_MODE)
 
 
+def _edge(b):
+    """The farthest a from ``b``, away from zero, that ``np.isclose(a, b,
+    atol=1e-12)`` accepts, and the float after it, which it does not."""
+    away = np.copysign(np.inf, b)
+    a = b + np.copysign(1e-12 + 1e-5 * abs(b), b)
+    while not np.isclose(a, b, atol=1e-12):
+        a = np.nextafter(a, b)
+    while np.isclose(np.nextafter(a, away), b, atol=1e-12):
+        a = np.nextafter(a, away)
+    return [(a, b), (np.nextafter(a, away), b)]
+
+
+#: (a, b) at transposed positions: signed zeros, infinities, NaN, and asymmetry
+#: at and just above the tolerance 1e-12 + 1e-5 |b|
+CLOSENESS_CASES = [
+    (0.0, -0.0), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf), (np.inf, 1.0),
+    (1.0, np.inf), (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), *_edge(0.0), *_edge(1.0),
+    *_edge(-3.0), *_edge(1e300),
+]
+
+
+class TestCheapValidation:
+    """Validation that every new model pays: the V_in checks run once per
+    distinct value, closeness is numpy's without its per-call cost, and
+    the sign checks build their errors only when a value fails."""
+
+    @pytest.mark.parametrize("a, b", CLOSENESS_CASES)
+    def test_symmetry_is_numpys_allclose(self, a, b):
+        """Off the mode blocks, so that only the symmetry test decides."""
+        Vin = 2.0 * np.eye(4)
+        Vin[0, 2], Vin[2, 0] = a, b
+        symmetric = np.allclose(Vin, Vin.T, atol=1e-12)
+        assert core._allclose(Vin, Vin.T) is symmetric
+        if symmetric:
+            LinearModel(-np.eye(4), np.eye(4), Vin, FOUR_MODE)
+        else:
+            with pytest.raises(ValueError, match="^Vin must be symmetric$"):
+                LinearModel(-np.eye(4), np.eye(4), Vin, FOUR_MODE)
+
+    @pytest.mark.parametrize("a, b", CLOSENESS_CASES + [(1j, -1j), (1 + np.inf * 1j, 1 - np.inf * 1j)])
+    def test_sidebands_conjugate_as_numpys_allclose(self, a, b):
+        A_minus, A_plus = np.zeros((2, 4, 4), complex)
+        A_plus[2, 0], A_minus[2, 0] = a, np.conj(b)
+        conjugate = np.allclose(A_plus, np.conj(A_minus), atol=1e-12)
+        if conjugate:
+            FloquetDrift(A_minus, -np.eye(4), A_plus, 1.0)
+        else:
+            with pytest.raises(ValueError, match="^A_plus must be the elementwise conjugate"):
+                FloquetDrift(A_minus, -np.eye(4), A_plus, 1.0)
+
+    def test_static_drift_must_be_real(self):
+        A_zero = -np.eye(4) + 0j
+        FloquetDrift(np.zeros((4, 4)), A_zero, np.zeros((4, 4)), 1.0)
+        A_zero[1, 2] = 2e-12j
+        with pytest.raises(ValueError, match="^A_zero must be real$"):
+            FloquetDrift(np.zeros((4, 4)), A_zero, np.zeros((4, 4)), 1.0)
+
+    @pytest.mark.parametrize("Vin, text", [
+        (0.3 * np.eye(4), "^input covariance block of mode 0 violates"),
+        (np.triu(np.ones((4, 4))) + np.eye(4), "^Vin must be symmetric$"),
+    ], ids=["heisenberg", "asymmetric"])
+    def test_a_rejected_covariance_raises_again(self, Vin, text):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=text):
+                LinearModel(-np.eye(4), np.eye(4), Vin, FOUR_MODE)
+
+    def test_each_distinct_covariance_is_checked(self):
+        core._check_input_covariance.cache_clear()
+        V1, V2 = (input_covariance(BathSpec(n_m=n_m), FOUR_MODE) for n_m in (1.0, 2.0))
+        for Vin in (V1, V1.copy(), V2):
+            LinearModel(-np.eye(4), np.eye(4), Vin, FOUR_MODE)
+        info = core._check_input_covariance.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        V3 = V1.copy()
+        V3[3, 3] = 0.1  # one entry off V1, below the Heisenberg bound of mode 1
+        with pytest.raises(ValueError, match="^input covariance block of mode 1 violates"):
+            LinearModel(-np.eye(4), np.eye(4), V3, FOUR_MODE)
+        for n_m in np.linspace(0.0, 1.0, 3 * info.maxsize):
+            LinearModel(-np.eye(4), np.eye(4), input_covariance(BathSpec(n_m), FOUR_MODE),
+                        FOUR_MODE)
+        assert core._check_input_covariance.cache_info().currsize == info.maxsize
+
+    @pytest.mark.parametrize("values", [
+        dict(positive=dict(kappa=1.0, gamma=np.float64(0.1)), nonnegative=dict(g=0.0)),
+        dict(positive=dict(kappa=np.array([1.0, 2.0]), gamma=np.array(0.5))),
+        dict(nonnegative=dict(g=np.zeros((2, 3)))),
+        dict(),
+    ])
+    def test_passing_signs_build_no_error(self, values, monkeypatch):
+        monkeypatch.setattr(core, "raise_first", None)  # a call would fail
+        core.check_signs(**values)
+
+    def test_every_value_is_compared_before_an_error_is_chosen(self):
+        with pytest.raises(TypeError):
+            core.check_signs(dict(kappa=-1.0, gamma=None))
+        with pytest.raises(ValueError, match="^kappa must be positive, got -1.0$"):
+            core.check_signs(dict(kappa=-1.0, gamma=np.array([2.0, np.nan])))
+
+
 class TestModeLayout:
     def test_odd_length_rejected(self):
         from tvmeter import ModeLayout

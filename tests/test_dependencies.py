@@ -127,3 +127,17 @@ def test_one_first_failure_rule():
                     and any(getattr(n, "id", None) == "TvmeterError" for n in ast.walk(node.type))):
                 handlers.append(f"{path.name}:{node.lineno}")
     assert named == [] and handlers == []
+
+
+def test_no_numpy_closeness_calls():
+    """Per-model validation stays off ``np.allclose`` and ``np.isclose``,
+    whose per-call cost is several times a small model's checks;
+    ``core._allclose`` has ``np.allclose``'s semantics at atol 1e-12."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("allclose", "isclose")
+                    and getattr(node.func.value, "id", None) in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -14,6 +14,7 @@ from tvmeter import (
     FloquetDrift,
     SingularAtFrequency,
     UnstableModel,
+    check_stable,
     decompose_drift,
     floquet,
     floquet_metrics,
@@ -24,6 +25,7 @@ from tvmeter import (
     sideband_scattering,
 )
 from tvmeter.cli import scenario_figures
+from tvmeter.core import matrix
 from tvmeter.models import _readout_couplings, cooperativity_to_g
 
 OMEGA_M = 1.0
@@ -115,6 +117,48 @@ class TestDecomposition:
         g = cooperativity_to_g(1.0, 0.5, 0.01)
         assert fd.A_zero[1, 2] == pytest.approx(-2 * g)
         assert fd.A_zero[3, 0] == pytest.approx(-2 * g)
+
+
+#: decay rates about the stability margin (the static drift is unstable where
+#: kappa or gamma is below 2 STABILITY_TOL = 2e-10) and about the smallest
+#: entry moduli that LAPACK takes unscaled (about 6.7e-139)
+_RATES = st.one_of(st.floats(1e-13, 1e3), st.floats(1e-10, 4e-10), st.floats(1e-140, 1e-136),
+                   st.sampled_from([2e-10, np.nextafter(2e-10, 0), np.nextafter(2e-10, 1),
+                                    5e-324]))
+#: couplings up to and beyond the largest entry modulus LAPACK takes unscaled
+#: (about 1.5e138), and non-finite ones
+_COUPLINGS = st.one_of(st.floats(-1e3, 1e3), st.floats(1e-140, 1e-136), st.floats(3e137, 3e138),
+                       st.sampled_from([0.0, -1e200, np.inf, np.nan]))
+
+
+def _outcome(call):
+    """(class, text, max_real) of the error that ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - any error is compared
+        return type(err), str(err), getattr(err, "max_real", None)
+    return None
+
+
+class TestStabilityFromTheDiagonal:
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.integers(0, 3), data=st.data())
+    def test_same_decision_and_text_as_the_eigenvalues(self, points, data):
+        """decompose_drift reads stability off the diagonal of its static
+        drift, which is lower triangular in (X, x, Y, p); it raises exactly
+        where the eigenvalue check of that drift does, with its text and
+        value, at the first unstable point of a stack; non-finite couplings
+        and drifts that LAPACK scales included."""
+        def draw(values):
+            return (data.draw(values) if points == 0 else
+                    np.array(data.draw(st.lists(values, min_size=points, max_size=points))))
+
+        kappa, gamma, g = draw(_RATES), draw(_RATES), draw(_COUPLINGS)
+        k2, g2m, c = kappa / 2, gamma / 2, -2.0 * g
+        A_zero = matrix([[-k2, 0, 0, 0], [0, -k2, c, 0], [0, 0, -g2m, 0], [c, 0, 0, -g2m]])
+        with np.errstate(invalid="ignore"):  # an infinite g makes inf * 0 in the sidebands
+            got = _outcome(lambda: decompose_drift(kappa, gamma, OMEGA_M, g=g))
+        assert got == _outcome(lambda: check_stable(A_zero))
 
 
 class TestScattering:

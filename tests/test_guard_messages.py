@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -259,20 +259,27 @@ class _Failed(Exception):
 
 @st.composite
 def _guards(draw):
-    """1-3 failure masks over a stack of up to two axes: arrays of its
-    shape or of one that broadcasts with it, or bools."""
+    """1-3 failure masks over a stack of up to two axes: bools, or arrays
+    whose shapes broadcast to the stack's (its trailing axes, each of its
+    length or 1), as the masks of ``raise_first`` must."""
     shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3))
     masks = []
     for _ in range(draw(st.integers(1, 3))):
-        own = draw(st.sampled_from([shape, "bool"]) | hnp.broadcastable_shapes(
-            shape, min_dims=0, max_dims=len(shape), min_side=1, max_side=3))
-        masks.append(draw(st.booleans()) if own == "bool" else
-                     draw(hnp.arrays(bool, own, elements=st.booleans())))
+        if draw(st.booleans()):
+            masks.append(draw(st.booleans()))
+            continue
+        axes = shape[len(shape) - draw(st.integers(0, len(shape))):]
+        own = tuple(draw(st.sampled_from([n, 1])) for n in axes)
+        masks.append(draw(hnp.arrays(bool, own, elements=st.booleans())))
     return masks
 
 
 @settings(max_examples=200)
 @given(masks=_guards())
+# masks of shapes (2, 1) and (3, 1) once came for a (1, 1) stack: each broadcasts with
+# the stack but not with the other; these are masks of such stacks that broadcast to them
+@example(masks=[np.array([[True]]), np.array([False]), False])
+@example(masks=[np.array([[False], [True]]), np.array([[True]]), np.array([False])])
 def test_raise_first_is_the_loop_over_points_and_guards(masks):
     shape = np.broadcast_shapes(*map(np.shape, masks))
     want = None

@@ -148,6 +148,15 @@ class TestPreparation:
         V0, _ = prepare_state_lyapunov(1.0, 1e-9, 0.6, 0.2, FIG9_BATH)
         assert V0 < 0.5
 
+    @pytest.mark.parametrize("kappa, gamma, text", [
+        (1.0, -0.1, "gamma must be positive, got -0.1"),
+        (0.0, 1e-9, "kappa must be positive, got 0.0"),
+        (np.nan, 1e-9, "kappa must be positive, got nan"),
+    ])
+    def test_rates_must_be_positive(self, kappa, gamma, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            prepare_state_lyapunov(kappa, gamma, 0.6, 0.2, FIG9_BATH)
+
     def test_x_variance_independent_of_x2_rate(self):
         a, b = (
             prepare_state_lyapunov(1.0, 1e-9, 0.6, 0.2, FIG9_BATH, x2_rate=r)[0]
