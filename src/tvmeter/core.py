@@ -23,6 +23,14 @@ complex, and dropping their imaginary parts would condition on one
 sideband quadrature of the record instead of the whole record at that
 frequency.  At w = 0, S is real and the two agree.
 
+Every builder's drift but the detuned imperfect readout's is block lower
+triangular after a permutation, with diagonal blocks of one or two
+quadratures; :func:`build_scattering` solves those by block forward
+substitution on the entries their inverse may hold, with the blocks
+inverted in closed form, and the rest by LAPACK's solve.  The figures
+read only the signal, meter and ancilla rows and columns of the density,
+and only those are formed.
+
 The scattering matrix, the condition check and the cross-spectral
 density run over a stack: an array of frequencies, or a model whose
 drift (and input couplings) are stacks of matrices (one per value of a
@@ -161,13 +169,14 @@ def matrix(rows) -> NDArray[np.float64]:
     the stack ``[..., i, j]`` of the matrices at each point of the
     broadcast entries."""
     entries = [x for row in rows for x in row]
-    shape = np.broadcast_shapes(*(x.shape for x in entries if isinstance(x, np.ndarray)))
+    shapes = [x.shape for x in entries if isinstance(x, np.ndarray)]
+    shape = np.broadcast_shapes(*shapes) if shapes else ()
     if not shape:
         return np.array(rows, dtype=float)
     M = np.empty(shape + (len(entries),))
     for k, x in enumerate(entries):
         M[..., k] = x
-    return M.reshape(shape + (len(rows), -1))
+    return M.reshape(shape + (len(rows), len(entries) // len(rows)))
 
 
 def raise_first(*guards) -> None:
@@ -280,6 +289,8 @@ class LinearModel:
 
 def check_paired(omegas: float | NDArray, stack: tuple[int, ...]) -> tuple[int, ...]:
     """Shape of a stack's points at ``omegas``; ValueError unless they pair."""
+    if not stack:  # one model: the frequencies' shape
+        return np.shape(omegas)
     try:
         return np.broadcast_shapes(np.shape(omegas), stack)
     except ValueError:
@@ -309,12 +320,14 @@ def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     raw condition number without the matrix being anywhere near an
     undamped resonance; scaling removes that while a genuinely singular
     matrix stays singular (a zero row or column stays zero).  ``M`` may
-    be a stack ``[..., i, j]``.
+    be a stack ``[..., i, j]``; a matrix with a NaN entry gives NaN rows
+    and columns, without a warning.
     """
     r = np.maximum(np.abs(M).max(-1), _TINY)
-    E = M / r[..., :, None]
-    c = np.maximum(np.abs(E).max(-2), _TINY)
-    E /= c[..., None, :]
+    with np.errstate(invalid="ignore"):  # complex division by a NaN scale
+        E = M / r[..., :, None]
+        c = np.maximum(np.abs(E).max(-2), _TINY)
+        E /= c[..., None, :]
     return E, r, c
 
 
@@ -353,13 +366,13 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
         rank = M.ndim - 2
         M = _entries_first(M.reshape(M.shape[:-2] + (n * n,)), rank)
         if solved is not None:
-            solved = (_entries_first(solved[0].reshape(M.shape[1:] + (-1,)), rank),
+            solved = (_entries_first(solved[0].reshape(M.shape[1:] + (n * n,)), rank),
                       _entries_first(solved[1], rank))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = np.abs(M)
-        r = np.maximum(functools.reduce(np.maximum, e[in_row]), _TINY)
+        r = np.maximum(np.maximum.reduce(e[in_row]), _TINY)
         e /= r[rows]
-        c = np.maximum(functools.reduce(np.maximum, e[in_col]), _TINY)
+        c = np.maximum(np.maximum.reduce(e[in_col]), _TINY)
         e /= c[cols]
         if solved is not None:  # |E^-1_ij| = c_i |X_ij| r_j / h_j
             inverse = np.abs(solved[0]) * c[rows] * (r / solved[1])[cols]
@@ -390,6 +403,8 @@ def _positions(n: int, at: tuple | None) -> tuple:
 
 def _entries_first(entries: NDArray, rank: int) -> NDArray:
     """The view ``[k, ...]`` of ``entries[..., k]`` with ``rank`` stack axes."""
+    if rank == 0 and entries.ndim == 1:  # one point: the entries themselves
+        return entries
     entries = entries.reshape((1,) * (rank + 1 - entries.ndim) + entries.shape)
     return entries.transpose((rank, *range(rank)))
 
@@ -402,10 +417,77 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     (:func:`detected`).  An array of frequencies, or a model stack (A,
     and H when it is a stack), gives the stack ``S[..., i, j]`` from one
     stacked solve; the first singular point, in stack order, raises
-    :class:`SingularAtFrequency`.  With no zero in H it solves X = M^-1 H
-    first and hands the guard M^-1 = X diag(1/h); otherwise, or when an
-    exactly singular matrix stops that solve, the guard inverts on its own.
+    :class:`SingularAtFrequency`.
+
+    A drift that is block lower triangular after a permutation, with
+    diagonal blocks of one or two quadratures, is solved by block forward
+    substitution (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 13) on the entries X = M^-1 H may hold, M = A + iwI: each
+    diagonal block is inverted in closed form, each block row of M is
+    scaled by its inverse, N = -D^-1 L, and each level of blocks takes
+    X_ij = sum_k N_ik X_kj from the levels above, one vectorized product
+    per level.  Every builder's drift is of that kind but the detuned
+    imperfect readout's, whose loop X -> p -> x -> Y -> X is one block of
+    four.  The guard takes M and X = M^-1 diag(h) at those entries, and
+    h.  Any other drift takes LAPACK's solve of X = M^-1 H: with no zero
+    in H it hands the guard M^-1 = X diag(1/h); otherwise, or when an
+    exactly singular matrix stops that solve, the guard inverts on its
+    own.  The plan depends on the nonzero entries of the drift, so the
+    points of a stack whose entries vanish at some points (a coupling of
+    zero) are solved in groups, each as one of its points alone.
     """
+    n = model.A.shape[-1]
+    nonzero = model.A != 0
+    if nonzero.ndim > 2:
+        nonzero = nonzero.reshape(-1, n * n)
+        if len(nonzero) > 1 and not (nonzero == nonzero[0]).all():
+            return _by_pattern(model, omega)
+        nonzero = nonzero.any(0)
+    plan = _substitution(nonzero.tobytes(), n)
+    return _dense_scattering(model, omega) if plan is None else _substituted(model, omega, plan)
+
+
+def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple
+                 ) -> NDArray[np.complex128]:
+    """:func:`build_scattering` by the block forward substitution ``plan``
+    (of :func:`_substitution`) for X = M^-1 H."""
+    at, (rows, cols), (singles, paired, pairs, n_diagonal, size), h_at, scaled, levels = plan
+    A = model.A
+    n = A.shape[-1]
+    a = A[..., rows, cols]
+    points = np.broadcast(a[..., 0], omega).shape
+    rank, entries = len(points), len(rows)
+    h = _entries_first(model.H.diagonal(0, -2, -1), rank)  # h[j, ...]
+    m, x = np.zeros((2, size) + points, complex)  # M, X and N; a zero last
+    m[:entries] = _entries_first(a, rank)
+    m[:n_diagonal] += 1j * omega
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular: inf, NaN
+        np.divide(h[h_at[0]], m[singles], out=x[singles])  # X_ii = h_i / M_ii
+        (one, diagonal, driven), (two, inverse_at, driving) = scaled
+        np.divide(m[driven], -m[diagonal], out=m[one])  # N = -D^-1 L on one-quadrature rows
+        if pairs:  # (a, d, b, c) of each block [[a, b], [c, d]], and D^-1
+            block = m[paired].reshape((4, pairs) + points)
+            det = block[0] * block[1] - block[2] * block[3]
+            inverse = x[paired].reshape(block.shape)
+            np.divide(block[1::-1], det, out=inverse[:2])
+            np.divide(block[2:], -det, out=inverse[2:])
+            terms = x[inverse_at] * m[driving]  # D^-1_{i,b} M_{b,k} for both rows b of the block
+            np.negative(terms[0] + terms[1], out=m[two])
+            x[paired] *= h[h_at[1]]  # D^-1 H
+        for at_x, terms, known in levels:  # X_ij = sum_k N_ik X_kj, X_kj of the levels above
+            np.multiply(m[terms[0]], x[known[0]], out=x[at_x])
+            for t, k in zip(terms[1:], known[1:]):
+                x[at_x] += m[t] * x[k]
+        _require_regular(m[:entries], omega, (x[:entries], h), at)
+        s = x[:entries] * -h[rows]  # -H X, then less I on the first n_diagonal
+    s[:n_diagonal] -= 1.0
+    S = np.zeros(points + (n, n), complex)
+    S[..., rows, cols] = s.transpose((*range(1, rank + 1), 0))
+    return S
+
+
+def _dense_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
+    """:func:`build_scattering` by LAPACK's solve, for any drift."""
     eye = np.eye(model.A.shape[-1])
     M = model.A + 1j * np.asarray(omega)[..., None, None] * eye
     H = model.H.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
@@ -418,9 +500,123 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     return -(h[..., :, None] * (np.linalg.solve(M, H) if X is None else X) + eye)  # H X
 
 
+def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
+    """:func:`build_scattering` of a stack whose drifts have their nonzero
+    entries at different positions (a coupling that is zero at some points):
+    each group of points that share them takes the solve one of its points
+    takes alone.  When a group's guard raises, one guard over the whole
+    stack raises the error of its first singular point."""
+    n = model.A.shape[-1]
+    points = np.broadcast_shapes(np.shape(omega), model.A.shape[:-2])
+    A, H = (np.broadcast_to(X, points + (n, n)).reshape(-1, n, n) for X in (model.A, model.H))
+    omega = np.broadcast_to(omega, points).ravel()
+    nonzero = (A != 0).reshape(-1, n * n)
+    left = np.ones(len(A), bool)
+    S = np.empty(A.shape, complex)
+    singular = False
+    while left.any():
+        pattern = nonzero[np.argmax(left)]
+        points_of = (nonzero == pattern).all(1)
+        left &= ~points_of
+        part = object.__new__(LinearModel)  # the points of one pattern, validated with the stack
+        vars(part).update(vars(model), A=A[points_of], H=H[points_of])
+        plan = _substitution(pattern.tobytes(), n)
+        try:
+            S[points_of] = (_dense_scattering(part, omega[points_of]) if plan is None
+                            else _substituted(part, omega[points_of], plan))
+        except SingularAtFrequency:
+            singular = True
+    if singular:
+        _require_regular(A + 1j * omega[:, None, None] * np.eye(n), omega)
+    return S.reshape(points + (n, n))
+
+
+@functools.cache
+def _substitution(pattern: bytes, n: int) -> tuple | None:
+    """The block forward substitution of :func:`build_scattering` for the
+    n x n matrices M whose off-diagonal nonzero entries lie in ``pattern``
+    (the bytes of an n x n boolean array), or None when a diagonal block
+    of M, a set of quadratures that drive each other, has more than two.
+
+    The plan is (at, index, sizes, h_at, scaled, levels).  X = M^-1 H may
+    be nonzero at (i, j) when j drives i through a chain of entries; ``at``
+    lists those positions (``index`` as an array) in this order: the
+    one-quadrature blocks, then (a, d, b, c) of the two-quadrature blocks
+    [[a, b], [c, d]], then the rest of the block rows, level by level (a
+    block's level is one more than the highest of the blocks that drive
+    it).  ``sizes`` = (singles, paired, pairs, n_diagonal, size): the
+    slices of the two kinds of diagonal blocks, the number of pairs, the
+    number of diagonal positions of M (they come first) and the length of
+    the work arrays.  ``h_at`` picks h_i for X_ii = h_i / M_ii and h_j for
+    D^-1 H on the pairs.  ``scaled`` places N = -D^-1 L (D the diagonal
+    blocks of M, L the rest) after X: (slice, M_ii, M_ik) for the
+    one-quadrature rows, N_ik = -M_ik / M_ii, and (slice, D^-1 at both
+    columns of the block, M at both rows) for the others.  A level is
+    (slice, terms, known): X_ij = sum_k N_ik X_kj, the sum over the rows
+    of N at ``terms`` times X at ``known``, padded with the zero at the
+    end of the work arrays.
+    """
+    drives = np.frombuffer(pattern, bool).reshape(n, n) | np.eye(n, dtype=bool)
+    reach = drives.copy()  # reach[i, j]: j drives i through a chain of entries
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[k]
+    same = reach & reach.T
+    if same.sum(1).max() > 2:
+        return None
+    blocks = []  # in dependency order: the blocks feeding a block reach fewer quadratures
+    for i in sorted(range(n), key=lambda i: (np.count_nonzero(reach[i]), i)):
+        if (block := tuple(np.flatnonzero(same[i]).tolist())) not in blocks:
+            blocks.append(block)
+    level, feeds = {}, {}
+    for block in blocks:
+        feeds[block] = [k for k in range(n) if k not in block and drives[block, k].any()]
+        level[block] = 1 + max((level[b] for b in blocks if set(b) & set(feeds[block])),
+                               default=-1)
+    block_of = {i: b for b in blocks for i in b}
+    pairs = [b for b in blocks if len(b) == 2]
+    at = [(i, i) for (i,) in (b for b in blocks if len(b) == 1)]
+    singles = len(at)
+    at += [(i, i) for i, _ in pairs] + [(j, j) for _, j in pairs]
+    at += [(i, j) for i, j in pairs] + [(j, i) for i, j in pairs]
+    for depth in range(1, max(level.values()) + 1):
+        at += [(i, j) for b in blocks if level[b] == depth for i in b
+               for j in range(n) if reach[i, j] and not same[i, j]]
+    pos = {ij: k for k, ij in enumerate(at)}
+    one, two = ([(i, k) for b in blocks if len(b) == size for i in b for k in feeds[b]]
+                for size in (1, 2))
+    pos |= {("N", *ik): len(at) + t for t, ik in enumerate(one + two)}
+    zero = len(pos)
+    scaled = ((slice(len(at), len(at) + len(one)), np.array([pos[i, i] for i, _ in one], int),
+               np.array([pos[ik] for ik in one], int)),
+              (slice(len(at) + len(one), zero),
+               np.array([[pos[i, block_of[i][r]] for i, _ in two] for r in (0, 1)], int),
+               np.array([[pos[block_of[i][r], k] for i, k in two] for r in (0, 1)], int)))
+    levels = []
+    for depth in range(1, max(level.values()) + 1):
+        rows = [t for t in range(singles + 4 * len(pairs), len(at))
+                if level[block_of[at[t][0]]] == depth]
+        terms = [[(pos["N", i, k], pos[k, j]) for k in feeds[block_of[i]] if reach[k, j]]
+                 for i, j in (at[t] for t in rows)]
+        width = max(map(len, terms))
+        terms = np.array([t + [(zero, zero)] * (width - len(t)) for t in terms], int)
+        levels.append((slice(rows[0], rows[-1] + 1), *map(tuple, terms.transpose(2, 1, 0))))
+    index = np.array(at).T
+    paired = slice(singles, singles + 4 * len(pairs))
+    sizes = (slice(0, singles), paired, len(pairs), singles + 2 * len(pairs), zero + 1)
+    h_at = (index[0, :singles], index[1, paired])
+    return tuple(map(tuple, index.tolist())), index, sizes, h_at, scaled, tuple(levels)
+
+
 def input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
     """Input covariance: (n_c + 1/2) I_2 per optical mode and the
     thermal-squeezed block per mechanical mode."""
+    return _input_covariance(bath, layout).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _input_covariance(bath: BathSpec, layout: ModeLayout) -> NDArray[np.float64]:
+    """:func:`input_covariance`, built once per bath and layout (a sweep
+    builds many models on one bath)."""
     n = 2 * layout.n_modes
     V = np.zeros((n, n))
     mech = bath.mechanical_block()
@@ -441,25 +637,29 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     return _output_density((S,), Vin)
 
 
-def _output_density(blocks, Vin: NDArray) -> NDArray[np.complex128]:
+def _output_density(blocks, Vin: NDArray, index: tuple | None = None) -> NDArray[np.complex128]:
     """:func:`cross_spectral_density` of several scattering ``blocks`` (the
     sidebands of a periodic drift, each ``S[..., i, j]``): their densities
-    add incoherently, and the sum is symmetrized once."""
+    add incoherently, and the sum is symmetrized once.  With ``index``, only
+    the rows and columns of those outputs, in that order."""
     Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
+    if index is not None:
+        blocks = [S[..., index, :] for S in blocks]
     n = Vin.shape[-1]  # a shared V_in takes one product over the stack
     V = functools.reduce(np.add, [((S.reshape(-1, n) @ Vin).reshape(S.shape) if Vin.ndim == 2
                                    else S @ Vin) @ S.conj().swapaxes(-1, -2) for S in blocks])
     return 0.5 * (V + V.conj().swapaxes(-1, -2))
 
 
-def detected(V: NDArray, rows: slice, eta: float, noise: float) -> NDArray:
+def detected(V: NDArray, rows: slice | NDArray, eta: float, noise: float) -> NDArray:
     """Output covariance ``V`` as seen by detectors of efficiency ``eta``
     on the measured quadratures ``rows``.
 
     Each detector sits behind a beam splitter of transmission eta whose
     open port admits uncorrelated noise of variance ``noise`` (Clerk et
     al., Rev. Mod. Phys. 82, 1155 (2010)): the rows and columns ``rows``
-    scale by sqrt(eta), and (1 - eta) ``noise`` adds to their diagonal.
+    (a slice or an array of indices) scale by sqrt(eta), and (1 - eta)
+    ``noise`` adds to their diagonal.
     The signal power gain of a detected quadrature scales by eta.  ``V``
     is a Hermitian or real covariance, or a stack ``[..., i, j]``; at
     eta = 1 it is returned itself, otherwise a new array.

@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .core import (FOUR_MODE, BathSpec, LinearModel, check_paired, check_sign, check_signs,
                    matrix, raise_first)
 from .errors import NegativeLinewidth, TvmeterError
-from .metrics import MeasurementFigures, _abs2, _from_scattering, figures_from_parts
+from .metrics import MeasurementFigures, _from_scattering, figures_from_parts
 from .models import ImperfectQndParams, imperfect_qnd_model
 
 
@@ -59,7 +59,7 @@ class TweezerParams:
     def from_trap_frequency(cls, omega_tr: float, alpha: float, **kw) -> "TweezerParams":
         """Build with the modulation-renormalized mechanical frequency
         omega_m = omega_tr sqrt(1 + alpha^2 / 2)."""
-        return cls(omega_m=omega_tr * np.sqrt(1 + _abs2(alpha) / 2), alpha=alpha, **kw)
+        return cls(omega_m=omega_tr * np.sqrt(1 + alpha**2 / 2), alpha=alpha, **kw)
 
     @property
     def qnd_coupling(self) -> float:
@@ -70,7 +70,7 @@ class TweezerParams:
     def effective_cooperativity(self) -> float:
         """Cooperativity of the equivalent ideal readout,
         4 (alpha g / 4)^2 / (kappa gamma)."""
-        return _abs2(self.alpha) * _abs2(self.g) / (4.0 * self.kappa * self.gamma)
+        return self.alpha**2 * self.g**2 / (4.0 * self.kappa * self.gamma)
 
 
 def single_tweezer_qnd_params(p: TweezerParams) -> ImperfectQndParams:
@@ -80,7 +80,7 @@ def single_tweezer_qnd_params(p: TweezerParams) -> ImperfectQndParams:
     terms reduce to a pure x^2 rate mu = alpha^2 omega_m / [8 (2 + alpha^2)]
     (harmless); detuning Omega away from it splits into mu and nu.
     """
-    a2 = _abs2(p.alpha)
+    a2 = p.alpha**2
     q = a2 * p.omega_m / (16.0 * (2.0 + a2))
     if p.Omega is None:
         # exactly the backaction-free point

@@ -20,7 +20,8 @@ the measurement-equivalent input noises
 
 The linear models here, the beyond-RWA harmonic solver and the reduced
 dual-tweezer map go through one pipeline, :func:`_from_scattering`: it
-forms the output density with the code of
+forms the rows and columns of the output density that the figures read
+(signal, meter and, when conditioning on it, ancilla) with the code of
 :func:`core.cross_spectral_density` (sideband blocks add incoherently),
 applies detection loss with :func:`core.detected` (a beam splitter on
 the measured output mode, which also scales the meter power gain
@@ -44,6 +45,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
+    CQNC_LAYOUT,
     BathSpec,
     LinearModel,
     ModeLayout,
@@ -110,21 +112,6 @@ def classify_regime(Vc: float, Ts: float, Tm: float) -> Regime | list[Regime]:
     return _QUADRANTS[quadrant]
 
 
-def _abs2(z):
-    """|z|^2 at each point of a stack, as libm ``hypot`` and ``pow``: the
-    bits of ``abs(z) ** 2`` on a Python complex (numpy's ``abs`` and
-    ``** 2`` round differently in the last bit)."""
-    return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
-def _re_triple(a, b, c):
-    """Re(a b c*) with the bits of scalar complex arithmetic (numpy's array
-    complex product rounds differently)."""
-    re = a.real * b.real - a.imag * b.imag
-    im = a.real * b.imag + a.imag * b.real
-    return re * c.real - im * -c.imag
-
-
 def _clamped(Vc, Vss, *guards) -> NDArray[np.float64]:
     """V_c at each point of a stack (one point is a stack of shape ()),
     with rounding below zero clamped to zero.  ``guards`` are the pairs of
@@ -148,20 +135,32 @@ def conditional_variance(
     """
     s = signal if signal is not None else (layout.signal_index if layout else 2)
     m = meter if meter is not None else (layout.meter_index if layout else 1)
-    Vss, Vmm = Vout[..., s, s].real, Vout[..., m, m].real
+    return _conditioned(Vout, s, m)
+
+
+def _conditioned(Vout: NDArray, s: int, m: int, a: int | None = None, simplified: bool = False):
+    """V_c of the density ``Vout`` for the signal ``s`` conditioned on the
+    meter ``m``, and with an ancilla ``a`` on both: the Schur complement on
+    the (meter, ancilla) block, or with ``simplified`` the sum of the two
+    channels' terms, dropping the meter-ancilla cross covariance."""
+    Vss, Vmm, Vsm = Vout[..., s, s].real, Vout[..., m, m].real, Vout[..., s, m]
     with np.errstate(divide="ignore", invalid="ignore"):
-        Vc = Vss - _abs2(Vout[..., s, m]) / Vmm
-    return _clamped(Vc, Vss, (Vmm <= METER_FLOOR, lambda k: DegenerateMeter(
-        f"meter variance {np.ravel(Vmm)[k]:.3e} is not positive")))
-
-
-def _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom):
-    """Schur complement on the (meter, ancilla) block; ``denom`` is its
-    determinant, or None to drop the meter-ancilla cross covariance."""
-    if denom is None:
-        return Vss - _abs2(Vsm) / Vmm - _abs2(Vsa) / Vaa
-    num = Vmm * _abs2(Vsa) + _abs2(Vsm) * Vaa - 2 * _re_triple(Vsm, Vma, Vsa)
-    return Vss - num / denom
+        if a is None:
+            return _clamped(Vss - (Vsm.real**2 + Vsm.imag**2) / Vmm, Vss, (
+                Vmm <= METER_FLOOR, lambda k: DegenerateMeter(
+                    f"meter variance {np.ravel(Vmm)[k]:.3e} is not positive")))
+        Vaa, Vsa, Vma = Vout[..., a, a].real, Vout[..., s, a], Vout[..., m, a]
+        sm, sa = Vsm.real**2 + Vsm.imag**2, Vsa.real**2 + Vsa.imag**2
+        if simplified:
+            denom, Vc = None, Vss - sm / Vmm - sa / Vaa
+        else:
+            denom = Vmm * Vaa - (Vma.real**2 + Vma.imag**2)
+            Vc = Vss - (Vmm * sa + sm * Vaa - 2 * (Vsm * Vma * Vsa.conj()).real) / denom
+    channel = (np.minimum(Vmm, Vaa) <= METER_FLOOR,
+               lambda k: DegenerateMeter("conditioning channel has vanishing variance"))
+    block = (not simplified and denom <= METER_FLOOR,
+             lambda k: DegenerateMeter("meter/ancilla covariance block is singular"))
+    return _clamped(Vc, Vss, channel, block)
 
 
 def cqnc_conditional_variance(
@@ -179,19 +178,8 @@ def cqnc_conditional_variance(
     correlation is small against the two variances).  V_c has the guards
     of :func:`conditional_variance`.
     """
-    s = layout.signal_index if layout is not None else 2
-    m = layout.meter_index if layout is not None else 1
-    a = layout.ancilla_index if layout is not None and layout.ancilla_index is not None else 4
-    Vss, Vmm, Vaa = (Vout[..., i, i].real for i in (s, m, a))
-    Vsm, Vsa, Vma = Vout[..., s, m], Vout[..., s, a], Vout[..., m, a]
-    denom = None if simplified else Vmm * Vaa - _abs2(Vma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Vc = _cqnc_schur(Vss, Vmm, Vaa, Vsm, Vsa, Vma, denom)
-    channel = (np.minimum(Vmm, Vaa) <= METER_FLOOR,
-               lambda k: DegenerateMeter("conditioning channel has vanishing variance"))
-    block = (not simplified and denom <= METER_FLOOR,
-             lambda k: DegenerateMeter("meter/ancilla covariance block is singular"))
-    return _clamped(Vc, Vss, channel, block)
+    s, m, a = _conditioning_index(layout or CQNC_LAYOUT, "meter+ancilla")
+    return _conditioned(Vout, s, m, a, simplified)
 
 
 def figures_from_parts(
@@ -237,12 +225,28 @@ def measured_figures(
     return figures_from_parts(Vc, ns, nm, Vx, omega)
 
 
-def _conditioned_vc(Vout: NDArray, layout: ModeLayout, conditioning: str):
+def _conditioning_index(layout: ModeLayout, conditioning: str) -> tuple[int, ...]:
+    """(signal, meter) of the layout, and its ancilla (quadrature 4 when it
+    names none) for ``"meter+ancilla"``."""
     if conditioning == "meter":
-        return conditional_variance(Vout, layout)
+        return layout.signal_index, layout.meter_index
     if conditioning == "meter+ancilla":
-        return cqnc_conditional_variance(Vout, layout)
+        a = layout.ancilla_index
+        return layout.signal_index, layout.meter_index, 4 if a is None else a
     raise ValueError(f"unknown conditioning {conditioning!r}")
+
+
+@functools.cache
+def _readout(layout: ModeLayout, conditioning: str) -> tuple[NDArray, NDArray]:
+    """The outputs the figures read, :func:`_conditioning_index`, and the
+    positions among them of those in the meter's mode, which loss acts on
+    (read-only arrays, shared by every call)."""
+    index = _conditioning_index(layout, conditioning)
+    measured = [k for k, i in enumerate(index) if i // 2 == index[1] // 2]
+    readout = np.array(index), np.array(measured)
+    for array in readout:
+        array.setflags(write=False)
+    return readout
 
 
 def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
@@ -254,20 +258,25 @@ def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
     Several blocks are the sidebands of a periodic drift: their densities
     S V_in S^dagger add incoherently, symmetrised once after the sum, and
     the figures' variances and gains come from their coherent sum.  Loss
-    ``eta`` on the meter's mode fills at that mode's input variance.
+    ``eta`` on the meter's mode fills at that mode's input variance.  The
+    densities have only the rows and columns of the signal, the meter and
+    the ancilla (when conditioning on it): all that loss, V_c and the
+    figures read.
     """
-    r0 = layout.meter_index - layout.meter_index % 2
-    noise, Vx = Vin[..., r0, r0, None], Vin[..., layout.signal_index, layout.signal_index]
-    V = detected(_output_density(blocks, Vin), slice(r0, r0 + 2), eta, noise)
-    Vc = _conditioned_vc(V, layout, conditioning)
+    index, measured = _readout(layout, conditioning)
+    s, m = index[:2]
+    r0 = m - m % 2
+    noise, Vx = Vin[..., r0, r0, None], Vin[..., s, s]
+    V = detected(_output_density(blocks, Vin, index), measured, eta, noise)
+    Vc = _conditioned(V, *range(len(index)))
     if not figures:
         return Vc
     S = functools.reduce(np.add, blocks)
     if len(blocks) > 1:
-        V = detected(_output_density((S,), Vin), slice(r0, r0 + 2), eta, noise)
-    s, m = layout.signal_index, layout.meter_index
-    return measured_figures(Vc, V[..., s, s].real, V[..., m, m].real, _abs2(S[..., s, s]),
-                            eta * _abs2(S[..., m, s]), Vx, omega)
+        V = detected(_output_density((S,), Vin, index[:2]), measured[measured < 2], eta, noise)
+    Sss, Sms = S[..., s, s], S[..., m, s]
+    G_s, G_m = Sss.real**2 + Sss.imag**2, eta * (Sms.real**2 + Sms.imag**2)
+    return measured_figures(Vc, V[..., 0, 0].real, V[..., 1, 1].real, G_s, G_m, Vx, omega)
 
 
 def evaluate(

@@ -390,8 +390,10 @@ class TestSingularityGuard:
 
 class TestGuardFromTheSolve:
     """build_scattering on a stack bounds the condition number with the
-    inverse M^-1 = X diag(1/h) of its own solve X = M^-1 H; which matrices
-    raise, and the rcond they report, stay those of the SVD rule."""
+    inverse M^-1 of its own solve: the block substitution's on these block
+    diagonal drifts, and X diag(1/h) from LAPACK's X = M^-1 H on the dense
+    path (``core._dense_scattering``, which takes every other drift); which
+    matrices raise, and the rcond they report, stay those of the SVD rule."""
 
     H = [0.5, 2.0, 1.0, 3.0]
 
@@ -425,7 +427,7 @@ class TestGuardFromTheSolve:
         inv, sizes = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda E: sizes.append(len(E)) or inv(E))
         with pytest.raises(SingularAtFrequency) as err:
-            build_scattering(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
+            core._dense_scattering(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
         assert (err.value.omega, err.value.rcond) == want
         assert sizes == [len(A)]
 
@@ -435,9 +437,10 @@ class TestGuardFromTheSolve:
             np.linalg.solve(A + 0j, np.diag(self.H) + 0j)
         want = TestSingularityGuard._svd_rule(A + 0j, np.zeros(len(A)))
         assert want[1] < RCOND_FLOOR
-        with pytest.raises(SingularAtFrequency) as err:
-            build_scattering(self._model(A, self.H), 0.0)
-        assert (err.value.omega, err.value.rcond) == want
+        for solve in (build_scattering, core._dense_scattering):
+            with pytest.raises(SingularAtFrequency) as err:
+                solve(self._model(A, self.H), 0.0)
+            assert (err.value.omega, err.value.rcond) == want
 
     def test_well_conditioned_stack_needs_no_inverse_and_no_svd(self, monkeypatch):
         A = np.array([_near_singular(e, 0.7).real for e in np.linspace(-11.0, 0.0, 12)])

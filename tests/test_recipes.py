@@ -8,7 +8,12 @@ The frequency-optimized tables (fig2, fig4) must also keep every byte:
 their rows come from the lockstep refinement of all rows, which gives
 each row the bits of a scan of the row alone.  So must the fixed-frequency
 C sweeps fig3 and fig5, whose rows come from stacked evaluations of
-blocks of rows.  The fig7 and fig8 goldens predate three moves of the
+blocks of rows.  fig2 to fig5 were re-recorded once when the linear
+models moved from LAPACK's solve to block forward substitution on the
+drift's nonzero entries (and the figures to plain |z|^2 = Re^2 + Im^2
+and Re(a b c*)): their last bits moved, by up to 1.3e-11 in T_s and
+ns_eq and 1.5e-13 in V_c, no regime changed, and every sampled row
+stays inside the 40-digit oracle's bounds (``test_linear_oracle.py``).  The fig7 and fig8 goldens predate three moves of the
 sideband solve in the last digits, to the exact three-component solve,
 to its substitution kernel and to its closed form on the nonzero entries:
 fig7 is off its golden by up to 4.9e-14 (ns_eq), and fig8 by up to
