@@ -169,8 +169,7 @@ def matrix(rows) -> NDArray[np.float64]:
     the stack ``[..., i, j]`` of the matrices at each point of the
     broadcast entries."""
     entries = [x for row in rows for x in row]
-    shapes = [x.shape for x in entries if isinstance(x, np.ndarray)]
-    shape = np.broadcast_shapes(*shapes) if shapes else ()
+    shape = np.broadcast_shapes(*(x.shape for x in entries if isinstance(x, np.ndarray)))
     if not shape:
         return np.array(rows, dtype=float)
     M = np.empty(shape + (len(entries),))
@@ -370,9 +369,9 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
                       _entries_first(solved[1], rank))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = np.abs(M)
-        r = np.maximum(np.maximum.reduce(e[in_row]), _TINY)
+        r = np.maximum.reduce(e[in_row], initial=_TINY)
         e /= r[rows]
-        c = np.maximum(np.maximum.reduce(e[in_col]), _TINY)
+        c = np.maximum.reduce(e[in_col], initial=_TINY)
         e /= c[cols]
         if solved is not None:  # |E^-1_ij| = c_i |X_ij| r_j / h_j
             inverse = np.abs(solved[0]) * c[rows] * (r / solved[1])[cols]
@@ -429,15 +428,17 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     per level.  Every builder's drift is of that kind but the detuned
     imperfect readout's, whose loop X -> p -> x -> Y -> X is one block of
     four.  The guard takes M and X = M^-1 diag(h) at those entries, and
-    h.  Any other drift takes LAPACK's solve of X = M^-1 H: with no zero
-    in H it hands the guard M^-1 = X diag(1/h); otherwise, or when an
-    exactly singular matrix stops that solve, the guard inverts on its
-    own.  The plan depends on the nonzero entries of the drift, so the
-    points of a stack whose entries vanish at some points (a coupling of
-    zero) are solved in groups, each as one of its points alone.
+    h (a zero in h leaves the guard no inverse: every matrix goes to the
+    SVD rcond).  Any other drift takes LAPACK's solve of X = M^-1 H: with
+    no zero in H it hands the guard M^-1 = X diag(1/h); otherwise, or
+    when an exactly singular matrix stops that solve, the guard inverts
+    on its own.  The plan depends on the off-diagonal nonzero entries of the
+    drift, so the points of a stack whose off-diagonal entries vanish at
+    some points (a coupling of zero) are solved in groups, each as one of
+    its points alone.
     """
     n = model.A.shape[-1]
-    nonzero = model.A != 0
+    nonzero = (model.A != 0) | _diagonal(n)  # the plan reads no diagonal zero
     if nonzero.ndim > 2:
         nonzero = nonzero.reshape(-1, n * n)
         if len(nonzero) > 1 and not (nonzero == nonzero[0]).all():
@@ -501,19 +502,20 @@ def _dense_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.
 
 
 def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
-    """:func:`build_scattering` of a stack whose drifts have their nonzero
-    entries at different positions (a coupling that is zero at some points):
-    each group of points that share them takes the solve one of its points
-    takes alone.  When a group's guard raises, one guard over the whole
-    stack raises the error of its first singular point."""
+    """:func:`build_scattering` of a stack whose drifts have their
+    off-diagonal nonzero entries at different positions (a coupling that is
+    zero at some points): each group of points that share them takes the
+    solve one of its points takes alone.  When a group's guard raises, one
+    guard over the whole stack raises the error of its first singular
+    point; should it pass, the first group's error stands."""
     n = model.A.shape[-1]
     points = np.broadcast_shapes(np.shape(omega), model.A.shape[:-2])
     A, H = (np.broadcast_to(X, points + (n, n)).reshape(-1, n, n) for X in (model.A, model.H))
     omega = np.broadcast_to(omega, points).ravel()
-    nonzero = (A != 0).reshape(-1, n * n)
+    nonzero = ((A != 0) | _diagonal(n)).reshape(-1, n * n)
     left = np.ones(len(A), bool)
     S = np.empty(A.shape, complex)
-    singular = False
+    first_error = None
     while left.any():
         pattern = nonzero[np.argmax(left)]
         points_of = (nonzero == pattern).all(1)
@@ -524,11 +526,20 @@ def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.comple
         try:
             S[points_of] = (_dense_scattering(part, omega[points_of]) if plan is None
                             else _substituted(part, omega[points_of], plan))
-        except SingularAtFrequency:
-            singular = True
-    if singular:
+        except SingularAtFrequency as err:
+            first_error = first_error or err
+    if first_error is not None:
         _require_regular(A + 1j * omega[:, None, None] * np.eye(n), omega)
+        raise first_error
     return S.reshape(points + (n, n))
+
+
+@functools.cache
+def _diagonal(n: int) -> NDArray[np.bool_]:
+    """The n x n boolean identity, shared and read-only."""
+    eye = np.eye(n, dtype=bool)
+    eye.setflags(write=False)
+    return eye
 
 
 @functools.cache
@@ -556,7 +567,7 @@ def _substitution(pattern: bytes, n: int) -> tuple | None:
     of N at ``terms`` times X at ``known``, padded with the zero at the
     end of the work arrays.
     """
-    drives = np.frombuffer(pattern, bool).reshape(n, n) | np.eye(n, dtype=bool)
+    drives = np.frombuffer(pattern, bool).reshape(n, n) | _diagonal(n)
     reach = drives.copy()  # reach[i, j]: j drives i through a chain of entries
     for k in range(n):
         reach |= reach[:, k, None] & reach[k]

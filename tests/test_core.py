@@ -426,10 +426,11 @@ class TestGuardFromTheSolve:
         want = TestSingularityGuard._svd_rule(A + 0j, np.zeros(len(A)))
         inv, sizes = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda E: sizes.append(len(E)) or inv(E))
-        with pytest.raises(SingularAtFrequency) as err:
-            core._dense_scattering(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
-        assert (err.value.omega, err.value.rcond) == want
-        assert sizes == [len(A)]
+        for solve in (build_scattering, core._dense_scattering):
+            with pytest.raises(SingularAtFrequency) as err:
+                solve(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
+            assert (err.value.omega, err.value.rcond) == want
+        assert sizes == [len(A)]  # the dense path's own inverse; the substitution has none
 
     def test_exactly_singular_matrix_stops_the_solve(self):
         A = np.array([_near_singular(e, 0.7).real for e in (-5.0, None, -13.0)])

@@ -83,8 +83,8 @@ def _block_pattern(draw, n):
 @st.composite
 def _drifts(draw):
     """(A, h, omega): a stack of 0 to 3 drifts on one pattern (a generated
-    one or a builder's), input couplings, and frequencies, one for the
-    stack or one per point."""
+    one or a builder's), input couplings (some of them zero), and
+    frequencies, one for the stack or one per point."""
     n = draw(st.sampled_from([4, 6]))
     pattern = draw(st.one_of(_block_pattern(n), st.sampled_from(
         [p for p in PATTERNS if len(p) == n])))
@@ -93,7 +93,7 @@ def _drifts(draw):
     A = np.where(pattern, np.where(np.abs(A) < 1e-3, 0.5, A), 0.0)
     diagonal = np.arange(n)
     A[:, diagonal, diagonal] = -0.1 - np.abs(A[:, diagonal, diagonal])  # damped
-    h = draw(arrays(float, n, elements=st.floats(0.1, 3.0)))
+    h = draw(arrays(float, n, elements=st.one_of(st.floats(0.1, 3.0), st.just(0.0))))
     if draw(st.booleans()):
         omega = draw(st.floats(-2.0, 2.0))
     else:
@@ -171,6 +171,34 @@ def test_stack_with_zero_couplings_keeps_each_points_bits(build, params):
     S = build_scattering(build(params(Cs), BATH), 0.7)
     for k, C in enumerate(Cs):
         np.testing.assert_array_equal(S[k], build_scattering(build(params(float(C)), BATH), 0.7))
+
+
+def test_zero_on_the_diagonal_keeps_the_stack_whole(monkeypatch):
+    # the plan reads the off-diagonal pattern alone: a point whose drift
+    # has an exact zero on its diagonal is solved with the rest of the stack
+    A = np.array([BUILDERS["displacement"].A] * 3)
+    A[1, 0, 0] = 0.0
+    singles = [build_scattering(_model(a, np.ones(4)), 0.7) for a in A]
+    monkeypatch.setattr(core, "_by_pattern", lambda *a: pytest.fail("split by pattern"))
+    np.testing.assert_array_equal(build_scattering(_model(A, np.ones(4)), 0.7), singles)
+
+
+def test_split_stack_never_returns_a_group_that_raised(monkeypatch):
+    # should the whole-stack guard pass where a group's guard raised, the
+    # group's error stands instead of unfilled entries of S
+    model = displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=np.array([0.0, 1.0])),
+                               BATH)
+    guard = core._require_regular
+
+    def group_guard_raises(M, omega, solved=None, at=None):
+        if at is not None:
+            raise SingularAtFrequency(0.7, 0.0)
+        guard(M, omega, solved, at)
+
+    monkeypatch.setattr(core, "_require_regular", group_guard_raises)
+    with pytest.raises(SingularAtFrequency) as err:
+        build_scattering(model, 0.7)
+    assert (err.value.omega, err.value.rcond) == (0.7, 0.0)
 
 
 def _imperfect(delta_c):
