@@ -14,8 +14,9 @@ Configuration can come from a JSON file (--config) with command-line
 flags taking precedence.  Outputs are deterministic: floats are printed
 with 17 significant digits and the resolved configuration is echoed in
 the header, so any table can be reproduced byte for byte from its own
-header and the subcommand's own flags.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+header and the subcommand's own flags.  Exit codes: 0 success, 1
+standard output closed before the table was written (as `tv ... | head`),
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -248,9 +250,10 @@ def _rows_of(params: dict) -> tuple[int | None, Any]:
 def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
     """Detection frequency minimizing V_c at each row of ``params`` (a row
     of numbers is a stack of one), with the figures there, in ``cfg``'s
-    bath.  The scenario builds the stack of all rows once; each row's grid
-    is one V_c call, and so is each golden-section round of all rows (in
-    lockstep).  One :func:`scenario_figures` call gives all the figures."""
+    bath.  The scenario builds the stack of all rows once; the grids of
+    several rows (``optimize.GRID_POINTS`` points in all) are one V_c
+    call, and so is each golden-section round of all rows (in lockstep).
+    One :func:`scenario_figures` call gives all the figures."""
     if _rows_of(params)[0] is None:
         params = {k: np.array([v]) if isinstance(v, numbers.Real) else v for k, v in params.items()}
     bath = cfg.bath_spec()
@@ -372,6 +375,7 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
             write_table(cfg, rows, fh)
     else:
         write_table(cfg, rows, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +703,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
         _emit(cfg, rows)
         return 0
+    except BrokenPipeError:  # the reader closed standard output (`tv ... | head`)
+        # as the SIGPIPE note of the `signal` docs: send what is left to devnull,
+        # so that the flush at exit does not fail again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"tv: configuration error: {err}", file=sys.stderr)
         return 2

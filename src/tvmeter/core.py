@@ -28,8 +28,12 @@ triangular after a permutation, with diagonal blocks of one or two
 quadratures; :func:`build_scattering` solves those by block forward
 substitution on the entries their inverse may hold, with the blocks
 inverted in closed form, and the rest by LAPACK's solve.  The figures
-read only the signal, meter and ancilla rows and columns of the density,
-and only those are formed.
+read only the signal, meter and ancilla rows of S: the substitution
+places those straight from its entries, entries first (``R[i, j, ...]``,
+the stack on the last axes), and the density of those rows and columns
+is summed elementwise over the nonzero entries of V_in, with no matrix
+product.  A dense S is formed only where :func:`build_scattering` or
+:func:`cross_spectral_density` returns one.
 
 The scattering matrix, the condition check and the cross-spectral
 density run over a stack: an array of frequencies, or a model whose
@@ -408,7 +412,8 @@ def _entries_first(entries: NDArray, rank: int) -> NDArray:
     return entries.transpose((rank, *range(rank)))
 
 
-def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
+def build_scattering(model: LinearModel, omega: float | NDArray,
+                     outputs: tuple[int, ...] | None = None) -> NDArray[np.complex128]:
     """Scattering matrix S(w) = -[H (A + iwI)^-1 H + I] for the model, as
     the array ``S[i, j]``: rows are output channels, columns input channels.
 
@@ -416,7 +421,10 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     (:func:`detected`).  An array of frequencies, or a model stack (A,
     and H when it is a stack), gives the stack ``S[..., i, j]`` from one
     stacked solve; the first singular point, in stack order, raises
-    :class:`SingularAtFrequency`.
+    :class:`SingularAtFrequency`.  With ``outputs``, a tuple of output
+    channels, only those rows are formed, entries first: ``R[k, j, ...]``
+    is ``S[..., outputs[k], j]``, the stack on the last axes (the form
+    :func:`cross_spectral_density` reduces).
 
     A drift that is block lower triangular after a permutation, with
     diagonal blocks of one or two quadratures, is solved by block forward
@@ -438,20 +446,30 @@ def build_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.c
     its points alone.
     """
     n = model.A.shape[-1]
+    outputs = None if outputs is None else tuple(outputs)
     nonzero = (model.A != 0) | _diagonal(n)  # the plan reads no diagonal zero
     if nonzero.ndim > 2:
         nonzero = nonzero.reshape(-1, n * n)
         if len(nonzero) > 1 and not (nonzero == nonzero[0]).all():
-            return _by_pattern(model, omega)
+            return _rows_of(_by_pattern(model, omega), outputs)
         nonzero = nonzero.any(0)
     plan = _substitution(nonzero.tobytes(), n)
-    return _dense_scattering(model, omega) if plan is None else _substituted(model, omega, plan)
+    if plan is None:
+        return _rows_of(_dense_scattering(model, omega), outputs)
+    return _substituted(model, omega, plan, outputs)
 
 
-def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple
-                 ) -> NDArray[np.complex128]:
+def _rows_of(S: NDArray, outputs: tuple[int, ...] | None) -> NDArray:
+    """The rows ``outputs`` of the stack ``S[..., i, j]`` entries first, as
+    :func:`build_scattering` gives them (all of S, as it is, for None)."""
+    return S if outputs is None else np.moveaxis(S[..., list(outputs), :], (-2, -1), (0, 1))
+
+
+def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple,
+                 outputs: tuple[int, ...] | None = None) -> NDArray[np.complex128]:
     """:func:`build_scattering` by the block forward substitution ``plan``
-    (of :func:`_substitution`) for X = M^-1 H."""
+    (of :func:`_substitution`) for X = M^-1 H; the rows ``outputs`` are
+    placed straight from the entries."""
     at, (rows, cols), (singles, paired, pairs, n_diagonal, size), h_at, scaled, levels = plan
     A = model.A
     n = A.shape[-1]
@@ -482,6 +500,11 @@ def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple
         _require_regular(m[:entries], omega, (x[:entries], h), at)
         s = x[:entries] * -h[rows]  # -H X, then less I on the first n_diagonal
     s[:n_diagonal] -= 1.0
+    if outputs is not None:
+        read, place = _read_entries(at, outputs)
+        R = np.zeros((len(outputs), n) + points, complex)
+        R[place] = s[read]
+        return R
     S = np.zeros(points + (n, n), complex)
     S[..., rows, cols] = s.transpose((*range(1, rank + 1), 0))
     return S
@@ -532,6 +555,15 @@ def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.comple
         _require_regular(A + 1j * omega[:, None, None] * np.eye(n), omega)
         raise first_error
     return S.reshape(points + (n, n))
+
+
+@functools.cache
+def _read_entries(at: tuple, outputs: tuple[int, ...]) -> tuple:
+    """(read, place): the entries of a plan's ``at`` that lie in the rows
+    ``outputs``, and their (row among ``outputs``, column) in R[k, j]."""
+    read = [t for t, i in enumerate(at[0]) if i in outputs]
+    return np.array(read, int), (np.array([outputs.index(at[0][t]) for t in read], int),
+                                 np.array([at[1][t] for t in read], int))
 
 
 @functools.cache
@@ -643,23 +675,63 @@ def cross_spectral_density(S: NDArray, Vin: NDArray) -> NDArray[np.complex128]:
     This is the matrix to condition on.  Its real part is the symmetrized
     output covariance, which serves the output variances and the transfer
     coefficients; its off-diagonal entries are complex at nonzero
-    frequency.  ``S`` may be a stack ``[..., i, j]``.
+    frequency.  ``S`` may be a stack ``[..., i, j]``; each point has the
+    bits of its own call (see :func:`_output_density`).
     """
-    return _output_density((S,), Vin)
+    return _output_density((np.moveaxis(S, (-2, -1), (0, 1)),), Vin)
 
 
-def _output_density(blocks, Vin: NDArray, index: tuple | None = None) -> NDArray[np.complex128]:
-    """:func:`cross_spectral_density` of several scattering ``blocks`` (the
-    sidebands of a periodic drift, each ``S[..., i, j]``): their densities
-    add incoherently, and the sum is symmetrized once.  With ``index``, only
-    the rows and columns of those outputs, in that order."""
-    Vin = Vin.astype(complex)  # cast once: numpy casts a real operand slowly (same bits)
-    if index is not None:
-        blocks = [S[..., index, :] for S in blocks]
-    n = Vin.shape[-1]  # a shared V_in takes one product over the stack
-    V = functools.reduce(np.add, [((S.reshape(-1, n) @ Vin).reshape(S.shape) if Vin.ndim == 2
-                                   else S @ Vin) @ S.conj().swapaxes(-1, -2) for S in blocks])
-    return 0.5 * (V + V.conj().swapaxes(-1, -2))
+def _output_density(blocks, Vin: NDArray) -> NDArray[np.complex128]:
+    """Cross-spectral density of the rows ``R[i, j, ...]`` of several
+    scattering maps ``blocks`` (the sidebands of a periodic drift add
+    incoherently), as ``V[..., i, k]`` stored entries first.
+
+    U = R V_in sums over the nonzero entries of ``Vin`` (shared, or a
+    stack ``[..., j, l]``), the diagonal first; the upper triangle
+    V_ik = sum_l U_il R_kl^* adds one l at a time, block after block, its
+    conjugate fills the lower one and the diagonal keeps its real part.
+    All of it is elementwise, so each point has the bits of its own call.
+    """
+    r, n, rank = blocks[0].shape[0], Vin.shape[-1], blocks[0].ndim - 2
+    shared = Vin.ndim == 2  # planned on its values, a stack on its nonzero entries
+    key = Vin if shared else (Vin != 0).reshape(-1, n * n).any(0).astype(float)
+    off, x_at, y_at, upper, lower, diagonal = _density_terms(key.tobytes(), r, n)
+    if not shared:
+        diagonal = _entries_first(np.diagonal(Vin, 0, -2, -1), rank)
+    elif rank:
+        diagonal = diagonal.reshape((n,) + (1,) * rank)
+    sums = []
+    for R in blocks:
+        U = R * diagonal
+        for j, l in off:
+            U[:, l] += R[:, j] * Vin[..., j, l]
+        terms = U.reshape((r * n,) + U.shape[2:])[x_at]  # [(l, (i, k)), ...]
+        conjugate = R.reshape((r * n,) + R.shape[2:])[y_at]
+        terms *= np.conjugate(conjugate, out=conjugate)
+        sums += list(terms.reshape((len(x_at) // len(upper), len(upper)) + terms.shape[1:]))
+    V = sums[0]
+    for term in sums[1:]:
+        V += term
+    density = np.empty((r * r,) + V.shape[1:], complex)
+    density[lower] = np.conj(V)
+    density[upper] = V
+    density[:: r + 1].imag = 0.0
+    return density.reshape((r, r) + V.shape[1:]).transpose((*range(2, rank + 2), 0, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _density_terms(vin: bytes, r: int, n: int) -> tuple:
+    """(off, x_at, y_at, upper, lower, diagonal) of :func:`_output_density`
+    for r rows and the n x n V_in of bytes ``vin`` (of a stack: ones at its
+    nonzero entries): ``off`` the nonzero (j, l) off the diagonal, and
+    term (l, (i, k)) at the flat entries i n + l of U and k n + l of R^*,
+    over the columns l of V_in and the upper pairs (i, k), whose flat
+    positions are i r + k (``upper``) and k r + i (``lower``)."""
+    W = np.frombuffer(vin).reshape(n, n)
+    off = [(j, l) for j, l in zip(*np.nonzero(W)) if j != l]
+    i, k = np.triu_indices(r)
+    l = np.flatnonzero(W.any(0))[:, None]
+    return off, (i * n + l).ravel(), (k * n + l).ravel(), i * r + k, k * r + i, W.diagonal()
 
 
 def detected(V: NDArray, rows: slice | NDArray, eta: float, noise: float) -> NDArray:
@@ -673,11 +745,12 @@ def detected(V: NDArray, rows: slice | NDArray, eta: float, noise: float) -> NDA
     ``noise`` adds to their diagonal.
     The signal power gain of a detected quadrature scales by eta.  ``V``
     is a Hermitian or real covariance, or a stack ``[..., i, j]``; at
-    eta = 1 it is returned itself, otherwise a new array.
+    eta = 1 it is returned itself, otherwise a new array in the same
+    memory order.
     """
     if eta == 1.0:
         return V
-    V = V.copy()
+    V = V.copy(order="K")
     V[..., rows, :] *= np.sqrt(eta)
     V[..., :, rows] *= np.sqrt(eta)
     measured = np.arange(V.shape[-1])[rows]

@@ -44,7 +44,7 @@ from numpy.typing import NDArray
 from .core import (FOUR_MODE, BathSpec, _allclose, _entries_first, _require_regular,
                    _require_stable, check_paired, check_sign, check_stable, input_covariance,
                    matrix)
-from .metrics import MeasurementFigures, _from_scattering, figures_from_parts
+from .metrics import MeasurementFigures, _from_scattering, _read_rows, figures_from_parts
 from .models import _readout_couplings, _resolve_coupling
 
 
@@ -204,8 +204,8 @@ def _measured(fd: FloquetDrift, bath: BathSpec, omega: float | NDArray, figures:
     diagonal, so a stacked drift gives a stack of H."""
     H = _readout_couplings(-2.0 * fd.A_zero[..., 0, 0], -2.0 * fd.A_zero[..., 2, 2])
     blocks = sideband_scattering(fd, H, omega)
-    return _from_scattering(tuple(blocks.values()), input_covariance(bath, FOUR_MODE), FOUR_MODE,
-                            bath.eta, omega, figures)
+    return _from_scattering(_read_rows(blocks.values(), FOUR_MODE),
+                            input_covariance(bath, FOUR_MODE), FOUR_MODE, bath.eta, omega, figures)
 
 
 def floquet_vc(

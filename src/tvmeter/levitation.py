@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .core import (FOUR_MODE, BathSpec, LinearModel, check_paired, check_sign, check_signs,
                    matrix, raise_first)
 from .errors import NegativeLinewidth, TvmeterError
-from .metrics import MeasurementFigures, _from_scattering, figures_from_parts
+from .metrics import MeasurementFigures, _from_scattering, _read_rows, figures_from_parts
 from .models import ImperfectQndParams, imperfect_qnd_model
 
 
@@ -210,8 +210,8 @@ def _reduced(p: DualTweezerParams, bath: BathSpec, omega, figures: bool):
     gm, vx, vp = compound_signal_variances(p, bath, omega)
     n, xp = bath.optical_variance, p.gamma / gm * bath.V_xp
     Vin = matrix([[n, 0, 0, 0], [0, n, 0, 0], [0, 0, vx, xp], [0, 0, xp, vp]])
-    return _from_scattering((reduced_scattering(p, omega),), Vin, FOUR_MODE, bath.eta, omega,
-                            figures)
+    return _from_scattering(_read_rows((reduced_scattering(p, omega),), FOUR_MODE), Vin,
+                            FOUR_MODE, bath.eta, omega, figures)
 
 
 def reduced_vc(p: DualTweezerParams, bath: BathSpec, omega: float | NDArray = 0.0):

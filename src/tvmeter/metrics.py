@@ -19,14 +19,17 @@ the measurement-equivalent input noises
     n_m_eq = V_out[Y,Y] / |S_Yx|^2 - V_x.
 
 The linear models here, the beyond-RWA harmonic solver and the reduced
-dual-tweezer map go through one pipeline, :func:`_from_scattering`: it
-forms the rows and columns of the output density that the figures read
-(signal, meter and, when conditioning on it, ancilla) with the code of
-:func:`core.cross_spectral_density` (sideband blocks add incoherently),
-applies detection loss with :func:`core.detected` (a beam splitter on
-the measured output mode, which also scales the meter power gain
-|S_Yx|^2 by eta), conditions through :func:`conditional_variance` and
-reduces through :func:`measured_figures`.  The pulsed readout, with no
+dual-tweezer map go through one pipeline, :func:`_from_scattering`.  It
+takes the rows of S that the figures read (signal, meter and, when
+conditioning on it, ancilla) entries first, ``R[i, j, ...]``, and forms
+their density with the code of :func:`core.cross_spectral_density`:
+elementwise sums, so each entry is one contiguous array over the stack
+and each point has the bits of its one-point call (sideband blocks add
+incoherently).  It applies detection loss with :func:`core.detected` (a
+beam splitter on the measured output mode, which also scales the meter
+power gain |S_Yx|^2 by eta), conditions through
+:func:`conditional_variance` and reduces through
+:func:`measured_figures`, on Python floats.  The pulsed readout, with no
 scattering map, shares the guards and :func:`measured_figures`.  Each
 kernel takes a stack of points ``[...]``; one point is a stack of shape
 () and takes the same code.
@@ -50,6 +53,7 @@ from .core import (
     LinearModel,
     ModeLayout,
     _output_density,
+    _rows_of,
     build_scattering,
     check_paired,
     detected,
@@ -193,17 +197,7 @@ def figures_from_parts(
     one frequency per point or one for all) give a list of figures, one
     per point in stack order.  Every field is a Python float.
     """
-    points = np.broadcast(Vc, ns_eq, nm_eq, Vx, omega)
-    columns = np.empty((5, points.size))
-    for column, part in zip(columns, (Vc, ns_eq, nm_eq, Vx, omega)):
-        column.reshape(points.shape)[...] = part
-    Vc, ns, nm, Vx, omega = columns
-    den = Vx + columns[1:3]  # a zero there is finite, and raises as on Python floats
-    raise_first((den == 0, lambda k: ZeroDivisionError("float division by zero")))
-    Ts, Tm = np.where(np.isfinite(columns[1:3]), Vx / den, 0.0)
-    figures = list(map(MeasurementFigures, Vc.tolist(), Ts.tolist(), Tm.tolist(), ns.tolist(),
-                       nm.tolist(), classify_regime(Vc, Ts, Tm), omega.tolist()))
-    return figures if points.ndim else figures[0]
+    return _reduced((Vc, ns_eq, nm_eq, Vx, omega, 1.0, 1.0), referred=False)
 
 
 def measured_figures(
@@ -216,13 +210,39 @@ def measured_figures(
     The output variances are referred back through the gains to the
     measurement-equivalent input noises n_eq = V / G - V_x; a gain at or
     below ``SIGNAL_PATH_FLOOR**2`` carries nothing and gives n_eq = inf.
-    :func:`figures_from_parts` reduces them, so arrays over a stack of
-    points give a list of figures, one per point in stack order.
+    They reduce as in :func:`figures_from_parts`, so arrays over a stack
+    of points give a list of figures, one per point in stack order.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ns, nm = (np.where(G > SIGNAL_PATH_FLOOR**2, np.divide(V, G) - Vx, math.inf)
-                  for V, G in ((V_ss, G_s), (V_mm, G_m)))
-    return figures_from_parts(Vc, ns, nm, Vx, omega)
+    return _reduced((Vc, V_ss, V_mm, Vx, omega, G_s, G_m), referred=True)
+
+
+def _reduced(parts, referred: bool) -> MeasurementFigures | list[MeasurementFigures]:
+    """The figures of the parts (V_c, n_s, n_m, V_x, omega, G_s, G_m),
+    whose n_s and n_m are variances to refer back through the gains when
+    ``referred`` (else the gains are unread).  The raveled parts are read
+    as Python floats once and reduced point by point (a zero V_x + n_eq
+    raises ZeroDivisionError; the regime rule is :func:`classify_regime`'s),
+    without the frozen ``__init__``'s ``object.__setattr__`` per field."""
+    try:  # parts of one shape (one point's, say) take one call
+        columns = np.array(parts, dtype=float)
+    except ValueError:
+        columns = np.empty((len(parts),) + np.broadcast_shapes(*map(np.shape, parts)))
+        for k, part in enumerate(parts):
+            columns[k] = part
+    figures, floor, isfinite, inf = [], SIGNAL_PATH_FLOOR**2, math.isfinite, math.inf
+    new, set_fields, append = object.__new__, object.__setattr__, figures.append
+    for vc, ns, nm, vx, w, gs, gm in zip(*columns.reshape(len(parts), -1).tolist()):
+        if referred:
+            ns = ns / gs - vx if gs > floor else inf
+            nm = nm / gm - vx if gm > floor else inf
+        ts = vx / (vx + ns) if isfinite(ns) else 0.0
+        tm = vx / (vx + nm) if isfinite(nm) else 0.0
+        figure = new(MeasurementFigures)
+        set_fields(figure, "__dict__", {"Vc": vc, "Ts": ts, "Tm": tm, "ns_eq": ns, "nm_eq": nm,
+                                        "regime": _QUADRANTS[2 * (vc < 0.5) + (ts + tm > 1.0)],
+                                        "omega": w})
+        append(figure)
+    return figures if columns.ndim > 1 else figures[0]
 
 
 def _conditioning_index(layout: ModeLayout, conditioning: str) -> tuple[int, ...]:
@@ -237,46 +257,52 @@ def _conditioning_index(layout: ModeLayout, conditioning: str) -> tuple[int, ...
 
 
 @functools.cache
-def _readout(layout: ModeLayout, conditioning: str) -> tuple[NDArray, NDArray]:
+def _readout(layout: ModeLayout, conditioning: str) -> tuple[tuple[int, ...], NDArray]:
     """The outputs the figures read, :func:`_conditioning_index`, and the
     positions among them of those in the meter's mode, which loss acts on
-    (read-only arrays, shared by every call)."""
+    (a read-only array, shared by every call)."""
     index = _conditioning_index(layout, conditioning)
-    measured = [k for k, i in enumerate(index) if i // 2 == index[1] // 2]
-    readout = np.array(index), np.array(measured)
-    for array in readout:
-        array.setflags(write=False)
-    return readout
+    measured = np.array([k for k, i in enumerate(index) if i // 2 == index[1] // 2])
+    measured.setflags(write=False)
+    return index, measured
+
+
+def _read_rows(blocks, layout: ModeLayout) -> list[NDArray]:
+    """The rows of the scattering ``blocks`` (each ``S[..., i, j]``) that
+    :func:`_from_scattering` reads with meter conditioning, entries first."""
+    index = _readout(layout, "meter")[0]
+    return [_rows_of(S, index) for S in blocks]
 
 
 def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
                      omega: float | NDArray, figures: bool, conditioning: str = "meter"):
     """V_c, or with ``figures`` the figures of merit, at detection frequency
-    ``omega`` of the scattering ``blocks`` (each ``S[..., i, j]``) on the
-    input covariance ``Vin`` (or a stack), with V_x its signal variance.
+    ``omega`` of the scattering ``blocks`` on the input covariance ``Vin``
+    (or a stack), with V_x its signal variance.  Each block holds the rows
+    of S that the figures read, the outputs ``_readout(layout,
+    conditioning)[0]`` (signal, meter and, when conditioning on it,
+    ancilla), entries first: ``R[k, j, ...]``.
 
     Several blocks are the sidebands of a periodic drift: their densities
-    S V_in S^dagger add incoherently, symmetrised once after the sum, and
-    the figures' variances and gains come from their coherent sum.  Loss
-    ``eta`` on the meter's mode fills at that mode's input variance.  The
-    densities have only the rows and columns of the signal, the meter and
-    the ancilla (when conditioning on it): all that loss, V_c and the
-    figures read.
+    S V_in S^dagger add incoherently, and the figures' variances and gains
+    come from their coherent sum.  Loss ``eta`` on the meter's mode fills
+    at that mode's input variance.
     """
     index, measured = _readout(layout, conditioning)
     s, m = index[:2]
     r0 = m - m % 2
-    noise, Vx = Vin[..., r0, r0, None], Vin[..., s, s]
-    V = detected(_output_density(blocks, Vin, index), measured, eta, noise)
+    noise = Vin[..., r0, r0, None]
+    V = detected(_output_density(blocks, Vin), measured, eta, noise)
     Vc = _conditioned(V, *range(len(index)))
     if not figures:
         return Vc
-    S = functools.reduce(np.add, blocks)
+    R = functools.reduce(np.add, blocks)
     if len(blocks) > 1:
-        V = detected(_output_density((S,), Vin, index[:2]), measured[measured < 2], eta, noise)
-    Sss, Sms = S[..., s, s], S[..., m, s]
-    G_s, G_m = Sss.real**2 + Sss.imag**2, eta * (Sms.real**2 + Sms.imag**2)
-    return measured_figures(Vc, V[..., 0, 0].real, V[..., 1, 1].real, G_s, G_m, Vx, omega)
+        V = detected(_output_density((R[:2],), Vin), measured[measured < 2], eta, noise)
+    S = R[:2, s]  # S_ss and S_ms, arrays also at one point: numpy scalars round otherwise
+    G = S.real**2 + S.imag**2
+    return measured_figures(Vc, V[..., 0, 0].real, V[..., 1, 1].real, G[0, ...], eta * G[1],
+                            Vin[..., s, s], omega)
 
 
 def evaluate(
@@ -332,14 +358,14 @@ def _solved(model: LinearModel, omegas: float | NDArray, bath: BathSpec | None,
     """V_c, or with ``figures`` the figures of merit, of the model at every
     point of a grid."""
     try:
-        S = build_scattering(model, omegas)
+        R = build_scattering(model, omegas, _readout(model.layout, conditioning)[0])
     except SingularAtFrequency:
         if model.A.ndim > 2 or np.ndim(omegas):
             # a point before the singular one may fail a V_c guard first
             for point, w in _grid_points(model, omegas):
                 evaluate(point, w, bath, conditioning)
         raise
-    return _from_scattering((S,), model.Vin, model.layout, bath.eta if bath else 1.0, omegas,
+    return _from_scattering((R,), model.Vin, model.layout, bath.eta if bath else 1.0, omegas,
                             figures, conditioning)
 
 

@@ -2,18 +2,20 @@
 
 All searches are deterministic: a coarse logarithmic grid scan
 followed by golden-section refinement of the best grid interval.  A
-scan takes one V_c callable, and each row's grid is one call of it
-(:func:`tvmeter.metrics.vc_on_grid` over a fixed model's frequencies or
-over a stack of models, one per cooperativity).  The refinement runs
-in lockstep: each round scores the new points of every unfinished
-bracket in one call, so the rows of a sweep (the frequency scans of a
-``tv sweep --optimize-frequency``, the C scans of a ``tv sql`` sweep:
-one stacked solve per round) share their rounds, while each bracket
-takes exactly the steps it takes alone.  The conditional variance can
-have several local minima and branch jumps (notably for the
-noise-cancellation scenario off resonance), so grid minima that come
-within 1 percent of the refined optimum are reported as additional
-branches, and optima pinned to an endpoint are flagged."""
+scan takes one V_c callable (:func:`tvmeter.metrics.vc_on_grid` over a
+fixed model's frequencies or over a stack of models, one per
+cooperativity).  A C scan scores each row's grid in one call of it; the
+frequency scans of several rows score the grids of up to
+``GRID_POINTS`` points' worth of rows in one call, one stacked solve.
+The refinement runs in lockstep: each round scores the new points of
+every unfinished bracket in one call, so the rows of a sweep (the
+frequency scans of a ``tv sweep --optimize-frequency``, the C scans of
+a ``tv sql`` sweep: one stacked solve per round) share their rounds,
+while each bracket takes exactly the steps it takes alone.  The
+conditional variance can have several local minima and branch jumps
+(notably for the noise-cancellation scenario off resonance), so grid
+minima that come within 1 percent of the refined optimum are reported
+as additional branches, and optima pinned to an endpoint are flagged."""
 
 from __future__ import annotations
 
@@ -30,6 +32,10 @@ _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 #: grid minima within this relative margin of the best one are reported
 BRANCH_MARGIN = 0.01
+
+#: grid points a frequency scan of several rows scores per V_c call: the
+#: grids of up to this many points' worth of rows go in one stacked solve
+GRID_POINTS = 800
 
 
 @dataclass(frozen=True)
@@ -163,17 +169,20 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float):
     ]
 
 
-def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int) -> list:
+def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int, block: int = 1) -> list:
     """Grid scan + golden refinement of every near-optimal local minimum
     of R = ``rows`` functions over the same grid at once.
 
     ``f(r, grid)`` returns the grid values of row r (an int) in one call,
     and ``f(ks, points)`` (a list ks) the value at each ``points[k]`` of
-    the function of row ``ks[k]``.  Returns one (x, f(x), at_boundary,
-    branches) per row, each that of a scan of the row alone, with
-    branches holding the refined secondary minima within
-    ``BRANCH_MARGIN`` of the best value: the refinement of all rows runs
-    in lockstep, one call of ``f`` per golden-section round.
+    the function of row ``ks[k]``.  With ``block`` > 1 the grids of up to
+    ``block`` rows go in one call ``f(ks, grids)``, ``grids[k]`` the grid
+    of row ``ks[k]`` (a 2-d array), which returns the values as an array
+    of that shape.  Returns one (x, f(x), at_boundary, branches) per row,
+    each that of a scan of the row alone, with branches holding the
+    refined secondary minima within ``BRANCH_MARGIN`` of the best value:
+    the refinement of all rows runs in lockstep, one call of ``f`` per
+    golden-section round.
 
     The first failing point raises its own error, the one a loop of
     one-row scans raises.  If any call raises a :class:`TvmeterError`,
@@ -183,7 +192,11 @@ def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int) -> list:
     """
     grid = spec.grid()
     try:
-        values = np.array([f(r, grid) for r in range(rows)], dtype=float)
+        values = np.empty((rows, len(grid)))
+        for lo in range(0, rows, block):
+            ks = list(range(lo, min(lo + block, rows)))
+            values[lo:lo + len(ks)] = (f(lo, grid) if len(ks) == 1 else
+                                       f(ks, np.broadcast_to(grid, (len(ks), len(grid)))))
         return _refine_rows(f, grid, values, spec.rel_tol)
     except TvmeterError:
         for r in range(rows):
@@ -192,7 +205,7 @@ def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int) -> list:
         raise
 
 
-def _scan_minima(evaluate, spec: SweepSpec, rows: int | None, vc):
+def _scan_minima(evaluate, spec: SweepSpec, rows: int | None, vc, block: int = 1):
     """The minima of V_c over ``spec``'s grid, with the figures there.
 
     ``evaluate(x)`` gives the figures of merit at a grid coordinate x and
@@ -202,16 +215,16 @@ def _scan_minima(evaluate, spec: SweepSpec, rows: int | None, vc):
     scans R scenarios (the rows of a sweep, say) at once and returns one
     :class:`ScanMinimum` per row, each that of a scan of the row alone:
     then ``vc`` is the ``f`` of :func:`minimize_on_grid` (one call per
-    row's grid and per lockstep round of all rows), and ``evaluate(rows,
-    xs)`` gives the list of figures at each ``xs[k]`` of row ``rows[k]``
-    (one call serves the optima of all rows).
+    ``block`` rows' grids and per lockstep round of all rows), and
+    ``evaluate(rows, xs)`` gives the list of figures at each ``xs[k]`` of
+    row ``rows[k]`` (one call serves the optima of all rows).
     """
     if rows is None:
         point = vc or (lambda x: evaluate(x).Vc)
         f = lambda ks, xs: vc(xs) if vc and isinstance(ks, int) else [point(x) for x in xs]
         [(x, *found)] = minimize_on_grid(f, spec, 1)
         return ScanMinimum(x, evaluate(x), *found)
-    found = minimize_on_grid(vc, spec, rows)
+    found = minimize_on_grid(vc, spec, rows, block)
     optima = evaluate(list(range(rows)), [x for x, *_ in found])
     return [ScanMinimum(x, figures, v, b, br) for (x, v, b, br), figures in zip(found, optima)]
 
@@ -227,9 +240,10 @@ def minimize_vc_over_frequency(
 ) -> ScanMinimum | list[ScanMinimum]:
     """Detection frequency minimizing the conditional variance of a fixed
     scenario whose figures ``evaluate`` (and V_c alone ``vc``) give at a
-    frequency (of R scenarios at once, given ``rows`` = R; see :func:`_scan_minima`)."""
+    frequency (of R scenarios at once, given ``rows`` = R; see :func:`_scan_minima`).
+    The R grids are scored ``GRID_POINTS // count`` rows per call of ``vc``."""
     spec = SweepSpec(omega_lo, omega_hi, count, rel_tol=rel_tol)
-    return _scan_minima(evaluate, spec, rows, vc)
+    return _scan_minima(evaluate, spec, rows, vc, max(1, GRID_POINTS // count))
 
 
 def generalized_sql(

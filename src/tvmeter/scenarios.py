@@ -58,7 +58,8 @@ class Scenario:
     one per point, and ``vc`` an array.  ``rows(params, bath,
     conditioning)`` builds the stack of the rows of ``params`` once and
     gives ``vc(ks, omegas)``, sliced from it: V_c of the rows in a list ks
-    paired with omegas, or of the row ks (an int) at every one of them, as
+    paired with omegas, of the row ks (an int) at every one of them, or of
+    each row ks[k] at every omegas[k] (a 2-d array), as
     :func:`optimize.minimize_on_grid` asks.  ``default_omega`` maps the
     parameters to the detection frequency; None means there is none.
     ``prepare`` fills in a prepared state that depends only on the
@@ -120,9 +121,12 @@ def _stacked(defaults: dict, build, figures, vc, point_axes: Mapping[str, int], 
                    if np.ndim(getattr(stack, k)) > axes}
 
         def vc_rows(ks, omegas):
+            omegas = np.asarray(omegas)
+            if omegas.ndim == 2:  # a grid per row: the rows on their own axis
+                ks = np.array(ks)[:, None]
             part = object.__new__(type(stack))  # the rows ks of the validated stack
             vars(part).update(vars(stack), **{k: v[ks] for k, v in stacked.items()})
-            return vc(part, bath, np.asarray(omegas), conditioning)
+            return vc(part, bath, omegas, conditioning)
 
         return vc_rows
 

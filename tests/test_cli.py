@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -255,6 +257,66 @@ class TestOptimizedSweepRows:
         assert 1 <= calls["golden_section"] <= 2  # the optima, then any branches
         # the figures at the optima of all rows of the block in one evaluation
         assert calls["scenario_figures"] == calls["evaluate"] == 1
+
+
+#: frequency-optimized sweeps of 6 rows: at 200 points a grid, one V_c call
+#: scores the grids of optimize.GRID_POINTS // 200 = 4 rows, and one the last 2
+BLOCKED_SWEEPS = {
+    "displacement": OPTIMIZED_SWEEP,
+    "cqnc-meter+ancilla": ["sweep", "--scenario", "cqnc", "--param", "C", "--log", "1e-3", "1e8",
+                           "--n", "6", "--n-m", "1", "--optimize-frequency", "--omega-bounds",
+                           "0.01", "1000", "--conditioning", "meter+ancilla"],
+    "qnd-floquet": ["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1e-2", "1e2",
+                    "--n", "6", "--n-m", "1", "--eta", "0.7", "--optimize-frequency"],
+    "lev-dual": ["sweep", "--scenario", "lev-dual", "--param", "g2", "--log", "0.01", "0.6",
+                 "--n", "6", "--g1", "0.2", "--n-m", "1e7", "--optimize-frequency"],
+}
+
+
+class TestBlockedFrequencyGrids:
+    """The frequency scans of a sweep score several rows' grids per V_c
+    call, and each row's minimum is that of the row scanned alone."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_SWEEPS))
+    def test_each_row_scans_as_alone(self, name, monkeypatch):
+        _, cfg = _config(BLOCKED_SWEEPS[name])
+        values = _sweep_values(cfg)
+        minimize_on_grid, grids = optimize.minimize_on_grid, []
+
+        def recorded(f, spec, rows, block=1):
+            def f_recorded(ks, xs):
+                if np.ndim(xs) == 2:
+                    grids.append(np.shape(xs))
+                return f(ks, xs)
+            return minimize_on_grid(f_recorded, spec, rows, block)
+
+        monkeypatch.setattr(optimize, "minimize_on_grid", recorded)
+        together = cli._frequency_scans(cfg, _swept_params(cfg, np.asarray(values)))
+        assert grids == [(4, 200), (2, 200)]
+        alone = [cli._frequency_scans(cfg, _swept_params(cfg, value))[0] for value in values]
+        assert grids == [(4, 200), (2, 200)]  # a row alone scores its grid in one call of its own
+        assert together == alone
+
+    def test_unstable_last_row_exits_with_its_own_error(self, tmp_path, capsys):
+        rc, out = run(["sweep", "--scenario", "qnd-imperfect", "--param", "xi", "--lin", "0.1",
+                       "0.5", "--n", "5", "--optimize-frequency", "--n-m", "1"], tmp_path)
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "tv: numerical failure at xi=0.5: drift matrix is not strictly stable")
+        assert not out.exists()
+
+
+def test_closed_standard_output_is_not_a_configuration_error():
+    # the reader of the pipe is gone before the table is written; Python
+    # ignores SIGPIPE, so the write raises BrokenPipeError inside `tv`
+    src = str(Path(tvmeter.__file__).parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "tvmeter.cli", "pulsed", "--n", "300",
+                             "--n-m", "1e7"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -522,6 +522,53 @@ class TestOutputCovariance:
             assert np.linalg.det(block) >= 0.25 - 1e-9
 
 
+def _random_density_inputs(rng, n, points, stacked_vin=False):
+    """A complex stack S[..., i, j] and a symmetric V_in with some zeros
+    off the diagonal (a stack of them with ``stacked_vin``)."""
+    S = rng.normal(size=points + (n, n)) + 1j * rng.normal(size=points + (n, n))
+    G = rng.normal(size=(points if stacked_vin else ()) + (n, n))
+    Vin = G @ G.swapaxes(-1, -2) + n * np.eye(n)
+    Vin[..., 0, 1:] = Vin[..., 1:, 0] = 0.0
+    return S, Vin
+
+
+class TestEntriesFirstDensity:
+    """The density from the rows of S given entries first, as the figures
+    read it, against the dense product and against its own points."""
+
+    @pytest.mark.parametrize("n, outputs", [(4, (2, 1)), (6, (2, 1, 4)), (6, (0, 3, 5, 1))])
+    @pytest.mark.parametrize("stacked_vin", [False, True])
+    def test_rows_match_the_dense_product(self, n, outputs, stacked_vin):
+        rng = np.random.default_rng(n + len(outputs))
+        S, Vin = _random_density_inputs(rng, n, (7, 3), stacked_vin)
+        rows = S[..., list(outputs), :]
+        exact = rows.astype(np.clongdouble) @ Vin @ rows.conj().swapaxes(-1, -2)
+        scale = np.abs(rows) @ np.abs(Vin) @ np.abs(rows).swapaxes(-1, -2)
+        dense = cross_spectral_density(S, Vin)[..., outputs, :][..., outputs]
+        for V in (core._output_density((core._rows_of(S, outputs),), Vin), dense):
+            assert (np.abs(V - exact) <= 1e-15 * scale).all()
+            assert (V == V.conj().swapaxes(-1, -2)).all()  # exactly Hermitian
+
+    @pytest.mark.parametrize("stacked_vin", [False, True])
+    def test_stacked_point_has_the_bits_of_its_one_point_call(self, stacked_vin):
+        rng = np.random.default_rng(3)
+        blocks = [_random_density_inputs(rng, 6, (40,), stacked_vin) for _ in range(3)]
+        Vin = blocks[0][1]
+        rows = [core._rows_of(S, (2, 1, 4)) for S, _ in blocks]
+        stacked = core._output_density(rows, Vin)
+        for p in range(40):
+            alone = core._output_density([R[..., p] for R in rows], Vin[p] if stacked_vin else Vin)
+            np.testing.assert_array_equal(stacked[p], alone)
+
+    def test_figures_read_the_rows_of_build_scattering(self):
+        model = cqnc_model(CqncParams(10.0, 0.01, 1.0, C=np.logspace(-2, 2, 5)), FIG2_BATH)
+        omegas = np.linspace(0.5, 2.0, 5)
+        S = build_scattering(model, omegas)
+        R = build_scattering(model, omegas, (2, 1, 4))
+        assert R.shape == (3, 6, 5)
+        np.testing.assert_array_equal(np.moveaxis(R, (0, 1), (-2, -1)), S[..., [2, 1, 4], :])
+
+
 def augmented_oracle(model, omega, eta):
     """Detected cross-spectral density from the loss-augmented scattering
     matrix: the meter mode's output rows scale by sqrt(eta), and two

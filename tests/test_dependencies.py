@@ -103,6 +103,24 @@ def test_one_guard_and_no_matrix_products_in_the_sideband_solve():
     assert matmuls == []
 
 
+def _matrix_products(tree) -> list[int]:
+    """Lines of the ``@`` operators and ``matmul`` names under ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or "matmul" in (getattr(node, "attr", None), getattr(node, "id", None))]
+
+
+def test_no_matrix_products_in_the_output_density_or_the_figures():
+    """The output density and everything ``metrics`` does with it are
+    elementwise sums on the entries: ``core._output_density`` and
+    ``metrics`` have no ``@`` and no ``matmul``, which numpy hands to BLAS
+    one small matrix at a time, with bits that may depend on the stack."""
+    core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    [density] = [node for node in core.body if getattr(node, "name", None) == "_output_density"]
+    metrics = ast.parse((PACKAGE / "metrics.py").read_text(encoding="utf-8"))
+    assert _matrix_products(density) == _matrix_products(metrics) == []
+
+
 #: the typed errors of the per-point guards
 GUARD_ERRORS = {"DegenerateMeter", "UnstableModel", "SingularAtFrequency", "NegativeLinewidth"}
 

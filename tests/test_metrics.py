@@ -1,7 +1,7 @@
 """Figures of merit, regime classification, and the evaluation pipeline."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -200,6 +200,17 @@ class TestStackedReduction:
         stack = np.array(self.POINTS[:12]).T.reshape(5, 3, 4)
         self._check(stack, np.arange(12.0).reshape(3, 4))
 
+    def test_figures_are_frozen_dataclasses_as_their_init_builds_them(self):
+        # the reduction sets each figure's fields without the frozen __init__
+        figs = metrics.measured_figures(*np.array(self.POINTS).T, self.VX, 0.25)
+        one = metrics.measured_figures(*self.POINTS[14], self.VX, 0.25)
+        assert one == figs[14] and hash(one) == hash(figs[14])
+        for f in figs:
+            built = metrics.MeasurementFigures(**vars(f))
+            assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+            with pytest.raises(FrozenInstanceError):
+                f.Vc = 0.0
+
     def test_the_cases_reach_every_branch(self):
         figs = metrics.measured_figures(*np.array(self.POINTS).T, self.VX, 0.0)
         assert figs[0].ns_eq == 1.0 and figs[0].nm_eq == np.inf and figs[0].Tm == 0.0
@@ -294,7 +305,8 @@ class TestHermitianConditioning:
         ref = evaluate(model, omega, conditioning=conditioning)
         S = build_scattering(model, omega).copy()
         S[model.layout.meter_index] *= np.exp(1j * phi)
-        monkeypatch.setattr(metrics, "build_scattering", lambda m, w: S)
+        # the pipeline asks for the rows it reads, entries first (at one point, S's rows)
+        monkeypatch.setattr(metrics, "build_scattering", lambda m, w, outputs: S[list(outputs)])
         got = evaluate(model, omega, conditioning=conditioning)
         assert got.Vc == pytest.approx(ref.Vc, rel=1e-10)
         assert (got.Ts, got.Tm) == pytest.approx((ref.Ts, ref.Tm), rel=1e-10)

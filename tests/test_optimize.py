@@ -286,6 +286,55 @@ class TestLockstepScan:
         assert str(together.value) == str(alone.value)
 
 
+class TestBlockedGrids:
+    """minimize_on_grid with several rows' grids per call against one row's."""
+
+    SPEC = TestLockstepScan.SPEC
+
+    def _rows(self, fail=None):
+        """The rows' functions, ``f`` with a 2-d grids call, and the rows of
+        each such call; ``fail(r, x)`` fails a point, and a grid call with
+        a failing point raises without naming it."""
+        fns = [_double_well(d) for d in TestLockstepScan.DEPTHS]
+        blocks = []
+
+        def f(rows, xs):
+            if fail and isinstance(rows, int) and any(fail(rows, x) for x in xs):
+                raise DegenerateMeter("a grid call fails")
+            if isinstance(rows, int):
+                return [fns[rows](x) for x in xs]
+            if np.ndim(xs) == 2:
+                blocks.append(list(rows))
+                if fail and any(fail(r, x) for r, row in zip(rows, xs) for x in row):
+                    raise DegenerateMeter("a grid call fails")
+                return np.array([[fns[r](x) for x in row] for r, row in zip(rows, xs)])
+            out = []
+            for r, x in zip(rows, xs):
+                if fail is not None and fail(r, x):
+                    raise DegenerateMeter(f"row {r} fails at {x!r}")
+                out.append(fns[r](x))
+            return out
+
+        return f, blocks
+
+    @pytest.mark.parametrize("block, calls", [(2, [[0, 1], [2, 3]]), (3, [[0, 1, 2], [3, 4]]),
+                                              (5, [[0, 1, 2, 3, 4]]), (8, [[0, 1, 2, 3, 4]])])
+    def test_blocks_give_the_scans_of_one_grid_per_call(self, block, calls):
+        f, blocks = self._rows()
+        assert minimize_on_grid(f, self.SPEC, 5, block) == minimize_on_grid(f, self.SPEC, 5)
+        assert blocks == calls  # a last block of one row takes the one-row call
+
+    def test_failing_block_raises_what_one_grid_per_call_raises(self):
+        f, _ = self._rows(lambda r, x: r >= 2 and x > 100.0)
+        errors = []
+        for block in (1, 3):
+            with pytest.raises(DegenerateMeter) as err:
+                minimize_on_grid(f, self.SPEC, 5, block)
+            errors.append(str(err.value))
+        grid = self.SPEC.grid()
+        assert errors == [f"row 2 fails at {float(grid[np.argmax(grid > 100.0)])!r}"] * 2
+
+
 class TestFrequencyOptimization:
     def _scan(self, C, **kw):
         model = displacement_model(DisplacementParams(KAPPA, GAMMA, OMEGA_M, C=C), FIG_BATH)

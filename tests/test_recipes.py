@@ -13,7 +13,14 @@ models moved from LAPACK's solve to block forward substitution on the
 drift's nonzero entries (and the figures to plain |z|^2 = Re^2 + Im^2
 and Re(a b c*)): their last bits moved, by up to 1.3e-11 in T_s and
 ns_eq and 1.5e-13 in V_c, no regime changed, and every sampled row
-stays inside the 40-digit oracle's bounds (``test_linear_oracle.py``).  The fig7 and fig8 goldens predate three moves of the
+stays inside the 40-digit oracle's bounds (``test_linear_oracle.py``).
+They were re-recorded a second time when the output density moved from
+numpy's batched products (S V_in) S^dagger, symmetrized, to elementwise
+sums over the nonzero entries of V_in on the rows the figures read: 354
+rows moved in their last bits (by up to 3.9e-12 in ns_eq and 3.9e-14 in
+V_c), no regime changed, and the worst oracle errors of V_c, T_s and T_m
+over every row stayed or fell but fig4's T_m (1.8e-15 to 2.0e-15, inside
+its bound).  The fig7 and fig8 goldens predate three moves of the
 sideband solve in the last digits, to the exact three-component solve,
 to its substitution kernel and to its closed form on the nonzero entries:
 fig7 is off its golden by up to 4.9e-14 (ns_eq), and fig8 by up to
