@@ -252,7 +252,7 @@ def _frequency_scans(cfg: RunConfig, params: dict) -> list[ScanMinimum]:
     of numbers is a stack of one), with the figures there, in ``cfg``'s
     bath.  The scenario builds the stack of all rows once; the grids of
     several rows (``optimize.GRID_POINTS`` points in all) are one V_c
-    call, and so is each golden-section round of all rows (in lockstep).
+    call, and so is each refinement round of all rows (in lockstep).
     One :func:`scenario_figures` call gives all the figures."""
     if _rows_of(params)[0] is None:
         params = {k: np.array([v]) if isinstance(v, numbers.Real) else v for k, v in params.items()}
@@ -290,7 +290,7 @@ def _sql_scan(
     """Generalized SQL: V_c minimized over C at each row of ``params`` (a
     list of scans if it holds arrays), each with the bits of the row's own
     scan.  Each row's C grid is one V_c call (of at most ``c_count``
-    points), and so is each golden-section round of all rows (in lockstep)
+    points), and so is each refinement round of all rows (in lockstep)
     and the figures at the optima.  With ``optimize_frequency`` each call
     is one :func:`_frequency_scans` over its C points.  One row of numbers
     at a fixed frequency refines point by point on V_c alone, cheaper than

@@ -1,7 +1,7 @@
 """Scans: optimal detection frequency, generalized SQL, thresholds.
 
 All searches are deterministic: a coarse logarithmic grid scan
-followed by golden-section refinement of the best grid interval.  A
+followed by Brent's localmin on the best grid interval.  A
 scan takes one V_c callable (:func:`tvmeter.metrics.vc_on_grid` over a
 fixed model's frequencies or over a stack of models, one per
 cooperativity).  A C scan scores each row's grid in one call of it; the
@@ -19,6 +19,7 @@ as additional branches, and optima pinned to an endpoint are flagged."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,7 +29,12 @@ import numpy as np
 from .errors import NoBracket, TvmeterError
 from .metrics import MeasurementFigures
 
-_GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
+#: Brent's golden-section step, as a share of the larger part of [a, b]
+_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = math.ulp(1.0)
+
+#: golden-section steps before parabolic ones (earlier can miss a dip)
+GOLDEN_STEPS = 4
 
 #: grid minima within this relative margin of the best one are reported
 BRANCH_MARGIN = 0.01
@@ -36,6 +42,11 @@ BRANCH_MARGIN = 0.01
 #: grid points a frequency scan of several rows scores per V_c call: the
 #: grids of up to this many points' worth of rows go in one stacked solve
 GRID_POINTS = 800
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,7 @@ class SweepSpec:
             raise ValueError("grid needs at least two points")
         if self.lo <= 0:
             raise ValueError("log grids need positive endpoints")
+        _check_rel_tol(self.rel_tol)
 
     def grid(self) -> np.ndarray:
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count)
@@ -71,74 +83,92 @@ class ScanMinimum:
     branches: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
 
+def _localmin(a: float, b: float, rel_tol: float):
+    """Brent's localmin on [a, b] (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5) as a coroutine on Python floats: it
+    yields lists of points to score, is sent their values, and returns x,
+    the point of least value, once [a, b] lies within 2 tol of x; w is the
+    second best point, v the previous w, d the last step, e the one before."""
+    x = w = v = a + _STEP * (b - a)
+    fx = fw = fv = d = e = 0.0
+    floor = _EPS * (b - a)
+    for step in itertools.count():
+        m, tol = 0.5 * (a + b), (_EPS + 0.1 * rel_tol) * abs(x) + floor
+        if step and abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = -p if q > 0 else p, abs(q)
+        if (step >= GOLDEN_STEPS and abs(e) > tol and abs(p) < abs(0.5 * q * e)
+                and q * (a - x) < p < q * (b - x)):  # the parabola's vertex, inside
+            e, d = d, p / q
+            if min(x + d - a, b - (x + d)) < 2.0 * tol:
+                d = math.copysign(tol, m - x)
+        else:  # a golden-section step into the larger part
+            e = (a if x >= m else b) - x
+            d = _STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        *first, fu = yield [u] if step else [x, u]  # the first round scores x too
+        if first:
+            fx = fw = fv = first[0]
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+
+
 def golden_section(
     f: Callable[[list[int], list[float]], Sequence[float]],
     brackets: Sequence[tuple[float, float]],
     rel_tol: float,
 ) -> list[float]:
-    """Positions of the minima of unimodal functions, one per bracket
-    (a, b), refined in lockstep.
+    """The best points of functions, one per bracket (a, b), refined in
+    lockstep by Brent's localmin (:func:`_localmin`; the name is that of
+    the golden-section refiner it replaced, which tracers wrap).
 
     ``f(indices, points)`` returns in one call the value at each
     ``points[k]`` of the function of bracket ``indices[k]``: the first
-    call holds both interior points of every bracket, each later call the
-    one new point of every unfinished bracket.  Every bracket runs the
-    scalar golden-section iteration on Python floats and stops on its
-    own, so its result does not depend on the other brackets.
+    call holds two interior points of every bracket, each later call the
+    one new point of every unfinished bracket.  Every bracket stops on its
+    own, so its point is that of the bracket alone.
     """
-    n = len(brackets)
-    state = []  # per bracket: [a, b, c, d, f(c), f(d)]
-    for a, b in brackets:
-        a, b = float(a), float(b)
-        state.append([a, b, b - (b - a) / _GOLDEN, a + (b - a) / _GOLDEN, 0.0, 0.0])
-    if n:
-        values = f([k // 2 for k in range(2 * n)], [p for s in state for p in s[2:4]])
-        for k, s in enumerate(state):
-            s[4], s[5] = values[2 * k], values[2 * k + 1]
-    active = list(range(n))
-    while active:
-        asked, points, slots = [], [], []
-        for k in active:
-            a, b, c, d, fc, fd = state[k]
-            if not abs(c - d) > rel_tol * max(abs(c), abs(d), 1e-300):
-                continue
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - (b - a) / _GOLDEN
-                points.append(c)
-                slots.append(4)
-            else:
-                a, c, fc = c, d, fd
-                d = a + (b - a) / _GOLDEN
-                points.append(d)
-                slots.append(5)
-            state[k] = [a, b, c, d, fc, fd]
-            asked.append(k)
-        if asked:
-            for k, slot, value in zip(asked, slots, f(asked, points)):
-                state[k][slot] = value
-        active = asked
-    return [0.5 * (s[0] + s[1]) for s in state]
+    _check_rel_tol(rel_tol)
+    runs = [_localmin(float(a), float(b), rel_tol) for a, b in brackets]
+    asked, found = {k: next(run) for k, run in enumerate(runs)}, [0.0] * len(runs)
+    while asked:
+        ks = [k for k, us in asked.items() for _ in us]
+        values = iter(f(ks, [u for us in asked.values() for u in us]))
+        sent, asked = {k: [float(next(values)) for _ in us] for k, us in asked.items()}, {}
+        for k, fus in sent.items():
+            try:
+                asked[k] = runs[k].send(fus)
+            except StopIteration as stop:
+                found[k] = stop.value
+    return found
 
 
 def _refine(f, grid: np.ndarray, values: np.ndarray, picks, rel_tol: float):
-    """Golden-section refinement of grid minima, all in one lockstep.
+    """Lockstep refinement of grid minima by :func:`golden_section`.
 
     ``picks`` holds (row, grid index) pairs; each is refined between the
-    grid neighbours of its point.  Returns (x, f(x)) per pick, or the
-    grid point itself where that is not worse.
+    grid neighbours of its point.  Returns (x, f(x)) per pick, with the
+    f(x) that ``f`` gave, or the grid point itself where that is not worse.
     """
-    found = [(float(grid[i]), float(values[r, i])) for r, i in picks]
-    if not picks:
-        return found
-    last = len(grid) - 1
     rows = [r for r, _ in picks]
-    brackets = [(grid[max(i - 1, 0)], grid[min(i + 1, last)]) for _, i in picks]
-    xs = golden_section(lambda ks, points: f([rows[k] for k in ks], points), brackets, rel_tol)
-    for k, (x, fx) in enumerate(zip(xs, f(rows, xs))):
-        # refinement never returns something worse than the best grid point
-        if fx <= values[picks[k]]:
-            found[k] = (x, float(fx))
+    brackets = [(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]) for _, i in picks]
+    seen = {}  # (bracket, point) -> the value f gave
+    def scored(ks, points):
+        seen.update(zip(zip(ks, points), out := f([rows[k] for k in ks], points)))
+        return out
+    found = [(float(grid[i]), float(values[r, i])) for r, i in picks]
+    for k, x in enumerate(golden_section(scored, brackets, rel_tol)):
+        if seen[k, x] <= found[k][1]:  # never worse than the best grid point
+            found[k] = (x, float(seen[k, x]))
     return found
 
 
@@ -170,7 +200,7 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float):
 
 
 def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int, block: int = 1) -> list:
-    """Grid scan + golden refinement of every near-optimal local minimum
+    """Grid scan + refinement of every near-optimal local minimum
     of R = ``rows`` functions over the same grid at once.
 
     ``f(r, grid)`` returns the grid values of row r (an int) in one call,
@@ -182,7 +212,7 @@ def minimize_on_grid(f: Callable, spec: SweepSpec, rows: int, block: int = 1) ->
     each that of a scan of the row alone, with branches holding the
     refined secondary minima within ``BRANCH_MARGIN`` of the best value:
     the refinement of all rows runs in lockstep, one call of ``f`` per
-    golden-section round.
+    round.
 
     The first failing point raises its own error, the one a loop of
     one-row scans raises.  If any call raises a :class:`TvmeterError`,
@@ -281,6 +311,7 @@ def find_threshold(
     the level, or when the curve is NaN at a point the search visits
     (a NaN compares neither above nor below the level).
     """
+    _check_rel_tol(rel_tol)
     if not lo < hi:
         raise ValueError(f"threshold bounds must satisfy lo < hi, got [{lo!r}, {hi!r}]")
     a, b = float(lo), float(hi)
@@ -295,8 +326,7 @@ def find_threshold(
             f"curve({lo!r}) - level = {fa:.6g} and curve({hi!r}) - level = "
             f"{fb:.6g} do not have opposite signs"
         )
-    eps = math.ulp(1.0)
-    floor = 4.0 * eps * (b - a)
+    floor = 4.0 * _EPS * (b - a)
     c, fc = b, fb  # the first pass sets c = a
     while True:
         if (fb > 0) == (fc > 0):  # keep the crossing between b and c
@@ -305,7 +335,7 @@ def find_threshold(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * eps * abs(b) + 0.5 * rel_tol * abs(b) + floor
+        tol = 2.0 * _EPS * abs(b) + 0.5 * rel_tol * abs(b) + floor
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

@@ -382,9 +382,9 @@ class TestOptimizedSweepWaste:
 class TestScanWork:
     """Every scan scores stacks: an optimized sweep calls its kernel once
     per row's frequency grid, once per lockstep round (two refinement
-    passes, optima then branches, of at most 40 rounds each) and once each
-    for the values and the figures at the optima; a frequency-optimized
-    SQL scan runs one frequency scan per such call over C."""
+    passes, optima then branches, of at most 40 rounds each) and once for
+    the figures at the optima; a frequency-optimized SQL scan runs one
+    frequency scan per such call over C."""
 
     @pytest.mark.parametrize("argv, module, kernels", [
         (["sweep", "--scenario", "qnd-floquet", "--param", "C", "--log", "1e-2", "1e2", "--n",
@@ -409,9 +409,56 @@ class TestScanWork:
         rc, out = run(["sql", "--scenario", "displacement", "--n-m", "1", "--optimize-frequency"],
                       tmp_path)
         assert rc == 0
-        # the C grid, the first round's two points, one per round, the optimum's value, its figures
+        # the C grid, the first round's two points, one per round, the optimum's figures
         assert len(calls) <= 2 * 40 + 3
         assert len(calls[0][1]["C"]) == 200  # the whole C grid in one scan
+
+
+class TestRefinedOptima:
+    """The refinement returns the best point it scored.  Narrow resonance
+    dips at gamma = 1e-6 (fine-grid minima: displacement 1.375150 at
+    C = 0.01 and 1.10420 at C = 1, cqnc 1.40081 at C = 0.01), where the
+    midpoint of the last golden-section bracket read 1.40328, 1.10782 and
+    1.41906, although that search had scored 1.37631 in the first case."""
+
+    @pytest.mark.parametrize("scenario, C, most", [
+        ("displacement", "0.01", 1.3764), ("displacement", "1", 1.1043), ("cqnc", "0.01", 1.4010),
+    ])
+    def test_narrow_resonance_dip(self, scenario, C, most, tmp_path):
+        rc, out = run(["optimize-frequency", "--scenario", scenario, "--n-m", "1",
+                       "--gamma", "1e-6", "--C", C], tmp_path)
+        assert rc == 0
+        [row] = read_rows(out)
+        assert float(row["Vc"]) <= most
+
+    def test_fig4_row_16_keeps_its_dip(self, tmp_path):
+        # two dips share the grid interval of this row's best grid point:
+        # parabolic steps from the start settle in the other one, at
+        # omega = 0.99753 with V_c = 1.201888
+        rc, out = run(["sweep", "--config", str(RECIPES / "fig4.json")], tmp_path)
+        assert rc == 0
+        row = read_rows(out)[16]
+        assert float(row["C"]) == pytest.approx(0.168985, rel=1e-6)
+        assert float(row["omega"]) == pytest.approx(1.00294, abs=2e-5)
+        assert float(row["Vc"]) <= 1.1979593
+
+
+class TestRefinementWork:
+    """A guard made of counts, not timers: the points the refiner's ``f``
+    is asked for (golden section asked for 168 and 2,760)."""
+
+    @pytest.mark.parametrize("argv, most", [
+        (["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05", "0.3",
+          "--level", "0.5", "--quantity", "min-vc", "--n-m", "1"], 100),
+        (["sweep", "--config", str(RECIPES / "fig2.json")], 1500),
+    ], ids=["threshold", "fig2"])
+    def test_refinement_points(self, argv, most, tmp_path, monkeypatch):
+        points, refine = [], optimize.golden_section
+        monkeypatch.setattr(optimize, "golden_section", lambda f, brackets, rel_tol: refine(
+            lambda ks, xs: points.extend(xs) or f(ks, xs), brackets, rel_tol))
+        rc, _ = run(argv, tmp_path)
+        assert rc == 0
+        assert 0 < len(points) <= most
 
 
 #: scenario -> its numeric parameters and a range around each, wide enough
@@ -916,8 +963,9 @@ class TestSqlSweepRows:
         assert rows == 30
         assert points.count(c_count) == rows  # one grid per row
         assert max(points) <= c_count  # no stack holds more than one row's grid
-        # each golden-section round serves all rows: two refinement passes
-        # (optima, then branches) of about 24 rounds each, not 30 x 24 calls
+        # each refinement round serves all rows: two refinement passes
+        # (optima, then branches) of at most 40 rounds each, not one call
+        # per row and round
         assert rows < len(points) <= rows + 2 * 40
         assert figures["calls"] == 1  # the figures at the optima of all rows
 

@@ -165,13 +165,13 @@ FIG_BATH = BathSpec(n_m=1.0)
 #: errors of V_c, T_s and T_m); the comments give the worst errors over every
 #: golden row (T_s, formed through n_s_eq = V / G - V_x, loses the most)
 RECIPES = {
-    # 1.3e-15 (C = 2.254), 4.4e-12, 8.9e-16
+    # 1.3e-15 (C = 1.968), 5.8e-12, 8.9e-16
     "fig2": (lambda C: displacement_model(DisplacementParams(10.0, 0.01, 1.0, C=C), FIG_BATH),
              "meter", (2e-15, 1e-11, 2e-15)),
     # 5.6e-16 (C = 18.04), 4.2e-12, 4.4e-16
     "fig3": (lambda C: cqnc_model(CqncParams(10.0, 0.01, 1.0, C=C), FIG_BATH), "meter",
              (1e-15, 6e-12, 2e-15)),
-    # 2.1e-14 (C = 1e8), 4.4e-12, 2.0e-15
+    # 1.8e-14 (C = 1e8), 3.8e-12, 1.6e-15
     "fig4": (lambda C: cqnc_model(CqncParams(10.0, 0.01, 1.0, C=C), FIG_BATH),
              "meter+ancilla", (5e-14, 6e-12, 3e-15)),
     # 3.8e-13 (C = 870.4, where V_out[x,x] = 1117 against V_c = 1.49), 1.1e-15, 1.1e-15

@@ -34,6 +34,7 @@ from tvmeter import (
     minimize_vc_over_frequency,
     vc_on_grid,
 )
+from tvmeter import optimize
 from tvmeter.errors import UnstableModel
 from tvmeter.optimize import minimize_on_grid
 
@@ -106,29 +107,95 @@ _BRACKETS = st.lists(
 )
 
 
-def _scalar_golden_section(f, a, b, rel_tol):
-    """The one-bracket golden-section loop, point by point."""
-    phi = (np.sqrt(5.0) + 1.0) / 2.0
-    c, d = b - (b - a) / phi, a + (b - a) / phi
-    fc, fd = f(c), f(d)
-    while abs(c - d) > rel_tol * max(abs(c), abs(d), 1e-300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / phi
-            fc = f(c)
+def _scalar_localmin(f, a, b, rel_tol):
+    """Brent's localmin on one bracket, point by point (netlib ``fmin``,
+    with the tolerance tol1 = (eps + rel_tol / 10) |x| + eps (b - a) of
+    the first bracket and golden-section steps only for the first
+    ``GOLDEN_STEPS`` steps); it returns the best point, x."""
+    eps, c = math.ulp(1.0), (3.0 - math.sqrt(5.0)) / 2.0
+    floor = eps * (b - a)
+    x = a + c * (b - a)
+    fx = f(x)
+    w, fw, v, fv = x, fx, x, fx
+    d = e = 0.0
+    step = 0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = (eps + 0.1 * rel_tol) * abs(x) + floor
+        tol2 = 2.0 * tol1
+        if step > 0 and abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x
+        golden = True
+        if step >= optimize.GOLDEN_STEPS and abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q  # parabolic step
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, xm - x)
+                golden = False
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = c * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        step += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / phi
-            fd = f(d)
-    return 0.5 * (a + b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+_SHAPES = st.lists(
+    st.tuples(
+        st.sampled_from(["double-well", "staircase", "constant"]),
+        st.sampled_from(["anywhere", "from-zero", "around-zero"]),
+        st.floats(-1e3, 1e3),                       # a, where anywhere
+        st.floats(1e-6, 1e3),                       # b - a
+        st.floats(0.0, 1.0),                        # a centre, as a fraction of [a, b]
+        st.floats(1e-3, 1.0),                       # well depth, or stair width / (b - a)
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _shaped_bracket(kind, where, a, width, centre, scale):
+    """A bracket and its function: two wells of different depth, a
+    staircase or a constant, on a bracket anywhere, starting at 0 or
+    centred on 0 (then so is the function's middle)."""
+    a = {"anywhere": a, "from-zero": 0.0, "around-zero": -0.5 * width}[where]
+    b, c = a + width, 0.0 if where == "around-zero" else a + centre * width
+    if kind == "double-well":
+        c2 = a + (1.0 - centre) * width
+        return (a, b), lambda x: min((x - c) ** 2, (x - c2) ** 2 - scale * width**2)
+    if kind == "staircase":
+        return (a, b), lambda x: float(np.floor(abs(x - c) / (scale * width)))
+    return (a, b), lambda x: 1.0
 
 
 class TestLockstepGoldenSection:
-    """Brackets refined in lockstep against one call per bracket and
-    against the point-by-point loop."""
+    """Brackets refined in lockstep (Brent's localmin) against one call
+    per bracket and against the point-by-point loop."""
 
     @settings(max_examples=60)
-    @given(cases=_BRACKETS, rel_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    @given(cases=_BRACKETS, rel_tol=st.sampled_from([0.0, 1e-3, 1e-6, 1e-9]))
     def test_same_positions_as_one_bracket_at_a_time(self, cases, rel_tol):
         brackets, fns = [], []
         for a, width, kind, centre, stair in cases:
@@ -147,7 +214,7 @@ class TestLockstepGoldenSection:
             for g, bracket in zip(fns, brackets)
         ]
         assert together == alone
-        assert together == [_scalar_golden_section(g, a, b, rel_tol)
+        assert together == [_scalar_localmin(g, a, b, rel_tol)
                             for g, (a, b) in zip(fns, brackets)]
         # the first round holds both interior points of every bracket, each
         # later one the new point of every unfinished bracket
@@ -160,7 +227,7 @@ class TestLockstepGoldenSection:
 
         def f(indices, points):
             rounds.append(list(indices))
-            return [(x - 0.3) ** 2 for x in points]
+            return [abs(x - 0.3) for x in points]  # a kink: parabolas help little
 
         xs = golden_section(f, [(0.0, 1.0), (0.299, 0.301), (0.0, 1.0)], 1e-6)
         assert xs[0] == xs[2] == pytest.approx(0.3, rel=1e-6)
@@ -169,6 +236,39 @@ class TestLockstepGoldenSection:
 
     def test_no_brackets(self):
         assert golden_section(lambda ks, xs: pytest.fail("no call expected"), [], 1e-6) == []
+
+    @settings(max_examples=80)
+    @given(cases=_SHAPES, rel_tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    def test_every_bracket_ends_on_its_best_point(self, cases, rel_tol):
+        brackets, fns = zip(*[_shaped_bracket(*case) for case in cases])
+        asked = [[] for _ in brackets]
+
+        def f(indices, points):
+            for k, x in zip(indices, points):
+                asked[k].append((fns[k](x), x))
+                assert len(asked[k]) < 500, "the bracket does not terminate"
+            return [fns[k](x) for k, x in zip(indices, points)]
+
+        for k, x in enumerate(golden_section(f, brackets, rel_tol)):
+            assert x in [p for _, p in asked[k]]
+            assert fns[k](x) == min(value for value, _ in asked[k])
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rel_tol_must_be_finite_and_non_negative(self, rel_tol):
+        no_call = lambda *_: pytest.fail("no call expected")
+        with pytest.raises(ValueError, match="rel_tol"):
+            golden_section(no_call, [(0.0, 1.0)], rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            find_threshold(no_call, 0.3, 0.0, 1.0, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            SweepSpec(1.0, 2.0, rel_tol=rel_tol)
+
+    def test_zero_rel_tol_stops_on_the_rounding_floor(self):
+        [x] = golden_section(lambda _, xs: [(x - 0.3) ** 2 for x in xs], [(0.0, 1.0)], 0.0)
+        assert x == pytest.approx(0.3, rel=1e-7)
+        [x] = golden_section(lambda _, xs: [x * x for x in xs], [(-1.0, 1.0)], 0.0)
+        assert abs(x) < 1e-7
+        assert find_threshold(lambda x: x, 0.3, 0.0, 1.0, rel_tol=0.0) == pytest.approx(0.3)
 
 
 def _double_well(depth):

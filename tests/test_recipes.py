@@ -20,13 +20,26 @@ sums over the nonzero entries of V_in on the rows the figures read: 354
 rows moved in their last bits (by up to 3.9e-12 in ns_eq and 3.9e-14 in
 V_c), no regime changed, and the worst oracle errors of V_c, T_s and T_m
 over every row stayed or fell but fig4's T_m (1.8e-15 to 2.0e-15, inside
-its bound).  The fig7 and fig8 goldens predate three moves of the
-sideband solve in the last digits, to the exact three-component solve,
-to its substitution kernel and to its closed form on the nonzero entries:
-fig7 is off its golden by up to 4.9e-14 (ns_eq), and fig8 by up to
-3.6e-14 (V_c and nm_eq; 4.3e-14 with the substitution, 7.2e-14 before
-it).  So both keep the 1e-12 tolerance, and fig7's stacked rows are held
-byte for byte to one ``scenario_figures`` call per row instead.
+its bound).  fig2, fig4, fig6 and fig8 were re-recorded when the
+refinement of every scan moved from golden section, which returned the
+midpoint of its last bracket, to Brent's localmin, which returns the
+best point it scored: every row moved, its V_c fell (by up to 6.2e-9,
+fig2) or stayed within 1.1e-14 (fig4 at C = 74.72, on a curve flat to
+rounding there), its argument moved by at most 1.2e-6 relative, and no
+regime, ``at_boundary`` or ``n_branches`` changed.  The worst oracle
+errors of V_c, T_s and T_m over every row went from (1.3e-15, 4.4e-12,
+8.9e-16) to (1.3e-15, 5.8e-12, 8.9e-16) on fig2, from (2.1e-14,
+4.4e-12, 2.0e-15) to (1.8e-14, 3.8e-12, 1.6e-15) on fig4 and from
+(1.8e-14, 6.7e-16, 3.3e-16) to (1.4e-14, 7.8e-16, 4.4e-16) on fig6.
+fig8's went from 7.4e-14 to 1.4e-13 in V_c: its rows now carry the
+bits of the current sideband solve, which is off the oracle by 1.1e-13
+at the old golden's point of that row.  The fig7 golden predates three
+moves of the sideband solve in the last digits, to the exact
+three-component solve, to its substitution kernel and to its closed
+form on the nonzero entries: fig7 is off its golden by up to 4.9e-14
+(ns_eq).  So fig7 and fig8 keep the 1e-12 tolerance, and fig7's stacked
+rows are held byte for byte to one ``scenario_figures`` call per row
+instead.
 
 To re-record a table after a deliberate change of the physics, run the
 command below with ``--output tests/golden/<name>.csv`` and say why in
