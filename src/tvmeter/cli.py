@@ -291,20 +291,24 @@ def _sql_scan(
     list of scans if it holds arrays), each with the bits of the row's own
     scan.  Each row's C grid is one V_c call (of at most ``c_count``
     points), and so is each refinement round of all rows (in lockstep)
-    and the figures at the optima.  With ``optimize_frequency`` each call
-    is one :func:`_frequency_scans` over its C points.  One row of numbers
-    at a fixed frequency refines point by point on V_c alone, cheaper than
-    by stacks, and evaluates the figures at its optimum."""
+    and the figures at the optima.  At a fixed frequency the V_c calls go
+    to the scenario's C family (``Scenario.c_family``): the rows are built
+    and validated once, at g = 0, and each call writes only the coupling
+    entries of its points.  With ``optimize_frequency`` each call is one
+    :func:`_frequency_scans` over its C points.  One row of numbers at a
+    fixed frequency refines point by point on V_c alone, cheaper than by
+    stacks, and evaluates the figures at its optimum."""
     scenario, bath = SCENARIOS[cfg.scenario], cfg.bath_spec()
     count, at = _rows_of(params)
 
     def rows(ks, Cs) -> dict:  # the rows ks paired with the cooperativities Cs
         return with_parameter(at(ks), "C", np.asarray(Cs))
 
-    def vc(ks, Cs) -> np.ndarray:
-        if cfg.optimize_frequency:
+    if cfg.optimize_frequency:
+        def vc(ks, Cs) -> np.ndarray:
             return np.array([scan.value for scan in _frequency_scans(cfg, rows(ks, Cs))])
-        return scenario.vc(p := rows(ks, Cs), bath, _default_omega(cfg, p), cfg.conditioning)
+    else:
+        vc = scenario.c_family(params, bath, _default_omega(cfg, params), cfg.conditioning)
 
     def figures(ks, Cs) -> list[MeasurementFigures]:
         if cfg.optimize_frequency:

@@ -48,6 +48,7 @@ Vacuum variance is 1/2 per quadrature throughout.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,14 +306,31 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     """Raise :class:`UnstableModel` unless all eigenvalues sit strictly
     in the left half-plane (marginal modes are rejected as well, since
     their spectral covariances diverge).  ``A`` may be a stack
-    ``[..., i, j]``; the first unstable matrix, in stack order, raises."""
-    _require_stable(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1), tol)
+    ``[..., i, j]``; the first unstable matrix, in stack order, raises.
+    A matrix with a non-finite entry (an overflowing coupling, say) is
+    unstable, with max_real NaN."""
+    A = np.asarray(A, dtype=float)
+    try:
+        max_real = np.linalg.eigvals(A).real.max(axis=-1)
+    except np.linalg.LinAlgError:  # LAPACK takes no inf or NaN: those matrices get NaN
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if finite.all():
+            raise
+        eigvals = np.linalg.eigvals(np.where(finite[..., None, None], A, 0.0))
+        max_real = np.where(finite, eigvals.real.max(axis=-1), np.nan)
+    _require_stable(max_real, tol)
 
 
 def _require_stable(max_real: float | NDArray, tol: float = STABILITY_TOL) -> None:
     """:func:`check_stable` of drifts whose largest eigenvalue real parts,
-    one per matrix of the stack, are ``max_real``."""
-    raise_first((max_real > -tol, lambda k: UnstableModel(float(np.ravel(max_real)[k]))))
+    one per matrix of the stack, are ``max_real``; a NaN fails, and raises
+    with ``max_real`` ``math.nan`` itself, so that the values of two such
+    errors compare equal (a NaN equals only itself, by identity)."""
+    def error(k: int) -> UnstableModel:
+        value = float(np.ravel(max_real)[k])
+        return UnstableModel(math.nan if math.isnan(value) else value)
+
+    raise_first((np.logical_not(max_real <= -tol), error))
 
 
 def _equilibrated(M: NDArray) -> tuple[NDArray, NDArray, NDArray]:
@@ -574,6 +592,30 @@ def _diagonal(n: int) -> NDArray[np.bool_]:
     return eye
 
 
+def _blocks(drives: NDArray[np.bool_]) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
+    """(reach, same) of the n x n pattern ``drives`` of a drift's nonzero
+    entries, its diagonal set: reach[i, j] when j drives i through a chain
+    of entries, and same[i, j] when i and j also drive each other, which
+    puts them in one diagonal block of the drift's block triangular form."""
+    reach = drives.copy()
+    for k in range(len(reach)):
+        reach |= reach[:, k, None] & reach[k]
+    return reach, reach & reach.T
+
+
+def _spectrum_depends_on(A: NDArray, entries: tuple) -> bool:
+    """Whether the eigenvalues of a drift with the nonzero entries of ``A``
+    (of any matrix of a stack) can depend on the values at ``entries`` =
+    (rows, columns): whether, with those entries nonzero, one of them lies
+    inside a diagonal block of the block triangular form (the blocks of
+    :func:`_substitution`).  If none does, the eigenvalues are those of
+    the diagonal blocks, whatever the entries hold."""
+    n = A.shape[-1]
+    drives = (A != 0).reshape(-1, n, n).any(0) | _diagonal(n)
+    drives[entries] = True
+    return bool(_blocks(drives)[1][entries].any())
+
+
 @functools.cache
 def _substitution(pattern: bytes, n: int) -> tuple | None:
     """The block forward substitution of :func:`build_scattering` for the
@@ -600,10 +642,7 @@ def _substitution(pattern: bytes, n: int) -> tuple | None:
     end of the work arrays.
     """
     drives = np.frombuffer(pattern, bool).reshape(n, n) | _diagonal(n)
-    reach = drives.copy()  # reach[i, j]: j drives i through a chain of entries
-    for k in range(n):
-        reach |= reach[:, k, None] & reach[k]
-    same = reach & reach.T
+    reach, same = _blocks(drives)
     if same.sum(1).max() > 2:
         return None
     blocks = []  # in dependency order: the blocks feeding a block reach fewer quadratures

@@ -45,7 +45,8 @@ from .core import (FOUR_MODE, BathSpec, _allclose, _entries_first, _require_regu
                    _require_stable, check_paired, check_sign, check_stable, input_covariance,
                    matrix)
 from .metrics import MeasurementFigures, _from_scattering, _read_rows, figures_from_parts
-from .models import _readout_couplings, _resolve_coupling
+from .models import (_READOUT_COUPLING, _readout_couplings, _resolve_coupling,
+                     _with_coupling)
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,19 @@ def decompose_drift(
     g = _resolve_coupling(kappa, gamma, g, C)
     if isinstance(order, np.ndarray):  # the same drift at every order
         g = np.broadcast_to(g, np.broadcast_shapes(np.shape(g), order.shape))
-    A_minus = np.multiply.outer(g, _SIDEBAND_COUPLING)
     k2, g2m, c = kappa / 2, gamma / 2, -2 * g
-    A_zero = matrix([
+    A_zero = matrix(_with_coupling(c, _READOUT_COUPLING, [
         [-k2, 0, 0, 0],
-        [0, -k2, c, 0],
+        [0, -k2, 0, 0],
         [0, 0, -g2m, 0],
-        [c, 0, 0, -g2m],
-    ])
+        [0, 0, 0, -g2m],
+    ]))
     largest = np.abs(A_zero).max(axis=(-2, -1))
     if ((largest <= 1.0 / _UNSCALED) & ((largest >= _UNSCALED) | (largest == 0.0))).all():
         _require_stable(np.diagonal(A_zero, 0, -2, -1).max(axis=-1))
     else:  # NaN or inf, which check_stable rejects, or a spectrum LAPACK rounds after scaling
         check_stable(A_zero)
+    A_minus = np.multiply.outer(g, _SIDEBAND_COUPLING)  # a finite g: no inf * 0
     return FloquetDrift(A_minus, A_zero, A_minus.conj(), omega_m)
 
 

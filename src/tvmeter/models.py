@@ -38,7 +38,11 @@ from .metrics import MeasurementFigures, figures_from_parts
 
 
 def cooperativity_to_g(C: float | NDArray, kappa: float, gamma: float) -> float | NDArray:
-    g = np.sqrt(C * kappa * gamma) / 2.0
+    """g = sqrt(C kappa gamma) / 2.  A product past the float range gives an
+    infinite g without a warning: the builders' stability check rejects
+    it."""
+    with np.errstate(over="ignore"):
+        g = np.sqrt(C * kappa * gamma) / 2.0
     return g if isinstance(g, np.ndarray) else float(g)
 
 
@@ -166,6 +170,32 @@ class ImperfectQndParams:
         return g_to_cooperativity(self.coupling, self.kappa, self.gamma)
 
 
+#: the drift entries (rows, columns) that hold the coupling c = -2g of the
+#: readout, in (X, Y, x, p): Y sees x, and p feels the cavity amplitude X
+_READOUT_COUPLING = ((1, 3), (2, 0))
+
+#: and of CQNC, in (X, Y, x, p, Xc, Yc): Y also sees Xc, and Yc feels X
+_CQNC_COUPLING = ((1, 3, 1, 5), (2, 0, 4, 0))
+
+
+def _with_coupling(c, entries: tuple, rows: list) -> list:
+    """The rows of a drift literal with the coupling ``c`` at ``entries``."""
+    for i, j in zip(*entries):
+        rows[i][j] = c
+    return rows
+
+
+def _coupled(A: NDArray, c, entries: tuple) -> NDArray:
+    """A new drift: ``A`` (a stack, say, built at c = 0) with the coupling
+    ``c`` at ``entries``; an array c gives the stack of drifts at the
+    points of c broadcast against A's stack."""
+    coupled = np.empty(np.broadcast(A[..., 0, 0], c).shape + A.shape[-2:])
+    coupled[...] = A
+    for i, j in zip(*entries):
+        coupled[..., i, j] = c
+    return coupled
+
+
 def _readout_couplings(kappa, gamma, mechanical_modes: int = 1) -> NDArray:
     """Input couplings H = diag(sqrt(kappa) I_2, sqrt(gamma) I_2 per mechanical
     mode), a stack of them when kappa or gamma is an array."""
@@ -177,12 +207,12 @@ def displacement_model(p: DisplacementParams, bath: BathSpec) -> LinearModel:
     """Four-mode model for displacement detection; omega_m = 0 gives the
     ideal single-quadrature (QND) readout."""
     k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
-    A = matrix([
+    A = matrix(_with_coupling(c, _READOUT_COUPLING, [
         [-k2, 0, 0, 0],
-        [0, -k2, c, 0],
+        [0, -k2, 0, 0],
         [0, 0, -g2m, wm],
-        [c, 0, -wm, -g2m],
-    ])
+        [0, 0, -wm, -g2m],
+    ]))
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)
@@ -207,14 +237,14 @@ def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:
     optical quadrature (S[Y, X_in] = 0 identically).
     """
     k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
-    A = matrix([
+    A = matrix(_with_coupling(c, _CQNC_COUPLING, [
         [-k2, 0, 0, 0, 0, 0],
-        [0, -k2, c, 0, c, 0],
+        [0, -k2, 0, 0, 0, 0],
         [0, 0, -g2m, wm, 0, 0],
-        [c, 0, -wm, -g2m, 0, 0],
+        [0, 0, -wm, -g2m, 0, 0],
         [0, 0, 0, 0, -g2m, -wm],
-        [c, 0, 0, 0, wm, -g2m],
-    ])
+        [0, 0, 0, 0, wm, -g2m],
+    ]))
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma, mechanical_modes=2)
     Vin = input_covariance(bath, CQNC_LAYOUT)
@@ -228,12 +258,12 @@ def imperfect_qnd_model(p: ImperfectQndParams, bath: BathSpec) -> LinearModel:
     position squeezing; all imperfections zero reduces it to the ideal
     QND model."""
     k2, g2m, dc, c = p.kappa / 2, p.gamma / 2, p.delta_c, -2 * p.coupling
-    A = matrix([
+    A = matrix(_with_coupling(c, _READOUT_COUPLING, [
         [-k2, dc, 0, 0],
-        [-dc, -k2, c, 0],
+        [-dc, -k2, 0, 0],
         [0, 0, p.xi - g2m, 2 * p.nu],
-        [c, 0, -2 * p.mu, -p.xi - g2m],
-    ])
+        [0, 0, -2 * p.mu, -p.xi - g2m],
+    ]))
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)

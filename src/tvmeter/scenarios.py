@@ -17,9 +17,15 @@ detection frequency solves the points as one stack in ``figures`` and
 ``vc`` (an array of kappa or gamma stacks H as well), at one detection
 frequency or at frequencies paired with the points, and ``rows`` builds
 the stack of a scan's rows once and scores V_c on the rows it is asked
-for.  lev-pulsed prepares the state once per distinct preparation and
-evaluates the term algebra of the pulsed kernel once per group of rows
-that share kappa, gamma and its branches.  The builders and kernels are
+for.  ``c_family``, its counterpart for scans over C at a fixed
+frequency, builds and validates the rows once at g = 0; each V_c call
+then writes only the coupling into the drift entries the builder
+declares (``models._READOUT_COUPLING``, ``models._CQNC_COUPLING``; the
+sidebands as well for qnd-floquet), and checks stability again only
+where the drift's spectrum can depend on C.  lev-pulsed prepares the
+state once per distinct preparation and evaluates the term algebra of
+the pulsed kernel once per group of rows that share kappa, gamma and
+its branches.  The builders and kernels are
 called through this module's globals, never stored in a record, so that
 a wrapper on a module attribute sees every call.
 """
@@ -32,16 +38,20 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .core import BathSpec, LinearModel
-from .errors import ConfigError
-from .floquet import decompose_drift, floquet_metrics, floquet_vc
+from .core import BathSpec, LinearModel, _spectrum_depends_on, check_stable
+from .errors import ConfigError, TvmeterError
+from .floquet import _SIDEBAND_COUPLING, decompose_drift, floquet_metrics, floquet_vc
 from .levitation import (DualTweezerParams, TweezerParams, reduced_metrics, reduced_vc,
                          single_tweezer_qnd_model)
 from .metrics import evaluate, vc_on_grid
 from .models import (
+    _CQNC_COUPLING,
+    _READOUT_COUPLING,
     CqncParams,
     DisplacementParams,
     ImperfectQndParams,
+    _coupled,
+    _resolve_coupling,
     cqnc_model,
     displacement_model,
     imperfect_qnd_model,
@@ -60,7 +70,13 @@ class Scenario:
     gives ``vc(ks, omegas)``, sliced from it: V_c of the rows in a list ks
     paired with omegas, of the row ks (an int) at every one of them, or of
     each row ks[k] at every omegas[k] (a 2-d array), as
-    :func:`optimize.minimize_on_grid` asks.  ``default_omega`` maps the
+    :func:`optimize.minimize_on_grid` asks.  ``c_family(params, bath,
+    omega, conditioning)``, set where there is a cooperativity, builds the
+    rows of ``params`` once, at g = 0, and gives ``vc(ks, Cs)``: V_c at the
+    detection frequency ``omega`` (a number, or an array of one per row)
+    of the row ks (an int) at every C of Cs, or of the rows in a list ks
+    paired with Cs, each point with the bits and the errors of ``vc`` on
+    a model built at its C.  ``default_omega`` maps the
     parameters to the detection frequency; None means there is none.
     ``prepare`` fills in a prepared state that depends only on the
     parameters in ``preparation``."""
@@ -69,6 +85,7 @@ class Scenario:
     figures: Callable
     vc: Callable | None = None
     rows: Callable[[dict, BathSpec, str], Callable] | None = None
+    c_family: Callable[[dict, BathSpec, Any, str], Callable] | None = None
     default_omega: Callable[[dict], float] | None = lambda p: 0.0
     conditionings: tuple[str, ...] = ("meter",)
     preparation: tuple[str, ...] = ()
@@ -110,35 +127,114 @@ def _lev_single(p: dict, bath: BathSpec) -> LinearModel:
     ), bath)
 
 
-def _stacked(defaults: dict, build, figures, vc, point_axes: Mapping[str, int], **kw) -> Scenario:
+def _rows_at(stack, point_axes: Mapping[str, int]) -> Callable:
+    """``at(ks)``: the rows ks of the validated ``stack``, whose fields with
+    more axes than one point's (``point_axes``) hold one entry per row."""
+    stacked = {k: getattr(stack, k) for k, axes in point_axes.items()
+               if np.ndim(getattr(stack, k)) > axes}
+
+    def at(ks):
+        part = object.__new__(type(stack))
+        vars(part).update(vars(stack), **{k: v[ks] for k, v in stacked.items()})
+        return part
+
+    return at
+
+
+def _picked(value: Any, ks) -> Any:
+    """A parameter or frequency at the rows ks: an array holds one per row."""
+    return value[ks] if isinstance(value, np.ndarray) else value
+
+
+def _stacked(defaults: dict, build, figures, vc, point_axes: Mapping[str, int],
+             couple: Callable | None = None, **kw) -> Scenario:
     """A scenario on the validated stack ``build(params, bath)``, with its
     ``figures(stack, bath, omega, conditioning)`` and V_c ``vc`` (alike);
-    ``point_axes`` maps the stack's fields to the axes of one entry."""
+    ``point_axes`` maps the stack's fields to the axes of one entry.  With
+    a cooperativity, ``couple(stack)`` gives ``write(part, g)``, which
+    writes the coupling g into the rows ``part`` of a stack built at g = 0
+    (:func:`_coupling`), and the scenario has a ``c_family``."""
 
     def rows(p, bath, conditioning="meter"):
-        stack = build(p, bath)
-        stacked = {k: getattr(stack, k) for k, axes in point_axes.items()
-                   if np.ndim(getattr(stack, k)) > axes}
+        at = _rows_at(build(p, bath), point_axes)
 
         def vc_rows(ks, omegas):
             omegas = np.asarray(omegas)
             if omegas.ndim == 2:  # a grid per row: the rows on their own axis
                 ks = np.array(ks)[:, None]
-            part = object.__new__(type(stack))  # the rows ks of the validated stack
-            vars(part).update(vars(stack), **{k: v[ks] for k, v in stacked.items()})
-            return vc(part, bath, omegas, conditioning)
+            return vc(at(ks), bath, omegas, conditioning)
 
         return vc_rows
 
+    def c_family(p, bath, omega, conditioning="meter"):
+        def built(ks, Cs):  # a model of its own per call, as ``Scenario.vc``
+            rows_ks = {k: _picked(v, ks) for k, v in p.items()}
+            return vc(build(with_parameter(rows_ks, "C", np.asarray(Cs)), bath), bath,
+                      _picked(omega, ks), conditioning)
+
+        try:
+            stack = build(with_parameter(p, "g", 0.0), bath)
+        except (TvmeterError, ValueError):  # each call raises (or passes) as its own build
+            return built
+        at, write = _rows_at(stack, point_axes), couple(stack)
+
+        def vc_c(ks, Cs):
+            g = _resolve_coupling(_picked(p["kappa"], ks), _picked(p["gamma"], ks), None,
+                                  np.asarray(Cs))  # the check C >= 0 of each build
+            return vc(write(at(ks), g), bath, _picked(omega, ks), conditioning)
+
+        return vc_c
+
     return Scenario(defaults, lambda p, bath, w, c="meter": figures(build(p, bath), bath, w, c),
                     vc=lambda p, bath, w, c="meter": vc(build(p, bath), bath, w, c),
-                    rows=rows, **kw)
+                    rows=rows, c_family=c_family if couple else None, **kw)
 
 
-def _model_based(defaults: dict, build, **kw) -> Scenario:
-    """A scenario evaluated on the model ``build(params, bath)``."""
+def _coupling(entries: tuple, drift: str = "A") -> Callable:
+    """``couple`` of a scenario whose drift (the stack's field ``drift``)
+    holds c = -2g at ``entries``, its builder's declaration: each call
+    writes c there, into a copy of the rows' drift.  Where the spectrum
+    can depend on c (an entry inside a diagonal block of the drift, as in
+    the detuned imperfect readout's loop X -> p -> x -> Y -> X) each call
+    checks stability.  Elsewhere the build's check at g = 0 holds at every
+    finite c, and a point whose c is not finite fails as in
+    :func:`core.check_stable`."""
+
+    def couple(stack):
+        per_call = _spectrum_depends_on(getattr(stack, drift), entries)
+
+        def write(part, g):
+            vars(part)[drift] = A = _coupled(getattr(part, drift), -2 * g, entries)
+            if per_call or not np.isfinite(g).all():
+                check_stable(A)
+            return part
+
+        return write
+
+    return couple
+
+
+def _floquet_coupling(stack) -> Callable:
+    """``couple`` of qnd-floquet: c = -2g in A(0), as :func:`_coupling`,
+    and the counterrotating sidebands A(-1) = g ``_SIDEBAND_COUPLING`` and
+    A(+1), its conjugate."""
+    static = _coupling(_READOUT_COUPLING, "A_zero")(stack)
+
+    def write(part, g):
+        part = static(part, g)
+        A_minus = np.multiply.outer(np.broadcast_to(g, part.A_zero.shape[:-2]), _SIDEBAND_COUPLING)
+        vars(part).update(A_minus=A_minus, A_plus=A_minus.conj())
+        return part
+
+    return write
+
+
+def _model_based(defaults: dict, build, coupling: tuple | None = None, **kw) -> Scenario:
+    """A scenario evaluated on the model ``build(params, bath)``, whose
+    drift holds the coupling at the entries ``coupling``, if any."""
     return _stacked(defaults, build, lambda m, bath, w, c: evaluate(m, w, bath, c),
-                    lambda m, bath, w, c: vc_on_grid(m, w, bath, c), dict(A=2, H=2), **kw)
+                    lambda m, bath, w, c: vc_on_grid(m, w, bath, c), dict(A=2, H=2),
+                    couple=coupling and _coupling(coupling), **kw)
 
 
 def _floquet_drift(p: dict, bath: BathSpec):
@@ -191,19 +287,20 @@ def _pulsed_figures(p, bath, omega=None, conditioning="meter"):
 SCENARIOS: dict[str, Scenario] = {
     "displacement": _model_based(
         dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None), _displacement,
-        default_omega=lambda p: p["omega_m"]),
+        _READOUT_COUPLING, default_omega=lambda p: p["omega_m"]),
     "cqnc": _model_based(
-        dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None), _cqnc,
+        dict(kappa=10.0, gamma=0.01, omega_m=1.0, C=1.0, g=None), _cqnc, _CQNC_COUPLING,
         default_omega=lambda p: p["omega_m"], conditionings=("meter", "meter+ancilla")),
     "qnd-ideal": _model_based(dict(kappa=10.0, gamma=0.01, C=1.0, g=None),
-                              lambda p, bath: _displacement({**p, "omega_m": 0.0}, bath)),
+                              lambda p, bath: _displacement({**p, "omega_m": 0.0}, bath),
+                              _READOUT_COUPLING),
     "qnd-imperfect": _model_based(
         dict(kappa=10.0, gamma=0.01, C=1.0, g=None, nu=0.0, mu=0.0, xi=0.0, delta_c=0.0),
-        _qnd_imperfect),
+        _qnd_imperfect, _READOUT_COUPLING),
     "qnd-floquet": _stacked(
         _FLOQUET, _floquet_drift, lambda fd, bath, w, c: floquet_metrics(fd, bath, w),
         lambda fd, bath, w, c: floquet_vc(fd, bath, w),
-        dict(A_minus=2, A_zero=2, A_plus=2, omega_m=0)),
+        dict(A_minus=2, A_zero=2, A_plus=2, omega_m=0), couple=_floquet_coupling),
     "lev-single": _model_based(
         dict(kappa=1.0, gamma=1e-6, omega_m=100.0, g=0.3, alpha=0.2, Omega=None), _lev_single),
     "lev-dual": _stacked(

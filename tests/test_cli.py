@@ -500,22 +500,106 @@ def _scan_commands(draw):
     return argv
 
 
+#: per C scenario, the parameters a C scan sets with --set: ranges that
+#: leave the valid region, and for qnd-imperfect make the drift unstable
+#: at every C (|xi| > 1/2) or at some C (delta_c and nu nonzero)
+C_SCAN_SETS = {
+    "displacement": dict(kappa=(-1.0, 30.0), gamma=(-0.01, 0.1), omega_m=(-1.0, 3.0)),
+    "cqnc": dict(kappa=(-1.0, 30.0), gamma=(-0.01, 0.1), omega_m=(-1.0, 3.0)),
+    "qnd-ideal": dict(kappa=(-1.0, 30.0), gamma=(-0.01, 0.1)),
+    "qnd-imperfect": dict(kappa=(-1.0, 30.0), delta_c=(-0.5, 0.5), nu=(-0.5, 0.5),
+                          mu=(-0.5, 0.5), xi=(-0.8, 0.8)),
+    "qnd-floquet": dict(kappa=(-0.1, 3.0), gamma=(-0.01, 0.1), omega_m=(-0.5, 3.0)),
+}
+
+
+@st.composite
+def _c_scan_commands(draw):
+    """A `tv sql` or `tv threshold` (min-vc or tsum-at-sql) command with
+    generated --set values, at a fixed frequency."""
+    scenario = draw(st.sampled_from(sorted(C_SCAN_SETS)))
+    ranges = C_SCAN_SETS[scenario]
+    names = draw(st.lists(st.sampled_from(sorted(ranges)), unique=True, max_size=3))
+    sets = [f"{k}={draw(st.floats(*ranges[k]))!r}" for k in names]
+    if scenario == "qnd-imperfect" and draw(st.booleans()):  # the detuned loop
+        sets += [f"delta_c={draw(st.floats(0.01, 0.5))!r}", f"nu={draw(st.floats(0.01, 0.5))!r}"]
+    argv = [draw(st.sampled_from(["sql", "threshold"])), "--scenario", scenario, "--n-m", "1",
+            "--c-count", "3", "--c-bounds", "1", repr(draw(st.floats(1.001, 1e3)))]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    if argv[0] == "threshold":
+        argv += ["--vary", "n_m", "--bounds", "0.5", "3", "--level", repr(draw(st.floats(0, 2))),
+                 "--quantity", draw(st.sampled_from(["min-vc", "tsum-at-sql"]))]
+    return argv
+
+
+def _exits_without_a_traceback(argv, tmp_path_factory):
+    out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv + ["--output", str(out)])
+    err = err.getvalue()
+    if rc == 0:
+        cells = [float(c) for row in read_rows(out) for k, c in row.items()
+                 if k not in ("regime", "vary", "quantity")]
+        assert all(math.isfinite(c) or c == math.inf for c in cells), argv
+    else:
+        assert (rc, err.startswith("tv: configuration error: ")) in ((2, True), (3, False)), argv
+        assert err.count("\n") == 1 and (rc == 2 or err.startswith("tv: numerical failure at "))
+
+
 @settings(max_examples=15)
 @given(argv=_scan_commands())
 @example(argv=["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"])  # overflows
 @example(argv=["sweep", "--scenario", "lev-pulsed", "--param", "gamma", "--lin", "0.0",
                "-3.3e-301", "--n", "2", "--n-m", "1"])  # the square root of a negative gamma
 def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
-    out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main(argv + ["--output", str(out)])
-    err = err.getvalue()
-    if rc == 0:
-        cells = [float(c) for row in read_rows(out) for k, c in row.items() if k != "regime"]
-        assert all(math.isfinite(c) or c == math.inf for c in cells), argv
-    else:
-        assert (rc, err.startswith("tv: configuration error: ")) in ((2, True), (3, False)), argv
-        assert err.count("\n") == 1 and (rc == 2 or err.startswith("tv: numerical failure at "))
+    _exits_without_a_traceback(argv, tmp_path_factory)
+
+
+@settings(max_examples=15)
+@given(argv=_c_scan_commands())
+@example(argv=["sql", "--scenario", "qnd-imperfect", "--n-m", "1", "--set", "xi=0.6"])
+@example(argv=["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05",
+               "0.3", "--level", "0.5", "--quantity", "tsum-at-sql", "--n-m", "1",
+               "--set", "delta_c=0.1"])
+def test_c_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
+    _exits_without_a_traceback(argv, tmp_path_factory)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sql", "--scenario", "qnd-imperfect", "--n-m", "1", "--xi", "0.6"],
+     "numerical failure at C in [0.001, 1000.0]: drift matrix is not strictly stable "
+     "(max Re eigenvalue 1.000e-03)"),
+    (["sql", "--scenario", "qnd-imperfect", "--n-m", "1", "--nu", "0.1", "--param", "delta_c",
+      "--lin", "0", "0.2", "--n", "3"],
+     "numerical failure at delta_c=0.1: drift matrix is not strictly stable "
+     "(max Re eigenvalue 9.143e-05)"),
+    # an overflowing coupling is a numerical failure of the C range or the row
+    (["sql", "--scenario", "qnd-imperfect", "--n-m", "1", "--c-bounds", "1", "1e308"],
+     "numerical failure at C in [1.0, 1e+308]: drift matrix is not strictly stable "
+     "(max Re eigenvalue nan)"),
+    (["sql", "--scenario", "displacement", "--n-m", "1", "--c-bounds", "1", "1e308"],
+     "numerical failure at C in [1.0, 1e+308]: "),
+    (["sql", "--scenario", "cqnc", "--n-m", "1", "--c-bounds", "1", "1e308"],
+     "numerical failure at C in [1.0, 1e+308]: "),
+    (["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05", "0.3",
+      "--level", "0.5", "--quantity", "min-vc", "--n-m", "1", "--c-bounds", "1", "1e308"],
+     "numerical failure at nu=0.05: "),
+    (["sweep", "--scenario", "qnd-imperfect", "--param", "C", "--log", "1", "1e308", "--n", "3",
+      "--n-m", "1"],
+     "numerical failure at C=1e+308: drift matrix is not strictly stable (max Re eigenvalue nan)"),
+], ids=["unstable-at-every-C", "unstable-at-some-C", "sql-overflow", "displacement-overflow",
+        "cqnc-overflow", "threshold-overflow", "sweep-overflow"])
+def test_c_scan_failures_exit_3(argv, err, tmp_path, capsys):
+    """An unstable or overflowing drift fails the scan with exit code 3,
+    naming the C range or the row: the message in full, or its start."""
+    rc, out = run(argv, tmp_path)
+    assert rc == 3
+    got = capsys.readouterr().err
+    assert got.startswith(f"tv: {err}") and got.count("\n") == 1
+    if "eigenvalue" in err:
+        assert got == f"tv: {err}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("param, values, bad", [

@@ -177,6 +177,33 @@ class TestModelStack:
         assert got.shape == self.CS.shape
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_drift_is_unstable_with_max_real_nan(self, bad):
+        """A drift with an inf or NaN entry (an overflowing coupling) is a
+        numerical failure, not LAPACK's ValueError: the first such matrix,
+        in stack order, raises with max_real NaN; a matrix before it that
+        is unstable raises first."""
+        stable, unstable, broken = -np.eye(4), -np.eye(4), -np.eye(4)
+        unstable[2, 2], broken[1, 2] = 0.25, bad
+        for A in (broken, np.array([stable, broken, unstable])):
+            with pytest.raises(UnstableModel) as err:
+                check_stable(A)
+            assert np.isnan(err.value.max_real)
+            assert str(err.value) == "drift matrix is not strictly stable (max Re eigenvalue nan)"
+        with pytest.raises(UnstableModel) as err:
+            check_stable(np.array([stable, unstable, broken]))
+        assert err.value.max_real == 0.25
+
+    def test_require_stable_fails_nan(self):
+        with pytest.raises(UnstableModel) as err:
+            core._require_stable(np.array([-1.0, np.nan, 1.0]))
+        assert np.isnan(err.value.max_real)
+
+    def test_overflowing_coupling_is_unstable(self):
+        p = ImperfectQndParams(10.0, 0.01, C=np.array([1.0, 1e308]))
+        with pytest.raises(UnstableModel, match="eigenvalue nan"):
+            imperfect_qnd_model(p, VACUUM)
+
     def test_first_unstable_matrix_of_a_stack(self):
         stable, unstable = -np.eye(4), -np.eye(4)
         unstable[2, 2] = 0.25

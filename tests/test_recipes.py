@@ -1,14 +1,17 @@
 """Recipe tables against golden CSVs.
 
-``tests/golden/`` holds the tables of the eight figure recipes and of
-``tv pulsed --tau-log 1e-2 1e2 --n 50 --n-m 1e7``.  A rerun must keep the
-header lines and the regimes exactly and every float to relative 1e-12,
-so a refactor of the evaluation pipeline that moves a figure shows here.
+``tests/golden/`` holds the tables of the eight figure recipes, of
+``tv pulsed --tau-log 1e-2 1e2 --n 50 --n-m 1e7`` and of the README's
+``tv threshold`` command.  A rerun must keep the header lines and the
+regimes exactly and every float to relative 1e-12, so a refactor of the
+evaluation pipeline that moves a figure shows here.
 The frequency-optimized tables (fig2, fig4) must also keep every byte:
 their rows come from the lockstep refinement of all rows, which gives
 each row the bits of a scan of the row alone.  So must the fixed-frequency
 C sweeps fig3 and fig5, whose rows come from stacked evaluations of
-blocks of rows.  fig2 to fig5 were re-recorded once when the linear
+blocks of rows, and the C scans fig6, fig8 and the threshold (crossing
+0.11794494716125828), whose V_c calls write the coupling into rows built
+once at g = 0.  fig2 to fig5 were re-recorded once when the linear
 models moved from LAPACK's solve to block forward substitution on the
 drift's nonzero entries (and the figures to plain |z|^2 = Re^2 + Im^2
 and Re(a b c*)): their last bits moved, by up to 1.3e-11 in T_s and
@@ -62,12 +65,14 @@ COMMANDS = {
     **{f"fig{n}": ["sql", "--config", str(ROOT / "recipes" / f"fig{n}.json")]
        for n in (6, 8)},
     "pulsed": ["pulsed", "--tau-log", "1e-2", "1e2", "--n", "50", "--n-m", "1e7"],
+    "threshold": ["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05",
+                  "0.3", "--level", "0.5", "--quantity", "min-vc", "--n-m", "1"],
 }
 
 REL = 1e-12
 
 #: tables that must match their golden file byte for byte
-BYTE_IDENTICAL = ("fig2", "fig3", "fig4", "fig5")
+BYTE_IDENTICAL = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig8", "threshold")
 
 
 def _split(text):
