@@ -174,8 +174,8 @@ def matrix(rows) -> NDArray[np.float64]:
     the stack ``[..., i, j]`` of the matrices at each point of the
     broadcast entries."""
     entries = [x for row in rows for x in row]
-    shape = np.broadcast_shapes(*(x.shape for x in entries if isinstance(x, np.ndarray)))
-    if not shape:
+    shapes = [x.shape for x in entries if isinstance(x, np.ndarray)]
+    if not shapes or not (shape := np.broadcast_shapes(*shapes)):  # numbers: no broadcast
         return np.array(rows, dtype=float)
     M = np.empty(shape + (len(entries),))
     for k, x in enumerate(entries):
@@ -225,17 +225,6 @@ def _raise_sign(positive, nonnegative) -> None:
                   for sign, name, value in checks))
 
 
-def _allclose(x: NDArray, y: NDArray) -> bool:
-    """``np.allclose(x, y, atol=1e-12)`` without its per-call cost: equal
-    entries (infinities of one sign among them) are close, and the others
-    when |x - y| <= 1e-12 + 1e-5 |y| at a finite y; NaN is close to nothing."""
-    equal = x == y
-    if equal.all():
-        return True
-    with np.errstate(invalid="ignore"):
-        return bool((((np.abs(x - y) <= 1e-12 + 1e-5 * np.abs(y)) & np.isfinite(y)) | equal).all())
-
-
 @functools.lru_cache(maxsize=16)
 def _check_input_covariance(key: bytes, n: int) -> None:
     """Raise ValueError unless the n x n input covariance with the bytes
@@ -243,7 +232,7 @@ def _check_input_covariance(key: bytes, n: int) -> None:
     bound.  The builders share a few covariances among many drifts, so a
     value passes once; a raise is not cached, and raises again."""
     Vin = np.frombuffer(key).reshape(n, n)
-    if not _allclose(Vin, Vin.T):
+    if not np.allclose(Vin, Vin.T, atol=1e-12):
         raise ValueError("Vin must be symmetric")
     det = np.linalg.det(Vin.reshape(n // 2, 2, n // 2, 2).diagonal(0, 0, 2).transpose(2, 0, 1))
     raise_first((det < 0.25 - 1e-9, lambda m: ValueError(  # of each mode's 2 x 2 block
@@ -308,7 +297,9 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
     their spectral covariances diverge).  ``A`` may be a stack
     ``[..., i, j]``; the first unstable matrix, in stack order, raises.
     A matrix with a non-finite entry (an overflowing coupling, say) is
-    unstable, with max_real NaN."""
+    unstable, and raises with max_real ``math.nan`` itself, so that two
+    such errors' values compare equal (a NaN equals only itself).  Every
+    builder's stability goes through here."""
     A = np.asarray(A, dtype=float)
     try:
         max_real = np.linalg.eigvals(A).real.max(axis=-1)
@@ -318,14 +309,7 @@ def check_stable(A: NDArray, tol: float = STABILITY_TOL) -> None:
             raise
         eigvals = np.linalg.eigvals(np.where(finite[..., None, None], A, 0.0))
         max_real = np.where(finite, eigvals.real.max(axis=-1), np.nan)
-    _require_stable(max_real, tol)
 
-
-def _require_stable(max_real: float | NDArray, tol: float = STABILITY_TOL) -> None:
-    """:func:`check_stable` of drifts whose largest eigenvalue real parts,
-    one per matrix of the stack, are ``max_real``; a NaN fails, and raises
-    with ``max_real`` ``math.nan`` itself, so that the values of two such
-    errors compare equal (a NaN equals only itself, by identity)."""
     def error(k: int) -> UnstableModel:
         value = float(np.ravel(max_real)[k])
         return UnstableModel(math.nan if math.isnan(value) else value)
@@ -362,25 +346,20 @@ def _require_regular(M: NDArray, omega: float | NDArray, solved: tuple | None = 
     (rows, cols), ``M[k, ...]`` holds the entries at (rows[k], cols[k]),
     every diagonal position among them, and the rest are zero.
 
-    Every matrix first takes a cheaper sufficient test: with E the
+    Without the caller's solve, every matrix goes to the SVD rcond.  With
+    it, every matrix first takes a cheaper sufficient test: with E the
     equilibrated matrix, ||E||_2 ||E^-1||_2 <= ||E||_F ||E^-1||_F, so a
     Frobenius bound of at most 1 / (2 ``RCOND_FLOOR``) puts the 2-norm
     rcond at 2 ``RCOND_FLOOR`` or above; the factor 2 covers the rounding
     of the computed inverse (about n eps kappa, 1e-3 of the bound there).
     It runs in real arithmetic on the moduli of the given entries and the
-    row and column scales r and c.  E^-1 = diag(c) M^-1 diag(r) comes from
-    the caller's solve ``solved`` = (X, h) of X = M^-1 diag(h), X given as
-    ``M`` is (with ``at``, h as ``h[j, ...]``), else from inverting E.  Only
-    the matrices this does not accept (a NaN bound among them, or all when
-    an exactly singular matrix stops the inverse) go on to the SVD rcond,
-    so the matrices that raise, and their rcond, are the SVD test's alone.
+    row and column scales r and c, and E^-1 = diag(c) M^-1 diag(r) comes
+    from the solve ``solved`` = (X, h) of X = M^-1 diag(h), X given as
+    ``M`` is (with ``at``, h as ``h[j, ...]``).  Only the matrices this
+    does not accept (a NaN bound among them) go on to the SVD rcond, so
+    the matrices that raise, and their rcond, are the SVD test's alone.
     """
-    if solved is None:  # M is a stack of whole matrices
-        try:
-            inverse = np.abs(np.linalg.inv(_equilibrated(M)[0]))
-            inverse2 = np.einsum("...ij,...ij->...", inverse, inverse)
-        except np.linalg.LinAlgError:  # an exactly singular matrix: all go to the SVD
-            inverse2 = np.nan
+    inverse2 = np.nan  # no solve: every matrix goes to the SVD
     n = M.shape[-1] if at is None else max(at[0]) + 1
     rows, cols, in_row, in_col = _positions(n, at)
     if at is None:  # every entry, in row-major order
@@ -457,8 +436,8 @@ def build_scattering(model: LinearModel, omega: float | NDArray,
     h (a zero in h leaves the guard no inverse: every matrix goes to the
     SVD rcond).  Any other drift takes LAPACK's solve of X = M^-1 H: with
     no zero in H it hands the guard M^-1 = X diag(1/h); otherwise, or
-    when an exactly singular matrix stops that solve, the guard inverts
-    on its own.  The plan depends on the off-diagonal nonzero entries of the
+    when an exactly singular matrix stops that solve, every matrix goes
+    to the SVD rcond.  The plan depends on the off-diagonal nonzero entries of the
     drift, so the points of a stack whose off-diagonal entries vanish at
     some points (a coupling of zero) are solved in groups, each as one of
     its points alone.
@@ -545,8 +524,8 @@ def _dense_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.
 def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
     """:func:`build_scattering` of a stack whose drifts have their
     off-diagonal nonzero entries at different positions (a coupling that is
-    zero at some points): each group of points that share them takes the
-    solve one of its points takes alone.  When a group's guard raises, one
+    zero at some points): each group of points that share them is solved
+    by :func:`build_scattering`, as one of its points is alone.  When a group's guard raises, one
     guard over the whole stack raises the error of its first singular
     point; should it pass, the first group's error stands."""
     n = model.A.shape[-1]
@@ -563,10 +542,8 @@ def _by_pattern(model: LinearModel, omega: float | NDArray) -> NDArray[np.comple
         left &= ~points_of
         part = object.__new__(LinearModel)  # the points of one pattern, validated with the stack
         vars(part).update(vars(model), A=A[points_of], H=H[points_of])
-        plan = _substitution(pattern.tobytes(), n)
         try:
-            S[points_of] = (_dense_scattering(part, omega[points_of]) if plan is None
-                            else _substituted(part, omega[points_of], plan))
+            S[points_of] = build_scattering(part, omega[points_of])
         except SingularAtFrequency as err:
             first_error = first_error or err
     if first_error is not None:

@@ -120,9 +120,13 @@ def _clamped(Vc, Vss, *guards) -> NDArray[np.float64]:
     """V_c at each point of a stack (one point is a stack of shape ()),
     with rounding below zero clamped to zero.  ``guards`` are the pairs of
     :func:`core.raise_first` that a point checks before its V_c; V_c below
-    ``-VC_CLAMP_TOL * max(V_ss, 1)`` fails last, as a :class:`DegenerateMeter`."""
-    raise_first(*guards, (Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0), lambda k: DegenerateMeter(
-        f"conditional variance {np.ravel(Vc)[k]:.3e} below zero")))
+    ``-VC_CLAMP_TOL * max(V_ss, 1)``, then a NaN or +inf V_c (an overflow
+    in the density, say), fail last, as a :class:`DegenerateMeter`."""
+    below = (Vc < -VC_CLAMP_TOL * np.maximum(Vss, 1.0), lambda k: DegenerateMeter(
+        f"conditional variance {np.ravel(Vc)[k]:.3e} below zero"))
+    not_finite = (np.logical_not(Vc < np.inf), lambda k: DegenerateMeter(
+        f"conditional variance {np.ravel(Vc)[k]:.3e} is not finite"))
+    raise_first(*guards, below, not_finite)
     return np.maximum(Vc, 0.0)
 
 
@@ -148,7 +152,7 @@ def _conditioned(Vout: NDArray, s: int, m: int, a: int | None = None, simplified
     the (meter, ancilla) block, or with ``simplified`` the sum of the two
     channels' terms, dropping the meter-ancilla cross covariance."""
     Vss, Vmm, Vsm = Vout[..., s, s].real, Vout[..., m, m].real, Vout[..., s, m]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if a is None:
             return _clamped(Vss - (Vsm.real**2 + Vsm.imag**2) / Vmm, Vss, (
                 Vmm <= METER_FLOOR, lambda k: DegenerateMeter(
@@ -292,7 +296,8 @@ def _from_scattering(blocks, Vin: NDArray, layout: ModeLayout, eta: float,
     s, m = index[:2]
     r0 = m - m % 2
     noise = Vin[..., r0, r0, None]
-    V = detected(_output_density(blocks, Vin), measured, eta, noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails V_c's guard
+        V = detected(_output_density(blocks, Vin), measured, eta, noise)
     Vc = _conditioned(V, *range(len(index)))
     if not figures:
         return Vc

@@ -178,17 +178,12 @@ _READOUT_COUPLING = ((1, 3), (2, 0))
 _CQNC_COUPLING = ((1, 3, 1, 5), (2, 0, 4, 0))
 
 
-def _with_coupling(c, entries: tuple, rows: list) -> list:
-    """The rows of a drift literal with the coupling ``c`` at ``entries``."""
-    for i, j in zip(*entries):
-        rows[i][j] = c
-    return rows
-
-
 def _coupled(A: NDArray, c, entries: tuple) -> NDArray:
     """A new drift: ``A`` (a stack, say, built at c = 0) with the coupling
     ``c`` at ``entries``; an array c gives the stack of drifts at the
-    points of c broadcast against A's stack."""
+    points of c broadcast against A's stack.  Every builder places its
+    coupling through here, on its literal at c = 0, and so does each call
+    of a scenario's C family."""
     coupled = np.empty(np.broadcast(A[..., 0, 0], c).shape + A.shape[-2:])
     coupled[...] = A
     for i, j in zip(*entries):
@@ -207,12 +202,12 @@ def displacement_model(p: DisplacementParams, bath: BathSpec) -> LinearModel:
     """Four-mode model for displacement detection; omega_m = 0 gives the
     ideal single-quadrature (QND) readout."""
     k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
-    A = matrix(_with_coupling(c, _READOUT_COUPLING, [
+    A = _coupled(matrix([
         [-k2, 0, 0, 0],
         [0, -k2, 0, 0],
         [0, 0, -g2m, wm],
         [0, 0, -wm, -g2m],
-    ]))
+    ]), c, _READOUT_COUPLING)
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)
@@ -237,14 +232,14 @@ def cqnc_model(p: CqncParams, bath: BathSpec) -> LinearModel:
     optical quadrature (S[Y, X_in] = 0 identically).
     """
     k2, g2m, wm, c = p.kappa / 2, p.gamma / 2, p.omega_m, -2 * p.coupling
-    A = matrix(_with_coupling(c, _CQNC_COUPLING, [
+    A = _coupled(matrix([
         [-k2, 0, 0, 0, 0, 0],
         [0, -k2, 0, 0, 0, 0],
         [0, 0, -g2m, wm, 0, 0],
         [0, 0, -wm, -g2m, 0, 0],
         [0, 0, 0, 0, -g2m, -wm],
         [0, 0, 0, 0, wm, -g2m],
-    ]))
+    ]), c, _CQNC_COUPLING)
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma, mechanical_modes=2)
     Vin = input_covariance(bath, CQNC_LAYOUT)
@@ -258,12 +253,12 @@ def imperfect_qnd_model(p: ImperfectQndParams, bath: BathSpec) -> LinearModel:
     position squeezing; all imperfections zero reduces it to the ideal
     QND model."""
     k2, g2m, dc, c = p.kappa / 2, p.gamma / 2, p.delta_c, -2 * p.coupling
-    A = matrix(_with_coupling(c, _READOUT_COUPLING, [
+    A = _coupled(matrix([
         [-k2, dc, 0, 0],
         [-dc, -k2, 0, 0],
         [0, 0, p.xi - g2m, 2 * p.nu],
         [0, 0, -2 * p.mu, -p.xi - g2m],
-    ]))
+    ]), c, _READOUT_COUPLING)
     check_stable(A)
     H = _readout_couplings(p.kappa, p.gamma)
     return LinearModel(A, H, input_covariance(bath, FOUR_MODE), FOUR_MODE)

@@ -566,6 +566,52 @@ def test_c_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
     _exits_without_a_traceback(argv, tmp_path_factory)
 
 
+#: the parameters a `tv optimize-frequency` command sets, where its scenario
+#: has them, and their ranges: a zero rate is invalid, and delta_c and nu
+#: nonzero make the detuned loop, which can be unstable
+OPTIMIZE_SETS = dict(kappa=(0.0, 30.0), gamma=(0.0, 0.1), C=(0.0, 1e4), delta_c=(-0.5, 0.5),
+                     nu=(-0.5, 0.5), g2=(0.0, 1.0))
+
+
+@st.composite
+def _optimize_frequency_commands(draw):
+    """A `tv optimize-frequency` command with generated frequency bounds,
+    bath occupation and --set values."""
+    scenario = draw(st.sampled_from(sorted(k for k, s in SCENARIOS.items() if s.vc is not None)))
+    w_lo, ratio = draw(st.floats(1e-3, 10.0)), draw(st.floats(1.0, 1e4, exclude_min=True))
+    argv = ["optimize-frequency", "--scenario", scenario, "--n-m", repr(draw(st.floats(0.0, 1e3))),
+            "--omega-bounds", repr(w_lo), repr(w_lo * ratio)]
+    for k in sorted(set(OPTIMIZE_SETS) & set(SCENARIOS[scenario].defaults)):
+        if draw(st.booleans()):
+            argv += ["--set", f"{k}={draw(st.floats(*OPTIMIZE_SETS[k]))!r}"]
+    return argv
+
+
+@st.composite
+def _pulsed_commands(draw):
+    """A `tv pulsed` command with generated pulse lengths up to 1e6, rates,
+    coupling, bath occupation and detection efficiency."""
+    taus = sorted(draw(st.floats(1e-3, 1e6)) for _ in range(2))
+    argv = ["pulsed", "--tau-log", *map(repr, taus), "--n", str(draw(st.integers(2, 3))),
+            "--n-m", repr(draw(st.floats(0.0, 1e7))), "--eta", repr(draw(st.floats(0.0, 1.0)))]
+    for k, (lo, hi) in dict(kappa=(0.0, 3.0), gamma=(0.0, 1.0), g=(0.0, 2.0)).items():
+        if draw(st.booleans()):
+            argv += ["--set", f"{k}={draw(st.floats(lo, hi))!r}"]
+    return argv
+
+
+@settings(max_examples=15)
+@given(argv=_optimize_frequency_commands())
+def test_optimize_frequency_exits_without_a_traceback(argv, tmp_path_factory):
+    _exits_without_a_traceback(argv, tmp_path_factory)
+
+
+@settings(max_examples=15)
+@given(argv=_pulsed_commands())
+def test_pulsed_exits_without_a_traceback(argv, tmp_path_factory):
+    _exits_without_a_traceback(argv, tmp_path_factory)
+
+
 @pytest.mark.parametrize("argv, err", [
     (["sql", "--scenario", "qnd-imperfect", "--n-m", "1", "--xi", "0.6"],
      "numerical failure at C in [0.001, 1000.0]: drift matrix is not strictly stable "
@@ -600,6 +646,24 @@ def test_c_scan_failures_exit_3(argv, err, tmp_path, capsys):
     if "eigenvalue" in err:
         assert got == f"tv: {err}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sql", "--scenario", "qnd-floquet", "--n-m", "1", "--c-bounds", "1e250", "1e260",
+      "--c-count", "5"],
+     "numerical failure at C in [1e+250, 1e+260]: conditional variance nan is not finite"),
+    (["sweep", "--scenario", "qnd-floquet", "--n-m", "1", "--param", "C", "--log", "1e150",
+      "1e260", "--n", "6"],
+     "numerical failure at C=1e+150: conditional variance -inf below zero"),
+], ids=["sql-nan", "sweep-minus-inf"])
+def test_overflowing_density_is_a_numerical_failure(argv, err):
+    """A sideband density that overflows gives V_c NaN or -inf: the scan
+    exits 3 with its one line on stderr, and numpy prints no warning."""
+    src = str(Path(tvmeter.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "tvmeter.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == f"tv: {err}\n"  # the one line, and no RuntimeWarning
 
 
 @pytest.mark.parametrize("param, values, bad", [

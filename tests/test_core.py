@@ -195,8 +195,10 @@ class TestModelStack:
         assert err.value.max_real == 0.25
 
     def test_require_stable_fails_nan(self):
+        stable, unstable, broken = -np.eye(4), np.eye(4), -np.eye(4)
+        broken[2, 2] = np.nan
         with pytest.raises(UnstableModel) as err:
-            core._require_stable(np.array([-1.0, np.nan, 1.0]))
+            check_stable(np.array([stable, broken, unstable]))
         assert np.isnan(err.value.max_real)
 
     def test_overflowing_coupling_is_unstable(self):
@@ -409,11 +411,6 @@ class TestSingularityGuard:
             core._require_regular(M[int(want[0])], want[0])  # one matrix: the SVD alone
         assert (err.value.omega, err.value.rcond) == want
 
-    def test_well_conditioned_stack_skips_the_svd(self, monkeypatch):
-        M = np.array([_near_singular(e, 0.7) for e in np.linspace(-11.0, 0.0, 12)])
-        monkeypatch.setattr(np.linalg, "cond", lambda *a: pytest.fail("SVD not expected"))
-        core._require_regular(M, np.zeros(len(M)))
-
 
 class TestGuardFromTheSolve:
     """build_scattering on a stack bounds the condition number with the
@@ -448,16 +445,13 @@ class TestGuardFromTheSolve:
             build_scattering(self._model(A, h), omegas)
         assert (err.value.omega, err.value.rcond) == want
 
-    def test_zero_in_h_takes_the_inverse(self, monkeypatch):
+    def test_zero_in_h_takes_the_inverse(self):
         A = np.array([_near_singular(e, 0.7).real for e in np.linspace(-11.0, -13.0, 9)])
         want = TestSingularityGuard._svd_rule(A + 0j, np.zeros(len(A)))
-        inv, sizes = np.linalg.inv, []
-        monkeypatch.setattr(np.linalg, "inv", lambda E: sizes.append(len(E)) or inv(E))
         for solve in (build_scattering, core._dense_scattering):
             with pytest.raises(SingularAtFrequency) as err:
                 solve(self._model(A, [1.0, 1.0, 0.0, 1.0]), 0.0)
             assert (err.value.omega, err.value.rcond) == want
-        assert sizes == [len(A)]  # the dense path's own inverse; the substitution has none
 
     def test_exactly_singular_matrix_stops_the_solve(self):
         A = np.array([_near_singular(e, 0.7).real for e in (-5.0, None, -13.0)])
@@ -750,7 +744,7 @@ CLOSENESS_CASES = [
 
 class TestCheapValidation:
     """Validation that every new model pays: the V_in checks run once per
-    distinct value, closeness is numpy's without its per-call cost, and
+    distinct value, closeness is numpy's ``allclose`` at atol 1e-12, and
     the sign checks build their errors only when a value fails."""
 
     @pytest.mark.parametrize("a, b", CLOSENESS_CASES)
@@ -759,7 +753,6 @@ class TestCheapValidation:
         Vin = 2.0 * np.eye(4)
         Vin[0, 2], Vin[2, 0] = a, b
         symmetric = np.allclose(Vin, Vin.T, atol=1e-12)
-        assert core._allclose(Vin, Vin.T) is symmetric
         if symmetric:
             LinearModel(-np.eye(4), np.eye(4), Vin, FOUR_MODE)
         else:

@@ -1,8 +1,8 @@
 """numpy is the only runtime dependency: the library never imports scipy,
 so `tv` does not pay for loading it (scipy stays a test oracle).  Every
 name a module imports is used.  And the output pipeline stays single:
-one module turns scattering maps into figures of merit, and one guard
-checks every solve."""
+one module turns scattering maps into figures of merit, one guard
+checks every solve, and one check decides every drift's stability."""
 
 import ast
 import os
@@ -147,15 +147,22 @@ def test_one_first_failure_rule():
     assert named == [] and handlers == []
 
 
-def test_no_numpy_closeness_calls():
-    """Per-model validation stays off ``np.allclose`` and ``np.isclose``,
-    whose per-call cost is several times a small model's checks;
-    ``core._allclose`` has ``np.allclose``'s semantics at atol 1e-12."""
+def test_one_stability_check():
+    """Every drift's stability is ``core.check_stable``'s: no other code
+    calls ``np.linalg.eigvals`` or reads ``STABILITY_TOL``, which appears
+    only there and in its own definition, so a second path that decides
+    stability on its own cannot come back unseen."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("allclose", "isclose")
-                    and getattr(node.func.value, "id", None) in ("np", "numpy")):
-                found.append(f"{path.name}:{node.lineno}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rule = {id(node) for top in tree.body if getattr(top, "name", None) == "check_stable"
+                or "STABILITY_TOL" in (getattr(t, "id", None) for t in getattr(top, "targets", ()))
+                for node in ast.walk(top)} if path.stem == "core" else set()
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+            if id(node) not in rule and (name == "STABILITY_TOL" or (
+                    name == "eigvals" and not isinstance(node, ast.Name))):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert found == []

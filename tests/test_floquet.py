@@ -141,14 +141,17 @@ def _outcome(call):
 
 
 class TestStabilityFromTheDiagonal:
+    """The static drift is lower triangular in (X, x, Y, p), so its
+    stability is that of its diagonal; decompose_drift checks it through
+    ``core.check_stable``, as every builder does."""
+
     @settings(max_examples=200, deadline=None)
     @given(points=st.integers(0, 3), data=st.data())
     def test_same_decision_and_text_as_the_eigenvalues(self, points, data):
-        """decompose_drift reads stability off the diagonal of its static
-        drift, which is lower triangular in (X, x, Y, p); it raises exactly
-        where the eigenvalue check of that drift does, with its text and
-        value, at the first unstable point of a stack; non-finite couplings
-        and drifts that LAPACK scales included."""
+        """decompose_drift raises exactly where the eigenvalue check of its
+        static drift does, with its text and value, at the first unstable
+        point of a stack; non-finite couplings and drifts that LAPACK
+        scales included."""
         def draw(values):
             return (data.draw(values) if points == 0 else
                     np.array(data.draw(st.lists(values, min_size=points, max_size=points))))

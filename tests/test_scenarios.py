@@ -9,6 +9,7 @@ from tvmeter import (
     SCENARIOS,
     BathSpec,
     DegenerateMeter,
+    TvmeterError,
     UnstableModel,
     check_stable,
     cooperativity_to_g,
@@ -95,6 +96,46 @@ def test_vc_does_not_decrease_as_eta_drops(name, conditioning):
     ])
     assert np.all(np.diff(vcs) >= -1e-12 * vcs[:-1]), vcs
     assert vcs[-1] > vcs[0]
+
+
+#: (scenario, conditioning) of the generated models of the eta property
+ETA_CASES = [("displacement", "meter"), ("cqnc", "meter"), ("cqnc", "meter+ancilla"),
+             ("qnd-ideal", "meter"), ("qnd-imperfect", "meter"), ("qnd-floquet", "meter"),
+             ("lev-single", "meter")]
+
+
+@st.composite
+def _eta_models(draw):
+    """(scenario, params, conditioning) of a generated model: rates, the
+    cooperativity and the imperfections (in the registry's units) drawn."""
+    name, conditioning = draw(st.sampled_from(ETA_CASES))
+    params = dict(SCENARIOS[name].defaults, kappa=draw(st.floats(1e-2, 1e2)),
+                  gamma=draw(st.floats(1e-4, 1.0)))
+    ranges = dict(C=(1e-3, 1e4), omega_m=(0.1, 10.0), nu=(-0.4, 0.4), mu=(-0.4, 0.4),
+                  xi=(-0.4, 0.4), alpha=(0.01, 0.5))
+    if name == "lev-single":  # its coupling is g; elsewhere g stays None beside C
+        ranges["g"] = (0.01, 0.5)
+    params.update({k: draw(st.floats(*r)) for k, r in ranges.items() if k in params})
+    if name == "qnd-imperfect":
+        params["delta_c"] = draw(st.just(0.0) | st.floats(-0.3, 0.3))
+    return SCENARIOS[name], params, conditioning
+
+
+@settings(max_examples=60)
+@given(model=_eta_models(), n_m=st.floats(1e-2, 1e3),
+       omega=st.just(0.0) | st.floats(1e-2, 10.0),
+       etas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5).map(sorted))
+def test_vc_does_not_increase_with_eta_on_generated_models(model, n_m, omega, etas):
+    """A more efficient detector never leaves the signal less certain:
+    V_c at sorted eta does not increase, to 1e-12 relative; a model that
+    fails a guard is skipped."""
+    scenario, params, conditioning = model
+    try:
+        vcs = np.array([scenario.vc(params, BathSpec(n_m=n_m, eta=eta), omega, conditioning)
+                        for eta in etas])
+    except TvmeterError:
+        return
+    assert np.all(vcs[1:] <= vcs[:-1] * (1 + 1e-12)), (vcs, etas)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +243,9 @@ def _family_errors(name, params, Cs, omega=0.0):
     ("qnd-imperfect", dict(xi=0.6), [1.0, -1.0], ValueError),  # the C check comes first
     ("qnd-imperfect", {}, [1.0, 1e308], UnstableModel),  # an overflowing coupling
     ("qnd-floquet", {}, [1.0, np.inf], UnstableModel),
+    ("qnd-floquet", {}, [1.0, 1e250], DegenerateMeter),  # the density overflows: V_c NaN
 ], ids=["unstable", "unstable-at-some-C", "detuned-unstable-at-g0", "degenerate-meter",
-        "negative-C", "negative-C-of-an-unstable-row", "overflow", "infinite-C"])
+        "negative-C", "negative-C-of-an-unstable-row", "overflow", "infinite-C", "nan-vc"])
 def test_family_raises_as_each_build(name, params, Cs, error):
     got, want = _family_errors(name, params, Cs)
     assert got == want
