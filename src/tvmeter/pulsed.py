@@ -10,193 +10,148 @@ over a pulse of duration tau is filtered into one discrete mode
     Y(tau) = int_0^tau f_out(s) Y_out(s) ds,
 
 whose variance and covariance with the surviving mechanical position
-determine the figures of merit.  All time integrals are sums of
-polynomial-times-exponential terms t^k exp(a t), integrated in closed
-form or, where the closed form would cancel, as series cut at the first
-term below SERIES_CUTOFF of the leading one: a power series where
-|a| tau < 0.5, and for k >= 1 the phi-function series where
-0.5 <= |a| tau <= k + 1.  One pulse or a 1-D stack of rows (arrays of
-tau and of the parameters, broadcast together) runs the term algebra
-with one coefficient per row, once per group of rows that share kappa
-and gamma and whose series and closed-form branches agree.
+determine the figures of merit.
 
-The test suite cross-checks the integrals by adaptive and by 30-digit
-quadrature.  At the ``tv pulsed`` defaults (kappa = 1, gamma = 1e-9,
-g = alpha = 0.6, n_m = 1e7) V_c is good to 3e-15 and nm_eq, T_m to
-7e-14 at tau = 0.53 and 5, and at kappa = 0.2, gamma = 0.05, g = 1,
-alpha = 0.2, n_m = 100 every figure to 3e-12 for tau = 2.5-3.5.  At
-small kappa tau (3e-11 in nm_eq and T_m at tau = 0.012 at the defaults)
-and wherever |kappa - gamma| tau is small without the rates being
-degenerate, the exponential-sum form of M23 cancels.
+Every time integral of the readout is a nested integral, over ordered
+times tau >= t_1 >= ... >= 0, of products of entries of exp(a t) for the
+(Y_c, x) block a = [[-kappa/2, r], [0, -gamma/2]] of the readout drift
+(X_c and p never reach x or the filtered quadrature).  Each is one entry
+of the exponential of a block-bidiagonal matrix C tau (C. F. Van Loan,
+IEEE Trans. Autom. Control 23, 395 (1978); for nested integrals
+F. Carbonell, J. C. Jimenez and L. M. Pedroso, J. Comput. Appl. Math.
+213, 300 (2008)) with one diagonal block per time segment, the
+Kronecker sum of the factors live on it.  C is upper triangular with no
+negative entry off its diagonal, so exp(C tau) has no negative entry and
+the squarings of :func:`expm` cancel nothing; no rate difference kappa -
+gamma is formed.  A stack of rows runs as one stack of exponentials per
+chain.  Against 30-digit quadrature, on the grid gamma / kappa in {1e-9,
+0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1} x kappa tau in {0.012, 0.53, 1, 5,
+50} for both filters (kappa = 1, g = alpha = 0.6, n_m = 1e7), V_c, T_s
+and T_m are good to 7.6e-15 relative and n_eq to 7.6e-15 of n_eq + V0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import BathSpec, check_signs, check_stable, raise_first
+from .core import BathSpec, check_signs, check_stable, matrix, raise_first
 from .errors import DegenerateMeter, TvmeterError
-from .metrics import (
-    METER_FLOOR,
-    MeasurementFigures,
-    _clamped,
-    measured_figures,
-)
+from .metrics import METER_FLOOR, MeasurementFigures, _clamped, measured_figures
 
-#: relative |kappa - gamma| below which the propagator switches to the
-#: equal-rates limit form
-DEGENERATE_RATE_TOL = 1e-12
-
-#: series terms below this fraction of the leading term are left out
-SERIES_CUTOFF = 1e-18
-
-#: the error text of a matched filter lost to a kappa * int M23^2 <= 0
+#: the error texts of a matched filter lost to a kappa * int M23^2 <= 0
+#: and of integrals that overflow
 _LOST_FILTER = "matched filter undefined: kappa * int M23^2 = {:.3e}"
+_NOT_FINITE = "pulsed readout integrals are not finite"
+
+_Rows = float | NDArray[np.float64]  # one value shared by the rows, or one per row
+
+#: b_0 .. b_13 of the [13/13] Pade approximant of exp, and the 1-norm up
+#: to which it is good to double precision (N. J. Higham, SIAM J. Matrix
+#: Anal. Appl. 26, 1179 (2005))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(X: NDArray[np.float64]) -> NDArray[np.float64]:
+    """exp(X) of each matrix of the stack X[k, i, j], by scaling and
+    squaring with the [13/13] Pade approximant, each matrix scaled by its
+    own power of two; a matrix with an entry that is not finite gives NaN."""
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norm)
+    s = np.ceil(np.log2(np.maximum(np.where(finite, norm, 0.0), _THETA13) / _THETA13)).astype(int)
+    X = np.where(finite[:, None, None], X, 0.0) * np.exp2(-s)[:, None, None]
+    b, eye, at = _PADE13, np.eye(X.shape[-1]), np.arange(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2
+             + b[1] * eye)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+    # a triangular stack takes its exact diagonal at every step, whose
+    # rounding the squarings would otherwise raise to the power 2^s (A. H.
+    # Al-Mohy and N. J. Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009))
+    diagonal = None if np.tril(X, -1).any() else X[:, at, at]
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(s.max(initial=0) + 1):
+        if diagonal is not None:
+            R[:, at, at] = np.exp(diagonal * np.exp2(np.minimum(j, s))[:, None])
+        more = s > j
+        R[more] = R[more] @ R[more]
+    R[~finite] = np.nan
+    return R
 
 
 # ---------------------------------------------------------------------------
-# closed-form integration of sums of c * t^k * exp(e tau + a t)
-#
-# The exponent offset E = e tau keeps every evaluated exponent
-# nonpositive, so long pulses cannot overflow intermediate factors like
-# exp(+kappa s / 2) (those always come paired with a constant carrying
-# exp(-kappa tau / 2)).  Every offset is a multiple of the pulse duration
-# tau, so one term list serves a group of rows: tau is an array with one
-# entry per row (ascending), and so is a coefficient c that depends on
-# the row; (k, a, e) are shared, since only kappa and gamma set them.
+# The readout integrals as chains of time segments, latest first.  A
+# segment names the factors live on it: F and f the filter at the later
+# and earlier time (M23 from 0; absent for the flat filter), G and g M23
+# of a lag, K and k M22 of a lag, m M33(tau - s); letters written together
+# are copies that started together.  Going forward in time, a link starts
+# a factor with e_x (e_x e_x for a pair) and ends it, or one copy of a
+# pair, with e_Y^T: slices of identity matrices.  The integral named at a
+# segment is read at its last column, where the sub-chain up to it starts
+# every factor at time 0 on e_x.  F2 and G2 are halves of int F^2 and int
+# G^2, whose two times are ordered here.
 
-_Rows = float | NDArray[np.float64]  # one value shared by the rows, or one per row
-_Term = tuple[_Rows, int, float, float]  # (c, k, a, e)
+#: rows per stack of exponentials, which bounds the peak memory of a block
+_CHUNK = 64
 
-
-class _Split(Exception):
-    """A branch test of the term algebra, or a rate, disagrees between the
-    rows of a group; ``at`` is the first row (in the group's order) whose
-    value differs from the first row's."""
-
-    def __init__(self, at: int):
-        super().__init__(at)
-        self.at = at
+_CHAINS = (
+    (("", "F G", "Ff Gg", "Ff"), {1: "signal", 3: "G2"}),
+    (("", "F K", "Ff Kk", "Ff"), {1: "fM22", 3: "F2"}),
+    (("", "F K", "Ff"), {2: "fF"}),
+    (("m", "m F G", "F"), {2: "J2"}),
+)
 
 
-def _agree(rows: NDArray):
-    """The value that every row shares, of a branch test's outcome or of a
-    rate; rows that differ from the first raise :class:`_Split`.  Neither
-    branch is evaluated where it does not apply: a closed form overflows
-    where its series applies."""
-    differs = rows != rows[0]
-    if differs.any():
-        raise _Split(int(differs.argmax()))
-    return rows[0].item()
+def _kron(A: NDArray, B: NDArray) -> NDArray:
+    """Kronecker products of the stacks A[..., i, j] and B[..., k, l]."""
+    rows = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(
+        *rows, A.shape[-2] * B.shape[-2], A.shape[-1] * B.shape[-1])
 
 
-def _consolidate(terms: list[_Term]) -> list[_Term]:
-    acc: dict[tuple[int, float, float], _Rows] = {}
-    for c, k, a, e in terms:
-        key = (k, a, e)
-        acc[key] = acc.get(key, 0.0) + c
-    return [(c, *key) for key, c in acc.items()]
-
-
-def _mul(f: list[_Term], g: list[_Term]) -> list[_Term]:
-    return _consolidate([(cf * cg, kf + kg, af + ag, ef + eg)
-                         for cf, kf, af, ef in f for cg, kg, ag, eg in g])
-
-
-def _eval(f: list[_Term], t: float) -> float:
-    """f(t) of float terms without an offset (e = 0), as M23's."""
-    return sum(c * t**k * math.exp(min(a * t, 700.0)) for c, k, a, e in f)
-
-
-def _series(b: float, x: NDArray) -> list[float]:
-    """Coefficients b^m / m! of integral_0^x t^K exp(b t) dt = sum_m (b^m / m!)
-    x^(K+m+1) / (K+m+1), |b| x < 0.5, up to the first term whose ratio to the
-    leading one, at most |b x|^m / m!, is below SERIES_CUTOFF on every row
-    of the ascending ``x``."""
-    facs, z = [1.0], abs(b) * float(x[-1])
-    ratio = z
-    while ratio >= SERIES_CUTOFF:
-        facs.append(facs[-1] * (b / len(facs)))
-        ratio *= z / len(facs)
-    return facs
-
-
-def _phi(k: int, w: NDArray, z: float) -> NDArray:
-    """k! phi_{k+1}(w) = sum_m k! w^m / (m+k+1)! (Hochbruck and Ostermann,
-    Acta Numerica 19, 209 (2010)) for |w| <= z <= k + 1, where the terms
-    shrink from the first, up to the first term whose ratio to the
-    leading one, at most z^m (k+1)! / (m+k+1)!, is below SERIES_CUTOFF."""
-    term = acc = 1.0 / (k + 1)
-    ratio, m = 1.0, k + 2
-    while True:
-        ratio *= z / m
-        if ratio < SERIES_CUTOFF:
-            return acc
-        term = term * w / m
-        acc = acc + term
-        m += 1
-
-
-def _int_tk_exp(
-    k: int, a: float, E: NDArray, x: NDArray, series: dict[float, list[float]]
-) -> NDArray:
-    """exp(E) * integral_0^x t^k exp(a t) dt on ascending rows x, assuming
-    E + a x <= ~0; ``series`` keeps the _series coefficients of each rate
-    at this x."""
-    z = abs(a) * x
-    if _agree(z < 0.5):  # series around a = 0
-        acc = 0.0
-        for P, fac in enumerate(series.get(a) or series.setdefault(a, _series(a, x)), k + 1):
-            acc += fac * x**P / P
-        return np.exp(E) * acc
-    if k == 0:
-        if a < 0:
-            return np.exp(E) * np.expm1(a * x) / a
-        return (np.exp(E + a * x) - np.exp(E)) / a
-    if _agree(z <= k + 1):
-        # x^(k+1) e^(ax) k! phi_{k+1}(-ax), where the closed form below cancels
-        return x ** (k + 1) * np.exp(E + a * x) * _phi(k, -a * x, float(z[-1]))
-    # antiderivative e^{at} sum_i (-1)^{k-i} (k!/i!) t^i / a^{k-i+1}
-    upper = 0.0
-    fac = 1.0  # (-1)^{k-i} k!/i! starting at i = k
-    for i in range(k, -1, -1):
-        upper += fac * x**i / a ** (k - i + 1)
-        fac *= -i
-    lower = (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-    return np.exp(E + a * x) * upper - np.exp(E) * lower
-
-
-def _integrate(f: list[_Term], x: NDArray) -> NDArray:
-    """integral_0^x f(t) dt for the ascending pulse durations x."""
-    series: dict[float, list[float]] = {}
-    return sum(c * _int_tk_exp(k, a, e * x, x, series) for c, k, a, e in f)
-
-
-def _tail_convolution(f: list[_Term], g: list[_Term], tau: NDArray) -> list[_Term]:
-    """h(s) = integral_s^tau f(t) g(t - s) dt as a term list in s."""
-    out: list[_Term] = []
-    for cf, kf, af, ef in f:
-        for cg, kg, ag, eg in g:
-            e0 = ef + eg
-            b = af + ag
-            for j in range(kg + 1):
-                pref = cf * cg * math.comb(kg, j) * (-1.0) ** (kg - j)
-                K = kf + j
-                spow = kg - j
-                # AD(t) = integral_0^t u^K e^{bu} du as terms c t^P e^{rate t}
-                if _agree(abs(b) * tau < 0.5):  # sum_m (b^m / m!) t^P / P, P = K + m + 1
-                    ad = [(fac / P, P, 0.0) for P, fac in enumerate(_series(b, tau), K + 1)]
-                else:  # e^{bt} sum_i (-1)^(K-i) (K!/i!) t^i / b^(K-i+1), less AD(0)
-                    ad = [((-1.0) ** (K - i) * math.perm(K, K - i) / b ** (K - i + 1), i, b)
-                          for i in range(K, -1, -1)]
-                for c, P, rate in ad:  # + AD(tau), constant in s, and - AD(s)
-                    out.append((pref * c * tau**P, spow, -ag, e0 + rate))
-                    out.append((-pref * c, spow + P, rate - ag, e0))
-    return _consolidate(out)
+def _integrals(kappa, gamma, r, tau, pulse_shape: str) -> dict[str, NDArray]:
+    """The integrals named in :data:`_CHAINS` of each row (1-D arrays, tau >= 0)."""
+    zero = np.zeros_like(tau)
+    a = matrix([[-kappa / 2, r], [zero, -gamma / 2]])
+    # a (+) a on the symmetric tensors e_Y e_Y, e_Y e_x + e_x e_Y, e_x e_x
+    pair = matrix([[-kappa, 2 * r, zero], [zero, -(kappa + gamma) / 2, r], [zero, zero, -gamma]])
+    blocks = {"F": a, "G": a, "Ff": pair, "Gg": pair, "K": -kappa[:, None, None] / 2,
+              "Kk": -kappa[:, None, None], "m": -gamma[:, None, None] / 2}
+    out = {}
+    for segments, read in _CHAINS:
+        if pulse_shape == "flat":
+            segments = [s.replace("F", "").replace("f", "") for s in segments]
+        live = [{t[0]: blocks[t] for t in s.split()} for s in segments]
+        diag = []
+        for factors in live:
+            K = np.zeros((len(tau), 1, 1))
+            for M in factors.values():
+                K = _kron(K, np.eye(M.shape[-1])) + _kron(np.eye(K.shape[-1]), M)
+            diag.append(K)
+        ends = np.cumsum([K.shape[-1] for K in diag])
+        C = np.zeros((len(tau), ends[-1], ends[-1]))
+        for j, K in enumerate(diag):
+            C[:, ends[j] - K.shape[-1]:ends[j], ends[j] - K.shape[-1]:ends[j]] = K
+            if j + 1 < len(diag):
+                later, earlier, link = live[j], live[j + 1], np.ones((1, 1))
+                for key in sorted(later.keys() | earlier.keys(), key="mFGK".index):
+                    n = later[key].shape[-1] if key in later else 1
+                    m = earlier[key].shape[-1] if key in earlier else 1
+                    link = _kron(link, np.eye(n, m, 0 if key in earlier else 1 - n))
+                C[:, ends[j] - K.shape[-1]:ends[j], ends[j]:ends[j + 1]] = link
+        at = [ends[j] - 1 for j in read]
+        first = np.concatenate([expm(C[k:k + _CHUNK] * tau[k:k + _CHUNK, None, None])[:, 0, at]
+                                for k in range(0, len(tau) or 1, _CHUNK)])
+        out.update(zip(read.values(), first.T))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +189,6 @@ class PulsedParams:
     def measurement_rate(self) -> _Rows:
         return self.alpha2 * self.g / 2.0
 
-    @property
-    def degenerate_rates(self) -> bool:
-        return abs(self.kappa - self.gamma) < DEGENERATE_RATE_TOL * self.kappa
-
 
 #: the fields of :class:`PulsedParams` that may hold one value per row
 _ROW_FIELDS = ("kappa", "gamma", "omega_m", "g", "alpha2", "V0")
@@ -253,30 +204,11 @@ def readout_drift(p: PulsedParams) -> NDArray[np.float64]:
     ])
 
 
-def _m23_terms(p: PulsedParams) -> list[_Term]:
-    """M23(t) as terms, of one kappa and gamma."""
-    if p.degenerate_rates:
-        return [(p.measurement_rate, 1, -p.kappa / 2, 0.0)]
-    c = 2.0 * p.measurement_rate / (p.kappa - p.gamma)
-    return [(c, 0, -p.gamma / 2, 0.0), (-c, 0, -p.kappa / 2, 0.0)]
-
-
 def propagator(p: PulsedParams, t: float) -> NDArray[np.float64]:
-    """exp(A t) of the readout drift, in closed form.
-
-    Equal decay rates switch the off-diagonal entries to their
-    t exp(-kappa t / 2) limit automatically.
-    """
+    """exp(A t) of the readout drift, by :func:`expm`."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    M = np.zeros((4, 4))
-    ek, eg = math.exp(-p.kappa * t / 2), math.exp(-p.gamma * t / 2)
-    M[0, 0] = M[1, 1] = ek
-    M[2, 2] = M[3, 3] = eg
-    cross = _eval(_m23_terms(p), t)
-    M[1, 2] = M[3, 0] = cross
-    M[3, 2] = p.x2_rate * t * eg
-    return M
+    return expm(readout_drift(p)[None] * t)[0]
 
 
 def measurement_gain(p: PulsedParams, tau: float, pulse_shape: str = "matched") -> float:
@@ -288,29 +220,11 @@ def measurement_gain(p: PulsedParams, tau: float, pulse_shape: str = "matched") 
     """
     if not tau >= 0:  # NaN is not
         raise ValueError("pulse duration must be nonnegative")
-    if tau == 0.0 or p.measurement_rate == 0.0:
+    if tau == 0.0:
         return 1.0
-    *_, Gs, gm1 = _filter(p, np.array([tau]), pulse_shape)
-    raise_first((gm1 <= 0.0, lambda k: DegenerateMeter(_LOST_FILTER.format(gm1[k]))))
-    return 1.0 + Gs.item() ** 2
-
-
-def _filter(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple:
-    """Output filter as (unnormalized shape, scalar norm factor, signal
-    amplitude: the coefficient of x(0) in the filtered quadrature, and the
-    matched filter's kappa * int M23^2, NaN for the flat one).  The
-    matched filter's norm diverges as the pulse shrinks, so it is kept
-    out of the symbolic integrals and applied to the results."""
-    m23 = _m23_terms(p)
-    if pulse_shape == "matched":
-        gm1 = p.kappa * _integrate(_mul(m23, m23), tau)
-        defined = np.where(gm1 > 0.0, gm1, np.nan)  # else lost: zero coupling or cancellation
-        return m23, np.sqrt(p.kappa / defined), np.sqrt(defined), gm1
-    if pulse_shape == "flat":
-        norm = 1.0 / np.sqrt(tau)
-        signal = math.sqrt(p.kappa) * norm * _integrate(m23, tau)
-        return [(1.0, 0, 0.0, 0.0)], norm, signal, np.nan * tau
-    raise ValueError(f"unknown pulse shape {pulse_shape!r}")
+    out, guards = _covariances(p, tau, pulse_shape)
+    raise_first(*guards)
+    return 1.0 + out[3].item() ** 2
 
 
 def _balance(A: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -403,91 +317,52 @@ def pulsed_covariances(
     p: PulsedParams, tau: _Rows, pulse_shape: str = "matched"
 ) -> tuple[_Rows, _Rows, _Rows]:
     """(V33, V32, V22) of mechanical position and the filtered output
-    quadrature at hold time tau, all integrals in closed form; for a 1-D
-    stack of rows, one array each (see :func:`pulsed_metrics`, whose first guards it checks)."""
+    quadrature at hold time tau; for a 1-D stack of rows, one array each
+    (see :func:`pulsed_metrics`, whose first guards it checks)."""
     out, guards = _covariances(p, tau, pulse_shape)
     raise_first(*guards)
     return tuple(out[:3])
 
 
 def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[NDArray, list]:
-    """:func:`pulsed_covariances`, the signal amplitude and the noise
-    parts of V33, V32 and V22 (what each holds besides V0 times its
-    signal coefficient), as :func:`_group_covariances` returns them, in
-    an array of shape (7, rows...) (tau and the fields of ``p`` broadcast
-    to the rows; one tau with numbers is a stack of one of shape ()), and
-    the guards a row checks: tau > 0, no floating-point error in its term
-    algebra, a defined matched filter.  A failing row holds NaN.
-
-    The rows with tau > 0 are sorted by (kappa, gamma, tau) and run group
-    by group, each group on a term list whose coefficients hold one value
-    per row where they depend on it.  A group starts as all rows; a rate
-    or a branch test that disagrees between its rows cuts it where the
-    value changes, a floating-point error in half (a row alone fails with
-    its text), and both parts are run again."""
+    """V33, V32, V22, the signal amplitude Gs and the noise parts B, C, N
+    (V33 = exp(-gamma tau) V0 + B, V32 = Gs exp(-gamma tau / 2) V0 + C,
+    V22 = Gs^2 V0 + N) in an array of shape (7, rows...) (tau and the
+    fields of ``p`` broadcast to the rows; one tau with numbers is a stack
+    of one of shape ()), and the guards a row checks: tau > 0, finite
+    integrals, a defined matched filter."""
+    if pulse_shape not in ("matched", "flat"):
+        raise ValueError(f"unknown pulse shape {pulse_shape!r}")
     shape = np.broadcast_shapes(np.shape(tau), *(np.shape(getattr(p, f)) for f in _ROW_FIELDS))
-    tau, kappa, gamma = (np.broadcast_to(x, shape).astype(float).reshape(-1)
-                         for x in (tau, p.kappa, p.gamma))
-    # the other fields enter only coefficients: a number stays one
-    coefficients = {f: np.broadcast_to(v, shape).reshape(-1) for f in _ROW_FIELDS[2:]
-                    if np.ndim(v := getattr(p, f))}
-    order = np.lexsort((tau, gamma, kappa, ~(tau > 0)))[:np.count_nonzero(tau > 0)]
-    out = np.full((8, len(tau)), np.nan)
-    overflow: dict[int, str] = {}  # row: text
-    spans = [(0, len(order))] if len(order) else []
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        while spans:
-            lo, hi = spans.pop()
-            rows = order[lo:hi]
-            try:
-                group = replace(p, kappa=_agree(kappa[rows]), gamma=_agree(gamma[rows]),
-                                **{f: v[rows] for f, v in coefficients.items()})
-                out[:, rows] = _group_covariances(group, tau[rows], pulse_shape)
-            except (_Split, FloatingPointError) as err:
-                at = err.at if isinstance(err, _Split) else (hi - lo) // 2
-                if at:
-                    spans += [(lo, lo + at), (lo + at, hi)]
-                else:  # a floating-point error of one row
-                    overflow[int(rows[0])] = f"pulsed readout integrals: {err}"
-    guards = [(~(tau > 0), lambda k: ValueError("pulse duration must be positive")),
-              (np.isin(np.arange(len(tau)), list(overflow)), lambda k: TvmeterError(overflow[k])),
-              (out[7] <= 0.0, lambda k: DegenerateMeter(_LOST_FILTER.format(out[7, k])))]
-    return out[:7].reshape(7, *shape), [(np.reshape(f, shape), e) for f, e in guards]
-
-
-def _group_covariances(p: PulsedParams, tau: NDArray, pulse_shape: str) -> tuple[NDArray, ...]:
-    """(V33, V32, V22, Gs, B, C, N, gm1) of ascending rows of tau that
-    share ``p``'s float kappa and gamma, and on which every branch test
-    agrees: V33 = exp(-gamma tau) V0 + B, V32 = Gs exp(-gamma tau / 2) V0
-    + C, V22 = Gs^2 V0 + N, and gm1 as :func:`_filter` gives it."""
-    Vx = p.bath.V_x
-    nopt = p.bath.optical_variance
-    B = Vx * (-np.expm1(-p.gamma * tau))
-    V33 = np.exp(-p.gamma * tau) * p.V0 + B
-    if _agree(np.broadcast_to(p.measurement_rate == 0.0, tau.shape)):
-        zero = 0.0 * tau
-        return V33, zero, nopt + zero, zero, B, zero, nopt + zero, np.nan * tau
-    shape, norm, Gs, gm1 = _filter(p, tau, pulse_shape)
-    m22 = [(1.0, 0, -p.kappa / 2, 0.0)]
-    m23 = _m23_terms(p)
-    # G(s) = int_s^tau phi(t) M23(t-s) dt, F(s) likewise with M22; the
-    # filter norm multiplies the assembled results instead of the terms
-    G = _tail_convolution(shape, m23, tau)
-    F = _tail_convolution(shape, m22, tau)
-    # V32: signal term plus bath noise shared by x(tau) and the filter
-    aging = [(1.0, 0, p.gamma / 2, -p.gamma / 2)]  # M33(tau - s)
-    J2 = norm * _integrate(_mul(aging, G), tau)
-    C = p.gamma * math.sqrt(p.kappa) * Vx * J2
-    V32 = p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C
-    # V22 per the formal-integration noise decomposition
-    a0 = norm * _integrate(_mul(shape, m22), tau)
-    t_cav0 = p.kappa * a0**2 * nopt            # initial intracavity Y
-    t_cross = -2.0 * nopt * p.kappa * norm**2 * _integrate(_mul(shape, F), tau)
-    t_refl = p.kappa**2 * nopt * norm**2 * _integrate(_mul(F, F), tau)
-    t_mech = p.kappa * p.gamma * Vx * norm**2 * _integrate(_mul(G, G), tau)
-    # shot noise nopt: the filter has norm**2 * int shape^2 = 1
-    V22 = Gs**2 * p.V0 + t_cav0 + nopt + t_cross + t_refl + t_mech
-    return V33, V32, V22, Gs, B, C, t_cav0 + nopt + t_cross + t_refl + t_mech, gm1
+    tau, kappa, gamma, r, V0 = (np.broadcast_to(x, shape).astype(float).reshape(-1)
+                                for x in (tau, p.kappa, p.gamma, p.measurement_rate, p.V0))
+    run = tau > 0  # the other rows run at tau = 0 and fail their first guard
+    Vx, nopt = p.bath.V_x, p.bath.optical_variance
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        I = _integrals(kappa, gamma, r, np.where(run, tau, 0.0), pulse_shape)
+        if pulse_shape == "matched":  # its norm diverges as tau shrinks: it scales the results
+            gm1 = kappa * I["signal"]
+            defined = np.where(gm1 > 0.0, gm1, np.nan)  # else lost: no coupling, or underflow
+            norm, Gs = np.sqrt(kappa / defined), np.sqrt(defined)
+        else:
+            gm1, norm = np.nan * tau, 1.0 / np.sqrt(tau)
+            Gs = np.sqrt(kappa) * norm * I["signal"]
+        # V32: bath noise shared by x(tau) and the filter; V22 per the
+        # formal-integration noise decomposition: the initial intracavity
+        # Y, shot noise (the filter has unit norm), its cross term and
+        # reflection, and the mechanical bath
+        C = gamma * np.sqrt(kappa) * Vx * norm * I["J2"]
+        N = (nopt * (1.0 + kappa * norm**2 * (I["fM22"]**2 - 2.0 * I["fF"] + 2.0 * kappa * I["F2"]))
+             + 2.0 * kappa * gamma * Vx * norm**2 * I["G2"])
+        coupled, lost = r > 0.0, (r > 0.0) & (gm1 <= 0.0)
+        Gs, C, N = np.where(coupled, Gs, 0.0), np.where(coupled, C, 0.0), np.where(coupled, N, nopt)
+        B = Vx * (-np.expm1(-gamma * tau))
+        out = np.array([np.exp(-gamma * tau) * V0 + B, Gs * np.exp(-gamma * tau / 2) * V0 + C,
+                        Gs**2 * V0 + N, Gs, B, C, N])
+    guards = [(~run, lambda k: ValueError("pulse duration must be positive")),
+              (~(lost | np.isfinite(out).all(axis=0)), lambda k: TvmeterError(_NOT_FINITE)),
+              (lost, lambda k: DegenerateMeter(_LOST_FILTER.format(gm1[k])))]
+    return out.reshape(7, *shape), [(np.reshape(f, shape), e) for f, e in guards]
 
 
 def pulsed_metrics(
@@ -503,11 +378,9 @@ def pulsed_metrics(
 
     Tau and the fields of ``p`` may be 1-D arrays, which broadcast to the
     rows of a stack: it gives a list of figures, one per row in order, as
-    :func:`~tvmeter.metrics.evaluate` does on a stack.  The term algebra
-    runs once per group of rows that share kappa and gamma and whose
-    series and closed-form branches agree (:func:`_covariances`).  A
-    stack raises the error of its first failing row in the caller's
-    order, from the stack's own values, as a loop over the rows would.
+    :func:`~tvmeter.metrics.evaluate` does on a stack.  A stack raises
+    the error of its first failing row in the caller's order, from the
+    stack's own values, as a loop over the rows would.
 
     V_c = V33 - eta V32^2 / V_mm is formed with its V0^2 terms cancelled
     by hand.  Where the meter resolves x(0) well those terms are nearly
@@ -516,10 +389,10 @@ def pulsed_metrics(
     """
     (V33, _, _, Gs, B, C, N), guards = _covariances(p, tau, pulse_shape)
     eta = p.bath.eta
-    G_m = eta * Gs**2  # detected signal power gain
-    N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
-    V_mm = G_m * p.V0 + N_m
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # rows that fail
+        G_m = eta * Gs**2  # detected signal power gain
+        N_m = eta * N + (1.0 - eta) * p.bath.optical_variance  # detected meter noise
+        V_mm = G_m * p.V0 + N_m
         Vc = (np.exp(-p.gamma * tau) * p.V0 * (N_m / V_mm) + B
               - eta * C * (2.0 * p.V0 * Gs * np.exp(-p.gamma * tau / 2) + C) / V_mm)
     Vc = _clamped(Vc, V33, *guards, (V_mm <= METER_FLOOR, lambda k: DegenerateMeter(

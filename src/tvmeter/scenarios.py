@@ -23,9 +23,8 @@ then writes only the coupling into the drift entries the builder
 declares (``models._READOUT_COUPLING``, ``models._CQNC_COUPLING``; the
 sidebands as well for qnd-floquet), and checks stability again only
 where the drift's spectrum can depend on C.  lev-pulsed prepares the
-state once per distinct preparation and evaluates the term algebra of
-the pulsed kernel once per group of rows that share kappa, gamma and
-its branches.  The builders and kernels are
+state once per distinct preparation and runs the pulsed kernel once on
+all the points, whatever their rates.  The builders and kernels are
 called through this module's globals, never stored in a record, so that
 a wrapper on a module attribute sees every call.
 """

@@ -22,6 +22,7 @@ from tvmeter import (
     DegenerateMeter,
     DisplacementParams,
     LinearModel,
+    PulsedParams,
     cli,
     cooperativity_to_g,
     displacement_model,
@@ -29,6 +30,7 @@ from tvmeter import (
     floquet,
     ideal_qnd_model,
     optimize,
+    prepare_state_lyapunov,
     pulsed,
     qnd_cooperativity_threshold,
     scenarios,
@@ -47,6 +49,8 @@ from tvmeter.cli import (
     write_table,
 )
 from tvmeter.optimize import find_threshold, generalized_sql, minimize_vc_over_frequency
+
+from test_pulsed import _oracle
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -533,6 +537,34 @@ def _c_scan_commands(draw):
     return argv
 
 
+#: pulse lengths whose sums of exponential terms overflowed (exit 3)
+PULSED_LONG_PULSES = ["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"]
+
+
+def test_long_pulses_exit_0(tmp_path):
+    rc, out = run(PULSED_LONG_PULSES, tmp_path)
+    assert rc == 0
+    assert all(math.isfinite(float(row["Vc"])) for row in read_rows(out))
+
+
+@pytest.mark.parametrize("gamma", ["0.999", "0.9999", "0.99999"])
+def test_pulsed_gamma_near_kappa_against_extended_precision_quadrature(gamma, tmp_path):
+    """gamma near kappa, where the sums of exponential terms cancelled: V_c
+    was off by 0.62 at gamma = 0.999 (tau = 1), and the other two exited 3
+    on a negative meter variance.  The tau = 1 row's V_c against 30-digit
+    quadrature."""
+    rc, out = run(["pulsed", "--n", "4", "--n-m", "1e7", "--kappa", "1", "--tau-log", "0.1",
+                   "100", "--gamma", gamma], tmp_path)
+    assert rc == 0
+    row = next(row for row in read_rows(out) if float(row["tau"]) == 1.0)
+    bath = BathSpec(n_m=1e7)
+    V0, _ = prepare_state_lyapunov(1.0, float(gamma), 0.6, 0.2, bath)
+    p = PulsedParams(kappa=1.0, gamma=float(gamma), omega_m=100.0, g=0.6, alpha2=0.6, V0=V0,
+                     bath=bath)
+    want = float(_oracle(p, 1.0)["Vc"])
+    assert abs(float(row["Vc"]) - want) <= 1e-12 * want
+
+
 def _exits_without_a_traceback(argv, tmp_path_factory):
     out, err = tmp_path_factory.mktemp("scan") / "out.csv", io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -549,7 +581,7 @@ def _exits_without_a_traceback(argv, tmp_path_factory):
 
 @settings(max_examples=15)
 @given(argv=_scan_commands())
-@example(argv=["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"])  # overflows
+@example(argv=PULSED_LONG_PULSES)
 @example(argv=["sweep", "--scenario", "lev-pulsed", "--param", "gamma", "--lin", "0.0",
                "-3.3e-301", "--n", "2", "--n-m", "1"])  # the square root of a negative gamma
 def test_scan_commands_exit_without_a_traceback(argv, tmp_path_factory):
@@ -779,8 +811,7 @@ PULSED_TAU_SWEEP = ["sweep", "--scenario", "lev-pulsed", "--param", "tau", "--lo
 
 def assert_rows_close(got: bytes, want: bytes) -> None:
     """Tables equal but for cells within 1e-11 relative, with equal regimes:
-    a row computed in a stack of rows groups its term algebra with other
-    rows, and its series may run a term longer than its own."""
+    a row computed in a stack of rows may round unlike the row alone."""
     got, want = got.decode().splitlines(), want.decode().splitlines()
     assert len(got) == len(want)
     for g_line, w_line in zip(got, want):
@@ -853,21 +884,19 @@ class TestStackedPulsedRows:
         assert sizes == [6]
         assert_rows_close(out.read_bytes(), row_by_row_table(argv))
 
-    @pytest.mark.parametrize("lo, hi, groups", [("1", "1", [4]), ("0.5", "2", [1] * 4)],
-                             ids=["repeated", "distinct"])
-    def test_rows_of_equal_rates_share_a_group(self, lo, hi, groups, tmp_path, monkeypatch,
+    @pytest.mark.parametrize("lo, hi", [("1", "1"), ("0.5", "2")], ids=["repeated", "distinct"])
+    def test_rows_of_equal_rates_share_a_group(self, lo, hi, tmp_path, monkeypatch,
                                                row_by_row_table):
-        # kappa sets the rates of the term algebra: rows of one kappa (at one
-        # tau, so every branch test agrees) run it once, other rows alone
-        sizes, group_covariances = [], pulsed._group_covariances
-        monkeypatch.setattr(pulsed, "_group_covariances",
-                            lambda p, tau, shape: sizes.append(len(tau))
-                            or group_covariances(p, tau, shape))
+        # rows of one kappa and rows of distinct kappas alike run their
+        # integrals as one stack of exponentials
+        sizes, integrals = [], pulsed._integrals
+        monkeypatch.setattr(pulsed, "_integrals", lambda kappa, *args: sizes.append(len(kappa))
+                            or integrals(kappa, *args))
         argv = ["sweep", "--scenario", "lev-pulsed", "--param", "kappa", "--lin", lo, hi,
                 "--n", "4", "--n-m", "1e7"]
         rc, out = run(argv, tmp_path)
         assert rc == 0
-        assert sizes == groups
+        assert sizes == [4]
         assert_rows_close(out.read_bytes(), row_by_row_table(argv))
 
 
@@ -1239,22 +1268,21 @@ class TestValidation:
         assert not out.exists()
 
     def test_lost_matched_filter_is_a_numerical_failure(self, tmp_path, capsys):
-        # gamma within 3e-7 of kappa: M23 cancels and kappa * int M23^2 comes out negative
-        rc, out = run(["pulsed", "--tau-log", "0.1", "10", "--n", "5", "--n-m", "1",
-                       "--gamma", "0.9999997", "--g", "1", "--alpha", "1", "--V0", "1"], tmp_path)
+        # kappa * int M23^2 ~ kappa r^2 tau^3 / 3 underflows to zero
+        rc, out = run(["pulsed", "--tau-log", "1e-120", "1e-110", "--n", "3", "--n-m", "1",
+                       "--g", "1", "--alpha", "1", "--V0", "1"], tmp_path)
         assert rc == 3
-        assert capsys.readouterr().err.startswith(
-            "tv: numerical failure at tau=0.1: matched filter undefined: kappa * int M23^2 = ")
+        assert capsys.readouterr().err == ("tv: numerical failure at tau=1e-120: matched filter "
+                                           "undefined: kappa * int M23^2 = 0.000e+00\n")
         assert not out.exists()
 
     def test_overflowing_integrals_are_a_numerical_failure(self, tmp_path, capsys):
-        # at tau = 3.2e8 the power series of int (G G) overflows: tau**P above 1e308
-        rc, out = run(["pulsed", "--tau-log", "1e8", "1e9", "--n", "3", "--n-m", "1e7"], tmp_path)
+        # tau = 1e300 and 1e304 pass; at 1e308 the 1-norm of C tau overflows
+        rc, out = run(["pulsed", "--tau-log", "1e300", "1e308", "--n", "3", "--n-m", "1e7"],
+                      tmp_path)
         assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("tv: numerical failure at tau=316227766.01683795: pulsed readout "
-                              "integrals: overflow encountered in ")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "tv: numerical failure at tau=1e+308: pulsed readout integrals are not finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds, level, where, message", [

@@ -1,8 +1,10 @@
 """Pulsed readout: propagator, gain, covariance integrals, metrics."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +24,20 @@ from tvmeter import (
     pulsed_covariances,
     pulsed_metrics,
 )
-from tvmeter.pulsed import DEGENERATE_RATE_TOL, _eval, _m23_terms, _mul, readout_drift
+from tvmeter.pulsed import readout_drift
 
 FIG9_BATH = BathSpec(n_m=1e7)
+ORACLE_GRID = Path(__file__).parent / "golden" / "pulsed_oracle.json"
+
+
+def m23(p):
+    """M23(t) of a readout of scalar rates, (r / d) exp(-kappa t / 2)
+    (exp(d t) - 1) for d = (kappa - gamma) / 2, which is the equal-rates
+    form r t exp(-kappa t / 2) at gamma = kappa."""
+    r, d = p.measurement_rate, (p.kappa - p.gamma) / 2
+    if d == 0.0:
+        return lambda t: r * t * math.exp(-p.kappa * t / 2)
+    return lambda t: r * math.exp(-p.kappa * t / 2) * math.expm1(d * t) / d
 
 
 def fig9_params(g=0.6, alpha2=0.6, V0=None, kappa=1.0):
@@ -59,14 +72,17 @@ class TestPropagator:
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_degenerate_rates_limit_form(self):
-        p = PulsedParams(
-            kappa=1.0, gamma=1.0, omega_m=10.0, g=0.4, alpha2=0.5,
-            V0=1.0, bath=BathSpec(),
-        )
-        assert p.degenerate_rates
-        got = propagator(p, 2.0)
-        want = expm(readout_drift(p) * 2.0)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        """At and near gamma = kappa the cross entries take the equal-rates
+        form r t exp(-kappa t / 2), with no rate difference to cancel."""
+        for gamma in (1.0, 1.0 - 1e-13, 1.0 - 1e-6):
+            p = PulsedParams(
+                kappa=1.0, gamma=gamma, omega_m=10.0, g=0.4, alpha2=0.5,
+                V0=1.0, bath=BathSpec(),
+            )
+            got = propagator(p, 2.0)
+            np.testing.assert_allclose(got, expm(readout_drift(p) * 2.0), atol=1e-10)
+            assert got[[1, 3], [2, 0]] == pytest.approx([m23(p)(2.0)] * 2, rel=1e-14)
+            assert got[1, 2] == pytest.approx(p.measurement_rate * 2 * math.exp(-1.0), rel=1e-6)
 
     def test_no_coupling_has_no_cross_terms(self):
         p = fig9_params(g=0.0)
@@ -354,19 +370,20 @@ class TestPulsedMetrics:
 def gain_by_quadrature(p, tau, rel=1e-8):
     """kappa times the integral of M23^2 over [0, tau] by adaptive
     quadrature, which must certify the relative accuracy ``rel``."""
-    sq = _mul(_m23_terms(p), _m23_terms(p))
-    value, err = quad(lambda s: _eval(sq, s), 0.0, tau, epsrel=rel, limit=200)
+    f = m23(p)
+    value, err = quad(lambda s: f(s) ** 2, 0.0, tau, epsrel=rel, limit=200)
     assert err <= rel * abs(value), f"quadrature error {err:.2e} of {value:.6e}"
     return p.kappa * value
 
 
 class TestQuadratureCheck:
     def test_matches_closed_form_gain(self):
-        p = fig9_params()
-        for ktau in (0.5, 5.0):
-            tau = ktau / p.kappa
-            got = gain_by_quadrature(p, tau)
-            assert got == pytest.approx(measurement_gain(p, tau) - 1.0, rel=1e-8)
+        for gamma in (1e-9, 0.999, 1.0):
+            p = replace(fig9_params(), gamma=gamma)
+            for ktau in (0.5, 5.0):
+                tau = ktau / p.kappa
+                got = gain_by_quadrature(p, tau)
+                assert got == pytest.approx(measurement_gain(p, tau) - 1.0, rel=1e-8)
 
 
 class TestDetectionLoss:
@@ -389,91 +406,85 @@ class TestDetectionLoss:
             assert figs.Tm == 0.0
 
 
-def _oracle(p, tau):
-    """V33, V32, V22, Vc, nm_eq and Tm of the matched-filter readout from
-    30-digit Gauss-Legendre quadratures of their defining integrals, on
-    the same float inputs as the closed form."""
+def _oracle(p, tau, pulse_shape="matched"):
+    """V33, V32, V22, Vc, ns_eq, nm_eq, Ts and Tm of the readout with either
+    filter from 30-digit Gauss-Legendre quadratures of their defining
+    integrals, on the same float inputs as the kernel.  M23 is written as
+    (r / d) exp(-kappa t / 2) expm1(d t), d = (kappa - gamma) / 2, and as
+    its limit r t exp(-kappa t / 2) at gamma = kappa."""
     import mpmath as mp
 
     with mp.workdps(30):
         k, gam, tau = mp.mpf(p.kappa), mp.mpf(p.gamma), mp.mpf(tau)
         V0, Vx, nopt = mp.mpf(p.V0), mp.mpf(p.bath.V_x), mp.mpf(p.bath.optical_variance)
-        c = mp.mpf(p.alpha2) * mp.mpf(p.g) / (k - gam)
+        r, d = mp.mpf(p.alpha2) * mp.mpf(p.g) / 2, (k - gam) / 2
 
         def m23(t):
-            return c * (mp.exp(-gam * t / 2) - mp.exp(-k * t / 2))
+            return r * mp.exp(-k * t / 2) * (mp.expm1(d * t) / d if d else t)
 
         def m22(t):
             return mp.exp(-k * t / 2)
 
-        def quad(f, lo, hi):
-            return mp.quad(f, [lo, hi], method="gauss-legendre")
+        f = m23 if pulse_shape == "matched" else (lambda t: 1)
+
+        def quad(g, lo, hi):
+            return mp.quad(g, [lo, hi], method="gauss-legendre")
 
         inner = {}
 
         def G_F(s):  # int_s^tau f(t) M(t - s) dt for M = M23, M22 (unnormalized filter)
             if s not in inner:
-                inner[s] = (quad(lambda t: m23(t) * m23(t - s), s, tau),
-                            quad(lambda t: m23(t) * m22(t - s), s, tau))
+                inner[s] = (quad(lambda t: f(t) * m23(t - s), s, tau),
+                            quad(lambda t: f(t) * m22(t - s), s, tau))
             return inner[s]
 
-        gm1 = k * quad(lambda t: m23(t) ** 2, 0, tau)
-        norm2 = k / gm1
+        if pulse_shape == "matched":
+            gm1 = k * quad(lambda t: m23(t) ** 2, 0, tau)
+            norm2 = k / gm1
+        else:
+            norm2 = 1 / tau
+            gm1 = k * norm2 * quad(m23, 0, tau) ** 2
         V33 = mp.exp(-gam * tau) * V0 + Vx * (1 - mp.exp(-gam * tau))
         J2 = quad(lambda s: mp.exp(-gam * (tau - s) / 2) * G_F(s)[0], 0, tau)
         V32 = mp.sqrt(gm1) * mp.exp(-gam * tau / 2) * V0 + gam * mp.sqrt(k) * Vx * mp.sqrt(norm2) * J2
         V22 = (
             gm1 * V0
-            + k * norm2 * quad(lambda t: m23(t) * m22(t), 0, tau) ** 2 * nopt
-            + nopt * norm2 * quad(lambda t: m23(t) ** 2, 0, tau)
-            - 2 * nopt * k * norm2 * quad(lambda s: m23(s) * G_F(s)[1], 0, tau)
+            + k * norm2 * quad(lambda t: f(t) * m22(t), 0, tau) ** 2 * nopt
+            + nopt * norm2 * quad(lambda t: f(t) ** 2, 0, tau)
+            - 2 * nopt * k * norm2 * quad(lambda s: f(s) * G_F(s)[1], 0, tau)
             + k**2 * nopt * norm2 * quad(lambda s: G_F(s)[1] ** 2, 0, tau)
             + k * gam * Vx * norm2 * quad(lambda s: G_F(s)[0] ** 2, 0, tau)
         )
+        ns_eq = V33 * mp.exp(gam * tau) - V0
         return {
             "V33": V33, "V32": V32, "V22": V22, "Vc": V33 - V32**2 / V22,
-            "nm_eq": V22 / gm1 - V0, "Tm": V0 * gm1 / V22,
+            "ns_eq": ns_eq, "nm_eq": V22 / gm1 - V0, "Ts": V0 / (V0 + ns_eq), "Tm": V0 * gm1 / V22,
         }
 
 
 @pytest.mark.parametrize("tau", [0.012067926406393288, 0.5289893076098151, 5.0])
 def test_against_extended_precision_quadrature(tau):
-    """The closed-form kernel against 30-digit quadrature, at the tv pulsed
-    parameters (--n-m 1e7) and at the tau of the golden table
-    (0.01207) and of the 500-row sweep (0.529) where it is least
-    accurate.
-
-    Relative errors measured before the series were cut early (22 terms
-    throughout), as the baseline for a more accurate kernel:
-
-    ====== ======= ======= ======= ======= ======= =======
-    tau    V33     V32     V22     Vc      nm_eq   Tm
-    0.0121 1.1e-16 1.5e-11 1.7e-16 1.2e-16 3.0e-11 3.0e-11
-    0.529  2.4e-17 6.1e-15 1.0e-12 1.3e-15 1.0e-12 1.0e-12
-    5.0    7.9e-18 2.5e-16 2.5e-16 2.8e-16 7.1e-16 6.7e-16
-    ====== ======= ======= ======= ======= ======= =======
-
-    The small-tau error comes from the exponential-sum form of M23,
-    c (exp(-gamma t / 2) - exp(-kappa t / 2)), which cancels when kappa
-    tau is small.
-    """
+    """The kernel against 30-digit quadrature, at the tv pulsed parameters
+    (--n-m 1e7) and at the tau of the golden table (0.01207) and of the
+    500-row sweep (0.529) where the former sums of t^k exp(a t) terms
+    were least accurate: they were off by 3.0e-11 in nm_eq and T_m at
+    tau = 0.0121 and by 6e-14 at tau = 0.529.  The block exponentials
+    are good to 6.7e-16 in every figure at these three points."""
     p = fig9_params()
     want = _oracle(p, tau)
     V33, V32, V22 = pulsed_covariances(p, tau)
     figs = pulsed_metrics(p, tau)
     got = {"V33": V33, "V32": V32, "V22": V22, "Vc": figs.Vc, "nm_eq": figs.nm_eq, "Tm": figs.Tm}
-    rel = {name: 1e-13 if name == "Vc" else 1e-10 for name in got}
     for name, value in got.items():
-        assert value == pytest.approx(float(want[name]), rel=rel[name], abs=0.0), name
+        assert value == pytest.approx(float(want[name]), rel=1e-13, abs=0.0), name
 
 
 @pytest.mark.parametrize("tau", [2.5, 3.0, 3.5])
 def test_phi_series_against_extended_precision_quadrature(tau):
-    """Terms t^k exp(a t) of high degree k with 0.5 <= |a| tau <= k + 1,
-    where the closed-form antiderivative cancels, against 30-digit
-    quadrature.  With that closed form V22 and T_m were off by 2.9e-9
-    at tau = 2.5 and 2.8e-9 at tau = 3.5, and V_c by 1.9e-9 at tau = 3.5;
-    the phi-series integrals bring every figure here below 3e-12."""
+    """Slow rates, kappa = 0.2 and gamma = 0.05, at the tau where the former
+    closed-form antiderivatives of t^k exp(a t) cancelled (V22 and T_m off
+    by 2.9e-9) and phi-function series took their place (3e-12), against
+    30-digit quadrature: the block exponentials are good to 6.7e-16 here."""
     bath = BathSpec(n_m=100.0)
     V0, _ = prepare_state_lyapunov(0.2, 0.05, 0.6, 0.2, bath)
     p = PulsedParams(kappa=0.2, gamma=0.05, omega_m=20.0, g=1.0, alpha2=0.2, V0=V0, bath=bath)
@@ -482,18 +493,50 @@ def test_phi_series_against_extended_precision_quadrature(tau):
     figs = pulsed_metrics(p, tau)
     got = {"V33": V33, "V32": V32, "V22": V22, "Vc": figs.Vc, "nm_eq": figs.nm_eq, "Tm": figs.Tm}
     for name, value in got.items():
-        assert value == pytest.approx(float(want[name]), rel=1e-11, abs=0.0), name
+        assert value == pytest.approx(float(want[name]), rel=1e-13, abs=0.0), name
+
+
+def _grid_params(grid, gamma):
+    return PulsedParams(kappa=grid["kappa"], gamma=gamma, omega_m=100.0, g=grid["g"],
+                        alpha2=grid["alpha2"], V0=grid["V0"], bath=BathSpec(n_m=grid["n_m"]))
+
+
+def test_gamma_tau_grid_against_extended_precision_quadrature():
+    """Both filters on the grid gamma / kappa in {1e-9, ..., 1} x kappa tau in
+    {0.012, ..., 50}, each gamma's taus as one stack, against the 30-digit
+    quadratures of ``record_pulsed_oracle.py`` (checked in, since the grid
+    takes a minute): V_c, T_s and T_m within 1e-12 relative, n_eq within
+    1e-12 of n_eq + V0.  Before the block exponentials, V_c was off by
+    8.0e-9 at gamma = 0.9, 4.2e-5 at 0.99 and 0.62 at 0.999 (tau = 1)."""
+    grid = json.loads(ORACLE_GRID.read_text())
+    for shape in ("matched", "flat"):
+        for gamma in grid["gammas"]:
+            rows = [row for row in grid["rows"] if (row["pulse_shape"], row["gamma"]) == (shape, gamma)]
+            assert [row["tau"] for row in rows] == grid["taus"]
+            figs = pulsed_metrics(_grid_params(grid, gamma), np.array(grid["taus"]), shape)
+            for row, got in zip(rows, figs):
+                for name in ("Vc", "Ts", "Tm"):
+                    want = float(row[name])
+                    assert abs(getattr(got, name) - want) <= 1e-12 * want, (row, name)
+                for name in ("ns_eq", "nm_eq"):
+                    want = float(row[name])
+                    assert abs(getattr(got, name) - want) <= 1e-12 * (want + grid["V0"]), (row, name)
+
+
+def test_checked_in_oracle_grid_is_the_oracle():
+    """The gamma = kappa row of the matched filter, recomputed."""
+    grid = json.loads(ORACLE_GRID.read_text())
+    p = _grid_params(grid, grid["kappa"])
+    for row in grid["rows"]:
+        if (row["pulse_shape"], row["gamma"]) == ("matched", grid["kappa"]):
+            want = _oracle(p, row["tau"])
+            for name, value in want.items():
+                assert float(value) == pytest.approx(float(row[name]), rel=1e-25, abs=0.0)
 
 
 def _rates(kappa):
-    """gamma from 1e-9 kappa to kappa / 2, or within DEGENERATE_RATE_TOL of
-    kappa.  Between the two the exponential-sum form of M23 cancels in
-    both paths wherever |kappa - gamma| tau is small, as it does at
-    small kappa tau, so neither is accurate enough to compare there."""
-    return st.one_of(
-        st.floats(-9.0, math.log10(0.5)).map(lambda u: kappa * 10**u),
-        st.floats(-0.9, 0.9).map(lambda d: kappa * (1.0 + d * DEGENERATE_RATE_TOL)),
-    )
+    """gamma from 1e-9 kappa to 2 kappa, or kappa itself."""
+    return st.one_of(st.just(kappa), st.floats(-9.0, math.log10(2.0)).map(lambda u: kappa * 10**u))
 
 
 def _per_row(draw, n: int, values):
@@ -536,9 +579,9 @@ def _row(p, k):
 def test_stacked_rows_equal_the_scalar_path(case):
     """A stack of rows (tau from 1e-3 / kappa to 1e3 / kappa, with g, alpha2
     and V0 shared or one per row) gives every row's figures as the row
-    alone does, within 1e-11: a row runs its term algebra grouped with
-    other rows, and its series may run a term longer than its own.  n_eq
-    = V / G - V0 is a difference, so it is held to 1e-11 of V / G."""
+    alone does, within 1e-11: a row's exponentials run in a stack with
+    the other rows'.  n_eq = V / G - V0 is a difference, so it is held to
+    1e-11 of V / G."""
     p, taus, shape = case
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
