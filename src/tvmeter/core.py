@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -474,7 +475,8 @@ def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple,
     points = np.broadcast(a[..., 0], omega).shape
     rank, entries = len(points), len(rows)
     h = _entries_first(model.H.diagonal(0, -2, -1), rank)  # h[j, ...]
-    m, x = np.zeros((2, size) + points, complex)  # M, X and N; a zero last
+    m, x = _work.pair(size, points)  # M, X and N, then the zero that pads the levels
+    m[-1] = x[-1] = 0.0  # every other entry is written before it is read
     m[:entries] = _entries_first(a, rank)
     m[:n_diagonal] += 1j * omega
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular: inf, NaN
@@ -495,8 +497,9 @@ def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple,
             for t, k in zip(terms[1:], known[1:]):
                 x[at_x] += m[t] * x[k]
         _require_regular(m[:entries], omega, (x[:entries], h), at)
-        s = x[:entries] * -h[rows]  # -H X, then less I on the first n_diagonal
-    s[:n_diagonal] -= 1.0
+        s = x[:entries]
+        s *= -h[rows]  # -H X, in place
+    s[:n_diagonal] -= 1.0  # less I on the first n_diagonal
     if outputs is not None:
         read, place = _read_entries(at, outputs)
         R = np.zeros((len(outputs), n) + points, complex)
@@ -505,6 +508,35 @@ def _substituted(model: LinearModel, omega: float | NDArray, plan: tuple,
     S = np.zeros(points + (n, n), complex)
     S[..., rows, cols] = s.transpose((*range(1, rank + 1), 0))
     return S
+
+
+class _WorkArrays(threading.local):
+    """One work array per thread, as large as the largest request so far:
+    the substitution's M, X and N (:func:`_substituted`), then the
+    density's products (:func:`_output_density`), in turn.
+
+    A scan calls both many times on one stack shape (its grid blocks)
+    and on a few smaller ones (its lockstep rounds).  New arrays on every
+    call had glibc trim the freed ones off the heap and map the pages
+    again on the next call; the kept array touches the same pages, and
+    a call of any shape takes the front of it.  A larger one comes from
+    ``np.zeros``.  The array holds what its last user left there, so a
+    caller writes every entry before reading it, and no view of it
+    leaves the function that asked for it.
+    """
+
+    def __init__(self):
+        self.buffer = np.zeros(0, complex)
+
+    def pair(self, rows: int, points: tuple[int, ...]) -> NDArray[np.complex128]:
+        """Two complex work arrays of shape (rows,) + ``points``, as one."""
+        size = 2 * rows * math.prod(points)
+        if len(self.buffer) < size:
+            self.buffer = np.zeros(size, complex)
+        return self.buffer[:size].reshape((2, rows) + points)
+
+
+_work = _WorkArrays()
 
 
 def _dense_scattering(model: LinearModel, omega: float | NDArray) -> NDArray[np.complex128]:
@@ -716,18 +748,23 @@ def _output_density(blocks, Vin: NDArray) -> NDArray[np.complex128]:
         diagonal = _entries_first(np.diagonal(Vin, 0, -2, -1), rank)
     elif rank:
         diagonal = diagonal.reshape((n,) + (1,) * rank)
-    sums = []
+    V = None
     for R in blocks:
         U = R * diagonal
         for j, l in off:
             U[:, l] += R[:, j] * Vin[..., j, l]
-        terms = U.reshape((r * n,) + U.shape[2:])[x_at]  # [(l, (i, k)), ...]
-        conjugate = R.reshape((r * n,) + R.shape[2:])[y_at]
+        if R.shape != U.shape:  # a V_in stack with axes of its own
+            R = np.broadcast_to(R, U.shape)
+        points = U.shape[2:]
+        terms, conjugate = _work.pair(len(x_at), points)  # [(l, (i, k)), ...]
+        U.reshape((r * n,) + points).take(x_at, 0, terms, "clip")  # "raise" buffers out
+        R.reshape((r * n,) + points).take(y_at, 0, conjugate, "clip")
         terms *= np.conjugate(conjugate, out=conjugate)
-        sums += list(terms.reshape((len(x_at) // len(upper), len(upper)) + terms.shape[1:]))
-    V = sums[0]
-    for term in sums[1:]:
-        V += term
+        for term in terms.reshape((len(x_at) // len(upper), len(upper)) + points):
+            if V is None:
+                V = term.copy()
+            else:
+                V += term
     density = np.empty((r * r,) + V.shape[1:], complex)
     density[lower] = np.conj(V)
     density[upper] = V

@@ -15,7 +15,10 @@ while each bracket takes exactly the steps it takes alone.  The
 conditional variance can have several local minima and branch jumps
 (notably for the noise-cancellation scenario off resonance), so grid
 minima that come within 1 percent of the refined optimum are reported
-as additional branches, and optima pinned to an endpoint are flagged."""
+as additional branches, and optima pinned to an endpoint are flagged.
+A grid minimum that its neighbours match within the rounding of V_c
+(a curve flat to rounding, as where the measurement is too weak to
+condition) is not a branch (see :func:`_refine_rows`)."""
 
 from __future__ import annotations
 
@@ -40,7 +43,10 @@ GOLDEN_STEPS = 4
 BRANCH_MARGIN = 0.01
 
 #: grid points a frequency scan of several rows scores per V_c call: the
-#: grids of up to this many points' worth of rows go in one stacked solve
+#: grids of up to this many points' worth of rows go in one stacked solve.
+#: The calls reuse the work array each thread keeps (``core._WorkArrays``),
+#: so this size no longer decides whether glibc maps their largest
+#: temporaries again on every call.
 GRID_POINTS = 800
 
 
@@ -178,6 +184,19 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float):
     The best grid point of every row is refined first, then every local
     grid minimum within ``BRANCH_MARGIN`` of its row's refined optimum
     (a branch); each of the two passes is one lockstep refinement.
+
+    A local minimum whose grid neighbours (one, at an end of the grid)
+    all lie within the rounding of V_c of it is flat to rounding, not a
+    branch.  V_c = V_ss - |V_sm|^2 / V_mm (with an ancilla, the Schur
+    complement on both channels) is a difference of rounded numbers: to
+    first order in the unit roundoff u = eps / 2, it carries V_ss's
+    rounding, u V_ss, the difference's, u |V_c|, and that of the
+    conditioning term.  Where conditioning takes nothing off (the term
+    below rounding, so V_ss = V_c: a measurement too weak to resolve
+    the signal), each value lies within 2u |V_c| of the exact one, and
+    two values of such a flat curve within 4u |V_c| = 2 eps |V_c| of
+    each other; that is the bound.  Where conditioning acts, V_c can
+    round more coarsely than that, and such minima stay branches.
     """
     rows = np.arange(len(values))
     best = np.argmin(values, axis=1)
@@ -187,8 +206,12 @@ def _refine_rows(f, grid: np.ndarray, values: np.ndarray, rel_tol: float):
     local[:, 1:] &= values[:, 1:] <= values[:, :-1]
     local[:, :-1] &= values[:, :-1] <= values[:, 1:]
     local[rows, best] = False
+    step, bound = np.abs(np.diff(values, axis=1)), 2.0 * _EPS * np.abs(values)
+    flat = np.ones(values.shape, dtype=bool)  # no neighbour beyond the rounding of V_c
+    flat[:, 1:] &= step <= bound[:, 1:]
+    flat[:, :-1] &= step <= bound[:, :-1]
     near = (values <= v_best * (1.0 + BRANCH_MARGIN)) | ((v_best == 0.0) & (values <= BRANCH_MARGIN))
-    picks = [tuple(p) for p in np.argwhere(local & near)]
+    picks = [tuple(p) for p in np.argwhere(local & near & ~flat)]
     branches = [[] for _ in rows]
     for (r, _), branch in zip(picks, _refine(f, grid, values, picks, rel_tol)):
         branches[r].append(branch)

@@ -42,8 +42,9 @@ from .core import BathSpec, check_signs, check_stable, matrix, raise_first
 from .errors import DegenerateMeter, TvmeterError
 from .metrics import METER_FLOOR, MeasurementFigures, _clamped, measured_figures
 
-#: the error texts of a matched filter lost to a kappa * int M23^2 <= 0
-#: and of integrals that overflow
+#: the error texts of a matched filter lost to a kappa * int M23^2 too small
+#: for its norm sqrt(kappa / kappa int M23^2) (zero, or subnormal) and of
+#: integrals that overflow
 _LOST_FILTER = "matched filter undefined: kappa * int M23^2 = {:.3e}"
 _NOT_FINITE = "pulsed readout integrals are not finite"
 
@@ -343,7 +344,7 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[NDArray
         if pulse_shape == "matched":  # its norm diverges as tau shrinks: it scales the results
             gm1 = kappa * I["signal"]
             defined = np.where(gm1 > 0.0, gm1, np.nan)  # else lost: no coupling, or underflow
-            norm, Gs = np.sqrt(kappa / defined), np.sqrt(defined)
+            norm, Gs = np.sqrt(kappa / defined), np.sqrt(defined)  # inf at a subnormal: lost
         else:
             gm1, norm = np.nan * tau, 1.0 / np.sqrt(tau)
             Gs = np.sqrt(kappa) * norm * I["signal"]
@@ -354,7 +355,7 @@ def _covariances(p: PulsedParams, tau: _Rows, pulse_shape: str) -> tuple[NDArray
         C = gamma * np.sqrt(kappa) * Vx * norm * I["J2"]
         N = (nopt * (1.0 + kappa * norm**2 * (I["fM22"]**2 - 2.0 * I["fF"] + 2.0 * kappa * I["F2"]))
              + 2.0 * kappa * gamma * Vx * norm**2 * I["G2"])
-        coupled, lost = r > 0.0, (r > 0.0) & (gm1 <= 0.0)
+        coupled, lost = r > 0.0, (r > 0.0) & ((gm1 <= 0.0) | (norm == np.inf))
         Gs, C, N = np.where(coupled, Gs, 0.0), np.where(coupled, C, 0.0), np.where(coupled, N, nopt)
         B = Vx * (-np.expm1(-gamma * tau))
         out = np.array([np.exp(-gamma * tau) * V0 + B, Gs * np.exp(-gamma * tau / 2) * V0 + C,

@@ -449,13 +449,17 @@ class TestRefinedOptima:
 
 class TestRefinementWork:
     """A guard made of counts, not timers: the points the refiner's ``f``
-    is asked for (golden section asked for 168 and 2,760)."""
+    is asked for (golden section asked for 168 and 2,760), and its calls,
+    one per lockstep round.  fig4 asked for 1,019 points in 43 rounds
+    while its flat-to-rounding minima counted as branches (889 in 15
+    without them)."""
 
     @pytest.mark.parametrize("argv, most", [
         (["threshold", "--scenario", "qnd-imperfect", "--vary", "nu", "--bounds", "0.05", "0.3",
           "--level", "0.5", "--quantity", "min-vc", "--n-m", "1"], 100),
         (["sweep", "--config", str(RECIPES / "fig2.json")], 1500),
-    ], ids=["threshold", "fig2"])
+        (["sweep", "--config", str(RECIPES / "fig4.json")], 950),
+    ], ids=["threshold", "fig2", "fig4"])
     def test_refinement_points(self, argv, most, tmp_path, monkeypatch):
         points, refine = [], optimize.golden_section
         monkeypatch.setattr(optimize, "golden_section", lambda f, brackets, rel_tol: refine(
@@ -463,6 +467,15 @@ class TestRefinementWork:
         rc, _ = run(argv, tmp_path)
         assert rc == 0
         assert 0 < len(points) <= most
+
+    def test_fig4_lockstep_rounds(self, tmp_path, monkeypatch):
+        """Both refinement passes of fig4 together take at most 15 rounds."""
+        rounds, refine = [], optimize.golden_section
+        monkeypatch.setattr(optimize, "golden_section", lambda f, brackets, rel_tol: refine(
+            lambda ks, xs: rounds.append(len(xs)) or f(ks, xs), brackets, rel_tol))
+        rc, _ = run(["sweep", "--config", str(RECIPES / "fig4.json")], tmp_path)
+        assert rc == 0
+        assert 0 < len(rounds) <= 15
 
 
 #: scenario -> its numeric parameters and a range around each, wide enough

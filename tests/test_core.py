@@ -581,6 +581,16 @@ class TestEntriesFirstDensity:
             alone = core._output_density([R[..., p] for R in rows], Vin[p] if stacked_vin else Vin)
             np.testing.assert_array_equal(stacked[p], alone)
 
+    def test_rows_broadcast_against_a_vin_stack(self):
+        """Rows of one point, as a stack of one, against a V_in stack give
+        the density at each V_in, bit for bit."""
+        rng = np.random.default_rng(5)
+        S, Vin = _random_density_inputs(rng, 6, (4,), True)
+        rows = core._rows_of(S[:1], (2, 1, 4))
+        stacked = core._output_density((rows,), Vin)
+        for p in range(4):
+            np.testing.assert_array_equal(stacked[p], core._output_density((rows[..., 0],), Vin[p]))
+
     def test_figures_read_the_rows_of_build_scattering(self):
         model = cqnc_model(CqncParams(10.0, 0.01, 1.0, C=np.logspace(-2, 2, 5)), FIG2_BATH)
         omegas = np.linspace(0.5, 2.0, 5)

@@ -166,3 +166,32 @@ def test_one_stability_check():
                     name == "eigvals" and not isinstance(node, ast.Name))):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert found == []
+
+
+def test_no_allocator_setting_or_environment_variable():
+    """The library sets no allocator option and no environment variable:
+    no module imports ctypes, names mallopt or a MALLOC_ variable, or
+    assigns to os.environ (its entries or the mapping itself)."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                names = []
+            found += [f"{path.name}:{node.lineno} import {name}" for name in names
+                      if name.split(".")[0] == "ctypes"]
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:
+                base = target.value if isinstance(target, ast.Subscript) else target
+                if "os.environ" in ast.unparse(base) or ast.unparse(base) == "environ":
+                    found.append(f"{path.name}:{node.lineno} assigns {ast.unparse(target)}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "os.environ.update", "os.environ.setdefault", "os.putenv", "putenv"):
+                found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}")
+        found += [f"{path.name}: names {word}" for word in ("mallopt", "MALLOC_") if word in text]
+    assert found == []

@@ -228,6 +228,21 @@ def test_overflowing_row_in_caller_order(kernel, gamma, tau, text):
 
 
 @pytest.mark.parametrize("kernel", [pulsed_metrics, pulsed_covariances])
+@pytest.mark.parametrize("tau", [1e-103, 1e-105, 1e-107])
+def test_subnormal_matched_filter_is_lost(kernel, tau):
+    """Where kappa * int M23^2 is subnormal, the filter's norm
+    sqrt(kappa / kappa int M23^2) overflows: the filter is lost, with its
+    (nonzero) value in the text, alone and in its place in a tau stack."""
+    want = _raised(lambda: kernel(OVERFLOWING, tau))
+    assert want[0] is DegenerateMeter
+    assert want[1].startswith("matched filter undefined: kappa * int M23^2 = ")
+    assert 0.0 < float(want[1].rsplit("= ", 1)[1]) < np.finfo(float).tiny
+    taus = [1.0, tau, -1.0]
+    assert _loop(lambda t=t: kernel(OVERFLOWING, t) for t in taus) == want
+    assert _raised(lambda: kernel(OVERFLOWING, np.array(taus))) == want
+
+
+@pytest.mark.parametrize("kernel", [pulsed_metrics, pulsed_covariances])
 @pytest.mark.parametrize("tau", [np.nan, np.array([1.0, np.nan])], ids=["nan", "stack-nan"])
 def test_nan_pulse_duration_fails_its_guard(kernel, tau):
     """A NaN pulse duration is not positive: it raises instead of giving NaN figures."""

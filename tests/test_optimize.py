@@ -276,6 +276,50 @@ def _double_well(depth):
     return lambda x: min((np.log10(x) + 1) ** 2, (np.log10(x) - 1) ** 2 - depth) + 1.0
 
 
+class TestFlatBranches:
+    """_refine_rows on synthetic grids: a local grid minimum whose
+    neighbours agree with it within the rounding of V_c, 2 eps |V_c|, is
+    flat to rounding and no branch; a deeper dip within BRANCH_MARGIN is."""
+
+    GRID = np.geomspace(1e-2, 1e2, 11)
+    LEVEL = 1.5  # V_c of a measurement too weak to condition (n_m = 1)
+
+    def _branches(self, row):
+        """The refined branches of one row of grid values, refined on the
+        piecewise-linear curve through them (in log x)."""
+        values = np.array([row])
+        f = lambda _, xs: np.interp(np.log(xs), np.log(self.GRID), row).tolist()
+        [(_, _, _, branches)] = optimize._refine_rows(f, self.GRID, values, 1e-6)
+        return branches
+
+    def _plateau(self, dips):
+        """The level everywhere, the best point 0.5% below it at index 2,
+        and the level less dips[i] ulps at each index i of ``dips``."""
+        row = np.full(len(self.GRID), self.LEVEL)
+        row[2] = self.LEVEL * (1.0 - 0.005)
+        for i, ulps in dips.items():
+            row[i] -= ulps * math.ulp(self.LEVEL)
+        return row
+
+    @pytest.mark.parametrize("dips", [{6: 1}, {6: 2}, {10: 1}, {10: 2}, {0: 2, 6: 1, 8: 2}],
+                             ids=["1-ulp", "2-ulp", "edge-1-ulp", "edge-2-ulp", "several"])
+    def test_plateau_within_the_rounding_is_no_branch(self, dips):
+        # 2 ulps of 1.5 are 4.4e-16, under 2 eps * 1.5 = 6.7e-16
+        assert self._branches(self._plateau(dips)) == ()
+
+    @pytest.mark.parametrize("dips", [{6: 4}, {10: 4}, {6: 1e6}, {6: 0.004 * 2**52}],
+                             ids=["4-ulp", "edge-4-ulp", "1e-10", "0.4%"])
+    def test_deeper_dip_within_the_margin_is_a_branch(self, dips):
+        [(x, v)] = self._branches(self._plateau(dips))
+        [i] = dips
+        assert v == self._plateau(dips)[i] and x == pytest.approx(self.GRID[i], rel=0.2)
+
+    def test_dip_beyond_the_margin_is_no_branch(self):
+        row = self._plateau({6: 1e6})
+        row[2] = self.LEVEL * (1.0 - 0.05)
+        assert self._branches(row) == ()
+
+
 class TestLockstepScan:
     """minimize_on_grid over several rows against one scan per row."""
 

@@ -12,6 +12,9 @@ loop X -> p -> x -> Y -> X is one block of four, takes the dense path.
 An empty stack gives empty results on both paths.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,3 +255,63 @@ def test_empty_parameter_arrays_build_empty_stacks():
     assert model.A.shape == (0, 4, 4) and evaluate(model, 1.0, BATH) == []
     fd = decompose_drift(10.0, 0.01, 1.0, C=np.array([]))
     assert fd.A_zero.shape == (0, 4, 4) and floquet_vc(fd, BATH, 0.0).shape == (0,)
+
+
+#: frequency grids of two stack shapes, each called again on the work array
+#: the first call left
+GRIDS = [np.geomspace(0.1, 10.0, 40), np.geomspace(0.2, 20.0, 40).reshape(2, 20)]
+
+
+@pytest.mark.parametrize("name", ["displacement", "cqnc", "lev-single"])
+@pytest.mark.parametrize("kernel", ["build_scattering", "vc_on_grid"])
+def test_kept_work_arrays_leave_results_alone(name, kernel):
+    """A result is unchanged by the next call of the same shape, and shares
+    no memory with it: the work array a thread keeps never leaves a call."""
+    model = BUILDERS[name]
+    call = (lambda ws: build_scattering(model, ws, (2, 1))) if kernel == "build_scattering" \
+        else (lambda ws: vc_on_grid(model, ws, BATH))
+    for grid in GRIDS:
+        first = call(grid)
+        kept = first.copy()
+        second = call(grid * 1.1)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(call(grid), kept)
+
+
+@pytest.mark.parametrize("name", ["displacement", "cqnc", "qnd-imperfect"])
+def test_results_do_not_depend_on_what_the_work_arrays_held(name):
+    """Every entry of the kept work array that a call reads, it writes
+    first: NaN in all of it changes no bit."""
+    model, ws = BUILDERS[name], GRIDS[1]
+    want = vc_on_grid(model, ws, BATH), build_scattering(model, ws)
+    core._work.buffer.fill(np.nan)
+    got = vc_on_grid(model, ws, BATH), build_scattering(model, ws)
+    assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+
+def test_threads_keep_their_own_work_arrays():
+    """Four threads scanning two models at once, on one stack shape, get
+    the bits of a serial run: each thread writes only its own work array."""
+    models = [BUILDERS["cqnc"], BUILDERS["displacement"]] * 2
+    grids = [GRIDS[1] * (1.0 + 0.01 * k) for k in range(30)]
+    serial = [[vc_on_grid(m, ws, BATH) for ws in grids] for m in models]
+    found, start = [None] * len(models), threading.Barrier(len(models), timeout=60)
+
+    def scan(t):
+        start.wait()
+        found[t] = [vc_on_grid(models[t], ws, BATH) for ws in grids]
+
+    threads = [threading.Thread(target=scan, args=(t,)) for t in range(len(models))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert None not in found  # no scan raised
+    assert all(np.array_equal(a, b) for t in range(len(models)) for a, b in zip(found[t], serial[t]))
